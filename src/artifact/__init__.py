@@ -8,8 +8,8 @@ from .algebra import (CATEGORIES, SUITES, Algebra, InputError, Subspace,
                       algebra_from_json, annihilator, check_identity,
                       derived_subspace, identity_suite, is_ideal,
                       make_algebra, make_algebra_from_products, quotient)
-from .actions import (ActionPair, action_from_json, check_action_axioms,
-                      check_derived_action, conjugation_action,
+from .actions import (ActionPair, action_from_json, check_derived_action,
+                      conjugation_action,
                       crosscheck_semidirect, make_action, semidirect)
 from .constructions import (KINDS, ActorAlgebra, BiMap, ClosureError,
                             ConstructionError, actor_from_json,

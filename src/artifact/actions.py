@@ -253,82 +253,6 @@ def check_derived_action(category: str, act: ActionPair) -> Report:
     return Report(True, details=details)
 
 
-def check_action_axioms(act: ActionPair) -> Report:
-    """The twelve elementary axioms an action inherits from a split extension.
-
-    Over a field, addition is commutative and the group-theoretic dot action
-    collapses to the identity, which settles nine of the twelve for free; the
-    three distributivity axioms are genuinely about the tensors and are
-    evaluated literally on basis vectors and on sums of basis vectors.
-    """
-    f = act.A.field
-    nB, nA = act.B.dim, act.A.dim
-    auto = "auto-pass: addition commutes and the dot action is trivial over a field"
-    details = [
-        {"condition": 1, "name": "dot action preserves sums in the target", "status": "pass", "note": auto},
-        {"condition": 2, "name": "dot action composes along sums in the actor", "status": "pass", "note": auto},
-        {"condition": 3, "name": "dot action fixes the origin", "status": "pass", "note": auto},
-    ]
-
-    eA = [basis_vector(f, nA, i) for i in range(nA)]
-    eB = [basis_vector(f, nB, i) for i in range(nB)]
-    samplesA = eA + [vec_add(f, eA[i], eA[j]) for i in range(nA) for j in range(i, nA)]
-    samplesB = eB + [vec_add(f, eB[i], eB[j]) for i in range(nB) for j in range(i, nB)]
-
-    def bilinear_left():
-        for b in samplesB:
-            for i, a1 in enumerate(samplesA):
-                for a2 in samplesA[i:]:
-                    lhs = act.act_left(b, vec_add(f, a1, a2))
-                    rhs = vec_add(f, act.act_left(b, a1), act.act_left(b, a2))
-                    if lhs != rhs:
-                        return lhs, rhs
-        return None
-
-    def bilinear_right():
-        for b in samplesB:
-            for i, a1 in enumerate(samplesA):
-                for a2 in samplesA[i:]:
-                    lhs = act.act_right(vec_add(f, a1, a2), b)
-                    rhs = vec_add(f, act.act_right(a1, b), act.act_right(a2, b))
-                    if lhs != rhs:
-                        return lhs, rhs
-        return None
-
-    def bilinear_actor():
-        for a in samplesA:
-            for i, b1 in enumerate(samplesB):
-                for b2 in samplesB[i:]:
-                    bsum = vec_add(f, b1, b2)
-                    lhs = act.act_left(bsum, a)
-                    rhs = vec_add(f, act.act_left(b1, a), act.act_left(b2, a))
-                    if lhs != rhs:
-                        return lhs, rhs
-                    lhs = act.act_right(a, bsum)
-                    rhs = vec_add(f, act.act_right(a, b1), act.act_right(a, b2))
-                    if lhs != rhs:
-                        return lhs, rhs
-        return None
-
-    checked = [
-        (4, "left action distributes over target sums", bilinear_left),
-        (5, "right action distributes over target sums", bilinear_right),
-    ]
-    for cond, name, fn in checked:
-        bad = fn()
-        if bad is not None:
-            return Report(False, label=name, lhs=bad[0], rhs=bad[1], details=details)
-        details.append({"condition": cond, "name": name, "status": "pass", "note": "verified on basis vectors and pairwise sums"})
-    for cond in (6, 7, 8, 9, 10):
-        details.append({"condition": cond, "name": "dot-twisted compatibility collapses to a tautology", "status": "pass", "note": auto})
-    bad = bilinear_actor()
-    if bad is not None:
-        return Report(False, label="actions distribute over actor sums", lhs=bad[0], rhs=bad[1], details=details)
-    details.append({"condition": 11, "name": "actions distribute over actor sums", "status": "pass", "note": "verified on basis vectors and pairwise sums"})
-    details.append({"condition": 12, "name": "dot action respects products", "status": "pass", "note": auto})
-    return Report(True, details=details)
-
-
 def semidirect(act: ActionPair) -> Algebra:
     """Algebra on B + A with products (b'+a')*(b+a) = b'b + (a'a + a'b + b'a).
 

@@ -2,11 +2,17 @@
 
 An algebra is a field, a basis, and a tensor c with
 e_i * e_j = sum_k c[i][j][k] e_k, plus a category tag naming the identity
-suite the instance is supposed to satisfy.  Identity checks report the
-lexicographically first failing basis tuple.  Over prime fields the
-multilinear identities are evaluated through integer numpy contractions
-(reduced mod p after every product, values stay far below 2^63), over Q
-through exact Fraction loops; both paths produce identical reports.
+suite the instance is supposed to satisfy.
+
+Every identity is written once, as data in IDENTITIES: signed sums of the
+products u*v, (u*v)*w and u*(v*w) over permuted basis indices.  Two
+evaluators read that table and report the lexicographically first failing
+basis tuple.  Over GF(p) an integer numpy kernel builds the whole difference
+array, one einsum (or transpose) per term; it is exact while
+terms * dim * (p-1)^2 < 2^63, with terms the largest number of terms in one
+row of the identity.  Over Q, and over primes too large for that bound, an
+exact evaluator runs Algebra.multiply per index tuple.  Both give identical
+reports; the witness sides always come from the exact evaluator.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import QQ, Field, FieldError, PrimeField, field_from_json
+from .fields import Field, FieldError, PrimeField, field_from_json
 from .linalg import (
     Matrix,
     Vector,
@@ -25,7 +31,7 @@ from .linalg import (
     express_in_rref_rows,
     vec_add,
     vec_is_zero,
-    vec_scale,
+    vec_neg,
     vec_sub,
     vec_zero,
 )
@@ -56,9 +62,6 @@ class Algebra:
     basis: tuple[str, ...]
     tensor: tuple  # tensor[i][j] is the coefficient vector of e_i * e_j
     category: str
-
-    def mul_basis(self, i: int, j: int) -> Vector:
-        return self.tensor[i][j]
 
     def multiply(self, u: Vector, v: Vector) -> Vector:
         f = self.field
@@ -149,13 +152,20 @@ def algebra_from_json(obj) -> Algebra:
         raise InputError(str(exc)) from exc
     dim = obj["dim"]
     basis = obj["basis"]
-    if not isinstance(dim, int) or not isinstance(basis, list) or len(basis) != dim:
+    if type(dim) is not int or not isinstance(basis, list) or len(basis) != dim:
         raise InputError("dim must be an int equal to len(basis)")
+    entries = obj.get("products", [])
+    if not isinstance(entries, list):
+        raise InputError("products must be a list of entries")
     products = {}
-    for entry in obj.get("products", []):
+    for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "v"}:
             raise InputError("each product entry needs exactly the keys i, j, v")
         i, j, v = entry["i"], entry["j"], entry["v"]
+        if type(i) is not int or type(j) is not int:  # also refuses JSON true/false
+            raise InputError(f"product indices must be integers, got ({i!r},{j!r})")
+        if (i, j) in products:
+            raise InputError(f"duplicate product entry ({i},{j})")
         if not isinstance(v, list) or len(v) != dim:
             raise InputError(f"product vector for ({i},{j}) must be a list of length {dim}")
         try:
@@ -167,174 +177,123 @@ def algebra_from_json(obj) -> Algebra:
 
 # ---------------------------------------------------------------------------
 # identity checks
+#
+# Each tag is a list of rows (name, lhs, rhs), checked in order.  A side is a
+# signed sum of terms (sign, shape, perm) over the witness indices, picked
+# out by perm: "T" is the product u*v, "L" is (u*v)*w and "R" is u*(v*w).
 
-IDENTITY_TAGS = (
-    "associativity",
-    "commutativity",
-    "anticommutativity",
-    "jacobi",
-    "leibniz",
-    "alternative",
-    "axiom1",
-    "zero",
-)
+IDENTITIES = {
+    "associativity": [("(x*y)*z = x*(y*z)", [(1, "L", (0, 1, 2))], [(1, "R", (0, 1, 2))])],
+    "commutativity": [("x*y = y*x", [(1, "T", (0, 1))], [(1, "T", (1, 0))])],
+    "anticommutativity": [("x*y = -y*x", [(1, "T", (0, 1))], [(-1, "T", (1, 0))])],
+    "jacobi": [("[[x,y],z]+[[y,z],x]+[[z,x],y] = 0",
+                [(1, "L", (0, 1, 2)), (1, "L", (1, 2, 0)), (1, "L", (2, 0, 1))], [])],
+    "leibniz": [("[x,[y,z]] = [[x,y],z]-[[x,z],y]", [(1, "R", (0, 1, 2))],
+                 [(1, "L", (0, 1, 2)), (-1, "L", (0, 2, 1))])],
+    "alternative": [
+        ("x(yz) = (xy)z+(yx)z-y(xz)", [(1, "R", (0, 1, 2))],
+         [(1, "L", (0, 1, 2)), (1, "L", (1, 0, 2)), (-1, "R", (1, 0, 2))]),
+        ("(xy)z = x(yz)-(xz)y+x(zy)", [(1, "L", (0, 1, 2))],
+         [(1, "R", (0, 1, 2)), (-1, "L", (0, 2, 1)), (1, "R", (0, 2, 1))]),
+    ],
+    "zero": [("all products vanish", [(1, "T", (0, 1))], [])],
+}
 
-
-def _np_tensor(a: Algebra) -> np.ndarray:
-    return np.array(a.tensor, dtype=np.int64)
-
-
-def _np_pair_diffs(tag: str, c: np.ndarray, p: int):
-    """Difference arrays for 2-index identities, list of (name, D[i,j,m])."""
-    if tag == "commutativity":
-        return [("x*y = y*x", (c - c.transpose(1, 0, 2)) % p)]
-    if tag == "anticommutativity":
-        return [("x*y = -y*x", (c + c.transpose(1, 0, 2)) % p)]
-    raise AssertionError(tag)
-
-
-def _np_triple_diffs(tag: str, c: np.ndarray, p: int):
-    """Difference arrays for 3-index identities, list of (name, D[i,j,k,m])."""
-    def e(spec):
-        return np.einsum(spec, c, c)
-
-    if tag == "associativity":
-        return [("(x*y)*z = x*(y*z)", (e("ijr,rkm->ijkm") - e("jkr,irm->ijkm")) % p)]
-    if tag == "jacobi":
-        d = (e("ijr,rkm->ijkm") + e("jkr,rim->ijkm") + e("kir,rjm->ijkm")) % p
-        return [("[[x,y],z]+[[y,z],x]+[[z,x],y] = 0", d)]
-    if tag == "leibniz":
-        d = (e("jkr,irm->ijkm") - e("ijr,rkm->ijkm") + e("ikr,rjm->ijkm")) % p
-        return [("[x,[y,z]] = [[x,y],z]-[[x,z],y]", d)]
-    if tag == "alternative":
-        d1 = (e("jkr,irm->ijkm") - e("ijr,rkm->ijkm") - e("jir,rkm->ijkm") + e("ikr,jrm->ijkm")) % p
-        d2 = (e("ijr,rkm->ijkm") - e("jkr,irm->ijkm") + e("ikr,rjm->ijkm") - e("kjr,irm->ijkm")) % p
-        return [("x(yz) = (xy)z+(yx)z-y(xz)", d1), ("(xy)z = x(yz)-(xz)y+x(zy)", d2)]
-    raise AssertionError(tag)
+IDENTITY_TAGS = tuple(IDENTITIES)
 
 
-def _pure_pair_sides(tag: str, a: Algebra, i: int, j: int):
+def _kernel_is_exact(f: Field, n: int, rows) -> bool:
+    """Every entry of a difference array is a sum of at most `terms` einsum
+    terms of at most n*(p-1)^2 each; int64 holds it exactly below 2^63."""
+    if not isinstance(f, PrimeField):
+        return False
+    terms = max(len(lhs) + len(rhs) for _, lhs, rhs in rows)
+    return terms * n * (f.p - 1) ** 2 < 2 ** 63
+
+
+def _np_term(c: np.ndarray, shape: str, perm) -> np.ndarray:
+    """A fresh int64 array T[i,j,m] or T[i,j,k,m] holding the term's coordinates."""
+    if shape == "T":
+        return c.transpose(perm + (2,)).copy()
+    a, b, d = ("ijk"[x] for x in perm)
+    spec = f"{a}{b}r,r{d}m->ijkm" if shape == "L" else f"{b}{d}r,{a}rm->ijkm"
+    return np.einsum(spec, c, c)
+
+
+def _np_failing(c: np.ndarray, p: int, lhs, rhs) -> np.ndarray:
+    """Flags, flattened in lexicographic order, of the index tuples where
+    lhs - rhs is nonzero mod p.  The difference is accumulated in place, so
+    at most two full-size arrays are alive at once."""
+    acc = None
+    for sign, shape, perm in lhs + [(-s, shape, perm) for s, shape, perm in rhs]:
+        term = _np_term(c, shape, perm)
+        if acc is None:
+            acc = term
+            if sign < 0:
+                np.negative(acc, out=acc)
+        elif sign > 0:
+            acc += term
+        else:
+            acc -= term
+        del term
+    np.remainder(acc, p, out=acc)
+    return acc.any(axis=-1).ravel()
+
+
+def _exact_side(a: Algebra, e, terms, idx) -> Vector:
+    """One side of a row at the index tuple idx, by Algebra.multiply on the
+    basis vectors e."""
     f = a.field
-    if tag == "commutativity":
-        return a.tensor[i][j], a.tensor[j][i]
-    if tag == "anticommutativity":
-        return a.tensor[i][j], tuple(f.neg(x) for x in a.tensor[j][i])
-    raise AssertionError(tag)
-
-
-def _pure_triple_sides(tag: str, name: str, a: Algebra, i: int, j: int, k: int):
-    f = a.field
-    ei, ej, ek = (basis_vector(f, a.dim, x) for x in (i, j, k))
-    m = a.multiply
-    if tag == "associativity":
-        return m(a.tensor[i][j], ek), m(ei, a.tensor[j][k])
-    if tag == "jacobi":
-        s = vec_add(f, vec_add(f, m(a.tensor[i][j], ek), m(a.tensor[j][k], ei)),
-                    m(a.tensor[k][i], ej))
-        return s, vec_zero(f, a.dim)
-    if tag == "leibniz":
-        lhs = m(ei, a.tensor[j][k])
-        rhs = vec_sub(f, m(a.tensor[i][j], ek), m(a.tensor[i][k], ej))
-        return lhs, rhs
-    if tag == "alternative" and name.startswith("x(yz)"):
-        lhs = m(ei, a.tensor[j][k])
-        rhs = vec_sub(f, vec_add(f, m(a.tensor[i][j], ek), m(a.tensor[j][i], ek)),
-                      m(ej, a.tensor[i][k]))
-        return lhs, rhs
-    if tag == "alternative":
-        lhs = m(a.tensor[i][j], ek)
-        rhs = vec_add(f, vec_sub(f, m(ei, a.tensor[j][k]), m(a.tensor[i][k], ej)),
-                      m(ei, a.tensor[k][j]))
-        return lhs, rhs
-    raise AssertionError(tag)
-
-
-_PAIR_TAGS = ("commutativity", "anticommutativity")
-_TRIPLE_TAGS = ("associativity", "jacobi", "leibniz", "alternative")
-
-
-def _triple_names(tag: str):
-    if tag == "associativity":
-        return ["(x*y)*z = x*(y*z)"]
-    if tag == "jacobi":
-        return ["[[x,y],z]+[[y,z],x]+[[z,x],y] = 0"]
-    if tag == "leibniz":
-        return ["[x,[y,z]] = [[x,y],z]-[[x,z],y]"]
-    if tag == "alternative":
-        return ["x(yz) = (xy)z+(yx)z-y(xz)", "(xy)z = x(yz)-(xz)y+x(zy)"]
-    raise AssertionError(tag)
+    out = None
+    for sign, shape, perm in terms:
+        ix = [idx[x] for x in perm]
+        if shape == "T":
+            val = a.tensor[ix[0]][ix[1]]
+        elif shape == "L":
+            val = a.multiply(a.tensor[ix[0]][ix[1]], e[ix[2]])
+        else:
+            val = a.multiply(e[ix[0]], a.tensor[ix[1]][ix[2]])
+        if out is None:
+            out = val if sign > 0 else vec_neg(f, val)
+        else:
+            out = vec_add(f, out, val) if sign > 0 else vec_sub(f, out, val)
+    return vec_zero(f, a.dim) if out is None else out
 
 
 def check_identity(a: Algebra, tag: str) -> Report:
     """Check one identity tag on all basis tuples of the algebra."""
-    if tag not in IDENTITY_TAGS:
+    if tag not in IDENTITIES:
         raise InputError(f"unknown identity tag {tag!r}")
     f = a.field
     n = a.dim
     if n == 0:
         return Report(True, details=[{"name": tag, "status": "pass", "note": "empty algebra"}])
-
-    if tag == "zero":
-        for i in range(n):
-            for j in range(n):
-                if not vec_is_zero(f, a.tensor[i][j]):
-                    return Report(False, label="all products vanish", witness=(i, j),
-                                  lhs=a.tensor[i][j], rhs=vec_zero(f, n))
-        return Report(True, details=[{"name": "all products vanish", "status": "pass"}])
-
-    if tag == "axiom1":
-        # x1 + (x2*x3) = (x2*x3) + x1: vector addition commutes, evaluated literally
-        for i, j, k in itertools.product(range(n), repeat=3):
-            ei = basis_vector(f, n, i)
-            prod = a.tensor[j][k]
-            if vec_add(f, ei, prod) != vec_add(f, prod, ei):
-                return Report(False, label="x1+(x2*x3) = (x2*x3)+x1", witness=(i, j, k))
-        return Report(True, details=[{"name": "x1+(x2*x3) = (x2*x3)+x1",
-                                      "status": "pass", "note": "addition is commutative"}])
-
-    if tag in _PAIR_TAGS:
-        witness = None
-        if isinstance(f, PrimeField):
-            name, d = _np_pair_diffs(tag, _np_tensor(a), f.p)[0]
-            bad = np.argwhere(d.any(axis=2))
-            if len(bad):
-                witness = tuple(int(x) for x in bad[0])
-        else:
-            name = _np_pair_diffs(tag, np.zeros((1, 1, 1), dtype=np.int64), 2)[0][0]
-            for i, j in itertools.product(range(n), repeat=2):
-                lhs, rhs = _pure_pair_sides(tag, a, i, j)
-                if lhs != rhs:
-                    witness = (i, j)
-                    break
-        if witness is None:
-            return Report(True, details=[{"name": name, "status": "pass"}])
-        lhs, rhs = _pure_pair_sides(tag, a, *witness)
-        return Report(False, label=name, witness=witness, lhs=lhs, rhs=rhs)
-
-    # three-index identities
-    names = _triple_names(tag)
-    if isinstance(f, PrimeField):
-        diffs = _np_triple_diffs(tag, _np_tensor(a), f.p)
-        for name, d in diffs:
-            bad = np.argwhere(d.any(axis=3))
-            if len(bad):
-                witness = tuple(int(x) for x in bad[0])
-                lhs, rhs = _pure_triple_sides(tag, name, a, *witness)
-                return Report(False, label=name, witness=witness, lhs=lhs, rhs=rhs)
+    rows = IDENTITIES[tag]
+    e = [basis_vector(f, n, i) for i in range(n)]
+    if _kernel_is_exact(f, n, rows):
+        c = np.array(a.tensor, dtype=np.int64)
+        for name, lhs, rhs in rows:
+            flags = _np_failing(c, f.p, lhs, rhs)
+            first = int(flags.argmax())
+            if flags[first]:
+                witness = tuple(int(x) for x in np.unravel_index(first, (n,) * len(lhs[0][2])))
+                return Report(False, label=name, witness=witness,
+                              lhs=_exact_side(a, e, lhs, witness),
+                              rhs=_exact_side(a, e, rhs, witness))
     else:
-        for name in names:
-            for i, j, k in itertools.product(range(n), repeat=3):
-                lhs, rhs = _pure_triple_sides(tag, name, a, i, j, k)
-                if lhs != rhs:
-                    return Report(False, label=name, witness=(i, j, k), lhs=lhs, rhs=rhs)
+        for name, lhs, rhs in rows:
+            for idx in itertools.product(range(n), repeat=len(lhs[0][2])):
+                sides = _exact_side(a, e, lhs, idx), _exact_side(a, e, rhs, idx)
+                if sides[0] != sides[1]:
+                    return Report(False, label=name, witness=idx, lhs=sides[0], rhs=sides[1])
 
+    details = [{"name": name, "status": "pass"} for name, _, _ in rows]
     if tag == "alternative" and f.char == 2:
         rep = _alternative_char2_exhaustive(a)
         if not rep.passed:
             return rep
-        return Report(True, details=[{"name": nm, "status": "pass"} for nm in names]
-                      + rep.details)
-    return Report(True, details=[{"name": nm, "status": "pass"} for nm in names])
+        details += rep.details
+    return Report(True, details=details)
 
 
 def _alternative_char2_exhaustive(a: Algebra) -> Report:

@@ -1,10 +1,16 @@
 """Actor candidates as algebras of matrix pairs cut out by linear constraints.
 
-Each candidate (derivations, bimultipliers, biderivations in two bracket
-variants, multipliers) is the nullspace of a homogeneous linear system over
-the entries of one or two dim x dim matrices.  The nullspace basis is
-canonicalized by RREF over the flattened coordinates (row-major, left matrix
-first), so identical inputs give byte-identical actors.
+Each candidate kind is one row of KIND_TABLE: the category of its own
+product, its constraint equations, its bracket, and how the right component
+of a pair follows from the left one (independent, its negative, or equal).
+A pair (L, R) acts on A by b*x = L(x) and x*b = R(x).
+
+An equation is a signed sum of four terms at (x, y) = (e_i, e_j), read at
+coordinate m: M(xy), M(x)y, xM(y) and M(y)x, with M the left or the right
+component.  The candidate is the nullspace of these equations over the
+entries of the independent components; its basis is canonicalized by RREF
+over the flattened coordinates (row-major, left matrix first), so identical
+inputs give byte-identical actors.
 
 Every candidate carries a closure certificate: the product of any two basis
 pairs is re-expressed in the basis, and a pair that escapes the span raises
@@ -13,7 +19,10 @@ ClosureError instead of silently producing garbage structure constants.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .actions import ActionPair, make_action
 from .algebra import (
@@ -37,22 +46,44 @@ class ClosureError(ConstructionError):
     """A product of basis pairs left the candidate's own span."""
 
 
-KINDS = ("der", "bim", "bider1", "bider2", "mult", "zero")
+class Kind(NamedTuple):
+    category: str  # category tag of the candidate's own product
+    equations: tuple  # constraint equations, each a signed sum of terms
+    bracket: str  # left component of [a, b], a signed sum of products
+    right: str  # "neg" (minus the left one), "same", or an independent
+    #             right component given by its bracket
 
-# category tag of the candidate's own bracket/product; for mult the product
-# is composition, which is always associative but not always commutative
-_KIND_CATEGORY = {
-    "der": "lie",
-    "bim": "associative",
-    "bider1": "leibniz",
-    "bider2": "leibniz",
-    "mult": "associative",
-    "zero": "module",
+
+# with L = [phi,-] and R = [-,phi]
+_BIDERIVATION = ("R(xy) - xR(y) - R(x)y", "L(xy) - L(x)y + L(y)x", "xL(y) + xR(y)")
+
+KIND_TABLE = {
+    "der": Kind("lie", ("L(xy) - L(x)y - xL(y)",), "aLbL - bLaL", "neg"),
+    "bim": Kind("associative", ("L(xy) - L(x)y", "R(xy) - xR(y)", "xL(y) - R(x)y"),
+                "aLbL", "bRaR"),
+    "bider1": Kind("leibniz", _BIDERIVATION, "aLbL + bRaL", "bRaR - aRbR"),
+    "bider2": Kind("leibniz", _BIDERIVATION, "bRaL - aLbR", "bRaR - aRbR"),
+    # f(xy) = f(x)y; commutativity of A makes the mirror condition redundant.
+    # The product is composition: always associative, not always commutative.
+    "mult": Kind("associative", ("L(xy) - L(x)y",), "aLbL", "same"),
+    "zero": Kind("module", (), "", "same"),
 }
 
-# kinds whose solution space lives on a single matrix; the right component
-# is determined by the left one
-_SINGLE = {"der", "mult", "zero"}
+KINDS = tuple(KIND_TABLE)
+
+# right-component rules: the right component as a function of the left one,
+# and how a multiplication pair breaking the rule is reported
+_FOLLOW = {
+    "neg": (Matrix.neg, "is not minus left; not expressible as a derivation pair"),
+    "same": (lambda m: m, "differs from left; not expressible as a multiplier pair"),
+}
+
+
+@functools.cache
+def _signed(text: str):
+    """'A - B + C' as ((1, 'A'), (-1, 'B'), (1, 'C'))."""
+    return tuple((-1 if sign == "-" else 1, term)
+                 for sign, term in re.findall(r"([+-]?)\s*([^\s+-]+)", text))
 
 
 @dataclass(frozen=True)
@@ -64,10 +95,15 @@ class BiMap:
 
 
 def _flatten(kind: str, bm: BiMap) -> Vector:
-    flat = tuple(x for row in bm.left.rows for x in row)
-    if kind in _SINGLE:
-        return flat
-    return flat + tuple(x for row in bm.right.rows for x in row)
+    mats = (bm.left,) if KIND_TABLE[kind].right in _FOLLOW else (bm.left, bm.right)
+    return tuple(x for m in mats for row in m.rows for x in row)
+
+
+def _pair(kind: str, left: Matrix, right: Matrix | None = None) -> BiMap:
+    """The pair with this left component; right is used only when the kind
+    leaves the right component independent."""
+    rule = KIND_TABLE[kind].right
+    return BiMap(left, _FOLLOW[rule][0](left) if rule in _FOLLOW else right)
 
 
 @dataclass(frozen=True)
@@ -85,7 +121,8 @@ class ActorAlgebra:
 
     def as_algebra(self) -> Algebra:
         names = tuple(f"{self.kind}{i}" for i in range(self.dim))
-        return make_algebra(self.target.field, names, self.tensor, _KIND_CATEGORY[self.kind])
+        return make_algebra(self.target.field, names, self.tensor,
+                            KIND_TABLE[self.kind].category)
 
     def action_pair(self) -> ActionPair:
         """The action this candidate induces on its target: left by the left
@@ -164,145 +201,93 @@ def actor_from_json(obj) -> ActorAlgebra:
 # an independent right component.  Matrix convention: map(e_c) = sum_r
 # M[r][c] e_r, so M.col(c) is the image of e_c.
 
+# term -> (row of M, column of M, coefficient) contributed by the summation
+# index s at (x, y) = (e_i, e_j), coordinate m
+_TERM_CELLS = {
+    "M(xy)": lambda c, i, j, m, s: (m, s, c[i][j][s]),
+    "M(x)y": lambda c, i, j, m, s: (s, i, c[s][j][m]),
+    "xM(y)": lambda c, i, j, m, s: (s, j, c[i][s][m]),
+    "M(y)x": lambda c, i, j, m, s: (s, j, c[s][i][m]),
+}
 
-def _zero_row(f, width):
-    return [f.zero] * width
+
+def _assemble(A: Algebra, kind: str):
+    """Constraint rows: for each (i, j, m), one row per equation of the kind."""
+    f, n, c = A.field, A.dim, A.tensor
+    nn = n * n
+    spec = KIND_TABLE[kind]
+    width = nn if spec.right in _FOLLOW else 2 * nn
+    equations = [[(sign, nn if "R" in term else 0,
+                   _TERM_CELLS[term.replace("L", "M").replace("R", "M")])
+                  for sign, term in _signed(eq)] for eq in spec.equations]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                for eq in equations:
+                    row = [f.zero] * width
+                    for sign, offset, cell in eq:
+                        for s in range(n):
+                            r, col, x = cell(c, i, j, m, s)
+                            k = offset + r * n + col
+                            row[k] = f.add(row[k], x) if sign > 0 else f.sub(row[k], x)
+                    rows.append(tuple(row))
+    return rows
 
 
 def _derivation_rows(A: Algebra):
-    # D(e_i*e_j) = D(e_i)*e_j + e_i*D(e_j), coordinate m
-    f, n, c = A.field, A.dim, A.tensor
-    idx = lambda r, col: r * n + col
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                row = _zero_row(f, n * n)
-                for k in range(n):
-                    row[idx(m, k)] = f.add(row[idx(m, k)], c[i][j][k])
-                for r in range(n):
-                    row[idx(r, i)] = f.sub(row[idx(r, i)], c[r][j][m])
-                    row[idx(r, j)] = f.sub(row[idx(r, j)], c[i][r][m])
-                rows.append(tuple(row))
-    return rows
+    return _assemble(A, "der")
 
 
 def _bimultiplier_rows(A: Algebra):
-    # L(x*y) = L(x)*y;  R(x*y) = x*R(y);  x*L(y) = R(x)*y
-    f, n, c = A.field, A.dim, A.tensor
-    nn = n * n
-    li = lambda r, col: r * n + col
-    ri = lambda r, col: nn + r * n + col
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                r1 = _zero_row(f, 2 * nn)
-                r2 = _zero_row(f, 2 * nn)
-                r3 = _zero_row(f, 2 * nn)
-                for k in range(n):
-                    r1[li(m, k)] = f.add(r1[li(m, k)], c[i][j][k])
-                    r2[ri(m, k)] = f.add(r2[ri(m, k)], c[i][j][k])
-                for r in range(n):
-                    r1[li(r, i)] = f.sub(r1[li(r, i)], c[r][j][m])
-                    r2[ri(r, j)] = f.sub(r2[ri(r, j)], c[i][r][m])
-                    r3[li(r, j)] = f.add(r3[li(r, j)], c[i][r][m])
-                    r3[ri(r, i)] = f.sub(r3[ri(r, i)], c[r][j][m])
-                rows.extend((tuple(r1), tuple(r2), tuple(r3)))
-    return rows
+    return _assemble(A, "bim")
 
 
 def _biderivation_rows(A: Algebra):
-    # with L = [phi,-] and R = [-,phi]:
-    #   R[x,y] = [x,R(y)] + [R(x),y]
-    #   L[x,y] = [L(x),y] - [L(y),x]
-    #   [x, L(y) + R(y)] = 0
-    f, n, c = A.field, A.dim, A.tensor
-    nn = n * n
-    li = lambda r, col: r * n + col
-    ri = lambda r, col: nn + r * n + col
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                r1 = _zero_row(f, 2 * nn)
-                r2 = _zero_row(f, 2 * nn)
-                r3 = _zero_row(f, 2 * nn)
-                for k in range(n):
-                    r1[ri(m, k)] = f.add(r1[ri(m, k)], c[i][j][k])
-                    r2[li(m, k)] = f.add(r2[li(m, k)], c[i][j][k])
-                for r in range(n):
-                    r1[ri(r, j)] = f.sub(r1[ri(r, j)], c[i][r][m])
-                    r1[ri(r, i)] = f.sub(r1[ri(r, i)], c[r][j][m])
-                    r2[li(r, i)] = f.sub(r2[li(r, i)], c[r][j][m])
-                    r2[li(r, j)] = f.add(r2[li(r, j)], c[r][i][m])
-                    r3[li(r, j)] = f.add(r3[li(r, j)], c[i][r][m])
-                    r3[ri(r, j)] = f.add(r3[ri(r, j)], c[i][r][m])
-                rows.extend((tuple(r1), tuple(r2), tuple(r3)))
-    return rows
+    return _assemble(A, "bider1")
 
 
 def _multiplier_rows(A: Algebra):
-    # f(x*y) = f(x)*y; commutativity of A makes the mirror condition redundant
-    f, n, c = A.field, A.dim, A.tensor
-    idx = lambda r, col: r * n + col
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                row = _zero_row(f, n * n)
-                for k in range(n):
-                    row[idx(m, k)] = f.add(row[idx(m, k)], c[i][j][k])
-                for r in range(n):
-                    row[idx(r, i)] = f.sub(row[idx(r, i)], c[r][j][m])
-                rows.append(tuple(row))
-    return rows
+    return _assemble(A, "mult")
 
 
 def _unflatten(f, n, flat) -> Matrix:
     return Matrix(f, tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n)))
 
 
-def _maps_from_flat(kind: str, f, n: int, flat) -> BiMap:
-    L = _unflatten(f, n, flat[: n * n])
-    if kind == "der":
-        return BiMap(L, L.neg())
-    if kind in ("mult", "zero"):
-        return BiMap(L, L)
-    R = _unflatten(f, n, flat[n * n:])
-    return BiMap(L, R)
+def _bracket(kind: str, a: BiMap, b: BiMap) -> BiMap:
+    """[a, b] from the kind's row; a term such as aLbR is a.left @ b.right."""
+    comps = {"aL": a.left, "aR": a.right, "bL": b.left, "bR": b.right}
 
+    def combine(text):
+        out = None
+        for sign, term in _signed(text):
+            p = comps[term[:2]] @ comps[term[2:]]
+            if out is None:
+                out = p if sign > 0 else p.neg()
+            else:
+                out = out.add(p) if sign > 0 else out.sub(p)
+        return out
 
-def _product(kind: str, a: BiMap, b: BiMap) -> BiMap:
-    if kind == "der":
-        p = (a.left @ b.left).sub(b.left @ a.left)
-        return BiMap(p, p.neg())
-    if kind == "mult":
-        p = a.left @ b.left
-        return BiMap(p, p)
-    if kind == "bim":
-        return BiMap(a.left @ b.left, b.right @ a.right)
-    if kind == "bider1":
-        return BiMap((a.left @ b.left).add(b.right @ a.left),
-                     (b.right @ a.right).sub(a.right @ b.right))
-    if kind == "bider2":
-        return BiMap((b.right @ a.left).sub(a.left @ b.right),
-                     (b.right @ a.right).sub(a.right @ b.right))
-    raise AssertionError(kind)
+    spec = KIND_TABLE[kind]
+    return _pair(kind, combine(spec.bracket),
+                 None if spec.right in _FOLLOW else combine(spec.right))
 
 
 def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
-    f, n = A.field, A.dim
+    f, nn = A.field, A.dim * A.dim
     null = Matrix.from_rows(f, constraint_rows).nullspace()
     basis_matrix, pivots = null.rref()
     basis_matrix = Matrix(f, basis_matrix.rows[: len(pivots)])
-    maps = tuple(_maps_from_flat(kind, f, n, row) for row in basis_matrix.rows)
+    maps = tuple(_pair(kind, *(_unflatten(f, A.dim, row[k:k + nn])
+                               for k in range(0, len(row), nn)))
+                 for row in basis_matrix.rows)
     m = len(maps)
     tensor = []
     for s in range(m):
         plane = []
         for t in range(m):
-            prod = _product(kind, maps[s], maps[t])
+            prod = _bracket(kind, maps[s], maps[t])
             coeffs = express_in_rref_rows(basis_matrix, pivots, _flatten(kind, prod))
             if coeffs is None:
                 raise ClosureError(
@@ -372,17 +357,13 @@ def canonical_d(A: Algebra, actor: ActorAlgebra) -> Matrix:
     if actor.target is not A and actor.target.tensor != A.tensor:
         raise InputError("actor was built for a different algebra")
     f, n = A.field, A.dim
+    rule = _FOLLOW.get(KIND_TABLE[actor.kind].right)
     rows = []
     for i in range(n):
         pair = BiMap(A.left_mult_matrix(i), A.right_mult_matrix(i))
-        if actor.kind == "der" and pair.right.rows != pair.left.neg().rows:
+        if rule and pair.right.rows != rule[0](pair.left).rows:
             raise ConstructionError(
-                f"basis element {i}: right multiplication is not minus left; "
-                "not expressible as a derivation pair")
-        if actor.kind in ("mult", "zero") and pair.right.rows != pair.left.rows:
-            raise ConstructionError(
-                f"basis element {i}: right multiplication differs from left; "
-                "not expressible as a multiplier pair")
+                f"basis element {i}: right multiplication {rule[1]}")
         coords = actor.member_coords(pair)
         if coords is None:
             raise ConstructionError(

@@ -138,11 +138,6 @@ def _rand_tensor(rng, field, n):
                        for _ in range(n)) for _ in range(n))
 
 
-def _zero_tensor(field, n):
-    zero = tuple(field.zero for _ in range(n))
-    return tuple(tuple(zero for _ in range(n)) for _ in range(n))
-
-
 def _rand_invertible(rng, field, n) -> Matrix:
     for _ in range(_ATTEMPTS):
         m = Matrix(field, tuple(tuple(_rand_scalar(rng, field)

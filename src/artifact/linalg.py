@@ -113,10 +113,6 @@ class Matrix:
         f = self.field
         return Matrix(f, tuple(vec_neg(f, r) for r in self.rows))
 
-    def scale(self, s: Scalar) -> "Matrix":
-        f = self.field
-        return Matrix(f, tuple(vec_scale(f, s, r) for r in self.rows))
-
     def matmul(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if self.ncols != other.nrows:
@@ -137,19 +133,6 @@ class Matrix:
             raise LinAlgError("shape mismatch in apply")
         f = self.field
         return tuple(_dot(f, r, v) for r in self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.rows)) if self.rows else ())
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
-        if self.rows and other.rows and self.ncols != other.ncols:
-            raise LinAlgError("shape mismatch in vstack")
-        return Matrix(self.field, self.rows + other.rows)
-
-    def is_zero(self) -> bool:
-        f = self.field
-        return all(vec_is_zero(f, r) for r in self.rows)
 
     def equals(self, other: "Matrix") -> bool:
         return self.field == other.field and self.rows == other.rows

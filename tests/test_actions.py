@@ -1,4 +1,4 @@
-"""Action pairs: derived-action conditions, axioms, semidirect products.
+"""Action pairs: derived-action conditions, semidirect products.
 
 The central safety property: the per-category condition lists and the
 identity suite on the semidirect product are independent routes to the same
@@ -10,9 +10,8 @@ import random
 import pytest
 
 from artifact.actions import (ActionPair, action_from_json,
-                              check_action_axioms, check_derived_action,
-                              conjugation_action, crosscheck_semidirect,
-                              make_action, semidirect)
+                              check_derived_action, conjugation_action,
+                              crosscheck_semidirect, make_action, semidirect)
 from artifact.algebra import InputError, identity_suite
 from artifact.corpus import (a5_leibniz, dual_numbers, heisenberg,
                              m2_rationals, sample_action, sample_algebra,
@@ -79,13 +78,6 @@ def test_lie_coupling_is_enforced():
         tuple(tuple(col) for col in row) for row in right))
     rep = check_derived_action("lie", broken)
     assert not rep.passed and rep.witness is not None
-
-
-def test_action_axioms_pass_for_tensor_defined_actions():
-    act = conjugation_action(sl2())
-    rep = check_action_axioms(act)
-    assert rep.passed
-    assert len(rep.details) == 12
 
 
 def test_crosscheck_agrees_on_random_actions():

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from artifact.algebra import (CATEGORIES, Algebra, InputError, Subspace,
-                              algebra_from_json, annihilator, check_identity,
+from artifact import algebra
+from artifact.algebra import (CATEGORIES, IDENTITY_TAGS, Algebra, InputError,
+                              Subspace, algebra_from_json, annihilator, check_identity,
                               derived_subspace, identity_suite, is_ideal,
                               make_algebra, quotient)
-from artifact.corpus import (a5_leibniz, abelian, dual_numbers, heisenberg,
+from artifact.corpus import (_conjugate, _rand_invertible, a5_leibniz, abelian,
+                             diagonal_algebra, dual_numbers, heisenberg,
                              m2_rationals, sl2, zero_algebra)
 from artifact.fields import GF, QQ
 from artifact.linalg import Matrix, basis_vector
@@ -28,28 +30,34 @@ def brute_identity(a, tag):
     e = [basis_vector(f, n, i) for i in range(n)]
     mul = a.multiply
 
-    def zero(v):
-        return all(x == f.zero for x in v)
+    def lin(*terms):
+        """Sum of signed vectors, e.g. lin((1, u), (-1, v)) = u - v."""
+        out = (f.zero,) * n
+        for sign, v in terms:
+            out = tuple(f.add(p, q) if sign > 0 else f.sub(p, q) for p, q in zip(out, v))
+        return out
 
-    for i, j, k in itertools.product(range(n), repeat=3):
-        x, y, z = e[i], e[j], e[k]
+    if tag in ("commutativity", "anticommutativity"):
+        sign = 1 if tag == "commutativity" else -1
+        return all(mul(x, y) == lin((sign, mul(y, x)))
+                   for x, y in itertools.product(e, repeat=2))
+    for x, y, z in itertools.product(e, repeat=3):
         if tag == "associativity":
-            l, r = mul(mul(x, y), z), mul(x, mul(y, z))
+            sides = [(mul(mul(x, y), z), mul(x, mul(y, z)))]
         elif tag == "jacobi":
-            s1 = mul(mul(x, y), z)
-            s2 = mul(mul(y, z), x)
-            s3 = mul(mul(z, x), y)
-            if not zero(tuple(f.add(f.add(p, q), r2)
-                              for p, q, r2 in zip(s1, s2, s3))):
-                return False
-            continue
+            sides = [(lin((1, mul(mul(x, y), z)), (1, mul(mul(y, z), x)),
+                          (1, mul(mul(z, x), y))), lin())]
         elif tag == "leibniz":
-            l = mul(x, mul(y, z))
-            r = tuple(f.sub(p, q) for p, q in
-                      zip(mul(mul(x, y), z), mul(mul(x, z), y)))
+            sides = [(mul(x, mul(y, z)), lin((1, mul(mul(x, y), z)), (-1, mul(mul(x, z), y))))]
+        elif tag == "alternative":
+            # the linearized left and right alternative laws
+            sides = [(lin((1, mul(x, mul(y, z))), (1, mul(y, mul(x, z)))),
+                      lin((1, mul(mul(x, y), z)), (1, mul(mul(y, x), z)))),
+                     (lin((1, mul(mul(x, y), z)), (1, mul(mul(x, z), y))),
+                      lin((1, mul(x, mul(y, z))), (1, mul(x, mul(z, y)))))]
         else:
             raise AssertionError(tag)
-        if l != r:
+        if any(l != r for l, r in sides):
             return False
     return True
 
@@ -67,19 +75,28 @@ def test_fixture_suites(a, expected):
     assert identity_suite(a).passed is expected
 
 
+BRUTE_TAGS = ("associativity", "jacobi", "leibniz", "commutativity",
+              "anticommutativity", "alternative")
+
+
 def test_check_identity_agrees_with_brute_oracle_on_random_tensors():
     rng = random.Random(5)
-    for _ in range(30):
+    for trial in range(30):
         n = rng.randrange(1, 4)
         tensor = tuple(tuple(tuple(rng.randrange(5) for _ in range(n))
                              for _ in range(n)) for _ in range(n))
         a = make_algebra(gf5, [f"e{i}" for i in range(n)], tensor, "raw")
-        for tag in ("associativity", "jacobi", "leibniz"):
+        for tag in BRUTE_TAGS:
             assert check_identity(a, tag).passed == brute_identity(a, tag)
+    # the random tensors above fail almost every law; satisfy each one too
+    for a in (sl2(gf5), a5_leibniz(gf5), dual_numbers(gf5), m2_rationals(),
+              abelian(QQ, 2), zero_algebra(gf5, 3, "raw")):
+        for tag in BRUTE_TAGS:
+            assert check_identity(a, tag).passed == brute_identity(a, tag), tag
 
 
-def test_numpy_and_fraction_paths_report_identical_witnesses():
-    # same integer tensor over GF(7) (numpy path) and Q (pure path)
+def test_numpy_and_fraction_paths_report_identical_witnesses(monkeypatch):
+    # same integer tensor over GF(7) (numpy path) and Q (exact path)
     rng = random.Random(11)
     for _ in range(20):
         n = 3
@@ -91,11 +108,39 @@ def test_numpy_and_fraction_paths_report_identical_witnesses():
         a_q = make_algebra(QQ, "abc",
                            tuple(tuple(tuple(Fraction(x) for x in v) for v in r)
                                  for r in ints), "raw")
-        for tag in ("associativity", "anticommutativity", "leibniz", "jacobi"):
+        for tag in IDENTITY_TAGS:
             rp, rq = check_identity(a_p, tag), check_identity(a_q, tag)
             # seeded draws verified free of mod-7 cancellation; frozen
-            assert rp.passed == rq.passed
-            assert rp.witness == rq.witness
+            assert (rp.passed, rp.label, rp.witness) == (rq.passed, rq.label, rq.witness)
+            if not rp.passed:
+                assert rp.lhs == tuple(int(x) % 7 for x in rq.lhs)
+                assert rp.rhs == tuple(int(x) % 7 for x in rq.rhs)
+    # the numpy kernel against the exact evaluator on the same GF(p) input,
+    # at characteristics 2 and 3, dims 0 and 1, and on zero tensors
+    for p, n, density in itertools.product((2, 3, 7), (0, 1, 2, 3), (0.0, 0.3, 1.0)):
+        f = GF(p)
+        for _ in range(4):
+            tensor = tuple(tuple(tuple(rng.randrange(p) if rng.random() < density else 0
+                                       for _ in range(n)) for _ in range(n))
+                           for _ in range(n))
+            a = make_algebra(f, [f"e{i}" for i in range(n)], tensor, "raw")
+            for tag in IDENTITY_TAGS:
+                fast = check_identity(a, tag)
+                with monkeypatch.context() as m:
+                    m.setattr(algebra, "_kernel_is_exact", lambda *args: False)
+                    exact = check_identity(a, tag)
+                assert fast == exact, (p, n, tag)
+
+
+def test_large_prime_suites_pass_without_int64_overflow():
+    # over GF(4294967291) one product of two entries already exceeds 2^63;
+    # conjugating spreads large entries over the whole tensor
+    f = GF(4294967291)
+    rng = random.Random(0)
+    for a in (sl2(f), diagonal_algebra(f, 3)):
+        b = _conjugate(a, _rand_invertible(rng, f, a.dim))
+        rep = identity_suite(b)
+        assert rep.passed, (a.category, rep.label, rep.witness)
 
 
 def test_witness_is_lexicographically_first():
@@ -152,6 +197,26 @@ def test_algebra_from_json_rejects_unknown_and_missing_keys():
     bad["products"] = [{"i": 0, "j": 1, "v": [0, 0, 1], "w": 2}]
     with pytest.raises(InputError):
         algebra_from_json(bad)
+
+
+def _with(**changes):
+    obj = sl2().to_json()
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    _with(products=[{"i": 0, "j": 1, "v": [0, 0, 1]}, {"i": 0, "j": 1, "v": [0, 0, 2]}]),
+    _with(products=[{"i": True, "j": 1, "v": [0, 0, 1]}]),
+    _with(products=[{"i": 0, "j": False, "v": [0, 0, 1]}]),
+    _with(products=[{"i": "0", "j": 1, "v": [0, 0, 1]}]),
+    _with(products=[{"i": 1.0, "j": 1, "v": [0, 0, 1]}]),
+    _with(products=5),
+    _with(dim=True, basis=["x"], products=[]),
+], ids=["duplicate", "bool-i", "bool-j", "str-i", "float-i", "products-int", "bool-dim"])
+def test_algebra_from_json_rejects_malformed_products(obj):
+    with pytest.raises(InputError):
+        algebra_from_json(obj)
 
 
 def test_fixture_files_load(tmp_path):
