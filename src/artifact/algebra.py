@@ -5,25 +5,29 @@ e_i * e_j = sum_k c[i][j][k] e_k, plus a category tag naming the identity
 suite the instance is supposed to satisfy.
 
 Every identity is written once, as data in IDENTITIES: signed sums of the
-products u*v, (u*v)*w and u*(v*w) over permuted basis indices.  Two
-evaluators read that table and report the lexicographically first failing
-basis tuple.  Over GF(p) an integer numpy kernel builds the whole difference
-array, one einsum (or transpose) per term; it is exact while
-terms * dim * (p-1)^2 < 2^63, with terms the largest number of terms in one
-row of the identity.  Over Q, and over primes too large for that bound, an
-exact evaluator runs Algebra.multiply per index tuple.  Both give identical
-reports; the witness sides always come from the exact evaluator.
+products u*v, (u*v)*w and u*(v*w) over permuted basis indices.  One numpy
+kernel reads that table for every field and reports the lexicographically
+first failing basis tuple.  It multiplies the tensor by lam, the lcm of the
+entries' denominators (1 over GF(p)); each row is homogeneous, of degree 1
+or 2 in the tensor, so no zero pattern changes.  The integers are int64
+while terms * dim * max|entry|^2 < 2^63, with terms the largest number of
+terms in one row, and Python ints (an object array) beyond that, so no sum
+wraps around; over GF(p) differences are reduced mod p.  Rows are checked in
+order, one leading witness index at a time (dim^2 coordinate vectors, one
+einsum per term), stopping at the first nonzero difference.  The witness
+sides lhs/rhs are then computed exactly, by Algebra.multiply.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .fields import Field, FieldError, PrimeField, field_from_json
+from .fields import Field, FieldError, field_from_json
 from .linalg import (
     Matrix,
     Vector,
@@ -202,42 +206,33 @@ IDENTITIES = {
 IDENTITY_TAGS = tuple(IDENTITIES)
 
 
-def _kernel_is_exact(f: Field, n: int, rows) -> bool:
-    """Every entry of a difference array is a sum of at most `terms` einsum
-    terms of at most n*(p-1)^2 each; int64 holds it exactly below 2^63."""
-    if not isinstance(f, PrimeField):
-        return False
-    terms = max(len(lhs) + len(rhs) for _, lhs, rhs in rows)
-    return terms * n * (f.p - 1) ** 2 < 2 ** 63
+def _np_term(c: np.ndarray, shape: str, perm, i: int) -> np.ndarray:
+    """The term's coordinates at leading witness index i, T[j,m] or T[j,k,m].
+    Einsum labels 0, 1, 2 are the witness indices, 3 the coordinate and 4 the
+    summed one; the operand carrying label 0 is sliced at i."""
+    u, v, *w = perm
+    subs = {"T": [(u, v, 3)], "L": [(u, v, 4), (4, *w, 3)], "R": [(v, *w, 4), (u, 4, 3)]}
+    args = []
+    for labels in subs[shape]:
+        args += [c[(slice(None),) * labels.index(0) + (i,)] if 0 in labels else c,
+                 [x for x in labels if x]]
+    return np.einsum(*args, [*range(1, len(perm)), 3])
 
 
-def _np_term(c: np.ndarray, shape: str, perm) -> np.ndarray:
-    """A fresh int64 array T[i,j,m] or T[i,j,k,m] holding the term's coordinates."""
-    if shape == "T":
-        return c.transpose(perm + (2,)).copy()
-    a, b, d = ("ijk"[x] for x in perm)
-    spec = f"{a}{b}r,r{d}m->ijkm" if shape == "L" else f"{b}{d}r,{a}rm->ijkm"
-    return np.einsum(spec, c, c)
-
-
-def _np_failing(c: np.ndarray, p: int, lhs, rhs) -> np.ndarray:
-    """Flags, flattened in lexicographic order, of the index tuples where
-    lhs - rhs is nonzero mod p.  The difference is accumulated in place, so
-    at most two full-size arrays are alive at once."""
-    acc = None
-    for sign, shape, perm in lhs + [(-s, shape, perm) for s, shape, perm in rhs]:
-        term = _np_term(c, shape, perm)
-        if acc is None:
-            acc = term
-            if sign < 0:
-                np.negative(acc, out=acc)
-        elif sign > 0:
-            acc += term
+def _np_failing(c: np.ndarray, p: Optional[int], lhs, rhs, i: int) -> np.ndarray:
+    """Flags, flattened in lexicographic order, of the index tuples with
+    leading index i where lhs - rhs is nonzero (mod p, if p is set)."""
+    terms = lhs + [(-s, shape, perm) for s, shape, perm in rhs]
+    sign, shape, perm = terms[0]
+    acc = sign * _np_term(c, shape, perm, i)  # a fresh array, never a view of c
+    for sign, shape, perm in terms[1:]:
+        if sign > 0:
+            acc += _np_term(c, shape, perm, i)
         else:
-            acc -= term
-        del term
-    np.remainder(acc, p, out=acc)
-    return acc.any(axis=-1).ravel()
+            acc -= _np_term(c, shape, perm, i)
+    if p is not None:
+        np.remainder(acc, p, out=acc)
+    return (acc != 0).any(axis=-1).ravel()
 
 
 def _exact_side(a: Algebra, e, terms, idx) -> Vector:
@@ -269,23 +264,27 @@ def check_identity(a: Algebra, tag: str) -> Report:
     if n == 0:
         return Report(True, details=[{"name": tag, "status": "pass", "note": "empty algebra"}])
     rows = IDENTITIES[tag]
-    e = [basis_vector(f, n, i) for i in range(n)]
-    if _kernel_is_exact(f, n, rows):
-        c = np.array(a.tensor, dtype=np.int64)
-        for name, lhs, rhs in rows:
-            flags = _np_failing(c, f.p, lhs, rhs)
+    # clear denominators: every row is homogeneous (T rows of degree 1, L/R
+    # rows of degree 2), so scaling by lam keeps each zero pattern
+    flat = [x for plane in a.tensor for v in plane for x in v]
+    lam = math.lcm(*{x.denominator for x in flat})
+    ints = [x.numerator * (lam // x.denominator) for x in flat]
+    big = max(map(abs, ints))
+    terms = max(len(lhs) + len(rhs) for _, lhs, rhs in rows)
+    # each entry of a difference is a sum of at most terms * n products
+    exact64 = terms * n * big ** 2 < 2 ** 63
+    c = np.array(ints, dtype=np.int64 if exact64 else object).reshape(n, n, n)
+    for name, lhs, rhs in rows:
+        for i in range(n):
+            flags = _np_failing(c, f.p, lhs, rhs, i)
             first = int(flags.argmax())
             if flags[first]:
-                witness = tuple(int(x) for x in np.unravel_index(first, (n,) * len(lhs[0][2])))
+                rest = np.unravel_index(first, (n,) * (len(lhs[0][2]) - 1))
+                witness = (i,) + tuple(int(x) for x in rest)
+                e = [basis_vector(f, n, k) for k in range(n)]
                 return Report(False, label=name, witness=witness,
                               lhs=_exact_side(a, e, lhs, witness),
                               rhs=_exact_side(a, e, rhs, witness))
-    else:
-        for name, lhs, rhs in rows:
-            for idx in itertools.product(range(n), repeat=len(lhs[0][2])):
-                sides = _exact_side(a, e, lhs, idx), _exact_side(a, e, rhs, idx)
-                if sides[0] != sides[1]:
-                    return Report(False, label=name, witness=idx, lhs=sides[0], rhs=sides[1])
 
     details = [{"name": name, "status": "pass"} for name, _, _ in rows]
     if tag == "alternative" and f.char == 2:
@@ -363,9 +362,6 @@ class Subspace:
         if self.dim == 0:
             return () if all(x == self.basis.field.zero for x in v) else None
         return express_in_rref_rows(self.basis, self.pivots, v)
-
-    def equals(self, other: "Subspace") -> bool:
-        return self.ambient == other.ambient and self.basis.rows == other.basis.rows
 
 
 def annihilator(a: Algebra) -> Subspace:

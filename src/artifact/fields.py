@@ -18,17 +18,24 @@ class FieldError(ValueError):
     pass
 
 
+# Deterministic Miller-Rabin: the first thirteen primes as bases decide every
+# n below _MR_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster 2017; twelve bases stop at 318665857834031151167461).  Moduli at or
+# beyond the bound are refused rather than guessed at.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    if p >= _MR_BOUND:
+        raise FieldError(f"modulus {p} is beyond the proven primality test bound")
+    if p < 2 or any(p % q == 0 for q in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    # p is a strong probable prime to base a: a^d = 1, or a^(d*2^r) = -1 for some r < s
+    return all(x == 1 or p - 1 in (pow(x, 2 ** r, p) for r in range(s))
+               for x in (pow(a, d, p) for a in _MR_BASES))
 
 
 class Rationals:

@@ -70,10 +70,6 @@ class Matrix:
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
         return cls(field, tuple((field.zero,) * ncols for _ in range(nrows)))
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, tuple(basis_vector(field, n, i) for i in range(n)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact import algebra
 from artifact.algebra import (CATEGORIES, IDENTITY_TAGS, Algebra, InputError,
@@ -16,6 +17,7 @@ from artifact.corpus import (_conjugate, _rand_invertible, a5_leibniz, abelian,
                              m2_rationals, sl2, zero_algebra)
 from artifact.fields import GF, QQ
 from artifact.linalg import Matrix, basis_vector
+from artifact.reporting import Report
 
 from conftest import load_fixture
 
@@ -95,7 +97,7 @@ def test_check_identity_agrees_with_brute_oracle_on_random_tensors():
             assert check_identity(a, tag).passed == brute_identity(a, tag), tag
 
 
-def test_numpy_and_fraction_paths_report_identical_witnesses(monkeypatch):
+def test_numpy_and_fraction_paths_report_identical_witnesses():
     # same integer tensor over GF(7) (numpy path) and Q (exact path)
     rng = random.Random(11)
     for _ in range(20):
@@ -115,21 +117,85 @@ def test_numpy_and_fraction_paths_report_identical_witnesses(monkeypatch):
             if not rp.passed:
                 assert rp.lhs == tuple(int(x) % 7 for x in rq.lhs)
                 assert rp.rhs == tuple(int(x) % 7 for x in rq.rhs)
-    # the numpy kernel against the exact evaluator on the same GF(p) input,
-    # at characteristics 2 and 3, dims 0 and 1, and on zero tensors
-    for p, n, density in itertools.product((2, 3, 7), (0, 1, 2, 3), (0.0, 0.3, 1.0)):
-        f = GF(p)
-        for _ in range(4):
-            tensor = tuple(tuple(tuple(rng.randrange(p) if rng.random() < density else 0
-                                       for _ in range(n)) for _ in range(n))
-                           for _ in range(n))
-            a = make_algebra(f, [f"e{i}" for i in range(n)], tensor, "raw")
-            for tag in IDENTITY_TAGS:
-                fast = check_identity(a, tag)
-                with monkeypatch.context() as m:
-                    m.setattr(algebra, "_kernel_is_exact", lambda *args: False)
-                    exact = check_identity(a, tag)
-                assert fast == exact, (p, n, tag)
+
+
+FIELDS = (GF(2), GF(3), GF(7), GF(4294967291), QQ)
+
+
+def _first_exact_failure(a, tag):
+    """Oracle for the witness: the first failing tuple, in row-then-
+    lexicographic order, of a per-tuple sweep with the exact sides."""
+    e = [basis_vector(a.field, a.dim, i) for i in range(a.dim)]
+    for name, lhs, rhs in algebra.IDENTITIES[tag]:
+        for idx in itertools.product(range(a.dim), repeat=len(lhs[0][2])):
+            sides = algebra._exact_side(a, e, lhs, idx), algebra._exact_side(a, e, rhs, idx)
+            if sides[0] != sides[1]:
+                return Report(False, label=name, witness=idx, lhs=sides[0], rhs=sides[1])
+    return None
+
+
+def _check_against_oracles(a):
+    for tag in IDENTITY_TAGS:
+        rep = check_identity(a, tag)
+        first = _first_exact_failure(a, tag)
+        if tag == "zero":
+            expected = all(x == a.field.zero for p in a.tensor for v in p for x in v)
+        else:
+            expected = brute_identity(a, tag)
+            if tag == "alternative" and a.field.char == 2 and expected:
+                expected = algebra._alternative_char2_exhaustive(a).passed
+        assert rep.passed == expected, tag
+        if first is not None:
+            assert rep == first, tag
+
+
+@st.composite
+def small_algebras(draw):
+    f = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(0, 3))
+    if f is QQ:
+        scalar = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    else:  # p - 1 and large entries drive GF(4294967291) onto Python ints
+        scalar = st.one_of(st.integers(0, f.p - 1), st.just(f.p - 1))
+    if draw(st.booleans()):
+        # a structured algebra under a unipotent change of basis: it keeps
+        # the laws it satisfies and gets mixed denominators or large entries
+        a = draw(st.sampled_from((sl2, heisenberg, a5_leibniz, dual_numbers)))(f)
+        p = Matrix(f, tuple(tuple(f.one if i == j else draw(scalar) if i < j else f.zero
+                                  for j in range(a.dim)) for i in range(a.dim)))
+        return make_algebra(f, a.basis, _conjugate(a, p).tensor, "raw")
+    if draw(st.integers(0, 3)) == 0:
+        entries = [f.zero] * n ** 3
+    else:
+        entries = draw(st.lists(st.one_of(st.just(f.zero), scalar),
+                                min_size=n ** 3, max_size=n ** 3))
+    it = iter(entries)
+    tensor = tuple(tuple(tuple(next(it) for _ in range(n)) for _ in range(n))
+                   for _ in range(n))
+    return make_algebra(f, [f"e{i}" for i in range(n)], tensor, "raw")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_algebras())
+def test_kernel_agrees_with_per_tuple_oracles(a):
+    _check_against_oracles(a)
+
+
+def test_kernel_agrees_with_oracles_beyond_int64_over_q():
+    # a change of basis with entry 3^40/7 (3^40 alone exceeds 2^63) and mixed
+    # denominators: the scaled integers take the Python-int path
+    big = Fraction(3 ** 40, 7)
+    for a in (sl2(QQ), a5_leibniz(QQ), dual_numbers(QQ), heisenberg(QQ)):
+        n = a.dim
+        p = Matrix(QQ, tuple(tuple(Fraction(1) if i == j else
+                                   (big if j == i + 1 else Fraction(-2, 3 + j)) if i < j
+                                   else Fraction(0) for j in range(n)) for i in range(n)))
+        b = _conjugate(a, p)
+        assert identity_suite(b).passed
+        _check_against_oracles(make_algebra(QQ, b.basis, b.tensor, "raw"))
+    zero, one = Fraction(0), Fraction(1)
+    mixed = (((big, Fraction(1, 3)), (zero, Fraction(-2, 5))), ((one, big), (big, zero)))
+    _check_against_oracles(make_algebra(QQ, "ab", mixed, "raw"))
 
 
 def test_large_prime_suites_pass_without_int64_overflow():

@@ -1,7 +1,11 @@
 """The existence pipeline: verdicts, routes, and universality in the small."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +43,26 @@ def test_verdict_not_exists_carries_witness():
     assert v.status == "not-exists" and not v.exists
     assert v.failure is not None and v.failure["witness"] is not None
     assert not v.condition_status.passed
+
+
+def test_gf5_zero_leibniz_dim6_pipeline_stays_small():
+    # the semidirect product has dim 78: one whole 78^4 int64 array is 296 MB
+    code = ("import json, resource\n"
+            "from artifact.corpus import zero_algebra\n"
+            "from artifact.existence import actor_pipeline\n"
+            "from artifact.fields import GF\n"
+            "v = actor_pipeline(zero_algebra(GF(5), 6, 'leibniz'))\n"
+            "rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(json.dumps([v.status, v.failure, rss_kb]))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300, check=True)
+    status, failure, rss_kb = json.loads(proc.stdout)
+    assert status == "not-exists"
+    assert failure == {"label": "[x,[y,z]] = [[x,y],z]-[[x,z],y]", "witness": [0, 0, 0]}
+    assert rss_kb < 150 * 1024
 
 
 def test_module_category_zero_actor():

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
-from artifact.fields import GF, QQ, FieldError, field_from_json
+from artifact.fields import GF, QQ, FieldError, _is_prime, field_from_json
 
 gf5 = GF(5)
 
@@ -33,6 +34,26 @@ def test_prime_field_rejects_composite_modulus():
     for bad in (0, 1, 4, 6, 9, -5, "7"):
         with pytest.raises(FieldError):
             field_from_json({"p": bad})
+
+
+def test_primality_agrees_with_sympy_below_1e5():
+    assert [n for n in range(10 ** 5) if _is_prime(n) != sympy.isprime(n)] == []
+
+
+def test_strong_pseudoprimes_are_rejected():
+    # strong pseudoprimes to the prime bases 2..7, 2..31 and 2..37; the
+    # last one passes Miller-Rabin with the first twelve prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not sympy.isprime(n)
+        with pytest.raises(FieldError):
+            GF(n)
+
+
+def test_large_prime_moduli_are_built_and_oversized_ones_refused():
+    for p in (2 ** 61 - 1, 2 ** 64 - 59):  # trial division hangs on these
+        assert GF(p).p == p
+    with pytest.raises(FieldError, match="bound"):
+        field_from_json({"p": 2 ** 89 - 1})  # prime, beyond the proven bound
 
 
 def test_prime_field_parse_normalizes():
