@@ -11,27 +11,29 @@ first failing basis tuple.  It multiplies the tensor by lam, the lcm of the
 entries' denominators (1 over GF(p)); each row is homogeneous, of degree 1
 or 2 in the tensor, so no zero pattern changes.  The integers are int64
 while terms * dim * max|entry|^2 < 2^63, with terms the largest number of
-terms in one row, and Python ints (an object array) beyond that, so no sum
-wraps around; over GF(p) differences are reduced mod p.  Rows are checked in
-order, one leading witness index at a time (dim^2 coordinate vectors, one
-einsum per term), stopping at the first nonzero difference.  The witness
-sides lhs/rhs are then computed exactly, by Algebra.multiply.
+terms in one row of any identity, and Python ints (an object array) beyond
+that, so no sum wraps around.  integer_array is that rule, written once;
+constructions uses it too.  The array is built once per suite.  Over GF(p)
+differences are reduced mod p.  Rows are checked in order, one leading
+witness index at a time (dim^2 coordinate vectors, one einsum per term),
+stopping at the first nonzero difference.  The witness sides lhs/rhs are
+then computed exactly, by Algebra.multiply.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import Field, FieldError, field_from_json
+from .fields import Field, FieldError, Scalar, field_from_json
 from .linalg import (
     Matrix,
     Vector,
     basis_vector,
+    clear_denominators,
     express_in_rref_rows,
     vec_add,
     vec_is_zero,
@@ -179,6 +181,20 @@ def algebra_from_json(obj) -> Algebra:
     return make_algebra_from_products(field, basis, products, obj["category"])
 
 
+def integer_array(values: Sequence[Scalar], shape, bound: Callable[[int], int]):
+    """(lam, lam * values) as an integer numpy array of the given shape, lam
+    the lcm of the denominators (1 over GF(p), whose scalars are ints).
+
+    bound(big) is the caller's bound on the magnitude of everything it will
+    compute from the array, given big, the largest magnitude in it.  The
+    array is int64 while that bound is below 2^63 and holds Python ints (an
+    object array) otherwise, so no sum or product wraps around.
+    """
+    lam, ints = clear_denominators(values)
+    dtype = np.int64 if bound(max(map(abs, ints), default=0)) < 2 ** 63 else object
+    return lam, np.array(ints, dtype=dtype).reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # identity checks
 #
@@ -255,25 +271,33 @@ def _exact_side(a: Algebra, e, terms, idx) -> Vector:
     return vec_zero(f, a.dim) if out is None else out
 
 
+# the most terms in one row of any identity
+_TERMS = max(len(lhs) + len(rhs) for rows in IDENTITIES.values() for _, lhs, rhs in rows)
+
+
+def _integer_tensor(a: Algebra) -> np.ndarray:
+    """lam * tensor as an (n, n, n) integer array for the kernel.  Every row
+    is homogeneous, so scaling keeps each zero pattern; each entry of a
+    difference is a sum of at most _TERMS * n products of two entries."""
+    n = a.dim
+    return integer_array([x for plane in a.tensor for v in plane for x in v], (n, n, n),
+                         lambda big: _TERMS * n * big ** 2)[1]
+
+
 def check_identity(a: Algebra, tag: str) -> Report:
     """Check one identity tag on all basis tuples of the algebra."""
     if tag not in IDENTITIES:
         raise InputError(f"unknown identity tag {tag!r}")
+    return _check_identity(a, tag, _integer_tensor(a))
+
+
+def _check_identity(a: Algebra, tag: str, c: np.ndarray) -> Report:
+    """check_identity on the integer tensor c of _integer_tensor(a)."""
     f = a.field
     n = a.dim
     if n == 0:
         return Report(True, details=[{"name": tag, "status": "pass", "note": "empty algebra"}])
     rows = IDENTITIES[tag]
-    # clear denominators: every row is homogeneous (T rows of degree 1, L/R
-    # rows of degree 2), so scaling by lam keeps each zero pattern
-    flat = [x for plane in a.tensor for v in plane for x in v]
-    lam = math.lcm(*{x.denominator for x in flat})
-    ints = [x.numerator * (lam // x.denominator) for x in flat]
-    big = max(map(abs, ints))
-    terms = max(len(lhs) + len(rhs) for _, lhs, rhs in rows)
-    # each entry of a difference is a sum of at most terms * n products
-    exact64 = terms * n * big ** 2 < 2 ** 63
-    c = np.array(ints, dtype=np.int64 if exact64 else object).reshape(n, n, n)
     for name, lhs, rhs in rows:
         for i in range(n):
             flags = _np_failing(c, f.p, lhs, rhs, i)
@@ -322,8 +346,9 @@ def identity_suite(a: Algebra, category: Optional[str] = None) -> Report:
     if cat not in SUITES:
         raise InputError(f"unknown category {cat!r}")
     details = []
+    c = _integer_tensor(a)
     for tag in SUITES[cat]:
-        rep = check_identity(a, tag)
+        rep = _check_identity(a, tag, c)
         if not rep.passed:
             rep.details = details + [{"name": tag, "status": "fail", "label": rep.label}]
             return rep

@@ -15,6 +15,13 @@ inputs give byte-identical actors.
 Every candidate carries a closure certificate: the product of any two basis
 pairs is re-expressed in the basis, and a pair that escapes the span raises
 ClosureError instead of silently producing garbage structure constants.
+Products are taken in integers, one left basis pair s at a time against all
+pairs t, one matmul per term of the bracket: the basis is multiplied by lam,
+the lcm of its denominators (1 over GF(p)), so a product is lam^2 times its
+value.  As the basis is in RREF, the coordinates of a product P are its
+entries at the pivot columns, and P is in the span exactly when
+lam * P == P[:, pivots] @ (lam * basis), mod p over GF(p).  The
+condition 1/2 checks compare products of basis pairs the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +29,10 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from .actions import ActionPair, make_action
 from .algebra import (
@@ -31,6 +41,7 @@ from .algebra import (
     annihilator,
     derived_subspace,
     identity_suite,
+    integer_array,
     make_algebra,
 )
 from .fields import FieldError
@@ -255,45 +266,77 @@ def _unflatten(f, n, flat) -> Matrix:
     return Matrix(f, tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n)))
 
 
-def _bracket(kind: str, a: BiMap, b: BiMap) -> BiMap:
-    """[a, b] from the kind's row; a term such as aLbR is a.left @ b.right."""
-    comps = {"aL": a.left, "aR": a.right, "bL": b.left, "bR": b.right}
+# the products compared by the two existence conditions:
+# (details key, label, lhs, rhs)
+_CONDITIONS = {
+    1: ("bider_dim", "[phi,[a,phi']] = -[phi,[phi',a]]", "aLbR", "-aLbL"),
+    2: ("bim_dim", "f*(a*f') = (f*a)*f'", "aLbR", "bRaL"),
+}
 
-    def combine(text):
-        out = None
-        for sign, term in _signed(text):
-            p = comps[term[:2]] @ comps[term[2:]]
-            if out is None:
-                out = p if sign > 0 else p.neg()
-            else:
-                out = out.add(p) if sign > 0 else out.sub(p)
-        return out
+# the most products summed into one entry of anything compared below
+_TERMS = max([len(_signed(t)) for k in KIND_TABLE.values() for t in (k.bracket, k.right)]
+             + [len(_signed(lhs)) + len(_signed(rhs)) for _, _, lhs, rhs in _CONDITIONS.values()])
 
-    spec = KIND_TABLE[kind]
-    return _pair(kind, combine(spec.bracket),
-                 None if spec.right in _FOLLOW else combine(spec.right))
+
+def _integer_pairs(kind: str, basis_matrix: Matrix, n: int):
+    """lam and lam times the basis pairs as an integer (m, k, n, n) array: k
+    is 1 (left components) or 2 (left, right) as in the flattened layout.
+    The dtype covers the closure check, the largest value computed from it:
+    P[:, pivots] @ (lam * basis), each P entry a sum of _TERMS * n products."""
+    m = basis_matrix.nrows
+    k = 1 if KIND_TABLE[kind].right in _FOLLOW else 2
+    return integer_array([x for row in basis_matrix.rows for x in row], (m, k, n, n),
+                         lambda big: (m + 1) * _TERMS * n * big ** 3)
+
+
+def _pair_products(b: np.ndarray, text: str, s: int) -> np.ndarray:
+    """text, a signed sum of products such as "aLbL - bLaL", at a = basis
+    pair s and b = every basis pair t, from the integer pairs b of
+    _integer_pairs: an (m, n, n) array, lam^2 times the value."""
+    out = 0
+    for sign, term in _signed(text):
+        x, y = (b[s if tok[0] == "a" else slice(None), "LR".index(tok[1])]
+                for tok in (term[:2], term[2:]))
+        out = out + x @ y if sign > 0 else out - x @ y
+    return out
+
+
+def _scalars(f, den: int, ints, memo: dict) -> Vector:
+    """The field scalars ints / den, each distinct Fraction made once."""
+    if f.p is not None:
+        return tuple(x % f.p for x in ints)
+    return tuple(memo[x] if x in memo else memo.setdefault(x, Fraction(x, den))
+                 for x in ints)
 
 
 def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
-    f, nn = A.field, A.dim * A.dim
+    f, n = A.field, A.dim
+    nn = n * n
     null = Matrix.from_rows(f, constraint_rows).nullspace()
     basis_matrix, pivots = null.rref()
     basis_matrix = Matrix(f, basis_matrix.rows[: len(pivots)])
-    maps = tuple(_pair(kind, *(_unflatten(f, A.dim, row[k:k + nn])
+    maps = tuple(_pair(kind, *(_unflatten(f, n, row[k:k + nn])
                                for k in range(0, len(row), nn)))
                  for row in basis_matrix.rows)
     m = len(maps)
+    lam, b = _integer_pairs(kind, basis_matrix, n)
+    flat = b.reshape(m, b.shape[1] * nn)
+    spec = KIND_TABLE[kind]
+    texts = (spec.bracket,) if spec.right in _FOLLOW else (spec.bracket, spec.right)
+    memo = {}
     tensor = []
     for s in range(m):
-        plane = []
-        for t in range(m):
-            prod = _bracket(kind, maps[s], maps[t])
-            coeffs = express_in_rref_rows(basis_matrix, pivots, _flatten(kind, prod))
-            if coeffs is None:
-                raise ClosureError(
-                    f"{kind}: product of basis pairs {s} and {t} leaves the span")
-            plane.append(coeffs)
-        tensor.append(tuple(plane))
+        prod = np.stack([_pair_products(b, text, s) for text in texts], axis=1)
+        prod = prod.reshape(flat.shape)
+        coords = prod[:, list(pivots)]
+        diff = lam * prod - coords @ flat
+        if f.p is not None:
+            diff %= f.p
+        escaped = diff.any(axis=1)
+        if escaped.any():
+            raise ClosureError(f"{kind}: product of basis pairs {s} and "
+                               f"{int(escaped.argmax())} leaves the span")
+        tensor.append(tuple(_scalars(f, lam * lam, row, memo) for row in coords.tolist()))
     return ActorAlgebra(kind, A, maps, tuple(tensor), basis_matrix, pivots)
 
 
@@ -442,36 +485,38 @@ def crossed_module_check(d: Matrix, act: ActionPair) -> Report:
 # actions at once.  This reduction is the whole point of the module.
 
 
+def _condition_check(which: int, actor: ActorAlgebra) -> Report:
+    """Condition `which` on every pair (s, t) of basis pairs; the witness is
+    the first (s, t, col) at which the two sides differ in column col."""
+    key, label, lhs_text, rhs_text = _CONDITIONS[which]
+    details = [{key: actor.dim}]
+    f = actor.target.field
+    lam, b = _integer_pairs(actor.kind, actor.basis_matrix, actor.target.dim)
+    for s in range(actor.dim):
+        lhs = _pair_products(b, lhs_text, s)
+        rhs = _pair_products(b, rhs_text, s)
+        diff = lhs - rhs
+        if f.p is not None:
+            diff %= f.p
+        differs = diff.any(axis=1)  # (t, col): column col differs in some row
+        if differs.any():
+            t, col = (int(x) for x in np.unravel_index(differs.argmax(), differs.shape))
+            memo = {}
+            return Report(False, label=label, witness=(s, t, col),
+                          lhs=_scalars(f, lam * lam, lhs[t, :, col].tolist(), memo),
+                          rhs=_scalars(f, lam * lam, rhs[t, :, col].tolist(), memo),
+                          details=details)
+    return Report(True, details=details)
+
+
 def condition1_check(A: Algebra, bider: ActorAlgebra | None = None) -> Report:
     """[phi,[a,phi']] = -[phi,[phi',a]] over the biderivation basis."""
-    if bider is None:
-        bider = biderivations(A, 1)
-    for s, f1 in enumerate(bider.maps):
-        for t, f2 in enumerate(bider.maps):
-            lhs = f1.left @ f2.right
-            rhs = (f1.left @ f2.left).neg()
-            if not lhs.equals(rhs):
-                col = next(c for c in range(A.dim) if lhs.col(c) != rhs.col(c))
-                return Report(False, label="[phi,[a,phi']] = -[phi,[phi',a]]",
-                              witness=(s, t, col), lhs=lhs.col(col), rhs=rhs.col(col),
-                              details=[{"bider_dim": bider.dim}])
-    return Report(True, details=[{"bider_dim": bider.dim}])
+    return _condition_check(1, biderivations(A, 1) if bider is None else bider)
 
 
 def condition2_check(A: Algebra, bim: ActorAlgebra | None = None) -> Report:
     """(f*a)*f' = f*(a*f') over the bimultiplier basis."""
-    if bim is None:
-        bim = bimultipliers(A)
-    for s, f1 in enumerate(bim.maps):
-        for t, f2 in enumerate(bim.maps):
-            lhs = f1.left @ f2.right
-            rhs = f2.right @ f1.left
-            if not lhs.equals(rhs):
-                col = next(c for c in range(A.dim) if lhs.col(c) != rhs.col(c))
-                return Report(False, label="f*(a*f') = (f*a)*f'",
-                              witness=(s, t, col), lhs=lhs.col(col), rhs=rhs.col(col),
-                              details=[{"bim_dim": bim.dim}])
-    return Report(True, details=[{"bim_dim": bim.dim}])
+    return _condition_check(2, bimultipliers(A) if bim is None else bim)
 
 
 def sufficient_conditions(A: Algebra) -> dict:

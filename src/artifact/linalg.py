@@ -1,15 +1,24 @@
 """Dense exact linear algebra over the fields in :mod:`artifact.fields`.
 
-Matrices are immutable row-major tuples.  Row reduction is plain
-Gauss-Jordan with the first nonzero pivot rule, which makes every output
-deterministic.  Nullspace and row-space bases are returned in reduced row
-echelon form, so two equal subspaces always produce identical basis
-matrices and can be compared with ==.
+Matrices are immutable row-major tuples of field scalars.  Row reduction is
+one Gauss-Jordan elimination on rows of Python ints for both fields, with
+the first nonzero pivot rule, which makes every output deterministic.  Over
+Q each row is first multiplied by the lcm of its denominators (row scaling
+keeps the row space), then eliminated fraction-free as in Bareiss (1968),
+row_i <- a*row_i - s*row_r, except that the new row is divided by the gcd of
+its entries rather than by the previous pivot, which keeps every row
+primitive; Fractions are made only at the end, each pivot row divided by its
+pivot.  Over GF(p) the pivot row is scaled by its inverse and an update
+touches only its nonzero columns.  The RREF is unique, so nullspace and
+row-space bases are canonical and two equal subspaces always produce
+identical basis matrices, comparable with ==.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .fields import Field, Scalar
@@ -135,27 +144,48 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
-        f = self.field
-        rows = [list(r) for r in self.rows]
-        nr, nc = len(rows), self.ncols
+        f, nc, p = self.field, self.ncols, self.field.p
+        # row scaling keeps the row space; zero rows change nothing
+        rows = [clear_denominators(row)[1] if p is None else list(row) for row in self.rows]
+        rows = [row for row in rows if any(row)]
         pivots = []
-        r = 0
         for c in range(nc):
-            if r >= nr:
+            r = len(pivots)
+            if r == len(rows):
                 break
-            pin = next((i for i in range(r, nr) if rows[i][c] != f.zero), None)
+            pin = next((i for i in range(r, len(rows)) if rows[i][c]), None)
             if pin is None:
                 continue
             rows[r], rows[pin] = rows[pin], rows[r]
-            iv = f.inv(rows[r][c])
-            rows[r] = [f.mul(iv, x) for x in rows[r]]
-            for i in range(nr):
-                if i != r and rows[i][c] != f.zero:
-                    s = rows[i][c]
-                    rows[i] = [f.sub(x, f.mul(s, y)) for x, y in zip(rows[i], rows[r])]
+            if p is None:
+                prow = rows[r]
+                a = prow[c]
+                for i, row in enumerate(rows):
+                    s = row[c]
+                    if s and i != r:
+                        g = math.gcd(a, s)
+                        ag, sg = a // g, s // g
+                        row = [ag * x - sg * y for x, y in zip(row, prow)]
+                        g = math.gcd(*row)
+                        rows[i] = [x // g for x in row] if g > 1 else row
+            else:
+                iv = pow(rows[r][c], -1, p)
+                prow = rows[r] = [x * iv % p for x in rows[r]]
+                support = [(j, y) for j, y in enumerate(prow) if y]
+                for i, row in enumerate(rows):
+                    s = row[c]
+                    if s and i != r:
+                        for j, y in support:
+                            row[j] = (row[j] - s * y) % p
             pivots.append(c)
-            r += 1
-        return Matrix(f, tuple(tuple(x) for x in rows)), tuple(pivots)
+        zero = f.zero
+        if p is None:
+            out = [tuple(Fraction(x, rows[r][c]) if x else zero for x in rows[r])
+                   for r, c in enumerate(pivots)]
+        else:
+            out = [tuple(rows[r]) for r in range(len(pivots))]
+        out += [(zero,) * nc] * (self.nrows - len(pivots))
+        return Matrix(f, tuple(out)), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -224,3 +254,10 @@ def express_in_rref_rows(basis: Matrix, pivots: tuple[int, ...], target: Vector)
     if any(x != f.zero for x in residual):
         return None
     return coeffs
+
+
+def clear_denominators(values: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """lam, the lcm of the denominators, and lam * values as ints."""
+    lam = math.lcm(*{x.denominator for x in values})
+    return lam, [x.numerator * (lam // x.denominator) for x in values]
+

@@ -1,7 +1,9 @@
 """The benchmark in perfbench/ times the program by replacing module
 bindings by name (perfbench/spans.py).  A refactor that drops or renames
 one of those bindings, or stops calling through it, breaks the benchmark;
-these tests catch that in the unit suite."""
+these tests catch that in the unit suite.  A traced run also gates exact
+counts against perfbench/golden.json, so the counts of one pipeline per
+candidate kind are pinned here too."""
 
 import importlib.util
 import os
@@ -9,6 +11,13 @@ import os
 from artifact import constructions, existence
 from artifact.corpus import a5_leibniz, m2_rationals, sl2, truncated_poly
 from artifact.fields import QQ
+
+FIXTURES = {"sl2": sl2(), "a5_leibniz": a5_leibniz(), "m2_rationals": m2_rationals(),
+            "truncated_poly2": truncated_poly(QQ, 2, "commutative")}
+
+# (linalg.rref_calls, linalg.nullspace_cells, constructions.closure_products)
+PINNED_COUNTS = {"sl2": (6, 297, 9), "a5_leibniz": (7, 208, 9),
+                 "m2_rationals": (6, 6272, 16), "truncated_poly2": (9, 240, 8)}
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
@@ -27,7 +36,7 @@ def test_every_traced_binding_exists_and_is_restored():
     try:
         spans.install(tracer)
         # one candidate kind each: der, bider, bim, mult
-        for a in (sl2(), a5_leibniz(), m2_rationals(), truncated_poly(QQ, 2, "commutative")):
+        for a in FIXTURES.values():
             existence.actor_pipeline(a)
     finally:
         tracer.unpatch()
@@ -36,3 +45,17 @@ def test_every_traced_binding_exists_and_is_restored():
     # every constructor calls its row assembly through the traced binding
     assert names.count("constructions.assembly") == names.count("constructions.closure") >= 4
     assert all(vars(constructions)[k] is v for k, v in before.items())
+
+
+def test_traced_counts_of_fixture_pipelines_are_pinned():
+    spans = _spans_module()
+    for name, a in FIXTURES.items():
+        tracer = spans.Tracer()
+        try:
+            spans.install(tracer)
+            existence.actor_pipeline(a)
+        finally:
+            tracer.unpatch()
+        got = tuple(tracer.counts[k] for k in ("linalg.rref_calls", "linalg.nullspace_cells",
+                                               "constructions.closure_products"))
+        assert got == PINNED_COUNTS[name], name

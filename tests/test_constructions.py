@@ -7,21 +7,27 @@ mismatch.  Expected dimensions were computed by these oracles first and are
 frozen below.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 import sympy as sp
 
+from artifact import constructions
 from artifact.algebra import InputError, Subspace, identity_suite, is_ideal, make_algebra
-from artifact.constructions import (BiMap, ClosureError, ConstructionError,
-                                    actor_from_json, biderivations,
-                                    bimultipliers, canonical_d,
+from artifact.constructions import (KIND_TABLE, BiMap, ClosureError,
+                                    ConstructionError, actor_from_json,
+                                    biderivations, bimultipliers, canonical_d,
                                     condition1_check, condition2_check,
                                     crossed_module_check, derivations,
                                     multipliers, sufficient_conditions,
                                     zero_actor)
-from artifact.corpus import (a5_leibniz, abelian, dual_numbers, heisenberg,
-                             m2_rationals, sl2, truncated_poly, zero_algebra)
+from artifact.corpus import (_conjugate, _rand_invertible, a5_leibniz, abelian,
+                             diagonal_algebra, dual_numbers, heisenberg,
+                             m2_rationals, sample_algebra, sl2, truncated_poly,
+                             zero_algebra)
 from artifact.existence import bider_variants_agree
-from artifact.fields import QQ
+from artifact.fields import GF, QQ
 from artifact.linalg import Matrix
 
 
@@ -213,6 +219,130 @@ def test_closure_products_match_stored_tensor():
                 coords = actor.member_coords(prod)
                 assert coords is not None
                 assert coords == actor.tensor[s][t]
+
+
+def _pair_product_oracle(actor, text, s, t):
+    """text such as "aLbL - bLaL" at a = pair s, b = pair t, by Matrix products."""
+    comps = {"aL": actor.maps[s].left, "aR": actor.maps[s].right,
+             "bL": actor.maps[t].left, "bR": actor.maps[t].right}
+    out = None
+    for sign, term in constructions._signed(text):
+        p = comps[term[:2]] @ comps[term[2:]]
+        out = (p if sign > 0 else p.neg()) if out is None else \
+            (out.add(p) if sign > 0 else out.sub(p))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_non_closed_span_raises_closure_error(field):
+    # span{E12 + E21} is not closed under composition: its square is I
+    one, zero = field.one, field.zero
+    rows = [(one, zero, zero, zero), (zero, zero, zero, one), (zero, one, field.neg(one), zero)]
+    a = zero_algebra(field, 2, "commutative")
+    with pytest.raises(ClosureError, match="pairs 0 and 0 leaves the span"):
+        constructions._build_actor("mult", a, rows)
+
+
+def _big_q_conjugate(a):
+    """a after a change of basis with entry 3^40/7 (3^40 alone exceeds 2^63)."""
+    big = Fraction(3 ** 40, 7)
+    n = a.dim
+    p = Matrix(QQ, tuple(tuple(Fraction(1) if i == j else
+                               (big if j == i + 1 else Fraction(-2, 3 + j)) if i < j
+                               else Fraction(0) for j in range(n)) for i in range(n)))
+    return _conjugate(a, p)
+
+
+def _big_entry_algebras():
+    """Algebras whose candidates take the Python-int (object array) path:
+    over GF(4294967291), and over Q after a change of basis with big entries."""
+    f = GF(4294967291)
+    rng = random.Random(0)
+    for a in (sl2(f), a5_leibniz(f), diagonal_algebra(f, 3),
+              diagonal_algebra(f, 2, "commutative")):
+        yield _conjugate(a, _rand_invertible(rng, f, a.dim))
+    for a in (sl2(), a5_leibniz(), dual_numbers(), heisenberg()):
+        yield _big_q_conjugate(a)
+
+
+def test_object_array_closure_equals_per_pair_matmul_oracle():
+    on_objects = set()
+    for a in _big_entry_algebras():
+        actors = {"lie": lambda: [derivations(a)],
+                  "leibniz": lambda: [biderivations(a, 1), biderivations(a, 2)],
+                  "associative": lambda: [bimultipliers(a)],
+                  "commutative": lambda: [multipliers(a), bimultipliers(a)]}[a.category]()
+        for actor in actors:
+            _, ints = constructions._integer_pairs(actor.kind, actor.basis_matrix, a.dim)
+            if ints.dtype == object:
+                on_objects.add((str(a.field), actor.kind))
+            spec = KIND_TABLE[actor.kind]
+            for s in range(actor.dim):
+                for t in range(actor.dim):
+                    left = _pair_product_oracle(actor, spec.bracket, s, t)
+                    right = None if spec.right in ("neg", "same") else \
+                        _pair_product_oracle(actor, spec.right, s, t)
+                    coords = actor.member_coords(constructions._pair(actor.kind, left, right))
+                    assert coords is not None and coords == actor.tensor[s][t]
+                    scalar = Fraction if a.field is QQ else int
+                    assert all(type(x) is scalar for x in actor.tensor[s][t])
+    kinds = {"der", "bim", "bider1", "bider2", "mult"}
+    assert {("GF(4294967291)", k) for k in kinds} | {("Q", "der"), ("Q", "bim")} <= on_objects
+
+
+# each condition's label and its two sides at basis pairs (a, b)
+CONDITION_SIDES = {
+    1: ("[phi,[a,phi']] = -[phi,[phi',a]]", lambda a, b: a.left @ b.right,
+        lambda a, b: (a.left @ b.left).neg()),
+    2: ("f*(a*f') = (f*a)*f'", lambda a, b: a.left @ b.right, lambda a, b: b.right @ a.left),
+}
+
+
+def _condition_oracle(actor, which):
+    """The first (s, t, col) where the two sides differ, with their columns,
+    by Matrix products pair by pair."""
+    label, lhs_of, rhs_of = CONDITION_SIDES[which]
+    for s in range(actor.dim):
+        for t in range(actor.dim):
+            lhs = lhs_of(actor.maps[s], actor.maps[t])
+            rhs = rhs_of(actor.maps[s], actor.maps[t])
+            for col in range(actor.target.dim):
+                if lhs.col(col) != rhs.col(col):
+                    return label, (s, t, col), lhs.col(col), rhs.col(col)
+    return None
+
+
+def test_condition_witnesses_equal_per_pair_matmul_oracle():
+    cases = list(_big_entry_algebras())
+    # condition 1 fails on these, with an object-array basis
+    cases += [sample_algebra(random.Random(0), GF(4294967291), 3, "leibniz"),
+              _big_q_conjugate(sample_algebra(random.Random(0), QQ, 3, "leibniz")),
+              _big_q_conjugate(sample_algebra(random.Random(0), QQ, 3, "associative"))]
+    for f in (QQ, GF(2), GF(5)):
+        cases += [zero_algebra(f, 2, "leibniz"), zero_algebra(f, 3, "leibniz"),
+                  a5_leibniz(f), zero_algebra(f, 2, "associative"),
+                  zero_algebra(f, 3, "associative"), truncated_poly(f, 3), dual_numbers(f)]
+    cases.append(m2_rationals())
+    failures = 0
+    for a in cases:
+        if a.category == "leibniz":
+            actor, rep = biderivations(a, 1), condition1_check(a)
+            key, which = "bider_dim", 1
+        elif a.category == "associative":
+            actor, rep = bimultipliers(a), condition2_check(a)
+            key, which = "bim_dim", 2
+        else:
+            continue
+        want = _condition_oracle(actor, which)
+        assert rep.details == [{key: actor.dim}]
+        if want is None:
+            assert rep.passed and rep.witness is None
+        else:
+            failures += 1
+            assert not rep.passed
+            assert (rep.label, rep.witness, rep.lhs, rep.rhs) == want
+            assert all(type(x) is type(a.field.zero) for x in rep.lhs + rep.rhs)
+    assert failures == 15
 
 
 def test_kind_category_guards():

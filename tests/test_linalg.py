@@ -1,8 +1,9 @@
 """Exact linear algebra, cross-checked against sympy.
 
 sympy computes with its own elimination code (DomainMatrix over QQ and
-GF(p)), which is a different implementation of the same math; ranks and
-nullspace dimensions must agree with ours on random inputs.
+GF(p)), which is a different implementation of the same math; ranks,
+nullspace dimensions and whole reduced row echelon forms must agree with
+ours on random inputs.
 """
 
 import random
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import GF as sGF, QQ as sQQ
 from sympy.polys.matrices import DomainMatrix
 
@@ -75,6 +77,74 @@ def test_rref_is_canonical_and_idempotent():
             col = [r1.entry(i, j) for i in range(r1.nrows)]
             assert col[k] == gf5.one
             assert all(x == gf5.zero for i, x in enumerate(col) if i != k)
+
+
+RREF_FIELDS = (GF(2), GF(3), GF(7), GF(4294967291), QQ)
+
+
+def sympy_rref(field, rows, ncols):
+    """RREF and pivots by sympy's DomainMatrix, as our scalars."""
+    if field is QQ:
+        dm = DomainMatrix([[sQQ.convert(x) for x in r] for r in rows], (len(rows), ncols), sQQ)
+        conv = lambda x: Fraction(int(x.numerator), int(x.denominator))
+    else:
+        dom = sGF(field.p)
+        dm = DomainMatrix([[dom.convert(x) for x in r] for r in rows], (len(rows), ncols), dom)
+        conv = lambda x: int(x) % field.p  # sympy keeps symmetric residues
+    red, piv = dm.rref()
+    return tuple(tuple(conv(x) for x in r) for r in red.to_list()), tuple(piv)
+
+
+def assert_rref_matches_sympy(field, rows, ncols):
+    mat = Matrix(field, tuple(tuple(r) for r in rows))
+    red, piv = mat.rref()
+    assert (red.rows, piv) == sympy_rref(field, rows, ncols)
+    scalar = Fraction if field is QQ else int
+    assert all(type(x) is scalar for r in red.rows for x in r)
+
+
+def _entries(field):
+    if field is QQ:
+        # small numerators and numerators near 3^40, denominators 1-5
+        num = st.one_of(st.integers(-4, 4), st.integers(3 ** 40 - 4, 3 ** 40 + 4),
+                        st.integers(-3 ** 40 - 4, -3 ** 40 + 4))
+        return st.builds(Fraction, num, st.integers(1, 5))
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def rref_cases(draw):
+    field = draw(st.sampled_from(RREF_FIELDS))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(field.zero), _entries(field))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if rows and draw(st.booleans()):  # duplicate rows
+        rows += [rows[i] for i in draw(st.lists(st.integers(0, nrows - 1), max_size=3))]
+    return field, rows, ncols
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rref_cases())
+def test_rref_equals_sympy_rref(case):
+    assert_rref_matches_sympy(*case)
+
+
+@pytest.mark.parametrize("field", RREF_FIELDS, ids=str)
+def test_rref_equals_sympy_rref_on_edge_shapes(field):
+    rng = random.Random(11)
+    entry = lambda: (Fraction(rng.choice((0, 3 ** 40)) + rng.randrange(-3, 4),
+                              rng.randrange(1, 6)) if field is QQ
+                     else rng.randrange(field.p))
+    assert_rref_matches_sympy(field, [], 4)  # 0 x k
+    assert_rref_matches_sympy(field, [[], [], []], 0)  # k x 0
+    assert_rref_matches_sympy(field, [[field.zero] * 5 for _ in range(4)], 5)
+    for rank in (1, 5, 17):
+        # tall and rank-deficient: a 192 x rank times a rank x 32 product
+        left = [[entry() for _ in range(rank)] for _ in range(192)]
+        right = Matrix.from_rows(field, [[entry() for _ in range(32)] for _ in range(rank)])
+        rows = Matrix.from_rows(field, left).matmul(right).rows
+        assert_rref_matches_sympy(field, rows, 32)
 
 
 def test_solve_returns_exact_solution_or_none():
