@@ -2,10 +2,12 @@
 
 Groups are written additively (0, -, +) even when nonabelian, matching the
 convention of the rest of the package.  Everything is exhaustive and
-certified: make_group checks the Latin-square property and associativity
-(Light's test over a greedy generating set), the automorphism search
-backtracks over generator images only, and the holomorph and universality
-checks re-verify each claimed structure rather than trusting construction.
+certified: make_group checks the Latin-square property, a two-sided identity
+and inverses, and associativity by Light's test over generators whose span
+(products by right multiplication from the identity) is the whole table;
+the automorphism search backtracks over generator images only, and the
+holomorph and universality checks re-verify each claimed structure rather
+than trusting construction.
 """
 
 from __future__ import annotations
@@ -38,37 +40,51 @@ class Group:
                 "names": list(self.names)}
 
 
-def _closure(table, seed) -> set:
-    out = set(seed)
-    frontier = list(out)
+def _span(table, identity, gens) -> set:
+    """Everything reached from the identity by right multiplication by gens:
+    a breadth-first search costing O(|span| * |gens|)."""
+    out = {identity}
+    frontier = [identity]
     while frontier:
         nxt = []
         for x in frontier:
-            for y in list(out):
-                for z in (table[x][y], table[y][x]):
-                    if z not in out:
-                        out.add(z)
-                        nxt.append(z)
+            for g in gens:
+                z = table[x][g]
+                if z not in out:
+                    out.add(z)
+                    nxt.append(z)
         frontier = nxt
     return out
 
 
 def _greedy_generators(table, identity) -> list:
-    """Generating set chosen by largest closure growth; small for all the
-    usual suspects, which keeps Light's test near O(n^2)."""
+    """Generators whose span is the whole table; each step adds the element
+    whose span with the generators so far is largest, the first on a tie.
+
+    Light's test over them is sound on any Latin square with an identity:
+    the g with (x+g)+y = x+(g+y) for all x, y include the identity and are
+    closed under +, so they hold the span once they hold the generators.
+    On a group, x+h for h in the current span H adds the same subgroup as
+    x, so only the first element of each coset x+H is tried; the choice is
+    the one a search over every element makes.
+    """
     n = len(table)
     have = {identity}
     gens = []
     while len(have) < n:
-        best, best_set = None, None
+        best, best_span = None, set()
+        tried = set(have)
         for x in range(n):
-            if x in have:
+            if x in tried:
                 continue
-            c = _closure(table, have | {x})
-            if best_set is None or len(c) > len(best_set):
-                best, best_set = x, c
+            tried.update(table[x][h] for h in have)
+            span = _span(table, identity, gens + [x])
+            if len(span) > len(best_span):
+                best, best_span = x, span
+                if len(span) == n:
+                    break
         gens.append(best)
-        have = best_set
+        have = best_span
     return gens
 
 
@@ -117,10 +133,18 @@ def group_from_json(obj) -> Group:
     if not isinstance(obj, dict) or not {"order", "table"} <= set(obj) \
             or not set(obj) <= {"order", "table", "names"}:
         raise InputError("group JSON needs keys order, table and optionally names")
-    table = obj["table"]
-    if obj["order"] != len(table):
-        raise InputError("order does not match table size")
-    return make_group(table, obj.get("names"))
+    order, table, names = obj["order"], obj["table"], obj.get("names")
+    if type(order) is not int:  # also refuses JSON true/false
+        raise InputError(f"order must be an integer, got {order!r}")
+    if not isinstance(table, list) or len(table) != order:
+        raise InputError("table must be a list of order rows")
+    for i, row in enumerate(table):
+        if not isinstance(row, list) or any(type(v) is not int for v in row):
+            raise InputError(f"row {i} of the table must be a list of integers")
+    if names is not None and (not isinstance(names, list)
+                              or any(not isinstance(x, str) for x in names)):
+        raise InputError("names must be a list of strings")
+    return make_group(table, names)
 
 
 def element_order(g: Group, x: int) -> int:

@@ -6,12 +6,15 @@ with the implementation.  Orders below were computed by the oracle first.
 """
 
 import itertools
+import random
+import time
 
 import pytest
 
 from artifact.algebra import InputError
-from artifact.groups import (CapError, automorphisms, cyclic, dihedral,
-                             direct_product, element_order, group_from_json,
+from artifact.groups import (CATALOG, CapError, _greedy_generators,
+                             automorphisms, cyclic, dihedral, direct_product,
+                             element_order, group_from_json,
                              group_universality_check, holomorph_check,
                              inner_automorphisms, klein4, make_group,
                              make_group_action, quaternion8, symmetric3,
@@ -122,6 +125,152 @@ def test_make_group_rejects_non_latin_and_non_associative():
             [4, 2, 0, 1, 3]]
     with pytest.raises(InputError):
         make_group(loop)
+    # an order-5 loop with two-sided inverses, so only Light's test refuses it
+    loop = [[0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]
+    with pytest.raises(InputError, match="associativity fails"):
+        make_group(loop)
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cols = [set(range(n)) - {j} for j in range(n)]
+
+    def fill(cell):
+        if cell == (n - 1) * (n - 1):
+            yield tuple(tuple(r) for r in rows)
+            return
+        i, j = 1 + cell // (n - 1), 1 + cell % (n - 1)
+        for v in sorted(cols[j] - set(rows[i][:j])):
+            rows[i][j] = v
+            cols[j].remove(v)
+            yield from fill(cell + 1)
+            cols[j].add(v)
+        rows[i][j] = None
+
+    yield from fill(0)
+
+
+def associativity_fails(t, x, g, y):
+    return t[t[x][g]][y] != t[x][t[g][y]]
+
+
+def test_make_group_accepts_exactly_the_associative_reduced_latin_squares():
+    counts = []
+    for n in range(1, 7):
+        squares = list(reduced_latin_squares(n))
+        counts.append(len(squares))
+        for t in squares:
+            associative = not any(associativity_fails(t, *xgy)
+                                  for xgy in itertools.product(range(n), repeat=3))
+            try:
+                make_group(t)
+            except InputError as exc:
+                assert not associative, (t, exc)
+                msg = str(exc)
+                if msg.startswith("associativity fails at "):
+                    x, g, y = map(int, msg[len("associativity fails at ("):-1].split(","))
+                    assert associativity_fails(t, x, g, y), (t, msg)
+                else:
+                    assert "has no two-sided inverse" in msg, (t, msg)
+            else:
+                assert associative, t
+    assert counts == [1, 1, 1, 4, 56, 9408]  # OEIS A000315
+
+
+def _closure(table, seed) -> set:
+    """Oracle: the old magma closure, every product of every pair re-taken
+    until nothing new appears."""
+    out = set(seed)
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in list(out):
+                for z in (table[x][y], table[y][x]):
+                    if z not in out:
+                        out.add(z)
+                        nxt.append(z)
+        frontier = nxt
+    return out
+
+
+def closure_greedy_generators(table, identity) -> list:
+    """Oracle: the largest closure growth, every candidate tried."""
+    n = len(table)
+    have = {identity}
+    gens = []
+    while len(have) < n:
+        best, best_set = None, None
+        for x in range(n):
+            if x in have:
+                continue
+            c = _closure(table, have | {x})
+            if best_set is None or len(c) > len(best_set):
+                best, best_set = x, c
+        gens.append(best)
+        have = best_set
+    return gens
+
+
+def relabelled(g, rng):
+    p = list(range(g.order))
+    rng.shuffle(p)
+    back = {y: x for x, y in enumerate(p)}
+    table = [[p[g.table[back[a]][back[b]]] for b in range(g.order)]
+             for a in range(g.order)]
+    return table, p[g.identity]
+
+
+def holomorph_table(g):
+    """The Cayley table of Aut(g) x| g, as holomorph_check builds it."""
+    aut = automorphisms(g)
+    pairs = list(itertools.product(range(aut.order), range(g.order)))
+    idx = {p: i for i, p in enumerate(pairs)}
+    return [[idx[(aut.group.table[p1][p2], g.table[a1][aut.perms[p1][a2]])]
+             for (p2, a2) in pairs] for (p1, a1) in pairs]
+
+
+def test_greedy_generators_equal_magma_closure_oracle():
+    rng = random.Random(5)
+    small = [g for _, g, _ in GROUPS] + [ctor() for _, ctor in CATALOG]
+    holomorphs = [make_group(holomorph_table(g))
+                  for g in (quaternion8(), dihedral(4), dihedral(5))]
+    cases = [(g.table, g.identity) for g in small + holomorphs]
+    cases += [relabelled(g, rng) for g in small for _ in range(3)]
+    for table, identity in cases:
+        assert _greedy_generators(table, identity) == \
+            closure_greedy_generators(table, identity)
+
+
+def test_z3xz3_holomorph_and_universality_within_budget():
+    g = direct_product(cyclic(3), cyclic(3))
+    t0 = time.monotonic()
+    aut = automorphisms(g, cap=48)
+    assert aut.order == 48  # GL(2,3)
+    rep = holomorph_check(g, cap=48)
+    assert rep.passed, rep.label
+    assert rep.details[0] == {"name": "holomorph is a group", "order": 432,
+                              "status": "pass"}
+    rep = group_universality_check(g, max_b=6, cap=48)
+    assert rep.passed, rep.label
+    # actions of Z_k are the automorphisms p with p^k = 1, counted directly
+    ident = tuple(range(g.order))
+    for line in rep.details:
+        if line["acting_group"] in ("Z2", "Z3", "Z4", "Z5", "Z6"):
+            k = line["order"]
+            expected = 0
+            for p in aut.perms:
+                q = ident
+                for _ in range(k):
+                    q = tuple(p[x] for x in q)
+                expected += q == ident
+            assert line["actions"] == expected, line
+    assert time.monotonic() - t0 < 5.0
 
 
 def test_group_json_round_trip():
@@ -130,6 +279,23 @@ def test_group_json_round_trip():
     assert h.table == g.table and h.names == g.names
     with pytest.raises(InputError):
         group_from_json({"order": 2, "table": [[0, 1], [1, 0]], "nope": 1})
+
+
+@pytest.mark.parametrize("obj", [
+    {"order": 2, "table": [[0, True], [True, 0]]},
+    {"order": True, "table": [[0]]},
+    {"order": 2, "table": [[0, 1], [1, 0]], "names": "ab"},
+    {"order": 2, "table": [[0, 1], [1, 0]], "names": ["a", 1]},
+    {"order": 2, "table": [[0.0, 1.0], [1.0, 0.0]]},
+    {"order": "2", "table": [[0, 1], [1, 0]]},
+    {"order": 2, "table": [[0, 1], "10"]},
+    {"order": 2, "table": {"0": [0, 1], "1": [1, 0]}},
+    {"order": 3, "table": [[0, 1], [1, 0]]},
+], ids=["bool-entry", "bool-order", "str-names", "int-name", "float-entry",
+        "str-order", "str-row", "dict-table", "order-mismatch"])
+def test_group_from_json_rejects_malformed_tables(obj):
+    with pytest.raises(InputError):
+        group_from_json(obj)
 
 
 def test_element_orders_in_z6():
