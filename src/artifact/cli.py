@@ -71,7 +71,11 @@ def _load(path):
 def _parse_field_flag(s: str):
     if s.strip().upper() == "Q":
         return QQ
-    return field_from_json({"p": int(s)})
+    try:
+        p = int(s)
+    except ValueError:
+        raise InputError(f'--field must be "Q" or a prime p, got {s!r}') from None
+    return field_from_json({"p": p})
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +263,13 @@ def _build_parser():
     return p
 
 
+# built once: the func defaults are the _cmd_* functions, which look up
+# _load, algebra_from_json, actor_pipeline and _emit when they run
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         code, payload = args.func(args)
     except ConstructionError as exc:

@@ -1,13 +1,22 @@
 """Finite groups by Cayley table: automorphisms, holomorph, universality.
 
 Groups are written additively (0, -, +) even when nonabelian, matching the
-convention of the rest of the package.  Everything is exhaustive and
-certified: make_group checks the Latin-square property, a two-sided identity
-and inverses, and associativity by Light's test over generators whose span
-(products by right multiplication from the identity) is the whole table;
-the automorphism search backtracks over generator images only, and the
-holomorph and universality checks re-verify each claimed structure rather
-than trusting construction.
+convention of the rest of the package.  Everything is exhaustive, and each
+fact is checked once, where it is established:
+
+- make_group checks the Latin-square property, a two-sided identity and
+  inverses, and associativity by Light's test over generators whose span
+  (products by right multiplication from the identity) is the whole table;
+- automorphisms backtracks over generator images and keeps only maps that
+  extend to bijective homomorphisms, so every row of Aut(g) is proven an
+  automorphism once, and its composition table goes through make_group;
+- holomorph_check checks the theorems about Aut(g) x| g and the crossed
+  module g -> Aut(g), and not the facts that inner_automorphisms makes true
+  by definition;
+- group_universality_check counts actions as homomorphisms B -> Aut(g),
+  which factor through Aut(g) by construction.  make_group_action is the
+  validator for dot tables from outside the program; the tests use it, and
+  independent counts from brute-force Aut, as oracles for the enumeration.
 """
 
 from __future__ import annotations
@@ -272,7 +281,7 @@ def automorphisms(g: Group, cap: int = 24) -> AutomorphismGroup:
     of automorphisms found exceeds the cap."""
     if g.order > cap:
         raise CapError(f"group order {g.order} exceeds cap {cap}")
-    gens = _greedy_generators(g.table, g.identity) or []
+    gens = _greedy_generators(g.table, g.identity)
     orders = {x: element_order(g, x) for x in range(g.order)}
     cands = [[y for y in range(g.order) if orders[y] == orders[gen]] for gen in gens]
     found = []
@@ -334,13 +343,14 @@ def inner_automorphisms(g: Group, aut: Optional[AutomorphismGroup] = None) -> In
 
 
 def holomorph_check(g: Group, cap: int = 24):
-    """Build Aut(g) x| g and re-verify every claimed piece of structure.
+    """Build Aut(g) x| g and check each claimed piece of structure that is
+    not true by construction.  Returns a Report.
 
-    Checks, in order: the semidirect table is a group; tau is a homomorphism
-    onto Inn with kernel the center; the two crossed-module conditions for
-    tau along the evaluation action of Aut; Inn is normal in Aut; the coset
-    product on Out is well-defined; the inclusion/projection row is exact;
-    and the conjugation square commutes.  Returns a Report.
+    Checked, in order: the semidirect table is a group; tau is a
+    homomorphism; tau(phi(a)) = phi tau(a) phi^-1; Inn is normal in Aut; the
+    coset product on Out is well-defined; the kernel of Aut -> Out is Inn.
+    inner_automorphisms defines tau(a) as conjugation by a, Inn as its image
+    and the center as its kernel, so those facts are reported, not checked.
     """
     from .reporting import Report
 
@@ -367,12 +377,12 @@ def holomorph_check(g: Group, cap: int = 24):
             if inn.tau[g.table[a][b]] != aut.group.table[inn.tau[a]][inn.tau[b]]:
                 return Report(False, label="tau is a homomorphism", witness=(a, b),
                               details=details)
-    if tuple(a for a in range(n) if inn.tau[a] == aut.identity) != inn.center:
-        return Report(False, label="kernel of tau is the center", details=details)
+    # kernel of tau = center by the definition of inn.center
     details.append({"name": "tau homomorphism with kernel = center", "status": "pass"})
 
     # crossed module for tau along the evaluation action phi . a = phi(a):
     # (i) tau(phi(a)) = phi tau(a) phi^{-1}; (ii) tau(a)(a') = a + a' - a
+    # holds by construction, as aut.perms[tau[a]] is conjugation by a
     for p in range(m):
         perm = aut.perms[p]
         pinv = aut.perms[aut.group.inv[p]]
@@ -382,12 +392,6 @@ def holomorph_check(g: Group, cap: int = 24):
             if lhs != rhs:
                 return Report(False, label="tau(phi.a) = phi tau(a) phi^-1",
                               witness=(p, a), details=details)
-    for a in range(n):
-        ta = aut.perms[inn.tau[a]]
-        for x in range(n):
-            if ta[x] != g.table[g.table[a][x]][g.inv[a]]:
-                return Report(False, label="tau(a)(a') = a + a' - a", witness=(a, x),
-                              details=details)
     details.append({"name": "crossed-module conditions for tau", "status": "pass"})
 
     inn_set = set(inn.indices)
@@ -418,16 +422,15 @@ def holomorph_check(g: Group, cap: int = 24):
     details.append({"name": "Out = Aut/Inn well-defined", "order": len(cosets),
                     "status": "pass"})
 
-    # exactness: image of tau = Inn = kernel of the projection to Out
-    if set(inn.tau) != inn_set:
-        return Report(False, label="image of tau is Inn", details=details)
+    # exactness: image of tau = Inn by the definition of inn.indices, and
+    # Inn = kernel of the projection to Out
     kernel = {p for p in range(m) if coset_of[p] == coset_of[aut.identity]}
     if kernel != inn_set:
         return Report(False, label="kernel of Aut -> Out is Inn", details=details)
     details.append({"name": "row 0 -> Inn -> Aut -> Out -> 0 exact", "status": "pass"})
 
     # the conjugation square: theta = tau for the self-action, so commuting
-    # reduces to tau(a)(x) = a + x - a, already verified above
+    # reduces to tau(a)(x) = a + x - a, which holds by construction
     details.append({"name": "conjugation square commutes (theta = tau)",
                     "status": "pass"})
     return Report(True, details=details)
@@ -474,8 +477,8 @@ def _enumerate_homs(src: Group, dst: Group):
         yield {src.identity: dst.identity}
         return
     orders = {y: element_order(dst, y) for y in range(dst.order)}
-    cands = [[y for y in range(dst.order)
-              if element_order(src, gen) % orders[y] == 0] for gen in gens]
+    gen_orders = [element_order(src, gen) for gen in gens]
+    cands = [[y for y in range(dst.order) if k % orders[y] == 0] for k in gen_orders]
     for images in itertools.product(*cands):
         mapping = _extend_hom(src, dst.table, dst.identity, gens, list(images))
         if mapping is not None and len(mapping) == src.order:
@@ -496,12 +499,14 @@ CATALOG = (
 
 
 def group_universality_check(g: Group, max_b: int = 6, cap: int = 24):
-    """Every action of a small B on g factors through Aut(g) exactly once.
+    """Count the actions of each catalogue group B of order <= max_b on g.
 
-    Actions are enumerated as homomorphisms B -> Aut(g), re-validated as
-    bare dot tables, and then re-factored: for each b the acting permutation
-    must match exactly one automorphism, and the resulting map must be a
-    homomorphism agreeing with the action everywhere.
+    An action of B on g is a homomorphism B -> Aut(g), so the actions are
+    enumerated as exactly those homomorphisms and every action factors
+    through Aut(g) by construction.  What is checked is elsewhere: each row
+    of Aut(g) was proven an automorphism when Aut was built, and the tests
+    compare these counts with counts from brute-force Aut alone and validate
+    each enumerated dot table with make_group_action.
     """
     from .reporting import Report
 
@@ -511,29 +516,7 @@ def group_universality_check(g: Group, max_b: int = 6, cap: int = 24):
         B = ctor()
         if B.order > max_b:
             continue
-        count = 0
-        for hom in _enumerate_homs(B, aut.group):
-            dot = tuple(tuple(aut.perms[hom[b]][a] for a in range(g.order))
-                        for b in range(B.order))
-            act = make_group_action(B, g, dot)
-            phi = []
-            for b in range(B.order):
-                matches = [k for k, p in enumerate(aut.perms) if p == act.dot[b]]
-                if len(matches) != 1:
-                    return Report(False, label="exactly one automorphism matches",
-                                  witness=(name, b), details=details)
-                phi.append(matches[0])
-            for b1 in range(B.order):
-                for b2 in range(B.order):
-                    if phi[B.table[b1][b2]] != aut.group.table[phi[b1]][phi[b2]]:
-                        return Report(False, label="factoring map is a homomorphism",
-                                      witness=(name, b1, b2), details=details)
-            for b in range(B.order):
-                for a in range(g.order):
-                    if aut.perms[phi[b]][a] != act.dot[b][a]:
-                        return Report(False, label="phi(b).a = b.a", witness=(name, b, a),
-                                      details=details)
-            count += 1
+        count = sum(1 for _ in _enumerate_homs(B, aut.group))
         details.append({"acting_group": name, "order": B.order, "actions": count,
                         "status": "pass"})
     return Report(True, details=details)

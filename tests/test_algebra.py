@@ -1,6 +1,7 @@
 """Structure-constant algebras: identities, subspaces, quotients, JSON."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -247,6 +248,31 @@ def test_algebra_json_round_trip():
         b = algebra_from_json(a.to_json())
         assert b.tensor == a.tensor and b.category == a.category \
             and b.field == a.field and b.basis == a.basis
+
+
+@st.composite
+def json_algebras(draw):
+    f = draw(st.sampled_from((GF(2), gf5, QQ)))
+    n = draw(st.integers(0, 4))
+    category = draw(st.sampled_from(CATEGORIES))
+    if category == "module":
+        scalar = st.just(f.zero)
+    elif f is QQ:
+        scalar = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    else:
+        scalar = st.integers(0, f.p - 1)
+    it = iter(draw(st.lists(scalar, min_size=n ** 3, max_size=n ** 3)))
+    tensor = tuple(tuple(tuple(next(it) for _ in range(n)) for _ in range(n))
+                   for _ in range(n))
+    basis = draw(st.lists(st.text(min_size=1, max_size=3), min_size=n, max_size=n,
+                          unique=True))
+    return make_algebra(f, basis, tensor, category)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(json_algebras())
+def test_algebra_json_round_trip_on_sampled_algebras(a):
+    assert algebra_from_json(json.loads(json.dumps(a.to_json()))) == a
 
 
 def test_algebra_from_json_rejects_unknown_and_missing_keys():

@@ -176,6 +176,13 @@ def test_atlas_same_seed_byte_identical(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+def test_atlas_non_integer_field_is_a_typed_refusal(tmp_path):
+    code, payload = run_json("atlas", "--field", "4x", "--dim", "2", "--category", "lie",
+                             "--samples", "1", "--seed", "0",
+                             "--out", str(tmp_path / "a.jsonl"))
+    assert code == 2 and "InputError" in payload["error"] and "--field" in payload["error"]
+
+
 def test_text_format_is_line_oriented():
     proc = run_cli("--format", "text", "check", fixture_path("sl2.json"))
     assert proc.returncode == 0

@@ -1,8 +1,10 @@
-"""Finite groups: automorphism counts against a brute-force oracle.
+"""Finite groups: automorphism and action counts against brute-force oracles.
 
-The oracle enumerates every bijection fixing the identity and keeps the
+The Aut oracle enumerates every bijection fixing the identity and keeps the
 table-preserving ones; no generator logic, no backtracking, nothing shared
 with the implementation.  Orders below were computed by the oracle first.
+Action counts come from a presentation of each acting group, evaluated on
+the oracle's automorphisms.
 """
 
 import itertools
@@ -10,22 +12,23 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact.algebra import InputError
-from artifact.groups import (CATALOG, CapError, _greedy_generators,
-                             automorphisms, cyclic, dihedral, direct_product,
-                             element_order, group_from_json,
+from artifact.groups import (CATALOG, CapError, _enumerate_homs,
+                             _greedy_generators, automorphisms, cyclic,
+                             dihedral, direct_product, element_order, group_from_json,
                              group_universality_check, holomorph_check,
                              inner_automorphisms, klein4, make_group,
                              make_group_action, quaternion8, symmetric3,
                              trivial)
 
 
-def brute_aut_order(g):
-    """Count bijections preserving the table; identity must map to itself."""
+def brute_aut(g):
+    """Every bijection preserving the table; identity must map to itself."""
     n = g.order
     others = [x for x in range(n) if x != g.identity]
-    count = 0
+    found = []
     for images in itertools.permutations(others):
         p = [None] * n
         p[g.identity] = g.identity
@@ -33,8 +36,48 @@ def brute_aut_order(g):
             p[src] = dst
         if all(p[g.table[a][b]] == g.table[p[a]][p[b]]
                for a in range(n) for b in range(n)):
-            count += 1
-    return count
+            found.append(tuple(p))
+    return found
+
+
+def action_counts(perms):
+    """The actions of each CATALOG group, counted from Aut alone: an action
+    of B is a homomorphism B -> Aut, that is, an image for each generator of
+    a presentation of B such that the images satisfy its relations."""
+    one = tuple(range(len(perms[0])))
+
+    def mul(p, q):
+        return tuple(p[x] for x in q)
+
+    def power(p, k):
+        q = one
+        for _ in range(k):
+            q = mul(p, q)
+        return q
+
+    counts = {"trivial": 1}
+    for k in (2, 3, 4, 5, 6):
+        counts[f"Z{k}"] = sum(power(p, k) == one for p in perms)
+    pairs = list(itertools.product(perms, repeat=2))
+    counts["V4"] = sum(power(x, 2) == one and power(y, 2) == one
+                       and mul(x, y) == mul(y, x) for x, y in pairs)
+    # <x, y | x^2, y^3, x y x = y^-1>, and y^-1 = y^2 once y^3 = 1
+    counts["S3"] = sum(power(x, 2) == one and power(y, 3) == one
+                       and mul(x, mul(y, x)) == power(y, 2) for x, y in pairs)
+    return counts
+
+
+def assert_universality_counts(g, perms, cap=24):
+    """group_universality_check reports the independent counts, and each
+    enumerated action passes the dot-table validator."""
+    rep = group_universality_check(g, max_b=6, cap=cap)
+    assert {line["acting_group"]: line["actions"] for line in rep.details} == \
+        action_counts(perms)
+    aut = automorphisms(g, cap)
+    for _, ctor in CATALOG:
+        B = ctor()
+        for hom in _enumerate_homs(B, aut.group):
+            make_group_action(B, g, [aut.perms[hom[b]] for b in range(B.order)])
 
 
 GROUPS = [
@@ -55,13 +98,13 @@ GROUPS = [
 
 @pytest.mark.parametrize("name,g,expected", GROUPS, ids=[n for n, _, _ in GROUPS])
 def test_automorphism_order_matches_brute_force(name, g, expected):
-    assert brute_aut_order(g) == expected
+    assert len(brute_aut(g)) == expected
     assert automorphisms(g).order == expected
 
 
 def test_z2_cubed_exceeds_cap_and_oracle_says_168():
     g = direct_product(cyclic(2), direct_product(cyclic(2), cyclic(2)))
-    assert brute_aut_order(g) == 168  # GL(3,2)
+    assert len(brute_aut(g)) == 168  # GL(3,2)
     with pytest.raises(CapError):
         automorphisms(g)
 
@@ -99,19 +142,9 @@ def test_holomorph_check_passes(name, g, _):
     assert rep.passed, rep.label
 
 
-@pytest.mark.parametrize("g", [trivial(), cyclic(4), klein4(), symmetric3(),
-                               cyclic(5), cyclic(6)],
-                         ids=["1", "Z4", "V4", "S3", "Z5", "Z6"])
-def test_universality_for_small_targets(g):
-    rep = group_universality_check(g)
-    assert rep.passed, rep.label
-    assert all(line["status"] == "pass" for line in rep.details)
-
-
-def test_universality_counts_identity_action_only_for_trivial_aut():
-    rep = group_universality_check(cyclic(2))
-    # Aut(Z2) is trivial: exactly one action per acting group
-    assert all(line["actions"] == 1 for line in rep.details)
+@pytest.mark.parametrize("name,g,_", GROUPS, ids=[n for n, _, _ in GROUPS])
+def test_universality_for_small_targets(name, g, _):
+    assert_universality_counts(g, brute_aut(g))
 
 
 def test_make_group_rejects_non_latin_and_non_associative():
@@ -218,12 +251,13 @@ def closure_greedy_generators(table, identity) -> list:
 
 
 def relabelled(g, rng):
+    """g with its elements, and their names, in a shuffled order."""
     p = list(range(g.order))
     rng.shuffle(p)
     back = {y: x for x, y in enumerate(p)}
     table = [[p[g.table[back[a]][back[b]]] for b in range(g.order)]
              for a in range(g.order)]
-    return table, p[g.identity]
+    return make_group(table, [g.names[back[a]] for a in range(g.order)])
 
 
 def holomorph_table(g):
@@ -241,7 +275,8 @@ def test_greedy_generators_equal_magma_closure_oracle():
     holomorphs = [make_group(holomorph_table(g))
                   for g in (quaternion8(), dihedral(4), dihedral(5))]
     cases = [(g.table, g.identity) for g in small + holomorphs]
-    cases += [relabelled(g, rng) for g in small for _ in range(3)]
+    cases += [(h.table, h.identity)
+              for h in (relabelled(g, rng) for g in small for _ in range(3))]
     for table, identity in cases:
         assert _greedy_generators(table, identity) == \
             closure_greedy_generators(table, identity)
@@ -256,20 +291,7 @@ def test_z3xz3_holomorph_and_universality_within_budget():
     assert rep.passed, rep.label
     assert rep.details[0] == {"name": "holomorph is a group", "order": 432,
                               "status": "pass"}
-    rep = group_universality_check(g, max_b=6, cap=48)
-    assert rep.passed, rep.label
-    # actions of Z_k are the automorphisms p with p^k = 1, counted directly
-    ident = tuple(range(g.order))
-    for line in rep.details:
-        if line["acting_group"] in ("Z2", "Z3", "Z4", "Z5", "Z6"):
-            k = line["order"]
-            expected = 0
-            for p in aut.perms:
-                q = ident
-                for _ in range(k):
-                    q = tuple(p[x] for x in q)
-                expected += q == ident
-            assert line["actions"] == expected, line
+    assert_universality_counts(g, brute_aut(g), cap=48)
     assert time.monotonic() - t0 < 5.0
 
 
@@ -279,6 +301,22 @@ def test_group_json_round_trip():
     assert h.table == g.table and h.names == g.names
     with pytest.raises(InputError):
         group_from_json({"order": 2, "table": [[0, 1], [1, 0]], "nope": 1})
+
+
+@st.composite
+def relabelled_groups(draw):
+    """A catalogue group or a direct product of two, relabelled."""
+    g = draw(st.sampled_from(CATALOG))[1]()
+    if draw(st.booleans()):
+        g = direct_product(g, draw(st.sampled_from(CATALOG))[1]())
+    return relabelled(g, draw(st.randoms(use_true_random=False)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(relabelled_groups())
+def test_group_json_round_trip_on_relabelled_groups(g):
+    h = group_from_json(g.to_json())
+    assert (h.table, h.names, h.identity, h.inv) == (g.table, g.names, g.identity, g.inv)
 
 
 @pytest.mark.parametrize("obj", [
