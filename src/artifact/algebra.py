@@ -384,8 +384,6 @@ class Subspace:
         return self.coords(v) is not None
 
     def coords(self, v: Vector) -> Optional[Vector]:
-        if self.dim == 0:
-            return () if all(x == self.basis.field.zero for x in v) else None
         return express_in_rref_rows(self.basis, self.pivots, v)
 
 

@@ -147,9 +147,6 @@ class ActorAlgebra:
 
     def member_coords(self, bm: BiMap) -> Vector | None:
         """Coordinates of a pair in the basis, or None if outside the span."""
-        if self.dim == 0:
-            flat = _flatten(self.kind, bm)
-            return () if all(x == self.target.field.zero for x in flat) else None
         return express_in_rref_rows(self.basis_matrix, self.pivots, _flatten(self.kind, bm))
 
     def to_json(self) -> dict:

@@ -8,17 +8,26 @@ matrices), then the change-of-basis matrix, redrawn whole until invertible.
 Scalars over GF(p) are rng.randrange(p); over Q they are small integers
 rng.randrange(-3, 4).
 
-Every sampled algebra is re-verified against its category's identity suite
-before being returned; samplers never hand back an unchecked tensor.
-Uniform rejection sampling is used where the acceptance rate makes it
-affordable (dim <= 2); higher dimensions draw from structured families
-(two-step nilpotent tensors, conjugated seeds) that satisfy the identities
-by construction and are still re-verified.
+One routine, _draw_tensor, draws every random structure tensor: it fills
+a support vs x vs -> ks in (i, j, k) order, and with symmetry
+"sym"/"antisym" draws only j >= i / j > i and mirrors the rest, so a
+symmetric draw consumes the entries of the upper triangle in row-major
+order.  One strategy routine,
+_sample, serves every category with a row of the _SAMPLERS table: the
+symmetry of its two-step nilpotent tensors, the largest dim it also
+samples by rejection (2, or 3 for Lie, whose rejection draw is
+antisymmetric), and its seed algebras.  Rejection sampling is uniform over
+its draw; the two-step tensors and the conjugated seeds satisfy the
+identities by construction.  "alternative" re-labels an associative
+sample, "module" is the zero algebra and "raw" is one unchecked full draw.
+Every sample but "module" and "raw" is re-verified against its category's
+identity suite before being returned.
 """
 
 import json
 import random
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 from .algebra import (Algebra, InputError, identity_suite, make_algebra,
                       make_algebra_from_products)
@@ -133,11 +142,6 @@ def _rand_scalar(rng, field):
     return Fraction(rng.randrange(-3, 4))
 
 
-def _rand_tensor(rng, field, n):
-    return tuple(tuple(tuple(_rand_scalar(rng, field) for _ in range(n))
-                       for _ in range(n)) for _ in range(n))
-
-
 def _rand_invertible(rng, field, n) -> Matrix:
     for _ in range(_ATTEMPTS):
         m = Matrix(field, tuple(tuple(_rand_scalar(rng, field)
@@ -175,36 +179,49 @@ def _embed_block(field, n, block: Algebra) -> tuple:
     return tuple(tuple(tuple(r) for r in row) for row in tensor)
 
 
-def _two_step_tensor(rng, field, n, w, symmetry=None):
-    """Random tensor supported on V x V -> W, V the first n-w coordinates.
-
-    All triple products vanish, so the result satisfies every flavor of the
-    associativity-shaped identities; symmetry "sym"/"antisym" additionally
-    forces c[j][i] = +/- c[i][j] (with zero diagonal for "antisym").
-    """
-    v = n - w
-    c = [[[field.zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(v):
-        for j in range(v):
-            if symmetry == "sym" and j < i:
+def _draw_tensor(rng, field, n, vs, ks, symmetry=None):
+    """Random dim-n tensor supported on vs x vs -> ks, drawn in (i, j, k)
+    order.  symmetry "sym"/"antisym" draws only j >= i / j > i and mirrors
+    the rest as c[j][i] = +/- c[i][j]; every other entry is zero."""
+    c = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
+    for i in vs:
+        for j in vs:
+            if symmetry and j < i or symmetry == "antisym" and j == i:
                 continue
-            if symmetry == "antisym" and j <= i:
-                continue
-            for k in range(v, n):
-                c[i][j][k] = _rand_scalar(rng, field)
-    for i in range(v):
-        for j in range(v):
-            if symmetry == "sym" and j < i:
-                for k in range(v, n):
-                    c[i][j][k] = c[j][i][k]
-            if symmetry == "antisym" and j < i:
-                for k in range(v, n):
-                    c[i][j][k] = field.neg(c[j][i][k])
+            for k in ks:
+                x = c[i][j][k] = _rand_scalar(rng, field)
+                if symmetry == "sym":
+                    c[j][i][k] = x
+                elif symmetry == "antisym":
+                    c[j][i][k] = field.neg(x)
     return tuple(tuple(tuple(col) for col in row) for row in c)
 
 
 # ---------------------------------------------------------------------------
 # category samplers
+
+
+class _Sampler(NamedTuple):
+    twostep: Optional[str]  # symmetry of the two-step nilpotent tensor
+    reject_upto: int  # largest dim also sampled by rejection
+    reject: Optional[str]  # symmetry of the rejection draw
+    families: tuple  # seeds in every dim n, built as family(field, n)
+    blocks: tuple  # (block(field), lowest n, highest n or None) seeds
+
+
+_SAMPLERS = {
+    "leibniz": _Sampler(None, 2, None, (zero_algebra,),
+                        ((a5_leibniz, 2, None), (sl2, 3, 3), (heisenberg, 3, 3))),
+    "associative": _Sampler(None, 2, None,
+                            (zero_algebra, diagonal_algebra, truncated_poly),
+                            ((strict_upper3, 3, 3),)),
+    "commutative": _Sampler("sym", 2, None,
+                            (zero_algebra, diagonal_algebra, truncated_poly), ()),
+    # random tensors are almost never anticommutative, so Lie rejection draws
+    # antisymmetric ones and affords one dim more
+    "lie": _Sampler("antisym", 3, "antisym", (zero_algebra,),
+                    ((sl2, 3, 3), (heisenberg, 3, 3))),
+}
 
 
 def _finish(rng, field, names, tensor, category, conjugate=True) -> Algebra:
@@ -218,112 +235,29 @@ def _finish(rng, field, names, tensor, category, conjugate=True) -> Algebra:
     return a
 
 
-def _reject(rng, field, n, category) -> Algebra:
-    for _ in range(_ATTEMPTS):
-        tensor = _rand_tensor(rng, field, n)
-        a = make_algebra(field, _names(n), tensor, category)
-        if identity_suite(a).passed:
-            return a
-    raise RuntimeError(f"rejection sampling found no {category} tensor "
-                       f"in {_ATTEMPTS} draws at dim {n}")
-
-
-def _sample_leibniz(rng, field, n) -> Algebra:
-    strategies = ["twostep", "seed"]
-    if n <= 2:
-        strategies.append("reject")
-    s = strategies[rng.randrange(len(strategies))]
-    if s == "reject":
-        return _reject(rng, field, n, "leibniz")
-    if s == "twostep":
-        w = rng.randrange(1, n + 1)
-        return _finish(rng, field, _names(n),
-                       _two_step_tensor(rng, field, n, w), "leibniz")
-    seeds = [zero_algebra(field, n, "leibniz")]
-    if n >= 2:
-        seeds.append(make_algebra(field, _names(n),
-                                  _embed_block(field, n, a5_leibniz(field)),
-                                  "leibniz"))
-    if n == 3:
-        for block in (sl2(field), heisenberg(field)):
-            seeds.append(make_algebra(field, _names(n),
-                                      _embed_block(field, n, block), "leibniz"))
-    pick = seeds[rng.randrange(len(seeds))]
-    return _finish(rng, field, pick.basis, pick.tensor, "leibniz")
-
-
-def _sample_associative(rng, field, n) -> Algebra:
-    strategies = ["twostep", "seed"]
-    if n <= 2:
-        strategies.append("reject")
-    s = strategies[rng.randrange(len(strategies))]
-    if s == "reject":
-        return _reject(rng, field, n, "associative")
-    if s == "twostep":
-        w = rng.randrange(1, n + 1)
-        return _finish(rng, field, _names(n),
-                       _two_step_tensor(rng, field, n, w), "associative")
-    seeds = [zero_algebra(field, n, "associative"),
-             diagonal_algebra(field, n),
-             truncated_poly(field, n)]
-    if n == 3:
-        seeds.append(strict_upper3(field))
-    pick = seeds[rng.randrange(len(seeds))]
-    return _finish(rng, field, _names(n),
-                   _embed_block(field, n, pick), "associative")
-
-
-def _sample_commutative(rng, field, n) -> Algebra:
-    strategies = ["twostep", "seed"]
-    if n <= 2:
-        strategies.append("reject")
-    s = strategies[rng.randrange(len(strategies))]
-    if s == "reject":
-        return _reject(rng, field, n, "commutative")
-    if s == "twostep":
-        w = rng.randrange(1, n + 1)
-        return _finish(rng, field, _names(n),
-                       _two_step_tensor(rng, field, n, w, symmetry="sym"),
-                       "commutative")
-    seeds = [zero_algebra(field, n, "commutative"),
-             diagonal_algebra(field, n, "commutative"),
-             truncated_poly(field, n, "commutative")]
-    pick = seeds[rng.randrange(len(seeds))]
-    return _finish(rng, field, _names(n),
-                   _embed_block(field, n, pick), "commutative")
-
-
-def _sample_lie(rng, field, n) -> Algebra:
-    strategies = ["twostep", "seed"]
-    if n <= 3:
-        strategies.append("reject-antisym")
-    s = strategies[rng.randrange(len(strategies))]
-    if s == "reject-antisym":
-        # draw antisymmetric tensors and keep those passing Jacobi
+def _sample(rng, field, n, category) -> Algebra:
+    """Strategy 0 draws a two-step nilpotent tensor, 1 a seed algebra, and 2
+    (only up to the row's reject_upto) rejection-samples the whole tensor;
+    the first two are conjugated by a random change of basis."""
+    row = _SAMPLERS[category]
+    s = rng.randrange(3 if n <= row.reject_upto else 2)
+    if s == 2:
         for _ in range(_ATTEMPTS):
-            c = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    col = [_rand_scalar(rng, field) for _ in range(n)]
-                    c[i][j] = col
-                    c[j][i] = [field.neg(x) for x in col]
-            a = make_algebra(field, _names(n),
-                             tuple(tuple(tuple(col) for col in row) for row in c),
-                             "lie")
+            a = make_algebra(field, _names(n), _draw_tensor(
+                rng, field, n, range(n), range(n), row.reject), category)
             if identity_suite(a).passed:
                 return a
-        raise RuntimeError(f"no Lie tensor found in {_ATTEMPTS} draws at dim {n}")
-    if s == "twostep":
-        w = rng.randrange(1, n + 1)
-        return _finish(rng, field, _names(n),
-                       _two_step_tensor(rng, field, n, w, symmetry="antisym"),
-                       "lie")
-    seeds = [zero_algebra(field, n, "lie")]
-    if n == 3:
-        seeds.extend([sl2(field), heisenberg(field)])
-    pick = seeds[rng.randrange(len(seeds))]
-    return _finish(rng, field, _names(n),
-                   _embed_block(field, n, pick), "lie")
+        raise RuntimeError(f"rejection sampling found no {category} tensor "
+                           f"in {_ATTEMPTS} draws at dim {n}")
+    if s == 0:
+        v = n - rng.randrange(1, n + 1)
+        tensor = _draw_tensor(rng, field, n, range(v), range(v, n), row.twostep)
+    else:
+        seeds = [family(field, n) for family in row.families]
+        seeds += [block(field) for block, lo, hi in row.blocks
+                  if lo <= n and (hi is None or n <= hi)]
+        tensor = _embed_block(field, n, seeds[rng.randrange(len(seeds))])
+    return _finish(rng, field, _names(n), tensor, category)
 
 
 def sample_algebra(rng: random.Random, field: Field, dim: int,
@@ -331,23 +265,17 @@ def sample_algebra(rng: random.Random, field: Field, dim: int,
     """One verified random algebra of the given dimension and category."""
     if dim < 1:
         raise InputError("sampling needs dim >= 1")
-    if category == "leibniz":
-        return _sample_leibniz(rng, field, dim)
-    if category == "associative":
-        return _sample_associative(rng, field, dim)
-    if category == "commutative":
-        return _sample_commutative(rng, field, dim)
-    if category == "lie":
-        return _sample_lie(rng, field, dim)
+    if category in _SAMPLERS:
+        return _sample(rng, field, dim, category)
     if category == "module":
         return zero_algebra(field, dim, "module")
     if category == "alternative":
-        a = _sample_associative(rng, field, dim)
+        a = _sample(rng, field, dim, "associative")
         return _finish(rng, field, a.basis, a.tensor, "alternative",
                        conjugate=False)
     if category == "raw":
-        return make_algebra(field, _names(dim), _rand_tensor(rng, field, dim),
-                            "raw")
+        return make_algebra(field, _names(dim), _draw_tensor(
+            rng, field, dim, range(dim), range(dim)), "raw")
     raise InputError(f"no sampler for category {category!r}")
 
 

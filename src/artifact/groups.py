@@ -178,10 +178,10 @@ def cyclic(n: int) -> Group:
 
 
 def direct_product(g: Group, h: Group) -> Group:
+    # (x, y) sits at x * |h| + y in product order
     pairs = list(itertools.product(range(g.order), range(h.order)))
-    idx = {p: i for i, p in enumerate(pairs)}
     table = tuple(
-        tuple(idx[(g.table[a1][b1], h.table[a2][b2])] for (b1, b2) in pairs)
+        tuple(g.table[a1][b1] * h.order + h.table[a2][b2] for (b1, b2) in pairs)
         for (a1, a2) in pairs)
     names = tuple(f"({g.names[a]},{h.names[b]})" for a, b in pairs)
     return make_group(table, names)
@@ -291,14 +291,14 @@ def automorphisms(g: Group, cap: int = 24) -> AutomorphismGroup:
         if partial is None:
             return
         if i == len(gens):
-            if len(partial) == g.order and len(set(partial.values())) == g.order:
+            if len(set(partial.values())) == g.order:
                 found.append(tuple(partial[x] for x in range(g.order)))
             return
         for y in cands[i]:
             backtrack(i + 1, images + [y])
 
     backtrack(0, [])
-    perms = sorted(set(found))
+    perms = sorted(found)
     if len(perms) > cap:
         raise CapError(f"automorphism count {len(perms)} exceeds cap {cap}")
     idx = {p: i for i, p in enumerate(perms)}
@@ -360,10 +360,10 @@ def holomorph_check(g: Group, cap: int = 24):
     details = []
 
     # semidirect product: (phi', a') + (phi, a) = (phi'.phi, a' + phi'(a))
+    # (phi, a) sits at phi * n + a in product order
     pairs = list(itertools.product(range(m), range(n)))
-    idx = {p: i for i, p in enumerate(pairs)}
     table = tuple(
-        tuple(idx[(aut.group.table[p1][p2], g.table[a1][aut.perms[p1][a2]])]
+        tuple(aut.group.table[p1][p2] * n + g.table[a1][aut.perms[p1][a2]]
               for (p2, a2) in pairs)
         for (p1, a1) in pairs)
     try:
@@ -473,15 +473,12 @@ def make_group_action(B: Group, G: Group, dot) -> GroupAction:
 def _enumerate_homs(src: Group, dst: Group):
     """All homomorphisms src -> dst via generator-image backtracking."""
     gens = _greedy_generators(src.table, src.identity)
-    if not gens:
-        yield {src.identity: dst.identity}
-        return
     orders = {y: element_order(dst, y) for y in range(dst.order)}
     gen_orders = [element_order(src, gen) for gen in gens]
     cands = [[y for y in range(dst.order) if k % orders[y] == 0] for k in gen_orders]
     for images in itertools.product(*cands):
         mapping = _extend_hom(src, dst.table, dst.identity, gens, list(images))
-        if mapping is not None and len(mapping) == src.order:
+        if mapping is not None:
             yield mapping
 
 

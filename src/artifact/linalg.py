@@ -139,9 +139,6 @@ class Matrix:
         f = self.field
         return tuple(_dot(f, r, v) for r in self.rows)
 
-    def equals(self, other: "Matrix") -> bool:
-        return self.field == other.field and self.rows == other.rows
-
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
         f, nc, p = self.field, self.ncols, self.field.p

@@ -30,11 +30,10 @@ from artifact.words import (ASSOCIATIVE_W1, ASSOCIATIVE_W2,
                             LIE_W1, LIE_W2, T_SET, check_T_coverage,
                             parse_word, validate_word_on_algebra)
 from conftest import fixture_path
-from test_groups import GROUPS, brute_aut
+from test_groups import GROUPS, assert_universality_counts, brute_aut
 from test_words import GROUNDING_ALGEBRAS
 
-from artifact.groups import (automorphisms, group_universality_check,
-                             holomorph_check)
+from artifact.groups import automorphisms, holomorph_check
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +259,11 @@ def test_07_sufficient_flags_imply_condition(leibniz_corpus, assoc_corpus):
 def test_08_group_aut_holomorph_universality():
     t0 = time.monotonic()
     for name, g, _ in GROUPS:
-        assert automorphisms(g).order == len(brute_aut(g)), name
+        perms = brute_aut(g)
+        assert automorphisms(g).order == len(perms), name
         assert holomorph_check(g).passed, name
         if g.order <= 6:
-            assert group_universality_check(g, max_b=6).passed, name
+            assert_universality_counts(g, perms)
     assert time.monotonic() - t0 < 30.0
 
 

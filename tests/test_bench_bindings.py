@@ -7,10 +7,11 @@ candidate kind are pinned here too."""
 
 import importlib.util
 import os
+import random
 
-from artifact import constructions, existence
+from artifact import constructions, corpus, existence
 from artifact.corpus import a5_leibniz, m2_rationals, sl2, truncated_poly
-from artifact.fields import QQ
+from artifact.fields import GF, QQ
 
 FIXTURES = {"sl2": sl2(), "a5_leibniz": a5_leibniz(), "m2_rationals": m2_rationals(),
             "truncated_poly2": truncated_poly(QQ, 2, "commutative")}
@@ -18,6 +19,11 @@ FIXTURES = {"sl2": sl2(), "a5_leibniz": a5_leibniz(), "m2_rationals": m2_rationa
 # (linalg.rref_calls, linalg.nullspace_cells, constructions.closure_products)
 PINNED_COUNTS = {"sl2": (6, 297, 9), "a5_leibniz": (7, 208, 9),
                  "m2_rationals": (6, 6272, 16), "truncated_poly2": (9, 240, 8)}
+
+# GF(5) dim 3, seeds 0-5 (every strategy: Lie seed 5 is a rejection draw):
+# (linalg.rref_calls, algebra.suite_bytes_computed), gated on atlas-gf5
+PINNED_SAMPLER_COUNTS = {"lie": (50, 133056), "leibniz": (60, 15552),
+                         "associative": (60, 11664), "commutative": (62, 14256)}
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
@@ -59,3 +65,17 @@ def test_traced_counts_of_fixture_pipelines_are_pinned():
         got = tuple(tracer.counts[k] for k in ("linalg.rref_calls", "linalg.nullspace_cells",
                                                "constructions.closure_products"))
         assert got == PINNED_COUNTS[name], name
+
+
+def test_traced_counts_of_the_sampler_are_pinned():
+    spans = _spans_module()
+    for category, pinned in PINNED_SAMPLER_COUNTS.items():
+        tracer = spans.Tracer()
+        try:
+            spans.install(tracer)
+            for seed in range(6):
+                corpus.sample_algebra(random.Random(seed), GF(5), 3, category)
+        finally:
+            tracer.unpatch()
+        got = (tracer.counts["linalg.rref_calls"], tracer.counts["algebra.suite_bytes_computed"])
+        assert got == pinned, category

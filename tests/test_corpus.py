@@ -1,11 +1,12 @@
 """Seeded sampling: determinism, validity, and atlas file integrity."""
 
+import hashlib
 import json
 import random
 
 import pytest
 
-from artifact.algebra import identity_suite
+from artifact.algebra import InputError, identity_suite
 from artifact.corpus import (a5_leibniz, abelian, dual_numbers,
                              generate_atlas, heisenberg, m2_rationals,
                              sample_action, sample_algebra, sl2)
@@ -73,3 +74,41 @@ def test_atlas_file_counts_and_determinism(tmp_path):
     assert sum(counts.values()) == 25 and counts.get("error", 0) == 0
     assert s1["counts"] == counts
     assert {r["verdict"]["status"] for r in records} == {"exists", "not-exists"}
+
+
+# sha256 (first 16 hex digits) of the sorted-key JSON of every sample at
+# dims 1-4 and seeds 0-4, per field and category.  The draw order is the
+# documented contract, so these were recorded once and must never move.
+# (Seeds stop at 4 to keep the sweep near 0.2 s: over Q the dim-2 rejection
+# strategy takes seconds at some later seeds.)
+SAMPLE_DIGESTS = {
+    ("GF2", "lie"): "b6f2a875037910cc", ("GF2", "leibniz"): "5291ee7fad2436ac",
+    ("GF2", "associative"): "be70e2a481cac74f", ("GF2", "commutative"): "8fa4306b3db4edd3",
+    ("GF2", "alternative"): "a5fe1c7e4127e8cb", ("GF2", "module"): "855d421cad0704c4",
+    ("GF2", "raw"): "d5d4867ed4bc9362",
+    ("GF5", "lie"): "dcccb21c172ccfda", ("GF5", "leibniz"): "b6c248088b0cf973",
+    ("GF5", "associative"): "54ccaa57c31638a3", ("GF5", "commutative"): "b3d18fcf534dfff8",
+    ("GF5", "alternative"): "5038a50b667f6bee", ("GF5", "module"): "e03f0f2b2e09ab9a",
+    ("GF5", "raw"): "64b30ea9d031ede6",
+    ("Q", "lie"): "5203947536e92ba9", ("Q", "leibniz"): "5b4076671dd0654a",
+    ("Q", "associative"): "71231af7ce5b3d8b", ("Q", "commutative"): "5ea6428511aeaddc",
+    ("Q", "alternative"): "e8529e18a7fbf4a7", ("Q", "module"): "df685ca067b5de0a",
+    ("Q", "raw"): "28b2c714e7485e18",
+}
+DIGEST_FIELDS = {"GF2": GF(2), "GF5": GF(5), "Q": QQ}
+
+
+@pytest.mark.parametrize("field_name,category", sorted(SAMPLE_DIGESTS))
+def test_sampler_bytes_are_pinned(field_name, category):
+    h = hashlib.sha256()
+    for dim in range(1, 5):
+        for seed in range(5):
+            a = sample_algebra(random.Random(seed), DIGEST_FIELDS[field_name], dim, category)
+            h.update(json.dumps(a.to_json(), sort_keys=True).encode())
+    assert h.hexdigest()[:16] == SAMPLE_DIGESTS[(field_name, category)]
+
+
+@pytest.mark.parametrize("dim,category", [(0, "lie"), (2, "jordan")])
+def test_sampler_refuses_bad_requests(dim, category):
+    with pytest.raises(InputError):
+        sample_algebra(random.Random(0), GF(5), dim, category)
