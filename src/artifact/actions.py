@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, InputError, identity_suite, make_algebra
 from .fields import FieldError
-from .linalg import Vector, basis_vector, vec_add, vec_is_zero, vec_neg, vec_sub, vec_zero
+from .linalg import Vector, basis_vector, bilinear, vec_add, vec_is_zero, vec_neg, vec_sub, vec_zero
 from .reporting import Report
 
 
@@ -32,34 +32,10 @@ class ActionPair:
     right: tuple  # right[ai][bj] in A-coordinates
 
     def act_left(self, bvec: Vector, avec: Vector) -> Vector:
-        f = self.A.field
-        out = list(vec_zero(f, self.A.dim))
-        for i, b in enumerate(bvec):
-            if b == f.zero:
-                continue
-            for j, a in enumerate(avec):
-                if a == f.zero:
-                    continue
-                s = f.mul(b, a)
-                for k, c in enumerate(self.left[i][j]):
-                    if c != f.zero:
-                        out[k] = f.add(out[k], f.mul(s, c))
-        return tuple(out)
+        return bilinear(self.A.field, self.left, bvec, avec, self.A.dim)
 
     def act_right(self, avec: Vector, bvec: Vector) -> Vector:
-        f = self.A.field
-        out = list(vec_zero(f, self.A.dim))
-        for i, a in enumerate(avec):
-            if a == f.zero:
-                continue
-            for j, b in enumerate(bvec):
-                if b == f.zero:
-                    continue
-                s = f.mul(a, b)
-                for k, c in enumerate(self.right[i][j]):
-                    if c != f.zero:
-                        out[k] = f.add(out[k], f.mul(s, c))
-        return tuple(out)
+        return bilinear(self.A.field, self.right, avec, bvec, self.A.dim)
 
     def to_json(self) -> dict:
         f = self.A.field

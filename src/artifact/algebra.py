@@ -33,8 +33,10 @@ from .linalg import (
     Matrix,
     Vector,
     basis_vector,
+    bilinear,
     clear_denominators,
     express_in_rref_rows,
+    reduce_by_rref_rows,
     vec_add,
     vec_is_zero,
     vec_neg,
@@ -70,19 +72,7 @@ class Algebra:
     category: str
 
     def multiply(self, u: Vector, v: Vector) -> Vector:
-        f = self.field
-        out = list(vec_zero(f, self.dim))
-        for i, a in enumerate(u):
-            if a == f.zero:
-                continue
-            for j, b in enumerate(v):
-                if b == f.zero:
-                    continue
-                s = f.mul(a, b)
-                for k, c in enumerate(self.tensor[i][j]):
-                    if c != f.zero:
-                        out[k] = f.add(out[k], f.mul(s, c))
-        return tuple(out)
+        return bilinear(self.field, self.tensor, u, v, self.dim)
 
     def left_mult_matrix(self, i: int) -> Matrix:
         """Matrix of x -> e_i * x."""
@@ -370,10 +360,9 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, field: Field, ambient: int, rows) -> "Subspace":
-        m = Matrix.from_rows(field, rows) if rows else Matrix(field, ())
-        if m.nrows == 0:
+        if not rows:
             return cls(ambient, Matrix(field, ()), ())
-        red, piv = m.rref()
+        red, piv = Matrix.from_rows(field, rows).rref()
         return cls(ambient, Matrix(field, red.rows[: len(piv)]), piv)
 
     @property
@@ -398,9 +387,7 @@ def annihilator(a: Algebra) -> Subspace:
         for k in range(n):
             rows.append(tuple(a.tensor[i][j][k] for i in range(n)))  # x * e_j
             rows.append(tuple(a.tensor[j][i][k] for i in range(n)))  # e_j * x
-    null = Matrix.from_rows(f, rows).nullspace()
-    red, piv = null.rref() if null.nrows else (Matrix(f, ()), ())
-    return Subspace(n, Matrix(f, red.rows[: len(piv)]), piv)
+    return Subspace.from_spanning(f, n, Matrix.from_rows(f, rows).nullspace().rows)
 
 
 def derived_subspace(a: Algebra) -> Subspace:
@@ -442,13 +429,7 @@ def quotient(a: Algebra, ideal: Subspace) -> tuple[Algebra, Matrix]:
     qcols = [c for c in range(n) if c not in pivset]
 
     def project(v: Vector) -> Vector:
-        residual = list(v)
-        for row, pc in zip(ideal.basis.rows, ideal.pivots):
-            c = residual[pc]
-            if c != f.zero:
-                for idx, x in enumerate(row):
-                    if x != f.zero:
-                        residual[idx] = f.sub(residual[idx], f.mul(c, x))
+        residual = reduce_by_rref_rows(ideal.basis, ideal.pivots, v)[1]
         return tuple(residual[q] for q in qcols)
 
     qdim = len(qcols)

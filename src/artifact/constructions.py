@@ -12,6 +12,13 @@ entries of the independent components; its basis is canonicalized by RREF
 over the flattened coordinates (row-major, left matrix first), so identical
 inputs give byte-identical actors.
 
+The equations are assembled in integers.  Each term is one einsum of lam
+times the structure tensor (the integer array the identity suite uses) with
+the identity matrix, added with its sign into the block of its component.
+Over Q the rows are lam times their values, lam the lcm of the tensor's
+denominators, which keeps the nullspace, and they go into Matrix.nullspace
+as Python ints; over GF(p) they are reduced mod p.
+
 Every candidate carries a closure certificate: the product of any two basis
 pairs is re-expressed in the basis, and a pair that escapes the span raises
 ClosureError instead of silently producing garbage structure constants.
@@ -38,6 +45,7 @@ from .actions import ActionPair, make_action
 from .algebra import (
     Algebra,
     InputError,
+    _integer_tensor,
     annihilator,
     derived_subspace,
     identity_suite,
@@ -207,40 +215,36 @@ def actor_from_json(obj) -> ActorAlgebra:
 #
 # Unknown layout: vec(L) row-major, then vec(R) row-major when the kind has
 # an independent right component.  Matrix convention: map(e_c) = sum_r
-# M[r][c] e_r, so M.col(c) is the image of e_c.
-
-# term -> (row of M, column of M, coefficient) contributed by the summation
-# index s at (x, y) = (e_i, e_j), coordinate m
-_TERM_CELLS = {
-    "M(xy)": lambda c, i, j, m, s: (m, s, c[i][j][s]),
-    "M(x)y": lambda c, i, j, m, s: (s, i, c[s][j][m]),
-    "xM(y)": lambda c, i, j, m, s: (s, j, c[i][s][m]),
-    "M(y)x": lambda c, i, j, m, s: (s, j, c[s][i][m]),
+# M[r][c] e_r, so M.col(c) is the image of e_c.  Each term is one einsum of
+# the integer tensor c with the identity I into R[i, j, m, r, col]: the
+# coefficient of M[r][col] in the term at (x, y) = (e_i, e_j), read at
+# coordinate m; s is the summation index.
+_TERM_SUBSCRIPTS = {
+    "M(xy)": "ijs,mr->ijmrs",
+    "M(x)y": "sjm,ic->ijmsc",
+    "xM(y)": "ism,jc->ijmsc",
+    "M(y)x": "sim,jc->ijmsc",
 }
 
 
 def _assemble(A: Algebra, kind: str):
-    """Constraint rows: for each (i, j, m), one row per equation of the kind."""
-    f, n, c = A.field, A.dim, A.tensor
-    nn = n * n
+    """Constraint rows: for each (i, j, m), one row per equation of the kind,
+    as Python ints.  Over Q a row is lam times its value, lam the lcm of the
+    tensor's denominators, which keeps the nullspace; over GF(p) it is
+    reduced mod p."""
+    n, p = A.dim, A.field.p
     spec = KIND_TABLE[kind]
-    width = nn if spec.right in _FOLLOW else 2 * nn
-    equations = [[(sign, nn if "R" in term else 0,
-                   _TERM_CELLS[term.replace("L", "M").replace("R", "M")])
-                  for sign, term in _signed(eq)] for eq in spec.equations]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                for eq in equations:
-                    row = [f.zero] * width
-                    for sign, offset, cell in eq:
-                        for s in range(n):
-                            r, col, x = cell(c, i, j, m, s)
-                            k = offset + r * n + col
-                            row[k] = f.add(row[k], x) if sign > 0 else f.sub(row[k], x)
-                    rows.append(tuple(row))
-    return rows
+    c = _integer_tensor(A)
+    eye = np.eye(n, dtype=c.dtype)
+    blocks = 1 if spec.right in _FOLLOW else 2
+    rows = np.zeros((n, n, n, len(spec.equations), blocks, n, n), dtype=c.dtype)
+    for e, eq in enumerate(spec.equations):
+        for sign, term in _signed(eq):
+            block = rows[:, :, :, e, int("R" in term)]  # a view: += writes rows
+            block += sign * np.einsum(_TERM_SUBSCRIPTS[re.sub("[LR]", "M", term)], c, eye)
+    if p is not None:
+        rows %= p
+    return rows.reshape(n ** 3 * len(spec.equations), blocks * n * n).tolist()
 
 
 def _derivation_rows(A: Algebra):
@@ -426,13 +430,7 @@ def crossed_module_check(d: Matrix, act: ActionPair) -> Report:
     if d.nrows != A.dim or (d.rows and len(d.rows[0]) != B.dim):
         raise InputError("d must be a dim(A) x dim(B) matrix of images")
 
-    def dvec(v: Vector) -> Vector:
-        out = [f.zero] * B.dim
-        for r, x in enumerate(v):
-            if x != f.zero:
-                for c2, y in enumerate(d.rows[r]):
-                    out[c2] = f.add(out[c2], f.mul(x, y))
-        return tuple(out)
+    dt = Matrix(f, tuple(zip(*d.rows)))  # dt.apply(v) is d(v) for v in A coordinates
 
     auto = "auto-pass: addition commutes and the dot action is trivial"
     details = [
@@ -457,12 +455,12 @@ def crossed_module_check(d: Matrix, act: ActionPair) -> Report:
     for b in range(B.dim):
         eb = basis_vector(f, B.dim, b)
         for i in range(A.dim):
-            lhs = dvec(act.left[b][i])
+            lhs = dt.apply(act.left[b][i])
             rhs = B.multiply(eb, d.rows[i])
             if lhs != rhs:
                 return Report(False, label="d(b*a) = b*d(a)", witness=(b, i),
                               lhs=lhs, rhs=rhs, details=details)
-            lhs = dvec(act.right[i][b])
+            lhs = dt.apply(act.right[i][b])
             rhs = B.multiply(d.rows[i], eb)
             if lhs != rhs:
                 return Report(False, label="d(a*b) = d(a)*b", witness=(i, b),

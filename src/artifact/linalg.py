@@ -11,7 +11,12 @@ primitive; Fractions are made only at the end, each pivot row divided by its
 pivot.  Over GF(p) the pivot row is scaled by its inverse and an update
 touches only its nonzero columns.  The RREF is unique, so nullspace and
 row-space bases are canonical and two equal subspaces always produce
-identical basis matrices, comparable with ==.
+identical basis matrices, comparable with ==.  Over Q rows of Python ints
+are accepted as they are (lam = 1), so a caller may hand in rows already
+scaled to integers; the output is in Fractions either way.
+
+bilinear is the one exact sparse bilinear product, sum_ij u_i v_j t[i][j]:
+an algebra's multiplication and both sides of an action are calls to it.
 """
 
 from __future__ import annotations
@@ -234,11 +239,31 @@ def _dot(f: Field, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return acc
 
 
-def express_in_rref_rows(basis: Matrix, pivots: tuple[int, ...], target: Vector) -> Optional[Vector]:
-    """Coordinates of target in the span of RREF basis rows, or None.
+def bilinear(field: Field, tensor, u: Vector, v: Vector, dim: int) -> Vector:
+    """sum_ij u[i] v[j] tensor[i][j], a vector of length dim; zero
+    coefficients are skipped, so sparse inputs cost little."""
+    f = field
+    out = [f.zero] * dim
+    for i, a in enumerate(u):
+        if a == f.zero:
+            continue
+        for j, b in enumerate(v):
+            if b == f.zero:
+                continue
+            s = f.mul(a, b)
+            for k, c in enumerate(tensor[i][j]):
+                if c != f.zero:
+                    out[k] = f.add(out[k], f.mul(s, c))
+    return tuple(out)
+
+
+def reduce_by_rref_rows(basis: Matrix, pivots: tuple[int, ...],
+                        target: Vector) -> tuple[Vector, Vector]:
+    """(coeffs, residual) of target against RREF basis rows.
 
     Because the rows are in RREF, the coordinate of row r is just
-    target[pivots[r]]; a residual after subtracting means non-membership.
+    target[pivots[r]]; the residual is target minus that combination, zero
+    exactly when target lies in the span.
     """
     f = basis.field
     coeffs = tuple(target[p] for p in pivots)
@@ -248,9 +273,13 @@ def express_in_rref_rows(basis: Matrix, pivots: tuple[int, ...], target: Vector)
             for j, x in enumerate(row):
                 if x != f.zero:
                     residual[j] = f.sub(residual[j], f.mul(c, x))
-    if any(x != f.zero for x in residual):
-        return None
-    return coeffs
+    return coeffs, tuple(residual)
+
+
+def express_in_rref_rows(basis: Matrix, pivots: tuple[int, ...], target: Vector) -> Optional[Vector]:
+    """Coordinates of target in the span of RREF basis rows, or None."""
+    coeffs, residual = reduce_by_rref_rows(basis, pivots, target)
+    return None if any(x != basis.field.zero for x in residual) else coeffs
 
 
 def clear_denominators(values: Sequence[Scalar]) -> tuple[int, list[int]]:

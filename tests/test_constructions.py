@@ -7,14 +7,19 @@ mismatch.  Expected dimensions were computed by these oracles first and are
 frozen below.
 """
 
+import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from artifact import constructions
-from artifact.algebra import InputError, Subspace, identity_suite, is_ideal, make_algebra
+from artifact.algebra import (InputError, Subspace, _integer_tensor, identity_suite, is_ideal,
+                             make_algebra)
 from artifact.constructions import (KIND_TABLE, BiMap, ClosureError,
                                     ConstructionError, actor_from_json,
                                     biderivations, bimultipliers, canonical_d,
@@ -28,7 +33,7 @@ from artifact.corpus import (_conjugate, _rand_invertible, a5_leibniz, abelian,
                              zero_algebra)
 from artifact.existence import bider_variants_agree
 from artifact.fields import GF, QQ
-from artifact.linalg import Matrix
+from artifact.linalg import Matrix, basis_vector, vec_add, vec_scale, vec_sub, vec_zero
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +348,86 @@ def test_condition_witnesses_equal_per_pair_matmul_oracle():
             assert (rep.label, rep.witness, rep.lhs, rep.rhs) == want
             assert all(type(x) is type(a.field.zero) for x in rep.lhs + rep.rhs)
     assert failures == 15
+
+
+# ---------------------------------------------------------------------------
+# constraint assembly against a per-entry oracle
+#
+# The oracle reads each equation's text.  The entry of a row at one unknown
+# M[r][col] is the equation evaluated with that map set to the unit matrix
+# sending e_col to e_r (every other unknown 0), by Algebra.multiply at
+# (x, y) = (e_i, e_j) and read at coordinate m.  The integer assembly must
+# give lam times these rows, lam the lcm of the tensor's denominators, mod p
+# over GF(p).
+
+_ORACLE_TERM = re.compile(r"([+-]?)\s*([xy]?)([LR])\(([xy]+)\)([xy]?)")
+
+
+def _oracle_rows(a, kind):
+    f, n = a.field, a.dim
+    spec = KIND_TABLE[kind]
+    e = [basis_vector(f, n, k) for k in range(n)]
+    zero = vec_zero(f, n)
+    unknowns = list(itertools.product("L" if spec.right in ("neg", "same") else "LR",
+                                      range(n), range(n)))
+    rows = []
+    for i, j in itertools.product(range(n), repeat=2):
+        vecs = {"x": e[i], "y": e[j], "xy": a.multiply(e[i], e[j])}
+        per_eq = []  # per equation, the equation's vector at each unknown
+        for eq in spec.equations:
+            cols = []
+            for comp, r, col in unknowns:
+                out = zero
+                for sign, pre, letter, arg, post in _ORACLE_TERM.findall(eq):
+                    v = vec_scale(f, vecs[arg][col], e[r]) if letter == comp else zero
+                    if pre:
+                        v = a.multiply(vecs[pre], v)
+                    if post:
+                        v = a.multiply(v, vecs[post])
+                    out = vec_sub(f, out, v) if sign == "-" else vec_add(f, out, v)
+                cols.append(out)
+            per_eq.append(cols)
+        rows += [[v[m] for v in cols] for m in range(n) for cols in per_eq]
+    return rows
+
+
+ASSEMBLY_FIELDS = [GF(2), GF(3), GF(5), GF(4294967291), QQ]
+BIG_Q = Fraction(3 ** 40, 7)  # lam * tensor leaves int64: the object path
+
+
+@st.composite
+def assembly_algebras(draw):
+    f = draw(st.sampled_from(ASSEMBLY_FIELDS))
+    n = draw(st.integers(0, 4))
+    if f.p is None:
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        entry = st.integers(0, f.p - 1)
+    entry = st.just(f.zero) if draw(st.booleans()) else st.one_of(st.just(f.zero), entry)
+    values = draw(st.lists(entry, min_size=n ** 3, max_size=n ** 3))
+    if f.p is None and n and draw(st.booleans()):
+        values[draw(st.integers(0, n ** 3 - 1))] = BIG_Q
+    tensor = [[values[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+              for i in range(n)]
+    return make_algebra(f, [f"e{k}" for k in range(n)], tensor, "raw")
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(assembly_algebras())
+def test_integer_assembly_is_lam_times_per_entry_oracle(a):
+    f = a.field
+    lam = math.lcm(*(x.denominator for plane in a.tensor for v in plane for x in v))
+    for kind in ("der", "bim", "bider1", "mult"):
+        got = constructions._assemble(a, kind)
+        assert all(type(x) is int for row in got for x in row)
+        want = [[lam * x if f.p is None else x for x in row] for row in _oracle_rows(a, kind)]
+        assert got == want, kind
+
+
+def test_assembly_oracle_cases_reach_the_object_path():
+    for f, x in ((GF(4294967291), 4294967290), (QQ, BIG_Q)):
+        a = make_algebra(f, ["e0", "e1"], [[[x, f.zero]] * 2] * 2, "raw")
+        assert _integer_tensor(a).dtype == object
 
 
 def test_kind_category_guards():

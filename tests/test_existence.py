@@ -1,5 +1,6 @@
 """The existence pipeline: verdicts, routes, and universality in the small."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -183,3 +184,33 @@ def test_variant_agreement_tracks_condition1_on_samples():
         else:
             seen_fail += 1
     assert seen_pass and seen_fail  # both branches exercised
+
+
+# sha256 (first 16 hex digits) of the sorted-key JSON of the verdict and the
+# actor of the zero algebra at dims 0 and 1, recorded from the entry-by-entry
+# constraint assembly: the empty and one-dimensional edge of every candidate
+# kind (and of the alternative refusal) must not move.
+EDGE_DIGESTS = {
+    ("GF2", "lie", 0): "d03e1a96a4a78ae8", ("GF2", "lie", 1): "231607ba014afef2",
+    ("GF2", "leibniz", 0): "535751d689aaa922", ("GF2", "leibniz", 1): "fa1865f264bbd98f",
+    ("GF2", "associative", 0): "ebf66be74a131b2c", ("GF2", "associative", 1): "640e0424a962bf2c",
+    ("GF2", "commutative", 0): "054b4798a595b6aa", ("GF2", "commutative", 1): "be93bc40a4e5f114",
+    ("GF2", "module", 0): "ca6c8cde17b6653b", ("GF2", "module", 1): "d6bd38279cda65bf",
+    ("GF2", "alternative", 0): "1ac47b8b8e3de752", ("GF2", "alternative", 1): "ba9d009e9abec36d",
+    ("Q", "lie", 0): "6e8e994cfc51b6fc", ("Q", "lie", 1): "f42038e324d44efc",
+    ("Q", "leibniz", 0): "8eb742813a87e262", ("Q", "leibniz", 1): "2c8ab4d59da24728",
+    ("Q", "associative", 0): "7279509b157a4a76", ("Q", "associative", 1): "f0c7dfa667339f4d",
+    ("Q", "commutative", 0): "f12efa0c2c24a668", ("Q", "commutative", 1): "5eb21853cf0e152b",
+    ("Q", "module", 0): "06f2f11eb173c5bd", ("Q", "module", 1): "0121ce43347520ff",
+    ("Q", "alternative", 0): "1ac47b8b8e3de752", ("Q", "alternative", 1): "ba9d009e9abec36d",
+}
+
+
+@pytest.mark.parametrize("field_name,category,dim", sorted(EDGE_DIGESTS))
+def test_dim0_and_dim1_pipelines_are_pinned(field_name, category, dim):
+    f = {"GF2": GF(2), "Q": QQ}[field_name]
+    v = actor_pipeline(zero_algebra(f, dim, category))
+    out = {"verdict": v.to_json(f.to_json),
+           "actor": None if v.actor is None else v.actor.to_json()}
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()[:16]
+    assert digest == EDGE_DIGESTS[(field_name, category, dim)]

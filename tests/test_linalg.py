@@ -6,6 +6,7 @@ nullspace dimensions and whole reduced row echelon forms must agree with
 ours on random inputs.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -145,6 +146,24 @@ def test_rref_equals_sympy_rref_on_edge_shapes(field):
         right = Matrix.from_rows(field, [[entry() for _ in range(32)] for _ in range(rank)])
         rows = Matrix.from_rows(field, left).matmul(right).rows
         assert_rref_matches_sympy(field, rows, 32)
+
+
+@st.composite
+def q_rows(draw):
+    ncols = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(QQ.zero), _entries(QQ))
+    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(q_rows())
+def test_rref_of_lam_scaled_integer_rows_equals_rref_of_fraction_rows(rows):
+    # constraint rows over Q arrive as Python ints, lam times their value
+    lam = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [[int(lam * x) for x in row] for row in rows]
+    exact, scaled = Matrix.from_rows(QQ, rows), Matrix.from_rows(QQ, ints)
+    assert scaled.rref() == exact.rref()
+    assert scaled.nullspace() == exact.nullspace()
 
 
 def test_solve_returns_exact_solution_or_none():
