@@ -9,14 +9,19 @@ products u*v, (u*v)*w and u*(v*w) over permuted basis indices.  One numpy
 kernel reads that table for every field and reports the lexicographically
 first failing basis tuple.  It multiplies the tensor by lam, the lcm of the
 entries' denominators (1 over GF(p)); each row is homogeneous, of degree 1
-or 2 in the tensor, so no zero pattern changes.  The integers are int64
-while terms * dim * max|entry|^2 < 2^63, with terms the largest number of
-terms in one row of any identity, and Python ints (an object array) beyond
-that, so no sum wraps around.  integer_array is that rule, written once;
-constructions uses it too.  The array is built once per suite.  Over GF(p)
-differences are reduced mod p.  Rows are checked in order, one leading
-witness index at a time (dim^2 coordinate vectors, one einsum per term),
-stopping at the first nonzero difference.  The witness sides lhs/rhs are
+or 2 in the tensor, so no zero pattern changes.  With B = terms * dim *
+max|entry|^2, terms the largest number of terms in one row of any identity,
+bounding every product and partial sum, the integers sit on one of three
+rungs: float64 while B < 2^53, where every such value is an integer that
+float64 holds exactly whatever the summation order (the technique of
+FFLAS-FFPACK), int64 while B < 2^63, and Python ints (an object array)
+beyond, so nothing rounds or wraps around.  integer_array is that rule,
+written once; constructions uses it too, and python_ints is the one way
+back to Python ints.  The array is built once per suite.  Rows are checked
+in order, one leading witness index at a time: each term is one matmul on
+2-D views of the tensor (BLAS dgemm on the float64 rung), the signed terms
+are summed, and nonzero_mod flags the nonzero differences (mod p over
+GF(p)), stopping at the first.  The witness sides lhs/rhs are
 then computed exactly, by Algebra.multiply.
 """
 
@@ -24,11 +29,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import Field, FieldError, Scalar, field_from_json
+from .fields import Field, FieldError, field_from_json
 from .linalg import (
     Matrix,
     Vector,
@@ -171,18 +176,59 @@ def algebra_from_json(obj) -> Algebra:
     return make_algebra_from_products(field, basis, products, obj["category"])
 
 
-def integer_array(values: Sequence[Scalar], shape, bound: Callable[[int], int]):
-    """(lam, lam * values) as an integer numpy array of the given shape, lam
-    the lcm of the denominators (1 over GF(p), whose scalars are ints).
+def integer_array(field: Field, values, shape, bound: Callable[[int], int]):
+    """(lam, lam * values) as a numpy array of the given shape, values nested
+    sequences of scalars and lam the lcm of their denominators (1 over GF(p),
+    whose scalars are ints, taken as they are: they need not lie in [0, p)).
 
     bound(big) is the caller's bound on the magnitude of everything it will
-    compute from the array, given big, the largest magnitude in it.  The
-    array is int64 while that bound is below 2^63 and holds Python ints (an
-    object array) otherwise, so no sum or product wraps around.
+    compute from the array, given big, the largest magnitude in it.
+    The dtype is the cheapest one that keeps all of that exact: float64 while
+    the bound is below 2^53 (every product and partial sum is then an integer
+    that float64 holds exactly, in any summation order, so matmul can run as
+    BLAS dgemm), int64 below 2^63, and Python ints (an object array) beyond.
     """
-    lam, ints = clear_denominators(values)
-    dtype = np.int64 if bound(max(map(abs, ints), default=0)) < 2 ** 63 else object
-    return lam, np.array(ints, dtype=dtype).reshape(shape)
+    lam = 1
+    if field.p is None:
+        lam, values = clear_denominators(np.array(values, dtype=object).ravel())
+    try:
+        ints = np.array(values, dtype=np.int64).reshape(shape)
+    except OverflowError:  # an entry beyond int64, and so is the bound
+        ints = np.array(values, dtype=object).reshape(shape)
+    top = bound(max(int(ints.max()), -int(ints.min())) if ints.size else 0)
+    dtype = np.float64 if top < 2 ** 53 else np.int64 if top < 2 ** 63 else object
+    return lam, ints.astype(dtype, copy=False)
+
+
+def python_ints(arr: np.ndarray, p: Optional[int] = None) -> list:
+    """The entries of an integer-valued array of integer_array's dtypes as
+    nested lists of Python ints, reduced into [0, p) when p is set.  Every
+    value leaving numpy for exact code goes through here, so no float or
+    numpy scalar reaches a Matrix, a Report or the JSON output."""
+    if arr.dtype == np.float64:
+        arr = arr.astype(np.int64)
+    if p is not None:
+        arr = arr % p
+    return arr.tolist()
+
+
+def nonzero_mod(acc: np.ndarray, p: Optional[int]) -> np.ndarray:
+    """acc != 0 (mod p, if p is set) as a bool array; acc is overwritten.
+
+    On float64, p * rint(acc / p) equals acc exactly when p divides acc: the
+    quotient of a multiple of p is exact, and any other rounded quotient
+    gives a product that differs from acc.  This holds for integer-valued
+    |acc| < 2^53, which integer_array's bound guarantees, and takes about a
+    third of the time of np.remainder on float64."""
+    if p is None:
+        return acc != 0
+    if acc.dtype != np.float64:
+        np.remainder(acc, p, out=acc)
+        return acc != 0
+    q = np.divide(acc, p)
+    np.rint(q, out=q)
+    q *= p
+    return acc != q
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +259,30 @@ IDENTITY_TAGS = tuple(IDENTITIES)
 
 
 def _np_term(c: np.ndarray, shape: str, perm, i: int) -> np.ndarray:
-    """The term's coordinates at leading witness index i, T[j,m] or T[j,k,m].
-    Einsum labels 0, 1, 2 are the witness indices, 3 the coordinate and 4 the
-    summed one; the operand carrying label 0 is sliced at i."""
-    u, v, *w = perm
-    subs = {"T": [(u, v, 3)], "L": [(u, v, 4), (4, *w, 3)], "R": [(v, *w, 4), (u, 4, 3)]}
-    args = []
-    for labels in subs[shape]:
-        args += [c[(slice(None),) * labels.index(0) + (i,)] if 0 in labels else c,
-                 [x for x in labels if x]]
-    return np.einsum(*args, [*range(1, len(perm)), 3])
+    """The term's coordinates at leading witness index i (witness label 0),
+    T[j, m] or T[j, k, m] for witness labels 1, 2 and coordinate m.
+
+    A product term is sum_s F[x, y, s] G[., ., m]: for "L", F = c at (u, v)
+    and G = c[s, w, m]; for "R", F = c at (v, w) and G = c[u, s, m].  It is
+    one matmul on 2-D views of c: the slice of whichever factor carries
+    label 0 against the other factor, laid out with s as its inner axis
+    (batched over u when G keeps it), then axes swapped if label 2 leads."""
+    if shape == "T":
+        return c[i] if perm[0] == 0 else c[:, i]
+    n = len(c)
+    u, v, w = perm
+    (x, y), z = ((u, v), w) if shape == "L" else ((v, w), u)
+    if z == 0:  # label 0 in G: the free pair (x, y) of F leads
+        g = c[:, i] if shape == "L" else c[i]
+        out, lead = (c.reshape(n * n, n) @ g).reshape(n, n, n), x
+    else:
+        f = c[i] if x == 0 else c[:, i]  # rows: the other label of F
+        other = y if x == 0 else x
+        if shape == "L":
+            out, lead = (f @ c.reshape(n, n * n)).reshape(n, n, n), other
+        else:
+            out, lead = f @ c, z
+    return out if lead == 1 else out.transpose(1, 0, 2)
 
 
 def _np_failing(c: np.ndarray, p: Optional[int], lhs, rhs, i: int) -> np.ndarray:
@@ -236,9 +296,7 @@ def _np_failing(c: np.ndarray, p: Optional[int], lhs, rhs, i: int) -> np.ndarray
             acc += _np_term(c, shape, perm, i)
         else:
             acc -= _np_term(c, shape, perm, i)
-    if p is not None:
-        np.remainder(acc, p, out=acc)
-    return (acc != 0).any(axis=-1).ravel()
+    return nonzero_mod(acc, p).any(axis=-1).ravel()
 
 
 def _exact_side(a: Algebra, e, terms, idx) -> Vector:
@@ -270,8 +328,7 @@ def _integer_tensor(a: Algebra) -> np.ndarray:
     is homogeneous, so scaling keeps each zero pattern; each entry of a
     difference is a sum of at most _TERMS * n products of two entries."""
     n = a.dim
-    return integer_array([x for plane in a.tensor for v in plane for x in v], (n, n, n),
-                         lambda big: _TERMS * n * big ** 2)[1]
+    return integer_array(a.field, a.tensor, (n, n, n), lambda big: _TERMS * n * big ** 2)[1]
 
 
 def check_identity(a: Algebra, tag: str) -> Report:

@@ -29,6 +29,14 @@ value.  As the basis is in RREF, the coordinates of a product P are its
 entries at the pivot columns, and P is in the span exactly when
 lam * P == P[:, pivots] @ (lam * basis), mod p over GF(p).  The
 condition 1/2 checks compare products of basis pairs the same way.
+
+Both the assembly and the products run on algebra.integer_array's rungs:
+float64 while the caller's bound on every value computed stays below 2^53,
+so each matmul is an exact BLAS dgemm, then int64, then Python ints.
+Differences are tested by algebra.nonzero_mod, and every value handed back
+to exact code (constraint rows, structure constants, condition witnesses)
+leaves numpy through algebra.python_ints: Python ints, reduced mod p in
+numpy over GF(p), never floats.
 """
 
 from __future__ import annotations
@@ -51,6 +59,8 @@ from .algebra import (
     identity_suite,
     integer_array,
     make_algebra,
+    nonzero_mod,
+    python_ints,
 )
 from .fields import FieldError
 from .linalg import Matrix, Vector, basis_vector, express_in_rref_rows
@@ -242,9 +252,7 @@ def _assemble(A: Algebra, kind: str):
         for sign, term in _signed(eq):
             block = rows[:, :, :, e, int("R" in term)]  # a view: += writes rows
             block += sign * np.einsum(_TERM_SUBSCRIPTS[re.sub("[LR]", "M", term)], c, eye)
-    if p is not None:
-        rows %= p
-    return rows.reshape(n ** 3 * len(spec.equations), blocks * n * n).tolist()
+    return python_ints(rows.reshape(n ** 3 * len(spec.equations), blocks * n * n), p)
 
 
 def _derivation_rows(A: Algebra):
@@ -286,7 +294,7 @@ def _integer_pairs(kind: str, basis_matrix: Matrix, n: int):
     P[:, pivots] @ (lam * basis), each P entry a sum of _TERMS * n products."""
     m = basis_matrix.nrows
     k = 1 if KIND_TABLE[kind].right in _FOLLOW else 2
-    return integer_array([x for row in basis_matrix.rows for x in row], (m, k, n, n),
+    return integer_array(basis_matrix.field, basis_matrix.rows, (m, k, n, n),
                          lambda big: (m + 1) * _TERMS * n * big ** 3)
 
 
@@ -303,9 +311,10 @@ def _pair_products(b: np.ndarray, text: str, s: int) -> np.ndarray:
 
 
 def _scalars(f, den: int, ints, memo: dict) -> Vector:
-    """The field scalars ints / den, each distinct Fraction made once."""
+    """The field scalars ints / den, ints from python_ints: over GF(p), where
+    den is 1, the ints themselves; over Q, Fractions, each made once."""
     if f.p is not None:
-        return tuple(x % f.p for x in ints)
+        return tuple(ints)
     return tuple(memo[x] if x in memo else memo.setdefault(x, Fraction(x, den))
                  for x in ints)
 
@@ -330,14 +339,12 @@ def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
         prod = np.stack([_pair_products(b, text, s) for text in texts], axis=1)
         prod = prod.reshape(flat.shape)
         coords = prod[:, list(pivots)]
-        diff = lam * prod - coords @ flat
-        if f.p is not None:
-            diff %= f.p
-        escaped = diff.any(axis=1)
+        escaped = nonzero_mod(lam * prod - coords @ flat, f.p).any(axis=1)
         if escaped.any():
             raise ClosureError(f"{kind}: product of basis pairs {s} and "
                                f"{int(escaped.argmax())} leaves the span")
-        tensor.append(tuple(_scalars(f, lam * lam, row, memo) for row in coords.tolist()))
+        tensor.append(tuple(_scalars(f, lam * lam, row, memo)
+                            for row in python_ints(coords, f.p)))
     return ActorAlgebra(kind, A, maps, tuple(tensor), basis_matrix, pivots)
 
 
@@ -490,16 +497,13 @@ def _condition_check(which: int, actor: ActorAlgebra) -> Report:
     for s in range(actor.dim):
         lhs = _pair_products(b, lhs_text, s)
         rhs = _pair_products(b, rhs_text, s)
-        diff = lhs - rhs
-        if f.p is not None:
-            diff %= f.p
-        differs = diff.any(axis=1)  # (t, col): column col differs in some row
+        differs = nonzero_mod(lhs - rhs, f.p).any(axis=1)  # (t, col): col differs somewhere
         if differs.any():
             t, col = (int(x) for x in np.unravel_index(differs.argmax(), differs.shape))
             memo = {}
             return Report(False, label=label, witness=(s, t, col),
-                          lhs=_scalars(f, lam * lam, lhs[t, :, col].tolist(), memo),
-                          rhs=_scalars(f, lam * lam, rhs[t, :, col].tolist(), memo),
+                          lhs=_scalars(f, lam * lam, python_ints(lhs[t, :, col], f.p), memo),
+                          rhs=_scalars(f, lam * lam, python_ints(rhs[t, :, col], f.p), memo),
                           details=details)
     return Report(True, details=details)
 

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,7 +121,10 @@ def test_numpy_and_fraction_paths_report_identical_witnesses():
                 assert rp.rhs == tuple(int(x) % 7 for x in rq.rhs)
 
 
-FIELDS = (GF(2), GF(3), GF(7), GF(4294967291), QQ)
+# At dim 3 the suite bound is 12 * big^2: with an entry p - 1 it sits just
+# below 2^53 over FLOAT_EDGE (float64) and just above it over INT_EDGE (int64).
+FLOAT_EDGE, INT_EDGE = GF(27397079), GF(27397103)
+FIELDS = (GF(2), GF(3), GF(7), FLOAT_EDGE, INT_EDGE, GF(4294967291), QQ)
 
 
 def _first_exact_failure(a, tag):
@@ -199,15 +203,76 @@ def test_kernel_agrees_with_oracles_beyond_int64_over_q():
     _check_against_oracles(make_algebra(QQ, "ab", mixed, "raw"))
 
 
+def test_rung_edge_primes_take_float64_and_int64():
+    for f, dtype in ((FLOAT_EDGE, np.float64), (INT_EDGE, np.int64)):
+        top = f.p - 1
+        assert abs(12 * top ** 2 - 2 ** 53) < 2 ** 53 // 10 ** 5
+        a = make_algebra(f, "abc", [[[top, top, top], [top, 1, 0], [0, top, top]],
+                                    [[1, top, top], [top, top, top], [top, 0, top]],
+                                    [[top, top, 0], [top, top, 1], [top, top, top]]], "raw")
+        assert algebra._integer_tensor(a).dtype == dtype
+        _check_against_oracles(a)
+
+
+@pytest.mark.parametrize("top, dtype", [(2 ** 53 - 1, np.float64), (2 ** 53, np.int64),
+                                        (2 ** 63 - 1, np.int64), (2 ** 63, object)])
+def test_integer_array_takes_the_cheapest_exact_rung(top, dtype):
+    for f, values, lam, ints in ((gf5, ((1, 7), (-3, 0)), 1, [[1, 7], [-3, 0]]),
+                                 (QQ, ((Fraction(1, 2), Fraction(-1, 3)),), 6, [[3, -2]])):
+        got_lam, arr = algebra.integer_array(f, values, (len(values), 2), lambda big: top)
+        assert arr.dtype == dtype and got_lam == lam and algebra.python_ints(arr) == ints
+
+
+def _einsum_term(c, shape, perm, i):
+    """Oracle for _np_term: one einsum, labels 0-2 the witness indices, 3 the
+    coordinate, 4 the summed index; the operand carrying label 0 is sliced."""
+    u, v, *w = perm
+    subs = {"T": [(u, v, 3)], "L": [(u, v, 4), (4, *w, 3)], "R": [(v, *w, 4), (u, 4, 3)]}
+    args = []
+    for labels in subs[shape]:
+        args += [c[(slice(None),) * labels.index(0) + (i,)] if 0 in labels else c,
+                 [x for x in labels if x]]
+    return np.einsum(*args, [*range(1, len(perm)), 3])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
+def test_matmul_terms_equal_the_einsum_oracle(dtype):
+    rng = np.random.default_rng(0)
+    for n in range(1, 7):
+        c = rng.integers(-9, 10, size=(n, n, n)).astype(dtype)
+        for shape, k in (("T", 2), ("L", 3), ("R", 3)):
+            for perm in itertools.permutations(range(k)):
+                for i in range(n):
+                    got = algebra._np_term(c, shape, perm, i)
+                    want = _einsum_term(c, shape, perm, i)
+                    assert got.dtype == c.dtype and got.shape == want.shape, (shape, perm)
+                    assert (got == want).all(), (n, shape, perm, i)
+
+
+def test_nonzero_mod_on_float64_equals_remainder_on_int64():
+    rng = np.random.default_rng(2)
+    top = 2 ** 53 - 1
+    for p in (2, 3, 5, 7, 27397079, 4294967291, 2 ** 53 + 5, 2 ** 61 - 1):
+        k = rng.integers(-(top // p), top // p + 1, size=3000)
+        vals = np.concatenate([rng.integers(-top, top + 1, size=3000), k * p, k * p + 1,
+                               k * p - 1, [0, 1, -1, top, -top, p, -p, top // p * p]])
+        vals = vals[np.abs(vals) <= top]
+        want = np.remainder(vals, p) != 0
+        assert (algebra.nonzero_mod(vals.astype(np.float64), p) == want).all(), p
+        assert (algebra.nonzero_mod(vals.copy(), p) == want).all(), p
+    assert (algebra.nonzero_mod(np.array([0.0, 5.0]), None) == [False, True]).all()
+
+
 def test_large_prime_suites_pass_without_int64_overflow():
     # over GF(4294967291) one product of two entries already exceeds 2^63;
-    # conjugating spreads large entries over the whole tensor
-    f = GF(4294967291)
-    rng = random.Random(0)
-    for a in (sl2(f), diagonal_algebra(f, 3)):
-        b = _conjugate(a, _rand_invertible(rng, f, a.dim))
-        rep = identity_suite(b)
-        assert rep.passed, (a.category, rep.label, rep.witness)
+    # over GF(536870909) products reach 2^58, exact in int64 and not in
+    # float64; conjugating spreads large entries over the whole tensor
+    for f in (GF(536870909), GF(4294967291)):
+        rng = random.Random(0)
+        for a in (sl2(f), diagonal_algebra(f, 3)):
+            b = _conjugate(a, _rand_invertible(rng, f, a.dim))
+            rep = identity_suite(b)
+            assert rep.passed, (f, a.category, rep.label, rep.witness)
 
 
 def test_witness_is_lexicographically_first():

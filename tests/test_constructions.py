@@ -13,6 +13,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ from artifact.corpus import (_conjugate, _rand_invertible, a5_leibniz, abelian,
                              diagonal_algebra, dual_numbers, heisenberg,
                              m2_rationals, sample_algebra, sl2, truncated_poly,
                              zero_algebra)
-from artifact.existence import bider_variants_agree
+from artifact.existence import actor_pipeline, bider_variants_agree
 from artifact.fields import GF, QQ
 from artifact.linalg import Matrix, basis_vector, vec_add, vec_scale, vec_sub, vec_zero
 
@@ -428,6 +429,36 @@ def test_assembly_oracle_cases_reach_the_object_path():
     for f, x in ((GF(4294967291), 4294967290), (QQ, BIG_Q)):
         a = make_algebra(f, ["e0", "e1"], [[[x, f.zero]] * 2] * 2, "raw")
         assert _integer_tensor(a).dtype == object
+
+
+def _assert_scalars(f, values):
+    """Over GF(p) every scalar is a Python int in [0, p), over Q a Fraction:
+    a float or numpy scalar would change the JSON bytes."""
+    for x in values:
+        assert (type(x) is Fraction) if f.p is None else (type(x) is int and 0 <= x < f.p), x
+
+
+def test_scalars_leaving_numpy_are_python_ints_or_fractions():
+    rungs = set()
+    for f in (GF(2), GF(5), GF(65521), GF(4294967291), QQ):
+        rng = random.Random(3)
+        algebras = [zero_algebra(f, 2, cat) for cat in ("leibniz", "associative", "lie")]
+        algebras += [_conjugate(a, _rand_invertible(rng, f, a.dim))
+                     for a in (sl2(f), a5_leibniz(f), dual_numbers(f), heisenberg(f))]
+        for a in algebras:
+            v = actor_pipeline(a)
+            actor = v.actor
+            rungs.add(_integer_tensor(a).dtype)
+            rungs.add(constructions._integer_pairs(actor.kind, actor.basis_matrix, a.dim)[1].dtype)
+            _assert_scalars(f, [x for plane in actor.tensor for row in plane for x in row])
+            # constraint rows are ints over both fields: lam times their values over Q
+            rows = [x for row in constructions._assemble(a, actor.kind) for x in row]
+            assert all(type(x) is int and (f.p is None or 0 <= x < f.p) for x in rows)
+            witnesses = [identity_suite(v.semidirect_product, a.category), v.condition_status]
+            for rep in filter(None, witnesses):
+                if not rep.passed:
+                    _assert_scalars(f, rep.lhs + rep.rhs)
+    assert rungs == {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
 
 
 def test_kind_category_guards():

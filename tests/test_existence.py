@@ -7,12 +7,15 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from artifact.actions import check_derived_action, make_action
+from artifact.actions import action_from_json, check_derived_action, make_action
 from artifact.algebra import InputError, identity_suite, make_algebra
-from artifact.constructions import biderivations, bimultipliers, canonical_d, derivations
+from artifact.constructions import (actor_from_json, biderivations, bimultipliers,
+                                    canonical_d, derivations)
 from artifact.corpus import (a5_leibniz, abelian, m2_rationals, sample_algebra,
                              sl2, truncated_poly, zero_algebra)
 from artifact.existence import (actor_pipeline, bider_variants_agree,
@@ -47,13 +50,16 @@ def test_verdict_not_exists_carries_witness():
 
 
 def test_gf5_zero_leibniz_dim6_pipeline_stays_small():
-    # the semidirect product has dim 78: one whole 78^4 int64 array is 296 MB
-    code = ("import json, resource\n"
+    # the semidirect product has dim 78: one whole 78^4 int64 array is 296 MB.
+    # VmHWM is the child's own peak; ru_maxrss would carry over the peak of
+    # the process that started it, here the test runner's.
+    code = ("import json\n"
             "from artifact.corpus import zero_algebra\n"
             "from artifact.existence import actor_pipeline\n"
             "from artifact.fields import GF\n"
             "v = actor_pipeline(zero_algebra(GF(5), 6, 'leibniz'))\n"
-            "rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "rss_kb = int(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "                  if line.startswith('VmHWM:')))\n"
             "print(json.dumps([v.status, v.failure, rss_kb]))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -64,6 +70,16 @@ def test_gf5_zero_leibniz_dim6_pipeline_stays_small():
     assert status == "not-exists"
     assert failure == {"label": "[x,[y,z]] = [[x,y],z]-[[x,z],y]", "witness": [0, 0, 0]}
     assert rss_kb < 150 * 1024
+
+
+def test_gf5_abelian_lie_dim8_pipeline_within_budget():
+    # semidirect dim 72: the Jacobi sweep is 3 * 72^5 multiply-adds, which
+    # float64 matmul does as BLAS dgemm
+    start = time.perf_counter()
+    v = actor_pipeline(abelian(GF(5), 8, "lie"))
+    elapsed = time.perf_counter() - start
+    assert v.status == "exists" and v.semidirect_dim == 72
+    assert elapsed < 3.0, elapsed
 
 
 def test_module_category_zero_actor():
@@ -214,3 +230,23 @@ def test_dim0_and_dim1_pipelines_are_pinned(field_name, category, dim):
            "actor": None if v.actor is None else v.actor.to_json()}
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()[:16]
     assert digest == EDGE_DIGESTS[(field_name, category, dim)]
+
+
+@st.composite
+def sampled_actors(draw):
+    f = draw(st.sampled_from((GF(2), GF(3), GF(5), GF(4294967291), QQ)))
+    category = draw(st.sampled_from(("lie", "leibniz", "associative", "commutative", "module")))
+    n = draw(st.integers(0, 3 if f.p else 2))
+    if n == 0 or category == "module" or draw(st.integers(0, 4)) == 0:
+        a = zero_algebra(f, n, category)
+    else:
+        a = sample_algebra(random.Random(draw(st.integers(0, 4))), f, n, category)
+    return actor_pipeline(a).actor
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sampled_actors())
+def test_actor_and_action_json_round_trip_on_sampled_pipelines(actor):
+    assert actor_from_json(json.loads(json.dumps(actor.to_json()))) == actor
+    act = actor.action_pair()
+    assert action_from_json(json.loads(json.dumps(act.to_json()))) == act
