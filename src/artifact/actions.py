@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import Algebra, InputError, identity_suite, make_algebra
-from .fields import FieldError
+from .algebra import Algebra, InputError, algebra_from_json, identity_suite, make_algebra
+from .fields import read_nested
 from .linalg import Vector, basis_vector, bilinear, vec_add, vec_is_zero, vec_neg, vec_sub, vec_zero
 from .reporting import Report
 
@@ -62,19 +62,13 @@ def make_action(B: Algebra, A: Algebra, left, right) -> ActionPair:
 
 
 def action_from_json(obj) -> ActionPair:
-    from .algebra import algebra_from_json
     if not isinstance(obj, dict) or set(obj) != {"B", "A", "left", "right"}:
         raise InputError("action JSON needs exactly the keys B, A, left, right")
     B = algebra_from_json(obj["B"])
     A = algebra_from_json(obj["A"])
     f = A.field
-    try:
-        left = [[[f.parse(x) for x in v] for v in plane] for plane in obj["left"]]
-        right = [[[f.parse(x) for x in v] for v in plane] for plane in obj["right"]]
-    except FieldError as exc:
-        raise InputError(str(exc)) from exc
-    except TypeError as exc:
-        raise InputError(f"action tensors must be nested lists: {exc}") from exc
+    left = read_nested(obj["left"], (B.dim, A.dim, A.dim), f.parse, "left action tensor")
+    right = read_nested(obj["right"], (A.dim, B.dim, A.dim), f.parse, "right action tensor")
     return make_action(B, A, left, right)
 
 

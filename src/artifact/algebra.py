@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import Field, FieldError, field_from_json
+from .fields import Field, InputError, field_from_json, read_nested
 from .linalg import (
     Matrix,
     Vector,
@@ -62,10 +62,6 @@ SUITES = {
     "module": ("zero",),
     "raw": (),
 }
-
-
-class InputError(ValueError):
-    """Malformed or inconsistent input data."""
 
 
 @dataclass(frozen=True)
@@ -147,14 +143,11 @@ def algebra_from_json(obj) -> Algebra:
     allowed = required | {"products"}
     if not required <= set(obj) or not set(obj) <= allowed:
         raise InputError(f"algebra JSON keys must be {sorted(allowed)} (products optional)")
-    try:
-        field = field_from_json(obj["field"])
-    except FieldError as exc:
-        raise InputError(str(exc)) from exc
+    field = field_from_json(obj["field"])
     dim = obj["dim"]
-    basis = obj["basis"]
-    if type(dim) is not int or not isinstance(basis, list) or len(basis) != dim:
-        raise InputError("dim must be an int equal to len(basis)")
+    if type(dim) is not int:
+        raise InputError(f"dim must be an integer, got {dim!r}")
+    basis = read_nested(obj["basis"], (dim,), str, "basis")
     entries = obj.get("products", [])
     if not isinstance(entries, list):
         raise InputError("products must be a list of entries")
@@ -162,17 +155,13 @@ def algebra_from_json(obj) -> Algebra:
     for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "v"}:
             raise InputError("each product entry needs exactly the keys i, j, v")
-        i, j, v = entry["i"], entry["j"], entry["v"]
+        i, j = entry["i"], entry["j"]
         if type(i) is not int or type(j) is not int:  # also refuses JSON true/false
             raise InputError(f"product indices must be integers, got ({i!r},{j!r})")
         if (i, j) in products:
             raise InputError(f"duplicate product entry ({i},{j})")
-        if not isinstance(v, list) or len(v) != dim:
-            raise InputError(f"product vector for ({i},{j}) must be a list of length {dim}")
-        try:
-            products[(i, j)] = tuple(field.parse(x) for x in v)
-        except FieldError as exc:
-            raise InputError(str(exc)) from exc
+        products[(i, j)] = read_nested(entry["v"], (dim,), field.parse,
+                                       f"product vector ({i},{j})")
     return make_algebra_from_products(field, basis, products, obj["category"])
 
 

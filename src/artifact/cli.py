@@ -1,7 +1,10 @@
 """Command-line surface: every checker and constructor behind one entry point.
 
 Exit codes: 0 when the requested check passes (or the object exists), 1 when
-it fails (or does not exist), 2 on invalid input of any kind.  With
+it fails (or does not exist, or a construction step signals a soundness
+bug), 2 on invalid input (an InputError, an unreadable file or a usage
+error), 3 on any other exception, an internal error, reported as
+{"error": "internal: <Type>: <msg>"} with its traceback on stderr.  With
 --format json every report is a single json.dumps line with sorted keys, so
 identical inputs produce byte-identical output.
 """
@@ -9,6 +12,7 @@ identical inputs produce byte-identical output.
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .actions import action_from_json, check_derived_action, semidirect
@@ -18,11 +22,9 @@ from .constructions import (ConstructionError, actor_from_json,
                             crossed_module_check, derivations, multipliers)
 from .corpus import generate_atlas
 from .existence import actor_pipeline
-from .fields import QQ, FieldError, field_from_json
-from .groups import (CapError, automorphisms, group_from_json,
-                     group_universality_check, holomorph_check,
-                     inner_automorphisms)
-from .linalg import LinAlgError
+from .fields import QQ, field_from_json
+from .groups import (automorphisms, group_from_json, group_universality_check,
+                     holomorph_check, inner_automorphisms)
 from .words import (MODES, check_swap_symmetry, check_T_coverage,
                     expand_condition4, parse_word, validate_word_on_algebra)
 
@@ -65,7 +67,10 @@ def _emit(payload, fmt):
 
 def _load(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, not UTF-8, or an over-long int
+            raise InputError(f"{path}: {exc}") from exc
 
 
 def _parse_field_flag(s: str):
@@ -276,10 +281,13 @@ def main(argv=None) -> int:
         _emit({"passed": False, "error": f"{type(exc).__name__}: {exc}"},
               args.format)
         return 1
-    except (InputError, FieldError, LinAlgError, CapError, ValueError,
-            OSError, KeyError, TypeError, AttributeError) as exc:
+    except (InputError, OSError) as exc:
         _emit({"error": f"{type(exc).__name__}: {exc}"}, args.format)
         return 2
+    except Exception as exc:  # a bug, not the input's fault
+        traceback.print_exc()
+        _emit({"error": f"internal: {type(exc).__name__}: {exc}"}, args.format)
+        return 3
     _emit(payload, args.format)
     return code
 

@@ -54,6 +54,7 @@ from .algebra import (
     Algebra,
     InputError,
     _integer_tensor,
+    algebra_from_json,
     annihilator,
     derived_subspace,
     identity_suite,
@@ -62,7 +63,7 @@ from .algebra import (
     nonzero_mod,
     python_ints,
 )
-from .fields import FieldError
+from .fields import read_nested
 from .linalg import Matrix, Vector, basis_vector, express_in_rref_rows
 from .reporting import Report
 
@@ -164,7 +165,12 @@ class ActorAlgebra:
         return make_action(self.as_algebra(), A, left, right)
 
     def member_coords(self, bm: BiMap) -> Vector | None:
-        """Coordinates of a pair in the basis, or None if outside the span."""
+        """Coordinates of a pair in the basis, or None if outside the span.
+        The flattened coordinates hold only the left component when the
+        kind derives the right one from it, so a pair whose right component
+        breaks that rule is outside the span."""
+        if _pair(self.kind, bm.left, bm.right) != bm:
+            return None
         return express_in_rref_rows(self.basis_matrix, self.pivots, _flatten(self.kind, bm))
 
     def to_json(self) -> dict:
@@ -180,7 +186,6 @@ class ActorAlgebra:
 
 
 def actor_from_json(obj) -> ActorAlgebra:
-    from .algebra import algebra_from_json
     if not isinstance(obj, dict) or set(obj) != {"kind", "basis", "tensor", "action"}:
         raise InputError("actor JSON needs exactly the keys kind, basis, tensor, action")
     kind = obj["kind"]
@@ -191,30 +196,22 @@ def actor_from_json(obj) -> ActorAlgebra:
     A = algebra_from_json(obj["action"]["A"])
     f = A.field
     n = A.dim
-    maps = []
-    try:
-        for entry in obj["basis"]:
-            if not isinstance(entry, dict) or set(entry) != {"L", "R"}:
-                raise InputError("each basis entry needs exactly the keys L, R")
-            L = Matrix.from_rows(f, [[f.parse(x) for x in row] for row in entry["L"]])
-            R = Matrix.from_rows(f, [[f.parse(x) for x in row] for row in entry["R"]])
-            if L.nrows != n or L.ncols != n or R.nrows != n or R.ncols != n:
-                raise InputError("basis matrices must be dim x dim")
-            maps.append(BiMap(L, R))
-        m = len(maps)
-        tensor = tuple(
-            tuple(tuple(f.parse(x) for x in v) for v in plane) for plane in obj["tensor"])
-    except FieldError as exc:
-        raise InputError(str(exc)) from exc
-    if len(tensor) != m or any(len(p) != m for p in tensor) \
-            or any(len(v) != m for p in tensor for v in p):
-        raise InputError("tensor must have shape m x m x m for m basis pairs")
+    entries = obj["basis"]
+    if not isinstance(entries, list) or any(
+            not isinstance(e, dict) or set(e) != {"L", "R"} for e in entries):
+        raise InputError("basis must be a list of entries with exactly the keys L, R")
+    maps = tuple(BiMap(*(Matrix(f, read_nested(e[k], (n, n), f.parse, f"basis matrix {k}"))
+                         for k in "LR")) for e in entries)
+    if any(_pair(kind, bm.left, bm.right) != bm for bm in maps):
+        raise InputError(f"a basis pair breaks the {kind} rule for its right component")
+    m = len(maps)
+    tensor = read_nested(obj["tensor"], (m, m, m), f.parse, "actor tensor")
     flats = [_flatten(kind, bm) for bm in maps]
     basis_matrix = Matrix.from_rows(f, flats)
     red, piv = basis_matrix.rref()
     if red.rows != basis_matrix.rows or len(piv) != m:
         raise InputError("basis pairs must be independent and RREF-canonical")
-    actor = ActorAlgebra(kind, A, tuple(maps), tensor, basis_matrix, piv)
+    actor = ActorAlgebra(kind, A, maps, tensor, basis_matrix, piv)
     if actor.action_pair().to_json() != obj["action"]:
         raise InputError("stored action does not match the one induced by the basis")
     return actor

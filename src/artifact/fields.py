@@ -4,6 +4,9 @@ A field object owns the arithmetic; scalar values are plain Python objects
 (fractions.Fraction for Q, ints in range(p) for GF(p)).  Everything that
 combines scalars carries a field and refuses to mix fields, so a GF(5)
 value can never leak into a rational computation.
+
+Input from outside the program is refused with InputError, and every nested
+JSON list is read by read_nested, which accepts exactly the expected shape.
 """
 
 from __future__ import annotations
@@ -14,8 +17,35 @@ from typing import Union
 Scalar = Union[Fraction, int]
 
 
-class FieldError(ValueError):
+class InputError(ValueError):
+    """Malformed or inconsistent input data."""
+
+
+class FieldError(InputError):
     pass
+
+
+def read_nested(obj, shape: tuple, parse, what: str):
+    """obj, a JSON value, as nested tuples of exactly the given shape.
+
+    Each leaf goes through parse: a callable that raises InputError (a
+    field's parse raises FieldError), or a type the leaf must have exactly,
+    so that JSON true is not an int.  Anything else is an InputError naming
+    what.
+    """
+
+    def read(x, depth):
+        if depth == len(shape):
+            if not isinstance(parse, type):
+                return parse(x)
+            if type(x) is not parse:
+                raise InputError(f"{what} entries must be of type {parse.__name__}, got {x!r}")
+            return x
+        if not isinstance(x, list) or len(x) != shape[depth]:
+            raise InputError(f"{what} must be nested lists of shape {shape}")
+        return tuple(read(y, depth + 1) for y in x)
+
+    return read(obj, 0)
 
 
 # Deterministic Miller-Rabin: the first thirteen primes as bases decide every
@@ -177,5 +207,7 @@ def field_from_json(obj) -> Field:
     if obj == "Q":
         return QQ
     if isinstance(obj, dict) and set(obj) == {"p"}:
+        if type(obj["p"]) is not int:  # 5.0 and true would hit the GF cache
+            raise FieldError(f"modulus must be an integer, got {obj['p']!r}")
         return GF(obj["p"])
     raise FieldError(f"bad field descriptor {obj!r}")

@@ -180,7 +180,7 @@ def small_algebras(draw):
     return make_algebra(f, [f"e{i}" for i in range(n)], tensor, "raw")
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(small_algebras())
 def test_kernel_agrees_with_per_tuple_oracles(a):
     _check_against_oracles(a)
@@ -334,7 +334,7 @@ def json_algebras(draw):
     return make_algebra(f, basis, tensor, category)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(json_algebras())
 def test_algebra_json_round_trip_on_sampled_algebras(a):
     assert algebra_from_json(json.loads(json.dumps(a.to_json()))) == a

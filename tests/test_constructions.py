@@ -413,7 +413,7 @@ def assembly_algebras(draw):
     return make_algebra(f, [f"e{k}" for k in range(n)], tensor, "raw")
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(assembly_algebras())
 def test_integer_assembly_is_lam_times_per_entry_oracle(a):
     f = a.field

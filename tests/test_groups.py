@@ -312,7 +312,7 @@ def relabelled_groups(draw):
     return relabelled(g, draw(st.randoms(use_true_random=False)))
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(relabelled_groups())
 def test_group_json_round_trip_on_relabelled_groups(g):
     h = group_from_json(g.to_json())

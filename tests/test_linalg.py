@@ -125,7 +125,7 @@ def rref_cases(draw):
     return field, rows, ncols
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(rref_cases())
 def test_rref_equals_sympy_rref(case):
     assert_rref_matches_sympy(*case)
@@ -155,7 +155,7 @@ def q_rows(draw):
     return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(q_rows())
 def test_rref_of_lam_scaled_integer_rows_equals_rref_of_fraction_rows(rows):
     # constraint rows over Q arrive as Python ints, lam times their value
