@@ -15,7 +15,7 @@ from .constructions import (KINDS, ActorAlgebra, BiMap, ClosureError,
                             ConstructionError, actor_from_json,
                             biderivations, bimultipliers, canonical_d,
                             condition1_check, condition2_check,
-                            crossed_module_check, derivations, multipliers,
+                            construct, crossed_module_check, derivations, multipliers,
                             sufficient_conditions, zero_actor)
 from .existence import (Verdict, actor_pipeline, bider_variants_agree,
                         factor_through_actor)

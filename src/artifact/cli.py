@@ -17,9 +17,8 @@ from fractions import Fraction
 
 from .actions import action_from_json, check_derived_action, semidirect
 from .algebra import CATEGORIES, InputError, algebra_from_json, identity_suite
-from .constructions import (ConstructionError, actor_from_json,
-                            biderivations, bimultipliers, canonical_d,
-                            crossed_module_check, derivations, multipliers)
+from .constructions import (ConstructionError, actor_from_json, canonical_d, construct,
+                            crossed_module_check)
 from .corpus import generate_atlas
 from .existence import actor_pipeline
 from .fields import QQ, field_from_json
@@ -97,14 +96,7 @@ def _cmd_check(args):
 
 def _cmd_construct(args):
     a = algebra_from_json(_load(args.algebra))
-    if args.kind == "der":
-        actor = derivations(a)
-    elif args.kind == "bim":
-        actor = bimultipliers(a)
-    elif args.kind == "bider":
-        actor = biderivations(a, args.variant)
-    else:
-        actor = multipliers(a)
+    actor = construct(f"bider{args.variant}" if args.kind == "bider" else args.kind, a)
     payload = actor.to_json()
     payload["dim"] = actor.dim
     return 0, payload

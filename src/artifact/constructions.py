@@ -1,18 +1,17 @@
 """Actor candidates as algebras of matrix pairs cut out by linear constraints.
 
 Each candidate kind is one row of KIND_TABLE: the category of its own
-product, its constraint equations, its bracket, and how the right component
-of a pair follows from the left one (independent, its negative, or equal).
-A pair (L, R) acts on A by b*x = L(x) and x*b = R(x).
+product, the source category whose identities cut it out, its bracket, and
+how the right component follows from the left one (independent, its
+negative, or equal).  A pair (L, R) acts on A by b*x = L(x) and x*b = R(x).
 
-An equation is a signed sum of four terms at (x, y) = (e_i, e_j), read at
-coordinate m: M(xy), M(x)y, xM(y) and M(y)x, with M the left or the right
-component.  The candidate is the nullspace of these equations over the
-entries of the independent components; its basis is canonicalized by RREF
-over the flattened coordinates (row-major, left matrix first), so identical
-inputs give byte-identical actors.
+The constraints are the source's identities, algebra.IDENTITIES, with b in
+one slot.  The candidate is their nullspace over the entries of the
+independent components; its basis is canonicalized by RREF over the
+flattened coordinates (row-major, left matrix first), so identical inputs
+give byte-identical actors.
 
-The equations are assembled in integers.  Each term is one einsum of lam
+Constraint rows are assembled in integers.  Each term is one einsum of lam
 times the structure tensor (the integer array the identity suite uses) with
 the identity matrix, added with its sign into the block of its component.
 Over Q the rows are lam times their values, lam the lcm of the tensor's
@@ -51,6 +50,8 @@ import numpy as np
 
 from .actions import ActionPair, make_action
 from .algebra import (
+    IDENTITIES,
+    SUITES,
     Algebra,
     InputError,
     _integer_tensor,
@@ -63,7 +64,6 @@ from .algebra import (
     nonzero_mod,
     python_ints,
 )
-from .fields import read_nested
 from .linalg import Matrix, Vector, basis_vector, express_in_rref_rows
 from .reporting import Report
 
@@ -78,35 +78,28 @@ class ClosureError(ConstructionError):
 
 class Kind(NamedTuple):
     category: str  # category tag of the candidate's own product
-    equations: tuple  # constraint equations, each a signed sum of terms
+    source: str  # category whose identities, one argument acting, cut it out
+    name: str  # what the candidate is called in a refusal
     bracket: str  # left component of [a, b], a signed sum of products
     right: str  # "neg" (minus the left one), "same", or an independent
     #             right component given by its bracket
 
 
-# with L = [phi,-] and R = [-,phi]
-_BIDERIVATION = ("R(xy) - xR(y) - R(x)y", "L(xy) - L(x)y + L(y)x", "xL(y) + xR(y)")
-
 KIND_TABLE = {
-    "der": Kind("lie", ("L(xy) - L(x)y - xL(y)",), "aLbL - bLaL", "neg"),
-    "bim": Kind("associative", ("L(xy) - L(x)y", "R(xy) - xR(y)", "xL(y) - R(x)y"),
-                "aLbL", "bRaR"),
-    "bider1": Kind("leibniz", _BIDERIVATION, "aLbL + bRaL", "bRaR - aRbR"),
-    "bider2": Kind("leibniz", _BIDERIVATION, "bRaL - aLbR", "bRaR - aRbR"),
-    # f(xy) = f(x)y; commutativity of A makes the mirror condition redundant.
-    # The product is composition: always associative, not always commutative.
-    "mult": Kind("associative", ("L(xy) - L(x)y",), "aLbL", "same"),
-    "zero": Kind("module", (), "", "same"),
+    "der": Kind("lie", "lie", "derivations", "aLbL - bLaL", "neg"),
+    "bim": Kind("associative", "associative", "bimultipliers", "aLbL", "bRaR"),
+    "bider1": Kind("leibniz", "leibniz", "biderivations", "aLbL + bRaL", "bRaR - aRbR"),
+    "bider2": Kind("leibniz", "leibniz", "biderivations", "bRaL - aLbR", "bRaR - aRbR"),
+    # the product is composition: always associative, not always commutative
+    "mult": Kind("associative", "commutative", "multipliers", "aLbL", "same"),
+    "zero": Kind("module", "module", "the zero actor", "", "same"),
 }
 
 KINDS = tuple(KIND_TABLE)
 
-# right-component rules: the right component as a function of the left one,
-# and how a multiplication pair breaking the rule is reported
-_FOLLOW = {
-    "neg": (Matrix.neg, "is not minus left; not expressible as a derivation pair"),
-    "same": (lambda m: m, "differs from left; not expressible as a multiplier pair"),
-}
+# right-component rules, as the sign s of R = sL: the binary row
+# x*y = s y*x of the source suite with b at x
+_FOLLOW = {"neg": -1, "same": 1}
 
 
 @functools.cache
@@ -132,8 +125,8 @@ def _flatten(kind: str, bm: BiMap) -> Vector:
 def _pair(kind: str, left: Matrix, right: Matrix | None = None) -> BiMap:
     """The pair with this left component; right is used only when the kind
     leaves the right component independent."""
-    rule = KIND_TABLE[kind].right
-    return BiMap(left, _FOLLOW[rule][0](left) if rule in _FOLLOW else right)
+    sign = _FOLLOW.get(KIND_TABLE[kind].right)
+    return BiMap(left, right if sign is None else left if sign > 0 else left.neg())
 
 
 @dataclass(frozen=True)
@@ -185,71 +178,80 @@ class ActorAlgebra:
         }
 
 
+def _same_json(x, y) -> bool:
+    """x == y with every node of the same type: JSON true or 1.0 is not 1."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same_json(x[k], y[k]) for k in x)
+    if isinstance(x, list):
+        return len(x) == len(y) and all(map(_same_json, x, y))
+    return x == y
+
+
 def actor_from_json(obj) -> ActorAlgebra:
-    if not isinstance(obj, dict) or set(obj) != {"kind", "basis", "tensor", "action"}:
-        raise InputError("actor JSON needs exactly the keys kind, basis, tensor, action")
-    kind = obj["kind"]
-    if kind not in KINDS:
-        raise InputError(f"unknown actor kind {kind!r}")
-    if not isinstance(obj["action"], dict) or "A" not in obj["action"]:
+    """The actor a document describes, accepted only when the document is
+    the one the program emits for its kind and target algebra action.A:
+    to_json, with or without the dim key that `construct` adds.  Nothing in
+    it is taken on trust; the candidate is rebuilt from action.A."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("action"), dict) \
+            or "A" not in obj["action"]:
         raise InputError("actor JSON action must contain the target algebra under 'A'")
-    A = algebra_from_json(obj["action"]["A"])
-    f = A.field
-    n = A.dim
-    entries = obj["basis"]
-    if not isinstance(entries, list) or any(
-            not isinstance(e, dict) or set(e) != {"L", "R"} for e in entries):
-        raise InputError("basis must be a list of entries with exactly the keys L, R")
-    maps = tuple(BiMap(*(Matrix(f, read_nested(e[k], (n, n), f.parse, f"basis matrix {k}"))
-                         for k in "LR")) for e in entries)
-    if any(_pair(kind, bm.left, bm.right) != bm for bm in maps):
-        raise InputError(f"a basis pair breaks the {kind} rule for its right component")
-    m = len(maps)
-    tensor = read_nested(obj["tensor"], (m, m, m), f.parse, "actor tensor")
-    flats = [_flatten(kind, bm) for bm in maps]
-    basis_matrix = Matrix.from_rows(f, flats)
-    red, piv = basis_matrix.rref()
-    if red.rows != basis_matrix.rows or len(piv) != m:
-        raise InputError("basis pairs must be independent and RREF-canonical")
-    actor = ActorAlgebra(kind, A, maps, tensor, basis_matrix, piv)
-    if actor.action_pair().to_json() != obj["action"]:
-        raise InputError("stored action does not match the one induced by the basis")
+    actor = construct(obj.get("kind"), algebra_from_json(obj["action"]["A"]))
+    doc = actor.to_json()
+    if not (_same_json(obj, doc) or _same_json(obj, {**doc, "dim": actor.dim})):
+        raise InputError(f"not the {actor.kind} actor document of its target algebra")
     return actor
 
 
 # ---------------------------------------------------------------------------
 # constraint assembly
 #
+# Each ternary identity row of the source suite, with b in one slot, is one
+# equation at (e_i, e_j), the other two labels in increasing order.  b at a
+# position of a product term makes it one of six maps, p and q the labels at
+# the other two positions in order: in (u*v)*w, b at u gives L(p)q, at v
+# R(p)q and at w R(pq); in u*(v*w), L(pq), pL(q) and pR(q).  Under a _FOLLOW
+# rule R = sL, R terms join the L block with sign s and b takes slot 0 only:
+# the other slots cut out the same space (tests/test_constructions.py).
+#
 # Unknown layout: vec(L) row-major, then vec(R) row-major when the kind has
 # an independent right component.  Matrix convention: map(e_c) = sum_r
 # M[r][c] e_r, so M.col(c) is the image of e_c.  Each term is one einsum of
-# the integer tensor c with the identity I into R[i, j, m, r, col]: the
-# coefficient of M[r][col] in the term at (x, y) = (e_i, e_j), read at
-# coordinate m; s is the summation index.
-_TERM_SUBSCRIPTS = {
-    "M(xy)": "ijs,mr->ijmrs",
-    "M(x)y": "sjm,ic->ijmsc",
-    "xM(y)": "ism,jc->ijmsc",
-    "M(y)x": "sim,jc->ijmsc",
-}
+# the integer tensor with the identity I into R[i, j, m, r, c], the
+# coefficient of M[r][c] in the term read at coordinate m.  _SLOT_TERMS maps
+# (shape, b's position) to the component and the inputs (tensor's, I's).
+_SLOT_TERMS = {("L", 0): ("L", "rqm,pc"), ("L", 1): ("R", "rqm,pc"), ("L", 2): ("R", "pqc,mr"),
+               ("R", 0): ("L", "pqc,mr"), ("R", 1): ("L", "prm,qc"), ("R", 2): ("R", "prm,qc")}
 
 
 def _assemble(A: Algebra, kind: str):
-    """Constraint rows: for each (i, j, m), one row per equation of the kind,
-    as Python ints.  Over Q a row is lam times its value, lam the lcm of the
-    tensor's denominators, which keeps the nullspace; over GF(p) it is
-    reduced mod p."""
-    n, p = A.dim, A.field.p
+    """Constraint rows: for each (i, j, m), one row per equation, as Python
+    ints.  Over Q a row is lam times its value, lam the lcm of the tensor's
+    denominators, which keeps the nullspace; over GF(p) it is reduced mod p."""
+    n = A.dim
     spec = KIND_TABLE[kind]
+    follow = _FOLLOW.get(spec.right)
+    eqs = [(lhs + [(-s, shape, perm) for s, shape, perm in rhs], slot)
+           for tag in SUITES[spec.source] for _, lhs, rhs in IDENTITIES[tag]
+           if lhs[0][1] != "T"  # x*y = s y*x is the _FOLLOW rule
+           for slot in ((0,) if follow else (0, 1, 2))]
     c = _integer_tensor(A)
     eye = np.eye(n, dtype=c.dtype)
-    blocks = 1 if spec.right in _FOLLOW else 2
-    rows = np.zeros((n, n, n, len(spec.equations), blocks, n, n), dtype=c.dtype)
-    for e, eq in enumerate(spec.equations):
-        for sign, term in _signed(eq):
-            block = rows[:, :, :, e, int("R" in term)]  # a view: += writes rows
-            block += sign * np.einsum(_TERM_SUBSCRIPTS[re.sub("[LR]", "M", term)], c, eye)
-    return python_ints(rows.reshape(n ** 3 * len(spec.equations), blocks * n * n), p)
+    blocks = 1 if follow else 2
+    rows = np.zeros((n, n, n, len(eqs), blocks, n, n), dtype=c.dtype)
+    for e, (terms, slot) in enumerate(eqs):
+        label = dict(zip(sorted({0, 1, 2} - {slot}), "ij"))
+        for sign, shape, perm in terms:
+            at = perm.index(slot)
+            comp, inputs = _SLOT_TERMS[shape, at]
+            p, q = (label[x] for k, x in enumerate(perm) if k != at)
+            if comp == "R" and follow:
+                comp, sign = "L", sign * follow
+            block = rows[:, :, :, e, "LR".index(comp)]  # a view: += writes rows
+            block += sign * np.einsum(inputs.replace("p", p).replace("q", q) + "->ijmrc",
+                                      c, eye)
+    return python_ints(rows.reshape(n ** 3 * len(eqs), blocks * n * n), A.field.p)
 
 
 def _derivation_rows(A: Algebra):
@@ -345,27 +347,29 @@ def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
     return ActorAlgebra(kind, A, maps, tuple(tensor), basis_matrix, pivots)
 
 
-def _require_suite(A: Algebra, category: str, who: str):
-    rep = identity_suite(A, category)
+def _construct(kind: str, A: Algebra, rows) -> ActorAlgebra:
+    """The candidate of this kind for A, which must pass the identity suite
+    of the kind's source category; rows(A) assembles its constraints."""
+    spec = KIND_TABLE[kind]
+    rep = identity_suite(A, spec.source)
     if not rep.passed:
-        raise InputError(f"{who} requires a {category} algebra; "
+        raise InputError(f"{spec.name} requires a {spec.source} algebra; "
                          f"identity {rep.label!r} fails at {rep.witness}")
+    return _build_actor(kind, A, rows(A))
 
 
 def derivations(A: Algebra) -> ActorAlgebra:
     """All D with D[x,y] = [D(x),y] + [x,D(y)], bracket = commutator."""
-    _require_suite(A, "lie", "derivations")
-    return _build_actor("der", A, _derivation_rows(A))
+    return _construct("der", A, _derivation_rows)
 
 
 def bimultipliers(A: Algebra) -> ActorAlgebra:
     """All pairs (L,R) with L(xy)=L(x)y, R(xy)=xR(y), xL(y)=R(x)y."""
-    _require_suite(A, "associative", "bimultipliers")
-    return _build_actor("bim", A, _bimultiplier_rows(A))
+    return _construct("bim", A, _bimultiplier_rows)
 
 
 def biderivations(A: Algebra, variant: int = 1) -> ActorAlgebra:
-    """All pairs (L,R) satisfying the three biderivation constraints.
+    """All pairs (L,R) satisfying the Leibniz identity with b in each slot.
 
     The solution space does not depend on the variant; the bracket does.
     Variant 1 composes through the left components, variant 2 through the
@@ -373,14 +377,23 @@ def biderivations(A: Algebra, variant: int = 1) -> ActorAlgebra:
     """
     if variant not in (1, 2):
         raise InputError("variant must be 1 or 2")
-    _require_suite(A, "leibniz", "biderivations")
-    return _build_actor(f"bider{variant}", A, _biderivation_rows(A))
+    return _construct(f"bider{variant}", A, _biderivation_rows)
 
 
 def multipliers(A: Algebra) -> ActorAlgebra:
     """All f with f(xy) = f(x)y on a commutative associative algebra."""
-    _require_suite(A, "commutative", "multipliers")
-    return _build_actor("mult", A, _multiplier_rows(A))
+    return _construct("mult", A, _multiplier_rows)
+
+
+def construct(kind: str, A: Algebra) -> ActorAlgebra:
+    """The candidate of a KIND_TABLE kind for A."""
+    if kind not in KINDS:
+        raise InputError(f"unknown actor kind {kind!r}")
+    if kind == "zero":
+        return zero_actor(A)
+    rows = {"der": _derivation_rows, "bim": _bimultiplier_rows, "mult": _multiplier_rows,
+            "bider1": _biderivation_rows, "bider2": _biderivation_rows}[kind]
+    return _construct(kind, A, rows)
 
 
 def zero_actor(A: Algebra) -> ActorAlgebra:
@@ -405,14 +418,9 @@ def canonical_d(A: Algebra, actor: ActorAlgebra) -> Matrix:
     if actor.target is not A and actor.target.tensor != A.tensor:
         raise InputError("actor was built for a different algebra")
     f, n = A.field, A.dim
-    rule = _FOLLOW.get(KIND_TABLE[actor.kind].right)
     rows = []
     for i in range(n):
-        pair = BiMap(A.left_mult_matrix(i), A.right_mult_matrix(i))
-        if rule and pair.right.rows != rule[0](pair.left).rows:
-            raise ConstructionError(
-                f"basis element {i}: right multiplication {rule[1]}")
-        coords = actor.member_coords(pair)
+        coords = actor.member_coords(BiMap(A.left_mult_matrix(i), A.right_mult_matrix(i)))
         if coords is None:
             raise ConstructionError(
                 f"multiplication pair of basis element {i} is outside the "

@@ -11,6 +11,7 @@ JSON list is read by read_nested, which accepts exactly the expected shape.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -110,19 +111,18 @@ class Rationals:
         return Fraction(n)
 
     def parse(self, token) -> Fraction:
-        """Accept ints, Fractions, and 'num/den' strings."""
-        if isinstance(token, bool):
-            raise FieldError(f"not a rational scalar: {token!r}")
-        if isinstance(token, int):
+        """Accept ints, Fractions, and 'num' or 'num/den' strings of decimal
+        digits: no exponent or point, so a literal is no larger than its text."""
+        if isinstance(token, (int, Fraction)) and not isinstance(token, bool):
             return Fraction(token)
-        if isinstance(token, Fraction):
-            return token
-        if isinstance(token, str):
-            try:
-                return Fraction(token.strip())
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FieldError(f"bad rational literal {token!r}") from exc
-        raise FieldError(f"not a rational scalar: {token!r}")
+        if not isinstance(token, str):
+            raise FieldError(f"not a rational scalar: {token!r}")
+        try:
+            if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", token.strip()):
+                return Fraction(token)
+        except (ValueError, ZeroDivisionError):  # x/0, or past int's digit limit
+            pass
+        raise FieldError(f"bad rational literal {token!r}")
 
     def to_json(self, a: Fraction):
         if a.denominator == 1:

@@ -10,7 +10,6 @@ frozen below.
 import itertools
 import math
 import random
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +18,8 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from artifact import constructions
-from artifact.algebra import (InputError, Subspace, _integer_tensor, identity_suite, is_ideal,
-                             make_algebra)
+from artifact.algebra import (IDENTITIES, SUITES, InputError, Subspace, _integer_tensor,
+                             identity_suite, is_ideal, make_algebra)
 from artifact.constructions import (KIND_TABLE, BiMap, ClosureError,
                                     ConstructionError, actor_from_json,
                                     biderivations, bimultipliers, canonical_d,
@@ -354,40 +353,59 @@ def test_condition_witnesses_equal_per_pair_matmul_oracle():
 # ---------------------------------------------------------------------------
 # constraint assembly against a per-entry oracle
 #
-# The oracle reads each equation's text.  The entry of a row at one unknown
-# M[r][col] is the equation evaluated with that map set to the unit matrix
-# sending e_col to e_r (every other unknown 0), by Algebra.multiply at
-# (x, y) = (e_i, e_j) and read at coordinate m.  The integer assembly must
-# give lam times these rows, lam the lcm of the tensor's denominators, mod p
-# over GF(p).
+# The oracle evaluates each ternary row of the source category's identities
+# (algebra.IDENTITIES) by Algebra.multiply, with the acting element b in one
+# slot and (e_i, e_j) at the other two labels in increasing order: b*v is
+# L(v) and v*b is R(v).  The entry of a row at one unknown M[r][col] is the
+# value at coordinate m when M is the unit matrix sending e_col to e_r and
+# the other component is zero, or, for a kind whose right component follows
+# the left one, R = L or R = -L.  The integer assembly must give lam times
+# these rows, lam the lcm of the tensor's denominators, mod p over GF(p).
 
-_ORACLE_TERM = re.compile(r"([+-]?)\s*([xy]?)([LR])\(([xy]+)\)([xy]?)")
+FOLLOW_SIGN = {"neg": -1, "same": 1}
 
 
-def _oracle_rows(a, kind):
+def _oracle_rows(a, kind, slots=None):
     f, n = a.field, a.dim
     spec = KIND_TABLE[kind]
+    follow = FOLLOW_SIGN.get(spec.right)
+    if slots is None:
+        slots = (0,) if follow else (0, 1, 2)
     e = [basis_vector(f, n, k) for k in range(n)]
     zero = vec_zero(f, n)
-    unknowns = list(itertools.product("L" if spec.right in ("neg", "same") else "LR",
-                                      range(n), range(n)))
+
+    def unit_pair(comp, r, col):
+        """(L, R) with the unit matrix E[r][col] on comp."""
+        def unit(v):
+            return vec_scale(f, v[col], e[r])
+
+        if follow:
+            return unit, lambda v: vec_scale(f, f.from_int(follow), unit(v))
+        return (unit, lambda v: zero) if comp == "L" else (lambda v: zero, unit)
+
+    def mul(u, v, left, right):  # None stands for b
+        return left(v) if u is None else right(u) if v is None else a.multiply(u, v)
+
+    def side(terms, at, left, right):
+        out = zero
+        for sign, shape, perm in terms:
+            u, v, w = (at[x] for x in perm)
+            val = (mul(mul(u, v, left, right), w, left, right) if shape == "L"
+                   else mul(u, mul(v, w, left, right), left, right))
+            out = vec_add(f, out, val) if sign > 0 else vec_sub(f, out, val)
+        return out
+
+    pairs = [unit_pair(*u) for u in itertools.product("L" if follow else "LR",
+                                                       range(n), range(n))]
+    eqs = [(lhs, rhs, slot) for tag in SUITES[spec.source] for _, lhs, rhs in IDENTITIES[tag]
+           if len(lhs[0][2]) == 3 for slot in slots]
     rows = []
     for i, j in itertools.product(range(n), repeat=2):
-        vecs = {"x": e[i], "y": e[j], "xy": a.multiply(e[i], e[j])}
-        per_eq = []  # per equation, the equation's vector at each unknown
-        for eq in spec.equations:
-            cols = []
-            for comp, r, col in unknowns:
-                out = zero
-                for sign, pre, letter, arg, post in _ORACLE_TERM.findall(eq):
-                    v = vec_scale(f, vecs[arg][col], e[r]) if letter == comp else zero
-                    if pre:
-                        v = a.multiply(vecs[pre], v)
-                    if post:
-                        v = a.multiply(v, vecs[post])
-                    out = vec_sub(f, out, v) if sign == "-" else vec_add(f, out, v)
-                cols.append(out)
-            per_eq.append(cols)
+        per_eq = []  # per equation, its vector at each unknown
+        for lhs, rhs, slot in eqs:
+            at = {slot: None, **dict(zip(sorted({0, 1, 2} - {slot}), (e[i], e[j])))}
+            per_eq.append([vec_sub(f, side(lhs, at, *pair), side(rhs, at, *pair))
+                           for pair in pairs])
         rows += [[v[m] for v in cols] for m in range(n) for cols in per_eq]
     return rows
 
@@ -423,6 +441,31 @@ def test_integer_assembly_is_lam_times_per_entry_oracle(a):
         assert all(type(x) is int for row in got for x in row)
         want = [[lam * x if f.p is None else x for x in row] for row in _oracle_rows(a, kind)]
         assert got == want, kind
+
+
+def _follower_algebras():
+    """Lie and commutative algebras: fixtures, zero algebras and samples over
+    Q, GF(2), GF(3) and GF(5) at dims 1-3, seeds 0-5."""
+    yield from (sl2(), heisenberg(), abelian(QQ, 3), truncated_poly(QQ, 3, "commutative"),
+                diagonal_algebra(QQ, 3, "commutative"), sl2(GF(3)))
+    for f in (QQ, GF(2), GF(3), GF(5)):
+        for category in ("lie", "commutative"):
+            for n in (1, 2, 3):
+                yield zero_algebra(f, n, category)
+                for seed in range(6):
+                    yield sample_algebra(random.Random(seed), f, n, category)
+
+
+def test_slot_zero_rule_keeps_the_all_slot_solution_space():
+    # a kind whose right component follows the left one takes b in slot 0
+    # only; b in every slot must cut out the same candidate
+    count = 0
+    for a in _follower_algebras():
+        kind = "der" if a.category == "lie" else "mult"
+        everywhere = Matrix.from_rows(a.field, _oracle_rows(a, kind, slots=(0, 1, 2)))
+        assert everywhere.nullspace().rows == build(kind, a).basis_matrix.rows, a
+        count += 1
+    assert count == 6 + 4 * 2 * 3 * 7
 
 
 def test_assembly_oracle_cases_reach_the_object_path():

@@ -19,7 +19,7 @@ def test_rational_parse_accepts_ints_fractions_strings():
 
 
 def test_rational_parse_rejects_bools_floats_and_garbage():
-    for bad in (True, False, 1.5, "x/y", "1/0", None, [1]):
+    for bad in (True, False, 1.5, "x/y", "1/0", None, [1], "1e999999999", "1.5"):
         with pytest.raises(FieldError):
             QQ.parse(bad)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import cli
 from artifact.actions import action_from_json, make_action
-from artifact.algebra import InputError, algebra_from_json
+from artifact.algebra import InputError, algebra_from_json, make_algebra
 from artifact.constructions import actor_from_json
 from artifact.corpus import a5_leibniz, sl2, zero_algebra
 from artifact.fields import GF, QQ
@@ -39,6 +39,18 @@ def _action_1x1():
 
 ACTOR = load_fixture("sl2_der_actor.json")
 
+
+def _forged_actor():
+    """The sl2 derivation actor with tensor[0][1] set to [5, 5, 5] and
+    action.B rebuilt from the forged tensor, so that the document agrees
+    with itself but not with the candidate of its target."""
+    doc = _changed(ACTOR, ("tensor", 0, 1), [5, 5, 5])
+    B = algebra_from_json(doc["action"]["B"])
+    tensor = [[[QQ.parse(x) for x in v] for v in plane] for plane in doc["tensor"]]
+    doc["action"]["B"] = make_algebra(QQ, B.basis, tensor, B.category).to_json()
+    return doc
+
+
 # (parser, CLI arguments with the document's file as "{}", document)
 MALFORMED = {
     "action-str-vector": (action_from_json, ["action-check", "{}"],
@@ -58,6 +70,12 @@ MALFORMED = {
     "actor-R-breaks-der-rule": (actor_from_json,
                                 ["xmod-check", fixture_path("sl2.json"), "--actor", "{}"],
                                 _changed(ACTOR, ("basis", 0, "R"), ACTOR["basis"][0]["L"])),
+    "actor-forged-tensor": (actor_from_json,
+                            ["xmod-check", fixture_path("sl2.json"), "--actor", "{}"],
+                            _forged_actor()),
+    "algebra-q-exponent-literal": (algebra_from_json, ["check", "{}"],
+                                   _changed(sl2().to_json(), ("products", 0, "v", 0),
+                                            "1e999999999")),
     "group-str-table": (group_from_json, ["group", "aut", "{}"],
                         {"order": 2, "table": "ab"}),
 }
@@ -72,6 +90,17 @@ def test_malformed_documents_are_refused_and_exit_two(name, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main([a.replace("{}", str(path)) for a in argv]) == 2
     assert "internal" not in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("argv,fixture", [
+    (["der"], "sl2.json"), (["bim"], "m2.json"), (["bider", "--variant", "2"], "a5_leibniz.json"),
+    (["mult"], "dual_numbers_commutative.json")], ids=["der", "bim", "bider2", "mult"])
+def test_xmod_check_accepts_the_document_construct_emits(argv, fixture, tmp_path, capsys):
+    assert cli.main(["construct", *argv, fixture_path(fixture)]) == 0
+    path = tmp_path / "actor.json"
+    path.write_text(capsys.readouterr().out)
+    assert cli.main(["xmod-check", fixture_path(fixture), "--actor", str(path)]) in (0, 1)
+    assert "error" not in json.loads(capsys.readouterr().out)
 
 
 def test_a_file_that_is_not_json_exits_two(tmp_path, capsys):
