@@ -15,21 +15,21 @@ bounding every product and partial sum, the integers sit on one of three
 rungs: float64 while B < 2^53, where every such value is an integer that
 float64 holds exactly whatever the summation order (the technique of
 FFLAS-FFPACK), int64 while B < 2^63, and Python ints (an object array)
-beyond, so nothing rounds or wraps around.  integer_array is that rule,
-written once; constructions uses it too, and python_ints is the one way
-back to Python ints.  The array is built once per suite.  Rows are checked
-in order, one leading witness index at a time: each term is one matmul on
-2-D views of the tensor (BLAS dgemm on the float64 rung), the signed terms
-are summed, and nonzero_mod flags the nonzero differences (mod p over
-GF(p)), stopping at the first.  The witness sides lhs/rhs are
-then computed exactly, by Algebra.multiply.
+beyond, so nothing rounds or wraps around.  linalg.integer_array is that
+rule, written once, and linalg.python_ints is the one way back to Python
+ints.  The array is built once per suite.  Rows are checked in order, one
+leading witness index at a time: each term is one matmul on 2-D views of the
+tensor (BLAS dgemm on the float64 rung), the signed terms are summed, and
+linalg.nonzero_mod flags the nonzero differences (mod p over GF(p)),
+stopping at the first.  The witness sides lhs/rhs are then computed
+exactly, by Algebra.multiply.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,8 +39,9 @@ from .linalg import (
     Vector,
     basis_vector,
     bilinear,
-    clear_denominators,
     express_in_rref_rows,
+    integer_array,
+    nonzero_mod,
     reduce_by_rref_rows,
     vec_add,
     vec_is_zero,
@@ -163,61 +164,6 @@ def algebra_from_json(obj) -> Algebra:
         products[(i, j)] = read_nested(entry["v"], (dim,), field.parse,
                                        f"product vector ({i},{j})")
     return make_algebra_from_products(field, basis, products, obj["category"])
-
-
-def integer_array(field: Field, values, shape, bound: Callable[[int], int]):
-    """(lam, lam * values) as a numpy array of the given shape, values nested
-    sequences of scalars and lam the lcm of their denominators (1 over GF(p),
-    whose scalars are ints, taken as they are: they need not lie in [0, p)).
-
-    bound(big) is the caller's bound on the magnitude of everything it will
-    compute from the array, given big, the largest magnitude in it.
-    The dtype is the cheapest one that keeps all of that exact: float64 while
-    the bound is below 2^53 (every product and partial sum is then an integer
-    that float64 holds exactly, in any summation order, so matmul can run as
-    BLAS dgemm), int64 below 2^63, and Python ints (an object array) beyond.
-    """
-    lam = 1
-    if field.p is None:
-        lam, values = clear_denominators(np.array(values, dtype=object).ravel())
-    try:
-        ints = np.array(values, dtype=np.int64).reshape(shape)
-    except OverflowError:  # an entry beyond int64, and so is the bound
-        ints = np.array(values, dtype=object).reshape(shape)
-    top = bound(max(int(ints.max()), -int(ints.min())) if ints.size else 0)
-    dtype = np.float64 if top < 2 ** 53 else np.int64 if top < 2 ** 63 else object
-    return lam, ints.astype(dtype, copy=False)
-
-
-def python_ints(arr: np.ndarray, p: Optional[int] = None) -> list:
-    """The entries of an integer-valued array of integer_array's dtypes as
-    nested lists of Python ints, reduced into [0, p) when p is set.  Every
-    value leaving numpy for exact code goes through here, so no float or
-    numpy scalar reaches a Matrix, a Report or the JSON output."""
-    if arr.dtype == np.float64:
-        arr = arr.astype(np.int64)
-    if p is not None:
-        arr = arr % p
-    return arr.tolist()
-
-
-def nonzero_mod(acc: np.ndarray, p: Optional[int]) -> np.ndarray:
-    """acc != 0 (mod p, if p is set) as a bool array; acc is overwritten.
-
-    On float64, p * rint(acc / p) equals acc exactly when p divides acc: the
-    quotient of a multiple of p is exact, and any other rounded quotient
-    gives a product that differs from acc.  This holds for integer-valued
-    |acc| < 2^53, which integer_array's bound guarantees, and takes about a
-    third of the time of np.remainder on float64."""
-    if p is None:
-        return acc != 0
-    if acc.dtype != np.float64:
-        np.remainder(acc, p, out=acc)
-        return acc != 0
-    q = np.divide(acc, p)
-    np.rint(q, out=q)
-    q *= p
-    return acc != q
 
 
 # ---------------------------------------------------------------------------

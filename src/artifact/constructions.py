@@ -29,12 +29,12 @@ entries at the pivot columns, and P is in the span exactly when
 lam * P == P[:, pivots] @ (lam * basis), mod p over GF(p).  The
 condition 1/2 checks compare products of basis pairs the same way.
 
-Both the assembly and the products run on algebra.integer_array's rungs:
+Both the assembly and the products run on linalg.integer_array's rungs:
 float64 while the caller's bound on every value computed stays below 2^53,
 so each matmul is an exact BLAS dgemm, then int64, then Python ints.
-Differences are tested by algebra.nonzero_mod, and every value handed back
+Differences are tested by linalg.nonzero_mod, and every value handed back
 to exact code (constraint rows, structure constants, condition witnesses)
-leaves numpy through algebra.python_ints: Python ints, reduced mod p in
+leaves numpy through linalg.python_ints: Python ints, reduced mod p in
 numpy over GF(p), never floats.
 """
 
@@ -59,12 +59,17 @@ from .algebra import (
     annihilator,
     derived_subspace,
     identity_suite,
-    integer_array,
     make_algebra,
+)
+from .linalg import (
+    Matrix,
+    Vector,
+    basis_vector,
+    express_in_rref_rows,
+    integer_array,
     nonzero_mod,
     python_ints,
 )
-from .linalg import Matrix, Vector, basis_vector, express_in_rref_rows
 from .reporting import Report
 
 

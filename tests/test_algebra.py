@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact import algebra
+from artifact import algebra, linalg
 from artifact.algebra import (CATEGORIES, IDENTITY_TAGS, Algebra, InputError,
                               Subspace, algebra_from_json, annihilator, check_identity,
                               derived_subspace, identity_suite, is_ideal,
@@ -219,8 +219,8 @@ def test_rung_edge_primes_take_float64_and_int64():
 def test_integer_array_takes_the_cheapest_exact_rung(top, dtype):
     for f, values, lam, ints in ((gf5, ((1, 7), (-3, 0)), 1, [[1, 7], [-3, 0]]),
                                  (QQ, ((Fraction(1, 2), Fraction(-1, 3)),), 6, [[3, -2]])):
-        got_lam, arr = algebra.integer_array(f, values, (len(values), 2), lambda big: top)
-        assert arr.dtype == dtype and got_lam == lam and algebra.python_ints(arr) == ints
+        got_lam, arr = linalg.integer_array(f, values, (len(values), 2), lambda big: top)
+        assert arr.dtype == dtype and got_lam == lam and linalg.python_ints(arr) == ints
 
 
 def _einsum_term(c, shape, perm, i):
@@ -258,9 +258,9 @@ def test_nonzero_mod_on_float64_equals_remainder_on_int64():
                                k * p - 1, [0, 1, -1, top, -top, p, -p, top // p * p]])
         vals = vals[np.abs(vals) <= top]
         want = np.remainder(vals, p) != 0
-        assert (algebra.nonzero_mod(vals.astype(np.float64), p) == want).all(), p
-        assert (algebra.nonzero_mod(vals.copy(), p) == want).all(), p
-    assert (algebra.nonzero_mod(np.array([0.0, 5.0]), None) == [False, True]).all()
+        assert (linalg.nonzero_mod(vals.astype(np.float64), p) == want).all(), p
+        assert (linalg.nonzero_mod(vals.copy(), p) == want).all(), p
+    assert (linalg.nonzero_mod(np.array([0.0, 5.0]), None) == [False, True]).all()
 
 
 def test_large_prime_suites_pass_without_int64_overflow():

@@ -6,16 +6,22 @@ nullspace dimensions and whole reduced row echelon forms must agree with
 ours on random inputs.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import GF as sGF, QQ as sQQ
 from sympy.polys.matrices import DomainMatrix
 
+from artifact import linalg
 from artifact.fields import GF, QQ
 from artifact.linalg import (LinAlgError, Matrix, basis_vector,
                              express_in_rref_rows, vec_add, vec_scale)
@@ -146,6 +152,170 @@ def test_rref_equals_sympy_rref_on_edge_shapes(field):
         right = Matrix.from_rows(field, [[entry() for _ in range(32)] for _ in range(rank)])
         rows = Matrix.from_rows(field, left).matmul(right).rows
         assert_rref_matches_sympy(field, rows, 32)
+
+
+# Tall matrices above the crossover take the certified front end of rref.
+
+
+def edge_prime(nrows):
+    """The largest prime p at which nrows rows of entries below p pass the
+    front end's float64 bound, nrows * p^2 + p < 2^53."""
+    p = sympy.prevprime(math.isqrt(2 ** 53 // nrows) + 1)
+    while nrows * p * p + p >= 2 ** 53:
+        p = sympy.prevprime(p)
+    return p
+
+
+def tall_rows(rng, field, nrows, ncols, rank):
+    """nrows x ncols rows of rank at most rank: a product of random factors,
+    over Q with numerators near 3^40 (beyond int64) and small denominators."""
+    if field is QQ:
+        left = [[rng.randrange(-3, 4) for _ in range(rank)] for _ in range(nrows)]
+        right = [[Fraction(rng.choice((0, 1, 3 ** 40)) + rng.randrange(-3, 4),
+                           rng.randrange(1, 6)) for _ in range(ncols)] for _ in range(rank)]
+        return [[sum((row[k] * right[k][j] for k in range(rank)), Fraction(0))
+                 for j in range(ncols)] for row in left]
+    p = field.p
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+             for _ in range(rank)]
+    return [[sum(row[k] * right[k][j] for k in range(rank)) % p for j in range(ncols)]
+            for row in left]
+
+
+@st.composite
+def tall_cases(draw):
+    kind = draw(st.sampled_from(("GF(2)", "GF(3)", "GF(5)", "edge", "past edge", "Q")))
+    shape = draw(st.sampled_from(("rank 0", "full rank", "ncols + 1 rows", "deficient")))
+    cells = linalg.TALL_CELLS_Q if kind == "Q" else linalg.TALL_CELLS_GF
+    if shape == "ncols + 1 rows":
+        ncols = math.isqrt(cells)
+        nrows = ncols + 1
+    else:
+        ncols = draw(st.integers(6, 24))
+        nrows = -(-cells // ncols) + draw(st.integers(0, 40))
+    rank = {"rank 0": 0, "deficient": draw(st.integers(1, ncols - 1))}.get(shape, ncols)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    dups = draw(st.integers(0, 8))  # duplicate rows
+    fields = {"GF(2)": GF(2), "GF(3)": GF(3), "GF(5)": GF(5), "Q": QQ,
+              "edge": GF(edge_prime(nrows + dups))}
+    fields["past edge"] = GF(sympy.nextprime(fields["edge"].p))
+    field = fields[kind]
+    rows = tall_rows(rng, field, nrows, ncols, rank)
+    rows += [rows[rng.randrange(nrows)] for _ in range(dups)]
+    return field, rows, ncols
+
+
+@settings(max_examples=100)
+@given(tall_cases())
+def test_tall_rref_equals_sympy_rref(case):
+    assert_rref_matches_sympy(*case)
+
+
+def _count_kernel_calls(monkeypatch):
+    """The primes of every call into the mod-p elimination kernel."""
+    calls = []
+    kernel = linalg._rref_mod
+
+    def counted(m, p):
+        calls.append(p)
+        return kernel(m, p)
+
+    monkeypatch.setattr(linalg, "_rref_mod", counted)
+    return calls
+
+
+def test_tall_front_end_takes_float64_only_below_the_bound(monkeypatch):
+    # the sketch product of 300 rows reaches 300 (p - 1)^2; past the edge
+    # prime (at p = 67108859 too) rref must keep the exact loop
+    calls = _count_kernel_calls(monkeypatch)
+    rng = random.Random(1)
+    edge = edge_prime(300)
+    for p, kernel_runs in ((edge, True), (sympy.nextprime(edge), False),
+                           (67108859, False)):
+        rows = tall_rows(rng, GF(p), 300, 40, 33)
+        rows[0][0] = p - 1
+        calls.clear()
+        assert_rref_matches_sympy(GF(p), rows, 40)
+        assert (calls == [p]) == kernel_runs, p
+
+
+def test_tall_front_end_reduces_the_whole_pivot_column(monkeypatch):
+    # lazy reduction over GF(5) with 90 pivots: unreduced entries above the
+    # pivots would grow from step to step and pass 2^53 before the last one
+    calls = _count_kernel_calls(monkeypatch)
+    rows = tall_rows(random.Random(2), GF(5), 400, 100, 90)
+    assert_rref_matches_sympy(GF(5), rows, 100)
+    assert calls == [5]
+    assert Matrix.from_rows(GF(5), rows).rank() == 90
+
+
+def test_tall_front_end_adds_the_rows_its_sketch_misses(monkeypatch):
+    # every column of the rows lies in the nullspace of the sketch, so the
+    # sketch sees rank 0; the check finds every row outside the empty span
+    # and one more elimination over them gives the RREF
+    calls = _count_kernel_calls(monkeypatch)
+    f, nrows, ncols = GF(5), 300, 20
+    sketch = linalg.python_ints(linalg._sketch(ncols + linalg._SKETCH_EXTRA, nrows, 5), 5)
+    null = Matrix.from_rows(f, sketch).nullspace().rows
+    rng = random.Random(4)
+    coeffs = [[rng.randrange(5) for _ in null] for _ in range(ncols)]
+    cols = [[sum(c * x for c, x in zip(cs, at)) % 5 for at in zip(*null)] for cs in coeffs]
+    rows = [list(row) for row in zip(*cols)]
+    assert all(any(row) for row in rows)
+    assert_rref_matches_sympy(f, rows, ncols)
+    assert calls == [5, 5]
+
+
+def test_tall_front_end_certifies_an_empty_selection(monkeypatch):
+    # every row is a multiple of the selection prime: nothing is selected
+    # mod it, the check finds every row outside the empty span, and the
+    # exact loop still gives the nonzero RREF
+    calls = _count_kernel_calls(monkeypatch)
+    q = linalg.SELECT_PRIME
+    rng = random.Random(3)
+    left = [[rng.randrange(-3, 4) for _ in range(12)] for _ in range(120)]
+    right = [[rng.randrange(-3, 4) for _ in range(20)] for _ in range(12)]
+    rows = [[Fraction(q * sum(row[k] * right[k][j] for k in range(12))) for j in range(20)]
+            for row in left]
+    red, piv = Matrix.from_rows(QQ, rows).rref()
+    assert calls == [q] and len(piv) == 12
+    assert_rref_matches_sympy(QQ, rows, 20)
+
+
+def test_mod_p_kernel_at_the_selection_prime_equals_sympy():
+    # at p near 2^26 one rank-1 update adds up to 2^50 to an entry, so the
+    # kernel must reduce the whole array every few pivots
+    q = linalg.SELECT_PRIME
+    rng = random.Random(5)
+    rows = tall_rows(rng, GF(q), 150, 100, 95)
+    m = np.array(rows, dtype=np.float64)
+    pivots, order = linalg._rref_mod(m, q)
+    rank = len(pivots)
+    red, piv = sympy_rref(GF(q), rows, 100)
+    assert (linalg.python_ints(m[:rank], q), tuple(pivots)) == ([list(r) for r in red[:rank]], piv)
+    assert sympy_rref(GF(q), [rows[i] for i in order[:rank]], 100) == (red[:rank], piv)
+
+
+def test_tall_front_end_never_imports_numpy_random():
+    # a sampled GF(5) dim-5 Leibniz algebra: its 375 x 50 constraint matrix
+    # takes the front end, whose sketch is hashed with integer arithmetic;
+    # importing numpy.random would cost about 5 MB of RSS in every run
+    code = ("import json, random, sys\n"
+            "from artifact import corpus, existence, linalg\n"
+            "from artifact.fields import GF\n"
+            "calls = []\n"
+            "kernel = linalg._tall_rref_mod\n"
+            "linalg._tall_rref_mod = lambda *a: calls.append(a[1]) or kernel(*a)\n"
+            "a = corpus.sample_algebra(random.Random(0), GF(5), 5, 'leibniz')\n"
+            "existence.actor_pipeline(a)\n"
+            "print(json.dumps([len(calls[0]), 'numpy.random' in sys.modules]))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300, check=True)
+    assert json.loads(proc.stdout) == [375, False]
 
 
 @st.composite
