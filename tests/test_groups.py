@@ -7,13 +7,17 @@ Action counts come from a presentation of each acting group, evaluated on
 the oracle's automorphisms.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artifact import groups
 from artifact.algebra import InputError
 from artifact.groups import (CATALOG, CapError, _enumerate_homs,
                              _greedy_generators, automorphisms, cyclic,
@@ -260,9 +264,9 @@ def relabelled(g, rng):
     return make_group(table, [g.names[back[a]] for a in range(g.order)])
 
 
-def holomorph_table(g):
+def holomorph_table(g, cap=24):
     """The Cayley table of Aut(g) x| g, as holomorph_check builds it."""
-    aut = automorphisms(g)
+    aut = automorphisms(g, cap)
     pairs = list(itertools.product(range(aut.order), range(g.order)))
     idx = {p: i for i, p in enumerate(pairs)}
     return [[idx[(aut.group.table[p1][p2], g.table[a1][aut.perms[p1][a2]])]
@@ -372,3 +376,223 @@ def test_make_group_action_validation():
     shift = (1, 2, 0)  # bijective but not an automorphism (moves identity)
     with pytest.raises(InputError):
         make_group_action(b, g, (ident, shift))
+
+
+# ---------------------------------------------------------------------------
+# make_group's two routes, and the tables built as arrays
+
+# the two order-5 loops of test_make_group_rejects_non_latin_and_non_associative
+LOOPS5 = (((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1), (3, 4, 1, 2, 0),
+           (4, 2, 0, 1, 3)),
+          ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1),
+           (4, 3, 1, 2, 0)))
+
+
+def make_group_outcome(table, names, array_order):
+    """make_group(table, names) with the array checks from array_order on:
+    the Group's fields, or the text of its InputError."""
+    saved = groups.ARRAY_CHECK_ORDER
+    groups.ARRAY_CHECK_ORDER = array_order
+    try:
+        g = make_group(table, names)
+    except InputError as exc:
+        return "refused", str(exc)
+    finally:
+        groups.ARRAY_CHECK_ORDER = saved
+    assert all(type(x) is int for r in g.table for x in r)
+    return g.order, g.table, g.identity, g.inv, g.names
+
+
+def assert_routes_agree(table, names=None):
+    """Loops and array checks give the same Group or the same refusal, on
+    the nested table and on it as an array, where it is one."""
+    loops = make_group_outcome(table, names, 10 ** 9)
+    assert make_group_outcome(table, names, 0) == loops
+    try:
+        arr = np.array(table)
+    except ValueError:  # ragged
+        return loops
+    if arr.dtype.kind == "i" and arr.ndim == 2:
+        for array_order in (0, 10 ** 9):
+            assert make_group_outcome(arr, names, array_order) == \
+                make_group_outcome(arr.tolist(), names, 10 ** 9)
+    return loops
+
+
+def test_make_group_routes_agree_on_reduced_latin_squares():
+    outcomes = []
+    for n in range(1, 7):
+        # all of them up to order 5, every 47th of the 9408 at order 6
+        for t in itertools.islice(reduced_latin_squares(n), 0, None, 1 if n < 6 else 47):
+            outcomes.append(assert_routes_agree(t)[0])
+    assert len(outcomes) == 63 + 201
+    assert 0 < outcomes.count("refused") < len(outcomes)
+
+
+@st.composite
+def cayley_tables(draw):
+    """A table for make_group, with names or None.  The table is a
+    relabelled group of GROUPS or CATALOG, a product of two CATALOG groups,
+    an order-5 loop or a reduced Latin square: as it is, or with one cell
+    changed (to -1, n, 2**70, a float, a string or an element), two cells
+    of a row swapped, every entry shifted mod n, one row cut short or one
+    row dropped."""
+    kind = draw(st.sampled_from(("group", "product", "loop", "latin")))
+    names = None
+    if kind in ("group", "product"):
+        bases = [g for _, g, _ in GROUPS] + [ctor() for _, ctor in CATALOG]
+        g = draw(st.sampled_from(bases))
+        if kind == "product":
+            g = direct_product(draw(st.sampled_from(CATALOG))[1](),
+                               draw(st.sampled_from(CATALOG))[1]())
+        g = relabelled(g, draw(st.randoms(use_true_random=False)))
+        table = [list(r) for r in g.table]
+        names = draw(st.sampled_from((None, g.names, g.names[:1] * g.order)))
+    elif kind == "loop":
+        table = [list(r) for r in draw(st.sampled_from(LOOPS5))]
+    else:
+        n = draw(st.integers(1, 5))
+        table = [list(r) for r in draw(st.sampled_from(list(reduced_latin_squares(n))))]
+    n = len(table)
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    change = draw(st.sampled_from(("none", "cell", "swap", "shift", "short-row",
+                                   "drop-row")))
+    if change == "cell":
+        table[i][j] = draw(st.sampled_from((-1, n, 2 ** 70, 0.5, "x"))
+                           | st.integers(0, n - 1))
+    elif change == "swap":  # rows stay permutations, two columns may not
+        table[i][j], table[i][k] = table[i][k], table[i][j]
+    elif change == "shift":  # a Latin square, with an identity only by chance
+        table = [[(x + j) % n for x in r] for r in table]
+    elif change == "short-row":
+        table[i].pop()
+    elif change == "drop-row":
+        table.pop(i)
+    return table, names
+
+
+@settings(max_examples=300)
+@given(cayley_tables())
+def test_make_group_routes_agree(case):
+    assert_routes_agree(*case)
+
+
+def test_make_group_routes_agree_past_the_small_int_cache():
+    # order 260: the array route shares one int object per value, unless
+    # an entry lies outside range(260)
+    t = [[(i + j) % 260 for j in range(260)] for i in range(260)]
+    assert assert_routes_agree(t)[0] == 260
+    for bad in (-1, 260):
+        t[3][5] = bad
+        assert assert_routes_agree(t) == \
+            ("refused", "row 3 is not a permutation; not a Latin square")
+
+
+def test_holomorph_table_built_by_indexing_equals_the_pair_table(monkeypatch):
+    built = []
+
+    def recording(table, names=None):
+        built.append(table)
+        return make_group(table, names)
+
+    monkeypatch.setattr(groups, "make_group", recording)
+    for g, cap in [(g, 24) for _, g, _ in GROUPS] + [
+            (direct_product(cyclic(3), cyclic(3)), 48)]:
+        built.clear()
+        assert holomorph_check(g, cap).passed
+        # the first call builds Aut(g)'s composition table, the last one
+        # the holomorph's, with (phi, a) at phi * |g| + a as in the helper
+        assert np.array_equal(built[-1], holomorph_table(g, cap))
+
+
+def test_composition_table_refuses_perms_not_closed_under_composition():
+    # (1,2,0) twice is (2,0,1), which the list lacks
+    with pytest.raises(KeyError, match=r"\(2, 0, 1\)"):
+        groups._composition_table([(0, 1, 2), (1, 2, 0)])
+
+
+@pytest.mark.parametrize("name,g,_", GROUPS, ids=[n for n, _, _ in GROUPS])
+def test_aut_composition_table_equals_lookup_of_composites(name, g, _):
+    aut = automorphisms(g)
+    idx = {p: i for i, p in enumerate(aut.perms)}
+    assert aut.group.table == tuple(
+        tuple(idx[tuple(p[x] for x in q)] for q in aut.perms) for p in aut.perms)
+    assert aut.perms[aut.identity] == tuple(range(g.order))
+
+
+def test_tau_and_crossed_module_witnesses_are_the_first_failures(monkeypatch):
+    """Feed holomorph_check a wrong tau: a homomorphism V4 -> Aut(V4) that
+    is not conjugation, then a map that is no homomorphism; each report
+    names the first failing pair in row-major order, found here by loops."""
+    g = klein4()
+    aut = automorphisms(g)
+    A, P = aut.group.table, aut.perms
+    homs = [tuple(h) for h in _enumerate_homs(g, aut.group)]
+    equivariant = [h for h in homs if all(
+        P[h[P[p][a]]] == tuple(P[p][P[h[a]][P[aut.group.inv[p]][x]]] for x in range(4))
+        for p in range(aut.order) for a in range(4))]
+    twisted = next(h for h in homs if h not in equivariant)
+    broken = (aut.identity, 1, 1, 1) if aut.identity != 1 else (0, 2, 2, 2)
+    for tau in (twisted, broken):
+        monkeypatch.setattr(groups, "inner_automorphisms",
+                            lambda g, aut, tau=tau: groups.InnerAutomorphisms(tau, (), ()))
+        rep = holomorph_check(g)
+        assert not rep.passed
+        hom_fails = [(a, b) for a in range(4) for b in range(4)
+                     if tau[g.table[a][b]] != A[tau[a]][tau[b]]]
+        if hom_fails:
+            assert (rep.label, rep.witness) == ("tau is a homomorphism", hom_fails[0])
+        else:
+            fails = [(p, a) for p in range(aut.order) for a in range(4)
+                     if P[tau[P[p][a]]] != tuple(
+                         P[p][P[tau[a]][P[aut.group.inv[p]][x]]] for x in range(4))]
+            assert (rep.label, rep.witness) == ("tau(phi.a) = phi tau(a) phi^-1", fails[0])
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of json.dumps(report.to_json(), sort_keys=True), recorded with the
+# loop-built tables of the earlier version of this module
+REPORT_DIGESTS = {
+    "trivial": ("7f0dfc868983a13f0bc80e8ad6c377e81cd6f3a604c96d94e77e3cdc9471b85c",
+                "b6183e358bacb13004b798e16d30756d94ca79b36a22fdb2c64abf64fc8c2e89"),
+    "Z2": ("bbadf7e0d0bee2d62e335d93ccc96dec8f0fc61fa73eba74addb73beb59bc58b",
+           "b6183e358bacb13004b798e16d30756d94ca79b36a22fdb2c64abf64fc8c2e89"),
+    "Z3": ("2a8c29faaf66f435dfaece6dc812aad56fb2831d498bf317aec07e6313674263",
+           "68d5826fbf2bc327ef5813e97346387b9a51115398b7d926f2d3dcf4f3b10ec0"),
+    "Z4": ("705b2371cd5d50d7239d2b72866d2952fdb182f3e7ac9e7c95c4a6301be5d9ce",
+           "68d5826fbf2bc327ef5813e97346387b9a51115398b7d926f2d3dcf4f3b10ec0"),
+    "V4": ("7e020937bc01a7a88d07f73c1cdbb477ecb7017d4a37913ce469d8cf741eeaf0",
+           "210c54c0db05377b6019a105a9f7bf56670787bf27e1e43f4095558083c246d2"),
+    "Z5": ("651bb75ca7a9f39d59eba5da5c02f4de71be632f1a0aa10f4fdbae86b5b99189",
+           "32f4fb3ba28f0889b5d52f858f6a2268c86c2727233a9c4db28630ae42c6a236"),
+    "Z6": ("34895cd2efc31668e2e76cbc155a0df4406e255bffc8c6e853017c870ecc70e5",
+           "68d5826fbf2bc327ef5813e97346387b9a51115398b7d926f2d3dcf4f3b10ec0"),
+    "S3": ("0d3551e27b245f8cb23361515f8fd9b4587d8be90e08a6536557fd24d94924f4",
+           "210c54c0db05377b6019a105a9f7bf56670787bf27e1e43f4095558083c246d2"),
+    "Z7": ("e51cf733b2a1dcd68fd25541b3498a60ffee46547f4d5ea2a6e624e8b1102a17",
+           "f55ace3cb70617ba5e114fcee45bde4150fa18879c617f81dbcd628ff469e38e"),
+    "Z8": ("6b416d3e975bb2402e03b8a54303db7d41124cc20fa533b24c2ea8f96d76eb78",
+           "60bc46ff91051f45db0b119e4bf35dd7f33c3f58b26d359ddd2e14c2d98a6e41"),
+    "D4": ("90dcae322d9ebc65b1afdd5a5e5f4ab6e9bebe4f6e3a9bcef07b5265e56ec81d",
+           "3f4da4564f45b6fb1882ff75095dc3b3a9011e29324cceb82b0b7c4d518bbdb0"),
+    "Q8": ("5cc9c54011fb3fd7db5833ea28a1f688f4571a5da6f038b1026816d9acd9ac67",
+           "45c011360e99dfdcb09424b4224a7ceae9ecdc4c971fd27b4807a47459e1d46a"),
+}
+
+
+@pytest.mark.parametrize("name,g,_", GROUPS, ids=[n for n, _, _ in GROUPS])
+def test_check_reports_are_byte_identical_to_pinned_digests(name, g, _):
+    holo, univ = REPORT_DIGESTS[name]
+    assert _digest(holomorph_check(g).to_json()) == holo
+    assert _digest(group_universality_check(g).to_json()) == univ
+
+
+def test_z3xz3_reports_at_cap_48_are_byte_identical_to_pinned_digests():
+    g = direct_product(cyclic(3), cyclic(3))
+    assert _digest(holomorph_check(g, cap=48).to_json()) == \
+        "c63e2ec2047860cb6c6502de4969c86bfe0e8c3d2ba277cf2b9b14a1b1b745ac"
+    assert _digest(group_universality_check(g, cap=48).to_json()) == \
+        "7590e08f113c13e75ef2b4d08a32311ad5af033c04d1bcde7f833f5066cfb58a"

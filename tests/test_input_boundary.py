@@ -14,7 +14,7 @@ from artifact.algebra import InputError, algebra_from_json, make_algebra
 from artifact.constructions import actor_from_json
 from artifact.corpus import a5_leibniz, sl2, zero_algebra
 from artifact.fields import GF, QQ
-from artifact.groups import group_from_json, symmetric3
+from artifact.groups import ARRAY_CHECK_ORDER, cyclic, group_from_json, symmetric3
 
 from conftest import fixture_path, load_fixture
 
@@ -51,6 +51,9 @@ def _forged_actor():
     return doc
 
 
+# a group table that make_group checks as an array
+LARGE_GROUP = cyclic(ARRAY_CHECK_ORDER + 4).to_json()
+
 # (parser, CLI arguments with the document's file as "{}", document)
 MALFORMED = {
     "action-str-vector": (action_from_json, ["action-check", "{}"],
@@ -78,6 +81,10 @@ MALFORMED = {
                                             "1e999999999")),
     "group-str-table": (group_from_json, ["group", "aut", "{}"],
                         {"order": 2, "table": "ab"}),
+    "group-large-entry-2**70": (group_from_json, ["group", "holomorph", "{}"],
+                                _changed(LARGE_GROUP, ("table", 3, 5), 2 ** 70)),
+    "group-large-entry-negative": (group_from_json, ["group", "holomorph", "{}"],
+                                   _changed(LARGE_GROUP, ("table", 3, 5), -1)),
 }
 
 
