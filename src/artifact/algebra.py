@@ -17,11 +17,14 @@ float64 holds exactly whatever the summation order (the technique of
 FFLAS-FFPACK), int64 while B < 2^63, and Python ints (an object array)
 beyond, so nothing rounds or wraps around.  linalg.integer_array is that
 rule, written once, and linalg.python_ints is the one way back to Python
-ints.  The array is built once per suite.  Rows are checked in order, one
-leading witness index at a time: each term is one matmul on 2-D views of the
-tensor (BLAS dgemm on the float64 rung), the signed terms are summed, and
-linalg.nonzero_mod flags the nonzero differences (mod p over GF(p)),
-stopping at the first.  The witness sides lhs/rhs are then computed
+ints.  suite_bound is B, written once too: the semidirect product's tensor,
+which constructions.semidirect_tensor places from integer blocks without
+reading a scalar, takes its dtype from the same bound.  The array is built
+once per suite, or handed to identity_suite by its caller.  Rows are
+checked in order, one leading witness index at a time: each term is one
+matmul on 2-D views of the tensor (BLAS dgemm on the float64 rung), the
+signed terms are summed, and linalg.nonzero_mod flags the nonzero
+differences (mod p over GF(p)), stopping at the first.  The witness sides lhs/rhs are then computed
 exactly, by Algebra.multiply.
 """
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -255,15 +258,22 @@ def _exact_side(a: Algebra, e, terms, idx) -> Vector:
 
 
 # the most terms in one row of any identity
-_TERMS = max(len(lhs) + len(rhs) for rows in IDENTITIES.values() for _, lhs, rhs in rows)
+_SUITE_TERMS = max(len(lhs) + len(rhs) for rows in IDENTITIES.values() for _, lhs, rhs in rows)
+
+
+def suite_bound(n: int) -> Callable[[int], int]:
+    """The kernel's bound on every value it computes from an (n, n, n)
+    integer tensor whose largest magnitude is big: each entry of a
+    difference is a sum of at most _SUITE_TERMS * n products of two entries.
+    Its linalg.rung is the dtype of the tensor the suite runs on."""
+    return lambda big: _SUITE_TERMS * n * big ** 2
 
 
 def _integer_tensor(a: Algebra) -> np.ndarray:
     """lam * tensor as an (n, n, n) integer array for the kernel.  Every row
-    is homogeneous, so scaling keeps each zero pattern; each entry of a
-    difference is a sum of at most _TERMS * n products of two entries."""
+    is homogeneous, so scaling keeps each zero pattern."""
     n = a.dim
-    return integer_array(a.field, a.tensor, (n, n, n), lambda big: _TERMS * n * big ** 2)[1]
+    return integer_array(a.field, a.tensor, (n, n, n), suite_bound(n))[1]
 
 
 def check_identity(a: Algebra, tag: str) -> Report:
@@ -322,13 +332,17 @@ def _alternative_char2_exhaustive(a: Algebra) -> Report:
     return Report(True, details=[{"name": name, "status": "pass"}])
 
 
-def identity_suite(a: Algebra, category: Optional[str] = None) -> Report:
-    """Run the identity tags of the (default: own) category tag."""
+def identity_suite(a: Algebra, category: Optional[str] = None,
+                   c: Optional[np.ndarray] = None) -> Report:
+    """Run the identity tags of the (default: own) category tag.  c, when
+    given, must be _integer_tensor(a), values and dtype, built by a caller
+    that holds the tensor in integers already."""
     cat = a.category if category is None else category
     if cat not in SUITES:
         raise InputError(f"unknown category {cat!r}")
     details = []
-    c = _integer_tensor(a)
+    if c is None:
+        c = _integer_tensor(a)
     for tag in SUITES[cat]:
         rep = _check_identity(a, tag, c)
         if not rep.passed:

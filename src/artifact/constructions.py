@@ -29,6 +29,13 @@ entries at the pivot columns, and P is in the span exactly when
 lam * P == P[:, pivots] @ (lam * basis), mod p over GF(p).  The
 condition 1/2 checks compare products of basis pairs the same way.
 
+The candidate keeps both integer arrays: the integer pairs, which the
+condition checks reuse, and the structure constants times lam^2 (reduced
+mod p over GF(p)).  semidirect_tensor places them, with the target's own
+integer tensor, as the four blocks of the semidirect product's integer
+tensor, so the pipeline's semidirect suite never converts the product's
+N^3 field scalars back to integers.
+
 Both the assembly and the products run on linalg.integer_array's rungs:
 float64 while the caller's bound on every value computed stays below 2^53,
 so each matmul is an exact BLAS dgemm, then int64, then Python ints.
@@ -41,8 +48,9 @@ numpy over GF(p), never floats.
 from __future__ import annotations
 
 import functools
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -60,6 +68,7 @@ from .algebra import (
     derived_subspace,
     identity_suite,
     make_algebra,
+    suite_bound,
 )
 from .linalg import (
     Matrix,
@@ -67,8 +76,10 @@ from .linalg import (
     basis_vector,
     express_in_rref_rows,
     integer_array,
+    magnitude,
     nonzero_mod,
     python_ints,
+    rung,
 )
 from .reporting import Report
 
@@ -142,6 +153,12 @@ class ActorAlgebra:
     tensor: tuple  # structure constants of the bracket/product in that basis
     basis_matrix: Matrix  # RREF rows over the flattened coordinates
     pivots: tuple
+    # (lam, lam * basis pairs), the integer pairs of _integer_pairs
+    pairs: tuple = field(compare=False, repr=False)
+    # (den, den * tensor) as an integer (dim, dim, dim) array: over GF(p)
+    # den is 1 and the array the narrowest unsigned dtype holding p - 1,
+    # over Q it is int64, or object once an entry is past int64
+    constants: tuple = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -287,19 +304,21 @@ _CONDITIONS = {
 }
 
 # the most products summed into one entry of anything compared below
-_TERMS = max([len(_signed(t)) for k in KIND_TABLE.values() for t in (k.bracket, k.right)]
-             + [len(_signed(lhs)) + len(_signed(rhs)) for _, _, lhs, rhs in _CONDITIONS.values()])
+_CLOSURE_TERMS = max(
+    [len(_signed(t)) for k in KIND_TABLE.values() for t in (k.bracket, k.right)]
+    + [len(_signed(lhs)) + len(_signed(rhs)) for _, _, lhs, rhs in _CONDITIONS.values()])
 
 
 def _integer_pairs(kind: str, basis_matrix: Matrix, n: int):
     """lam and lam times the basis pairs as an integer (m, k, n, n) array: k
     is 1 (left components) or 2 (left, right) as in the flattened layout.
     The dtype covers the closure check, the largest value computed from it:
-    P[:, pivots] @ (lam * basis), each P entry a sum of _TERMS * n products."""
+    P[:, pivots] @ (lam * basis), each P entry a sum of _CLOSURE_TERMS * n
+    products."""
     m = basis_matrix.nrows
     k = 1 if KIND_TABLE[kind].right in _FOLLOW else 2
     return integer_array(basis_matrix.field, basis_matrix.rows, (m, k, n, n),
-                         lambda big: (m + 1) * _TERMS * n * big ** 3)
+                         lambda big: (m + 1) * _CLOSURE_TERMS * n * big ** 3)
 
 
 def _pair_products(b: np.ndarray, text: str, s: int) -> np.ndarray:
@@ -315,12 +334,35 @@ def _pair_products(b: np.ndarray, text: str, s: int) -> np.ndarray:
 
 
 def _scalars(f, den: int, ints, memo: dict) -> Vector:
-    """The field scalars ints / den, ints from python_ints: over GF(p), where
-    den is 1, the ints themselves; over Q, Fractions, each made once."""
+    """The field scalars ints / den, ints Python ints: over GF(p), where den
+    is 1, the ints themselves; over Q, Fractions, each made once."""
     if f.p is not None:
         return tuple(ints)
     return tuple(memo[x] if x in memo else memo.setdefault(x, Fraction(x, den))
                  for x in ints)
+
+
+def _constants_array(f, m: int) -> np.ndarray:
+    """An empty (m, m, m) array for integer structure constants: over GF(p)
+    the narrowest unsigned dtype that holds p - 1 (object past uint64), over
+    Q int64."""
+    return np.zeros((m, m, m), np.int64 if f.p is None else np.min_scalar_type(f.p - 1))
+
+
+def _put_constants(consts: np.ndarray, s: int, coords: np.ndarray, p) -> np.ndarray:
+    """consts with consts[s] = coords, reduced mod p over GF(p).  Over Q an
+    entry past int64 turns the whole array into Python ints, so the
+    returned array may be a new one."""
+    if coords.dtype == np.float64:
+        coords = coords.astype(np.int64)  # an integer remainder is faster
+    if p is not None:
+        coords = coords % p
+    try:
+        consts[s] = coords
+    except OverflowError:
+        consts = consts.astype(object)
+        consts[s] = coords
+    return consts
 
 
 def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
@@ -333,12 +375,12 @@ def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
                                for k in range(0, len(row), nn)))
                  for row in basis_matrix.rows)
     m = len(maps)
-    lam, b = _integer_pairs(kind, basis_matrix, n)
+    pairs = _integer_pairs(kind, basis_matrix, n)
+    lam, b = pairs
     flat = b.reshape(m, b.shape[1] * nn)
     spec = KIND_TABLE[kind]
     texts = (spec.bracket,) if spec.right in _FOLLOW else (spec.bracket, spec.right)
-    memo = {}
-    tensor = []
+    consts = _constants_array(f, m)
     for s in range(m):
         prod = np.stack([_pair_products(b, text, s) for text in texts], axis=1)
         prod = prod.reshape(flat.shape)
@@ -347,9 +389,63 @@ def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
         if escaped.any():
             raise ClosureError(f"{kind}: product of basis pairs {s} and "
                                f"{int(escaped.argmax())} leaves the span")
-        tensor.append(tuple(_scalars(f, lam * lam, row, memo)
-                            for row in python_ints(coords, f.p)))
-    return ActorAlgebra(kind, A, maps, tuple(tensor), basis_matrix, pivots)
+        consts = _put_constants(consts, s, coords, f.p)
+    den, memo = lam * lam, {}
+    tensor = tuple(tuple(_scalars(f, den, row, memo) for row in plane.tolist())
+                   for plane in consts)
+    return ActorAlgebra(kind, A, maps, tensor, basis_matrix, pivots, pairs, (den, consts))
+
+
+def semidirect_tensor(actor: ActorAlgebra) -> np.ndarray:
+    """The integer tensor of the semidirect product along the candidate's
+    action: algebra._integer_tensor(actions.semidirect(actor.action_pair())),
+    values and dtype, placed from four integer blocks without reading a
+    scalar of the product.  With m = actor.dim, the candidate's basis first:
+
+        c[:m, :m, :m]      the structure constants
+        c[b, m + j, m + r] L_b[r][j], the left components
+        c[m + i, b, m + r] R_b[r][i], the right ones (+-L under _FOLLOW,
+                           mod p over GF(p))
+        c[m:, m:, m:]      the target's own tensor
+
+    Over Q each block is an integer array with its own lam, the lcm of its
+    entries' denominators: for the constants den / gcd(den, every entry),
+    for the pairs their lam, for the target its own.  Each block is scaled
+    to the lcm of the three, the lam of the whole product.  The dtype is the
+    rung of algebra.suite_bound at the largest scaled entry, as integer_array
+    picks it; each block is cast to it before it is scaled, which stays
+    exact on every rung because the bound covers every entry."""
+    A = actor.target
+    f, n, m = A.field, A.dim, actor.dim
+    den, consts = actor.constants
+    lam_pairs, pairs = actor.pairs
+    lam_a, ints_a = integer_array(f, A.tensor, (n, n, n), suite_bound(n))
+    g = den  # gcd(den, every entry); 1 over GF(p)
+    if g > 1:
+        g = math.gcd(g, *(consts.ravel().tolist() if consts.dtype == object else
+                          [int(np.gcd.reduce(consts.ravel()))]))  # 0 when empty
+    left = pairs[:, 0]
+    sign = _FOLLOW.get(KIND_TABLE[actor.kind].right)
+    right = pairs[:, 1] if sign is None else left if sign > 0 else -left
+    if f.p is not None and sign == -1:
+        right = right % f.p
+    lo, hi = slice(m), slice(m, None)
+    blocks = [((lo, lo, lo), consts if g == 1 else consts // g, den // g),
+              ((lo, hi, hi), left.transpose(0, 2, 1), lam_pairs),
+              ((hi, lo, hi), right.transpose(2, 0, 1), lam_pairs),
+              ((hi, hi, hi), ints_a, lam_a)]
+    lam = math.lcm(*(lam_block for _, _, lam_block in blocks))
+    tops = [magnitude(arr) for _, arr, _ in blocks]
+    big = max(top * (lam // lam_block) for top, (_, _, lam_block) in zip(tops, blocks))
+    out = np.zeros((m + n,) * 3, rung(suite_bound(m + n)(big)))
+    for top, (where, arr, lam_block) in zip(tops, blocks):
+        if out.dtype == object and arr.dtype == np.float64:
+            arr = arr.astype(np.int64)  # Python ints, not floats
+        view = out[where]
+        view[...] = arr
+        if top and lam != lam_block:
+            view *= lam // lam_block
+    return out
 
 
 def _construct(kind: str, A: Algebra, rows) -> ActorAlgebra:
@@ -405,7 +501,9 @@ def zero_actor(A: Algebra) -> ActorAlgebra:
     """The empty candidate acting trivially; the actor of any zero-product
     algebra in the module category."""
     f = A.field
-    return ActorAlgebra("zero", A, (), (), Matrix(f, ()), ())
+    basis_matrix = Matrix(f, ())
+    return ActorAlgebra("zero", A, (), (), basis_matrix, (),
+                        _integer_pairs("zero", basis_matrix, A.dim), (1, _constants_array(f, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +601,7 @@ def _condition_check(which: int, actor: ActorAlgebra) -> Report:
     key, label, lhs_text, rhs_text = _CONDITIONS[which]
     details = [{key: actor.dim}]
     f = actor.target.field
-    lam, b = _integer_pairs(actor.kind, actor.basis_matrix, actor.target.dim)
+    lam, b = actor.pairs
     for s in range(actor.dim):
         lhs = _pair_products(b, lhs_text, s)
         rhs = _pair_products(b, rhs_text, s)

@@ -6,6 +6,13 @@ forms the semidirect product along the candidate's induced action, and runs
 the category's identity suite on the result.  Existence of an actor is
 equivalent to that suite passing; the verdict carries the first failing
 identity and witness when it does not.
+
+The suite's integer tensor comes from constructions.semidirect_tensor,
+which places the integer arrays the closure already holds, rather than from
+converting the product's N^3 field scalars back; the product itself is
+still built, for the verdict and the exact witness sides.
+actions.crosscheck_semidirect keeps the conversion route as the independent
+oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .constructions import (
     condition2_check,
     derivations,
     multipliers,
+    semidirect_tensor,
     sufficient_conditions,
     zero_actor,
 )
@@ -105,7 +113,9 @@ def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
     act = actor.action_pair()
     prod = semidirect(act)
     notes = []
-    beta = identity_suite(prod, A.category)
+    # the product's scalars are for the verdict and the witness sides; the
+    # suite runs on the integer tensor placed from the candidate's blocks
+    beta = identity_suite(prod, A.category, c=semidirect_tensor(actor))
     if A.category == "commutative":
         # the multiplier candidate's right component is its left one, so
         # b*a = a*b holds by construction; the commutativity row of the

@@ -41,7 +41,7 @@ more, 27 x 9 0.12 -> 0.18 ms, 64 x 16 0.64 -> 0.44 ms, 81 x 18 0.81 ->
 matrices of the actor workloads; Intel Xeon, numpy 2.4 with OpenBLAS).
 
 The integer rung rule is written here, once: integer_array puts lam times
-a nested list of scalars on the cheapest exact numpy dtype (_rung), float64
+a nested list of scalars on the cheapest exact numpy dtype (rung), float64
 while the caller's bound stays below 2^53, then int64, then Python ints;
 nonzero_mod tests residues on it, and python_ints is the one way back to
 exact code.  algebra and constructions use them from here.
@@ -334,7 +334,7 @@ def _tall_rref_q(rows: list, nc: int) -> tuple[list, list]:
     v = [[y * (mu // a) for y in row] for row, a in zip(basis, heads)]
     big_v = max((abs(y) for row in v for y in row), default=0)
     big_x = max(int(x.max()), -int(x.min()))
-    dtype = _rung(big_x * (r * big_v + mu))
+    dtype = rung(big_x * (r * big_v + mu))
     x = x.astype(dtype)
     v = np.array(v, dtype=object).reshape(r, nc).astype(dtype)
     escaped = np.flatnonzero(((mu * x - x[:, pivots] @ v) != 0).any(axis=1))
@@ -466,7 +466,7 @@ def clear_denominators(values: Sequence[Scalar]) -> tuple[int, list[int]]:
 # integer arrays: the rung rule
 
 
-def _rung(top: int):
+def rung(top: int):
     """The cheapest dtype that holds every integer of magnitude below top
     exactly: float64 below 2^53 (every product and partial sum is then an
     integer that float64 holds exactly, in any summation order, so matmul
@@ -484,6 +484,11 @@ def _int_array(values, shape) -> np.ndarray:
         return np.array(values, dtype=object).reshape(shape)
 
 
+def magnitude(arr: np.ndarray) -> int:
+    """The largest magnitude in an integer-valued array, 0 if it is empty."""
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
 def integer_array(field: Field, values, shape, bound: Callable[[int], int]):
     """(lam, lam * values) as a numpy array of the given shape, values nested
     sequences of scalars and lam the lcm of their denominators (1 over GF(p),
@@ -491,14 +496,13 @@ def integer_array(field: Field, values, shape, bound: Callable[[int], int]):
 
     bound(big) is the caller's bound on the magnitude of everything it will
     compute from the array, given big, the largest magnitude in it; the
-    dtype is _rung(bound(big)), so all of that stays exact.
+    dtype is rung(bound(big)), so all of that stays exact.
     """
     lam = 1
     if field.p is None:
         lam, values = clear_denominators(np.array(values, dtype=object).ravel())
     ints = _int_array(values, shape)  # object only if the bound is past int64 too
-    top = bound(max(int(ints.max()), -int(ints.min())) if ints.size else 0)
-    return lam, ints.astype(_rung(top), copy=False)
+    return lam, ints.astype(rung(bound(magnitude(ints))), copy=False)
 
 
 def python_ints(arr: np.ndarray, p: Optional[int] = None) -> list:

@@ -3,7 +3,8 @@ bindings by name (perfbench/spans.py).  A refactor that drops or renames
 one of those bindings, or stops calling through it, breaks the benchmark;
 these tests catch that in the unit suite.  A traced run also gates exact
 counts against perfbench/golden.json, so the counts of one pipeline per
-candidate kind are pinned here too."""
+candidate kind are pinned here too, among them the semidirect suite's: a
+change to how the pipeline calls that suite fails here first."""
 
 import importlib.util
 import os
@@ -16,9 +17,11 @@ from artifact.fields import GF, QQ
 FIXTURES = {"sl2": sl2(), "a5_leibniz": a5_leibniz(), "m2_rationals": m2_rationals(),
             "truncated_poly2": truncated_poly(QQ, 2, "commutative")}
 
-# (linalg.rref_calls, linalg.nullspace_cells, constructions.closure_products)
-PINNED_COUNTS = {"sl2": (6, 297, 9), "a5_leibniz": (7, 208, 9),
-                 "m2_rationals": (6, 6272, 16), "truncated_poly2": (9, 240, 8)}
+PINNED_KEYS = ("linalg.rref_calls", "linalg.nullspace_cells", "constructions.closure_products",
+               "algebra.suite_bytes_computed", "actions.semidirect_dim_sum")
+PINNED_COUNTS = {"sl2": (6, 297, 9, 50976, 6), "a5_leibniz": (7, 208, 9, 21024, 5),
+                 "m2_rationals": (6, 6272, 16, 110592, 8),
+                 "truncated_poly2": (9, 240, 8, 8576, 4)}
 
 # GF(5) dim 3, seeds 0-5 (every strategy: Lie seed 5 is a rejection draw):
 # (linalg.rref_calls, algebra.suite_bytes_computed), gated on atlas-gf5
@@ -62,8 +65,7 @@ def test_traced_counts_of_fixture_pipelines_are_pinned():
             existence.actor_pipeline(a)
         finally:
             tracer.unpatch()
-        got = tuple(tracer.counts[k] for k in ("linalg.rref_calls", "linalg.nullspace_cells",
-                                               "constructions.closure_products"))
+        got = tuple(tracer.counts[k] for k in PINNED_KEYS)
         assert got == PINNED_COUNTS[name], name
 
 

@@ -18,14 +18,16 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from artifact import constructions
+from artifact.actions import semidirect
 from artifact.algebra import (IDENTITIES, SUITES, InputError, Subspace, _integer_tensor,
                              identity_suite, is_ideal, make_algebra)
 from artifact.constructions import (KIND_TABLE, BiMap, ClosureError,
                                     ConstructionError, actor_from_json,
                                     biderivations, bimultipliers, canonical_d,
                                     condition1_check, condition2_check,
-                                    crossed_module_check, derivations,
-                                    multipliers, sufficient_conditions,
+                                    construct, crossed_module_check,
+                                    derivations, multipliers,
+                                    semidirect_tensor, sufficient_conditions,
                                     zero_actor)
 from artifact.corpus import (_conjugate, _rand_invertible, a5_leibniz, abelian,
                              diagonal_algebra, dual_numbers, heisenberg,
@@ -502,6 +504,103 @@ def test_scalars_leaving_numpy_are_python_ints_or_fractions():
                 if not rep.passed:
                     _assert_scalars(f, rep.lhs + rep.rhs)
     assert rungs == {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
+
+
+# ---------------------------------------------------------------------------
+# the semidirect product's integer tensor, placed from the candidate's blocks
+# against the conversion of the product's field scalars
+
+# the kinds an algebra of each category is built as, besides the zero actor
+BLOCK_KINDS = {"lie": ("der",), "leibniz": ("bider1", "bider2"), "associative": ("bim",),
+               "commutative": ("mult", "bim"), "module": ()}
+BLOCK_FIELDS = (GF(2), GF(3), GF(5), GF(2 ** 31 - 1), QQ)
+BLOCK_SEEDS = {"lie": sl2, "leibniz": a5_leibniz, "associative": dual_numbers,
+               "commutative": lambda f: truncated_poly(f, 3, "commutative")}
+
+
+def _scaled(a, t):
+    """a with every structure constant times the nonzero scalar t: each
+    identity row is homogeneous, so a stays in its category."""
+    f = a.field
+    return make_algebra(f, a.basis, [[[f.mul(t, x) for x in v] for v in plane]
+                                     for plane in a.tensor], a.category)
+
+
+def _block_actors(a):
+    return [construct(kind, a) for kind in BLOCK_KINDS[a.category] + ("zero",)]
+
+
+def _assert_block_tensor(actor):
+    """semidirect_tensor equals the converted tensor, values and dtype; an
+    object array holds Python ints.  Returns the dtype."""
+    want = _integer_tensor(semidirect(actor.action_pair()))
+    got = semidirect_tensor(actor)
+    assert got.dtype == want.dtype and got.shape == want.shape, actor.kind
+    assert np.array_equal(got, want), actor.kind
+    if got.dtype == object:
+        assert all(type(x) is int for x in got.ravel())
+    return got.dtype
+
+
+@st.composite
+def block_algebras(draw):
+    f = draw(st.sampled_from(BLOCK_FIELDS))
+    category = draw(st.sampled_from(tuple(BLOCK_KINDS)))
+    n = draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 5)))
+    if n == 0 or category == "module" or draw(st.integers(0, 3)) == 0:
+        a = zero_algebra(f, n, category)
+    elif f.p and f.p > 5:  # rejection sampling finds nothing over a big field
+        a = BLOCK_SEEDS[category](f)
+        a = _conjugate(a, _rand_invertible(rng, f, a.dim))
+    else:
+        a = sample_algebra(rng, f, n, category)
+    if f.p is None:  # BIG_Q and its inverse take Q to the object rung
+        t = draw(st.sampled_from((Fraction(1), Fraction(-2, 3), BIG_Q, 1 / BIG_Q)))
+    else:
+        t = f.from_int(draw(st.integers(1, f.p - 1)))
+    return _scaled(a, t)
+
+
+@settings(max_examples=200)
+@given(block_algebras())
+def test_semidirect_tensor_equals_the_converted_tensor(a):
+    for actor in _block_actors(a):
+        _assert_block_tensor(actor)
+
+
+def test_semidirect_tensor_covers_dims_0_and_1_and_every_rung():
+    rungs = set()
+    for f in BLOCK_FIELDS:
+        algebras = [zero_algebra(f, n, cat) for n in (0, 1) for cat in BLOCK_KINDS]
+        algebras += [sample_algebra(random.Random(seed), f, 1, cat)
+                     for cat in BLOCK_KINDS for seed in range(3)]
+        algebras += [sl2(f), a5_leibniz(f), dual_numbers(f), truncated_poly(f, 3, "commutative")]
+        if f.p is None:
+            algebras += [m2_rationals()] + [_scaled(a, t) for a in (sl2(), dual_numbers())
+                                            for t in (Fraction(3 ** 17), BIG_Q, 1 / BIG_Q)]
+        for a in algebras:
+            rungs |= {(str(f), _assert_block_tensor(actor).name) for actor in _block_actors(a)}
+    assert {("GF(2147483647)", "object"), ("GF(5)", "float64"), ("Q", "float64"),
+            ("Q", "int64"), ("Q", "object")} <= rungs
+
+
+def test_identity_suite_gives_the_same_report_on_the_block_tensor():
+    algebras = [sl2(), heisenberg(), a5_leibniz(), m2_rationals(), dual_numbers(),
+                truncated_poly(QQ, 3, "commutative"), sl2(GF(3)), a5_leibniz(GF(5))]
+    for f in (GF(2), GF(5), QQ):
+        algebras += [zero_algebra(f, n, cat) for n in (0, 1, 2) for cat in BLOCK_KINDS]
+        algebras += [sample_algebra(random.Random(seed), f, n, cat)
+                     for cat in ("lie", "leibniz", "associative", "commutative")
+                     for n in (1, 2, 3) for seed in range(4)]
+    failed = 0
+    for a in algebras:
+        for actor in _block_actors(a):
+            prod = semidirect(actor.action_pair())
+            want = identity_suite(prod, a.category)
+            assert identity_suite(prod, a.category, c=semidirect_tensor(actor)) == want
+            failed += not want.passed
+    assert failed >= 20  # witnesses and their sides are compared too
 
 
 def test_kind_category_guards():

@@ -50,25 +50,30 @@ def test_verdict_not_exists_carries_witness():
 
 
 def test_gf5_zero_leibniz_dim6_pipeline_stays_small():
-    # the semidirect product has dim 78: one whole 78^4 int64 array is 296 MB.
-    # VmHWM is the child's own peak; ru_maxrss would carry over the peak of
-    # the process that started it, here the test runner's.
+    # the zero Leibniz and associative algebras of dim 6 both have semidirect
+    # products of dim 78: one whole 78^4 int64 array is 296 MB.  VmHWM is the
+    # child's own peak, over both; ru_maxrss would carry over the peak of the
+    # process that started it, here the test runner's.
     code = ("import json\n"
             "from artifact.corpus import zero_algebra\n"
             "from artifact.existence import actor_pipeline\n"
             "from artifact.fields import GF\n"
-            "v = actor_pipeline(zero_algebra(GF(5), 6, 'leibniz'))\n"
+            "vs = [actor_pipeline(zero_algebra(GF(5), 6, c))\n"
+            "      for c in ('leibniz', 'associative')]\n"
             "rss_kb = int(next(line.split()[1] for line in open('/proc/self/status')\n"
             "                  if line.startswith('VmHWM:')))\n"
-            "print(json.dumps([v.status, v.failure, rss_kb]))\n")
+            "out = [[v.status, v.semidirect_dim, v.failure] for v in vs]\n"
+            "print(json.dumps(out + [rss_kb]))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=300, check=True)
-    status, failure, rss_kb = json.loads(proc.stdout)
-    assert status == "not-exists"
-    assert failure == {"label": "[x,[y,z]] = [[x,y],z]-[[x,z],y]", "witness": [0, 0, 0]}
+    leibniz, associative, rss_kb = json.loads(proc.stdout)
+    assert leibniz == ["not-exists", 78, {"label": "[x,[y,z]] = [[x,y],z]-[[x,z],y]",
+                                          "witness": [0, 0, 0]}]
+    assert associative == ["not-exists", 78, {"label": "(x*y)*z = x*(y*z)",
+                                              "witness": [0, 72, 42]}]
     assert rss_kb < 150 * 1024
 
 
