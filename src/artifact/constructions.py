@@ -30,19 +30,19 @@ lam * P == P[:, pivots] @ (lam * basis), mod p over GF(p).  The
 condition 1/2 checks compare products of basis pairs the same way.
 
 The candidate keeps both integer arrays: the integer pairs, which the
-condition checks reuse, and the structure constants times lam^2 (reduced
-mod p over GF(p)).  semidirect_tensor places them, with the target's own
-integer tensor, as the four blocks of the semidirect product's integer
-tensor, so the pipeline's semidirect suite never converts the product's
-N^3 field scalars back to integers.
+condition checks reuse, and the structure constants times lam^2 as
+linalg.exact_ints gives them (reduced mod p over GF(p)).  semidirect_tensor
+places them, with the target's own integer tensor, as the four blocks of
+the semidirect product's integer tensor, so the pipeline's semidirect suite
+never converts the product's N^3 field scalars back to integers.
 
 Both the assembly and the products run on linalg.integer_array's rungs:
 float64 while the caller's bound on every value computed stays below 2^53,
-so each matmul is an exact BLAS dgemm, then int64, then Python ints.
-Differences are tested by linalg.nonzero_mod, and every value handed back
-to exact code (constraint rows, structure constants, condition witnesses)
-leaves numpy through linalg.python_ints: Python ints, reduced mod p in
-numpy over GF(p), never floats.
+so each matmul is an exact BLAS dgemm, then int64, then Python ints.  The
+module keeps no dtype or residue code of its own: differences are tested by
+linalg.nonzero_mod, residues taken by linalg.exact_ints, and every value
+handed back to exact code (constraint rows, structure constants, condition
+witnesses) leaves numpy through linalg.python_ints, never as floats.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ from .linalg import (
     Matrix,
     Vector,
     basis_vector,
+    exact_dtype,
+    exact_ints,
     express_in_rref_rows,
     integer_array,
     magnitude,
@@ -155,9 +157,9 @@ class ActorAlgebra:
     pivots: tuple
     # (lam, lam * basis pairs), the integer pairs of _integer_pairs
     pairs: tuple = field(compare=False, repr=False)
-    # (den, den * tensor) as an integer (dim, dim, dim) array: over GF(p)
-    # den is 1 and the array the narrowest unsigned dtype holding p - 1,
-    # over Q it is int64, or object once an entry is past int64
+    # (den, den * tensor) as an integer (dim, dim, dim) array of
+    # linalg.exact_dtype: over GF(p) den is 1 and the dtype the narrowest
+    # unsigned one holding p - 1, over Q int64, or object with the pairs
     constants: tuple = field(compare=False, repr=False)
 
     @property
@@ -342,29 +344,6 @@ def _scalars(f, den: int, ints, memo: dict) -> Vector:
                  for x in ints)
 
 
-def _constants_array(f, m: int) -> np.ndarray:
-    """An empty (m, m, m) array for integer structure constants: over GF(p)
-    the narrowest unsigned dtype that holds p - 1 (object past uint64), over
-    Q int64."""
-    return np.zeros((m, m, m), np.int64 if f.p is None else np.min_scalar_type(f.p - 1))
-
-
-def _put_constants(consts: np.ndarray, s: int, coords: np.ndarray, p) -> np.ndarray:
-    """consts with consts[s] = coords, reduced mod p over GF(p).  Over Q an
-    entry past int64 turns the whole array into Python ints, so the
-    returned array may be a new one."""
-    if coords.dtype == np.float64:
-        coords = coords.astype(np.int64)  # an integer remainder is faster
-    if p is not None:
-        coords = coords % p
-    try:
-        consts[s] = coords
-    except OverflowError:
-        consts = consts.astype(object)
-        consts[s] = coords
-    return consts
-
-
 def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
     f, n = A.field, A.dim
     nn = n * n
@@ -380,7 +359,8 @@ def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
     flat = b.reshape(m, b.shape[1] * nn)
     spec = KIND_TABLE[kind]
     texts = (spec.bracket,) if spec.right in _FOLLOW else (spec.bracket, spec.right)
-    consts = _constants_array(f, m)
+    # the pairs' rung holds every coordinate, so exact_dtype holds them all
+    consts = np.zeros((m, m, m), exact_dtype(f.p, b.dtype))
     for s in range(m):
         prod = np.stack([_pair_products(b, text, s) for text in texts], axis=1)
         prod = prod.reshape(flat.shape)
@@ -389,7 +369,7 @@ def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
         if escaped.any():
             raise ClosureError(f"{kind}: product of basis pairs {s} and "
                                f"{int(escaped.argmax())} leaves the span")
-        consts = _put_constants(consts, s, coords, f.p)
+        consts[s] = exact_ints(coords, f.p)
     den, memo = lam * lam, {}
     tensor = tuple(tuple(_scalars(f, den, row, memo) for row in plane.tolist())
                    for plane in consts)
@@ -420,27 +400,21 @@ def semidirect_tensor(actor: ActorAlgebra) -> np.ndarray:
     den, consts = actor.constants
     lam_pairs, pairs = actor.pairs
     lam_a, ints_a = integer_array(f, A.tensor, (n, n, n), suite_bound(n))
-    g = den  # gcd(den, every entry); 1 over GF(p)
-    if g > 1:
-        g = math.gcd(g, *(consts.ravel().tolist() if consts.dtype == object else
-                          [int(np.gcd.reduce(consts.ravel()))]))  # 0 when empty
+    # gcd(den, every entry), the gcd of none being 0; den is 1 over GF(p)
+    g = math.gcd(den, int(np.gcd.reduce(consts, axis=None))) if den > 1 else 1
     left = pairs[:, 0]
     sign = _FOLLOW.get(KIND_TABLE[actor.kind].right)
     right = pairs[:, 1] if sign is None else left if sign > 0 else -left
-    if f.p is not None and sign == -1:
-        right = right % f.p
     lo, hi = slice(m), slice(m, None)
     blocks = [((lo, lo, lo), consts if g == 1 else consts // g, den // g),
-              ((lo, hi, hi), left.transpose(0, 2, 1), lam_pairs),
-              ((hi, lo, hi), right.transpose(2, 0, 1), lam_pairs),
-              ((hi, hi, hi), ints_a, lam_a)]
+              ((lo, hi, hi), exact_ints(left).transpose(0, 2, 1), lam_pairs),
+              ((hi, lo, hi), exact_ints(right, f.p).transpose(2, 0, 1), lam_pairs),
+              ((hi, hi, hi), exact_ints(ints_a), lam_a)]
     lam = math.lcm(*(lam_block for _, _, lam_block in blocks))
     tops = [magnitude(arr) for _, arr, _ in blocks]
     big = max(top * (lam // lam_block) for top, (_, _, lam_block) in zip(tops, blocks))
     out = np.zeros((m + n,) * 3, rung(suite_bound(m + n)(big)))
     for top, (where, arr, lam_block) in zip(tops, blocks):
-        if out.dtype == object and arr.dtype == np.float64:
-            arr = arr.astype(np.int64)  # Python ints, not floats
         view = out[where]
         view[...] = arr
         if top and lam != lam_block:
@@ -502,8 +476,9 @@ def zero_actor(A: Algebra) -> ActorAlgebra:
     algebra in the module category."""
     f = A.field
     basis_matrix = Matrix(f, ())
+    pairs = _integer_pairs("zero", basis_matrix, A.dim)
     return ActorAlgebra("zero", A, (), (), basis_matrix, (),
-                        _integer_pairs("zero", basis_matrix, A.dim), (1, _constants_array(f, 0)))
+                        pairs, (1, np.zeros((0, 0, 0), exact_dtype(f.p, pairs[1].dtype))))
 
 
 # ---------------------------------------------------------------------------

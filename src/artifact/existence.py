@@ -81,9 +81,9 @@ def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
     Dispatch: lie -> derivations, associative -> bimultipliers, leibniz ->
     biderivations (bracket variant selectable), commutative -> multipliers
     (whose induced action is symmetric by construction), module
-    -> the zero candidate.  For the alternative category no general
-    candidate yields an actor for any algebra, so the verdict is the
-    three-state "unsupported-general" with no per-instance witness.
+    -> the zero candidate.  The alternative category has no candidate
+    here yet, so its verdict is the three-state "unsupported-general",
+    with no per-instance witness.
     """
     own = identity_suite(A)
     if not own.passed:

@@ -42,9 +42,13 @@ matrices of the actor workloads; Intel Xeon, numpy 2.4 with OpenBLAS).
 
 The integer rung rule is written here, once: integer_array puts lam times
 a nested list of scalars on the cheapest exact numpy dtype (rung), float64
-while the caller's bound stays below 2^53, then int64, then Python ints;
-nonzero_mod tests residues on it, and python_ints is the one way back to
-exact code.  algebra and constructions use them from here.
+while the caller's bound stays below 2^53, then int64, then Python ints.
+So is the residue rule: exact_ints takes an array on any rung to exact
+integers, reduced into [0, p) over GF(p), never by a float remainder nor in
+a dtype too narrow for p, so every prime field_from_json accepts gets the
+same exact answer.  nonzero_mod and python_ints, the one way back to exact
+code, are built on it; algebra and constructions keep no dtype or residue
+code of their own.
 
 bilinear is the one exact sparse bilinear product, sum_ij u_i v_j t[i][j]:
 an algebra's multiplication and both sides of an action are calls to it.
@@ -323,7 +327,7 @@ def _tall_rref_q(rows: list, nc: int) -> tuple[list, list]:
     rows and the exact loop runs once more."""
     n = len(rows)
     x = _int_array(rows, (n, nc))
-    selected, order = _rref_mod((x % SELECT_PRIME).astype(np.float64), SELECT_PRIME)
+    selected, order = _rref_mod(exact_ints(x, SELECT_PRIME).astype(np.float64), SELECT_PRIME)
     basis = [rows[i] for i in order[:len(selected)]]
     pivots = _gauss_jordan(basis, nc, None)
     r = len(pivots)
@@ -505,16 +509,35 @@ def integer_array(field: Field, values, shape, bound: Callable[[int], int]):
     return lam, ints.astype(rung(bound(magnitude(ints))), copy=False)
 
 
-def python_ints(arr: np.ndarray, p: Optional[int] = None) -> list:
-    """The entries of an integer-valued array of integer_array's dtypes as
-    nested lists of Python ints, reduced into [0, p) when p is set.  Every
-    value leaving numpy for exact code goes through here, so no float or
-    numpy scalar reaches a Matrix, a Report or the JSON output."""
+def exact_dtype(p: Optional[int], dtype) -> np.dtype:
+    """The narrowest dtype holding exact_ints(arr, p) for arr of this dtype:
+    over GF(p) the unsigned one holding p - 1 (object past uint64), over Q
+    int64, or object with arr."""
+    if p is not None:
+        return np.min_scalar_type(p - 1)
+    return np.dtype(object if dtype == object else np.int64)
+
+
+def exact_ints(arr: np.ndarray, p: Optional[int] = None) -> np.ndarray:
+    """An integer-valued array on any rung as exact integers, int64 or
+    Python ints, reduced into [0, p) when p is set: float64, below 2^53 by
+    the rung rule, is cast to int64 first, and a p past int64 reduces
+    Python ints."""
     if arr.dtype == np.float64:
         arr = arr.astype(np.int64)
     if p is not None:
+        if p >= 2 ** 63 and arr.dtype != object:
+            arr = arr.astype(object)
         arr = arr % p
-    return arr.tolist()
+    return arr
+
+
+def python_ints(arr: np.ndarray, p: Optional[int] = None) -> list:
+    """The entries of an integer-valued array on any rung as nested lists
+    of Python ints, reduced into [0, p) when p is set.  Every value leaving
+    numpy for exact code goes through here, so no float or numpy scalar
+    reaches a Matrix, a Report or the JSON output."""
+    return exact_ints(arr, p).tolist()
 
 
 def _multiple_near(acc: np.ndarray, p: int) -> np.ndarray:
@@ -536,12 +559,12 @@ def _centre(acc: np.ndarray, p: int) -> None:
 
 
 def nonzero_mod(acc: np.ndarray, p: Optional[int]) -> np.ndarray:
-    """acc != 0 (mod p, if p is set) as a bool array; acc is overwritten.
-    On float64 the test is acc != _multiple_near(acc, p), exact for
-    integer-valued |acc| < 2^53, which integer_array's bound guarantees."""
+    """acc != 0 (mod p, if p is set) as a bool array.  On float64 the test
+    is acc != _multiple_near(acc, p), exact for integer-valued |acc| < 2^53,
+    which integer_array's bound guarantees, whatever p: past 2^53 the
+    rounded quotient is 0 or +-1, and only acc == 0 meets its product."""
     if p is None:
         return acc != 0
     if acc.dtype != np.float64:
-        np.remainder(acc, p, out=acc)
-        return acc != 0
+        return exact_ints(acc, p) != 0
     return acc != _multiple_near(acc, p)

@@ -513,7 +513,10 @@ def test_scalars_leaving_numpy_are_python_ints_or_fractions():
 # the kinds an algebra of each category is built as, besides the zero actor
 BLOCK_KINDS = {"lie": ("der",), "leibniz": ("bider1", "bider2"), "associative": ("bim",),
                "commutative": ("mult", "bim"), "module": ()}
-BLOCK_FIELDS = (GF(2), GF(3), GF(5), GF(2 ** 31 - 1), QQ)
+# 2^61 - 1 is past the float64 rung and 18446744073709551629 past uint64:
+# residues there are exact only if they are never taken in float or int64
+BLOCK_FIELDS = (GF(2), GF(3), GF(5), GF(2 ** 31 - 1), GF(2 ** 61 - 1),
+                GF(18446744073709551629), QQ)
 BLOCK_SEEDS = {"lie": sl2, "leibniz": a5_leibniz, "associative": dual_numbers,
                "commutative": lambda f: truncated_poly(f, 3, "commutative")}
 
@@ -581,8 +584,9 @@ def test_semidirect_tensor_covers_dims_0_and_1_and_every_rung():
                                             for t in (Fraction(3 ** 17), BIG_Q, 1 / BIG_Q)]
         for a in algebras:
             rungs |= {(str(f), _assert_block_tensor(actor).name) for actor in _block_actors(a)}
-    assert {("GF(2147483647)", "object"), ("GF(5)", "float64"), ("Q", "float64"),
-            ("Q", "int64"), ("Q", "object")} <= rungs
+    assert {("GF(2147483647)", "object"), ("GF(2305843009213693951)", "object"),
+            ("GF(18446744073709551629)", "object"), ("GF(5)", "float64"),
+            ("Q", "float64"), ("Q", "int64"), ("Q", "object")} <= rungs
 
 
 def test_identity_suite_gives_the_same_report_on_the_block_tensor():

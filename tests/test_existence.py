@@ -49,6 +49,47 @@ def test_verdict_not_exists_carries_witness():
     assert not v.condition_status.passed
 
 
+# primes on both sides of 2^53 (float64), 2^63 (int64) and 2^64 (uint64),
+# all accepted by field_from_json: the verdict may not depend on which
+WIDE_PRIMES = (2 ** 31 - 1, 2 ** 61 - 1, 9223372036854775783, 9223372036854775837,
+               18446744073709551629)
+
+
+def _verdict_key(v):
+    c = v.condition_status
+    return (v.status, v.actor_kind, v.actor_dim, v.semidirect_dim, v.failure,
+            None if c is None else (c.passed, c.label, c.witness))
+
+
+def test_verdict_does_not_depend_on_the_prime():
+    builders = [lambda f, cat=cat: zero_algebra(f, 2, cat)
+                for cat in ("lie", "associative", "leibniz", "commutative")]
+    builders += [sl2, a5_leibniz] + [lambda f, cat=cat: truncated_poly(f, 3, cat)
+                                     for cat in ("commutative", "associative")]
+    exists = 0
+    for build in builders:
+        keys = [_verdict_key(actor_pipeline(build(GF(p)))) for p in WIDE_PRIMES]
+        assert all(k == keys[0] for k in keys), keys
+        exists += keys[0][0] == "exists"
+    assert 0 < exists < len(builders)  # both answers are compared
+
+
+def test_suite_and_cli_past_uint64(tmp_path):
+    # b*b = 2^26 a puts the suite on the int64 rung, whose residues mod a
+    # prime past 2^64 are taken on Python ints
+    p = 18446744073709551629
+    a = make_algebra_from_products(GF(p), ("a", "b"), {(1, 1): (2 ** 26, 0)}, "leibniz")
+    assert identity_suite(a).passed
+    path = tmp_path / "leibniz.json"
+    path.write_text(json.dumps({"field": {"p": p}, "dim": 2, "basis": ["a", "b"],
+                                "category": "leibniz",
+                                "products": [{"i": 1, "j": 1, "v": [2 ** 26, 0]}]}))
+    for command in ("check", "actor"):
+        proc = subprocess.run([sys.executable, "-m", "artifact", command, str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 def test_gf5_zero_leibniz_dim6_pipeline_stays_small():
     # the zero Leibniz and associative algebras of dim 6 both have semidirect
     # products of dim 78: one whole 78^4 int64 array is 296 MB.  VmHWM is the

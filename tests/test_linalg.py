@@ -297,6 +297,29 @@ def test_mod_p_kernel_at_the_selection_prime_equals_sympy():
     assert sympy_rref(GF(q), [rows[i] for i in order[:rank]], 100) == (red[:rank], piv)
 
 
+@pytest.mark.parametrize("p", [None, 5, 2 ** 31 - 1, 2 ** 61 - 1, 9223372036854775783,
+                               9223372036854775837, 18446744073709551629])
+def test_residues_are_exact_on_every_rung_for_every_prime(p):
+    # the same integers on the three rungs; Python's % is the oracle
+    values = [0, 1, -1, 7, -2 ** 52 + 3, 2 ** 52 - 5]
+    want = [x if p is None else x % p for x in values]
+    big = [x * 2 ** 9 for x in values]  # past 2^53, exact on int64 only
+    big_want = [x if p is None else x % p for x in big]
+    for arr, expect in ((np.array(values, np.float64), want),
+                        (np.array(values, np.int64), want),
+                        (np.array(big, np.int64), big_want),
+                        (np.array(values, object), want)):
+        got = linalg.exact_ints(arr, p)
+        assert got.dtype in (np.int64, object)
+        assert np.array(expect, linalg.exact_dtype(p, arr.dtype)).tolist() == expect
+        assert linalg.python_ints(arr, p) == expect
+        assert all(type(x) is int for x in linalg.python_ints(arr, p))
+        assert linalg.nonzero_mod(arr.copy(), p).tolist() == [x != 0 for x in expect]
+    assert linalg.exact_dtype(5, np.float64) == np.uint8
+    assert linalg.exact_dtype(None, np.float64) == np.int64
+    assert linalg.exact_dtype(18446744073709551629, np.float64) == object
+
+
 def test_tall_front_end_never_imports_numpy_random():
     # a sampled GF(5) dim-5 Leibniz algebra: its 375 x 50 constraint matrix
     # takes the front end, whose sketch is hashed with integer arithmetic;
