@@ -2,9 +2,9 @@
 structure-constant algebras and small finite groups."""
 
 from .fields import QQ, GF, Field, FieldError, field_from_json
-from .linalg import LinAlgError, Matrix, basis_vector, express_in_rref_rows
+from .linalg import LinAlgError, Matrix, Subspace, basis_vector
 from .reporting import Report
-from .algebra import (CATEGORIES, SUITES, Algebra, InputError, Subspace,
+from .algebra import (CATEGORIES, SUITES, Algebra, InputError,
                       algebra_from_json, annihilator, check_identity,
                       derived_subspace, identity_suite, is_ideal,
                       make_algebra, make_algebra_from_products, quotient)

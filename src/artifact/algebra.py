@@ -39,13 +39,12 @@ import numpy as np
 from .fields import Field, InputError, field_from_json, read_nested
 from .linalg import (
     Matrix,
+    Subspace,
     Vector,
     basis_vector,
     bilinear,
-    express_in_rref_rows,
     integer_array,
     nonzero_mod,
-    reduce_by_rref_rows,
     vec_add,
     vec_is_zero,
     vec_neg,
@@ -356,32 +355,6 @@ def identity_suite(a: Algebra, category: Optional[str] = None,
 # subspaces, annihilator, derived subspace, ideals, quotients
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace of coordinate space, basis rows kept in RREF."""
-
-    ambient: int
-    basis: Matrix
-    pivots: tuple[int, ...]
-
-    @classmethod
-    def from_spanning(cls, field: Field, ambient: int, rows) -> "Subspace":
-        if not rows:
-            return cls(ambient, Matrix(field, ()), ())
-        red, piv = Matrix.from_rows(field, rows).rref()
-        return cls(ambient, Matrix(field, red.rows[: len(piv)]), piv)
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def contains(self, v: Vector) -> bool:
-        return self.coords(v) is not None
-
-    def coords(self, v: Vector) -> Optional[Vector]:
-        return express_in_rref_rows(self.basis, self.pivots, v)
-
-
 def annihilator(a: Algebra) -> Subspace:
     """{x : x*e_j = 0 and e_j*x = 0 for all j}, canonical basis."""
     f = a.field
@@ -435,7 +408,7 @@ def quotient(a: Algebra, ideal: Subspace) -> tuple[Algebra, Matrix]:
     qcols = [c for c in range(n) if c not in pivset]
 
     def project(v: Vector) -> Vector:
-        residual = reduce_by_rref_rows(ideal.basis, ideal.pivots, v)[1]
+        residual = ideal.residual(v)
         return tuple(residual[q] for q in qcols)
 
     qdim = len(qcols)

@@ -72,11 +72,11 @@ from .algebra import (
 )
 from .linalg import (
     Matrix,
+    Subspace,
     Vector,
     basis_vector,
     exact_dtype,
     exact_ints,
-    express_in_rref_rows,
     integer_array,
     magnitude,
     nonzero_mod,
@@ -153,8 +153,7 @@ class ActorAlgebra:
     target: Algebra
     maps: tuple  # basis BiMaps
     tensor: tuple  # structure constants of the bracket/product in that basis
-    basis_matrix: Matrix  # RREF rows over the flattened coordinates
-    pivots: tuple
+    span: Subspace  # the canonical basis over the flattened coordinates
     # (lam, lam * basis pairs), the integer pairs of _integer_pairs
     pairs: tuple = field(compare=False, repr=False)
     # (den, den * tensor) as an integer (dim, dim, dim) array of
@@ -188,7 +187,7 @@ class ActorAlgebra:
         breaks that rule is outside the span."""
         if _pair(self.kind, bm.left, bm.right) != bm:
             return None
-        return express_in_rref_rows(self.basis_matrix, self.pivots, _flatten(self.kind, bm))
+        return self.span.coords(_flatten(self.kind, bm))
 
     def to_json(self) -> dict:
         f = self.target.field
@@ -311,15 +310,15 @@ _CLOSURE_TERMS = max(
     + [len(_signed(lhs)) + len(_signed(rhs)) for _, _, lhs, rhs in _CONDITIONS.values()])
 
 
-def _integer_pairs(kind: str, basis_matrix: Matrix, n: int):
+def _integer_pairs(kind: str, basis: Matrix, n: int):
     """lam and lam times the basis pairs as an integer (m, k, n, n) array: k
     is 1 (left components) or 2 (left, right) as in the flattened layout.
     The dtype covers the closure check, the largest value computed from it:
     P[:, pivots] @ (lam * basis), each P entry a sum of _CLOSURE_TERMS * n
     products."""
-    m = basis_matrix.nrows
+    m = basis.nrows
     k = 1 if KIND_TABLE[kind].right in _FOLLOW else 2
-    return integer_array(basis_matrix.field, basis_matrix.rows, (m, k, n, n),
+    return integer_array(basis.field, basis.rows, (m, k, n, n),
                          lambda big: (m + 1) * _CLOSURE_TERMS * n * big ** 3)
 
 
@@ -347,24 +346,23 @@ def _scalars(f, den: int, ints, memo: dict) -> Vector:
 def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
     f, n = A.field, A.dim
     nn = n * n
-    null = Matrix.from_rows(f, constraint_rows).nullspace()
-    basis_matrix, pivots = null.rref()
-    basis_matrix = Matrix(f, basis_matrix.rows[: len(pivots)])
-    maps = tuple(_pair(kind, *(_unflatten(f, n, row[k:k + nn])
-                               for k in range(0, len(row), nn)))
-                 for row in basis_matrix.rows)
-    m = len(maps)
-    pairs = _integer_pairs(kind, basis_matrix, n)
-    lam, b = pairs
-    flat = b.reshape(m, b.shape[1] * nn)
     spec = KIND_TABLE[kind]
     texts = (spec.bracket,) if spec.right in _FOLLOW else (spec.bracket, spec.right)
+    null = Matrix.from_rows(f, constraint_rows).nullspace()
+    span = Subspace.spanned_by(null, len(texts) * nn)
+    maps = tuple(_pair(kind, *(_unflatten(f, n, row[k:k + nn])
+                               for k in range(0, len(row), nn)))
+                 for row in span.basis.rows)
+    m = len(maps)
+    pairs = _integer_pairs(kind, span.basis, n)
+    lam, b = pairs
+    flat = b.reshape(m, b.shape[1] * nn)
     # the pairs' rung holds every coordinate, so exact_dtype holds them all
     consts = np.zeros((m, m, m), exact_dtype(f.p, b.dtype))
     for s in range(m):
         prod = np.stack([_pair_products(b, text, s) for text in texts], axis=1)
         prod = prod.reshape(flat.shape)
-        coords = prod[:, list(pivots)]
+        coords = prod[:, list(span.pivots)]
         escaped = nonzero_mod(lam * prod - coords @ flat, f.p).any(axis=1)
         if escaped.any():
             raise ClosureError(f"{kind}: product of basis pairs {s} and "
@@ -373,7 +371,7 @@ def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
     den, memo = lam * lam, {}
     tensor = tuple(tuple(_scalars(f, den, row, memo) for row in plane.tolist())
                    for plane in consts)
-    return ActorAlgebra(kind, A, maps, tensor, basis_matrix, pivots, pairs, (den, consts))
+    return ActorAlgebra(kind, A, maps, tensor, span, pairs, (den, consts))
 
 
 def semidirect_tensor(actor: ActorAlgebra) -> np.ndarray:
@@ -475,10 +473,10 @@ def zero_actor(A: Algebra) -> ActorAlgebra:
     """The empty candidate acting trivially; the actor of any zero-product
     algebra in the module category."""
     f = A.field
-    basis_matrix = Matrix(f, ())
-    pairs = _integer_pairs("zero", basis_matrix, A.dim)
-    return ActorAlgebra("zero", A, (), (), basis_matrix, (),
-                        pairs, (1, np.zeros((0, 0, 0), exact_dtype(f.p, pairs[1].dtype))))
+    span = Subspace(A.dim ** 2, Matrix(f, ()), ())
+    pairs = _integer_pairs("zero", span.basis, A.dim)
+    return ActorAlgebra("zero", A, (), (), span, pairs,
+                        (1, np.zeros((0, 0, 0), exact_dtype(f.p, pairs[1].dtype))))
 
 
 # ---------------------------------------------------------------------------

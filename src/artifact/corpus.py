@@ -34,9 +34,10 @@ from .algebra import (Algebra, InputError, identity_suite, make_algebra,
 from .actions import ActionPair, make_action
 from .existence import actor_pipeline
 from .fields import QQ, Field, PrimeField
+from .groups import CapError
 from .linalg import Matrix
 
-_ATTEMPTS = 50000  # rejection bound per sample; hit only on solver bugs
+_ATTEMPTS = 50000  # rejection bound per draw; a Q rejection draw can use it up
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +248,8 @@ def _sample(rng, field, n, category) -> Algebra:
                 rng, field, n, range(n), range(n), row.reject), category)
             if identity_suite(a).passed:
                 return a
-        raise RuntimeError(f"rejection sampling found no {category} tensor "
-                           f"in {_ATTEMPTS} draws at dim {n}")
+        raise CapError(f"rejection sampling found no {category} tensor "
+                       f"in {_ATTEMPTS} draws at dim {n}")
     if s == 0:
         v = n - rng.randrange(1, n + 1)
         tensor = _draw_tensor(rng, field, n, range(v), range(v, n), row.twostep)
@@ -308,7 +309,7 @@ def generate_atlas(field: Field, dim: int, category: str, samples: int,
             rec = {"index": i, "algebra": a.to_json()}
             try:
                 v = actor_pipeline(a)
-                rec["verdict"] = v.to_json()
+                rec["verdict"] = v.to_json(field.to_json)
                 counts[v.status] += 1
             except Exception as exc:  # surfaced per instance, run continues
                 rec["error"] = f"{type(exc).__name__}: {exc}"

@@ -10,10 +10,16 @@ its entries rather than by the previous pivot, which keeps every row
 primitive; Fractions are made only at the end, each pivot row divided by its
 pivot.  Over GF(p) the pivot row is scaled by its inverse and an update
 touches only its nonzero columns.  The RREF is unique, so nullspace and
-row-space bases are canonical and two equal subspaces always produce
-identical basis matrices, comparable with ==.  Over Q rows of Python ints
-are accepted as they are (lam = 1), so a caller may hand in rows already
-scaled to integers; the output is in Fractions either way.
+span bases are canonical and two equal subspaces always produce identical
+basis matrices, comparable with ==.  Over Q rows of Python ints are
+accepted as they are (lam = 1), so a caller may hand in rows already scaled
+to integers; the output is in Fractions either way.
+
+Subspace is the one RREF span: it alone holds a canonical basis together
+with its pivot columns.  The actor candidate of constructions and the
+annihilator, derived subspace and ideals of algebra are Subspaces, and
+coordinates, residuals and membership are its methods, read off at the
+pivots with no elimination.
 
 Tall inputs, more nonzero rows than columns (constraint systems are tall and
 redundant: 648 x 72 of rank 21-66 over GF(5)), go through a certified front
@@ -194,8 +200,10 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
         f, nc, p = self.field, self.ncols, self.field.p
-        # row scaling keeps the row space; zero rows change nothing
-        rows = [clear_denominators(row)[1] if p is None else list(row) for row in self.rows]
+        # row scaling keeps the row space, so rows of ints are taken as they
+        # are; zero rows change nothing
+        rows = [list(row) if p is not None or all(type(x) is int for x in row)
+                else clear_denominators(row)[1] for row in self.rows]
         rows = [row for row in rows if any(row)]
         red = None
         if len(rows) > nc and len(rows) * nc >= (TALL_CELLS_Q if p is None else TALL_CELLS_GF):
@@ -215,11 +223,6 @@ class Matrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def row_space(self) -> "Matrix":
-        """Canonical basis (RREF nonzero rows) of the span of the rows."""
-        red, piv = self.rref()
-        return Matrix(self.field, red.rows[: len(piv)])
-
     def nullspace(self) -> "Matrix":
         """Canonical RREF basis of {x : self @ x = 0}, rows are basis vectors."""
         f = self.field
@@ -234,7 +237,7 @@ class Matrix:
             for r, pc in enumerate(piv):
                 v[pc] = f.neg(red.rows[r][fc])
             basis.append(tuple(v))
-        return Matrix(f, tuple(basis)).row_space()
+        return Subspace.spanned_by(Matrix(f, tuple(basis)), nc).basis
 
     def solve(self, b: Vector) -> Optional[Vector]:
         """One solution x of self @ x = b, or None if inconsistent."""
@@ -435,29 +438,52 @@ def bilinear(field: Field, tensor, u: Vector, v: Vector, dim: int) -> Vector:
     return tuple(out)
 
 
-def reduce_by_rref_rows(basis: Matrix, pivots: tuple[int, ...],
-                        target: Vector) -> tuple[Vector, Vector]:
-    """(coeffs, residual) of target against RREF basis rows.
+@dataclass(frozen=True)
+class Subspace:
+    """A subspace of coordinate space F^ambient as its canonical basis: the
+    nonzero rows of its RREF, with their pivot columns.  As the rows are in
+    RREF, the coordinate of v along row r is v[pivots[r]], so membership and
+    coordinates cost one pass over the basis and no elimination."""
 
-    Because the rows are in RREF, the coordinate of row r is just
-    target[pivots[r]]; the residual is target minus that combination, zero
-    exactly when target lies in the span.
-    """
-    f = basis.field
-    coeffs = tuple(target[p] for p in pivots)
-    residual = list(target)
-    for c, row in zip(coeffs, basis.rows):
-        if c != f.zero:
-            for j, x in enumerate(row):
-                if x != f.zero:
-                    residual[j] = f.sub(residual[j], f.mul(c, x))
-    return coeffs, tuple(residual)
+    ambient: int
+    basis: Matrix
+    pivots: tuple[int, ...]
 
+    @classmethod
+    def spanned_by(cls, m: Matrix, ambient: int) -> "Subspace":
+        """The span of the rows of m, by one Matrix.rref."""
+        red, piv = m.rref()
+        return cls(ambient, Matrix(m.field, red.rows[: len(piv)]), piv)
 
-def express_in_rref_rows(basis: Matrix, pivots: tuple[int, ...], target: Vector) -> Optional[Vector]:
-    """Coordinates of target in the span of RREF basis rows, or None."""
-    coeffs, residual = reduce_by_rref_rows(basis, pivots, target)
-    return None if any(x != basis.field.zero for x in residual) else coeffs
+    @classmethod
+    def from_spanning(cls, field: Field, ambient: int, rows) -> "Subspace":
+        if not rows:
+            return cls(ambient, Matrix(field, ()), ())
+        return cls.spanned_by(Matrix.from_rows(field, rows), ambient)
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def residual(self, v: Vector) -> Vector:
+        """v minus its combination of the basis rows at the coordinates
+        v[pivots]: zero exactly when v lies in the span."""
+        f = self.basis.field
+        out = list(v)
+        for p, row in zip(self.pivots, self.basis.rows):
+            c = v[p]
+            if c != f.zero:
+                for j, x in enumerate(row):
+                    if x != f.zero:
+                        out[j] = f.sub(out[j], f.mul(c, x))
+        return tuple(out)
+
+    def contains(self, v: Vector) -> bool:
+        return vec_is_zero(self.basis.field, self.residual(v))
+
+    def coords(self, v: Vector) -> Optional[Vector]:
+        """Coordinates of v in the basis, or None if v is outside the span."""
+        return tuple(v[p] for p in self.pivots) if self.contains(v) else None
 
 
 def clear_denominators(values: Sequence[Scalar]) -> tuple[int, list[int]]:

@@ -12,7 +12,7 @@ import pytest
 from artifact.actions import (ActionPair, action_from_json,
                               check_derived_action, conjugation_action,
                               crosscheck_semidirect, make_action, semidirect)
-from artifact.algebra import InputError, identity_suite
+from artifact.algebra import InputError, identity_suite, make_algebra
 from artifact.corpus import (a5_leibniz, dual_numbers, heisenberg,
                              m2_rationals, sample_action, sample_algebra,
                              sl2, zero_algebra)
@@ -151,3 +151,23 @@ def test_make_action_validates_shapes_and_fields():
     short_right = (((QQ.zero, QQ.zero),),)
     with pytest.raises(InputError):
         make_action(A, A, left, short_right)
+
+
+def test_crosscheck_agrees_on_alternative_actions():
+    # the alternative category's eight derived-action conditions against the
+    # alternative suite on the semidirect product
+    m2 = m2_rationals()
+    m2 = make_algebra(QQ, m2.basis, m2.tensor, "alternative")
+    rep = crosscheck_semidirect("alternative", conjugation_action(m2))
+    assert rep.passed and rep.label == "derived"
+    labels = []
+    for f in (gf3, GF(5), QQ):
+        rng = random.Random(f"alternative-{f}")
+        for _ in range(15):
+            a = sample_algebra(rng, f, 2, "alternative")
+            b = sample_algebra(rng, f, 2, "alternative")
+            for act in (conjugation_action(a), sample_action(rng, b, a)):
+                rep = crosscheck_semidirect("alternative", act)
+                assert rep.passed, (f, rep.details)
+                labels.append(rep.label)
+    assert labels[::2] == ["derived"] * 45 and "not-derived" in labels[1::2]

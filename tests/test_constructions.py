@@ -280,7 +280,7 @@ def test_object_array_closure_equals_per_pair_matmul_oracle():
                   "associative": lambda: [bimultipliers(a)],
                   "commutative": lambda: [multipliers(a), bimultipliers(a)]}[a.category]()
         for actor in actors:
-            _, ints = constructions._integer_pairs(actor.kind, actor.basis_matrix, a.dim)
+            _, ints = constructions._integer_pairs(actor.kind, actor.span.basis, a.dim)
             if ints.dtype == object:
                 on_objects.add((str(a.field), actor.kind))
             spec = KIND_TABLE[actor.kind]
@@ -465,7 +465,7 @@ def test_slot_zero_rule_keeps_the_all_slot_solution_space():
     for a in _follower_algebras():
         kind = "der" if a.category == "lie" else "mult"
         everywhere = Matrix.from_rows(a.field, _oracle_rows(a, kind, slots=(0, 1, 2)))
-        assert everywhere.nullspace().rows == build(kind, a).basis_matrix.rows, a
+        assert everywhere.nullspace().rows == build(kind, a).span.basis.rows, a
         count += 1
     assert count == 6 + 4 * 2 * 3 * 7
 
@@ -494,7 +494,7 @@ def test_scalars_leaving_numpy_are_python_ints_or_fractions():
             v = actor_pipeline(a)
             actor = v.actor
             rungs.add(_integer_tensor(a).dtype)
-            rungs.add(constructions._integer_pairs(actor.kind, actor.basis_matrix, a.dim)[1].dtype)
+            rungs.add(constructions._integer_pairs(actor.kind, actor.span.basis, a.dim)[1].dtype)
             _assert_scalars(f, [x for plane in actor.tensor for row in plane for x in row])
             # constraint rows are ints over both fields: lam times their values over Q
             rows = [x for row in constructions._assemble(a, actor.kind) for x in row]

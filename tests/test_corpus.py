@@ -6,12 +6,14 @@ import random
 
 import pytest
 
+from artifact import cli, corpus
 from artifact.algebra import InputError, identity_suite
 from artifact.corpus import (a5_leibniz, abelian, dual_numbers,
                              generate_atlas, heisenberg, m2_rationals,
                              sample_action, sample_algebra, sl2)
 from artifact.existence import actor_pipeline
 from artifact.fields import GF, QQ
+from artifact.groups import CapError
 
 
 CASES = [(GF(5), 2, "leibniz"), (GF(5), 3, "leibniz"),
@@ -74,6 +76,26 @@ def test_atlas_file_counts_and_determinism(tmp_path):
     assert sum(counts.values()) == 25 and counts.get("error", 0) == 0
     assert s1["counts"] == counts
     assert {r["verdict"]["status"] for r in records} == {"exists", "not-exists"}
+
+
+@pytest.mark.parametrize("category", ["leibniz", "associative", "commutative"])
+def test_q_atlas_writes_fractions_as_json(tmp_path, category):
+    # condition witnesses over Q hold Fractions, written as the CLI writes them
+    path = tmp_path / "q.jsonl"
+    generate_atlas(QQ, 3, category, samples=12, seed=1, out_path=path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(lines) == 13 and lines[-1]["counts"]["error"] == 0
+    assert any("lhs" in r["verdict"].get("condition_status", {}) for r in lines[:-1])
+
+
+def test_exhausted_rejection_sampler_is_a_typed_refusal(tmp_path, monkeypatch):
+    # seed 6 draws the Q dim-2 Leibniz rejection strategy, which can run dry
+    monkeypatch.setattr(corpus, "_ATTEMPTS", 20)
+    with pytest.raises(CapError):
+        sample_algebra(random.Random(6), QQ, 2, "leibniz")
+    argv = ["atlas", "--field", "Q", "--dim", "2", "--category", "leibniz",
+            "--samples", "1", "--seed", "6", "--out", str(tmp_path / "x.jsonl")]
+    assert cli.main(argv) == 2
 
 
 # sha256 (first 16 hex digits) of the sorted-key JSON of every sample at

@@ -23,8 +23,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from artifact import linalg
 from artifact.fields import GF, QQ
-from artifact.linalg import (LinAlgError, Matrix, basis_vector,
-                             express_in_rref_rows, vec_add, vec_scale)
+from artifact.linalg import (LinAlgError, Matrix, Subspace, basis_vector,
+                             vec_add, vec_scale)
 
 gf5 = GF(5)
 
@@ -369,26 +369,29 @@ def test_solve_returns_exact_solution_or_none():
     assert b.apply(x) == (Fraction(3), Fraction(2))
 
 
-def test_express_in_rref_rows_round_trip():
+def test_subspace_coords_round_trip():
     rng = random.Random(9)
     for _ in range(20):
         rows = rand_rows(rng, gf5, 3, 4)
-        basis, piv = Matrix.from_rows(gf5, rows).rref()
+        span = Subspace.from_spanning(gf5, 4, rows)
+        basis = span.basis
         nz = [i for i in range(basis.nrows) if any(x != 0 for x in basis.row(i))]
-        basis = Matrix.from_rows(gf5, [basis.row(i) for i in nz]) if nz else Matrix(gf5, ())
+        assert nz == list(range(basis.nrows))
         # any combination of basis rows is recovered exactly
         coeffs = [rng.randrange(5) for _ in range(basis.nrows)]
         target = [gf5.zero] * 4
         for c, i in zip(coeffs, range(basis.nrows)):
             target = list(vec_add(gf5, tuple(target), vec_scale(gf5, c, basis.row(i))))
-        got = express_in_rref_rows(basis, piv[:basis.nrows], tuple(target))
+        got = span.coords(tuple(target))
         assert got is not None and list(got) == coeffs
 
 
-def test_express_rejects_vectors_outside_span():
+def test_subspace_rejects_vectors_outside_span():
     f = QQ
-    basis = Matrix.from_rows(f, [[f.one, f.zero, f.zero]])
-    assert express_in_rref_rows(basis, (0,), (f.zero, f.one, f.zero)) is None
+    span = Subspace(3, Matrix.from_rows(f, [[f.one, f.zero, f.zero]]), (0,))
+    v = (f.zero, f.one, f.zero)
+    assert span.coords(v) is None and not span.contains(v)
+    assert span.residual(v) == v
 
 
 def test_matmul_shape_errors():
