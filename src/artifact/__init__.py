@@ -15,10 +15,10 @@ from .constructions import (KINDS, ActorAlgebra, BiMap, ClosureError,
                             ConstructionError, actor_from_json,
                             biderivations, bimultipliers, canonical_d,
                             condition1_check, condition2_check,
-                            construct, crossed_module_check, derivations, multipliers,
+                            construct, crossed_module_check, derivations,
+                            factor_through_actor, multipliers,
                             sufficient_conditions, zero_actor)
-from .existence import (Verdict, actor_pipeline, bider_variants_agree,
-                        factor_through_actor)
+from .existence import Verdict, actor_pipeline, bider_variants_agree
 from .words import (ASSOCIATIVE_W1, ASSOCIATIVE_W2, COMMUTATIVE_EXAMPLE_W2,
                     LEIBNIZ_W1, LEIBNIZ_W2, LIE_W1, LIE_W2, MODES, T_SET,
                     WORDS_FOR_CATEGORY, Word, canon_monomial,

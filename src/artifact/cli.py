@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import traceback
-from fractions import Fraction
 
 from .actions import action_from_json, check_derived_action, semidirect
 from .algebra import CATEGORIES, InputError, algebra_from_json, identity_suite
@@ -26,12 +25,6 @@ from .groups import (automorphisms, group_from_json, group_universality_check,
                      holomorph_check, inner_automorphisms)
 from .words import (MODES, check_swap_symmetry, check_T_coverage,
                     expand_condition4, parse_word, validate_word_on_algebra)
-
-
-def _jdefault(o):
-    if isinstance(o, Fraction):
-        return int(o) if o.denominator == 1 else f"{o.numerator}/{o.denominator}"
-    return str(o)
 
 
 def _text_lines(obj, indent=0):
@@ -59,7 +52,7 @@ def _text_lines(obj, indent=0):
 
 def _emit(payload, fmt):
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, default=_jdefault))
+        print(json.dumps(payload, sort_keys=True))
     else:
         print("\n".join(_text_lines(payload)))
 
@@ -124,9 +117,6 @@ def _cmd_action_check(args):
 def _cmd_xmod_check(args):
     a = algebra_from_json(_load(args.algebra))
     actor = actor_from_json(_load(args.actor))
-    t = actor.target
-    if a.field != t.field or a.tensor != t.tensor:
-        raise InputError("algebra does not match the actor's target")
     d = canonical_d(a, actor)
     rep = crossed_module_check(d, actor.action_pair())
     payload = {"canonical_d": [[a.field.to_json(x) for x in row]
@@ -269,6 +259,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         code, payload = args.func(args)
+        _emit(payload, args.format)
+        return code
     except ConstructionError as exc:
         _emit({"passed": False, "error": f"{type(exc).__name__}: {exc}"},
               args.format)
@@ -280,8 +272,6 @@ def main(argv=None) -> int:
         traceback.print_exc()
         _emit({"error": f"internal: {type(exc).__name__}: {exc}"}, args.format)
         return 3
-    _emit(payload, args.format)
-    return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Actor candidates as algebras of matrix pairs cut out by linear constraints.
 
 Each candidate kind is one row of KIND_TABLE: the category of its own
-product, the source category whose identities cut it out, its bracket, and
-how the right component follows from the left one (independent, its
-negative, or equal).  A pair (L, R) acts on A by b*x = L(x) and x*b = R(x).
+product, the source category whose identities cut it out, its bracket, how
+the right component follows from the left one (independent, its negative,
+or equal), and the function assembling its constraint rows.  A pair (L, R)
+acts on A by b*x = L(x) and x*b = R(x).
 
 The constraints are the source's identities, algebra.IDENTITIES, with b in
 one slot.  The candidate is their nullspace over the entries of the
@@ -36,6 +37,11 @@ places them, with the target's own integer tensor, as the four blocks of
 the semidirect product's integer tensor, so the pipeline's semidirect suite
 never converts the product's N^3 field scalars back to integers.
 
+factor_through_actor expresses an action on the candidate's target in the
+candidate's basis, and is the one place that checks the action's algebra
+is that target, field included.  The canonical map d: A -> candidate,
+canonical_d, is A's conjugation action factored this way.
+
 Both the assembly and the products run on linalg.integer_array's rungs:
 float64 while the caller's bound on every value computed stays below 2^53,
 so each matmul is an exact BLAS dgemm, then int64, then Python ints.  The
@@ -56,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .actions import ActionPair, make_action
+from .actions import ActionPair, conjugation_action, make_action
 from .algebra import (
     IDENTITIES,
     SUITES,
@@ -101,15 +107,20 @@ class Kind(NamedTuple):
     bracket: str  # left component of [a, b], a signed sum of products
     right: str  # "neg" (minus the left one), "same", or an independent
     #             right component given by its bracket
+    rows: str = ""  # the module function assembling its constraint rows
 
 
 KIND_TABLE = {
-    "der": Kind("lie", "lie", "derivations", "aLbL - bLaL", "neg"),
-    "bim": Kind("associative", "associative", "bimultipliers", "aLbL", "bRaR"),
-    "bider1": Kind("leibniz", "leibniz", "biderivations", "aLbL + bRaL", "bRaR - aRbR"),
-    "bider2": Kind("leibniz", "leibniz", "biderivations", "bRaL - aLbR", "bRaR - aRbR"),
+    "der": Kind("lie", "lie", "derivations", "aLbL - bLaL", "neg", "_derivation_rows"),
+    "bim": Kind("associative", "associative", "bimultipliers", "aLbL", "bRaR",
+                "_bimultiplier_rows"),
+    "bider1": Kind("leibniz", "leibniz", "biderivations", "aLbL + bRaL", "bRaR - aRbR",
+                   "_biderivation_rows"),
+    "bider2": Kind("leibniz", "leibniz", "biderivations", "bRaL - aLbR", "bRaR - aRbR",
+                   "_biderivation_rows"),
     # the product is composition: always associative, not always commutative
-    "mult": Kind("associative", "commutative", "multipliers", "aLbL", "same"),
+    "mult": Kind("associative", "commutative", "multipliers", "aLbL", "same",
+                 "_multiplier_rows"),
     "zero": Kind("module", "module", "the zero actor", "", "same"),
 }
 
@@ -420,25 +431,27 @@ def semidirect_tensor(actor: ActorAlgebra) -> np.ndarray:
     return out
 
 
-def _construct(kind: str, A: Algebra, rows) -> ActorAlgebra:
+def _construct(kind: str, A: Algebra) -> ActorAlgebra:
     """The candidate of this kind for A, which must pass the identity suite
-    of the kind's source category; rows(A) assembles its constraints."""
+    of the kind's source category.  The kind's row assembler is looked up
+    by name when the call runs, so a rebound module function is the one
+    called."""
     spec = KIND_TABLE[kind]
     rep = identity_suite(A, spec.source)
     if not rep.passed:
         raise InputError(f"{spec.name} requires a {spec.source} algebra; "
                          f"identity {rep.label!r} fails at {rep.witness}")
-    return _build_actor(kind, A, rows(A))
+    return _build_actor(kind, A, globals()[spec.rows](A))
 
 
 def derivations(A: Algebra) -> ActorAlgebra:
     """All D with D[x,y] = [D(x),y] + [x,D(y)], bracket = commutator."""
-    return _construct("der", A, _derivation_rows)
+    return _construct("der", A)
 
 
 def bimultipliers(A: Algebra) -> ActorAlgebra:
     """All pairs (L,R) with L(xy)=L(x)y, R(xy)=xR(y), xL(y)=R(x)y."""
-    return _construct("bim", A, _bimultiplier_rows)
+    return _construct("bim", A)
 
 
 def biderivations(A: Algebra, variant: int = 1) -> ActorAlgebra:
@@ -450,23 +463,19 @@ def biderivations(A: Algebra, variant: int = 1) -> ActorAlgebra:
     """
     if variant not in (1, 2):
         raise InputError("variant must be 1 or 2")
-    return _construct(f"bider{variant}", A, _biderivation_rows)
+    return _construct(f"bider{variant}", A)
 
 
 def multipliers(A: Algebra) -> ActorAlgebra:
     """All f with f(xy) = f(x)y on a commutative associative algebra."""
-    return _construct("mult", A, _multiplier_rows)
+    return _construct("mult", A)
 
 
 def construct(kind: str, A: Algebra) -> ActorAlgebra:
     """The candidate of a KIND_TABLE kind for A."""
     if kind not in KINDS:
         raise InputError(f"unknown actor kind {kind!r}")
-    if kind == "zero":
-        return zero_actor(A)
-    rows = {"der": _derivation_rows, "bim": _bimultiplier_rows, "mult": _multiplier_rows,
-            "bider1": _biderivation_rows, "bider2": _biderivation_rows}[kind]
-    return _construct(kind, A, rows)
+    return zero_actor(A) if kind == "zero" else _construct(kind, A)
 
 
 def zero_actor(A: Algebra) -> ActorAlgebra:
@@ -483,26 +492,48 @@ def zero_actor(A: Algebra) -> ActorAlgebra:
 # the canonical map and its crossed-module conditions
 
 
+def factor_through_actor(actor: ActorAlgebra, act: ActionPair) -> Report:
+    """Express an action of B on the actor's target through the candidate.
+
+    For each basis element of B, its pair of action matrices must lie in the
+    candidate's span; the coordinates assemble the unique linear map B ->
+    candidate with the same action values.  Uniqueness is automatic because
+    candidate elements are their pairs and the basis is independent.  An
+    action on any other algebra, or on the same tensor over another field,
+    is refused.
+    """
+    A = actor.target
+    if act.A.field != A.field or act.A.tensor != A.tensor:
+        raise InputError("algebra does not match the actor's target")
+    f, n = A.field, A.dim
+    rows = []
+    for b in range(act.B.dim):
+        L = Matrix(f, tuple(tuple(act.left[b][j][k] for j in range(n)) for k in range(n)))
+        R = Matrix(f, tuple(tuple(act.right[j][b][k] for j in range(n)) for k in range(n)))
+        coords = actor.member_coords(BiMap(L, R))
+        if coords is None:
+            return Report(False, label="action pair lies in the candidate's span",
+                          witness=(b,))
+        rows.append(coords)
+    return Report(True, details=[{"phi_rows": tuple(rows),
+                                  "note": "unique: basis pairs are independent"}])
+
+
 def canonical_d(A: Algebra, actor: ActorAlgebra) -> Matrix:
-    """Coordinates of each basis element's multiplication pair in the actor.
+    """The canonical map d: A -> actor, A's conjugation action factored
+    through the candidate.
 
     Row i holds the actor coordinates of (e_i * -, - * e_i).  A pair outside
     the actor's span means the candidate does not contain its own inner
     multiplications, which no valid input should produce; that raises
     ConstructionError rather than returning a partial answer.
     """
-    if actor.target is not A and actor.target.tensor != A.tensor:
-        raise InputError("actor was built for a different algebra")
-    f, n = A.field, A.dim
-    rows = []
-    for i in range(n):
-        coords = actor.member_coords(BiMap(A.left_mult_matrix(i), A.right_mult_matrix(i)))
-        if coords is None:
-            raise ConstructionError(
-                f"multiplication pair of basis element {i} is outside the "
-                f"{actor.kind} span")
-        rows.append(coords)
-    return Matrix.from_rows(f, rows)
+    rep = factor_through_actor(actor, conjugation_action(A))
+    if not rep.passed:
+        raise ConstructionError(
+            f"multiplication pair of basis element {rep.witness[0]} is outside the "
+            f"{actor.kind} span")
+    return Matrix(A.field, rep.details[0]["phi_rows"])
 
 
 def crossed_module_check(d: Matrix, act: ActionPair) -> Report:

@@ -32,6 +32,7 @@ from typing import NamedTuple, Optional
 from .algebra import (Algebra, InputError, identity_suite, make_algebra,
                       make_algebra_from_products)
 from .actions import ActionPair, make_action
+from .constructions import ConstructionError
 from .existence import actor_pipeline
 from .fields import QQ, Field, PrimeField
 from .groups import CapError
@@ -298,8 +299,10 @@ def generate_atlas(field: Field, dim: int, category: str, samples: int,
     """Sample, classify, and stream verdicts to a JSONL file.
 
     Each line is one instance: the algebra, its verdict, and the running
-    index.  The final line is a summary.  Identical arguments produce a
-    byte-identical file.
+    index.  An instance the pipeline refuses with a typed error (InputError
+    or ConstructionError) is recorded under "error" and counted; any other
+    exception is a bug and propagates.  The final line is a summary.
+    Identical arguments produce a byte-identical file.
     """
     rng = random.Random(seed)
     counts = {"exists": 0, "not-exists": 0, "unsupported-general": 0, "error": 0}
@@ -311,7 +314,7 @@ def generate_atlas(field: Field, dim: int, category: str, samples: int,
                 v = actor_pipeline(a)
                 rec["verdict"] = v.to_json(field.to_json)
                 counts[v.status] += 1
-            except Exception as exc:  # surfaced per instance, run continues
+            except (InputError, ConstructionError) as exc:  # a bug propagates
                 rec["error"] = f"{type(exc).__name__}: {exc}"
                 counts["error"] += 1
             fh.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -5,7 +5,9 @@ For each supported category the pipeline builds the concrete candidate,
 forms the semidirect product along the candidate's induced action, and runs
 the category's identity suite on the result.  Existence of an actor is
 equivalent to that suite passing; the verdict carries the first failing
-identity and witness when it does not.
+identity and witness when it does not.  One table, _CATEGORY_TABLE, names
+each category's candidate and the existence condition reported beside the
+verdict.
 
 The suite's integer tensor comes from constructions.semidirect_tensor,
 which places the integer arrays the closure already holds, rather than from
@@ -20,22 +22,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .actions import ActionPair, semidirect
+from .actions import semidirect
 from .algebra import Algebra, InputError, identity_suite
 from .constructions import (
     ActorAlgebra,
-    BiMap,
     bimultipliers,
     biderivations,
     condition1_check,
     condition2_check,
     derivations,
+    factor_through_actor,  # re-exported
     multipliers,
     semidirect_tensor,
     sufficient_conditions,
     zero_actor,
 )
-from .linalg import Matrix
 from .reporting import Report
 
 
@@ -75,15 +76,30 @@ class Verdict:
         return out
 
 
+# category -> (its candidate, its existence condition or None).  Each entry
+# calls through this module's names when the pipeline runs, so a rebound
+# constructor or check is the one called.  Condition 2 always runs on A's
+# bimultipliers: on the associative candidate itself, and built afresh for
+# a commutative A, whose candidate is the multipliers.
+_CATEGORY_TABLE = {
+    "module": (lambda A, variant: zero_actor(A), None),
+    "lie": (lambda A, variant: derivations(A), None),
+    "associative": (lambda A, variant: bimultipliers(A),
+                    lambda A, actor: condition2_check(A, bim=actor)),
+    "leibniz": (lambda A, variant: biderivations(A, variant),
+                lambda A, actor: condition1_check(A, bider=actor)),
+    "commutative": (lambda A, variant: multipliers(A),
+                    lambda A, actor: condition2_check(A)),
+}
+
+
 def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
     """Build the candidate for A's category and decide existence.
 
-    Dispatch: lie -> derivations, associative -> bimultipliers, leibniz ->
-    biderivations (bracket variant selectable), commutative -> multipliers
-    (whose induced action is symmetric by construction), module
-    -> the zero candidate.  The alternative category has no candidate
-    here yet, so its verdict is the three-state "unsupported-general",
-    with no per-instance witness.
+    _CATEGORY_TABLE names the candidate and the condition; variant picks
+    the biderivation bracket.  The alternative category has no candidate
+    here yet, so its verdict is the three-state "unsupported-general", with
+    no per-instance witness.
     """
     own = identity_suite(A)
     if not own.passed:
@@ -99,35 +115,19 @@ def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
     if A.category == "raw":
         raise InputError("category 'raw' carries no actor candidate")
 
-    if A.category == "module":
-        actor = zero_actor(A)
-    elif A.category == "lie":
-        actor = derivations(A)
-    elif A.category == "associative":
-        actor = bimultipliers(A)
-    elif A.category == "leibniz":
-        actor = biderivations(A, variant)
-    else:  # commutative
-        actor = multipliers(A)
-
+    build, check = _CATEGORY_TABLE[A.category]
+    actor = build(A, variant)
     act = actor.action_pair()
     prod = semidirect(act)
-    notes = []
     # the product's scalars are for the verdict and the witness sides; the
     # suite runs on the integer tensor placed from the candidate's blocks
     beta = identity_suite(prod, A.category, c=semidirect_tensor(actor))
-    if A.category == "commutative":
-        # the multiplier candidate's right component is its left one, so
-        # b*a = a*b holds by construction; the commutativity row of the
-        # suite above checks the same products
-        notes.append("induced action is symmetric: b*a = a*b on all basis pairs")
-
-    if A.category == "leibniz":
-        condition = condition1_check(A, bider=actor)
-    elif A.category in ("associative", "commutative"):
-        condition = condition2_check(A, bim=actor if actor.kind == "bim" else None)
-    else:
-        condition = None
+    # the multiplier candidate's right component is its left one, so b*a =
+    # a*b holds by construction; the commutativity row of the suite above
+    # checks the same products
+    notes = (["induced action is symmetric: b*a = a*b on all basis pairs"]
+             if A.category == "commutative" else [])
+    condition = None if check is None else check(A, actor)
 
     failure = None
     if not beta.passed:
@@ -161,30 +161,3 @@ def bider_variants_agree(A: Algebra) -> Report:
                 return Report(False, label="variant brackets agree", witness=(s, t),
                               lhs=b1.tensor[s][t], rhs=b2.tensor[s][t], details=[info])
     return Report(True, details=[info])
-
-
-def factor_through_actor(actor: ActorAlgebra, act: ActionPair) -> Report:
-    """Express a derived action of B through the actor candidate.
-
-    For each basis element of B, its pair of action matrices must lie in the
-    candidate's span; the coordinates assemble the unique linear map B ->
-    candidate with the same action values.  Uniqueness is automatic because
-    candidate elements are their pairs and the basis is independent.
-    """
-    A = actor.target
-    if act.A.tensor != A.tensor or act.A.field != A.field:
-        raise InputError("action target does not match the actor's target")
-    f = A.field
-    n = A.dim
-    rows = []
-    for b in range(act.B.dim):
-        L = Matrix(f, tuple(tuple(act.left[b][j][k] for j in range(n)) for k in range(n)))
-        R = Matrix(f, tuple(tuple(act.right[j][b][k] for j in range(n)) for k in range(n)))
-        coords = actor.member_coords(BiMap(L, R))
-        if coords is None:
-            return Report(False, label="action pair lies in the candidate's span",
-                          witness=(b,))
-        rows.append(coords)
-    phi = Matrix.from_rows(f, rows)
-    return Report(True, details=[{"phi_rows": phi.rows,
-                                  "note": "unique: basis pairs are independent"}])

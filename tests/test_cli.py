@@ -1,12 +1,15 @@
-"""End-to-end CLI runs through subprocess: exit codes and output shape."""
+"""End-to-end CLI runs, through subprocess or cli.main: exit codes and
+output shape."""
 
 import hashlib
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from artifact import cli
 from conftest import fixture_path, load_fixture
 
 
@@ -126,6 +129,27 @@ def test_xmod_check_canonical_map():
 
 
 W1, W2 = "(y*x)*z + y*(z*x)", "(x*y)*z - (x*z)*y"
+
+
+def test_xmod_check_refuses_an_actor_of_another_algebra(tmp_path):
+    path = tmp_path / "actor.json"
+    path.write_text(run_cli("construct", "der", fixture_path("heisenberg.json")).stdout)
+    code, payload = run_json("xmod-check", fixture_path("sl2.json"), "--actor", str(path))
+    assert code == 2
+    assert payload == {"error": "InputError: algebra does not match the actor's target"}
+
+
+def test_unserializable_payload_is_an_internal_error(monkeypatch, capsys):
+    # a numpy scalar leaking into a payload is a bug, not a string "3"
+    class Leaky:
+        exists = True
+
+        def to_json(self, scalar_to_json):
+            return {"n": np.int64(3)}
+
+    monkeypatch.setattr(cli, "actor_pipeline", lambda a, variant: Leaky())
+    assert cli.main(["actor", fixture_path("sl2.json")]) == 3
+    assert json.loads(capsys.readouterr().out)["error"].startswith("internal: TypeError")
 
 
 def test_words_coverage_mode_sensitivity():

@@ -17,8 +17,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from artifact import constructions
-from artifact.actions import semidirect
+from artifact import constructions, existence
+from artifact.actions import conjugation_action, semidirect
 from artifact.algebra import (IDENTITIES, SUITES, InputError, Subspace, _integer_tensor,
                              identity_suite, is_ideal, make_algebra)
 from artifact.constructions import (KIND_TABLE, BiMap, ClosureError,
@@ -26,7 +26,7 @@ from artifact.constructions import (KIND_TABLE, BiMap, ClosureError,
                                     biderivations, bimultipliers, canonical_d,
                                     condition1_check, condition2_check,
                                     construct, crossed_module_check,
-                                    derivations, multipliers,
+                                    derivations, factor_through_actor, multipliers,
                                     semidirect_tensor, sufficient_conditions,
                                     zero_actor)
 from artifact.corpus import (_conjugate, _rand_invertible, a5_leibniz, abelian,
@@ -646,6 +646,21 @@ def test_canonical_d_fails_loudly_outside_span():
     a = heisenberg()
     with pytest.raises(ConstructionError):
         canonical_d(a, zero_actor(a))
+
+
+@pytest.mark.parametrize("make,build", [
+    (lambda f: truncated_poly(f, 3, "commutative"), multipliers),
+    (lambda f: zero_algebra(f, 2, "lie"), derivations),
+])
+def test_target_check_refuses_a_candidate_over_another_field(make, build):
+    a, actor = make(GF(7)), build(make(GF(5)))
+    assert a.tensor == actor.target.tensor  # only the field differs
+    with pytest.raises(InputError, match="does not match the actor's target"):
+        canonical_d(a, actor)
+    with pytest.raises(InputError, match="does not match the actor's target"):
+        factor_through_actor(actor, conjugation_action(a))
+    # existence keeps exporting the one routine
+    assert existence.factor_through_actor is factor_through_actor
 
 
 def test_crossed_module_of_derivation_action():

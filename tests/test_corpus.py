@@ -8,12 +8,14 @@ import pytest
 
 from artifact import cli, corpus
 from artifact.algebra import InputError, identity_suite
+from artifact.constructions import ClosureError
 from artifact.corpus import (a5_leibniz, abelian, dual_numbers,
                              generate_atlas, heisenberg, m2_rationals,
                              sample_action, sample_algebra, sl2)
 from artifact.existence import actor_pipeline
 from artifact.fields import GF, QQ
 from artifact.groups import CapError
+from artifact.linalg import LinAlgError
 
 
 CASES = [(GF(5), 2, "leibniz"), (GF(5), 3, "leibniz"),
@@ -96,6 +98,32 @@ def test_exhausted_rejection_sampler_is_a_typed_refusal(tmp_path, monkeypatch):
     argv = ["atlas", "--field", "Q", "--dim", "2", "--category", "leibniz",
             "--samples", "1", "--seed", "6", "--out", str(tmp_path / "x.jsonl")]
     assert cli.main(argv) == 2
+
+
+@pytest.mark.parametrize("exc", [CapError("refused"), ClosureError("refused")])
+def test_atlas_records_typed_refusals_per_instance(tmp_path, monkeypatch, exc):
+    def refuse(a):
+        raise exc
+
+    monkeypatch.setattr(corpus, "actor_pipeline", refuse)
+    path = tmp_path / "a.jsonl"
+    summary = generate_atlas(GF(5), 2, "lie", samples=3, seed=0, out_path=path)
+    assert summary["counts"]["error"] == 3
+    records = [json.loads(line) for line in path.read_text().splitlines()[:-1]]
+    assert [r["error"] for r in records] == [f"{type(exc).__name__}: refused"] * 3
+
+
+@pytest.mark.parametrize("exc", [TypeError("a bug"), LinAlgError("a bug")])
+def test_atlas_lets_a_bug_propagate(tmp_path, monkeypatch, exc):
+    def broken(a):
+        raise exc
+
+    monkeypatch.setattr(corpus, "actor_pipeline", broken)
+    with pytest.raises(type(exc)):
+        generate_atlas(GF(5), 2, "lie", samples=3, seed=0, out_path=tmp_path / "a.jsonl")
+    argv = ["atlas", "--field", "5", "--dim", "2", "--category", "lie",
+            "--samples", "3", "--seed", "0", "--out", str(tmp_path / "b.jsonl")]
+    assert cli.main(argv) == 3
 
 
 # sha256 (first 16 hex digits) of the sorted-key JSON of every sample at

@@ -15,11 +15,11 @@ from hypothesis import given, settings, strategies as st
 from artifact.actions import action_from_json, check_derived_action, make_action
 from artifact.algebra import InputError, identity_suite, make_algebra, make_algebra_from_products
 from artifact.constructions import (actor_from_json, biderivations, bimultipliers,
-                                    canonical_d, derivations, multipliers)
+                                    canonical_d, derivations, factor_through_actor,
+                                    multipliers)
 from artifact.corpus import (a5_leibniz, abelian, m2_rationals, sample_algebra,
                              sl2, truncated_poly, zero_algebra)
-from artifact.existence import (actor_pipeline, bider_variants_agree,
-                                factor_through_actor)
+from artifact.existence import actor_pipeline, bider_variants_agree
 from artifact.fields import GF, QQ
 
 
