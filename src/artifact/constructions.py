@@ -16,19 +16,34 @@ Constraint rows are assembled in integers.  Each term is one einsum of lam
 times the structure tensor (the integer array the identity suite uses) with
 the identity matrix, added with its sign into the block of its component.
 Over Q the rows are lam times their values, lam the lcm of the tensor's
-denominators, which keeps the nullspace, and they go into Matrix.nullspace
-as Python ints; over GF(p) they are reduced mod p.
+denominators, which keeps the nullspace; over GF(p) they are reduced mod p.
+The array becomes the constraint Matrix through Matrix.from_ints, which
+keeps it, so the elimination starts from it and never from Python rows.
 
 Every candidate carries a closure certificate: the product of any two basis
 pairs is re-expressed in the basis, and a pair that escapes the span raises
 ClosureError instead of silently producing garbage structure constants.
-Products are taken in integers, one left basis pair s at a time against all
-pairs t, one matmul per term of the bracket: the basis is multiplied by lam,
-the lcm of its denominators (1 over GF(p)), so a product is lam^2 times its
-value.  As the basis is in RREF, the coordinates of a product P are its
-entries at the pivot columns, and P is in the span exactly when
+Products are taken in integers: the basis is multiplied by lam, the lcm of
+its denominators (1 over GF(p)), so a product is lam^2 times its value.  As
+the basis is in RREF, the coordinates of a product P are its entries at the
+pivot columns, and P is in the span exactly when
 lam * P == P[:, pivots] @ (lam * basis), mod p over GF(p).  The
 condition 1/2 checks compare products of basis pairs the same way.
+
+Both take the products of a block of left basis pairs s against all pairs t
+at once, in the manner of FFLAS-FFPACK (Dumas, Giorgi & Pernet 2008): one
+batched matmul per term, and for the closure one matmul checking the whole
+block.  A block holds as many s as BLOCK_CELLS cells of products hold, m
+times the flattened width per s, and at least one.  Blocks run in order of
+s, so the first escaping pair or differing (s, t, col) is the first in
+s-major order, as pair by pair.  The budget comes from a sweep of the
+closure loop alone, one s at a time -> 2^14 cells, one BLAS thread: over
+GF(5) the zero Leibniz algebras at dims 6, 5 and 4 (m = 72, 50, 32) 10.2 ->
+7.9, 6.7 -> 3.0 and 1.9 -> 0.76 ms, the zero associative one at dim 6
+(m = 72) 8.7 -> 6.8 ms and the abelian Lie one at dim 6 (m = 36) 2.9 ->
+1.2 ms; over Q the zero Leibniz algebra at dim 4 1.7 -> 0.57 ms.  2^13
+leaves the Leibniz m = 72 at 10.0 ms, and 2^16 makes it slower than one s
+at a time, 11.6 ms (Intel Xeon, numpy 2.4 with OpenBLAS).
 
 The candidate keeps both integer arrays: the integer pairs, which the
 condition checks reuse, and the structure constants times lam^2 as
@@ -47,8 +62,9 @@ float64 while the caller's bound on every value computed stays below 2^53,
 so each matmul is an exact BLAS dgemm, then int64, then Python ints.  The
 module keeps no dtype or residue code of its own: differences are tested by
 linalg.nonzero_mod, residues taken by linalg.exact_ints, and every value
-handed back to exact code (constraint rows, structure constants, condition
-witnesses) leaves numpy through linalg.python_ints, never as floats.
+handed back to exact code leaves numpy as Python ints, never as floats: the
+constraint rows through Matrix.from_ints, the structure constants and
+condition witnesses through linalg.python_ints.
 """
 
 from __future__ import annotations
@@ -259,10 +275,11 @@ _SLOT_TERMS = {("L", 0): ("L", "rqm,pc"), ("L", 1): ("R", "rqm,pc"), ("L", 2): (
                ("R", 0): ("L", "pqc,mr"), ("R", 1): ("L", "prm,qc"), ("R", 2): ("R", "prm,qc")}
 
 
-def _assemble(A: Algebra, kind: str):
-    """Constraint rows: for each (i, j, m), one row per equation, as Python
-    ints.  Over Q a row is lam times its value, lam the lcm of the tensor's
-    denominators, which keeps the nullspace; over GF(p) it is reduced mod p."""
+def _assemble(A: Algebra, kind: str) -> Matrix:
+    """The constraint matrix, built by Matrix.from_ints from the integer
+    array: for each (i, j, m), one row per equation.  Over Q a row is lam
+    times its value, lam the lcm of the tensor's denominators, which keeps
+    the nullspace; over GF(p) it is reduced mod p."""
     n = A.dim
     spec = KIND_TABLE[kind]
     follow = _FOLLOW.get(spec.right)
@@ -285,7 +302,7 @@ def _assemble(A: Algebra, kind: str):
             block = rows[:, :, :, e, "LR".index(comp)]  # a view: += writes rows
             block += sign * np.einsum(inputs.replace("p", p).replace("q", q) + "->ijmrc",
                                       c, eye)
-    return python_ints(rows.reshape(n ** 3 * len(eqs), blocks * n * n), A.field.p)
+    return Matrix.from_ints(A.field, rows.reshape(n ** 3 * len(eqs), blocks * n * n))
 
 
 def _derivation_rows(A: Algebra):
@@ -307,6 +324,10 @@ def _multiplier_rows(A: Algebra):
 def _unflatten(f, n, flat) -> Matrix:
     return Matrix(f, tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n)))
 
+
+# the most cells of products one block of basis pairs s takes at once, in
+# the closure and the condition checks; the module docstring gives the sweep
+BLOCK_CELLS = 2 ** 14
 
 # the products compared by the two existence conditions:
 # (details key, label, lhs, rhs)
@@ -333,16 +354,24 @@ def _integer_pairs(kind: str, basis: Matrix, n: int):
                          lambda big: (m + 1) * _CLOSURE_TERMS * n * big ** 3)
 
 
-def _pair_products(b: np.ndarray, text: str, s: int) -> np.ndarray:
-    """text, a signed sum of products such as "aLbL - bLaL", at a = basis
-    pair s and b = every basis pair t, from the integer pairs b of
-    _integer_pairs: an (m, n, n) array, lam^2 times the value."""
+def _pair_products(b: np.ndarray, text: str, block: slice) -> np.ndarray:
+    """text, a signed sum of products such as "aLbL - bLaL", at a = each basis
+    pair of the block and b = every basis pair t, from the integer pairs b of
+    _integer_pairs: a (block size, m, n, n) array whose [s, t] is lam^2 times
+    the value at pairs block.start + s and t."""
     out = 0
     for sign, term in _signed(text):
-        x, y = (b[s if tok[0] == "a" else slice(None), "LR".index(tok[1])]
-                for tok in (term[:2], term[2:]))
+        x, y = (b[block, "LR".index(tok[1]), None] if tok[0] == "a"
+                else b[None, :, "LR".index(tok[1])] for tok in (term[:2], term[2:]))
         out = out + x @ y if sign > 0 else out - x @ y
     return out
+
+
+def _blocks(m: int, cells: int):
+    """range(m) as consecutive slices of basis pairs s, each of as many s as
+    BLOCK_CELLS holds when one s takes this many cells, and at least one."""
+    k = max(1, BLOCK_CELLS // max(1, cells))
+    return (slice(s, min(s + k, m)) for s in range(0, m, k))
 
 
 def _scalars(f, den: int, ints, memo: dict) -> Vector:
@@ -354,12 +383,12 @@ def _scalars(f, den: int, ints, memo: dict) -> Vector:
                  for x in ints)
 
 
-def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
+def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
     f, n = A.field, A.dim
     nn = n * n
     spec = KIND_TABLE[kind]
     texts = (spec.bracket,) if spec.right in _FOLLOW else (spec.bracket, spec.right)
-    null = Matrix.from_rows(f, constraint_rows).nullspace()
+    null = constraints.nullspace()
     span = Subspace.spanned_by(null, len(texts) * nn)
     maps = tuple(_pair(kind, *(_unflatten(f, n, row[k:k + nn])
                                for k in range(0, len(row), nn)))
@@ -367,18 +396,21 @@ def _build_actor(kind: str, A: Algebra, constraint_rows) -> ActorAlgebra:
     m = len(maps)
     pairs = _integer_pairs(kind, span.basis, n)
     lam, b = pairs
-    flat = b.reshape(m, b.shape[1] * nn)
+    width = b.shape[1] * nn
+    flat = b.reshape(m, width)
     # the pairs' rung holds every coordinate, so exact_dtype holds them all
     consts = np.zeros((m, m, m), exact_dtype(f.p, b.dtype))
-    for s in range(m):
-        prod = np.stack([_pair_products(b, text, s) for text in texts], axis=1)
-        prod = prod.reshape(flat.shape)
+    for block in _blocks(m, m * width):
+        # row s * m + t: the product of pairs block.start + s and t
+        prod = np.stack([_pair_products(b, text, block) for text in texts], axis=2)
+        prod = prod.reshape(-1, width)
         coords = prod[:, list(span.pivots)]
         escaped = nonzero_mod(lam * prod - coords @ flat, f.p).any(axis=1)
         if escaped.any():
-            raise ClosureError(f"{kind}: product of basis pairs {s} and "
-                               f"{int(escaped.argmax())} leaves the span")
-        consts[s] = exact_ints(coords, f.p)
+            s, t = divmod(int(escaped.argmax()), m)
+            raise ClosureError(f"{kind}: product of basis pairs {block.start + s} and "
+                               f"{t} leaves the span")
+        consts[block] = exact_ints(coords, f.p).reshape(-1, m, m)
     den, memo = lam * lam, {}
     tensor = tuple(tuple(_scalars(f, den, row, memo) for row in plane.tolist())
                    for plane in consts)
@@ -606,16 +638,18 @@ def _condition_check(which: int, actor: ActorAlgebra) -> Report:
     details = [{key: actor.dim}]
     f = actor.target.field
     lam, b = actor.pairs
-    for s in range(actor.dim):
-        lhs = _pair_products(b, lhs_text, s)
-        rhs = _pair_products(b, rhs_text, s)
-        differs = nonzero_mod(lhs - rhs, f.p).any(axis=1)  # (t, col): col differs somewhere
+    n = actor.target.dim
+    for block in _blocks(actor.dim, actor.dim * n * n):
+        lhs = _pair_products(b, lhs_text, block)
+        rhs = _pair_products(b, rhs_text, block)
+        # (s, t, col): column col of the product at (block.start + s, t) differs
+        differs = nonzero_mod(lhs - rhs, f.p).any(axis=2)
         if differs.any():
-            t, col = (int(x) for x in np.unravel_index(differs.argmax(), differs.shape))
+            s, t, col = (int(x) for x in np.unravel_index(differs.argmax(), differs.shape))
             memo = {}
-            return Report(False, label=label, witness=(s, t, col),
-                          lhs=_scalars(f, lam * lam, python_ints(lhs[t, :, col], f.p), memo),
-                          rhs=_scalars(f, lam * lam, python_ints(rhs[t, :, col], f.p), memo),
+            return Report(False, label=label, witness=(block.start + s, t, col),
+                          lhs=_scalars(f, lam * lam, python_ints(lhs[s, t, :, col], f.p), memo),
+                          rhs=_scalars(f, lam * lam, python_ints(rhs[s, t, :, col], f.p), memo),
                           details=details)
     return Report(True, details=details)
 

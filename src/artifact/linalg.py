@@ -15,6 +15,15 @@ basis matrices, comparable with ==.  Over Q rows of Python ints are
 accepted as they are (lam = 1), so a caller may hand in rows already scaled
 to integers; the output is in Fractions either way.
 
+Matrix.from_ints is the array entry: a 2-D integer array on any rung, its
+residues over GF(p) or its integers over Q (lam times the values), as the
+constraint assembly of constructions builds it.  It fills rows with Python
+ints from one tolist and keeps the exact array beside them, outside equality
+and hashing.  rref starts from that array: it drops zero rows with one mask,
+hands a tall input to the front end below as it is, and a small one to the
+loop as lists.  The two front-end kernels take an integer array only; a
+matrix built from rows is converted once, in rref.
+
 Subspace is the one RREF span: it alone holds a canonical basis together
 with its pivot columns.  The actor candidate of constructions and the
 annihilator, derived subspace and ideals of algebra are Subspaces, and
@@ -62,6 +71,7 @@ an algebra's multiplication and both sides of an action are calls to it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,6 +132,9 @@ def basis_vector(field: Field, n: int, i: int) -> Vector:
 class Matrix:
     field: Field
     rows: tuple
+    # the rows as exact integers, when the matrix was built from an array:
+    # rref starts from it and never reads rows
+    ints: Optional[np.ndarray] = dataclasses.field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rows:
@@ -132,6 +145,15 @@ class Matrix:
     @classmethod
     def from_rows(cls, field: Field, rows: Iterable[Sequence[Scalar]]) -> "Matrix":
         return cls(field, tuple(tuple(r) for r in rows))
+
+    @classmethod
+    def from_ints(cls, field: Field, arr: np.ndarray) -> "Matrix":
+        """The matrix of a 2-D integer-valued array on any rung: over GF(p)
+        its residues, over Q its integers as they are (rows of ints, which
+        rref takes as lam times their values).  The rows are Python ints
+        from one tolist; the exact array is kept for rref."""
+        ints = exact_ints(arr, field.p)
+        return cls(field, tuple(map(tuple, ints.tolist())), ints)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
@@ -202,13 +224,22 @@ class Matrix:
         f, nc, p = self.field, self.ncols, self.field.p
         # row scaling keeps the row space, so rows of ints are taken as they
         # are; zero rows change nothing
-        rows = [list(row) if p is not None or all(type(x) is int for x in row)
-                else clear_denominators(row)[1] for row in self.rows]
-        rows = [row for row in rows if any(row)]
+        x, rows = self.ints, None
+        if x is None:
+            rows = [list(row) if p is not None or all(type(y) is int for y in row)
+                    else clear_denominators(row)[1] for row in self.rows]
+            rows = [row for row in rows if any(row)]
+            n = len(rows)
+        else:
+            x = x[(x != 0).any(axis=1)]
+            n = len(x)
         red = None
-        if len(rows) > nc and len(rows) * nc >= (TALL_CELLS_Q if p is None else TALL_CELLS_GF):
-            red = _tall_rref_q(rows, nc) if p is None else _tall_rref_mod(f, rows, nc)
+        if n > nc and n * nc >= (TALL_CELLS_Q if p is None else TALL_CELLS_GF):
+            if x is None:
+                x = _int_array(rows, (n, nc))
+            red = _tall_rref_q(x) if p is None else _tall_rref_mod(x, p)
         if red is None:
+            rows = x.tolist() if rows is None else rows
             red = rows, _gauss_jordan(rows, nc, p)
         rows, pivots = red
         zero = f.zero
@@ -295,17 +326,18 @@ def _gauss_jordan(rows: list, nc: int, p: Optional[int]) -> list:
     return pivots
 
 
-def _tall_rref_mod(field: Field, rows: list, nc: int):
-    """(RREF rows, pivots) of the n > nc nonzero rows over GF(p), or None
-    when the float64 rung does not hold at this shape and prime.
+def _tall_rref_mod(x: np.ndarray, p: int):
+    """(RREF rows, pivots) of the n > ncols nonzero integer rows x over GF(p),
+    or None when the float64 rung does not hold at this shape and prime.
 
-    k = nc + _SKETCH_EXTRA pseudo-random combinations of the rows are
+    k = ncols + _SKETCH_EXTRA pseudo-random combinations of the rows are
     eliminated mod p, and one matmul checks that every row lies in the span
     of the result B: X == X[:, pivots] @ B mod p.  Rows that escape join B
     and one more elimination gives the RREF of the whole row space."""
-    p, n = field.p, len(rows)
+    n, nc = x.shape
     # the sketch product, the elimination and the check stay below n p max(big, p)
-    x = integer_array(field, rows, (n, nc), lambda big: big + n * p * max(big, p))[1]
+    big = magnitude(x)
+    x = x.astype(rung(big + n * p * max(big, p)), copy=False)
     if x.dtype != np.float64:
         return None
     m = _sketch(min(n, nc + _SKETCH_EXTRA), n, p) @ x
@@ -318,20 +350,19 @@ def _tall_rref_mod(field: Field, rows: list, nc: int):
     return python_ints(m[:len(pivots)], p), pivots
 
 
-def _tall_rref_q(rows: list, nc: int) -> tuple[list, list]:
-    """(eliminated rows, pivots) as _gauss_jordan returns them, for the n > nc
-    nonzero integer rows over Q.
+def _tall_rref_q(x: np.ndarray) -> tuple[list, list]:
+    """(eliminated rows, pivots) as _gauss_jordan returns them, for the n >
+    ncols nonzero integer rows x over Q, an int64 or object array.
 
     Elimination mod SELECT_PRIME picks rows independent mod that prime,
-    hence over Q; only those <= nc rows are eliminated exactly.  Their RREF
-    B = V / mu, V integer and mu the lcm of the pivots, must then satisfy
-    mu X == X[:, pivots] @ V for every row of X, checked by one integer
-    matmul on the rung that holds it.  Rows that escape join the eliminated
-    rows and the exact loop runs once more."""
-    n = len(rows)
-    x = _int_array(rows, (n, nc))
+    hence over Q; only those <= ncols rows are eliminated exactly.  Their
+    RREF B = V / mu, V integer and mu the lcm of the pivots, must then
+    satisfy mu X == X[:, pivots] @ V for every row of X, checked by one
+    integer matmul on the rung that holds it.  Rows that escape join the
+    eliminated rows and the exact loop runs once more."""
+    nc = x.shape[1]
     selected, order = _rref_mod(exact_ints(x, SELECT_PRIME).astype(np.float64), SELECT_PRIME)
-    basis = [rows[i] for i in order[:len(selected)]]
+    basis = x[order[:len(selected)]].tolist()
     pivots = _gauss_jordan(basis, nc, None)
     r = len(pivots)
     if r == nc:  # the whole space: nothing can escape
@@ -340,14 +371,13 @@ def _tall_rref_q(rows: list, nc: int) -> tuple[list, list]:
     mu = math.lcm(*heads)
     v = [[y * (mu // a) for y in row] for row, a in zip(basis, heads)]
     big_v = max((abs(y) for row in v for y in row), default=0)
-    big_x = max(int(x.max()), -int(x.min()))
-    dtype = rung(big_x * (r * big_v + mu))
-    x = x.astype(dtype)
+    dtype = rung(magnitude(x) * (r * big_v + mu))
+    check = x.astype(dtype)
     v = np.array(v, dtype=object).reshape(r, nc).astype(dtype)
-    escaped = np.flatnonzero(((mu * x - x[:, pivots] @ v) != 0).any(axis=1))
-    if not escaped.size:
+    escaped = ((mu * check - check[:, pivots] @ v) != 0).any(axis=1)
+    if not escaped.any():
         return basis, pivots
-    basis = basis[:r] + [rows[i] for i in escaped]
+    basis = basis[:r] + x[escaped].tolist()
     return basis, _gauss_jordan(basis, nc, None)
 
 

@@ -10,6 +10,7 @@ frozen below.
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -247,7 +248,7 @@ def test_non_closed_span_raises_closure_error(field):
     rows = [(one, zero, zero, zero), (zero, zero, zero, one), (zero, one, field.neg(one), zero)]
     a = zero_algebra(field, 2, "commutative")
     with pytest.raises(ClosureError, match="pairs 0 and 0 leaves the span"):
-        constructions._build_actor("mult", a, rows)
+        constructions._build_actor("mult", a, Matrix.from_rows(field, rows))
 
 
 def _big_q_conjugate(a):
@@ -319,7 +320,9 @@ def _condition_oracle(actor, which):
     return None
 
 
-def test_condition_witnesses_equal_per_pair_matmul_oracle():
+def _condition_cases():
+    """Leibniz and associative algebras on every rung: fixtures, zero
+    algebras and samples, fifteen of which fail their condition."""
     cases = list(_big_entry_algebras())
     # condition 1 fails on these, with an object-array basis
     cases += [sample_algebra(random.Random(0), GF(4294967291), 3, "leibniz"),
@@ -330,16 +333,19 @@ def test_condition_witnesses_equal_per_pair_matmul_oracle():
                   a5_leibniz(f), zero_algebra(f, 2, "associative"),
                   zero_algebra(f, 3, "associative"), truncated_poly(f, 3), dual_numbers(f)]
     cases.append(m2_rationals())
+    return [a for a in cases if a.category in ("leibniz", "associative")]
+
+
+def test_condition_witnesses_equal_per_pair_matmul_oracle():
+    cases = _condition_cases()
     failures = 0
     for a in cases:
         if a.category == "leibniz":
             actor, rep = biderivations(a, 1), condition1_check(a)
             key, which = "bider_dim", 1
-        elif a.category == "associative":
+        else:
             actor, rep = bimultipliers(a), condition2_check(a)
             key, which = "bim_dim", 2
-        else:
-            continue
         want = _condition_oracle(actor, which)
         assert rep.details == [{key: actor.dim}]
         if want is None:
@@ -350,6 +356,67 @@ def test_condition_witnesses_equal_per_pair_matmul_oracle():
             assert (rep.label, rep.witness, rep.lhs, rep.rhs) == want
             assert all(type(x) is type(a.field.zero) for x in rep.lhs + rep.rhs)
     assert failures == 15
+
+
+# Block boundaries.  The closure and the condition checks take the products
+# of a block of basis pairs s at once, as many s as BLOCK_CELLS holds.  A
+# budget of one cell makes every block a single s; a budget of two s makes
+# blocks of two with a remainder of one when m is odd.
+
+
+def _first_escape(field, rows):
+    """The first (s, t) in s-major order at which the composition of the
+    nullspace's basis pairs leaves their span, by the per-pair oracle."""
+    span = Subspace.spanned_by(Matrix.from_rows(field, rows).nullspace(), 4)
+    maps = [BiMap(m, m) for m in (Matrix(field, (r[:2], r[2:])) for r in span.basis.rows)]
+    actor = types.SimpleNamespace(maps=maps)
+    for s, t in itertools.product(range(len(maps)), repeat=2):
+        prod = _pair_product_oracle(actor, "aLbL", s, t)
+        if not span.contains(tuple(x for row in prod.rows for x in row)):
+            return s, t
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@pytest.mark.parametrize("rule", ["a00 = a11", "a11 = 0"])
+def test_closure_error_names_the_first_escaping_pair_at_every_block_size(
+        monkeypatch, field, rule):
+    # span{I, E12, E21} first escapes at E12 E21 = E11, pairs 1 and 2, and
+    # span{E11, E12, E21} at E21 E12 = E22, pairs 2 and 1, inside the
+    # remainder block when blocks hold two s
+    one, zero = field.one, field.zero
+    rows = {"a00 = a11": [(one, zero, zero, field.neg(one))],
+            "a11 = 0": [(zero, zero, zero, one)]}[rule]
+    s, t = _first_escape(field, rows)
+    assert s > 0 and t > 0
+    a = zero_algebra(field, 2, "commutative")
+    # m = 3 pairs of 4 cells, 12 cells per s: blocks of one, two and three s
+    for cells in (1, 24, 36, constructions.BLOCK_CELLS):
+        monkeypatch.setattr(constructions, "BLOCK_CELLS", cells)
+        with pytest.raises(ClosureError, match=f"pairs {s} and {t} leaves the span"):
+            constructions._build_actor("mult", a, Matrix.from_rows(field, rows))
+
+
+def test_constants_and_condition_reports_do_not_depend_on_the_block_size(monkeypatch):
+    cases = _condition_cases()
+    for f in (QQ, GF(3), GF(5)):
+        for category in ("leibniz", "associative"):
+            cases += [sample_algebra(random.Random(seed), f, 3, category) for seed in range(4)]
+    default = constructions.BLOCK_CELLS
+    for a in cases:
+        build, check = (biderivations, condition1_check) if a.category == "leibniz" \
+            else (bimultipliers, condition2_check)
+        monkeypatch.setattr(constructions, "BLOCK_CELLS", default)
+        actor = build(a)
+        want = check(a, actor)
+        # one s per block, then two per block with a remainder when m is odd
+        width = actor.pairs[1][0].size
+        for cells in (1, 2 * actor.dim * width):
+            monkeypatch.setattr(constructions, "BLOCK_CELLS", cells)
+            got = build(a)
+            assert got.tensor == actor.tensor
+            rep = check(a, got)
+            assert rep == want and rep.to_json(a.field.to_json) == want.to_json(a.field.to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +506,10 @@ def test_integer_assembly_is_lam_times_per_entry_oracle(a):
     f = a.field
     lam = math.lcm(*(x.denominator for plane in a.tensor for v in plane for x in v))
     for kind in ("der", "bim", "bider1", "mult"):
-        got = constructions._assemble(a, kind)
+        got = constructions._assemble(a, kind).rows
         assert all(type(x) is int for row in got for x in row)
         want = [[lam * x if f.p is None else x for x in row] for row in _oracle_rows(a, kind)]
-        assert got == want, kind
+        assert got == tuple(map(tuple, want)), kind
 
 
 def _follower_algebras():
@@ -497,7 +564,7 @@ def test_scalars_leaving_numpy_are_python_ints_or_fractions():
             rungs.add(constructions._integer_pairs(actor.kind, actor.span.basis, a.dim)[1].dtype)
             _assert_scalars(f, [x for plane in actor.tensor for row in plane for x in row])
             # constraint rows are ints over both fields: lam times their values over Q
-            rows = [x for row in constructions._assemble(a, actor.kind) for x in row]
+            rows = [x for row in constructions._assemble(a, actor.kind).rows for x in row]
             assert all(type(x) is int and (f.p is None or 0 <= x < f.p) for x in rows)
             witnesses = [identity_suite(v.semidirect_product, a.category), v.condition_status]
             for rep in filter(None, witnesses):

@@ -320,6 +320,77 @@ def test_residues_are_exact_on_every_rung_for_every_prime(p):
     assert linalg.exact_dtype(18446744073709551629, np.float64) == object
 
 
+# The array entry: Matrix.from_ints keeps the exact integer array, and rref
+# starts from it; the rows it fills must give the same answers as the same
+# ints handed in as rows.
+
+ARRAY_FIELDS = (GF(2), GF(3), GF(5), GF(2 ** 31 - 1), GF(2 ** 61 - 1), QQ)
+
+
+def _int_rows(rng, field, nrows, ncols, rank, big=False):
+    """nrows x ncols integer rows of rank at most rank, as residues over
+    GF(p); over Q integers, near 3^40 (past int64) when big, with a zero
+    row after every third one."""
+    left = [[rng.randrange(-2, 3) for _ in range(rank)] for _ in range(nrows)]
+    entry = (lambda: rng.randrange(field.p)) if field.p else \
+        (lambda: rng.choice((0, 1, 3 ** 40 if big else 5)) + rng.randrange(-3, 4))
+    right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for i, row in enumerate(left):
+        out = [sum(row[k] * right[k][j] for k in range(rank)) for j in range(ncols)]
+        rows.append([x % field.p for x in out] if field.p else out)
+        if i % 3 == 2:
+            rows.append([0] * ncols)
+    return rows
+
+
+def _array_cases(field, big):
+    """(rows, tall) pairs: no rows, no columns, all zero, small, and tall
+    inputs one nonzero row either side of the front end's cell bound."""
+    rng = random.Random(field.p or int(big))
+    cells = linalg.TALL_CELLS_Q if field is QQ else linalg.TALL_CELLS_GF
+    ncols = math.isqrt(cells) // 4
+    yield [], False
+    yield [[], [], []], False
+    yield [[0] * 5 for _ in range(4)], False
+    yield _int_rows(rng, field, 5, 6, 4, big), False
+    for nonzero, tall in ((cells // ncols - 1, False), (cells // ncols, True)):
+        rows = _int_rows(rng, field, 3 * nonzero, ncols, ncols - 3, big)
+        rows = [row for row in rows if any(row)][:nonzero]
+        for i in range(0, len(rows), 7):  # interleaved zero rows do not count
+            rows.insert(i, [0] * ncols)
+        yield rows, tall
+
+
+def _assert_scalar_rows(field, m):
+    scalar = Fraction if field is QQ else int
+    assert all(type(x) is scalar for row in m.rows for x in row)
+
+
+@pytest.mark.parametrize("field,dtype,big", [
+    *((f, dt, False) for f in ARRAY_FIELDS[:4] for dt in (np.float64, np.int64, object)),
+    (ARRAY_FIELDS[4], np.int64, False), (ARRAY_FIELDS[4], object, False),
+    (QQ, np.float64, False), (QQ, np.int64, False), (QQ, object, True)], ids=str)
+def test_array_entry_equals_the_same_ints_as_rows(monkeypatch, field, dtype, big):
+    kernels = []
+    for name in ("_tall_rref_mod", "_tall_rref_q"):
+        kernel = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, k=kernel: kernels.append(1) or k(*a))
+    for rows, tall in _array_cases(field, big):
+        ncols = len(rows[0]) if rows else 0
+        arr = np.array(rows, dtype=dtype).reshape(len(rows), ncols)
+        got, want = Matrix.from_ints(field, arr), Matrix.from_rows(field, rows)
+        assert got == want and hash(got) == hash(want)
+        assert all(type(x) is int for row in got.rows for x in row)
+        kernels.clear()
+        red, piv = got.rref()
+        assert (red, piv) == want.rref() and bool(kernels) == tall
+        assert got.rank() == want.rank() == len(piv)
+        assert got.nullspace() == want.nullspace()
+        for m in (red, got.nullspace()):
+            _assert_scalar_rows(field, m)
+
+
 def test_tall_front_end_never_imports_numpy_random():
     # a sampled GF(5) dim-5 Leibniz algebra: its 375 x 50 constraint matrix
     # takes the front end, whose sketch is hashed with integer arithmetic;
@@ -329,7 +400,7 @@ def test_tall_front_end_never_imports_numpy_random():
             "from artifact.fields import GF\n"
             "calls = []\n"
             "kernel = linalg._tall_rref_mod\n"
-            "linalg._tall_rref_mod = lambda *a: calls.append(a[1]) or kernel(*a)\n"
+            "linalg._tall_rref_mod = lambda *a: calls.append(a[0]) or kernel(*a)\n"
             "a = corpus.sample_algebra(random.Random(0), GF(5), 5, 'leibniz')\n"
             "existence.actor_pipeline(a)\n"
             "print(json.dumps([len(calls[0]), 'numpy.random' in sys.modules]))\n")
