@@ -2,9 +2,12 @@
 
 An ActionPair stores two tensors: left[bi][aj] is the coefficient vector of
 e_bi acting on e_aj from the left, right[ai][bj] the vector of e_ai acted on
-from the right.  Whether such a pair is a derived action depends on the
-category; each category carries a finite list of bilinear conditions that a
-split extension forces, so checking them on basis tuples is sufficient.
+from the right.  Either may be given as a function that builds it on first
+read (linalg.lazy), as a candidate's induced action is; semidirect builds
+the product's tensor on first read too, so its dimension costs nothing.
+Whether such a pair is a derived action depends on the category; each
+category carries a finite list of bilinear conditions that a split
+extension forces, so checking them on basis tuples is sufficient.
 
 The same question can be answered a second way: build the semidirect product
 and run the category's identity suite on it.  crosscheck_semidirect runs both
@@ -18,9 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import Algebra, InputError, algebra_from_json, identity_suite, make_algebra
+from .algebra import Algebra, InputError, algebra_from_json, identity_suite
 from .fields import read_nested
-from .linalg import Vector, basis_vector, bilinear, vec_add, vec_is_zero, vec_neg, vec_sub, vec_zero
+from .linalg import (Vector, basis_vector, bilinear, lazy, vec_add, vec_is_zero, vec_neg, vec_sub,
+                     vec_zero)
 from .reporting import Report
 
 
@@ -28,8 +32,8 @@ from .reporting import Report
 class ActionPair:
     B: Algebra
     A: Algebra
-    left: tuple   # left[bi][aj] in A-coordinates
-    right: tuple  # right[ai][bj] in A-coordinates
+    left: tuple = lazy()   # left[bi][aj] in A-coordinates
+    right: tuple = lazy()  # right[ai][bj] in A-coordinates
 
     def act_left(self, bvec: Vector, avec: Vector) -> Vector:
         return bilinear(self.A.field, self.left, bvec, avec, self.A.dim)
@@ -228,34 +232,32 @@ def semidirect(act: ActionPair) -> Algebra:
 
     The B block occupies coordinates 0..dimB-1.  The category tag is "raw":
     whether the result satisfies any identity suite is a question, not a
-    promise.
+    promise.  The tensor is built from the action's on first read.
     """
     B, A = act.B, act.A
     f = A.field
     nB, nA = B.dim, A.dim
     n = nB + nA
 
-    def bvec(v):
-        return tuple(v) + vec_zero(f, nA)
+    def tensor():
+        zero_a, zero_b = vec_zero(f, nA), vec_zero(f, nB)
+        out = []
+        for i in range(n):
+            plane = []
+            for j in range(n):
+                if i < nB and j < nB:
+                    plane.append(tuple(B.tensor[i][j]) + zero_a)
+                elif i < nB:
+                    plane.append(zero_b + tuple(act.left[i][j - nB]))
+                elif j < nB:
+                    plane.append(zero_b + tuple(act.right[i - nB][j]))
+                else:
+                    plane.append(zero_b + tuple(A.tensor[i - nB][j - nB]))
+            out.append(tuple(plane))
+        return tuple(out)
 
-    def avec(v):
-        return vec_zero(f, nB) + tuple(v)
-
-    tensor = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            if i < nB and j < nB:
-                plane.append(bvec(B.tensor[i][j]))
-            elif i < nB:
-                plane.append(avec(act.left[i][j - nB]))
-            elif j < nB:
-                plane.append(avec(act.right[i - nB][j]))
-            else:
-                plane.append(avec(A.tensor[i - nB][j - nB]))
-        tensor.append(tuple(plane))
-    names = [f"b.{x}" for x in B.basis] + [f"a.{x}" for x in A.basis]
-    return make_algebra(f, names, tuple(tensor), "raw")
+    names = tuple(f"b.{x}" for x in B.basis) + tuple(f"a.{x}" for x in A.basis)
+    return Algebra(f, n, names, tensor, "raw")
 
 
 def crosscheck_semidirect(category: str, act: ActionPair) -> Report:

@@ -16,16 +16,21 @@ rungs: float64 while B < 2^53, where every such value is an integer that
 float64 holds exactly whatever the summation order (the technique of
 FFLAS-FFPACK), int64 while B < 2^63, and Python ints (an object array)
 beyond, so nothing rounds or wraps around.  linalg.integer_array is that
-rule, written once, and linalg.python_ints is the one way back to Python
-ints.  suite_bound is B, written once too: the semidirect product's tensor,
+rule, written once, and linalg.exact_ints is the one way back to exact
+integers.  suite_bound is B, written once too: the semidirect product's tensor,
 which constructions.semidirect_tensor places from integer blocks without
 reading a scalar, takes its dtype from the same bound.  The array is built
 once per suite, or handed to identity_suite by its caller.  Rows are
 checked in order, one leading witness index at a time: each term is one
 matmul on 2-D views of the tensor (BLAS dgemm on the float64 rung), the
 signed terms are summed, and linalg.nonzero_mod flags the nonzero
-differences (mod p over GF(p)), stopping at the first.  The witness sides lhs/rhs are then computed
-exactly, by Algebra.multiply.
+differences (mod p over GF(p)), stopping at the first.  The witness sides
+lhs/rhs are then computed exactly, by Algebra.multiply.
+
+An Algebra's tensor may be given as a function that builds it on first read
+(linalg.lazy): a candidate's own algebra and the semidirect product are
+made that way, so a suite that runs on an integer tensor handed in by its
+caller and passes never reads it.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .linalg import (
     basis_vector,
     bilinear,
     integer_array,
+    lazy,
     nonzero_mod,
     vec_add,
     vec_is_zero,
@@ -72,7 +78,7 @@ class Algebra:
     field: Field
     dim: int
     basis: tuple[str, ...]
-    tensor: tuple  # tensor[i][j] is the coefficient vector of e_i * e_j
+    tensor: tuple = lazy()  # tensor[i][j] is the coefficient vector of e_i * e_j
     category: str
 
     def multiply(self, u: Vector, v: Vector) -> Vector:
@@ -366,7 +372,8 @@ def annihilator(a: Algebra) -> Subspace:
         for k in range(n):
             rows.append(tuple(a.tensor[i][j][k] for i in range(n)))  # x * e_j
             rows.append(tuple(a.tensor[j][i][k] for i in range(n)))  # e_j * x
-    return Subspace.from_spanning(f, n, Matrix.from_rows(f, rows).nullspace().rows)
+    null = Matrix.from_rows(f, rows).nullspace()  # canonical already: no second elimination
+    return Subspace.spanned_by(null, n) if null.nrows else Subspace(n, Matrix(f, ()), ())
 
 
 def derived_subspace(a: Algebra) -> Subspace:

@@ -45,12 +45,18 @@ GF(5) the zero Leibniz algebras at dims 6, 5 and 4 (m = 72, 50, 32) 10.2 ->
 leaves the Leibniz m = 72 at 10.0 ms, and 2^16 makes it slower than one s
 at a time, 11.6 ms (Intel Xeon, numpy 2.4 with OpenBLAS).
 
-The candidate keeps both integer arrays: the integer pairs, which the
+The candidate keeps its span, whose basis is the nullspace's integer array
+over its denominator, and two integer arrays: the integer pairs, which the
 condition checks reuse, and the structure constants times lam^2 as
-linalg.exact_ints gives them (reduced mod p over GF(p)).  semidirect_tensor
-places them, with the target's own integer tensor, as the four blocks of
-the semidirect product's integer tensor, so the pipeline's semidirect suite
-never converts the product's N^3 field scalars back to integers.
+linalg.exact_ints gives them (reduced mod p over GF(p)).  Its field scalars
+are built from those on first read (linalg.lazy): maps, the basis pairs as
+Matrices over lam, and tensor, the constants over lam^2; action_pair's left
+and right tensors are the pairs' columns, and as_algebra's tensor is
+tensor.  semidirect_tensor places the arrays, with the target's own integer
+tensor, as the four blocks of the semidirect product's integer tensor, so
+the pipeline's semidirect suite never converts the product's N^3 field
+scalars back to integers, and a verdict that reads no witness builds none
+of them.
 
 factor_through_actor expresses an action on the candidate's target in the
 candidate's basis, and is the one place that checks the action's algebra
@@ -63,8 +69,8 @@ so each matmul is an exact BLAS dgemm, then int64, then Python ints.  The
 module keeps no dtype or residue code of its own: differences are tested by
 linalg.nonzero_mod, residues taken by linalg.exact_ints, and every value
 handed back to exact code leaves numpy as Python ints, never as floats: the
-constraint rows through Matrix.from_ints, the structure constants and
-condition witnesses through linalg.python_ints.
+constraint rows through Matrix.from_ints, the structure constants, the
+action and condition witnesses through linalg.scalar_tuples.
 """
 
 from __future__ import annotations
@@ -73,12 +79,11 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .actions import ActionPair, conjugation_action, make_action
+from .actions import ActionPair, conjugation_action
 from .algebra import (
     IDENTITIES,
     SUITES,
@@ -89,7 +94,6 @@ from .algebra import (
     annihilator,
     derived_subspace,
     identity_suite,
-    make_algebra,
     suite_bound,
 )
 from .linalg import (
@@ -100,10 +104,12 @@ from .linalg import (
     exact_dtype,
     exact_ints,
     integer_array,
+    lazy,
     magnitude,
     nonzero_mod,
-    python_ints,
+    on_rung,
     rung,
+    scalar_tuples,
 )
 from .reporting import Report
 
@@ -178,8 +184,10 @@ def _pair(kind: str, left: Matrix, right: Matrix | None = None) -> BiMap:
 class ActorAlgebra:
     kind: str
     target: Algebra
-    maps: tuple  # basis BiMaps
-    tensor: tuple  # structure constants of the bracket/product in that basis
+    maps: tuple = lazy()  # basis BiMaps, built from pairs on first read
+    # structure constants of the bracket/product in that basis, built from
+    # constants on first read
+    tensor: tuple = lazy()
     span: Subspace  # the canonical basis over the flattened coordinates
     # (lam, lam * basis pairs), the integer pairs of _integer_pairs
     pairs: tuple = field(compare=False, repr=False)
@@ -190,22 +198,26 @@ class ActorAlgebra:
 
     @property
     def dim(self) -> int:
-        return len(self.maps)
+        return self.span.dim
 
     def as_algebra(self) -> Algebra:
         names = tuple(f"{self.kind}{i}" for i in range(self.dim))
-        return make_algebra(self.target.field, names, self.tensor,
-                            KIND_TABLE[self.kind].category)
+        return Algebra(self.target.field, self.dim, names, lambda: self.tensor,
+                       KIND_TABLE[self.kind].category)
 
     def action_pair(self) -> ActionPair:
         """The action this candidate induces on its target: left by the left
-        components, right by the right components."""
-        A = self.target
-        n = A.dim
-        left = tuple(tuple(bm.left.col(j) for j in range(n)) for bm in self.maps)
-        right = tuple(tuple(self.maps[b].right.col(i) for b in range(self.dim))
-                      for i in range(n))
-        return make_action(self.as_algebra(), A, left, right)
+        components, right by the right components.  left[b][j] is column j
+        of L_b and right[i][b] column i of R_b, both built from the integer
+        pairs on first read."""
+        f, kind, pairs = self.target.field, self.kind, self.pairs
+
+        def columns(which: int, axes: tuple):
+            return lambda: scalar_tuples(
+                f, pairs[0], _components(kind, pairs, f.p)[which].transpose(axes))
+
+        return ActionPair(self.as_algebra(), self.target, columns(0, (0, 2, 1)),
+                          columns(1, (2, 0, 1)))
 
     def member_coords(self, bm: BiMap) -> Vector | None:
         """Coordinates of a pair in the basis, or None if outside the span.
@@ -321,10 +333,6 @@ def _multiplier_rows(A: Algebra):
     return _assemble(A, "mult")
 
 
-def _unflatten(f, n, flat) -> Matrix:
-    return Matrix(f, tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n)))
-
-
 # the most cells of products one block of basis pairs s takes at once, in
 # the closure and the condition checks; the module docstring gives the sweep
 BLOCK_CELLS = 2 ** 14
@@ -350,8 +358,9 @@ def _integer_pairs(kind: str, basis: Matrix, n: int):
     products."""
     m = basis.nrows
     k = 1 if KIND_TABLE[kind].right in _FOLLOW else 2
-    return integer_array(basis.field, basis.rows, (m, k, n, n),
-                         lambda big: (m + 1) * _CLOSURE_TERMS * n * big ** 3)
+    lam, ints = basis.scaled()
+    return lam, on_rung(ints.reshape(m, k, n, n),
+                        lambda big: (m + 1) * _CLOSURE_TERMS * n * big ** 3)
 
 
 def _pair_products(b: np.ndarray, text: str, block: slice) -> np.ndarray:
@@ -374,13 +383,15 @@ def _blocks(m: int, cells: int):
     return (slice(s, min(s + k, m)) for s in range(0, m, k))
 
 
-def _scalars(f, den: int, ints, memo: dict) -> Vector:
-    """The field scalars ints / den, ints Python ints: over GF(p), where den
-    is 1, the ints themselves; over Q, Fractions, each made once."""
-    if f.p is not None:
-        return tuple(ints)
-    return tuple(memo[x] if x in memo else memo.setdefault(x, Fraction(x, den))
-                 for x in ints)
+def _components(kind: str, pairs, p) -> tuple[np.ndarray, np.ndarray]:
+    """lam times the left and right components of the integer pairs, two
+    exact integer (m, n, n) arrays, the right one reduced mod p over GF(p)
+    (+-L under _FOLLOW)."""
+    b = exact_ints(pairs[1])
+    sign = _FOLLOW.get(KIND_TABLE[kind].right)
+    left = b[:, 0]
+    right = b[:, 1] if sign is None else left if sign > 0 else -left
+    return left, exact_ints(right, p)
 
 
 def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
@@ -390,10 +401,7 @@ def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
     texts = (spec.bracket,) if spec.right in _FOLLOW else (spec.bracket, spec.right)
     null = constraints.nullspace()
     span = Subspace.spanned_by(null, len(texts) * nn)
-    maps = tuple(_pair(kind, *(_unflatten(f, n, row[k:k + nn])
-                               for k in range(0, len(row), nn)))
-                 for row in span.basis.rows)
-    m = len(maps)
+    m = span.dim
     pairs = _integer_pairs(kind, span.basis, n)
     lam, b = pairs
     width = b.shape[1] * nn
@@ -411,10 +419,21 @@ def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
             raise ClosureError(f"{kind}: product of basis pairs {block.start + s} and "
                                f"{t} leaves the span")
         consts[block] = exact_ints(coords, f.p).reshape(-1, m, m)
-    den, memo = lam * lam, {}
-    tensor = tuple(tuple(_scalars(f, den, row, memo) for row in plane.tolist())
-                   for plane in consts)
-    return ActorAlgebra(kind, A, maps, tensor, span, pairs, (den, consts))
+    return _actor(kind, A, span, pairs, (lam * lam, consts))
+
+
+def _actor(kind: str, A: Algebra, span: Subspace, pairs, constants) -> ActorAlgebra:
+    """The candidate whose maps and tensor are built from its integer pairs
+    and constants on first read."""
+    f = A.field
+
+    def maps():
+        return tuple(BiMap(Matrix.from_quotient(f, left, pairs[0]),
+                           Matrix.from_quotient(f, right, pairs[0]))
+                     for left, right in zip(*_components(kind, pairs, f.p)))
+
+    return ActorAlgebra(kind, A, maps, lambda: scalar_tuples(f, *constants), span, pairs,
+                        constants)
 
 
 def semidirect_tensor(actor: ActorAlgebra) -> np.ndarray:
@@ -439,17 +458,15 @@ def semidirect_tensor(actor: ActorAlgebra) -> np.ndarray:
     A = actor.target
     f, n, m = A.field, A.dim, actor.dim
     den, consts = actor.constants
-    lam_pairs, pairs = actor.pairs
+    lam_pairs = actor.pairs[0]
     lam_a, ints_a = integer_array(f, A.tensor, (n, n, n), suite_bound(n))
     # gcd(den, every entry), the gcd of none being 0; den is 1 over GF(p)
     g = math.gcd(den, int(np.gcd.reduce(consts, axis=None))) if den > 1 else 1
-    left = pairs[:, 0]
-    sign = _FOLLOW.get(KIND_TABLE[actor.kind].right)
-    right = pairs[:, 1] if sign is None else left if sign > 0 else -left
+    left, right = _components(actor.kind, actor.pairs, f.p)
     lo, hi = slice(m), slice(m, None)
     blocks = [((lo, lo, lo), consts if g == 1 else consts // g, den // g),
-              ((lo, hi, hi), exact_ints(left).transpose(0, 2, 1), lam_pairs),
-              ((hi, lo, hi), exact_ints(right, f.p).transpose(2, 0, 1), lam_pairs),
+              ((lo, hi, hi), left.transpose(0, 2, 1), lam_pairs),
+              ((hi, lo, hi), right.transpose(2, 0, 1), lam_pairs),
               ((hi, hi, hi), exact_ints(ints_a), lam_a)]
     lam = math.lcm(*(lam_block for _, _, lam_block in blocks))
     tops = [magnitude(arr) for _, arr, _ in blocks]
@@ -516,8 +533,8 @@ def zero_actor(A: Algebra) -> ActorAlgebra:
     f = A.field
     span = Subspace(A.dim ** 2, Matrix(f, ()), ())
     pairs = _integer_pairs("zero", span.basis, A.dim)
-    return ActorAlgebra("zero", A, (), (), span, pairs,
-                        (1, np.zeros((0, 0, 0), exact_dtype(f.p, pairs[1].dtype))))
+    return _actor("zero", A, span, pairs,
+                  (1, np.zeros((0, 0, 0), exact_dtype(f.p, pairs[1].dtype))))
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +663,9 @@ def _condition_check(which: int, actor: ActorAlgebra) -> Report:
         differs = nonzero_mod(lhs - rhs, f.p).any(axis=2)
         if differs.any():
             s, t, col = (int(x) for x in np.unravel_index(differs.argmax(), differs.shape))
-            memo = {}
             return Report(False, label=label, witness=(block.start + s, t, col),
-                          lhs=_scalars(f, lam * lam, python_ints(lhs[s, t, :, col], f.p), memo),
-                          rhs=_scalars(f, lam * lam, python_ints(rhs[s, t, :, col], f.p), memo),
+                          lhs=scalar_tuples(f, lam * lam, exact_ints(lhs[s, t, :, col], f.p)),
+                          rhs=scalar_tuples(f, lam * lam, exact_ints(rhs[s, t, :, col], f.p)),
                           details=details)
     return Report(True, details=details)
 

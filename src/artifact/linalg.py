@@ -1,28 +1,40 @@
 """Dense exact linear algebra over the fields in :mod:`artifact.fields`.
 
-Matrices are immutable row-major tuples of field scalars.  Row reduction is
-one Gauss-Jordan elimination on rows of Python ints for both fields, with
-the first nonzero pivot rule, which makes every output deterministic.  Over
-Q each row is first multiplied by the lcm of its denominators (row scaling
-keeps the row space), then eliminated fraction-free as in Bareiss (1968),
-row_i <- a*row_i - s*row_r, except that the new row is divided by the gcd of
-its entries rather than by the previous pivot, which keeps every row
-primitive; Fractions are made only at the end, each pivot row divided by its
-pivot.  Over GF(p) the pivot row is scaled by its inverse and an update
-touches only its nonzero columns.  The RREF is unique, so nullspace and
-span bases are canonical and two equal subspaces always produce identical
-basis matrices, comparable with ==.  Over Q rows of Python ints are
-accepted as they are (lam = 1), so a caller may hand in rows already scaled
-to integers; the output is in Fractions either way.
+A Matrix is immutable and has two views of its entries: rows, row-major
+tuples of field scalars, and ints, den times the entries as one exact
+integer array (int64 or Python ints, residues over GF(p) where den is 1).
+A matrix is given by one view and the other is built on first read; the
+lazy field descriptor is that mechanism, and the candidate, action and
+algebra types of the other modules use it too.  Equality and hashing are
+those of the rows.  Matrix.from_ints is the array entry, as the constraint
+assembly of constructions builds it (over Q its rows are the integers as
+they are, lam times the values); from_quotient makes the matrix v / den of
+an integer array.  The outputs of rref and nullspace hold their integer
+array and denominator, so an elimination that only feeds another array
+computation never makes a field scalar.
 
-Matrix.from_ints is the array entry: a 2-D integer array on any rung, its
-residues over GF(p) or its integers over Q (lam times the values), as the
-constraint assembly of constructions builds it.  It fills rows with Python
-ints from one tolist and keeps the exact array beside them, outside equality
-and hashing.  rref starts from that array: it drops zero rows with one mask,
-hands a tall input to the front end below as it is, and a small one to the
-loop as lists.  The two front-end kernels take an integer array only; a
-matrix built from rows is converted once, in rref.
+Row reduction is one Gauss-Jordan elimination on rows of Python ints for
+both fields, with the first nonzero pivot rule, which makes every output
+deterministic.  Over Q each row is first multiplied by the lcm of its
+denominators (row scaling keeps the row space), then eliminated
+fraction-free as in Bareiss (1968), row_i <- a*row_i - s*row_r, except that
+the new row is divided by the gcd of its entries rather than by the previous
+pivot, which keeps every row primitive.  The RREF is then V / mu, each
+primitive pivot row scaled to mu, the lcm of the pivot entries.  Over GF(p)
+the pivot row is scaled by its inverse and an update touches only its
+nonzero columns.  The RREF is unique, so nullspace and span bases are
+canonical and two equal subspaces always produce identical basis matrices,
+comparable with ==.  Over Q rows of Python ints are accepted as they are
+(lam = 1), so a caller may hand in rows already scaled to integers; the
+output is in Fractions either way.  An RREF output carries its pivots, and
+the rref of such a matrix is the matrix itself.  The nullspace's RREF is
+read off the RREF of the columns in reverse order with no second
+elimination (Matrix.nullspace gives the argument).
+
+rref starts from the array when the matrix holds one: it drops zero rows
+with one mask, hands a tall input to the front end below as it is, and a
+small one to the loop as lists.  The two front-end kernels take an integer
+array only; a matrix built from rows is converted once, in rref.
 
 Subspace is the one RREF span: it alone holds a canonical basis together
 with its pivot columns.  The actor candidate of constructions and the
@@ -61,9 +73,10 @@ while the caller's bound stays below 2^53, then int64, then Python ints.
 So is the residue rule: exact_ints takes an array on any rung to exact
 integers, reduced into [0, p) over GF(p), never by a float remainder nor in
 a dtype too narrow for p, so every prime field_from_json accepts gets the
-same exact answer.  nonzero_mod and python_ints, the one way back to exact
-code, are built on it; algebra and constructions keep no dtype or residue
-code of their own.
+same exact answer.  nonzero_mod, python_ints and scalar_tuples (exact
+integers over a denominator as field scalars), the way back to exact code,
+are built on it; algebra and constructions keep no dtype or residue code of
+their own.
 
 bilinear is the one exact sparse bilinear product, sum_ij u_i v_j t[i][j]:
 an algebra's multiplication and both sides of an action are calls to it.
@@ -71,7 +84,6 @@ an algebra's multiplication and both sides of an action are calls to it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,7 +91,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fields import Field, Scalar
+from .fields import QQ, Field, Scalar
 
 Vector = tuple  # tuple of scalars
 
@@ -128,19 +140,97 @@ def basis_vector(field: Field, n: int, i: int) -> Vector:
     return tuple(field.one if j == i else field.zero for j in range(n))
 
 
-@dataclass(frozen=True)
+_NO_DEFAULT = object()
+
+
+class lazy:
+    """A dataclass field that may be given as a function of no arguments,
+    a view of data its instance holds in another form: the first read calls
+    the function and keeps what it returns, so a view nobody reads is never
+    built.  Any other value is kept as it is.  lazy(default) gives the field
+    a default."""
+
+    def __init__(self, default=_NO_DEFAULT):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # read on the class: the dataclass's default
+            if self.default is _NO_DEFAULT:
+                raise AttributeError(self.name)
+            return self.default
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
+def is_built(obj, name: str) -> bool:
+    """Whether the lazy field name of obj holds its value yet."""
+    return not callable(vars(obj)[name])
+
+
+def _scalar_rows(field: Field, den: int, rows: list, memo: Optional[dict] = None) -> tuple:
+    """Rows of Python ints over den as tuples of field scalars: over GF(p),
+    where den is 1, the ints themselves; over Q, Fractions, each value made
+    once per memo."""
+    if field.p is not None:
+        return tuple(map(tuple, rows))
+    memo = {} if memo is None else memo
+    zero, get = field.zero, memo.get
+    return tuple(tuple([zero if not x else get(x) or memo.setdefault(x, Fraction(x, den))
+                        for x in row]) for row in rows)
+
+
+def scalar_tuples(field: Field, den: int, ints: np.ndarray) -> tuple:
+    """ints / den as nested tuples of field scalars, ints an exact integer
+    array of any positive rank (reduced mod p over GF(p), where den is 1)."""
+    memo = {}
+
+    def walk(x, depth):
+        if depth == 2:
+            return _scalar_rows(field, den, x, memo)
+        return tuple(walk(y, depth - 1) for y in x)
+
+    if ints.ndim == 1:
+        return walk([ints.tolist()], 2)[0]
+    return walk(ints.tolist(), ints.ndim)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Matrix:
     field: Field
-    rows: tuple
-    # the rows as exact integers, when the matrix was built from an array:
-    # rref starts from it and never reads rows
-    ints: Optional[np.ndarray] = dataclasses.field(default=None, compare=False, repr=False)
+    rows: tuple = lazy()
+    # den times the entries as a 2-D exact integer array, int64 or Python
+    # ints (reduced mod p over GF(p), where den is 1), or None for a matrix
+    # given by its rows alone
+    ints: Optional[np.ndarray] = lazy(None)
+    den: int = 1
+    # the pivot columns of a matrix known to be in RREF: its rref is itself
+    pivots: Optional[tuple] = None
 
-    def __post_init__(self):
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
+    def __init__(self, field: Field, rows, ints=None, den: int = 1, pivots=None):
+        # written into the instance directly: the frozen dataclass __init__
+        # takes twice as long, and the sampler builds small matrices by the
+        # thousand
+        vars(self).update(field=field, rows=rows, ints=ints, den=den, pivots=pivots)
+        if not callable(rows) and rows:  # rows given, not to be built
+            w = len(rows[0])
+            if any(len(r) != w for r in rows):
                 raise LinAlgError("ragged rows")
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.field == other.field and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.field, self.rows))
 
     @classmethod
     def from_rows(cls, field: Field, rows: Iterable[Sequence[Scalar]]) -> "Matrix":
@@ -150,10 +240,40 @@ class Matrix:
     def from_ints(cls, field: Field, arr: np.ndarray) -> "Matrix":
         """The matrix of a 2-D integer-valued array on any rung: over GF(p)
         its residues, over Q its integers as they are (rows of ints, which
-        rref takes as lam times their values).  The rows are Python ints
-        from one tolist; the exact array is kept for rref."""
+        rref takes as lam times their values)."""
         ints = exact_ints(arr, field.p)
-        return cls(field, tuple(map(tuple, ints.tolist())), ints)
+        return cls(field, lambda: tuple(map(tuple, ints.tolist())), ints)
+
+    @classmethod
+    def from_quotient(cls, field: Field, v, den: int, shape: Optional[tuple] = None,
+                      pivots: Optional[Sequence[int]] = None) -> "Matrix":
+        """The matrix v / den: v an exact integer array (reduced mod p over
+        GF(p), where den is 1) or lists of Python ints, padded with zero rows
+        to the shape (nrows, ncols) when one is given."""
+        nr, nc = v.shape if shape is None else shape
+
+        def rows():
+            top = v.tolist() if isinstance(v, np.ndarray) else v
+            return _scalar_rows(field, den, top) + ((field.zero,) * nc,) * (nr - len(v))
+
+        return cls(field, rows, lambda: _padded(v, (nr, nc)), den,
+                   None if pivots is None else tuple(pivots))
+
+    @classmethod
+    def _over_heads(cls, rows: list, pivots: list, shape: tuple) -> "Matrix":
+        """The RREF over Q from the primitive pivot rows _gauss_jordan leaves:
+        the rows, each over its own pivot entry, cost fewer and smaller
+        Fractions than V / mu, which is made only when ints is read."""
+        (nr, nc), r = shape, len(pivots)
+        heads = [rows[i][c] for i, c in enumerate(pivots)]
+        zero = QQ.zero
+
+        def scalars():
+            return (tuple(tuple([Fraction(x, a) if x else zero for x in row])
+                          for row, a in zip(rows, heads)) + ((zero,) * nc,) * (nr - r))
+
+        return cls(QQ, scalars, lambda: _padded(_over_lcm(rows, pivots)[0], shape),
+                   math.lcm(*heads), tuple(pivots))
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
@@ -161,11 +281,16 @@ class Matrix:
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        ints = self.ints
+        return len(self.rows) if ints is None else ints.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        ints = self.ints
+        if ints is not None:
+            return ints.shape[1]
+        rows = self.rows
+        return len(rows[0]) if rows else 0
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i][j]
@@ -219,18 +344,49 @@ class Matrix:
         f = self.field
         return tuple(_dot(f, r, v) for r in self.rows)
 
+    def scaled(self) -> tuple[int, np.ndarray]:
+        """(lam, lam * self) as an exact integer array, lam the lcm of the
+        entries' denominators: den over gcd(den, every entry) when the matrix
+        holds ints, 1 over GF(p)."""
+        if self.ints is None:
+            flat = [x for row in self.rows for x in row]
+            lam, flat = (1, flat) if self.field.p is not None else clear_denominators(flat)
+            return lam, _int_array(flat, (self.nrows, self.ncols))
+        ints, den = self.ints, self.den
+        if den == 1 or not ints.any():
+            return 1, ints
+        g = math.gcd(den, int(np.gcd.reduce(ints, axis=None)))  # below any nonzero entry
+        return den // g, ints if g == 1 else ints // g
+
+    def _top(self, k: int) -> "Matrix":
+        """The first k rows."""
+        return Matrix(self.field, lambda: self.rows[:k], lambda: self.ints[:k], self.den,
+                      self.pivots)
+
+    def _reversed(self) -> "Matrix":
+        """The matrix with its columns in reverse order."""
+        if self.ints is None:
+            return Matrix(self.field, tuple(row[::-1] for row in self.rows))
+        return Matrix(self.field, lambda: tuple(row[::-1] for row in self.rows),
+                      self.ints[:, ::-1], self.den)
+
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
-        f, nc, p = self.field, self.ncols, self.field.p
+        if self.pivots is not None:
+            return self, self.pivots
+        p = self.field.p
         # row scaling keeps the row space, so rows of ints are taken as they
         # are; zero rows change nothing
         x, rows = self.ints, None
         if x is None:
+            given = self.rows
+            nr, nc = len(given), len(given[0]) if given else 0
             rows = [list(row) if p is not None or all(type(y) is int for y in row)
-                    else clear_denominators(row)[1] for row in self.rows]
+                    else clear_denominators(row)[1] for row in given]
             rows = [row for row in rows if any(row)]
             n = len(rows)
         else:
+            nr, nc = x.shape
             x = x[(x != 0).any(axis=1)]
             n = len(x)
         red = None
@@ -240,52 +396,70 @@ class Matrix:
             red = _tall_rref_q(x) if p is None else _tall_rref_mod(x, p)
         if red is None:
             rows = x.tolist() if rows is None else rows
-            red = rows, _gauss_jordan(rows, nc, p)
-        rows, pivots = red
-        zero = f.zero
-        if p is None:
-            out = [tuple(Fraction(x, rows[r][c]) if x else zero for x in rows[r])
-                   for r, c in enumerate(pivots)]
-        else:
-            out = [tuple(rows[r]) for r in range(len(pivots))]
-        out += [(zero,) * nc] * (self.nrows - len(pivots))
-        return Matrix(f, tuple(out)), tuple(pivots)
+            pivots = _gauss_jordan(rows, nc, p)
+            if p is None:
+                return Matrix._over_heads(rows, pivots, (nr, nc)), tuple(pivots)
+            red = rows[:len(pivots)], 1, pivots
+        v, den, pivots = red
+        return Matrix.from_quotient(self.field, v, den, (nr, nc), pivots), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def nullspace(self) -> "Matrix":
-        """Canonical RREF basis of {x : self @ x = 0}, rows are basis vectors."""
-        f = self.field
-        red, piv = self.rref()
-        nc = self.ncols
-        pivset = set(piv)
-        free = [c for c in range(nc) if c not in pivset]
-        basis = []
-        for fc in free:
-            v = [f.zero] * nc
-            v[fc] = f.one
-            for r, pc in enumerate(piv):
-                v[pc] = f.neg(red.rows[r][fc])
-            basis.append(tuple(v))
-        return Subspace.spanned_by(Matrix(f, tuple(basis)), nc).basis
+        """Canonical RREF basis of {x : self @ x = 0}, rows are basis vectors.
+
+        It is read off V / mu, the RREF of the columns taken in reverse
+        order, with no second elimination.  Back in the original order, row
+        r of V ends at its pivot t_r, and V[r, t_s] = mu [r = s].  For each
+        other column j (the free ones), mu e_j - sum_r V[r, j] e_(t_r) lies
+        in the nullspace, and it starts at j, as V[r, j] != 0 only for
+        j < t_r.  So these rows, over mu, in order of j, are the RREF of the
+        nullspace, with pivots the free columns."""
+        f, nc = self.field, self.ncols
+        red, piv = self._reversed().rref()
+        ends = [nc - 1 - c for c in piv]
+        free = sorted(set(range(nc)).difference(ends))
+        v = exact_ints(-red.ints[:len(piv), ::-1][:, free].T, f.p)
+        basis = np.zeros((len(free), nc), v.dtype)
+        basis[range(len(free)), free] = red.den
+        basis[:, ends] = v
+        null = Matrix.from_quotient(f, basis, red.den, pivots=free)
+        # the span's rref finds null in RREF already and returns it
+        return Subspace.spanned_by(null, nc).basis
 
     def solve(self, b: Vector) -> Optional[Vector]:
         """One solution x of self @ x = b, or None if inconsistent."""
-        f = self.field
+        f, rows = self.field, self.rows
         if len(b) != self.nrows:
             raise LinAlgError("shape mismatch in solve")
-        aug = Matrix(f, tuple(r + (bv,) for r, bv in zip(self.rows, b)))
-        if not self.rows:
+        if not rows:
             return ()
-        red, piv = aug.rref()
-        nc = self.ncols
+        red, piv = Matrix(f, tuple(r + (bv,) for r, bv in zip(rows, b))).rref()
+        nc = len(rows[0])
         if nc in piv:
             return None
         x = [f.zero] * nc
-        for r, pc in enumerate(piv):
-            x[pc] = red.rows[r][nc]
+        for pc, row in zip(piv, red.rows):
+            x[pc] = row[nc]
         return tuple(x)
+
+
+def _padded(v, shape: tuple) -> np.ndarray:
+    """The exact integer array or lists of Python ints v, padded with zero
+    rows to shape."""
+    (nr, nc), r = shape, len(v)
+    top = v if isinstance(v, np.ndarray) else _int_array(v, (r, nc))
+    return top if nr == r else np.concatenate([top, np.zeros((nr - r, nc), top.dtype)])
+
+
+def _over_lcm(rows: list, pivots: list) -> tuple[list, int]:
+    """(V, mu) with V / mu the RREF of the first len(pivots) rows, the
+    primitive integer pivot rows _gauss_jordan leaves over Q: mu is the lcm
+    of the pivot entries and row r is scaled by mu over its pivot entry."""
+    heads = [rows[r][c] for r, c in enumerate(pivots)]
+    mu = math.lcm(*heads)
+    return [[y * (mu // a) for y in row] for row, a in zip(rows, heads)], mu
 
 
 def _gauss_jordan(rows: list, nc: int, p: Optional[int]) -> list:
@@ -327,8 +501,9 @@ def _gauss_jordan(rows: list, nc: int, p: Optional[int]) -> list:
 
 
 def _tall_rref_mod(x: np.ndarray, p: int):
-    """(RREF rows, pivots) of the n > ncols nonzero integer rows x over GF(p),
-    or None when the float64 rung does not hold at this shape and prime.
+    """(V, 1, pivots), V the nonzero RREF rows as residues, for the n > ncols
+    nonzero integer rows x over GF(p), or None when the float64 rung does
+    not hold at this shape and prime.
 
     k = ncols + _SKETCH_EXTRA pseudo-random combinations of the rows are
     eliminated mod p, and one matmul checks that every row lies in the span
@@ -347,38 +522,37 @@ def _tall_rref_mod(x: np.ndarray, p: int):
         if escaped.any():
             m = np.vstack([m[:len(pivots)], x[escaped]])
             pivots = _rref_mod(m, p)[0]
-    return python_ints(m[:len(pivots)], p), pivots
+    return exact_ints(m[:len(pivots)], p), 1, pivots
 
 
-def _tall_rref_q(x: np.ndarray) -> tuple[list, list]:
-    """(eliminated rows, pivots) as _gauss_jordan returns them, for the n >
-    ncols nonzero integer rows x over Q, an int64 or object array.
+def _tall_rref_q(x: np.ndarray) -> tuple[list, int, list]:
+    """(V, mu, pivots), V / mu the nonzero RREF rows as _over_lcm gives
+    them, for the n > ncols nonzero integer rows x over Q, an int64 or
+    object array.
 
     Elimination mod SELECT_PRIME picks rows independent mod that prime,
     hence over Q; only those <= ncols rows are eliminated exactly.  Their
-    RREF B = V / mu, V integer and mu the lcm of the pivots, must then
-    satisfy mu X == X[:, pivots] @ V for every row of X, checked by one
-    integer matmul on the rung that holds it.  Rows that escape join the
-    eliminated rows and the exact loop runs once more."""
+    RREF V / mu must then satisfy mu X == X[:, pivots] @ V for every row of
+    X, checked by one integer matmul on the rung that holds it.  Rows that
+    escape join the eliminated rows and the exact loop runs once more."""
     nc = x.shape[1]
     selected, order = _rref_mod(exact_ints(x, SELECT_PRIME).astype(np.float64), SELECT_PRIME)
     basis = x[order[:len(selected)]].tolist()
     pivots = _gauss_jordan(basis, nc, None)
+    v, mu = _over_lcm(basis, pivots)
     r = len(pivots)
     if r == nc:  # the whole space: nothing can escape
-        return basis, pivots
-    heads = [basis[i][c] for i, c in enumerate(pivots)]
-    mu = math.lcm(*heads)
-    v = [[y * (mu // a) for y in row] for row, a in zip(basis, heads)]
+        return v, mu, pivots
     big_v = max((abs(y) for row in v for y in row), default=0)
     dtype = rung(magnitude(x) * (r * big_v + mu))
     check = x.astype(dtype)
-    v = np.array(v, dtype=object).reshape(r, nc).astype(dtype)
-    escaped = ((mu * check - check[:, pivots] @ v) != 0).any(axis=1)
+    escaped = ((mu * check - check[:, pivots] @ _int_array(v, (r, nc)).astype(dtype)) != 0
+               ).any(axis=1)
     if not escaped.any():
-        return basis, pivots
+        return v, mu, pivots
     basis = basis[:r] + x[escaped].tolist()
-    return basis, _gauss_jordan(basis, nc, None)
+    pivots = _gauss_jordan(basis, nc, None)
+    return (*_over_lcm(basis, pivots), pivots)
 
 
 def _sketch(k: int, n: int, p: int) -> np.ndarray:
@@ -483,7 +657,7 @@ class Subspace:
     def spanned_by(cls, m: Matrix, ambient: int) -> "Subspace":
         """The span of the rows of m, by one Matrix.rref."""
         red, piv = m.rref()
-        return cls(ambient, Matrix(m.field, red.rows[: len(piv)]), piv)
+        return cls(ambient, red._top(len(piv)), piv)
 
     @classmethod
     def from_spanning(cls, field: Field, ambient: int, rows) -> "Subspace":
@@ -536,10 +710,13 @@ def rung(top: int):
 
 
 def _int_array(values, shape) -> np.ndarray:
-    """Python ints as an int64 array, or an object array when one is beyond
-    int64."""
+    """Python ints as an int64 array, or an object array when one is of
+    magnitude 2^63 or more, so that negating any entry stays exact."""
     try:
-        return np.array(values, dtype=np.int64).reshape(shape)
+        arr = np.array(values, dtype=np.int64).reshape(shape)
+        if arr.size and arr.min() == np.iinfo(np.int64).min:
+            raise OverflowError
+        return arr
     except OverflowError:
         return np.array(values, dtype=object).reshape(shape)
 
@@ -561,8 +738,14 @@ def integer_array(field: Field, values, shape, bound: Callable[[int], int]):
     lam = 1
     if field.p is None:
         lam, values = clear_denominators(np.array(values, dtype=object).ravel())
-    ints = _int_array(values, shape)  # object only if the bound is past int64 too
-    return lam, ints.astype(rung(bound(magnitude(ints))), copy=False)
+    # object only if the bound is past int64 too
+    return lam, on_rung(_int_array(values, shape), bound)
+
+
+def on_rung(ints: np.ndarray, bound: Callable[[int], int]) -> np.ndarray:
+    """The exact integer array ints cast to rung(bound(big)), big its
+    largest magnitude, as integer_array picks it."""
+    return ints.astype(rung(bound(magnitude(ints))), copy=False)
 
 
 def exact_dtype(p: Optional[int], dtype) -> np.dtype:
