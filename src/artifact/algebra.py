@@ -19,18 +19,19 @@ beyond, so nothing rounds or wraps around.  linalg.integer_array is that
 rule, written once, and linalg.exact_ints is the one way back to exact
 integers.  suite_bound is B, written once too: the semidirect product's tensor,
 which constructions.semidirect_tensor places from integer blocks without
-reading a scalar, takes its dtype from the same bound.  The array is built
-once per suite, or handed to identity_suite by its caller.  Rows are
-checked in order, one leading witness index at a time: each term is one
-matmul on 2-D views of the tensor (BLAS dgemm on the float64 rung), the
-signed terms are summed, and linalg.nonzero_mod flags the nonzero
+reading a scalar, takes its dtype from the same bound.  The pair (lam, lam *
+tensor) is built once per suite, or handed to identity_suite by its caller.
+Rows are checked in order, one leading witness index at a time: each term
+is one matmul on 2-D views of the tensor (BLAS dgemm on the float64 rung),
+the signed terms are summed, and linalg.nonzero_mod flags the nonzero
 differences (mod p over GF(p)), stopping at the first.  The witness sides
-lhs/rhs are then computed exactly, by Algebra.multiply.
+lhs/rhs are read off the same terms at the witness, over lam or lam^2 by
+the row's degree: _np_term is the one evaluator of a row.
 
 An Algebra's tensor may be given as a function that builds it on first read
 (linalg.lazy): a candidate's own algebra and the semidirect product are
 made that way, so a suite that runs on an integer tensor handed in by its
-caller and passes never reads it.
+caller never reads it, whether it passes or not.
 """
 
 from __future__ import annotations
@@ -48,13 +49,12 @@ from .linalg import (
     Vector,
     basis_vector,
     bilinear,
+    exact_ints,
     integer_array,
     lazy,
     nonzero_mod,
-    vec_add,
+    scalar_tuples,
     vec_is_zero,
-    vec_neg,
-    vec_sub,
     vec_zero,
 )
 from .reporting import Report
@@ -88,12 +88,6 @@ class Algebra:
         """Matrix of x -> e_i * x."""
         f = self.field
         return Matrix(f, tuple(tuple(self.tensor[i][j][m] for j in range(self.dim))
-                               for m in range(self.dim)))
-
-    def right_mult_matrix(self, i: int) -> Matrix:
-        """Matrix of x -> x * e_i."""
-        f = self.field
-        return Matrix(f, tuple(tuple(self.tensor[j][i][m] for j in range(self.dim))
                                for m in range(self.dim)))
 
     def to_json(self) -> dict:
@@ -242,24 +236,14 @@ def _np_failing(c: np.ndarray, p: Optional[int], lhs, rhs, i: int) -> np.ndarray
     return nonzero_mod(acc, p).any(axis=-1).ravel()
 
 
-def _exact_side(a: Algebra, e, terms, idx) -> Vector:
-    """One side of a row at the index tuple idx, by Algebra.multiply on the
-    basis vectors e."""
-    f = a.field
-    out = None
+def _np_side(c: np.ndarray, terms, witness: tuple) -> np.ndarray:
+    """One side of a row at the witness, as an integer vector on the rung of
+    c: each term is its _np_term at the leading index read at the others,
+    and an empty side is the zero vector."""
+    out = np.zeros(c.shape[-1], c.dtype)
     for sign, shape, perm in terms:
-        ix = [idx[x] for x in perm]
-        if shape == "T":
-            val = a.tensor[ix[0]][ix[1]]
-        elif shape == "L":
-            val = a.multiply(a.tensor[ix[0]][ix[1]], e[ix[2]])
-        else:
-            val = a.multiply(e[ix[0]], a.tensor[ix[1]][ix[2]])
-        if out is None:
-            out = val if sign > 0 else vec_neg(f, val)
-        else:
-            out = vec_add(f, out, val) if sign > 0 else vec_sub(f, out, val)
-    return vec_zero(f, a.dim) if out is None else out
+        out += sign * _np_term(c, shape, perm, witness[0])[witness[1:]]
+    return out
 
 
 # the most terms in one row of any identity
@@ -274,11 +258,11 @@ def suite_bound(n: int) -> Callable[[int], int]:
     return lambda big: _SUITE_TERMS * n * big ** 2
 
 
-def _integer_tensor(a: Algebra) -> np.ndarray:
-    """lam * tensor as an (n, n, n) integer array for the kernel.  Every row
-    is homogeneous, so scaling keeps each zero pattern."""
+def _integer_tensor(a: Algebra) -> tuple[int, np.ndarray]:
+    """(lam, lam * tensor), the tensor as an (n, n, n) integer array for the
+    kernel.  Every row is homogeneous, so scaling keeps each zero pattern."""
     n = a.dim
-    return integer_array(a.field, a.tensor, (n, n, n), suite_bound(n))[1]
+    return integer_array(a.field, a.tensor, (n, n, n), suite_bound(n))
 
 
 def check_identity(a: Algebra, tag: str) -> Report:
@@ -288,8 +272,9 @@ def check_identity(a: Algebra, tag: str) -> Report:
     return _check_identity(a, tag, _integer_tensor(a))
 
 
-def _check_identity(a: Algebra, tag: str, c: np.ndarray) -> Report:
-    """check_identity on the integer tensor c of _integer_tensor(a)."""
+def _check_identity(a: Algebra, tag: str, scaled: tuple[int, np.ndarray]) -> Report:
+    """check_identity on the pair (lam, c) of _integer_tensor(a)."""
+    lam, c = scaled
     f = a.field
     n = a.dim
     if n == 0:
@@ -302,10 +287,10 @@ def _check_identity(a: Algebra, tag: str, c: np.ndarray) -> Report:
             if flags[first]:
                 rest = np.unravel_index(first, (n,) * (len(lhs[0][2]) - 1))
                 witness = (i,) + tuple(int(x) for x in rest)
-                e = [basis_vector(f, n, k) for k in range(n)]
-                return Report(False, label=name, witness=witness,
-                              lhs=_exact_side(a, e, lhs, witness),
-                              rhs=_exact_side(a, e, rhs, witness))
+                den = lam if lhs[0][1] == "T" else lam * lam  # the row's degree
+                lv, rv = (scalar_tuples(f, den, exact_ints(_np_side(c, side, witness), f.p))
+                          for side in (lhs, rhs))
+                return Report(False, label=name, witness=witness, lhs=lv, rhs=rv)
 
     details = [{"name": name, "status": "pass"} for name, _, _ in rows]
     if tag == "alternative" and f.char == 2:
@@ -338,10 +323,10 @@ def _alternative_char2_exhaustive(a: Algebra) -> Report:
 
 
 def identity_suite(a: Algebra, category: Optional[str] = None,
-                   c: Optional[np.ndarray] = None) -> Report:
+                   c: Optional[tuple[int, np.ndarray]] = None) -> Report:
     """Run the identity tags of the (default: own) category tag.  c, when
-    given, must be _integer_tensor(a), values and dtype, built by a caller
-    that holds the tensor in integers already."""
+    given, must be the pair (lam, array) of _integer_tensor(a), values and
+    dtype, built by a caller that holds the tensor in integers already."""
     cat = a.category if category is None else category
     if cat not in SUITES:
         raise InputError(f"unknown category {cat!r}")

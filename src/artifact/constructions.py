@@ -55,8 +55,9 @@ and right tensors are the pairs' columns, and as_algebra's tensor is
 tensor.  semidirect_tensor places the arrays, with the target's own integer
 tensor, as the four blocks of the semidirect product's integer tensor, so
 the pipeline's semidirect suite never converts the product's N^3 field
-scalars back to integers, and a verdict that reads no witness builds none
-of them.
+scalars back to integers, and reads its witness sides off the same array:
+no verdict builds a field scalar of the candidate, its action or the
+product.
 
 factor_through_actor expresses an action on the candidate's target in the
 candidate's basis, and is the one place that checks the action's algebra
@@ -299,7 +300,7 @@ def _assemble(A: Algebra, kind: str) -> Matrix:
            for tag in SUITES[spec.source] for _, lhs, rhs in IDENTITIES[tag]
            if lhs[0][1] != "T"  # x*y = s y*x is the _FOLLOW rule
            for slot in ((0,) if follow else (0, 1, 2))]
-    c = _integer_tensor(A)
+    c = _integer_tensor(A)[1]
     eye = np.eye(n, dtype=c.dtype)
     blocks = 1 if follow else 2
     rows = np.zeros((n, n, n, len(eqs), blocks, n, n), dtype=c.dtype)
@@ -436,11 +437,12 @@ def _actor(kind: str, A: Algebra, span: Subspace, pairs, constants) -> ActorAlge
                         constants)
 
 
-def semidirect_tensor(actor: ActorAlgebra) -> np.ndarray:
-    """The integer tensor of the semidirect product along the candidate's
-    action: algebra._integer_tensor(actions.semidirect(actor.action_pair())),
-    values and dtype, placed from four integer blocks without reading a
-    scalar of the product.  With m = actor.dim, the candidate's basis first:
+def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, np.ndarray]:
+    """The pair (lam, integer tensor) of the semidirect product along the
+    candidate's action: algebra._integer_tensor(actions.semidirect(
+    actor.action_pair())), values and dtype, placed from four integer blocks
+    without reading a scalar of the product.  With m = actor.dim, the
+    candidate's basis first:
 
         c[:m, :m, :m]      the structure constants
         c[b, m + j, m + r] L_b[r][j], the left components
@@ -477,7 +479,7 @@ def semidirect_tensor(actor: ActorAlgebra) -> np.ndarray:
         view[...] = arr
         if top and lam != lam_block:
             view *= lam // lam_block
-    return out
+    return lam, out
 
 
 def _construct(kind: str, A: Algebra) -> ActorAlgebra:

@@ -11,12 +11,12 @@ verdict.
 
 The suite's integer tensor comes from constructions.semidirect_tensor,
 which places the integer arrays the closure already holds, rather than from
-converting the product's N^3 field scalars back.  The candidate's maps and
-tensor, its induced action and the semidirect product are built on first
-read, and only the exact witness sides of a failing suite read the
-product's tensor: an exists verdict never makes a field scalar of the
-candidate or the product.  actions.crosscheck_semidirect keeps the
-conversion route as the independent oracle.
+converting the product's N^3 field scalars back, and a failing suite reads
+its witness sides off that tensor too.  The candidate's maps and tensor,
+its induced action and the semidirect product are built on first read, so
+no verdict makes a field scalar of the candidate, its action or the
+product.  actions.crosscheck_semidirect keeps the conversion route as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
     actor = build(A, variant)
     act = actor.action_pair()
     prod = semidirect(act)
-    # the suite runs on the integer tensor placed from the candidate's
-    # blocks; the product's scalars are built only for failing witness sides
+    # the suite and its witness sides run on the integer tensor placed from
+    # the candidate's blocks, never on the product's scalars
     beta = identity_suite(prod, A.category, c=semidirect_tensor(actor))
     # the multiplier candidate's right component is its left one, so b*a =
     # a*b holds by construction; the commutativity row of the suite above

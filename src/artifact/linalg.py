@@ -73,10 +73,10 @@ while the caller's bound stays below 2^53, then int64, then Python ints.
 So is the residue rule: exact_ints takes an array on any rung to exact
 integers, reduced into [0, p) over GF(p), never by a float remainder nor in
 a dtype too narrow for p, so every prime field_from_json accepts gets the
-same exact answer.  nonzero_mod, python_ints and scalar_tuples (exact
-integers over a denominator as field scalars), the way back to exact code,
-are built on it; algebra and constructions keep no dtype or residue code of
-their own.
+same exact answer.  nonzero_mod and scalar_tuples (exact integers over a
+denominator as field scalars, the way back to exact code) are built on it,
+so no float or numpy scalar reaches a Matrix, a Report or the JSON output;
+algebra and constructions keep no dtype or residue code of their own.
 
 bilinear is the one exact sparse bilinear product, sum_ij u_i v_j t[i][j]:
 an algebra's multiplication and both sides of an action are calls to it.
@@ -433,10 +433,10 @@ class Matrix:
         f, rows = self.field, self.rows
         if len(b) != self.nrows:
             raise LinAlgError("shape mismatch in solve")
+        nc = self.ncols
         if not rows:
-            return ()
+            return (f.zero,) * nc
         red, piv = Matrix(f, tuple(r + (bv,) for r, bv in zip(rows, b))).rref()
-        nc = len(rows[0])
         if nc in piv:
             return None
         x = [f.zero] * nc
@@ -769,14 +769,6 @@ def exact_ints(arr: np.ndarray, p: Optional[int] = None) -> np.ndarray:
             arr = arr.astype(object)
         arr = arr % p
     return arr
-
-
-def python_ints(arr: np.ndarray, p: Optional[int] = None) -> list:
-    """The entries of an integer-valued array on any rung as nested lists
-    of Python ints, reduced into [0, p) when p is set.  Every value leaving
-    numpy for exact code goes through here, so no float or numpy scalar
-    reaches a Matrix, a Report or the JSON output."""
-    return exact_ints(arr, p).tolist()
 
 
 def _multiple_near(acc: np.ndarray, p: int) -> np.ndarray:

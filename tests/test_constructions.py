@@ -38,6 +38,8 @@ from artifact.existence import actor_pipeline, bider_variants_agree
 from artifact.fields import GF, QQ
 from artifact.linalg import Matrix, basis_vector, vec_add, vec_scale, vec_sub, vec_zero
 
+from test_algebra import exact_side
+
 
 # ---------------------------------------------------------------------------
 # oracle: symbolic nullspace of the defining equations
@@ -540,7 +542,7 @@ def test_slot_zero_rule_keeps_the_all_slot_solution_space():
 def test_assembly_oracle_cases_reach_the_object_path():
     for f, x in ((GF(4294967291), 4294967290), (QQ, BIG_Q)):
         a = make_algebra(f, ["e0", "e1"], [[[x, f.zero]] * 2] * 2, "raw")
-        assert _integer_tensor(a).dtype == object
+        assert _integer_tensor(a)[1].dtype == object
 
 
 def _assert_scalars(f, values):
@@ -560,7 +562,7 @@ def test_scalars_leaving_numpy_are_python_ints_or_fractions():
         for a in algebras:
             v = actor_pipeline(a)
             actor = v.actor
-            rungs.add(_integer_tensor(a).dtype)
+            rungs.add(_integer_tensor(a)[1].dtype)
             rungs.add(constructions._integer_pairs(actor.kind, actor.span.basis, a.dim)[1].dtype)
             _assert_scalars(f, [x for plane in actor.tensor for row in plane for x in row])
             # constraint rows are ints over both fields: lam times their values over Q
@@ -601,10 +603,12 @@ def _block_actors(a):
 
 
 def _assert_block_tensor(actor):
-    """semidirect_tensor equals the converted tensor, values and dtype; an
-    object array holds Python ints.  Returns the dtype."""
-    want = _integer_tensor(semidirect(actor.action_pair()))
-    got = semidirect_tensor(actor)
+    """semidirect_tensor equals the converted pair (lam, tensor), lam,
+    values and dtype; an object array holds Python ints.  Returns the
+    dtype."""
+    want_lam, want = _integer_tensor(semidirect(actor.action_pair()))
+    got_lam, got = semidirect_tensor(actor)
+    assert got_lam == want_lam, actor.kind
     assert got.dtype == want.dtype and got.shape == want.shape, actor.kind
     assert np.array_equal(got, want), actor.kind
     if got.dtype == object:
@@ -669,7 +673,14 @@ def test_identity_suite_gives_the_same_report_on_the_block_tensor():
         for actor in _block_actors(a):
             prod = semidirect(actor.action_pair())
             want = identity_suite(prod, a.category)
-            assert identity_suite(prod, a.category, c=semidirect_tensor(actor)) == want
+            lam, c = semidirect_tensor(actor)
+            assert identity_suite(prod, a.category, c=(lam, c)) == want
+            if not want.passed:  # the sides at the witness, by Algebra.multiply
+                _, lhs, rhs = next(row for rows in IDENTITIES.values() for row in rows
+                                   if row[0] == want.label)
+                e = [basis_vector(a.field, prod.dim, k) for k in range(prod.dim)]
+                assert (want.lhs, want.rhs) == (exact_side(prod, e, lhs, want.witness),
+                                                exact_side(prod, e, rhs, want.witness))
             failed += not want.passed
     assert failed >= 20  # witnesses and their sides are compared too
 

@@ -6,7 +6,8 @@ constants; the induced action and the semidirect product hold functions of
 those.  The field scalars are built only when something reads them.  The
 oracles below are the per-entry loops that used to build them eagerly,
 kept here to check the lazily built views on fixtures and seeded samples,
-and the pins check that an `exists` verdict never builds them at all.
+and the pins check that no verdict, `exists` or `not-exists`, builds them
+at all.
 """
 
 import random
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import constructions, existence
 from artifact.actions import ActionPair, make_action, semidirect
-from artifact.algebra import identity_suite, make_algebra
+from artifact.algebra import SUITES, identity_suite, make_algebra
 from artifact.constructions import KIND_TABLE, construct, semidirect_tensor
 from artifact.corpus import (a5_leibniz, abelian, dual_numbers, heisenberg, m2_rationals,
                              sample_algebra, sl2, truncated_poly, zero_algebra)
@@ -27,6 +28,7 @@ from artifact.existence import actor_pipeline
 from artifact.fields import GF, QQ
 from artifact.linalg import Matrix, Subspace, is_built, vec_zero
 
+from test_algebra import first_exact_failure
 from test_constructions import oracle_constraints
 
 # ---------------------------------------------------------------------------
@@ -179,23 +181,51 @@ def test_an_exists_verdict_builds_no_field_scalars(monkeypatch, a):
     assert v.actor.maps == oracle_maps(v.actor)
 
 
-@pytest.mark.parametrize("a", [zero_algebra(QQ, 1, "leibniz"), zero_algebra(GF(5), 2, "leibniz"),
-                               zero_algebra(QQ, 2, "associative"),
-                               zero_algebra(GF(3), 2, "commutative"),
-                               sample_algebra(random.Random(0), GF(5), 3, "leibniz")],
+def _square_zero(f, category):
+    """e2 * e2 = -4 e0 + 8 e1 and every other product zero, in any category
+    but the Lie one.  Over a prime past 2^61 the residue p - 4 puts the
+    semidirect tensor on the object rung."""
+    z = (f.zero,) * 3
+    top = (f.from_int(-4), f.from_int(8), f.zero)
+    return make_algebra(f, "abc", [[z, z, z], [z, z, z], [z, z, top]], category)
+
+
+# each actor does not exist; the last two have mixed denominators over Q, so
+# their semidirect tensors have lam = 18 and 63480
+NOT_EXISTS = [zero_algebra(QQ, 1, "leibniz"), zero_algebra(GF(5), 2, "leibniz"),
+              zero_algebra(QQ, 2, "associative"), zero_algebra(GF(3), 2, "commutative"),
+              sample_algebra(random.Random(0), GF(5), 3, "leibniz"),
+              _square_zero(GF(2 ** 61 - 1), "leibniz"),
+              _square_zero(GF(18446744073709551629), "associative"),
+              sample_algebra(random.Random(0), QQ, 3, "leibniz"),
+              sample_algebra(random.Random(6), QQ, 3, "associative")]
+
+
+@pytest.mark.parametrize("a", NOT_EXISTS,
                          ids=["zero-leibniz-q", "zero-leibniz-gf5", "zero-assoc-q",
-                              "zero-comm-gf3", "sampled-leibniz-gf5"])
+                              "zero-comm-gf3", "sampled-leibniz-gf5",
+                              "square-zero-leibniz-gf2^61-1", "square-zero-assoc-gf2^64+13",
+                              "sampled-leibniz-q", "sampled-assoc-q"])
 def test_a_not_exists_verdict_gives_the_eager_witness_sides(monkeypatch, a):
     v, rows, act = _traced_pipeline(monkeypatch, a)
     assert not v.exists and not is_built(rows, "rows")
-    # the suite's witness sides read the product, and so its tensor
-    assert is_built(v.semidirect_product, "tensor")
+    # the suite reads its witness sides off the integer tensor, so the
+    # verdict builds no field scalar of the candidate, its action or the
+    # product, and neither does asking for the sides again
+    lam, c = semidirect_tensor(v.actor)
+    assert c.dtype == object or a.field.p is None or a.field.p < 2 ** 61
+    got = identity_suite(v.semidirect_product, a.category, c=(lam, c))
+    assert not is_built(v.actor, "maps") and not is_built(v.actor, "tensor")
+    assert not is_built(act, "left") and not is_built(act, "right")
+    assert not is_built(act.B, "tensor") and not is_built(v.semidirect_product, "tensor")
+    # the Algebra.multiply oracle on the eagerly built product
     eager = make_algebra(a.field, v.semidirect_product.basis,
                          oracle_semidirect_tensor(oracle_action(v.actor)), "raw")
-    got = identity_suite(v.semidirect_product, a.category, c=semidirect_tensor(v.actor))
-    want = identity_suite(eager, a.category)
+    want = next(filter(None, (first_exact_failure(eager, tag) for tag in SUITES[a.category])))
     assert (got.label, got.witness, got.lhs, got.rhs) == (want.label, want.witness,
                                                           want.lhs, want.rhs)
+    scalar = Fraction if a.field.p is None else int
+    assert all(type(x) is scalar for x in got.lhs + got.rhs)
     assert v.failure == {"label": want.label, "witness": list(want.witness)}
 
 

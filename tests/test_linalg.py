@@ -256,7 +256,7 @@ def test_tall_front_end_adds_the_rows_its_sketch_misses(monkeypatch):
     # and one more elimination over them gives the RREF
     calls = _count_kernel_calls(monkeypatch)
     f, nrows, ncols = GF(5), 300, 20
-    sketch = linalg.python_ints(linalg._sketch(ncols + linalg._SKETCH_EXTRA, nrows, 5), 5)
+    sketch = linalg.exact_ints(linalg._sketch(ncols + linalg._SKETCH_EXTRA, nrows, 5), 5).tolist()
     null = Matrix.from_rows(f, sketch).nullspace().rows
     rng = random.Random(4)
     coeffs = [[rng.randrange(5) for _ in null] for _ in range(ncols)]
@@ -293,7 +293,8 @@ def test_mod_p_kernel_at_the_selection_prime_equals_sympy():
     pivots, order = linalg._rref_mod(m, q)
     rank = len(pivots)
     red, piv = sympy_rref(GF(q), rows, 100)
-    assert (linalg.python_ints(m[:rank], q), tuple(pivots)) == ([list(r) for r in red[:rank]], piv)
+    assert ((linalg.exact_ints(m[:rank], q).tolist(), tuple(pivots))
+            == ([list(r) for r in red[:rank]], piv))
     assert sympy_rref(GF(q), [rows[i] for i in order[:rank]], 100) == (red[:rank], piv)
 
 
@@ -312,8 +313,8 @@ def test_residues_are_exact_on_every_rung_for_every_prime(p):
         got = linalg.exact_ints(arr, p)
         assert got.dtype in (np.int64, object)
         assert np.array(expect, linalg.exact_dtype(p, arr.dtype)).tolist() == expect
-        assert linalg.python_ints(arr, p) == expect
-        assert all(type(x) is int for x in linalg.python_ints(arr, p))
+        assert got.tolist() == expect
+        assert all(type(x) is int for x in got.tolist())
         assert linalg.nonzero_mod(arr.copy(), p).tolist() == [x != 0 for x in expect]
     assert linalg.exact_dtype(5, np.float64) == np.uint8
     assert linalg.exact_dtype(None, np.float64) == np.int64
@@ -438,6 +439,8 @@ def test_solve_returns_exact_solution_or_none():
     b = Matrix.from_rows(f, [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
     x = b.solve((Fraction(3), Fraction(2)))
     assert b.apply(x) == (Fraction(3), Fraction(2))
+    # no equations: every x solves them, and the zero vector is returned
+    assert Matrix.from_ints(GF(5), np.zeros((0, 3), np.int64)).solve(()) == (0, 0, 0)
 
 
 def test_subspace_coords_round_trip():
