@@ -17,16 +17,31 @@ float64 holds exactly whatever the summation order (the technique of
 FFLAS-FFPACK), int64 while B < 2^63, and Python ints (an object array)
 beyond, so nothing rounds or wraps around.  linalg.integer_array is that
 rule, written once, and linalg.exact_ints is the one way back to exact
-integers.  suite_bound is B, written once too: the semidirect product's tensor,
-which constructions.semidirect_tensor places from integer blocks without
-reading a scalar, takes its dtype from the same bound.  The pair (lam, lam *
-tensor) is built once per suite, or handed to identity_suite by its caller.
-Rows are checked in order, one leading witness index at a time: each term
-is one matmul on 2-D views of the tensor (BLAS dgemm on the float64 rung),
-the signed terms are summed, and linalg.nonzero_mod flags the nonzero
-differences (mod p over GF(p)), stopping at the first.  The witness sides
-lhs/rhs are read off the same terms at the witness, over lam or lam^2 by
-the row's degree: _np_term is the one evaluator of a row.
+integers.  suite_bound is B, written once too.  The pair (lam, lam * tensor)
+is built once per suite, or handed to identity_suite by its caller.
+
+The kernel reads a tensor as Blocks: the basis cut into two parts, B then
+A, where B * B lands in B and every other product in A, which is the shape
+of a semidirect product B x A; a dense tensor is the case of an empty A.
+constructions.semidirect_tensor places the product's four blocks from the
+integer arrays the candidate already holds, on the rung suite_bound gives
+the whole product.  Rows are checked in order.  Within a row, witnesses
+led by an index in B come before those led by one in A; for each leading
+part every block of witnesses mixing B and A is evaluated whole, each term
+one matmul of two blocks (BLAS dgemm on the float64 rung), and the all-B
+block is swept a few leading indices at a time, only up to the first one a
+mixed block fails at, so a failure near the start stops it early.  The
+all-A block is never evaluated: A passed the suite already, as the target
+of an actor passed its own suite on entry.  The all-B block is skipped as
+well for the tags the Blocks mark closed, those the candidate's product
+satisfies by construction (the proofs are on constructions.KIND_TABLE's
+rows).  The signed terms are summed, linalg.nonzero_mod flags the nonzero
+differences (mod p over GF(p)), and the flags of a leading index, laid out
+on the whole basis, give the lexicographically first failing tuple.  The
+witness sides lhs/rhs are read off the same terms at the witness, over lam
+or lam^2 by the row's degree, when the Report's fields are first read: a
+rejection draw or a verdict reads only the label and the witness.
+_np_term is the one evaluator of a row.
 
 An Algebra's tensor may be given as a function that builds it on first read
 (linalg.lazy): a candidate's own algebra and the semidirect product are
@@ -36,9 +51,10 @@ caller never reads it, whether it passes or not.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -195,54 +211,184 @@ IDENTITIES = {
 IDENTITY_TAGS = tuple(IDENTITIES)
 
 
-def _np_term(c: np.ndarray, shape: str, perm, i: int) -> np.ndarray:
-    """The term's coordinates at leading witness index i (witness label 0),
-    T[j, m] or T[j, k, m] for witness labels 1, 2 and coordinate m.
+class Blocks(NamedTuple):
+    """An integer structure tensor on a basis cut into two parts, B (part 0,
+    dim m) then A (part 1, dim n), where B * B lands in B and every other
+    product in A, so a product of parts p and q lands in part p | q: the
+    shape of a semidirect product B x A.  It is held as its four blocks,
+    all on one rung: bb (m, m, m), ba (m, n, n) with ba[b, a, r] the
+    coordinate r of e_b * e_a, ab (n, m, n) and aa (n, n, n).  A dense
+    tensor is the case n = 0.
 
-    A product term is sum_s F[x, y, s] G[., ., m]: for "L", F = c at (u, v)
-    and G = c[s, w, m]; for "R", F = c at (v, w) and G = c[u, s, m].  It is
-    one matmul on 2-D views of c: the slice of whichever factor carries
-    label 0 against the other factor, laid out with s as its inner axis
-    (batched over u when G keeps it), then axes swapped if label 2 leads."""
+    The suite never evaluates a witness whose indices all lie in A: A must
+    satisfy the suite already, as actor_pipeline checks on entry.  For the
+    tags in closed, which B satisfies by construction, it skips the
+    witnesses whose indices all lie in B too."""
+
+    bb: np.ndarray
+    ba: Optional[np.ndarray] = None
+    ab: Optional[np.ndarray] = None
+    aa: Optional[np.ndarray] = None
+    closed: tuple = ()
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return len(self.bb), 0 if self.aa is None else len(self.aa)
+
+
+@functools.cache
+def _term_plan(shape: str, perm: tuple, parts: tuple) -> tuple:
+    """How _np_term reads a term on a block of witnesses: for F and then G
+    (None, None for a "T" term), its index in Blocks and the index prefix
+    before its axis that carries label 0 (None if neither does); then the
+    transpose of the result into label order (None if it is in order).  A
+    product of parts p and q is Blocks field 2p + q."""
+
+    def factor(p, q, labels):
+        return 2 * p + q, ((slice(None),) * labels.index(0) if 0 in labels else None)
+
     if shape == "T":
-        return c[i] if perm[0] == 0 else c[:, i]
-    n = len(c)
-    u, v, w = perm
-    (x, y), z = ((u, v), w) if shape == "L" else ((v, w), u)
-    if z == 0:  # label 0 in G: the free pair (x, y) of F leads
-        g = c[:, i] if shape == "L" else c[i]
-        out, lead = (c.reshape(n * n, n) @ g).reshape(n, n, n), x
+        plan = factor(parts[perm[0]], parts[perm[1]], perm) + (None, None)
+    elif shape == "L":  # F at (u, v), G at (s, w)
+        u, v, w = perm
+        plan = (factor(parts[u], parts[v], (u, v))
+                + factor(parts[u] | parts[v], parts[w], (None, w)))
+    else:  # F at (v, w), G at (u, s)
+        u, v, w = perm
+        plan = (factor(parts[v], parts[w], (v, w))
+                + factor(parts[u], parts[v] | parts[w], (u, None)))
+    axes = tuple(perm.index(x) for x in range(len(perm))) + (len(perm),)
+    return plan + (None if axes == tuple(range(len(axes))) else axes,)
+
+
+def _np_term(t: Blocks, shape: str, perm: tuple, parts: tuple, rows: slice) -> np.ndarray:
+    """The term's coordinates at the witnesses whose label x runs over part
+    parts[x] of t, label 0 over rows of its part only: an array T[x0, x1, m]
+    or T[x0, x1, x2, m], m a coordinate of the part the term lands in.
+
+    A product term is sum_s F[., ., s] G[., ., m], s over the part the inner
+    product lands in: for "L", (u*v)*w, F is the block at (u, v) and G the
+    one at (s, w); for "R", u*(v*w), F is at (v, w) and G at (u, s).  It is
+    one matmul on 2-D views (batched over u for "R") of the two blocks, the
+    one carrying label 0 cut to rows, with the axes then put in label
+    order (_term_plan)."""
+    fi, fcut, gi, gcut, axes = _term_plan(shape, perm, parts)
+    f = t[fi] if fcut is None else t[fi][fcut + (rows,)]
+    if gi is None:
+        out = f
     else:
-        f = c[i] if x == 0 else c[:, i]  # rows: the other label of F
-        other = y if x == 0 else x
+        g = t[gi] if gcut is None else t[gi][gcut + (rows,)]
+        flat = f.reshape(-1, f.shape[2])
         if shape == "L":
-            out, lead = (f @ c.reshape(n, n * n)).reshape(n, n, n), other
+            out = (flat @ g.reshape(len(g), -1)).reshape(f.shape[:2] + g.shape[1:])
         else:
-            out, lead = f @ c, z
-    return out if lead == 1 else out.transpose(1, 0, 2)
+            out = (flat @ g).reshape(g.shape[:1] + f.shape[:2] + g.shape[2:])
+    return out if axes is None else out.transpose(axes)
 
 
-def _np_failing(c: np.ndarray, p: Optional[int], lhs, rhs, i: int) -> np.ndarray:
-    """Flags, flattened in lexicographic order, of the index tuples with
-    leading index i where lhs - rhs is nonzero (mod p, if p is set)."""
-    terms = lhs + [(-s, shape, perm) for s, shape, perm in rhs]
+def _np_failing(t: Blocks, p: Optional[int], terms, parts: tuple, rows: slice) -> np.ndarray:
+    """Flags over the witnesses of _np_term's block where the signed terms
+    sum to a nonzero vector (mod p, if p is set), indexed [x0, x1(, x2)]."""
     sign, shape, perm = terms[0]
-    acc = sign * _np_term(c, shape, perm, i)  # a fresh array, never a view of c
+    acc = sign * _np_term(t, shape, perm, parts, rows)  # a fresh array, never a view of t
     for sign, shape, perm in terms[1:]:
         if sign > 0:
-            acc += _np_term(c, shape, perm, i)
+            acc += _np_term(t, shape, perm, parts, rows)
         else:
-            acc -= _np_term(c, shape, perm, i)
-    return nonzero_mod(acc, p).any(axis=-1).ravel()
+            acc -= _np_term(t, shape, perm, parts, rows)
+    return nonzero_mod(acc, p).any(axis=-1)
 
 
-def _np_side(c: np.ndarray, terms, witness: tuple) -> np.ndarray:
-    """One side of a row at the witness, as an integer vector on the rung of
-    c: each term is its _np_term at the leading index read at the others,
-    and an empty side is the zero vector."""
-    out = np.zeros(c.shape[-1], c.dtype)
+# the most cells of term values one sweep step of the all-B block takes at
+# once: a whole number of leading indices, at least one.  From a sweep, best
+# of 12 rounds on one BLAS thread, of 72 own suites (GF(5) dims 3-6, Q dims
+# 3-4, four categories): one index at a time 16.9 ms, 2^8 cells 10.7,
+# 2^10 8.8, 2^14 7.1, 2^18 8.4; 30 GF(5) Leibniz and commutative pipelines
+# at dims 3-5 took 129-137 ms at every budget (Intel Xeon, numpy 2.4 with
+# OpenBLAS, a shared 2-core host).  A leading index of the dim-6 Leibniz
+# candidate's block, 72^3 cells, is one step at any of these budgets
+SWEEP_CELLS = 2 ** 14
+
+
+def _index_slices(count: int, width: int, cells: int):
+    """range(count) as consecutive slices, each of as many indices as cells
+    holds at width cells per index, and at least one."""
+    k = max(1, cells // max(1, width))
+    return (slice(i, min(i + k, count)) for i in range(0, count, k))
+
+
+def _first_row(flags: np.ndarray) -> int:
+    """The first leading index with a flag set, for flags indexed [x0, ...]
+    with at least one set."""
+    return int(flags.reshape(len(flags), -1).any(axis=1).argmax())
+
+
+@functools.cache
+def _layout(k: int, present: tuple) -> tuple:
+    """The blocks of witnesses of k labels, as the parts of their labels,
+    for the parts present (B, A): per leading part, B before A, the all-B
+    block (None if there is none) and the blocks mixing B and A.  The all-A
+    block is left out (Blocks' docstring)."""
+    out = []
+    for lead in (0, 1):
+        blocks = [(lead,) + rest for rest in itertools.product((0, 1), repeat=k - 1)
+                  if present[lead] and all(present[x] for x in rest)]
+        full = (0,) * k if (0,) * k in blocks else None
+        out.append((lead, full, tuple(b for b in blocks if 0 in b and 1 in b)))
+    return tuple(out)
+
+
+def _first_failure(t: Blocks, p: Optional[int], terms, closed: bool) -> Optional[tuple]:
+    """The lexicographically first witness at which the signed terms of a
+    row sum to a nonzero vector, or None.
+
+    Witnesses led by an index in B come before those led by one in A.  For
+    each leading part, every block of witnesses mixing B and A is evaluated
+    whole, and the all-B block, unless closed, is swept in steps of
+    SWEEP_CELLS up to the first leading index a mixed block fails at.  The
+    flags of the first failing leading index, laid out on the whole basis,
+    give the rest of the witness."""
+    k = len(terms[0][2])
+    dims = t.dims
+    for lead, full, mixed in _layout(k, (dims[0] > 0, dims[1] > 0)):
+        size = dims[lead]
+        whole = [(parts, _np_failing(t, p, terms, parts, slice(None))) for parts in mixed]
+        stop = min((_first_row(f) for _, f in whole if f.any()), default=size)
+        at = [(parts, f[stop]) for parts, f in whole] if stop < size else []
+        for rows in (_index_slices(min(stop + 1, size), dims[0] ** k, SWEEP_CELLS)
+                     if full and not closed else ()):
+            f = _np_failing(t, p, terms, full, rows)
+            if f.any():
+                stop = rows.start + _first_row(f)
+                at = [(parts, g[stop]) for parts, g in whole] + [(full, f[stop - rows.start])]
+                break
+        if at:
+            return (dims[0] * lead + stop,) + _first_rest(dims, at)
+    return None
+
+
+def _first_rest(dims: tuple, at: list) -> tuple:
+    """The first flagged index tuple of the flags at one leading index,
+    each block's flags laid out on the whole basis by the parts of its
+    labels after the first."""
+    flags = np.zeros((sum(dims),) * (len(at[0][0]) - 1), bool)
+    for parts, f in at:
+        flags[tuple(slice(dims[0] * x, dims[0] + dims[1] * x) for x in parts[1:])] = f
+    return tuple(int(x) for x in np.unravel_index(int(flags.argmax()), flags.shape))
+
+
+def _np_side(t: Blocks, terms, witness: tuple) -> np.ndarray:
+    """One side of a row at the witness, as an integer vector over the whole
+    basis on the rung of t: each term is its _np_term on the witness's
+    block, read at the witness, and an empty side is the zero vector."""
+    m, n = t.dims
+    parts = tuple(int(x >= m) for x in witness)
+    at = tuple(x - m * q for x, q in zip(witness, parts))
+    out = np.zeros(m + n, t.bb.dtype)
+    lands = out[m:] if 1 in parts else out[:m]
+    rows = slice(at[0], at[0] + 1)
     for sign, shape, perm in terms:
-        out += sign * _np_term(c, shape, perm, witness[0])[witness[1:]]
+        lands += sign * _np_term(t, shape, perm, parts, rows)[(0,) + at[1:]]
     return out
 
 
@@ -272,25 +418,25 @@ def check_identity(a: Algebra, tag: str) -> Report:
     return _check_identity(a, tag, _integer_tensor(a))
 
 
-def _check_identity(a: Algebra, tag: str, scaled: tuple[int, np.ndarray]) -> Report:
-    """check_identity on the pair (lam, c) of _integer_tensor(a)."""
-    lam, c = scaled
+def _check_identity(a: Algebra, tag: str, scaled: tuple) -> Report:
+    """check_identity on the pair (lam, t) of _integer_tensor(a), t the
+    dense array or its Blocks."""
+    lam, t = scaled
+    t = t if isinstance(t, Blocks) else Blocks(t)
     f = a.field
-    n = a.dim
-    if n == 0:
+    if a.dim == 0:
         return Report(True, details=[{"name": tag, "status": "pass", "note": "empty algebra"}])
     rows = IDENTITIES[tag]
     for name, lhs, rhs in rows:
-        for i in range(n):
-            flags = _np_failing(c, f.p, lhs, rhs, i)
-            first = int(flags.argmax())
-            if flags[first]:
-                rest = np.unravel_index(first, (n,) * (len(lhs[0][2]) - 1))
-                witness = (i,) + tuple(int(x) for x in rest)
-                den = lam if lhs[0][1] == "T" else lam * lam  # the row's degree
-                lv, rv = (scalar_tuples(f, den, exact_ints(_np_side(c, side, witness), f.p))
-                          for side in (lhs, rhs))
-                return Report(False, label=name, witness=witness, lhs=lv, rhs=rv)
+        terms = lhs + [(-s, shape, perm) for s, shape, perm in rhs]
+        witness = _first_failure(t, f.p, terms, tag in t.closed)
+        if witness is not None:
+            den = lam if lhs[0][1] == "T" else lam * lam  # the row's degree
+
+            def side(terms):
+                return lambda: scalar_tuples(f, den, exact_ints(_np_side(t, terms, witness), f.p))
+
+            return Report(False, label=name, witness=witness, lhs=side(lhs), rhs=side(rhs))
 
     details = [{"name": name, "status": "pass"} for name, _, _ in rows]
     if tag == "alternative" and f.char == 2:
@@ -323,10 +469,11 @@ def _alternative_char2_exhaustive(a: Algebra) -> Report:
 
 
 def identity_suite(a: Algebra, category: Optional[str] = None,
-                   c: Optional[tuple[int, np.ndarray]] = None) -> Report:
+                   c: Optional[tuple] = None) -> Report:
     """Run the identity tags of the (default: own) category tag.  c, when
-    given, must be the pair (lam, array) of _integer_tensor(a), values and
-    dtype, built by a caller that holds the tensor in integers already."""
+    given, must be the pair (lam, t) of _integer_tensor(a), values and
+    dtype, built by a caller that holds the tensor in integers already: t
+    the (n, n, n) array, or its Blocks when the basis is cut in two."""
     cat = a.category if category is None else category
     if cat not in SUITES:
         raise InputError(f"unknown category {cat!r}")

@@ -53,11 +53,13 @@ are built from those on first read (linalg.lazy): maps, the basis pairs as
 Matrices over lam, and tensor, the constants over lam^2; action_pair's left
 and right tensors are the pairs' columns, and as_algebra's tensor is
 tensor.  semidirect_tensor places the arrays, with the target's own integer
-tensor, as the four blocks of the semidirect product's integer tensor, so
-the pipeline's semidirect suite never converts the product's N^3 field
-scalars back to integers, and reads its witness sides off the same array:
-no verdict builds a field scalar of the candidate, its action or the
-product.
+tensor, as the four algebra.Blocks of the semidirect product's integer
+tensor, and hands on the kind's closed tags, the identities its product
+satisfies by construction (KIND_TABLE has each proof).  The pipeline's
+semidirect suite reads those blocks, never a dense (N, N, N) array, skips
+the candidate's own block for the closed tags, and reads its witness sides
+off the same blocks: no verdict builds a field scalar of the candidate, its
+action or the product.
 
 factor_through_actor expresses an action on the candidate's target in the
 candidate's basis, and is the one place that checks the action's algebra
@@ -89,7 +91,9 @@ from .algebra import (
     IDENTITIES,
     SUITES,
     Algebra,
+    Blocks,
     InputError,
+    _index_slices,
     _integer_tensor,
     algebra_from_json,
     annihilator,
@@ -131,19 +135,35 @@ class Kind(NamedTuple):
     right: str  # "neg" (minus the left one), "same", or an independent
     #             right component given by its bracket
     rows: str = ""  # the module function assembling its constraint rows
+    # identity tags the candidate's own product satisfies by construction,
+    # with the proof in a comment on its row: the semidirect suite skips
+    # them on the candidate's block
+    closed: tuple = ()
 
 
+# Every closure proof below rests on the closure certificate: the product of
+# two basis pairs is the pair the bracket gives, and its coordinates in the
+# independent basis are unique, so the structure constants are those of a
+# subalgebra of the ambient algebra the bracket is taken in.
 KIND_TABLE = {
-    "der": Kind("lie", "lie", "derivations", "aLbL - bLaL", "neg", "_derivation_rows"),
+    # [D, D'] = DD' - D'D: the commutator of any associative algebra, here
+    # End(A), is anticommutative and satisfies Jacobi, in every
+    # characteristic
+    "der": Kind("lie", "lie", "derivations", "aLbL - bLaL", "neg", "_derivation_rows",
+                ("anticommutativity", "jacobi")),
+    # (L, R)(L', R') = (LL', R'R) is composition in End(A) x End(A)^op,
+    # which is associative
     "bim": Kind("associative", "associative", "bimultipliers", "aLbL", "bRaR",
-                "_bimultiplier_rows"),
+                "_bimultiplier_rows", ("associativity",)),
+    # no proof of either bracket's Leibniz identity: the suite runs it
     "bider1": Kind("leibniz", "leibniz", "biderivations", "aLbL + bRaL", "bRaR - aRbR",
                    "_biderivation_rows"),
     "bider2": Kind("leibniz", "leibniz", "biderivations", "bRaL - aLbR", "bRaR - aRbR",
                    "_biderivation_rows"),
-    # the product is composition: always associative, not always commutative
+    # (L, L)(L', L') = (LL', LL') is composition in End(A): always
+    # associative, not always commutative, so commutativity still runs
     "mult": Kind("associative", "commutative", "multipliers", "aLbL", "same",
-                 "_multiplier_rows"),
+                 "_multiplier_rows", ("associativity",)),
     "zero": Kind("module", "module", "the zero actor", "", "same"),
 }
 
@@ -377,13 +397,6 @@ def _pair_products(b: np.ndarray, text: str, block: slice) -> np.ndarray:
     return out
 
 
-def _blocks(m: int, cells: int):
-    """range(m) as consecutive slices of basis pairs s, each of as many s as
-    BLOCK_CELLS holds when one s takes this many cells, and at least one."""
-    k = max(1, BLOCK_CELLS // max(1, cells))
-    return (slice(s, min(s + k, m)) for s in range(0, m, k))
-
-
 def _components(kind: str, pairs, p) -> tuple[np.ndarray, np.ndarray]:
     """lam times the left and right components of the integer pairs, two
     exact integer (m, n, n) arrays, the right one reduced mod p over GF(p)
@@ -409,7 +422,7 @@ def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
     flat = b.reshape(m, width)
     # the pairs' rung holds every coordinate, so exact_dtype holds them all
     consts = np.zeros((m, m, m), exact_dtype(f.p, b.dtype))
-    for block in _blocks(m, m * width):
+    for block in _index_slices(m, m * width, BLOCK_CELLS):
         # row s * m + t: the product of pairs block.start + s and t
         prod = np.stack([_pair_products(b, text, block) for text in texts], axis=2)
         prod = prod.reshape(-1, width)
@@ -437,26 +450,27 @@ def _actor(kind: str, A: Algebra, span: Subspace, pairs, constants) -> ActorAlge
                         constants)
 
 
-def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, np.ndarray]:
-    """The pair (lam, integer tensor) of the semidirect product along the
+def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, Blocks]:
+    """The pair (lam, Blocks) of the semidirect product along the
     candidate's action: algebra._integer_tensor(actions.semidirect(
-    actor.action_pair())), values and dtype, placed from four integer blocks
-    without reading a scalar of the product.  With m = actor.dim, the
-    candidate's basis first:
+    actor.action_pair())), values and dtype, cut into its four blocks and
+    placed from integer arrays without reading a scalar of the product.
+    With m = actor.dim, the candidate's basis first:
 
-        c[:m, :m, :m]      the structure constants
-        c[b, m + j, m + r] L_b[r][j], the left components
-        c[m + i, b, m + r] R_b[r][i], the right ones (+-L under _FOLLOW,
-                           mod p over GF(p))
-        c[m:, m:, m:]      the target's own tensor
+        bb[s, t, u]    the structure constants
+        ba[b, j, r]    L_b[r][j], the left components
+        ab[i, b, r]    R_b[r][i], the right ones (+-L under _FOLLOW, mod p
+                       over GF(p))
+        aa             the target's own tensor
 
     Over Q each block is an integer array with its own lam, the lcm of its
     entries' denominators: for the constants den / gcd(den, every entry),
     for the pairs their lam, for the target its own.  Each block is scaled
     to the lcm of the three, the lam of the whole product.  The dtype is the
     rung of algebra.suite_bound at the largest scaled entry, as integer_array
-    picks it; each block is cast to it before it is scaled, which stays
-    exact on every rung because the bound covers every entry."""
+    picks it for the product; each block is cast to it before it is scaled,
+    which stays exact on every rung because the bound covers every entry.
+    The kind's closed tags ride along, so the suite skips them on bb."""
     A = actor.target
     f, n, m = A.field, A.dim, actor.dim
     den, consts = actor.constants
@@ -465,21 +479,21 @@ def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, np.ndarray]:
     # gcd(den, every entry), the gcd of none being 0; den is 1 over GF(p)
     g = math.gcd(den, int(np.gcd.reduce(consts, axis=None))) if den > 1 else 1
     left, right = _components(actor.kind, actor.pairs, f.p)
-    lo, hi = slice(m), slice(m, None)
-    blocks = [((lo, lo, lo), consts if g == 1 else consts // g, den // g),
-              ((lo, hi, hi), left.transpose(0, 2, 1), lam_pairs),
-              ((hi, lo, hi), right.transpose(2, 0, 1), lam_pairs),
-              ((hi, hi, hi), exact_ints(ints_a), lam_a)]
-    lam = math.lcm(*(lam_block for _, _, lam_block in blocks))
-    tops = [magnitude(arr) for _, arr, _ in blocks]
-    big = max(top * (lam // lam_block) for top, (_, _, lam_block) in zip(tops, blocks))
-    out = np.zeros((m + n,) * 3, rung(suite_bound(m + n)(big)))
-    for top, (where, arr, lam_block) in zip(tops, blocks):
-        view = out[where]
-        view[...] = arr
+    blocks = [(consts if g == 1 else consts // g, den // g),
+              (left.transpose(0, 2, 1), lam_pairs),
+              (right.transpose(2, 0, 1), lam_pairs),
+              (exact_ints(ints_a), lam_a)]
+    lam = math.lcm(*(lam_block for _, lam_block in blocks))
+    tops = [magnitude(arr) for arr, _ in blocks]
+    big = max(top * (lam // lam_block) for top, (_, lam_block) in zip(tops, blocks))
+    dtype = rung(suite_bound(m + n)(big))
+    out = []
+    for top, (arr, lam_block) in zip(tops, blocks):
+        arr = arr.astype(dtype, order="C")
         if top and lam != lam_block:
-            view *= lam // lam_block
-    return lam, out
+            arr *= lam // lam_block
+        out.append(arr)
+    return lam, Blocks(*out, KIND_TABLE[actor.kind].closed)
 
 
 def _construct(kind: str, A: Algebra) -> ActorAlgebra:
@@ -658,7 +672,7 @@ def _condition_check(which: int, actor: ActorAlgebra) -> Report:
     f = actor.target.field
     lam, b = actor.pairs
     n = actor.target.dim
-    for block in _blocks(actor.dim, actor.dim * n * n):
+    for block in _index_slices(actor.dim, actor.dim * n * n, BLOCK_CELLS):
         lhs = _pair_products(b, lhs_text, block)
         rhs = _pair_products(b, rhs_text, block)
         # (s, t, col): column col of the product at (block.start + s, t) differs

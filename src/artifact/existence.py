@@ -9,14 +9,23 @@ identity and witness when it does not.  One table, _CATEGORY_TABLE, names
 each category's candidate and the existence condition reported beside the
 verdict.
 
-The suite's integer tensor comes from constructions.semidirect_tensor,
-which places the integer arrays the closure already holds, rather than from
-converting the product's N^3 field scalars back, and a failing suite reads
-its witness sides off that tensor too.  The candidate's maps and tensor,
-its induced action and the semidirect product are built on first read, so
-no verdict makes a field scalar of the candidate, its action or the
-product.  actions.crosscheck_semidirect keeps the conversion route as the
-independent oracle.
+The suite decides the product block by block.  Its input,
+constructions.semidirect_tensor, is the product's four integer blocks,
+placed from the arrays the closure already holds, so no dense (N, N, N)
+tensor is made.  A witness whose indices all lie in A is A's own suite,
+which passed on entry, and is never evaluated.  One whose indices all lie
+in the candidate asks whether the candidate is in the category: that block
+is skipped for the identities the candidate's construction proves
+(derivations are a Lie algebra of commutators, bimultipliers and
+multipliers subalgebras of composition, which is associative), and is
+otherwise swept only up to the first failure of the mixed blocks.  A
+witness mixing the two asks whether the induced action is a derived
+action; those blocks always run.  A failing suite reads its witness sides
+off the same blocks, and only when they are read.  The candidate's maps and
+tensor, its induced action and the semidirect product are built on first
+read, so no verdict makes a field scalar of the candidate, its action or
+the product.  actions.crosscheck_semidirect keeps the dense route, on the
+eagerly built product, as the independent oracle.
 """
 
 from __future__ import annotations
@@ -121,8 +130,8 @@ def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
     actor = build(A, variant)
     act = actor.action_pair()
     prod = semidirect(act)
-    # the suite and its witness sides run on the integer tensor placed from
-    # the candidate's blocks, never on the product's scalars
+    # the suite and its witness sides run on the product's integer blocks,
+    # never on its scalars
     beta = identity_suite(prod, A.category, c=semidirect_tensor(actor))
     # the multiplier candidate's right component is its left one, so b*a =
     # a*b holds by construction; the commutativity row of the suite above

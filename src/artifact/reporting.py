@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .linalg import lazy
+
 
 @dataclass
 class Report:
@@ -13,15 +15,18 @@ class Report:
     passed   overall boolean verdict
     label    name of the failed identity/condition (None when passed)
     witness  lexicographically first failing index tuple, if any
-    lhs/rhs  both sides evaluated at the witness, if meaningful
+    lhs/rhs  both sides evaluated at the witness, if meaningful; each may be
+             given as a function of no arguments, evaluated on first read
+             (linalg.lazy), as the identity suite does: most callers of a
+             failing suite read only its label and witness
     details  per-condition lines for multi-part checks
     """
 
     passed: bool
     label: Optional[str] = None
     witness: Optional[tuple] = None
-    lhs: Optional[tuple] = None
-    rhs: Optional[tuple] = None
+    lhs: Optional[tuple] = lazy(None)
+    rhs: Optional[tuple] = lazy(None)
     details: list = field(default_factory=list)
 
     def to_json(self, scalar_to_json=None) -> dict[str, Any]:

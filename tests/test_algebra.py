@@ -240,30 +240,53 @@ def test_integer_array_takes_the_cheapest_exact_rung(top, dtype):
         assert arr.dtype == dtype and got_lam == lam and linalg.exact_ints(arr).tolist() == ints
 
 
-def _einsum_term(c, shape, perm, i):
-    """Oracle for _np_term: one einsum, labels 0-2 the witness indices, 3 the
-    coordinate, 4 the summed index; the operand carrying label 0 is sliced."""
+def _einsum_term(c, shape, perm):
+    """Oracle for _np_term: one einsum on the dense tensor, labels 0-2 the
+    witness indices, 3 the coordinate, 4 the summed index."""
     u, v, *w = perm
     subs = {"T": [(u, v, 3)], "L": [(u, v, 4), (4, *w, 3)], "R": [(v, *w, 4), (u, 4, 3)]}
-    args = []
-    for labels in subs[shape]:
-        args += [c[(slice(None),) * labels.index(0) + (i,)] if 0 in labels else c,
-                 [x for x in labels if x]]
-    return np.einsum(*args, [*range(1, len(perm)), 3])
+    args = [x for labels in subs[shape] for x in (c, list(labels))]
+    return np.einsum(*args, [*range(len(perm)), 3])
+
+
+def _random_blocks(rng, m, n, dtype):
+    """A random algebra.Blocks with parts of dims m and n, and the same
+    tensor placed dense, zero wherever the block shape says."""
+    b, a = slice(m), slice(m, m + n)
+    c = np.zeros((m + n,) * 3, dtype=np.int64)
+    for where in ((b, b, b), (b, a, a), (a, b, a), (a, a, a)):
+        view = c[where]
+        view[...] = rng.integers(-9, 10, size=view.shape)
+    blocks = (c[b, b, b], c[b, a, a], c[a, b, a], c[a, a, a]) if n else (c,)
+    return algebra.Blocks(*(x.astype(dtype) for x in blocks)), c.astype(dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
 def test_matmul_terms_equal_the_einsum_oracle(dtype):
+    # every block of every term, whole and one leading index at a time,
+    # against the einsum on the dense tensor: the coordinates outside the
+    # part a block lands in are zero there
     rng = np.random.default_rng(0)
-    for n in range(1, 7):
-        c = rng.integers(-9, 10, size=(n, n, n)).astype(dtype)
+    sizes = [(n, 0) for n in range(1, 7)] + [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (0, 2)]
+    for m, n in sizes:
+        t, c = _random_blocks(rng, m, n, dtype)
+        ranges = (np.arange(m), np.arange(m, m + n))
         for shape, k in (("T", 2), ("L", 3), ("R", 3)):
             for perm in itertools.permutations(range(k)):
-                for i in range(n):
-                    got = algebra._np_term(c, shape, perm, i)
-                    want = _einsum_term(c, shape, perm, i)
+                dense = _einsum_term(c, shape, perm)
+                for parts in itertools.product((0, 1), repeat=k):
+                    if not all(len(ranges[x]) for x in parts):
+                        continue
+                    lands = max(parts)
+                    want = dense[np.ix_(*(ranges[x] for x in parts), ranges[lands])]
+                    assert not dense[np.ix_(*(ranges[x] for x in parts),
+                                            ranges[1 - lands])].any()
+                    got = algebra._np_term(t, shape, perm, parts, slice(None))
                     assert got.dtype == c.dtype and got.shape == want.shape, (shape, perm)
-                    assert (got == want).all(), (n, shape, perm, i)
+                    assert (got == want).all(), (m, n, shape, perm, parts)
+                    for i in range(len(got)):
+                        row = algebra._np_term(t, shape, perm, parts, slice(i, i + 1))
+                        assert (row == want[i:i + 1]).all(), (m, n, shape, perm, parts, i)
 
 
 def test_nonzero_mod_on_float64_equals_remainder_on_int64():

@@ -8,6 +8,7 @@ frozen below.
 """
 
 import itertools
+import json
 import math
 import random
 import types
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from artifact import constructions, existence
 from artifact.actions import conjugation_action, semidirect
 from artifact.algebra import (IDENTITIES, SUITES, InputError, Subspace, _integer_tensor,
-                             identity_suite, is_ideal, make_algebra)
+                             check_identity, identity_suite, is_ideal, make_algebra)
 from artifact.constructions import (KIND_TABLE, BiMap, ClosureError,
                                     ConstructionError, actor_from_json,
                                     biderivations, bimultipliers, canonical_d,
@@ -582,9 +583,10 @@ def test_scalars_leaving_numpy_are_python_ints_or_fractions():
 # the kinds an algebra of each category is built as, besides the zero actor
 BLOCK_KINDS = {"lie": ("der",), "leibniz": ("bider1", "bider2"), "associative": ("bim",),
                "commutative": ("mult", "bim"), "module": ()}
-# 2^61 - 1 is past the float64 rung and 18446744073709551629 past uint64:
-# residues there are exact only if they are never taken in float or int64
-BLOCK_FIELDS = (GF(2), GF(3), GF(5), GF(2 ** 31 - 1), GF(2 ** 61 - 1),
+# 2^25 - 39 puts the blocks on the int64 rung, 2^61 - 1 is past it and
+# 18446744073709551629 past uint64: residues there are exact only if they
+# are never taken in float or int64
+BLOCK_FIELDS = (GF(2), GF(3), GF(5), GF(2 ** 25 - 39), GF(2 ** 31 - 1), GF(2 ** 61 - 1),
                 GF(18446744073709551629), QQ)
 BLOCK_SEEDS = {"lie": sl2, "leibniz": a5_leibniz, "associative": dual_numbers,
                "commutative": lambda f: truncated_poly(f, 3, "commutative")}
@@ -602,18 +604,47 @@ def _block_actors(a):
     return [construct(kind, a) for kind in BLOCK_KINDS[a.category] + ("zero",)]
 
 
+def dense_tensor(t):
+    """The four blocks of an algebra.Blocks placed into one (N, N, N) array
+    of their common dtype, zero outside them: B * B lands in B, every other
+    product in A."""
+    m, n = t.dims
+    b, a = slice(m), slice(m, m + n)
+    assert len({x.dtype for x in t[:4]}) == 1
+    out = np.zeros((m + n,) * 3, t.bb.dtype)
+    for where, block in zip(((b, b, b), (b, a, a), (a, b, a), (a, a, a)), t[:4]):
+        out[where] = block
+    return out
+
+
 def _assert_block_tensor(actor):
-    """semidirect_tensor equals the converted pair (lam, tensor), lam,
-    values and dtype; an object array holds Python ints.  Returns the
-    dtype."""
+    """semidirect_tensor, placed dense, equals the converted pair (lam,
+    tensor), lam, values and dtype; an object array holds Python ints.
+    Returns the dtype."""
     want_lam, want = _integer_tensor(semidirect(actor.action_pair()))
-    got_lam, got = semidirect_tensor(actor)
+    got_lam, blocks = semidirect_tensor(actor)
+    got = dense_tensor(blocks)
+    assert blocks.closed == KIND_TABLE[actor.kind].closed
     assert got_lam == want_lam, actor.kind
     assert got.dtype == want.dtype and got.shape == want.shape, actor.kind
     assert np.array_equal(got, want), actor.kind
     if got.dtype == object:
         assert all(type(x) is int for x in got.ravel())
     return got.dtype
+
+
+def _report_bytes(f, rep):
+    return json.dumps(rep.to_json(f.to_json), sort_keys=True)
+
+
+def _assert_block_report(a, actor):
+    """The suite decided block by block gives the Report, every byte of it,
+    that the dense suite gives on the eagerly built product; returns it."""
+    prod = semidirect(actor.action_pair())
+    want = identity_suite(prod, a.category)
+    got = identity_suite(prod, a.category, c=semidirect_tensor(actor))
+    assert got == want and _report_bytes(a.field, got) == _report_bytes(a.field, want)
+    return want
 
 
 @st.composite
@@ -629,8 +660,9 @@ def block_algebras(draw):
         a = _conjugate(a, _rand_invertible(rng, f, a.dim))
     else:
         a = sample_algebra(rng, f, n, category)
-    if f.p is None:  # BIG_Q and its inverse take Q to the object rung
-        t = draw(st.sampled_from((Fraction(1), Fraction(-2, 3), BIG_Q, 1 / BIG_Q)))
+    if f.p is None:  # 3^17 takes Q to the int64 rung, BIG_Q and its inverse to object
+        t = draw(st.sampled_from((Fraction(1), Fraction(-2, 3), Fraction(3 ** 17), BIG_Q,
+                                  1 / BIG_Q)))
     else:
         t = f.from_int(draw(st.integers(1, f.p - 1)))
     return _scaled(a, t)
@@ -641,6 +673,13 @@ def block_algebras(draw):
 def test_semidirect_tensor_equals_the_converted_tensor(a):
     for actor in _block_actors(a):
         _assert_block_tensor(actor)
+
+
+@settings(max_examples=150)
+@given(block_algebras())
+def test_block_suite_gives_the_report_of_the_dense_suite(a):
+    for actor in _block_actors(a):
+        _assert_block_report(a, actor)
 
 
 def test_semidirect_tensor_covers_dims_0_and_1_and_every_rung():
@@ -668,14 +707,19 @@ def test_identity_suite_gives_the_same_report_on_the_block_tensor():
         algebras += [sample_algebra(random.Random(seed), f, n, cat)
                      for cat in ("lie", "leibniz", "associative", "commutative")
                      for n in (1, 2, 3) for seed in range(4)]
-    failed = 0
+    # the int64 and object rungs: large primes, and Q scaled past 2^53 and 2^63
+    for f in (GF(2 ** 25 - 39), GF(2 ** 31 - 1), GF(18446744073709551629)):
+        algebras += [zero_algebra(f, n, cat) for n in (0, 1) for cat in BLOCK_KINDS]
+        algebras += [_scaled(seed(f), f.from_int(-1)) for seed in BLOCK_SEEDS.values()]
+    algebras += [_scaled(a, t) for a in (sl2(), a5_leibniz(), dual_numbers())
+                 for t in (Fraction(3 ** 17), BIG_Q)]
+    failed, rungs = 0, set()
     for a in algebras:
         for actor in _block_actors(a):
-            prod = semidirect(actor.action_pair())
-            want = identity_suite(prod, a.category)
-            lam, c = semidirect_tensor(actor)
-            assert identity_suite(prod, a.category, c=(lam, c)) == want
+            want = _assert_block_report(a, actor)
+            rungs.add(semidirect_tensor(actor)[1].bb.dtype.name)
             if not want.passed:  # the sides at the witness, by Algebra.multiply
+                prod = semidirect(actor.action_pair())
                 _, lhs, rhs = next(row for rows in IDENTITIES.values() for row in rows
                                    if row[0] == want.label)
                 e = [basis_vector(a.field, prod.dim, k) for k in range(prod.dim)]
@@ -683,6 +727,31 @@ def test_identity_suite_gives_the_same_report_on_the_block_tensor():
                                                 exact_side(prod, e, rhs, want.witness))
             failed += not want.passed
     assert failed >= 20  # witnesses and their sides are compared too
+    assert rungs == {"float64", "int64", "object"}
+
+
+def test_closed_tags_hold_on_every_candidate():
+    # the tags a kind's closed column lets the semidirect suite skip on the
+    # candidate's own block, run on the candidate's own algebra
+    algebras = [sl2(), heisenberg(), m2_rationals(), dual_numbers(),
+                truncated_poly(QQ, 3, "commutative"), diagonal_algebra(QQ, 2, "commutative")]
+    for f in (GF(2), GF(3), GF(5), QQ, GF(2 ** 61 - 1)):
+        for cat in ("lie", "associative", "commutative"):
+            algebras += [zero_algebra(f, n, cat) for n in (1, 2, 3)]
+            if f.p is None or f.p <= 5:
+                algebras += [sample_algebra(random.Random(seed), f, n, cat)
+                             for n in (2, 3) for seed in range(3)]
+            else:  # rejection sampling finds nothing over a big field
+                rng = random.Random(1)
+                a = BLOCK_SEEDS[cat](f)
+                algebras.append(_conjugate(a, _rand_invertible(rng, f, a.dim)))
+    checked = 0
+    for a in algebras:
+        for actor in _block_actors(a):
+            for tag in KIND_TABLE[actor.kind].closed:
+                assert check_identity(actor.as_algebra(), tag).passed, (actor.kind, tag, a)
+                checked += 1
+    assert checked > 150
 
 
 def test_kind_category_guards():

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import constructions, existence
 from artifact.actions import ActionPair, make_action, semidirect
-from artifact.algebra import SUITES, identity_suite, make_algebra
+from artifact.algebra import SUITES, _integer_tensor, identity_suite, make_algebra
 from artifact.constructions import KIND_TABLE, construct, semidirect_tensor
 from artifact.corpus import (a5_leibniz, abelian, dual_numbers, heisenberg, m2_rationals,
                              sample_algebra, sl2, truncated_poly, zero_algebra)
@@ -29,7 +29,7 @@ from artifact.fields import GF, QQ
 from artifact.linalg import Matrix, Subspace, is_built, vec_zero
 
 from test_algebra import first_exact_failure
-from test_constructions import oracle_constraints
+from test_constructions import dense_tensor, oracle_constraints
 
 # ---------------------------------------------------------------------------
 # oracles: the eager per-entry loops
@@ -212,15 +212,20 @@ def test_a_not_exists_verdict_gives_the_eager_witness_sides(monkeypatch, a):
     # the suite reads its witness sides off the integer tensor, so the
     # verdict builds no field scalar of the candidate, its action or the
     # product, and neither does asking for the sides again
-    lam, c = semidirect_tensor(v.actor)
-    assert c.dtype == object or a.field.p is None or a.field.p < 2 ** 61
-    got = identity_suite(v.semidirect_product, a.category, c=(lam, c))
+    lam, blocks = semidirect_tensor(v.actor)
+    got = identity_suite(v.semidirect_product, a.category, c=(lam, blocks))
+    assert not is_built(got, "lhs") and not is_built(got, "rhs")  # made when read
     assert not is_built(v.actor, "maps") and not is_built(v.actor, "tensor")
     assert not is_built(act, "left") and not is_built(act, "right")
     assert not is_built(act.B, "tensor") and not is_built(v.semidirect_product, "tensor")
     # the Algebra.multiply oracle on the eagerly built product
     eager = make_algebra(a.field, v.semidirect_product.basis,
                          oracle_semidirect_tensor(oracle_action(v.actor)), "raw")
+    # the blocks, placed dense, are the eager product's integer tensor
+    want_lam, want_c = _integer_tensor(eager)
+    c = dense_tensor(blocks)
+    assert lam == want_lam and c.dtype == want_c.dtype and np.array_equal(c, want_c)
+    assert c.dtype == object or a.field.p is None or a.field.p < 2 ** 61
     want = next(filter(None, (first_exact_failure(eager, tag) for tag in SUITES[a.category])))
     assert (got.label, got.witness, got.lhs, got.rhs) == (want.label, want.witness,
                                                           want.lhs, want.rhs)
