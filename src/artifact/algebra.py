@@ -18,7 +18,8 @@ FFLAS-FFPACK), int64 while B < 2^63, and Python ints (an object array)
 beyond, so nothing rounds or wraps around.  linalg.integer_array is that
 rule, written once, and linalg.exact_ints is the one way back to exact
 integers.  suite_bound is B, written once too.  The pair (lam, lam * tensor)
-is built once per suite, or handed to identity_suite by its caller.
+is Algebra.integer_tensor, built once per algebra and read by every user;
+identity_suite takes a semidirect product's Blocks from its caller.
 
 The kernel reads a tensor as Blocks: the basis cut into two parts, B then
 A, where B * B lands in B and every other product in A, which is the shape
@@ -99,6 +100,15 @@ class Algebra:
 
     def multiply(self, u: Vector, v: Vector) -> Vector:
         return bilinear(self.field, self.tensor, u, v, self.dim)
+
+    @functools.cached_property
+    def integer_tensor(self) -> tuple[int, np.ndarray]:
+        """(lam, lam * tensor) on the rung of suite_bound: each identity row
+        is homogeneous, so it keeps every zero.  Shared, so read-only."""
+        n = self.dim
+        lam, ints = integer_array(self.field, self.tensor, (n, n, n), suite_bound(n))
+        ints.flags.writeable = False
+        return lam, ints
 
     def left_mult_matrix(self, i: int) -> Matrix:
         """Matrix of x -> e_i * x."""
@@ -404,23 +414,16 @@ def suite_bound(n: int) -> Callable[[int], int]:
     return lambda big: _SUITE_TERMS * n * big ** 2
 
 
-def _integer_tensor(a: Algebra) -> tuple[int, np.ndarray]:
-    """(lam, lam * tensor), the tensor as an (n, n, n) integer array for the
-    kernel.  Every row is homogeneous, so scaling keeps each zero pattern."""
-    n = a.dim
-    return integer_array(a.field, a.tensor, (n, n, n), suite_bound(n))
-
-
 def check_identity(a: Algebra, tag: str) -> Report:
     """Check one identity tag on all basis tuples of the algebra."""
     if tag not in IDENTITIES:
         raise InputError(f"unknown identity tag {tag!r}")
-    return _check_identity(a, tag, _integer_tensor(a))
+    return _check_identity(a, tag, a.integer_tensor)
 
 
 def _check_identity(a: Algebra, tag: str, scaled: tuple) -> Report:
-    """check_identity on the pair (lam, t) of _integer_tensor(a), t the
-    dense array or its Blocks."""
+    """check_identity on the pair (lam, t): a.integer_tensor, or the
+    Blocks of a semidirect product with its lam."""
     lam, t = scaled
     t = t if isinstance(t, Blocks) else Blocks(t)
     f = a.field
@@ -470,16 +473,15 @@ def _alternative_char2_exhaustive(a: Algebra) -> Report:
 
 def identity_suite(a: Algebra, category: Optional[str] = None,
                    c: Optional[tuple] = None) -> Report:
-    """Run the identity tags of the (default: own) category tag.  c, when
-    given, must be the pair (lam, t) of _integer_tensor(a), values and
-    dtype, built by a caller that holds the tensor in integers already: t
-    the (n, n, n) array, or its Blocks when the basis is cut in two."""
+    """Run the identity tags of the (default: own) category tag on
+    a.integer_tensor, or on c when given: the pair (lam, t) of a semidirect
+    product, t its Blocks, with the values and dtype of its integer_tensor,
+    placed by a caller that holds the blocks in integers already."""
     cat = a.category if category is None else category
     if cat not in SUITES:
         raise InputError(f"unknown category {cat!r}")
     details = []
-    if c is None:
-        c = _integer_tensor(a)
+    c = a.integer_tensor if c is None else c
     for tag in SUITES[cat]:
         rep = _check_identity(a, tag, c)
         if not rep.passed:
@@ -494,24 +496,22 @@ def identity_suite(a: Algebra, category: Optional[str] = None,
 
 
 def annihilator(a: Algebra) -> Subspace:
-    """{x : x*e_j = 0 and e_j*x = 0 for all j}, canonical basis."""
-    f = a.field
-    n = a.dim
+    """{x : x*e_j = 0 and e_j*x = 0 for all j}, canonical basis: the null
+    space of c[:, j, k] and c[j, :, k] for each (j, k), c = integer_tensor."""
+    f, n = a.field, a.dim
     if n == 0:
         return Subspace(0, Matrix(f, ()), ())
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append(tuple(a.tensor[i][j][k] for i in range(n)))  # x * e_j
-            rows.append(tuple(a.tensor[j][i][k] for i in range(n)))  # e_j * x
-    null = Matrix.from_rows(f, rows).nullspace()  # canonical already: no second elimination
+    c = a.integer_tensor[1]
+    rows = np.stack((c.transpose(1, 2, 0), c.transpose(0, 2, 1)), axis=2)
+    null = Matrix.from_ints(f, rows.reshape(2 * n * n, n)).nullspace()  # canonical already
     return Subspace.spanned_by(null, n) if null.nrows else Subspace(n, Matrix(f, ()), ())
 
 
 def derived_subspace(a: Algebra) -> Subspace:
     """Span of all basis products e_i * e_j, canonical basis."""
-    rows = [a.tensor[i][j] for i in range(a.dim) for j in range(a.dim)]
-    return Subspace.from_spanning(a.field, a.dim, rows)
+    n = a.dim
+    rows = a.integer_tensor[1].reshape(n * n, n)
+    return Subspace.spanned_by(Matrix.from_ints(a.field, rows), n)
 
 
 def is_ideal(a: Algebra, s: Subspace) -> Report:

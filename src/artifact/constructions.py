@@ -12,9 +12,9 @@ independent components; its basis is canonicalized by RREF over the
 flattened coordinates (row-major, left matrix first), so identical inputs
 give byte-identical actors.
 
-Constraint rows are assembled in integers.  Each term is one einsum of lam
-times the structure tensor (the integer array the identity suite uses) with
-the identity matrix, added with its sign into the block of its component.
+Constraint rows are assembled in integers.  Each term is one einsum of
+A.integer_tensor, lam times the structure tensor, with the identity matrix,
+added with its sign into the block of its component.
 Over Q the rows are lam times their values, lam the lcm of the tensor's
 denominators, which keeps the nullspace; over GF(p) they are reduced mod p.
 The array becomes the constraint Matrix through Matrix.from_ints, which
@@ -52,21 +52,21 @@ linalg.exact_ints gives them (reduced mod p over GF(p)).  Its field scalars
 are built from those on first read (linalg.lazy): maps, the basis pairs as
 Matrices over lam, and tensor, the constants over lam^2; action_pair's left
 and right tensors are the pairs' columns, and as_algebra's tensor is
-tensor.  semidirect_tensor places the arrays, with the target's own integer
-tensor, as the four algebra.Blocks of the semidirect product's integer
-tensor, and hands on the kind's closed tags, the identities its product
-satisfies by construction (KIND_TABLE has each proof).  The pipeline's
-semidirect suite reads those blocks, never a dense (N, N, N) array, skips
-the candidate's own block for the closed tags, and reads its witness sides
-off the same blocks: no verdict builds a field scalar of the candidate, its
-action or the product.
+tensor.  semidirect_tensor places the arrays, with the target's
+integer_tensor, as the four algebra.Blocks of the semidirect product's
+integer tensor, and hands on the kind's closed tags, the identities its
+product satisfies by construction (KIND_TABLE has each proof).  The
+pipeline's semidirect suite reads those blocks, never a dense (N, N, N)
+array, skips the candidate's own block for the closed tags, and reads its
+witness sides off the same blocks: no verdict builds a field scalar of the
+candidate, its action or the product.
 
 factor_through_actor expresses an action on the candidate's target in the
 candidate's basis, and is the one place that checks the action's algebra
 is that target, field included.  The canonical map d: A -> candidate,
 canonical_d, is A's conjugation action factored this way.
 
-Both the assembly and the products run on linalg.integer_array's rungs:
+Both the assembly and the products run on the rungs of linalg.rung:
 float64 while the caller's bound on every value computed stays below 2^53,
 so each matmul is an exact BLAS dgemm, then int64, then Python ints.  The
 module keeps no dtype or residue code of its own: differences are tested by
@@ -94,7 +94,6 @@ from .algebra import (
     Blocks,
     InputError,
     _index_slices,
-    _integer_tensor,
     algebra_from_json,
     annihilator,
     derived_subspace,
@@ -108,7 +107,6 @@ from .linalg import (
     basis_vector,
     exact_dtype,
     exact_ints,
-    integer_array,
     lazy,
     magnitude,
     nonzero_mod,
@@ -320,7 +318,7 @@ def _assemble(A: Algebra, kind: str) -> Matrix:
            for tag in SUITES[spec.source] for _, lhs, rhs in IDENTITIES[tag]
            if lhs[0][1] != "T"  # x*y = s y*x is the _FOLLOW rule
            for slot in ((0,) if follow else (0, 1, 2))]
-    c = _integer_tensor(A)[1]
+    c = A.integer_tensor[1]
     eye = np.eye(n, dtype=c.dtype)
     blocks = 1 if follow else 2
     rows = np.zeros((n, n, n, len(eqs), blocks, n, n), dtype=c.dtype)
@@ -452,30 +450,30 @@ def _actor(kind: str, A: Algebra, span: Subspace, pairs, constants) -> ActorAlge
 
 def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, Blocks]:
     """The pair (lam, Blocks) of the semidirect product along the
-    candidate's action: algebra._integer_tensor(actions.semidirect(
-    actor.action_pair())), values and dtype, cut into its four blocks and
-    placed from integer arrays without reading a scalar of the product.
+    candidate's action: actions.semidirect(actor.action_pair())'s
+    integer_tensor, values and dtype, cut into its four blocks and placed
+    from integer arrays without reading a scalar of the product.
     With m = actor.dim, the candidate's basis first:
 
         bb[s, t, u]    the structure constants
         ba[b, j, r]    L_b[r][j], the left components
         ab[i, b, r]    R_b[r][i], the right ones (+-L under _FOLLOW, mod p
                        over GF(p))
-        aa             the target's own tensor
+        aa             the target's integer_tensor
 
     Over Q each block is an integer array with its own lam, the lcm of its
     entries' denominators: for the constants den / gcd(den, every entry),
     for the pairs their lam, for the target its own.  Each block is scaled
     to the lcm of the three, the lam of the whole product.  The dtype is the
-    rung of algebra.suite_bound at the largest scaled entry, as integer_array
-    picks it for the product; each block is cast to it before it is scaled,
+    rung of algebra.suite_bound at the largest scaled entry, as for the
+    product's integer_tensor; each block is cast to it before it is scaled,
     which stays exact on every rung because the bound covers every entry.
     The kind's closed tags ride along, so the suite skips them on bb."""
     A = actor.target
     f, n, m = A.field, A.dim, actor.dim
     den, consts = actor.constants
     lam_pairs = actor.pairs[0]
-    lam_a, ints_a = integer_array(f, A.tensor, (n, n, n), suite_bound(n))
+    lam_a, ints_a = A.integer_tensor
     # gcd(den, every entry), the gcd of none being 0; den is 1 over GF(p)
     g = math.gcd(den, int(np.gcd.reduce(consts, axis=None))) if den > 1 else 1
     left, right = _components(actor.kind, actor.pairs, f.p)

@@ -302,8 +302,11 @@ def generate_atlas(field: Field, dim: int, category: str, samples: int,
     index.  An instance the pipeline refuses with a typed error (InputError
     or ConstructionError) is recorded under "error" and counted; any other
     exception is a bug and propagates.  The final line is a summary.
-    Identical arguments produce a byte-identical file.
+    Identical arguments produce a byte-identical file.  A negative count or
+    a dim below 1 is refused before out_path is opened.
     """
+    if samples < 0 or dim < 1:
+        raise InputError(f"atlas needs samples >= 0 and dim >= 1, got {samples} and {dim}")
     rng = random.Random(seed)
     counts = {"exists": 0, "not-exists": 0, "unsupported-general": 0, "error": 0}
     with open(out_path, "w") as fh:

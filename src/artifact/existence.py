@@ -11,8 +11,8 @@ verdict.
 
 The suite decides the product block by block.  Its input,
 constructions.semidirect_tensor, is the product's four integer blocks,
-placed from the arrays the closure already holds, so no dense (N, N, N)
-tensor is made.  A witness whose indices all lie in A is A's own suite,
+placed from the arrays the closure and A.integer_tensor hold, so no dense
+(N, N, N) tensor is made.  A witness with every index in A is A's own suite,
 which passed on entry, and is never evaluated.  One whose indices all lie
 in the candidate asks whether the candidate is in the category: that block
 is skipped for the identities the candidate's construction proves

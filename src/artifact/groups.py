@@ -41,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import InputError, read_nested
+from .reporting import Report
 
 # make_group checks a table of at least this order as one array; the module
 # docstring has the timings behind it
@@ -454,8 +455,6 @@ def holomorph_check(g: Group, cap: int = 24):
     whole arrays and report the first failure in row-major order, as the
     loops they replace did.
     """
-    from .reporting import Report
-
     aut = automorphisms(g, cap)
     inn = inner_automorphisms(g, aut)
     n, m = g.order, aut.order
@@ -568,8 +567,6 @@ def group_universality_check(g: Group, max_b: int = 6, cap: int = 24):
     compare these counts with counts from brute-force Aut alone and validate
     each enumerated dot table with make_group_action.
     """
-    from .reporting import Report
-
     aut = automorphisms(g, cap)
     details = []
     for name, ctor in CATALOG:

@@ -227,7 +227,7 @@ def test_rung_edge_primes_take_float64_and_int64():
         a = make_algebra(f, "abc", [[[top, top, top], [top, 1, 0], [0, top, top]],
                                     [[1, top, top], [top, top, top], [top, 0, top]],
                                     [[top, top, 0], [top, top, 1], [top, top, top]]], "raw")
-        assert algebra._integer_tensor(a)[1].dtype == dtype
+        assert a.integer_tensor[1].dtype == dtype
         _check_against_oracles(a)
 
 

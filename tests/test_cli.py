@@ -207,6 +207,19 @@ def test_atlas_non_integer_field_is_a_typed_refusal(tmp_path):
     assert code == 2 and "InputError" in payload["error"] and "--field" in payload["error"]
 
 
+@pytest.mark.parametrize("dim, samples", [(2, -2), (-3, 0), (0, 1)])
+def test_atlas_refuses_bad_counts_before_opening_out(tmp_path, capsys, dim, samples):
+    argv = ["atlas", "--field", "5", "--dim", str(dim), "--category", "lie",
+            "--samples", str(samples), "--seed", "0", "--out"]
+    fresh, kept = tmp_path / "fresh.jsonl", tmp_path / "kept.jsonl"
+    kept.write_text("an earlier atlas\n")
+    for out in (fresh, kept):
+        assert cli.main(argv + [str(out)]) == 2
+        assert "InputError" in json.loads(capsys.readouterr().out)["error"]
+    assert not fresh.exists()
+    assert kept.read_text() == "an earlier atlas\n"
+
+
 def test_text_format_is_line_oriented():
     proc = run_cli("--format", "text", "check", fixture_path("sl2.json"))
     assert proc.returncode == 0

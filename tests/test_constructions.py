@@ -21,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import constructions, existence
 from artifact.actions import conjugation_action, semidirect
-from artifact.algebra import (IDENTITIES, SUITES, InputError, Subspace, _integer_tensor,
-                             check_identity, identity_suite, is_ideal, make_algebra)
+from artifact.algebra import (IDENTITIES, SUITES, InputError, Subspace, check_identity,
+                             identity_suite, is_ideal, make_algebra)
 from artifact.constructions import (KIND_TABLE, BiMap, ClosureError,
                                     ConstructionError, actor_from_json,
                                     biderivations, bimultipliers, canonical_d,
@@ -543,7 +543,7 @@ def test_slot_zero_rule_keeps_the_all_slot_solution_space():
 def test_assembly_oracle_cases_reach_the_object_path():
     for f, x in ((GF(4294967291), 4294967290), (QQ, BIG_Q)):
         a = make_algebra(f, ["e0", "e1"], [[[x, f.zero]] * 2] * 2, "raw")
-        assert _integer_tensor(a)[1].dtype == object
+        assert a.integer_tensor[1].dtype == object
 
 
 def _assert_scalars(f, values):
@@ -563,7 +563,7 @@ def test_scalars_leaving_numpy_are_python_ints_or_fractions():
         for a in algebras:
             v = actor_pipeline(a)
             actor = v.actor
-            rungs.add(_integer_tensor(a)[1].dtype)
+            rungs.add(a.integer_tensor[1].dtype)
             rungs.add(constructions._integer_pairs(actor.kind, actor.span.basis, a.dim)[1].dtype)
             _assert_scalars(f, [x for plane in actor.tensor for row in plane for x in row])
             # constraint rows are ints over both fields: lam times their values over Q
@@ -621,7 +621,7 @@ def _assert_block_tensor(actor):
     """semidirect_tensor, placed dense, equals the converted pair (lam,
     tensor), lam, values and dtype; an object array holds Python ints.
     Returns the dtype."""
-    want_lam, want = _integer_tensor(semidirect(actor.action_pair()))
+    want_lam, want = semidirect(actor.action_pair()).integer_tensor
     got_lam, blocks = semidirect_tensor(actor)
     got = dense_tensor(blocks)
     assert blocks.closed == KIND_TABLE[actor.kind].closed

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import constructions, existence
 from artifact.actions import ActionPair, make_action, semidirect
-from artifact.algebra import SUITES, _integer_tensor, identity_suite, make_algebra
+from artifact.algebra import SUITES, identity_suite, make_algebra
 from artifact.constructions import KIND_TABLE, construct, semidirect_tensor
 from artifact.corpus import (a5_leibniz, abelian, dual_numbers, heisenberg, m2_rationals,
                              sample_algebra, sl2, truncated_poly, zero_algebra)
@@ -222,7 +222,7 @@ def test_a_not_exists_verdict_gives_the_eager_witness_sides(monkeypatch, a):
     eager = make_algebra(a.field, v.semidirect_product.basis,
                          oracle_semidirect_tensor(oracle_action(v.actor)), "raw")
     # the blocks, placed dense, are the eager product's integer tensor
-    want_lam, want_c = _integer_tensor(eager)
+    want_lam, want_c = eager.integer_tensor
     c = dense_tensor(blocks)
     assert lam == want_lam and c.dtype == want_c.dtype and np.array_equal(c, want_c)
     assert c.dtype == object or a.field.p is None or a.field.p < 2 ** 61
