@@ -42,7 +42,8 @@ on the whole basis, give the lexicographically first failing tuple.  The
 witness sides lhs/rhs are read off the same terms at the witness, over lam
 or lam^2 by the row's degree, when the Report's fields are first read: a
 rejection draw or a verdict reads only the label and the witness.
-_np_term is the one evaluator of a row.
+_np_term is the one evaluator of a row, here and in the constraint assembly
+of constructions.
 
 An Algebra's tensor may be given as a function that builds it on first read
 (linalg.lazy): a candidate's own algebra and the semidirect product are

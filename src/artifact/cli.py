@@ -51,10 +51,17 @@ def _text_lines(obj, indent=0):
 
 
 def _emit(payload, fmt):
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print("\n".join(_text_lines(payload)))
+    # every integer is written exactly: the int <-> str digit limit, which
+    # refuses over-long literals on input, is lifted only meanwhile
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            print("\n".join(_text_lines(payload)))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _load(path):

@@ -12,9 +12,11 @@ independent components; its basis is canonicalized by RREF over the
 flattened coordinates (row-major, left matrix first), so identical inputs
 give byte-identical actors.
 
-Constraint rows are assembled in integers.  Each term is one einsum of
-A.integer_tensor, lam times the structure tensor, with the identity matrix,
-added with its sign into the block of its component.
+Constraint rows are assembled in integers by algebra._np_term, the suites'
+evaluator, on P x A, P the space of all pairs, placed from A.integer_tensor
+and the unit pairs: a row is linear in the acting pair, so its coefficient
+of an unknown is its value at the pair whose flattened coordinates are that
+unknown's unit vector.
 Over Q the rows are lam times their values, lam the lcm of the tensor's
 denominators, which keeps the nullspace; over GF(p) they are reduced mod p.
 The array becomes the constraint Matrix through Matrix.from_ints, which
@@ -94,6 +96,7 @@ from .algebra import (
     Blocks,
     InputError,
     _index_slices,
+    _np_term,
     algebra_from_json,
     annihilator,
     derived_subspace,
@@ -289,21 +292,13 @@ def actor_from_json(obj) -> ActorAlgebra:
 # constraint assembly
 #
 # Each ternary identity row of the source suite, with b in one slot, is one
-# equation at (e_i, e_j), the other two labels in increasing order.  b at a
-# position of a product term makes it one of six maps, p and q the labels at
-# the other two positions in order: in (u*v)*w, b at u gives L(p)q, at v
-# R(p)q and at w R(pq); in u*(v*w), L(pq), pL(q) and pR(q).  Under a _FOLLOW
-# rule R = sL, R terms join the L block with sign s and b takes slot 0 only:
-# the other slots cut out the same space (tests/test_constructions.py).
+# equation at (e_i, e_j), the other two labels in increasing order.  Under a
+# _FOLLOW rule R = sL, b takes slot 0 only: the other slots cut out the same
+# space (tests/test_constructions.py).
 #
 # Unknown layout: vec(L) row-major, then vec(R) row-major when the kind has
 # an independent right component.  Matrix convention: map(e_c) = sum_r
-# M[r][c] e_r, so M.col(c) is the image of e_c.  Each term is one einsum of
-# the integer tensor with the identity I into R[i, j, m, r, c], the
-# coefficient of M[r][c] in the term read at coordinate m.  _SLOT_TERMS maps
-# (shape, b's position) to the component and the inputs (tensor's, I's).
-_SLOT_TERMS = {("L", 0): ("L", "rqm,pc"), ("L", 1): ("R", "rqm,pc"), ("L", 2): ("R", "pqc,mr"),
-               ("R", 0): ("L", "pqc,mr"), ("R", 1): ("L", "prm,qc"), ("R", 2): ("R", "prm,qc")}
+# M[r][c] e_r, so M.col(c) is the image of e_c.
 
 
 def _assemble(A: Algebra, kind: str) -> Matrix:
@@ -319,21 +314,23 @@ def _assemble(A: Algebra, kind: str) -> Matrix:
            if lhs[0][1] != "T"  # x*y = s y*x is the _FOLLOW rule
            for slot in ((0,) if follow else (0, 1, 2))]
     c = A.integer_tensor[1]
-    eye = np.eye(n, dtype=c.dtype)
-    blocks = 1 if follow else 2
-    rows = np.zeros((n, n, n, len(eqs), blocks, n, n), dtype=c.dtype)
-    for e, (terms, slot) in enumerate(eqs):
-        label = dict(zip(sorted({0, 1, 2} - {slot}), "ij"))
-        for sign, shape, perm in terms:
-            at = perm.index(slot)
-            comp, inputs = _SLOT_TERMS[shape, at]
-            p, q = (label[x] for k, x in enumerate(perm) if k != at)
-            if comp == "R" and follow:
-                comp, sign = "L", sign * follow
-            block = rows[:, :, :, e, "LR".index(comp)]  # a view: += writes rows
-            block += sign * np.einsum(inputs.replace("p", p).replace("q", q) + "->ijmrc",
-                                      c, eye)
-    return Matrix.from_ints(A.field, rows.reshape(n ** 3 * len(eqs), blocks * n * n))
+    width = (1 if follow else 2) * n * n
+    if n == 0:  # _np_term reads no zero-size block
+        return Matrix.from_ints(A.field, np.zeros((0, 0), c.dtype))
+    # pair b's flattened coordinates are the unit vector e_b; no witness has
+    # two indices in P, so bb is never read
+    pairs = np.eye(width, dtype=c.dtype).reshape(width, -1, n, n)
+    left = pairs[:, 0]
+    right = pairs[:, 1] if follow is None else follow * left
+    t = Blocks(np.zeros((width, 0, 0), c.dtype), left.transpose(0, 2, 1),
+               right.transpose(2, 0, 1), c)
+    rows = []
+    for terms, slot in eqs:
+        parts = tuple(int(x != slot) for x in range(3))
+        value = sum(sign * _np_term(t, shape, perm, parts, slice(None))
+                    for sign, shape, perm in terms)
+        rows.append(np.moveaxis(value, slot, 3))  # [i, j, m, b]
+    return Matrix.from_ints(A.field, np.stack(rows, axis=3).reshape(-1, width))
 
 
 def _derivation_rows(A: Algebra):

@@ -60,9 +60,6 @@ class Group:
     identity: int
     inv: tuple
 
-    def add(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def to_json(self) -> dict:
         return {"order": self.order,
                 "table": [list(r) for r in self.table],

@@ -659,12 +659,6 @@ class Subspace:
         red, piv = m.rref()
         return cls(ambient, red._top(len(piv)), piv)
 
-    @classmethod
-    def from_spanning(cls, field: Field, ambient: int, rows) -> "Subspace":
-        if not rows:
-            return cls(ambient, Matrix(field, ()), ())
-        return cls.spanned_by(Matrix.from_rows(field, rows), ambient)
-
     @property
     def dim(self) -> int:
         return len(self.pivots)

@@ -93,7 +93,10 @@ def parse_word(text: str, side: str) -> Word:
             raise InputError(f"term {chunk!r} uses variables outside x, y, z")
         if len(vars_) != 3:
             raise InputError(f"term {chunk!r} must use three distinct variables")
-        coef = sign * Fraction(int(coefs)) if coefs else sign
+        try:
+            coef = sign * Fraction(int(coefs)) if coefs else sign
+        except ValueError:  # past int's digit limit
+            raise InputError(f"a {len(coefs)}-digit coefficient is too long to read") from None
         acc[mono] = acc.get(mono, Fraction(0)) + coef
     terms = tuple(sorted(((c, m) for m, c in acc.items() if c != 0),
                          key=lambda t: t[1]))

@@ -310,7 +310,7 @@ def test_10_crossed_module_on_all_existing_actors(leibniz_corpus, assoc_corpus):
     for a, actor in pairs:
         d = canonical_d(a, actor)
         assert crossed_module_check(d, actor.action_pair()).passed
-        img = Subspace.from_spanning(a.field, actor.dim, list(d.rows))
+        img = Subspace.spanned_by(Matrix.from_rows(a.field, d.rows), actor.dim)
         assert is_ideal(actor.as_algebra(), img).passed
 
 

@@ -438,7 +438,7 @@ def test_derived_subspace():
 
 def test_ideal_and_quotient_of_heisenberg():
     h = heisenberg()
-    center = Subspace.from_spanning(QQ, 3, [(QQ.zero, QQ.zero, QQ.one)])
+    center = Subspace.spanned_by(Matrix.from_rows(QQ, [(QQ.zero, QQ.zero, QQ.one)]), 3)
     assert is_ideal(h, center).passed
     q, proj = quotient(h, center)
     assert q.dim == 2
@@ -450,7 +450,7 @@ def test_ideal_and_quotient_of_heisenberg():
 
 def test_non_ideal_refused():
     h = heisenberg()
-    notideal = Subspace.from_spanning(QQ, 3, [(QQ.one, QQ.zero, QQ.zero)])
+    notideal = Subspace.spanned_by(Matrix.from_rows(QQ, [(QQ.one, QQ.zero, QQ.zero)]), 3)
     assert not is_ideal(h, notideal).passed
     with pytest.raises(InputError):
         quotient(h, notideal)
@@ -458,8 +458,8 @@ def test_non_ideal_refused():
 
 def test_quotient_by_whole_algebra_is_empty():
     h = heisenberg()
-    whole = Subspace.from_spanning(
-        QQ, 3, [basis_vector(QQ, 3, i) for i in range(3)])
+    whole = Subspace.spanned_by(
+        Matrix.from_rows(QQ, [basis_vector(QQ, 3, i) for i in range(3)]), 3)
     q, _ = quotient(h, whole)
     assert q.dim == 0 and identity_suite(q).passed
 

@@ -220,6 +220,35 @@ def test_atlas_refuses_bad_counts_before_opening_out(tmp_path, capsys, dim, samp
     assert kept.read_text() == "an earlier atlas\n"
 
 
+def test_int_digit_limit_refuses_input_and_keeps_output_exact(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    # a word coefficient past int's digit limit is a typed refusal
+    assert cli.main(["words", "coverage", "--w1", "9" * 5000 + "*x*(y*z)", "--w2", "0"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith("InputError")
+    # a 4000-digit literal, which Rationals.parse accepts, makes a witness side
+    # of 8000 digits: (e0*e0)*e0 = n^2 e1 but e0*(e0*e0) = 0
+    n = int("7" * 4000)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field": "Q", "dim": 2, "basis": ["e0", "e1"],
+                                "category": "associative",
+                                "products": [{"i": 0, "j": 0, "v": ["0", str(n)]},
+                                             {"i": 1, "j": 0, "v": ["0", str(n)]}]}))
+    assert cli.main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit  # lifted only while writing
+    sys.set_int_max_str_digits(0)
+    try:
+        report = json.loads(out)["report"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert report["witness"] == [0, 0, 0]
+    assert report["lhs"] == [0, n * n] and report["rhs"] == [0, 0]
+    # the limit still refuses an over-long literal after that
+    path.write_text(path.read_text().replace(str(n), "7" * 5000, 1))
+    assert cli.main(["check", str(path)]) == 2
+    assert "bad rational literal" in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_text_format_is_line_oriented():
     proc = run_cli("--format", "text", "check", fixture_path("sl2.json"))
     assert proc.returncode == 0

@@ -482,7 +482,8 @@ def _oracle_rows(a, kind, slots=None):
     return rows
 
 
-ASSEMBLY_FIELDS = [GF(2), GF(3), GF(5), GF(4294967291), QQ]
+# 2^25 - 39 puts the integer tensor on the int64 rung
+ASSEMBLY_FIELDS = [GF(2), GF(3), GF(5), GF(2 ** 25 - 39), GF(4294967291), QQ]
 BIG_Q = Fraction(3 ** 40, 7)  # lam * tensor leaves int64: the object path
 
 
@@ -503,9 +504,7 @@ def assembly_algebras(draw):
     return make_algebra(f, [f"e{k}" for k in range(n)], tensor, "raw")
 
 
-@settings(max_examples=80)
-@given(assembly_algebras())
-def test_integer_assembly_is_lam_times_per_entry_oracle(a):
+def _assert_assembly_is_oracle(a):
     f = a.field
     lam = math.lcm(*(x.denominator for plane in a.tensor for v in plane for x in v))
     for kind in ("der", "bim", "bider1", "mult"):
@@ -513,6 +512,12 @@ def test_integer_assembly_is_lam_times_per_entry_oracle(a):
         assert all(type(x) is int for row in got for x in row)
         want = [[lam * x if f.p is None else x for x in row] for row in _oracle_rows(a, kind)]
         assert got == tuple(map(tuple, want)), kind
+
+
+@settings(max_examples=80)
+@given(assembly_algebras())
+def test_integer_assembly_is_lam_times_per_entry_oracle(a):
+    _assert_assembly_is_oracle(a)
 
 
 def _follower_algebras():
@@ -541,9 +546,13 @@ def test_slot_zero_rule_keeps_the_all_slot_solution_space():
 
 
 def test_assembly_oracle_cases_reach_the_object_path():
-    for f, x in ((GF(4294967291), 4294967290), (QQ, BIG_Q)):
-        a = make_algebra(f, ["e0", "e1"], [[[x, f.zero]] * 2] * 2, "raw")
-        assert a.integer_tensor[1].dtype == object
+    # one fixed case on each rung of the integer tensor, the object one over
+    # both fields, each assembled as the per-entry oracle gives it
+    for f, x, dtype in ((GF(5), 4, np.float64), (GF(2 ** 25 - 39), 2 ** 25 - 40, np.int64),
+                        (GF(4294967291), 4294967290, object), (QQ, BIG_Q, object)):
+        a = make_algebra(f, ["e0", "e1", "e2"], [[[x, f.zero, f.zero]] * 3] * 3, "raw")
+        assert a.integer_tensor[1].dtype == dtype
+        _assert_assembly_is_oracle(a)
 
 
 def _assert_scalars(f, values):
@@ -832,7 +841,7 @@ def test_image_of_d_is_ideal_in_actor():
         (a5_leibniz(), biderivations(a5_leibniz(), 1)),
     ]:
         d = canonical_d(a, actor)
-        img = Subspace.from_spanning(QQ, actor.dim, list(d.rows))
+        img = Subspace.spanned_by(Matrix.from_rows(QQ, d.rows), actor.dim)
         assert is_ideal(actor.as_algebra(), img).passed
 
 

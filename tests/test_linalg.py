@@ -447,7 +447,7 @@ def test_subspace_coords_round_trip():
     rng = random.Random(9)
     for _ in range(20):
         rows = rand_rows(rng, gf5, 3, 4)
-        span = Subspace.from_spanning(gf5, 4, rows)
+        span = Subspace.spanned_by(Matrix.from_rows(gf5, rows), 4)
         basis = span.basis
         nz = [i for i in range(basis.nrows) if any(x != 0 for x in basis.row(i))]
         assert nz == list(range(basis.nrows))
