@@ -30,8 +30,10 @@ the whole product.  Rows are checked in order.  Within a row, witnesses
 led by an index in B come before those led by one in A; for each leading
 part every block of witnesses mixing B and A is evaluated whole, each term
 one matmul of two blocks (BLAS dgemm on the float64 rung), and the all-B
-block is swept a few leading indices at a time, only up to the first one a
-mixed block fails at, so a failure near the start stops it early.  The
+block is swept a few leading indices at a time (a few second indices at a
+time where one leading index alone is larger than a step), only up to the
+first witness a mixed block fails at, so a failure near the start stops it
+early.  The
 all-A block is never evaluated: A passed the suite already, as the target
 of an actor passed its own suite on entry.  The all-B block is skipped as
 well for the tags the Blocks mark closed, those the candidate's product
@@ -248,15 +250,17 @@ class Blocks(NamedTuple):
 
 
 @functools.cache
-def _term_plan(shape: str, perm: tuple, parts: tuple) -> tuple:
-    """How _np_term reads a term on a block of witnesses: for F and then G
-    (None, None for a "T" term), its index in Blocks and the index prefix
-    before its axis that carries label 0 (None if neither does); then the
-    transpose of the result into label order (None if it is in order).  A
-    product of parts p and q is Blocks field 2p + q."""
+def _term_plan(shape: str, perm: tuple, parts: tuple, cut_labels: tuple) -> tuple:
+    """How _np_term reads a term on a block of witnesses, the labels in
+    cut_labels cut: for F and then G (None, None for a "T" term), its index
+    in Blocks and, for its two leading axes, the cut each takes, 0 the rows
+    of label 0, 1 the columns of label 1, 2 the whole axis (None if both
+    take it whole); then the transpose of the result into label order (None
+    if it is in order).  A product of parts p and q is Blocks field 2p + q."""
 
     def factor(p, q, labels):
-        return 2 * p + q, ((slice(None),) * labels.index(0) if 0 in labels else None)
+        axes = tuple(x if x in cut_labels else 2 for x in labels)
+        return 2 * p + q, (None if axes == (2, 2) else axes)
 
     if shape == "T":
         plan = factor(parts[perm[0]], parts[perm[1]], perm) + (None, None)
@@ -272,23 +276,29 @@ def _term_plan(shape: str, perm: tuple, parts: tuple) -> tuple:
     return plan + (None if axes == tuple(range(len(axes))) else axes,)
 
 
-def _np_term(t: Blocks, shape: str, perm: tuple, parts: tuple, rows: slice) -> np.ndarray:
+_ALL = slice(None)
+
+
+def _np_term(t: Blocks, shape: str, perm: tuple, parts: tuple, rows: slice,
+             cols: slice = _ALL) -> np.ndarray:
     """The term's coordinates at the witnesses whose label x runs over part
-    parts[x] of t, label 0 over rows of its part only: an array T[x0, x1, m]
-    or T[x0, x1, x2, m], m a coordinate of the part the term lands in.
+    parts[x] of t, label 0 over rows of its part only and label 1 over cols:
+    an array T[x0, x1, m] or T[x0, x1, x2, m], m a coordinate of the part the
+    term lands in.
 
     A product term is sum_s F[., ., s] G[., ., m], s over the part the inner
     product lands in: for "L", (u*v)*w, F is the block at (u, v) and G the
     one at (s, w); for "R", u*(v*w), F is at (v, w) and G at (u, s).  It is
-    one matmul on 2-D views (batched over u for "R") of the two blocks, the
-    one carrying label 0 cut to rows, with the axes then put in label
-    order (_term_plan)."""
-    fi, fcut, gi, gcut, axes = _term_plan(shape, perm, parts)
-    f = t[fi] if fcut is None else t[fi][fcut + (rows,)]
+    one matmul on 2-D views (batched over u for "R") of the two blocks, each
+    cut to the rows and cols of the labels it carries, with the axes then
+    put in label order (_term_plan)."""
+    fi, fcut, gi, gcut, axes = _term_plan(shape, perm, parts, (0,) if cols is _ALL else (0, 1))
+    cut = (rows, cols, _ALL)
+    f = t[fi] if fcut is None else t[fi][cut[fcut[0]], cut[fcut[1]]]
     if gi is None:
         out = f
     else:
-        g = t[gi] if gcut is None else t[gi][gcut + (rows,)]
+        g = t[gi] if gcut is None else t[gi][cut[gcut[0]], cut[gcut[1]]]
         flat = f.reshape(-1, f.shape[2])
         if shape == "L":
             out = (flat @ g.reshape(len(g), -1)).reshape(f.shape[:2] + g.shape[1:])
@@ -297,27 +307,30 @@ def _np_term(t: Blocks, shape: str, perm: tuple, parts: tuple, rows: slice) -> n
     return out if axes is None else out.transpose(axes)
 
 
-def _np_failing(t: Blocks, p: Optional[int], terms, parts: tuple, rows: slice) -> np.ndarray:
+def _np_failing(t: Blocks, p: Optional[int], terms, parts: tuple, rows: slice,
+                cols: slice = _ALL) -> np.ndarray:
     """Flags over the witnesses of _np_term's block where the signed terms
     sum to a nonzero vector (mod p, if p is set), indexed [x0, x1(, x2)]."""
     sign, shape, perm = terms[0]
-    acc = sign * _np_term(t, shape, perm, parts, rows)  # a fresh array, never a view of t
+    acc = sign * _np_term(t, shape, perm, parts, rows, cols)  # a fresh array, never a view of t
     for sign, shape, perm in terms[1:]:
         if sign > 0:
-            acc += _np_term(t, shape, perm, parts, rows)
+            acc += _np_term(t, shape, perm, parts, rows, cols)
         else:
-            acc -= _np_term(t, shape, perm, parts, rows)
+            acc -= _np_term(t, shape, perm, parts, rows, cols)
     return nonzero_mod(acc, p).any(axis=-1)
 
 
 # the most cells of term values one sweep step of the all-B block takes at
-# once: a whole number of leading indices, at least one.  From a sweep, best
+# once: a whole number of leading indices, or, where one leading index holds
+# more, a whole number of its second indices, at least one.  From a sweep, best
 # of 12 rounds on one BLAS thread, of 72 own suites (GF(5) dims 3-6, Q dims
 # 3-4, four categories): one index at a time 16.9 ms, 2^8 cells 10.7,
 # 2^10 8.8, 2^14 7.1, 2^18 8.4; 30 GF(5) Leibniz and commutative pipelines
 # at dims 3-5 took 129-137 ms at every budget (Intel Xeon, numpy 2.4 with
 # OpenBLAS, a shared 2-core host).  A leading index of the dim-6 Leibniz
-# candidate's block, 72^3 cells, is one step at any of these budgets
+# candidate's block holds 72^3 cells, so its sweep takes three second
+# indices a step
 SWEEP_CELLS = 2 ** 14
 
 
@@ -356,26 +369,49 @@ def _first_failure(t: Blocks, p: Optional[int], terms, closed: bool) -> Optional
     Witnesses led by an index in B come before those led by one in A.  For
     each leading part, every block of witnesses mixing B and A is evaluated
     whole, and the all-B block, unless closed, is swept in steps of
-    SWEEP_CELLS up to the first leading index a mixed block fails at.  The
-    flags of the first failing leading index, laid out on the whole basis,
-    give the rest of the witness."""
+    SWEEP_CELLS (_sweep_steps) up to the first witness a mixed block fails
+    at.  The flags of the first failing leading index, laid out on the whole
+    basis, give the rest of the witness."""
     k = len(terms[0][2])
     dims = t.dims
     for lead, full, mixed in _layout(k, (dims[0] > 0, dims[1] > 0)):
         size = dims[lead]
-        whole = [(parts, _np_failing(t, p, terms, parts, slice(None))) for parts in mixed]
+        whole = [(parts, _np_failing(t, p, terms, parts, _ALL)) for parts in mixed]
         stop = min((_first_row(f) for _, f in whole if f.any()), default=size)
         at = [(parts, f[stop]) for parts, f in whole] if stop < size else []
-        for rows in (_index_slices(min(stop + 1, size), dims[0] ** k, SWEEP_CELLS)
-                     if full and not closed else ()):
-            f = _np_failing(t, p, terms, full, rows)
+        # one past the first second index in B that a mixed block fails at, at stop
+        reach = min((_first_row(f) + 1 for parts, f in at if parts[1] == 0 and f.any()),
+                    default=size)
+        for rows, cols in (_sweep_steps(size, k, stop, reach) if full and not closed else ()):
+            f = _np_failing(t, p, terms, full, rows, cols)
             if f.any():
-                stop = rows.start + _first_row(f)
-                at = [(parts, g[stop]) for parts, g in whole] + [(full, f[stop - rows.start])]
+                i = _first_row(f)
+                stop = rows.start + i
+                g = f[i]
+                if cols is not _ALL:  # the second indices past the step stay clear
+                    g = np.zeros((size,) * (k - 1), bool)
+                    g[cols] = f[i]
+                at = [(parts, h[stop]) for parts, h in whole] + [(full, g)]
                 break
         if at:
             return (dims[0] * lead + stop,) + _first_rest(dims, at)
     return None
+
+
+def _sweep_steps(m: int, k: int, stop: int, reach: int):
+    """The steps (rows, cols) of the sweep of the all-B block, m^k cells a
+    leading index, through leading indices 0..stop: whole leading indices
+    while one fits in SWEEP_CELLS, and else, at each leading index, its
+    second indices, at the mixed blocks' first failing leading index stop
+    only below reach."""
+    width = m ** k
+    for rows in _index_slices(min(stop + 1, m), width, SWEEP_CELLS):
+        if width <= SWEEP_CELLS:
+            yield rows, _ALL
+        else:
+            for cols in _index_slices(reach if rows.start == stop else m, width // m,
+                                      SWEEP_CELLS):
+                yield rows, cols
 
 
 def _first_rest(dims: tuple, at: list) -> tuple:

@@ -51,11 +51,16 @@ def _text_lines(obj, indent=0):
 
 
 def _emit(payload, fmt):
-    # every integer is written exactly: the int <-> str digit limit, which
-    # refuses over-long literals on input, is lifted only meanwhile
+    """Print payload, or what it returns when it is a function of no
+    arguments.  Every integer is written exactly: the int <-> str digit
+    limit, which refuses over-long literals on input, is lifted only while
+    the payload is built and printed, so a subcommand that formats field
+    scalars returns its payload as such a function."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        if callable(payload):
+            payload = payload()
         if fmt == "json":
             print(json.dumps(payload, sort_keys=True))
         else:
@@ -89,36 +94,33 @@ def _parse_field_flag(s: str):
 def _cmd_check(args):
     a = algebra_from_json(_load(args.algebra))
     rep = identity_suite(a)
-    payload = {"category": a.category, "dim": a.dim,
-               "report": rep.to_json(a.field.to_json)}
-    return (0 if rep.passed else 1), payload
+    return (0 if rep.passed else 1), lambda: {"category": a.category, "dim": a.dim,
+                                              "report": rep.to_json(a.field.to_json)}
 
 
 def _cmd_construct(args):
     a = algebra_from_json(_load(args.algebra))
     actor = construct(f"bider{args.variant}" if args.kind == "bider" else args.kind, a)
-    payload = actor.to_json()
-    payload["dim"] = actor.dim
-    return 0, payload
+    return 0, lambda: {**actor.to_json(), "dim": actor.dim}
 
 
 def _cmd_actor(args):
     a = algebra_from_json(_load(args.algebra))
     v = actor_pipeline(a, args.variant)
-    return (0 if v.exists else 1), v.to_json(a.field.to_json)
+    return (0 if v.exists else 1), lambda: v.to_json(a.field.to_json)
 
 
 def _cmd_semidirect(args):
     act = action_from_json(_load(args.action))
-    return 0, semidirect(act).to_json()
+    return 0, semidirect(act).to_json
 
 
 def _cmd_action_check(args):
     act = action_from_json(_load(args.action))
     category = args.category or act.A.category
     derived = check_derived_action(category, act)
-    payload = {"category": category, "derived": derived.to_json(act.A.field.to_json)}
-    return (0 if derived.passed else 1), payload
+    return (0 if derived.passed else 1), lambda: {
+        "category": category, "derived": derived.to_json(act.A.field.to_json)}
 
 
 def _cmd_xmod_check(args):
@@ -126,10 +128,9 @@ def _cmd_xmod_check(args):
     actor = actor_from_json(_load(args.actor))
     d = canonical_d(a, actor)
     rep = crossed_module_check(d, actor.action_pair())
-    payload = {"canonical_d": [[a.field.to_json(x) for x in row]
-                               for row in d.rows],
-               "report": rep.to_json(a.field.to_json)}
-    return (0 if rep.passed else 1), payload
+    return (0 if rep.passed else 1), lambda: {
+        "canonical_d": [[a.field.to_json(x) for x in row] for row in d.rows],
+        "report": rep.to_json(a.field.to_json)}
 
 
 def _cmd_words(args):
@@ -148,7 +149,7 @@ def _cmd_words(args):
     a = algebra_from_json(_load(args.algebra))
     rep = validate_word_on_algebra(a, parse_word(args.w1, "W1"),
                                    parse_word(args.w2, "W2"))
-    return (0 if rep.passed else 1), rep.to_json(a.field.to_json)
+    return (0 if rep.passed else 1), lambda: rep.to_json(a.field.to_json)
 
 
 def _cmd_group(args):

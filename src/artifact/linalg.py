@@ -45,7 +45,8 @@ pivots with no elimination.
 Tall inputs, more nonzero rows than columns (constraint systems are tall and
 redundant: 648 x 72 of rank 21-66 over GF(5)), go through a certified front
 end first, a float64 Gauss-Jordan mod a prime with lazy reduction in the
-manner of FFLAS-FFPACK (Dumas, Giorgi & Pernet 2008):
+manner of FFLAS-FFPACK (Dumas, Giorgi & Pernet 2008), run on the transpose
+so that every step reads and updates contiguous rows:
   * over GF(p), ncols + 4 pseudo-random combinations of the rows (a Toeplitz
     sketch hashed by integer arithmetic) are eliminated mod p, giving B;
   * over Q, elimination mod SELECT_PRIME of the integer rows picks at most
@@ -53,19 +54,22 @@ manner of FFLAS-FFPACK (Dumas, Giorgi & Pernet 2008):
     above eliminates only those, giving B.
 Either way span(B) lies inside the row space, and one matmul checks the
 reverse inclusion: every row x equals x[pivots] @ B (mod p over GF(p), in
-integers over Q).  A row that fails joins B and one more elimination over
-them covers the whole row space.  So the output is the unique RREF on every
-input, whatever the prime or the sketch.  Over GF(p) the front end runs only
-while the float64 rung holds: every sketch entry, kernel entry and check
-entry is below n p max|x| < 2^53; past that, and for small or wide inputs,
-the loop runs alone.  Crossover, one BLAS thread, per call, loop -> front
-end: over GF(5) 81 x 18 0.12 -> 0.23 ms and 64 x 16 0.11 -> 0.18 ms (so
-small inputs keep the loop), 125 x 25 0.36 -> 0.34 ms, 216 x 36 1.20 ->
-0.60 ms, 375 x 50 2.10 -> 1.06 ms and 648 x 72 8.1 -> 2.7 ms, hence
-TALL_CELLS_GF = 4096; over Q, where the loop's gcds of big integers cost
-more, 27 x 9 0.12 -> 0.18 ms, 64 x 16 0.64 -> 0.44 ms, 81 x 18 0.81 ->
-0.61 ms and 192 x 32 5.7 -> 2.1 ms, hence TALL_CELLS_Q = 1024 (constraint
-matrices of the actor workloads; Intel Xeon, numpy 2.4 with OpenBLAS).
+integers over Q), checked at the free columns alone, as B is the identity
+(mu I over Q) at the pivots.  A row that fails joins B and one more
+elimination over them covers the whole row space.  So the output is the
+unique RREF on every input, whatever the prime or the sketch.  Over GF(p)
+the front end runs only while the float64 rung holds: every sketch entry,
+kernel entry and check entry is below n p max|x| < 2^53; past that, and for
+small or wide inputs, the loop runs alone.  Crossover, one BLAS thread, per
+call, median of 12 constraint matrices of the actor workloads per shape,
+loop -> front end: over GF(5) 27 x 9 0.07 -> 0.25 ms, 64 x 16 0.11 -> 0.21
+ms and 81 x 18 0.14 -> 0.27 ms (so small inputs keep the loop), 125 x 25
+0.43 -> 0.31 ms, 192 x 32 0.69 -> 0.46 ms, 216 x 36 1.46 -> 0.50 ms,
+375 x 50 4.3 -> 1.09 ms and 648 x 72 12.8 -> 1.8 ms, hence TALL_CELLS_GF =
+2048; over Q, where the loop's gcds of big integers cost more, 27 x 9 0.12
+-> 0.18 ms, 64 x 16 0.47 -> 0.32 ms, 81 x 18 1.09 -> 0.47 ms and 192 x 32
+9.3 -> 1.7 ms, hence TALL_CELLS_Q = 1024 (Intel Xeon, numpy 2.4 with
+OpenBLAS, a shared 2-core host).
 
 The integer rung rule is written here, once: integer_array puts lam times
 a nested list of scalars on the cheapest exact numpy dtype (rung), float64
@@ -97,9 +101,9 @@ Vector = tuple  # tuple of scalars
 
 # A tall input (more nonzero rows than columns) with at least this many
 # cells takes the certified front end of Matrix.rref: from 1024 over Q,
-# where each exact step takes gcds of big integers, and from 4096 over
+# where each exact step takes gcds of big integers, and from 2048 over
 # GF(p).  The module docstring gives the timings behind both.
-TALL_CELLS_Q, TALL_CELLS_GF = 1024, 4096
+TALL_CELLS_Q, TALL_CELLS_GF = 1024, 2048
 # the largest prime below 2^26: rows are selected mod it over Q
 SELECT_PRIME = 67108859
 # sketch rows beyond the width over GF(p)
@@ -419,7 +423,7 @@ class Matrix:
         f, nc = self.field, self.ncols
         red, piv = self._reversed().rref()
         ends = [nc - 1 - c for c in piv]
-        free = sorted(set(range(nc)).difference(ends))
+        free = _free_columns(nc, ends)
         v = exact_ints(-red.ints[:len(piv), ::-1][:, free].T, f.p)
         basis = np.zeros((len(free), nc), v.dtype)
         basis[range(len(free)), free] = red.den
@@ -507,8 +511,9 @@ def _tall_rref_mod(x: np.ndarray, p: int):
 
     k = ncols + _SKETCH_EXTRA pseudo-random combinations of the rows are
     eliminated mod p, and one matmul checks that every row lies in the span
-    of the result B: X == X[:, pivots] @ B mod p.  Rows that escape join B
-    and one more elimination gives the RREF of the whole row space."""
+    of the result B: X == X[:, pivots] @ B mod p at the free columns.  Rows
+    that escape join B and one more elimination gives the RREF of the whole
+    row space."""
     n, nc = x.shape
     # the sketch product, the elimination and the check stay below n p max(big, p)
     big = magnitude(x)
@@ -517,8 +522,9 @@ def _tall_rref_mod(x: np.ndarray, p: int):
         return None
     m = _sketch(min(n, nc + _SKETCH_EXTRA), n, p) @ x
     pivots = _rref_mod(m, p)[0]
-    if len(pivots) < nc:  # else the whole space: nothing can escape
-        escaped = nonzero_mod(x - x[:, pivots] @ m[:len(pivots)], p).any(axis=1)
+    free = _free_columns(nc, pivots)
+    if free:  # else the whole space: nothing can escape
+        escaped = nonzero_mod(x[:, free] - x[:, pivots] @ m[:len(pivots), free], p).any(axis=1)
         if escaped.any():
             m = np.vstack([m[:len(pivots)], x[escaped]])
             pivots = _rref_mod(m, p)[0]
@@ -533,26 +539,34 @@ def _tall_rref_q(x: np.ndarray) -> tuple[list, int, list]:
     Elimination mod SELECT_PRIME picks rows independent mod that prime,
     hence over Q; only those <= ncols rows are eliminated exactly.  Their
     RREF V / mu must then satisfy mu X == X[:, pivots] @ V for every row of
-    X, checked by one integer matmul on the rung that holds it.  Rows that
-    escape join the eliminated rows and the exact loop runs once more."""
+    X, checked at the free columns by one integer matmul on the rung that
+    holds it.  Rows that escape join the eliminated rows and the exact loop
+    runs once more."""
     nc = x.shape[1]
     selected, order = _rref_mod(exact_ints(x, SELECT_PRIME).astype(np.float64), SELECT_PRIME)
     basis = x[order[:len(selected)]].tolist()
     pivots = _gauss_jordan(basis, nc, None)
     v, mu = _over_lcm(basis, pivots)
-    r = len(pivots)
-    if r == nc:  # the whole space: nothing can escape
+    r, free = len(pivots), _free_columns(nc, pivots)
+    if not free:  # the whole space: nothing can escape
         return v, mu, pivots
     big_v = max((abs(y) for row in v for y in row), default=0)
     dtype = rung(magnitude(x) * (r * big_v + mu))
     check = x.astype(dtype)
-    escaped = ((mu * check - check[:, pivots] @ _int_array(v, (r, nc)).astype(dtype)) != 0
-               ).any(axis=1)
+    rest = _int_array(v, (r, nc))[:, free].astype(dtype)
+    escaped = ((mu * check[:, free] - check[:, pivots] @ rest) != 0).any(axis=1)
     if not escaped.any():
         return v, mu, pivots
     basis = basis[:r] + x[escaped].tolist()
     pivots = _gauss_jordan(basis, nc, None)
     return (*_over_lcm(basis, pivots), pivots)
+
+
+def _free_columns(nc: int, pivots: list) -> list:
+    """The columns below nc that are not pivots, in order.  The RREF is the
+    identity (mu I over Q) at its pivots, so the front end's certificate
+    holds there for every row and is checked at these columns alone."""
+    return sorted(set(range(nc)).difference(pivots))
 
 
 def _sketch(k: int, n: int, p: int) -> np.ndarray:
@@ -576,10 +590,17 @@ def _rref_mod(m: np.ndarray, p: int) -> tuple[list, list]:
     Entries are reduced only when a bound on them would reach 2^53.  Each
     step reduces the whole pivot column, the rows above the pivot included,
     and the pivot row; the rank-1 update then adds at most half^2 to any
-    entry, half bounding a centred residue."""
+    entry, half bounding a centred residue.  The elimination runs on a
+    C-contiguous copy of m transposed, written back at the end: a column of
+    m is then a contiguous row, and the rank-1 update of the columns right
+    of the pivot one contiguous block.  Left of column c, rows r and below
+    hold zeros but in the pivot columns, which are not read again and are
+    set to their unit vectors at the end; so a swap and the pivot row start
+    at column c."""
     k, nc = m.shape
     half = p // 2 + 1
-    _centre(m, p)
+    w = m.T.copy()  # w[c] is column c of m
+    _centre(w, p)
     top = half
     order = list(range(k))
     pivots = []
@@ -587,32 +608,32 @@ def _rref_mod(m: np.ndarray, p: int) -> tuple[list, list]:
         r = len(pivots)
         if r == k:
             break
-        col = m[:, c]
+        col = w[c]
         _centre(col, p)
-        nz = np.flatnonzero(col[r:])
+        nz = col[r:].nonzero()[0]
         if not nz.size:
             continue
         i = r + int(nz[0])
         if i != r:
-            m[[r, i]] = m[[i, r]]
+            w[c:, [r, i]] = w[c:, [i, r]]
             order[r], order[i] = order[i], order[r]
-        prow = m[r]  # prow[c] is reduced with the column
+        prow = w[c:, r]  # prow[0] is reduced with the column
         if top * half >= 2 ** 53:
             _centre(prow, p)
-        iv = pow(int(prow[c]), -1, p)
+        iv = pow(int(prow[0]), -1, p)
         prow *= iv - p if iv > p // 2 else iv
         _centre(prow, p)
         if top + half * half >= 2 ** 53:
-            _centre(m, p)
+            _centre(w, p)
             top = half
-        factors = col.copy()
-        factors[r] = 0
-        m[:, c + 1:] -= np.outer(factors, prow[c + 1:])
-        col[:] = 0
-        col[r] = 1
+        col[r] = 0  # the factors: col is not read again
+        w[c + 1:] -= prow[1:, None] * col
         top += half * half
         pivots.append(c)
-    _centre(m, p)
+    _centre(w, p)
+    w[pivots] = 0
+    w[pivots, range(len(pivots))] = 1
+    m[:] = w.T
     return pivots, order
 
 
@@ -755,8 +776,24 @@ def exact_ints(arr: np.ndarray, p: Optional[int] = None) -> np.ndarray:
     """An integer-valued array on any rung as exact integers, int64 or
     Python ints, reduced into [0, p) when p is set: float64, below 2^53 by
     the rung rule, is cast to int64 first, and a p past int64 reduces
-    Python ints."""
+    Python ints.
+
+    A float64 array over a p below 2^53 skips int64's slow %: q = floor(x /
+    p) is taken in float64 and x - q p in int64.  That q is exact: float64
+    rounds a non-integer x / p onto an integer j only if the gap
+    |x - j p| / p >= 1/p is at most half its spacing at j, at most
+    |j| 2^-53, so only if |x - j p| <= |j p| 2^-53; for |x| < 2^53 that
+    leaves x = +-(2^53 - 1) over p = 2 alone, and there j = +-2^52 is a
+    power of two, with half that spacing on the side of x."""
     if arr.dtype == np.float64:
+        if p is not None and p < 2 ** 53:
+            q = np.divide(arr, p)
+            qp = q.view(np.int64)  # floor(x / p) p, in place of the quotient
+            np.floor(q, out=qp, casting="unsafe")
+            qp *= p
+            out = arr.astype(np.int64)
+            out -= qp
+            return out
         arr = arr.astype(np.int64)
     if p is not None:
         if p >= 2 ** 63 and arr.dtype != object:

@@ -287,6 +287,40 @@ def test_matmul_terms_equal_the_einsum_oracle(dtype):
                     for i in range(len(got)):
                         row = algebra._np_term(t, shape, perm, parts, slice(i, i + 1))
                         assert (row == want[i:i + 1]).all(), (m, n, shape, perm, parts, i)
+                        for j in range(got.shape[1]):  # label 1 cut too
+                            cell = algebra._np_term(t, shape, perm, parts, slice(i, i + 1),
+                                                    slice(j, j + 2))
+                            assert (cell == want[i:i + 1, j:j + 2]).all(), (shape, perm, parts)
+
+
+@pytest.mark.parametrize("cells", [1, 5, 40, algebra.SWEEP_CELLS])
+def test_first_failure_is_the_first_flagged_witness_of_the_dense_oracle(monkeypatch, cells):
+    # sparse random Blocks, so that failures start late in a block; at small
+    # budgets the all-B block is swept one leading index, then a few second
+    # indices, at a time, and must stop at the first witness all the same
+    monkeypatch.setattr(algebra, "SWEEP_CELLS", cells)
+    rng = np.random.default_rng(5)
+    for m, n in [(1, 0), (4, 0), (7, 0), (1, 2), (3, 1), (5, 2), (7, 3), (6, 1)]:
+        for density in (0.02, 0.1, 0.5):
+            c = _random_blocks(rng, m, n, np.int64)[1] * (rng.random((m + n,) * 3) < density)
+            b, a = slice(m), slice(m, m + n)
+            t = algebra.Blocks(*(c[b, b, b], c[b, a, a], c[a, b, a], c[a, a, a]) if n else (c,))
+            lead_in_a = np.arange(m + n) >= m
+            for tag, rows in algebra.IDENTITIES.items():
+                for _, lhs, rhs in rows:
+                    terms = lhs + [(-s, shape, perm) for s, shape, perm in rhs]
+                    k = len(terms[0][2])
+                    diff = sum(s * _einsum_term(c, shape, perm) for s, shape, perm in terms)
+                    flags = (diff != 0).any(axis=-1)
+                    in_a = np.ix_(*[lead_in_a] * k)
+                    in_b = np.ix_(*[~lead_in_a] * k)
+                    flags[in_a] = False  # never evaluated: A passed its suite
+                    for closed in (False, True):
+                        if closed:
+                            flags[in_b] = False
+                        want = tuple(int(x) for x in np.argwhere(flags)[0]) if flags.any() else None
+                        got = algebra._first_failure(t, None, terms, closed)
+                        assert got == want, (m, n, density, tag, closed)
 
 
 def test_nonzero_mod_on_float64_equals_remainder_on_int64():

@@ -249,6 +249,34 @@ def test_int_digit_limit_refuses_input_and_keeps_output_exact(tmp_path, capsys):
     assert "bad rational literal" in json.loads(capsys.readouterr().out)["error"]
 
 
+def test_int_digit_limit_keeps_a_non_integer_side_exact(tmp_path, capsys):
+    # e0*e0 = e1*e0 = n/3 e1 with n a 4000-digit literal: the witness side
+    # (e0*e0)*e0 = n^2/9 e1 is a rational of 8000 digits over 9, formatted
+    # as a string while the payload is built
+    limit = sys.get_int_max_str_digits()
+    n = int("7" * 4000)
+    path = tmp_path / "third.json"
+    path.write_text(json.dumps({"field": "Q", "dim": 2, "basis": ["e0", "e1"],
+                                "category": "associative",
+                                "products": [{"i": 0, "j": 0, "v": ["0", f"{n}/3"]},
+                                             {"i": 1, "j": 0, "v": ["0", f"{n}/3"]}]}))
+    assert cli.main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        report = json.loads(out)["report"]
+        side = f"{n * n}/9"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert report["witness"] == [0, 0, 0]
+    assert report["lhs"] == [0, side] and report["rhs"] == [0, 0]
+    # the limit still refuses an over-long literal after that
+    path.write_text(path.read_text().replace(str(n), "7" * 5000, 1))
+    assert cli.main(["check", str(path)]) == 2
+    assert "bad rational literal" in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_text_format_is_line_oriented():
     proc = run_cli("--format", "text", "check", fixture_path("sl2.json"))
     assert proc.returncode == 0

@@ -19,7 +19,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from artifact import constructions, existence
+from artifact import algebra, constructions, existence
 from artifact.actions import conjugation_action, semidirect
 from artifact.algebra import (IDENTITIES, SUITES, InputError, Subspace, check_identity,
                              identity_suite, is_ideal, make_algebra)
@@ -689,6 +689,23 @@ def test_semidirect_tensor_equals_the_converted_tensor(a):
 def test_block_suite_gives_the_report_of_the_dense_suite(a):
     for actor in _block_actors(a):
         _assert_block_report(a, actor)
+
+
+@settings(max_examples=100)
+@given(block_algebras(), st.sampled_from((1, 5, 40)))
+def test_block_suite_report_holds_when_the_sweep_steps_through_second_indices(a, cells):
+    # below one leading index of the all-B block per step, the sweep steps
+    # through second indices too and stops where a mixed block fails; the
+    # Report must be the one of the default budget's whole leading indices
+    for actor in _block_actors(a):
+        prod = semidirect(actor.action_pair())
+        want = identity_suite(prod, a.category)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra, "SWEEP_CELLS", cells)
+            got = identity_suite(prod, a.category, c=semidirect_tensor(actor))
+            dense = identity_suite(prod, a.category)
+        assert got == want == dense
+        assert _report_bytes(a.field, got) == _report_bytes(a.field, want)
 
 
 def test_semidirect_tensor_covers_dims_0_and_1_and_every_rung():

@@ -267,6 +267,30 @@ def test_tall_front_end_adds_the_rows_its_sketch_misses(monkeypatch):
     assert calls == [5, 5]
 
 
+@pytest.mark.parametrize("j", [0, 19])
+def test_tall_front_end_checks_every_free_column(j):
+    # the sketch sees rank 0, so every column is free; rows 0-29 are nonzero
+    # in column j alone, and the other rows, zero there, span the rest: the
+    # check must find rows 0-29 at column j, or the RREF misses it
+    p, nrows, ncols, few = 5, 300, 20, 30
+    sketch = linalg.exact_ints(linalg._sketch(ncols + linalg._SKETCH_EXTRA, nrows, p), p)
+    f = GF(p)
+    head = Matrix.from_ints(f, sketch[:, :few]).nullspace().rows[0]
+    eye = np.eye(nrows, dtype=np.int64)[:few]
+    rest = Matrix.from_ints(f, np.vstack([sketch, eye])).nullspace().rows
+    rng = random.Random(6)
+    x = np.zeros((nrows, ncols), np.int64)
+    x[:few, j] = head
+    for c in range(ncols):
+        if c != j:
+            coeffs = [rng.randrange(p) for _ in rest]
+            x[:, c] = np.array(coeffs) @ np.array(rest) % p
+    assert not (sketch @ x % p).any() and x[:few, j].any()
+    v, _, pivots = linalg._tall_rref_mod(x.astype(np.float64), p)
+    red, piv = sympy_rref(f, x.tolist(), ncols)
+    assert (v.tolist(), tuple(pivots)) == ([list(r) for r in red[:len(piv)]], piv)
+
+
 def test_tall_front_end_certifies_an_empty_selection(monkeypatch):
     # every row is a multiple of the selection prime: nothing is selected
     # mod it, the check finds every row outside the empty span, and the
@@ -298,11 +322,21 @@ def test_mod_p_kernel_at_the_selection_prime_equals_sympy():
     assert sympy_rref(GF(q), [rows[i] for i in order[:rank]], 100) == (red[:rank], piv)
 
 
-@pytest.mark.parametrize("p", [None, 5, 2 ** 31 - 1, 2 ** 61 - 1, 9223372036854775783,
-                               9223372036854775837, 18446744073709551629])
+# the primes on both sides of 2^53, where exact_ints stops taking the
+# quotient of a float64 array in float64
+BELOW_2_53, ABOVE_2_53 = 2 ** 53 - 111, 2 ** 53 + 5
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 2 ** 31 - 1, BELOW_2_53, ABOVE_2_53, 2 ** 61 - 1,
+                               9223372036854775783, 9223372036854775837,
+                               18446744073709551629])
 def test_residues_are_exact_on_every_rung_for_every_prime(p):
     # the same integers on the three rungs; Python's % is the oracle
-    values = [0, 1, -1, 7, -2 ** 52 + 3, 2 ** 52 - 5]
+    top = 2 ** 53 - 1
+    values = [0, 1, -1, 7, -2 ** 52 + 3, 2 ** 52 - 5, top, -top]
+    if p is not None:  # k p and its neighbours next to 2^53, on both signs
+        kp = top // p * p
+        values += [s * (kp + d) for s in (1, -1) for d in (-1, 0, 1) if kp + d <= top]
     want = [x if p is None else x % p for x in values]
     big = [x * 2 ** 9 for x in values]  # past 2^53, exact on int64 only
     big_want = [x if p is None else x % p for x in big]
@@ -319,6 +353,40 @@ def test_residues_are_exact_on_every_rung_for_every_prime(p):
     assert linalg.exact_dtype(5, np.float64) == np.uint8
     assert linalg.exact_dtype(None, np.float64) == np.int64
     assert linalg.exact_dtype(18446744073709551629, np.float64) == object
+
+
+RREF_MOD_PRIMES = (2, 3, 5, 2 ** 25 - 39, linalg.SELECT_PRIME)
+
+
+@st.composite
+def rref_mod_cases(draw):
+    p = draw(st.sampled_from(RREF_MOD_PRIMES))
+    n = draw(st.integers(1, 12))
+    extra = draw(st.integers(1, 6))
+    k, nc = draw(st.sampled_from(((1, n), (n, 1), (n, n + extra), (n + extra, n), (n, n))))
+    rank = draw(st.sampled_from((0, min(k, nc), draw(st.integers(0, min(k, nc))))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rows = tall_rows(rng, GF(p), k, nc, rank)
+    # entries off their residues by multiples of p, up to 2^52
+    lift = draw(st.sampled_from((0, 3, 2 ** 52 // p)))
+    return p, rows, [[x + p * rng.randint(-lift, lift) for x in row] for row in rows]
+
+
+@settings(max_examples=200)
+@given(rref_mod_cases())
+def test_mod_p_kernel_equals_sympy(case):
+    # pivots, residues and the order contract of the float64 kernel itself
+    p, rows, lifted = case
+    m = np.array(lifted, dtype=np.float64)
+    k, nc = m.shape
+    pivots, order = linalg._rref_mod(m, p)
+    r = len(pivots)
+    red, piv = sympy_rref(GF(p), rows, nc)
+    assert tuple(pivots) == piv
+    assert linalg.exact_ints(m[:r], p).tolist() == [list(x) for x in red[:r]]
+    assert np.abs(m).max() <= p // 2 + 1 and not m[r:].any()  # centred; the rest is zero
+    assert sorted(order) == list(range(k))
+    assert sympy_rref(GF(p), [rows[i] for i in order[:r]], nc) == (red[:r], piv)
 
 
 # The array entry: Matrix.from_ints keeps the exact integer array, and rref
@@ -355,7 +423,8 @@ def _array_cases(field, big):
     yield [[], [], []], False
     yield [[0] * 5 for _ in range(4)], False
     yield _int_rows(rng, field, 5, 6, 4, big), False
-    for nonzero, tall in ((cells // ncols - 1, False), (cells // ncols, True)):
+    least = -(-cells // ncols)  # the fewest nonzero rows that reach the cells
+    for nonzero, tall in ((least - 1, False), (least, True)):
         rows = _int_rows(rng, field, 3 * nonzero, ncols, ncols - 3, big)
         rows = [row for row in rows if any(row)][:nonzero]
         for i in range(0, len(rows), 7):  # interleaved zero rows do not count
@@ -411,6 +480,34 @@ def test_tall_front_end_never_imports_numpy_random():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=300, check=True)
     assert json.loads(proc.stdout) == [375, False]
+
+
+def test_gf5_dim6_bimultiplier_nullspace_within_budget():
+    # a sampled GF(5) dim-6 associative algebra: its 648 x 72 constraint
+    # array, as the assembly hands it in on the float64 rung, reduced to its
+    # nullspace 20 times in a child on one BLAS thread.  The front end takes
+    # about 0.07 s CPU on an Intel Xeon, the exact loop alone 0.4-0.55 s
+    code = ("import json, random, time\n"
+            "import numpy as np\n"
+            "from artifact.constructions import _bimultiplier_rows\n"
+            "from artifact.corpus import sample_algebra\n"
+            "from artifact.fields import GF\n"
+            "from artifact.linalg import Matrix\n"
+            "a = sample_algebra(random.Random(0), GF(5), 6, 'associative')\n"
+            "arr = _bimultiplier_rows(a).ints.astype(np.float64)\n"
+            "start = time.process_time()\n"
+            "null = [Matrix.from_ints(GF(5), arr).nullspace() for _ in range(20)]\n"
+            "elapsed = time.process_time() - start\n"
+            "print(json.dumps([arr.shape, null[0].nrows, elapsed]))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300, check=True)
+    shape, nullity, elapsed = json.loads(proc.stdout)
+    assert shape == [648, 72] and nullity == 6
+    assert elapsed < 0.3, elapsed
 
 
 @st.composite
