@@ -111,6 +111,7 @@ from .linalg import (
     exact_dtype,
     exact_ints,
     lazy,
+    lowest_terms,
     magnitude,
     nonzero_mod,
     on_rung,
@@ -459,22 +460,21 @@ def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, Blocks]:
         aa             the target's integer_tensor
 
     Over Q each block is an integer array with its own lam, the lcm of its
-    entries' denominators: for the constants den / gcd(den, every entry),
-    for the pairs their lam, for the target its own.  Each block is scaled
-    to the lcm of the three, the lam of the whole product.  The dtype is the
-    rung of algebra.suite_bound at the largest scaled entry, as for the
-    product's integer_tensor; each block is cast to it before it is scaled,
-    which stays exact on every rung because the bound covers every entry.
+    entries' denominators: for the constants their den in lowest terms
+    (linalg.lowest_terms), for the pairs their lam, for the target its own.
+    Each block is scaled to the lcm of the three, the lam of the whole
+    product.  The dtype is the rung of algebra.suite_bound at the largest
+    scaled entry, as for the product's integer_tensor; each block is cast to
+    it before it is scaled, which stays exact on every rung because the
+    bound covers every entry.
     The kind's closed tags ride along, so the suite skips them on bb."""
     A = actor.target
     f, n, m = A.field, A.dim, actor.dim
-    den, consts = actor.constants
+    den, consts = lowest_terms(*actor.constants)
     lam_pairs = actor.pairs[0]
     lam_a, ints_a = A.integer_tensor
-    # gcd(den, every entry), the gcd of none being 0; den is 1 over GF(p)
-    g = math.gcd(den, int(np.gcd.reduce(consts, axis=None))) if den > 1 else 1
     left, right = _components(actor.kind, actor.pairs, f.p)
-    blocks = [(consts if g == 1 else consts // g, den // g),
+    blocks = [(consts, den),
               (left.transpose(0, 2, 1), lam_pairs),
               (right.transpose(2, 0, 1), lam_pairs),
               (exact_ints(ints_a), lam_a)]

@@ -19,17 +19,21 @@ deterministic.  Over Q each row is first multiplied by the lcm of its
 denominators (row scaling keeps the row space), then eliminated
 fraction-free as in Bareiss (1968), row_i <- a*row_i - s*row_r, except that
 the new row is divided by the gcd of its entries rather than by the previous
-pivot, which keeps every row primitive.  The RREF is then V / mu, each
-primitive pivot row scaled to mu, the lcm of the pivot entries.  Over GF(p)
-the pivot row is scaled by its inverse and an update touches only its
-nonzero columns.  The RREF is unique, so nullspace and span bases are
-canonical and two equal subspaces always produce identical basis matrices,
-comparable with ==.  Over Q rows of Python ints are accepted as they are
-(lam = 1), so a caller may hand in rows already scaled to integers; the
-output is in Fractions either way.  An RREF output carries its pivots, and
-the rref of such a matrix is the matrix itself.  The nullspace's RREF is
-read off the RREF of the columns in reverse order with no second
-elimination (Matrix.nullspace gives the argument).
+pivot, which keeps every row primitive.  Over GF(p) the pivot row is scaled
+by its inverse and an update touches only its nonzero columns.  Every route
+to the RREF, this loop and the two front ends below, ends the same way, in
+(V, den, pivots): V the nonzero RREF rows as integers, den 1 over GF(p)
+and over Q mu, the lcm of the pivot entries, each primitive pivot row
+scaled to mu.  rref wraps that once as the matrix V / den, so its output
+has rank rows and no zero row.  The RREF is unique, so nullspace and span
+bases are canonical and two equal subspaces always produce identical basis
+matrices, comparable with ==.  Over Q rows of Python ints are accepted as
+they are (lam = 1), so a caller may hand in rows already scaled to
+integers; the output is in Fractions either way.  An RREF output carries
+its pivots, and the rref of such a matrix is the matrix itself, so a span
+of it costs no elimination.  The nullspace's RREF is read off the RREF of
+the columns in reverse order with no second elimination (Matrix.nullspace
+gives the argument).
 
 rref starts from the array when the matrix holds one: it drops zero rows
 with one mask, hands a tall input to the front end below as it is, and a
@@ -80,7 +84,10 @@ a dtype too narrow for p, so every prime field_from_json accepts gets the
 same exact answer.  nonzero_mod and scalar_tuples (exact integers over a
 denominator as field scalars, the way back to exact code) are built on it,
 so no float or numpy scalar reaches a Matrix, a Report or the JSON output;
-algebra and constructions keep no dtype or residue code of their own.
+algebra and constructions keep no dtype or residue code of their own.  So
+is the lowest-terms rule: lowest_terms divides an integer array and its
+den by their gcd, for Matrix.scaled and for the constants of
+constructions.semidirect_tensor.
 
 bilinear is the one exact sparse bilinear product, sum_ij u_i v_j t[i][j]:
 an algebra's multiplication and both sides of an action are calls to it.
@@ -95,7 +102,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fields import QQ, Field, Scalar
+from .fields import Field, Scalar
 
 Vector = tuple  # tuple of scalars
 
@@ -249,35 +256,17 @@ class Matrix:
         return cls(field, lambda: tuple(map(tuple, ints.tolist())), ints)
 
     @classmethod
-    def from_quotient(cls, field: Field, v, den: int, shape: Optional[tuple] = None,
+    def from_quotient(cls, field: Field, v, den: int, ncols: Optional[int] = None,
                       pivots: Optional[Sequence[int]] = None) -> "Matrix":
         """The matrix v / den: v an exact integer array (reduced mod p over
-        GF(p), where den is 1) or lists of Python ints, padded with zero rows
-        to the shape (nrows, ncols) when one is given."""
-        nr, nc = v.shape if shape is None else shape
-
-        def rows():
-            top = v.tolist() if isinstance(v, np.ndarray) else v
-            return _scalar_rows(field, den, top) + ((field.zero,) * nc,) * (nr - len(v))
-
-        return cls(field, rows, lambda: _padded(v, (nr, nc)), den,
-                   None if pivots is None else tuple(pivots))
-
-    @classmethod
-    def _over_heads(cls, rows: list, pivots: list, shape: tuple) -> "Matrix":
-        """The RREF over Q from the primitive pivot rows _gauss_jordan leaves:
-        the rows, each over its own pivot entry, cost fewer and smaller
-        Fractions than V / mu, which is made only when ints is read."""
-        (nr, nc), r = shape, len(pivots)
-        heads = [rows[i][c] for i, c in enumerate(pivots)]
-        zero = QQ.zero
-
-        def scalars():
-            return (tuple(tuple([Fraction(x, a) if x else zero for x in row])
-                          for row, a in zip(rows, heads)) + ((zero,) * nc,) * (nr - r))
-
-        return cls(QQ, scalars, lambda: _padded(_over_lcm(rows, pivots)[0], shape),
-                   math.lcm(*heads), tuple(pivots))
+        GF(p), where den is 1) or lists of Python ints, ncols the width of
+        an empty list."""
+        pivots = None if pivots is None else tuple(pivots)
+        if isinstance(v, np.ndarray):
+            return cls(field, lambda: _scalar_rows(field, den, v.tolist()), v, den, pivots)
+        nc = len(v[0]) if v else ncols
+        return cls(field, lambda: _scalar_rows(field, den, v),
+                   lambda: _int_array(v, (len(v), nc)), den, pivots)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
@@ -356,16 +345,7 @@ class Matrix:
             flat = [x for row in self.rows for x in row]
             lam, flat = (1, flat) if self.field.p is not None else clear_denominators(flat)
             return lam, _int_array(flat, (self.nrows, self.ncols))
-        ints, den = self.ints, self.den
-        if den == 1 or not ints.any():
-            return 1, ints
-        g = math.gcd(den, int(np.gcd.reduce(ints, axis=None)))  # below any nonzero entry
-        return den // g, ints if g == 1 else ints // g
-
-    def _top(self, k: int) -> "Matrix":
-        """The first k rows."""
-        return Matrix(self.field, lambda: self.rows[:k], lambda: self.ints[:k], self.den,
-                      self.pivots)
+        return lowest_terms(self.den, self.ints)
 
     def _reversed(self) -> "Matrix":
         """The matrix with its columns in reverse order."""
@@ -375,7 +355,10 @@ class Matrix:
                       self.ints[:, ::-1], self.den)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices."""
+        """The nonzero rows of the RREF and their pivot columns: rank rows
+        of the input's width (0 rows for an all-zero or empty input).  Every
+        elimination route gives (V, den, pivots), V those rows as integers
+        over den, wrapped here once by from_quotient."""
         if self.pivots is not None:
             return self, self.pivots
         p = self.field.p
@@ -384,13 +367,13 @@ class Matrix:
         x, rows = self.ints, None
         if x is None:
             given = self.rows
-            nr, nc = len(given), len(given[0]) if given else 0
+            nc = len(given[0]) if given else 0
             rows = [list(row) if p is not None or all(type(y) is int for y in row)
                     else clear_denominators(row)[1] for row in given]
             rows = [row for row in rows if any(row)]
             n = len(rows)
         else:
-            nr, nc = x.shape
+            nc = x.shape[1]
             x = x[(x != 0).any(axis=1)]
             n = len(x)
         red = None
@@ -399,13 +382,9 @@ class Matrix:
                 x = _int_array(rows, (n, nc))
             red = _tall_rref_q(x) if p is None else _tall_rref_mod(x, p)
         if red is None:
-            rows = x.tolist() if rows is None else rows
-            pivots = _gauss_jordan(rows, nc, p)
-            if p is None:
-                return Matrix._over_heads(rows, pivots, (nr, nc)), tuple(pivots)
-            red = rows[:len(pivots)], 1, pivots
+            red = _gauss_jordan(x.tolist() if rows is None else rows, nc, p)
         v, den, pivots = red
-        return Matrix.from_quotient(self.field, v, den, (nr, nc), pivots), tuple(pivots)
+        return Matrix.from_quotient(self.field, v, den, nc, pivots), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -424,7 +403,7 @@ class Matrix:
         red, piv = self._reversed().rref()
         ends = [nc - 1 - c for c in piv]
         free = _free_columns(nc, ends)
-        v = exact_ints(-red.ints[:len(piv), ::-1][:, free].T, f.p)
+        v = exact_ints(-red.ints[:, ::-1][:, free].T, f.p)
         basis = np.zeros((len(free), nc), v.dtype)
         basis[range(len(free)), free] = red.den
         basis[:, ends] = v
@@ -449,28 +428,12 @@ class Matrix:
         return tuple(x)
 
 
-def _padded(v, shape: tuple) -> np.ndarray:
-    """The exact integer array or lists of Python ints v, padded with zero
-    rows to shape."""
-    (nr, nc), r = shape, len(v)
-    top = v if isinstance(v, np.ndarray) else _int_array(v, (r, nc))
-    return top if nr == r else np.concatenate([top, np.zeros((nr - r, nc), top.dtype)])
-
-
-def _over_lcm(rows: list, pivots: list) -> tuple[list, int]:
-    """(V, mu) with V / mu the RREF of the first len(pivots) rows, the
-    primitive integer pivot rows _gauss_jordan leaves over Q: mu is the lcm
-    of the pivot entries and row r is scaled by mu over its pivot entry."""
-    heads = [rows[r][c] for r, c in enumerate(pivots)]
-    mu = math.lcm(*heads)
-    return [[y * (mu // a) for y in row] for row, a in zip(rows, heads)], mu
-
-
-def _gauss_jordan(rows: list, nc: int, p: Optional[int]) -> list:
-    """Eliminate the nonzero integer rows in place, as in the module
-    docstring, and return the pivot columns: rows[r] is then the pivot row of
-    pivots[r], over Q a primitive integer row whose RREF row is
-    rows[r] / rows[r][pivots[r]], over GF(p) the RREF row itself."""
+def _gauss_jordan(rows: list, nc: int, p: Optional[int]) -> tuple[list, int, list]:
+    """(V, den, pivots), V / den the nonzero RREF rows as lists of ints, for
+    the nonzero integer rows, eliminated in place as in the module docstring.
+    rows[r] is then the pivot row of pivots[r]: over GF(p) the RREF row
+    itself, so V is rows[:r] and den 1; over Q a primitive integer row, and
+    V scales each to mu, the lcm of the pivot entries, with den = mu."""
     pivots = []
     for c in range(nc):
         r = len(pivots)
@@ -501,7 +464,11 @@ def _gauss_jordan(rows: list, nc: int, p: Optional[int]) -> list:
                     for j, y in support:
                         row[j] = (row[j] - s * y) % p
         pivots.append(c)
-    return pivots
+    if p is not None:
+        return rows[:len(pivots)], 1, pivots
+    heads = [rows[i][c] for i, c in enumerate(pivots)]
+    mu = math.lcm(*heads)
+    return [[y * (mu // a) for y in row] for row, a in zip(rows, heads)], mu, pivots
 
 
 def _tall_rref_mod(x: np.ndarray, p: int):
@@ -532,7 +499,7 @@ def _tall_rref_mod(x: np.ndarray, p: int):
 
 
 def _tall_rref_q(x: np.ndarray) -> tuple[list, int, list]:
-    """(V, mu, pivots), V / mu the nonzero RREF rows as _over_lcm gives
+    """(V, mu, pivots), V / mu the nonzero RREF rows as _gauss_jordan gives
     them, for the n > ncols nonzero integer rows x over Q, an int64 or
     object array.
 
@@ -540,13 +507,12 @@ def _tall_rref_q(x: np.ndarray) -> tuple[list, int, list]:
     hence over Q; only those <= ncols rows are eliminated exactly.  Their
     RREF V / mu must then satisfy mu X == X[:, pivots] @ V for every row of
     X, checked at the free columns by one integer matmul on the rung that
-    holds it.  Rows that escape join the eliminated rows and the exact loop
-    runs once more."""
+    holds it.  Rows that escape join the primitive pivot rows the loop left,
+    which span the same space, and the exact loop runs once more."""
     nc = x.shape[1]
     selected, order = _rref_mod(exact_ints(x, SELECT_PRIME).astype(np.float64), SELECT_PRIME)
     basis = x[order[:len(selected)]].tolist()
-    pivots = _gauss_jordan(basis, nc, None)
-    v, mu = _over_lcm(basis, pivots)
+    v, mu, pivots = _gauss_jordan(basis, nc, None)
     r, free = len(pivots), _free_columns(nc, pivots)
     if not free:  # the whole space: nothing can escape
         return v, mu, pivots
@@ -557,9 +523,7 @@ def _tall_rref_q(x: np.ndarray) -> tuple[list, int, list]:
     escaped = ((mu * check[:, free] - check[:, pivots] @ rest) != 0).any(axis=1)
     if not escaped.any():
         return v, mu, pivots
-    basis = basis[:r] + x[escaped].tolist()
-    pivots = _gauss_jordan(basis, nc, None)
-    return (*_over_lcm(basis, pivots), pivots)
+    return _gauss_jordan(basis[:r] + x[escaped].tolist(), nc, None)
 
 
 def _free_columns(nc: int, pivots: list) -> list:
@@ -677,8 +641,7 @@ class Subspace:
     @classmethod
     def spanned_by(cls, m: Matrix, ambient: int) -> "Subspace":
         """The span of the rows of m, by one Matrix.rref."""
-        red, piv = m.rref()
-        return cls(ambient, red._top(len(piv)), piv)
+        return cls(ambient, *m.rref())
 
     @property
     def dim(self) -> int:
@@ -739,6 +702,17 @@ def _int_array(values, shape) -> np.ndarray:
 def magnitude(arr: np.ndarray) -> int:
     """The largest magnitude in an integer-valued array, 0 if it is empty."""
     return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def lowest_terms(den: int, ints: np.ndarray) -> tuple[int, np.ndarray]:
+    """ints / den over one denominator in lowest terms: (den / g, ints / g),
+    g the gcd of den and every entry, and (1, ints) when every entry is 0.
+    g is then at most any nonzero entry, so an int64 array stays int64; the
+    array keeps its dtype and is returned as it is when g is 1."""
+    if den == 1 or not ints.any():
+        return 1, ints
+    g = math.gcd(den, int(np.gcd.reduce(ints, axis=None)))
+    return den // g, ints if g == 1 else ints // g
 
 
 def integer_array(field: Field, values, shape, bound: Callable[[int], int]):

@@ -105,7 +105,8 @@ def sympy_rref(field, rows, ncols):
 def assert_rref_matches_sympy(field, rows, ncols):
     mat = Matrix(field, tuple(tuple(r) for r in rows))
     red, piv = mat.rref()
-    assert (red.rows, piv) == sympy_rref(field, rows, ncols)
+    want, want_piv = sympy_rref(field, rows, ncols)
+    assert (red.rows, piv) == (want[:len(want_piv)], want_piv)  # its nonzero rows
     scalar = Fraction if field is QQ else int
     assert all(type(x) is scalar for r in red.rows for x in r)
 
@@ -459,6 +460,51 @@ def test_array_entry_equals_the_same_ints_as_rows(monkeypatch, field, dtype, big
         assert got.nullspace() == want.nullspace()
         for m in (red, got.nullspace()):
             _assert_scalar_rows(field, m)
+
+
+def _route_cases():
+    """(id, matrix, route) for every elimination route: route lists each
+    front-end call and whether the front end gave the RREF (True) or left
+    it to the loop (False, the float64 rung failing)."""
+    rng = random.Random(5)
+    big = GF(2 ** 61 - 1)
+
+    def rows(field, nrows, ncols, rank):
+        return Matrix.from_rows(field, tall_rows(rng, field, nrows, ncols, rank))
+
+    return [
+        ("GF(5) small", rows(GF(5), 6, 5, 3), []),
+        ("GF(5) tall", rows(GF(5), 300, 20, 15), [("_tall_rref_mod", True)]),
+        ("GF(2^61-1) tall", rows(big, 120, 20, 15), [("_tall_rref_mod", False)]),
+        ("Q small", rows(QQ, 5, 4, 2), []),
+        ("Q tall", rows(QQ, 60, 20, 12), [("_tall_rref_q", True)]),
+        ("GF(5) zero 648x72", Matrix.from_ints(GF(5), np.zeros((648, 72))), []),
+        ("2x0", Matrix.from_rows(GF(5), [[], []]), []),
+        ("0x3", Matrix.from_ints(QQ, np.zeros((0, 3), np.int64)), []),
+    ]
+
+
+@pytest.mark.parametrize("case", _route_cases(), ids=lambda c: c[0])
+def test_every_route_gives_the_nonzero_rref_rows(monkeypatch, case):
+    _, mat, route = case
+    taken = []
+    for name in ("_tall_rref_mod", "_tall_rref_q"):
+        kernel = getattr(linalg, name)
+
+        def counted(*a, name=name, kernel=kernel):
+            out = kernel(*a)
+            taken.append((name, out is not None))
+            return out
+
+        monkeypatch.setattr(linalg, name, counted)
+    f, ncols = mat.field, mat.ncols
+    red, piv = mat.rref()
+    assert taken == route
+    assert red.nrows == len(piv) == red.ints.shape[0]
+    assert red.ints.shape[1] == ncols and red.pivots == piv
+    assert all(any(x != f.zero for x in row) for row in red.rows)
+    assert red.rref() == (red, piv)
+    assert mat.nullspace().nrows == ncols - len(piv)
 
 
 def test_tall_front_end_never_imports_numpy_random():
