@@ -26,24 +26,23 @@ A, where B * B lands in B and every other product in A, which is the shape
 of a semidirect product B x A; a dense tensor is the case of an empty A.
 constructions.semidirect_tensor places the product's four blocks from the
 integer arrays the candidate already holds, on the rung suite_bound gives
-the whole product.  Rows are checked in order.  Within a row, witnesses
-led by an index in B come before those led by one in A; for each leading
-part every block of witnesses mixing B and A is evaluated whole, each term
+the whole product, and names in Blocks.closed, per identity tag, the
+blocks of witnesses that hold on it by construction or by proof.  The suite
+never evaluates a closed block, and that is the one rule for what it skips.
+Rows are checked in order.  Within a row, witnesses led by an index in B
+come before those led by one in A; for each leading part every block of
+witnesses that is neither closed nor all-B is evaluated whole, each term
 one matmul of two blocks (BLAS dgemm on the float64 rung), and the all-B
-block is swept a few leading indices at a time (a few second indices at a
-time where one leading index alone is larger than a step), only up to the
-first witness a mixed block fails at, so a failure near the start stops it
-early.  The
-all-A block is never evaluated: A passed the suite already, as the target
-of an actor passed its own suite on entry.  The all-B block is skipped as
-well for the tags the Blocks mark closed, those the candidate's product
-satisfies by construction (the proofs are on constructions.KIND_TABLE's
-rows).  The signed terms are summed, linalg.nonzero_mod flags the nonzero
-differences (mod p over GF(p)), and the flags of a leading index, laid out
-on the whole basis, give the lexicographically first failing tuple.  The
-witness sides lhs/rhs are read off the same terms at the witness, over lam
-or lam^2 by the row's degree, when the Report's fields are first read: a
-rejection draw or a verdict reads only the label and the witness.
+block, unless closed, is swept a few leading indices at a time (a few
+second indices at a time where one leading index alone is larger than a
+step), only up to the first witness a block evaluated whole fails at, so a
+failure near the start stops it early.  The signed terms are summed,
+linalg.nonzero_mod flags the nonzero differences (mod p over GF(p)), and
+the flags of a leading index, laid out on the whole basis, give the
+lexicographically first failing tuple.  The witness sides lhs/rhs are read
+off the same terms at the witness, over lam or lam^2 by the row's degree,
+when the Report's fields are first read: a rejection draw or a verdict
+reads only the label and the witness.
 _np_term is the one evaluator of a row, here and in the constraint assembly
 of constructions.
 
@@ -58,7 +57,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -233,16 +233,18 @@ class Blocks(NamedTuple):
     coordinate r of e_b * e_a, ab (n, m, n) and aa (n, n, n).  A dense
     tensor is the case n = 0.
 
-    The suite never evaluates a witness whose indices all lie in A: A must
-    satisfy the suite already, as actor_pipeline checks on entry.  For the
-    tags in closed, which B satisfies by construction, it skips the
-    witnesses whose indices all lie in B too."""
+    closed maps an identity tag to the blocks of witnesses that hold on
+    this tensor by construction or by proof, each named by the parts of its
+    labels, such as (0, 1, 0) for the witnesses in B x A x B: the suite
+    never evaluates them.  A dense tensor closes none;
+    constructions.semidirect_tensor states the closed blocks of a
+    semidirect product, with the proofs on KIND_TABLE's rows."""
 
     bb: np.ndarray
     ba: Optional[np.ndarray] = None
     ab: Optional[np.ndarray] = None
     aa: Optional[np.ndarray] = None
-    closed: tuple = ()
+    closed: Mapping[str, frozenset] = MappingProxyType({})
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -348,41 +350,39 @@ def _first_row(flags: np.ndarray) -> int:
 
 
 @functools.cache
-def _layout(k: int, present: tuple) -> tuple:
+def _layout(k: int, present: tuple, closed: frozenset) -> tuple:
     """The blocks of witnesses of k labels, as the parts of their labels,
-    for the parts present (B, A): per leading part, B before A, the all-B
-    block (None if there is none) and the blocks mixing B and A.  The all-A
-    block is left out (Blocks' docstring)."""
-    out = []
-    for lead in (0, 1):
-        blocks = [(lead,) + rest for rest in itertools.product((0, 1), repeat=k - 1)
-                  if present[lead] and all(present[x] for x in rest)]
-        full = (0,) * k if (0,) * k in blocks else None
-        out.append((lead, full, tuple(b for b in blocks if 0 in b and 1 in b)))
-    return tuple(out)
+    for the parts present (B, A), leaving out those in closed: per leading
+    part, B before A, the all-B block (None if it is left out) and the
+    others."""
+    blocks = [b for b in itertools.product((0, 1), repeat=k)
+              if all(present[x] for x in b) and b not in closed]
+    full = (0,) * k if (0,) * k in blocks else None
+    return tuple((lead, None if lead else full,
+                  tuple(b for b in blocks if b[0] == lead and b != full)) for lead in (0, 1))
 
 
-def _first_failure(t: Blocks, p: Optional[int], terms, closed: bool) -> Optional[tuple]:
-    """The lexicographically first witness at which the signed terms of a
-    row sum to a nonzero vector, or None.
+def _first_failure(t: Blocks, p: Optional[int], terms, closed: frozenset) -> Optional[tuple]:
+    """The lexicographically first witness outside the closed blocks at
+    which the signed terms of a row sum to a nonzero vector, or None.
 
     Witnesses led by an index in B come before those led by one in A.  For
-    each leading part, every block of witnesses mixing B and A is evaluated
-    whole, and the all-B block, unless closed, is swept in steps of
-    SWEEP_CELLS (_sweep_steps) up to the first witness a mixed block fails
-    at.  The flags of the first failing leading index, laid out on the whole
-    basis, give the rest of the witness."""
+    each leading part, every block of witnesses that is neither closed nor
+    all-B is evaluated whole, and the all-B block, unless closed, is swept
+    in steps of SWEEP_CELLS (_sweep_steps) up to the first witness a block
+    evaluated whole fails at.  The flags of the first failing leading index,
+    laid out on the whole basis, give the rest of the witness."""
     k = len(terms[0][2])
     dims = t.dims
-    for lead, full, mixed in _layout(k, (dims[0] > 0, dims[1] > 0)):
+    for lead, full, others in _layout(k, (dims[0] > 0, dims[1] > 0), closed):
         size = dims[lead]
-        whole = [(parts, _np_failing(t, p, terms, parts, _ALL)) for parts in mixed]
+        whole = [(parts, _np_failing(t, p, terms, parts, _ALL)) for parts in others]
         stop = min((_first_row(f) for _, f in whole if f.any()), default=size)
         at = [(parts, f[stop]) for parts, f in whole] if stop < size else []
-        # one past the first second index in B that a mixed block fails at, at stop
+        # one past the first second index in B that a whole block fails at, at stop
         reach = min((_first_row(f) + 1 for parts, f in at if parts[1] == 0 and f.any()),
                     default=size)
-        for rows, cols in (_sweep_steps(size, k, stop, reach) if full and not closed else ()):
+        for rows, cols in (_sweep_steps(size, k, stop, reach) if full else ()):
             f = _np_failing(t, p, terms, full, rows, cols)
             if f.any():
                 i = _first_row(f)
@@ -402,7 +402,7 @@ def _sweep_steps(m: int, k: int, stop: int, reach: int):
     """The steps (rows, cols) of the sweep of the all-B block, m^k cells a
     leading index, through leading indices 0..stop: whole leading indices
     while one fits in SWEEP_CELLS, and else, at each leading index, its
-    second indices, at the mixed blocks' first failing leading index stop
+    second indices, at the whole blocks' first failing leading index stop
     only below reach."""
     width = m ** k
     for rows in _index_slices(min(stop + 1, m), width, SWEEP_CELLS):
@@ -469,7 +469,7 @@ def _check_identity(a: Algebra, tag: str, scaled: tuple) -> Report:
     rows = IDENTITIES[tag]
     for name, lhs, rhs in rows:
         terms = lhs + [(-s, shape, perm) for s, shape, perm in rhs]
-        witness = _first_failure(t, f.p, terms, tag in t.closed)
+        witness = _first_failure(t, f.p, terms, t.closed.get(tag, frozenset()))
         if witness is not None:
             den = lam if lhs[0][1] == "T" else lam * lam  # the row's degree
 

@@ -56,12 +56,15 @@ Matrices over lam, and tensor, the constants over lam^2; action_pair's left
 and right tensors are the pairs' columns, and as_algebra's tensor is
 tensor.  semidirect_tensor places the arrays, with the target's
 integer_tensor, as the four algebra.Blocks of the semidirect product's
-integer tensor, and hands on the kind's closed tags, the identities its
-product satisfies by construction (KIND_TABLE has each proof).  The
-pipeline's semidirect suite reads those blocks, never a dense (N, N, N)
-array, skips the candidate's own block for the closed tags, and reads its
-witness sides off the same blocks: no verdict builds a field scalar of the
-candidate, its action or the product.
+integer tensor, and states once, as Blocks.closed, which blocks of
+witnesses hold on every candidate of the kind: per tag of the source
+suite, the all-A block, every block with one candidate label, and those
+with more that KIND_TABLE proves, with each proof on its row
+(_closed_blocks).  The pipeline's semidirect suite reads those blocks,
+never a dense (N, N, N) array, evaluates none of the closed ones, so a
+Lie verdict evaluates no block at all, and reads its witness sides off the
+same blocks: no verdict builds a field scalar of the candidate, its action
+or the product.
 
 factor_through_actor expresses an action on the candidate's target in the
 candidate's basis, and is the one place that checks the action's algebra
@@ -84,7 +87,8 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -137,35 +141,44 @@ class Kind(NamedTuple):
     right: str  # "neg" (minus the left one), "same", or an independent
     #             right component given by its bracket
     rows: str = ""  # the module function assembling its constraint rows
-    # identity tags the candidate's own product satisfies by construction,
-    # with the proof in a comment on its row: the semidirect suite skips
-    # them on the candidate's block
-    closed: tuple = ()
+    # per identity tag of the source suite, the blocks of the semidirect
+    # product with two or more candidate labels that hold on every
+    # candidate, each named by the parts of its labels ("BAB" is B x A x B),
+    # with the proof in a comment on its row: _closed_blocks closes them
+    closed: Mapping[str, tuple] = MappingProxyType({})
 
 
-# Every closure proof below rests on the closure certificate: the product of
-# two basis pairs is the pair the bracket gives, and its coordinates in the
+# Every proof below rests on the closure certificate: the product of two
+# basis pairs is the pair the bracket gives, and its coordinates in the
 # independent basis are unique, so the structure constants are those of a
-# subalgebra of the ambient algebra the bracket is taken in.
+# subalgebra of the ambient algebra the bracket is taken in.  In the
+# semidirect product b*a = L_b(a) and a*b = R_b(a) for b in B, a in A.
 KIND_TABLE = {
     # [D, D'] = DD' - D'D: the commutator of any associative algebra, here
     # End(A), is anticommutative and satisfies Jacobi, in every
-    # characteristic
+    # characteristic, which is BB and BBB.  Jacobi is cyclic, so BBA, BAB
+    # and ABB are each its sum at some (D, D', a): with R = -L that is
+    # (DD' - D'D)a - DD'a + D'Da = 0.  So no block of a Lie verdict runs
     "der": Kind("lie", "lie", "derivations", "aLbL - bLaL", "neg", "_derivation_rows",
-                ("anticommutativity", "jacobi")),
+                {"anticommutativity": ("BB",), "jacobi": ("BBB", "BBA", "BAB", "ABB")}),
     # (L, R)(L', R') = (LL', R'R) is composition in End(A) x End(A)^op,
-    # which is associative
+    # which is associative: BBB.  BBA is (ff')a = L L'a = f(f'a) and ABB
+    # is (af)f' = R'Ra = a(ff').  BAB, (fa)f' = f(af'), is condition 2
+    # and runs
     "bim": Kind("associative", "associative", "bimultipliers", "aLbL", "bRaR",
-                "_bimultiplier_rows", ("associativity",)),
-    # no proof of either bracket's Leibniz identity: the suite runs it
+                "_bimultiplier_rows", {"associativity": ("BBB", "BBA", "ABB")}),
+    # no block of the Leibniz identity with two biderivation labels is
+    # proved for either bracket: the suite runs them
     "bider1": Kind("leibniz", "leibniz", "biderivations", "aLbL + bRaL", "bRaR - aRbR",
                    "_biderivation_rows"),
     "bider2": Kind("leibniz", "leibniz", "biderivations", "bRaL - aLbR", "bRaR - aRbR",
                    "_biderivation_rows"),
-    # (L, L)(L', L') = (LL', LL') is composition in End(A): always
-    # associative, not always commutative, so commutativity still runs
+    # (L, L)(L', L') = (LL', LL') is composition in End(A), associative:
+    # BBB, and BBA as for bim.  BAB and ABB of associativity both read
+    # f'(f(a)) = f(f'(a)), and so does commutativity's BB: the multipliers
+    # need not commute, so those run
     "mult": Kind("associative", "commutative", "multipliers", "aLbL", "same",
-                 "_multiplier_rows", ("associativity",)),
+                 "_multiplier_rows", {"associativity": ("BBB", "BBA")}),
     "zero": Kind("module", "module", "the zero actor", "", "same"),
 }
 
@@ -446,6 +459,27 @@ def _actor(kind: str, A: Algebra, span: Subspace, pairs, constants) -> ActorAlge
                         constants)
 
 
+@functools.cache
+def _closed_blocks(kind: str) -> Mapping[str, frozenset]:
+    """The blocks of witnesses, as the parts of their labels, that hold on
+    the semidirect product along any candidate of this kind, per tag of its
+    source suite: the all-A block, as _construct checked the target against
+    that suite; every block with exactly one candidate label, as the
+    candidate is the nullspace of those rows (under a _FOLLOW rule, of the
+    ternary rows with b in slot 0, which cut out the same space, and the
+    rule is the binary row); and the blocks with more that KIND_TABLE's
+    closed column proves.  zero_actor checks no suite on its target, so the zero
+    kind closes none."""
+    spec = KIND_TABLE[kind]
+    out = {}
+    for tag in SUITES[spec.source] if spec.rows else ():
+        proved = {tuple("BA".index(x) for x in word) for word in spec.closed.get(tag, ())}
+        # a block for each part of each label of the tag's rows
+        out[tag] = frozenset(b for b in np.ndindex((2,) * len(IDENTITIES[tag][0][1][0][2]))
+                             if b.count(0) <= 1 or b in proved)
+    return MappingProxyType(out)
+
+
 def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, Blocks]:
     """The pair (lam, Blocks) of the semidirect product along the
     candidate's action: actions.semidirect(actor.action_pair())'s
@@ -466,8 +500,7 @@ def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, Blocks]:
     product.  The dtype is the rung of algebra.suite_bound at the largest
     scaled entry, as for the product's integer_tensor; each block is cast to
     it before it is scaled, which stays exact on every rung because the
-    bound covers every entry.
-    The kind's closed tags ride along, so the suite skips them on bb."""
+    bound covers every entry.  Blocks.closed is _closed_blocks(kind)."""
     A = actor.target
     f, n, m = A.field, A.dim, actor.dim
     den, consts = lowest_terms(*actor.constants)
@@ -488,7 +521,7 @@ def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, Blocks]:
         if top and lam != lam_block:
             arr *= lam // lam_block
         out.append(arr)
-    return lam, Blocks(*out, KIND_TABLE[actor.kind].closed)
+    return lam, Blocks(*out, _closed_blocks(actor.kind))
 
 
 def _construct(kind: str, A: Algebra) -> ActorAlgebra:

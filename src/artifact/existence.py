@@ -12,19 +12,22 @@ verdict.
 The suite decides the product block by block.  Its input,
 constructions.semidirect_tensor, is the product's four integer blocks,
 placed from the arrays the closure and A.integer_tensor hold, so no dense
-(N, N, N) tensor is made.  A witness with every index in A is A's own suite,
-which passed on entry, and is never evaluated.  One whose indices all lie
-in the candidate asks whether the candidate is in the category: that block
-is skipped for the identities the candidate's construction proves
-(derivations are a Lie algebra of commutators, bimultipliers and
-multipliers subalgebras of composition, which is associative), and is
-otherwise swept only up to the first failure of the mixed blocks.  A
-witness mixing the two asks whether the induced action is a derived
-action; those blocks always run.  A failing suite reads its witness sides
-off the same blocks, and only when they are read.  The candidate's maps and
-tensor, its induced action and the semidirect product are built on first
-read, so no verdict makes a field scalar of the candidate, its action or
-the product.  actions.crosscheck_semidirect keeps the dense route, on the
+(N, N, N) tensor is made, and the blocks of witnesses that hold by
+construction or by proof, which the suite never evaluates.  Those are, per
+identity tag, the witnesses with every index in A (A's own suite, which
+passed on entry), those with one index in the candidate (the constraint
+rows the candidate solves), and those with more that KIND_TABLE's rows
+prove.  For a Lie algebra that is every block, so its verdict is exists
+with no evaluation.  For an associative one only B x A x B runs, the
+products condition 2 compares; a commutative one runs that block and
+A x B x B of associativity and B x B of commutativity, each asking whether
+the multipliers commute; a Leibniz one runs every block with two or three
+candidate indices, the all-candidate one swept only up to the first
+failure of the others.  A failing suite reads its witness sides off the
+same blocks, and only when they are read.  The candidate's maps and tensor,
+its induced action and the semidirect product are built on first read, so
+no verdict makes a field scalar of the candidate, its action or the
+product.  actions.crosscheck_semidirect keeps the dense route, on the
 eagerly built product, as the independent oracle.
 """
 
@@ -134,8 +137,8 @@ def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
     # never on its scalars
     beta = identity_suite(prod, A.category, c=semidirect_tensor(actor))
     # the multiplier candidate's right component is its left one, so b*a =
-    # a*b holds by construction; the commutativity row of the suite above
-    # checks the same products
+    # a*b holds by construction, and the suite above leaves those blocks of
+    # the commutativity row closed
     notes = (["induced action is symmetric: b*a = a*b on all basis pairs"]
              if A.category == "commutative" else [])
     condition = None if check is None else check(A, actor)

@@ -312,14 +312,18 @@ def test_first_failure_is_the_first_flagged_witness_of_the_dense_oracle(monkeypa
                     k = len(terms[0][2])
                     diff = sum(s * _einsum_term(c, shape, perm) for s, shape, perm in terms)
                     flags = (diff != 0).any(axis=-1)
-                    in_a = np.ix_(*[lead_in_a] * k)
-                    in_b = np.ix_(*[~lead_in_a] * k)
-                    flags[in_a] = False  # never evaluated: A passed its suite
-                    for closed in (False, True):
-                        if closed:
-                            flags[in_b] = False
-                        want = tuple(int(x) for x in np.argwhere(flags)[0]) if flags.any() else None
-                        got = algebra._first_failure(t, None, terms, closed)
+                    # none closed, the all-A block, it and the all-B one,
+                    # every block, and random sets of blocks
+                    patterns = list(itertools.product((0, 1), repeat=k))
+                    fixed = [(), [(1,) * k], [(1,) * k, (0,) * k], patterns]
+                    for closed in fixed + [[x for x in patterns if rng.random() < 0.5]
+                                           for _ in range(4)]:
+                        masked = flags.copy()
+                        for block in closed:  # never evaluated: the block holds
+                            masked[np.ix_(*(lead_in_a == x for x in block))] = False
+                        want = (tuple(int(x) for x in np.argwhere(masked)[0])
+                                if masked.any() else None)
+                        got = algebra._first_failure(t, None, terms, frozenset(closed))
                         assert got == want, (m, n, density, tag, closed)
 
 

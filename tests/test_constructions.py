@@ -21,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import algebra, constructions, existence
 from artifact.actions import conjugation_action, semidirect
-from artifact.algebra import (IDENTITIES, SUITES, InputError, Subspace, check_identity,
-                             identity_suite, is_ideal, make_algebra)
+from artifact.algebra import (IDENTITIES, SUITES, InputError, Subspace, identity_suite,
+                             is_ideal, make_algebra)
 from artifact.constructions import (KIND_TABLE, BiMap, ClosureError,
                                     ConstructionError, actor_from_json,
                                     biderivations, bimultipliers, canonical_d,
@@ -633,7 +633,7 @@ def _assert_block_tensor(actor):
     want_lam, want = semidirect(actor.action_pair()).integer_tensor
     got_lam, blocks = semidirect_tensor(actor)
     got = dense_tensor(blocks)
-    assert blocks.closed == KIND_TABLE[actor.kind].closed
+    assert set(blocks.closed) <= set(SUITES[KIND_TABLE[actor.kind].source])
     assert got_lam == want_lam, actor.kind
     assert got.dtype == want.dtype and got.shape == want.shape, actor.kind
     assert np.array_equal(got, want), actor.kind
@@ -657,9 +657,9 @@ def _assert_block_report(a, actor):
 
 
 @st.composite
-def block_algebras(draw):
-    f = draw(st.sampled_from(BLOCK_FIELDS))
-    category = draw(st.sampled_from(tuple(BLOCK_KINDS)))
+def block_algebras(draw, fields=BLOCK_FIELDS, categories=tuple(BLOCK_KINDS)):
+    f = draw(st.sampled_from(fields))
+    category = draw(st.sampled_from(categories))
     n = draw(st.integers(0, 3))
     rng = random.Random(draw(st.integers(0, 5)))
     if n == 0 or category == "module" or draw(st.integers(0, 3)) == 0:
@@ -756,9 +756,34 @@ def test_identity_suite_gives_the_same_report_on_the_block_tensor():
     assert rungs == {"float64", "int64", "object"}
 
 
+def _assert_closed_blocks_hold(actor):
+    """Every block of the semidirect product that semidirect_tensor marks
+    closed, evaluated whole by algebra._np_failing with no block skipped,
+    sets no flag; returns the number of blocks evaluated."""
+    f = actor.target.field
+    t = semidirect_tensor(actor)[1]
+    dims = t.dims
+    checked = 0
+    for tag, closed in t.closed.items():
+        for _, lhs, rhs in IDENTITIES[tag]:
+            terms = lhs + [(-s, shape, perm) for s, shape, perm in rhs]
+            for parts in closed:
+                if all(dims[x] for x in parts):
+                    flags = algebra._np_failing(t, f.p, terms, parts, slice(None))
+                    assert not flags.any(), (actor.kind, tag, parts, actor.target)
+                    checked += 1
+    return checked
+
+
+# the fields the closed blocks are drawn over: characteristic 2, 3 and 5, a
+# prime past int64 products, and Q
+CLOSED_FIELDS = (GF(2), GF(3), GF(5), GF(2 ** 61 - 1), QQ)
+
+
 def test_closed_tags_hold_on_every_candidate():
-    # the tags a kind's closed column lets the semidirect suite skip on the
-    # candidate's own block, run on the candidate's own algebra
+    # every block a kind closes, for every kind, both bider variants and bim
+    # on a commutative A, on the reference corpus and the algebras below
+    from test_reference import CASES
     algebras = [sl2(), heisenberg(), m2_rationals(), dual_numbers(),
                 truncated_poly(QQ, 3, "commutative"), diagonal_algebra(QQ, 2, "commutative")]
     for f in (GF(2), GF(3), GF(5), QQ, GF(2 ** 61 - 1)):
@@ -772,12 +797,55 @@ def test_closed_tags_hold_on_every_candidate():
                 a = BLOCK_SEEDS[cat](f)
                 algebras.append(_conjugate(a, _rand_invertible(rng, f, a.dim)))
     checked = 0
-    for a in algebras:
+    for a in algebras + list({id(a): a for a, _ in CASES}.values()):
         for actor in _block_actors(a):
-            for tag in KIND_TABLE[actor.kind].closed:
-                assert check_identity(actor.as_algebra(), tag).passed, (actor.kind, tag, a)
-                checked += 1
-    assert checked > 150
+            checked += _assert_closed_blocks_hold(actor)
+    assert checked > 2000
+
+
+@settings(max_examples=150)
+@given(block_algebras(CLOSED_FIELDS))
+def test_closed_blocks_hold_on_drawn_candidates(a):
+    for actor in _block_actors(a):
+        _assert_closed_blocks_hold(actor)
+
+
+def _np_failing_calls(run):
+    """The parts of every block algebra._np_failing evaluates while run()
+    runs, and run()'s result."""
+    calls = []
+    real = algebra._np_failing
+
+    def spy(t, p, terms, parts, *cuts):
+        calls.append(parts)
+        return real(t, p, terms, parts, *cuts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_np_failing", spy)
+        return calls, run()
+
+
+@settings(max_examples=100)
+@given(block_algebras(CLOSED_FIELDS, ("lie",)))
+def test_a_lie_verdict_evaluates_no_block(a):
+    # every block of the derivations' semidirect product is closed
+    actor = derivations(a)
+    calls, rep = _np_failing_calls(
+        lambda: identity_suite(semidirect(actor.action_pair()), "lie", c=semidirect_tensor(actor)))
+    assert calls == [] and rep.passed
+    assert actor_pipeline(a).exists
+
+
+@settings(max_examples=100)
+@given(block_algebras(CLOSED_FIELDS, ("associative", "commutative")))
+def test_a_bimultiplier_suite_evaluates_only_bab(a):
+    # associativity's BAB, (f*a)*f' = f*(a*f'), is the one block no proof covers
+    actor = bimultipliers(a)
+    prod = semidirect(actor.action_pair())
+    calls, rep = _np_failing_calls(
+        lambda: identity_suite(prod, "associative", c=semidirect_tensor(actor)))
+    assert calls == ([(0, 1, 0)] if actor.dim and a.dim else [])
+    assert rep == identity_suite(prod, "associative")
 
 
 def test_kind_category_guards():

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import cli
 from artifact.actions import action_from_json, make_action
-from artifact.algebra import InputError, algebra_from_json, make_algebra
+from artifact.algebra import InputError, algebra_from_json, identity_suite, make_algebra
 from artifact.constructions import actor_from_json
 from artifact.corpus import a5_leibniz, sl2, zero_algebra
+from artifact.existence import actor_pipeline
 from artifact.fields import GF, QQ
 from artifact.groups import ARRAY_CHECK_ORDER, cyclic, group_from_json, symmetric3
 
@@ -115,6 +116,19 @@ def test_a_file_that_is_not_json_exits_two(tmp_path, capsys):
     path.write_bytes(b"{\"field\": \xff")
     assert cli.main(["check", str(path)]) == 2
     assert json.loads(capsys.readouterr().out)["error"].startswith("InputError: ")
+
+
+def test_a_char2_alternative_algebra_past_dim_16_is_refused(tmp_path, capsys):
+    # over GF(2) the alternative suite sweeps every vector of the space, so
+    # it refuses 2^17 of them: in the suite, the pipeline and the CLI alike
+    a = zero_algebra(GF(2), 17, "alternative")
+    for run in (identity_suite, actor_pipeline):
+        with pytest.raises(InputError, match="too large"):
+            run(a)
+    path = tmp_path / "alt17.json"
+    path.write_text(json.dumps(a.to_json()))
+    assert cli.main(["check", str(path)]) == 2
+    assert "too large" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_an_internal_error_exits_three(monkeypatch, capsys):
