@@ -30,21 +30,21 @@ the whole product, and names in Blocks.closed, per identity tag, the
 blocks of witnesses that hold on it by construction or by proof.  The suite
 never evaluates a closed block, and that is the one rule for what it skips.
 Rows are checked in order.  Within a row, witnesses led by an index in B
-come before those led by one in A; for each leading part every block of
-witnesses that is neither closed nor all-B is evaluated whole, each term
-one matmul of two blocks (BLAS dgemm on the float64 rung), and the all-B
-block, unless closed, is swept a few leading indices at a time (a few
+come before those led by one in A, and one sweep (_first_failure) steps
+through the leading indices of each part: every open block of witnesses,
+present and not closed, is evaluated on the same few leading indices (a few
 second indices at a time where one leading index alone is larger than a
-step), only up to the first witness a block evaluated whole fails at, so a
-failure near the start stops it early.  The signed terms are summed,
-linalg.nonzero_mod flags the nonzero differences (mod p over GF(p)), and
-the flags of a leading index, laid out on the whole basis, give the
-lexicographically first failing tuple.  The witness sides lhs/rhs are read
-off the same terms at the witness, over lam or lam^2 by the row's degree,
-when the Report's fields are first read: a rejection draw or a verdict
-reads only the label and the witness.
-_np_term is the one evaluator of a row, here and in the constraint assembly
-of constructions.
+step), each term one matmul of two blocks (BLAS dgemm on the float64 rung),
+so a failure near the start stops every block early.  The signed terms are
+summed, linalg.nonzero_mod flags the nonzero differences (mod p over
+GF(p)), and the flags of the first failing leading index, laid out on the
+whole basis, give the lexicographically first failing tuple.  The witness
+sides lhs/rhs are read off the same terms at the witness, over lam or lam^2
+by the row's degree, when the Report's fields are first read: a rejection
+draw or a verdict reads only the label and the witness.
+_np_term is the one evaluator of a row and _row_failure the one reader of
+its witness: here, for the condition 1/2 rows of constructions on the
+product's B x B x A block, and (_np_term) in its constraint assembly.
 
 An Algebra's tensor may be given as a function that builds it on first read
 (linalg.lazy): a candidate's own algebra and the semidirect product are
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -323,16 +324,16 @@ def _np_failing(t: Blocks, p: Optional[int], terms, parts: tuple, rows: slice,
     return nonzero_mod(acc, p).any(axis=-1)
 
 
-# the most cells of term values one sweep step of the all-B block takes at
-# once: a whole number of leading indices, or, where one leading index holds
-# more, a whole number of its second indices, at least one.  From a sweep, best
-# of 12 rounds on one BLAS thread, of 72 own suites (GF(5) dims 3-6, Q dims
-# 3-4, four categories): one index at a time 16.9 ms, 2^8 cells 10.7,
-# 2^10 8.8, 2^14 7.1, 2^18 8.4; 30 GF(5) Leibniz and commutative pipelines
-# at dims 3-5 took 129-137 ms at every budget (Intel Xeon, numpy 2.4 with
-# OpenBLAS, a shared 2-core host).  A leading index of the dim-6 Leibniz
-# candidate's block holds 72^3 cells, so its sweep takes three second
-# indices a step
+# the most cells of term values one step of the sweep takes at once, counting
+# every open block of the leading part: a whole number of leading indices, or,
+# where one leading index holds more, a whole number of its second indices, at
+# least one.  From a sweep, best of 12 rounds on one BLAS thread, of 72 own
+# suites (GF(5) dims 3-6, Q dims 3-4, four categories): one index at a time
+# 16.9 ms, 2^8 cells 10.7, 2^10 8.8, 2^14 7.1, 2^18 8.4; 30 GF(5) Leibniz and
+# commutative pipelines at dims 3-5 took 129-137 ms at every budget (Intel
+# Xeon, numpy 2.4 with OpenBLAS, a shared 2-core host).  A leading index of
+# the dim-6 Leibniz candidate's all-B block holds 72^3 cells, so its sweep
+# takes three second indices a step
 SWEEP_CELLS = 2 ** 14
 
 
@@ -350,78 +351,57 @@ def _first_row(flags: np.ndarray) -> int:
 
 
 @functools.cache
-def _layout(k: int, present: tuple, closed: frozenset) -> tuple:
-    """The blocks of witnesses of k labels, as the parts of their labels,
-    for the parts present (B, A), leaving out those in closed: per leading
-    part, B before A, the all-B block (None if it is left out) and the
-    others."""
-    blocks = [b for b in itertools.product((0, 1), repeat=k)
-              if all(present[x] for x in b) and b not in closed]
-    full = (0,) * k if (0,) * k in blocks else None
-    return tuple((lead, None if lead else full,
-                  tuple(b for b in blocks if b[0] == lead and b != full)) for lead in (0, 1))
+def _sweep(k: int, dims: tuple, closed: frozenset, cells: int) -> tuple:
+    """The steps (lead, rows, blocks, cols) of the sweep over the witnesses
+    of k labels, for parts of dims (B, A): per leading part, B before A,
+    every open block (present, not closed) on the same leading indices rows,
+    as many as cells holds over all of them together.  Where one leading
+    index alone holds more, the step is that index, its second indices cols
+    taken a few at a time, first in the blocks whose second label is in B,
+    then in those whose is in A."""
+    steps = []
+    for lead in (0, 1):
+        blocks = tuple(b for b in itertools.product((0, 1), repeat=k)
+                       if b[0] == lead and all(dims[x] for x in b) and b not in closed)
+        # cells per index of label 1, in each block
+        width = {b: math.prod(dims[x] for x in b[2:]) * dims[max(b)] for b in blocks}
+        total = sum(width[b] * dims[b[1]] for b in blocks)
+        if total <= cells:
+            steps += [(lead, rows, blocks, _ALL)
+                      for rows in _index_slices(dims[lead] if blocks else 0, total, cells)]
+            continue
+        for i, second in itertools.product(range(dims[lead]), (0, 1)):
+            group = tuple(b for b in blocks if b[1] == second)
+            steps += [(lead, slice(i, i + 1), group, cols)
+                      for cols in _index_slices(dims[second] if group else 0,
+                                                sum(width[b] for b in group), cells)]
+    return tuple(steps)
 
 
 def _first_failure(t: Blocks, p: Optional[int], terms, closed: frozenset) -> Optional[tuple]:
     """The lexicographically first witness outside the closed blocks at
     which the signed terms of a row sum to a nonzero vector, or None.
 
-    Witnesses led by an index in B come before those led by one in A.  For
-    each leading part, every block of witnesses that is neither closed nor
-    all-B is evaluated whole, and the all-B block, unless closed, is swept
-    in steps of SWEEP_CELLS (_sweep_steps) up to the first witness a block
-    evaluated whole fails at.  The flags of the first failing leading index,
-    laid out on the whole basis, give the rest of the witness."""
+    The open blocks are swept together in the steps of _sweep, so witnesses
+    led by an index in B come before those led by one in A, and no step
+    past the first that flags anything is evaluated.  The flags of that
+    step's first failing leading index, laid out on the whole basis, give
+    the rest of the witness."""
     k = len(terms[0][2])
     dims = t.dims
-    for lead, full, others in _layout(k, (dims[0] > 0, dims[1] > 0), closed):
-        size = dims[lead]
-        whole = [(parts, _np_failing(t, p, terms, parts, _ALL)) for parts in others]
-        stop = min((_first_row(f) for _, f in whole if f.any()), default=size)
-        at = [(parts, f[stop]) for parts, f in whole] if stop < size else []
-        # one past the first second index in B that a whole block fails at, at stop
-        reach = min((_first_row(f) + 1 for parts, f in at if parts[1] == 0 and f.any()),
-                    default=size)
-        for rows, cols in (_sweep_steps(size, k, stop, reach) if full else ()):
-            f = _np_failing(t, p, terms, full, rows, cols)
-            if f.any():
-                i = _first_row(f)
-                stop = rows.start + i
-                g = f[i]
-                if cols is not _ALL:  # the second indices past the step stay clear
-                    g = np.zeros((size,) * (k - 1), bool)
-                    g[cols] = f[i]
-                at = [(parts, h[stop]) for parts, h in whole] + [(full, g)]
-                break
-        if at:
-            return (dims[0] * lead + stop,) + _first_rest(dims, at)
+    for lead, rows, blocks, cols in _sweep(k, dims, closed, SWEEP_CELLS):
+        flagged = [(parts, f) for parts in blocks
+                   for f in (_np_failing(t, p, terms, parts, rows, cols),) if f.any()]
+        if flagged:
+            i = min(_first_row(f) for _, f in flagged)
+            flags = np.zeros((sum(dims),) * (k - 1), bool)
+            for parts, f in flagged:
+                at = [range(dims[0] * x, dims[0] + dims[1] * x) for x in parts[1:]]
+                at[0] = at[0][cols]  # the step's second indices
+                flags[tuple(slice(r.start, r.stop) for r in at)] = f[i]
+            rest = np.unravel_index(int(flags.argmax()), flags.shape)
+            return (dims[0] * lead + rows.start + i,) + tuple(int(x) for x in rest)
     return None
-
-
-def _sweep_steps(m: int, k: int, stop: int, reach: int):
-    """The steps (rows, cols) of the sweep of the all-B block, m^k cells a
-    leading index, through leading indices 0..stop: whole leading indices
-    while one fits in SWEEP_CELLS, and else, at each leading index, its
-    second indices, at the whole blocks' first failing leading index stop
-    only below reach."""
-    width = m ** k
-    for rows in _index_slices(min(stop + 1, m), width, SWEEP_CELLS):
-        if width <= SWEEP_CELLS:
-            yield rows, _ALL
-        else:
-            for cols in _index_slices(reach if rows.start == stop else m, width // m,
-                                      SWEEP_CELLS):
-                yield rows, cols
-
-
-def _first_rest(dims: tuple, at: list) -> tuple:
-    """The first flagged index tuple of the flags at one leading index,
-    each block's flags laid out on the whole basis by the parts of its
-    labels after the first."""
-    flags = np.zeros((sum(dims),) * (len(at[0][0]) - 1), bool)
-    for parts, f in at:
-        flags[tuple(slice(dims[0] * x, dims[0] + dims[1] * x) for x in parts[1:])] = f
-    return tuple(int(x) for x in np.unravel_index(int(flags.argmax()), flags.shape))
 
 
 def _np_side(t: Blocks, terms, witness: tuple) -> np.ndarray:
@@ -467,16 +447,10 @@ def _check_identity(a: Algebra, tag: str, scaled: tuple) -> Report:
     if a.dim == 0:
         return Report(True, details=[{"name": tag, "status": "pass", "note": "empty algebra"}])
     rows = IDENTITIES[tag]
-    for name, lhs, rhs in rows:
-        terms = lhs + [(-s, shape, perm) for s, shape, perm in rhs]
-        witness = _first_failure(t, f.p, terms, t.closed.get(tag, frozenset()))
-        if witness is not None:
-            den = lam if lhs[0][1] == "T" else lam * lam  # the row's degree
-
-            def side(terms):
-                return lambda: scalar_tuples(f, den, exact_ints(_np_side(t, terms, witness), f.p))
-
-            return Report(False, label=name, witness=witness, lhs=side(lhs), rhs=side(rhs))
+    for row in rows:
+        rep = _row_failure(f, (lam, t), row, t.closed.get(tag, frozenset()))
+        if rep is not None:
+            return rep
 
     details = [{"name": name, "status": "pass"} for name, _, _ in rows]
     if tag == "alternative" and f.char == 2:
@@ -487,24 +461,50 @@ def _check_identity(a: Algebra, tag: str, scaled: tuple) -> Report:
     return Report(True, details=details)
 
 
+def _row_failure(f: Field, scaled: tuple, row: tuple, closed: frozenset) -> Optional[Report]:
+    """The failing Report of an identity row (name, lhs, rhs) on the pair
+    (lam, Blocks), at its first witness outside the closed blocks, or None
+    if the row holds there.  The sides are read off the same Blocks, over
+    lam or lam^2 by the row's degree, when they are first read."""
+    lam, t = scaled
+    name, lhs, rhs = row
+    witness = _first_failure(t, f.p, lhs + [(-s, shape, perm) for s, shape, perm in rhs], closed)
+    if witness is None:
+        return None
+    den = lam if lhs[0][1] == "T" else lam * lam
+
+    def side(terms):
+        return lambda: scalar_tuples(f, den, exact_ints(_np_side(t, terms, witness), f.p))
+
+    return Report(False, label=name, witness=witness, lhs=side(lhs), rhs=side(rhs))
+
+
 def _alternative_char2_exhaustive(a: Algebra) -> Report:
     """Over characteristic 2 the linearized laws are weaker than the
     quadratic ones, so check x(xy)=(xx)y and (yx)x=y(xx) on every vector x
-    of the finite space against every basis y."""
+    of the finite space against every basis y = e_j.  The vectors x are
+    taken a chunk at a time in itertools.product order, as the rows of X:
+    with c the integer tensor as an (n, n * n) matrix, x*e_j is X @ c, and
+    e_j*x is X @ c' for c' the tensor with its first two axes swapped; then
+    x(x e_j) and (e_j x)x are one batched matmul each, all mod p."""
     f = a.field
-    n = a.dim
-    if f.p ** n > 65536:
+    n, p = a.dim, f.p
+    if p ** n > 65536:
         raise InputError("char-2 exhaustive alternative check is too large")
     name = "char-2 exhaustive: (xx)y=x(xy), y(xx)=(yx)x"
-    for coords in itertools.product(range(f.p), repeat=n):
-        x = tuple(f.from_int(c) for c in coords)
-        xx = a.multiply(x, x)
-        for j in range(n):
-            ey = basis_vector(f, n, j)
-            if a.multiply(xx, ey) != a.multiply(x, a.multiply(x, ey)):
-                return Report(False, label=name, witness=coords + (j,))
-            if a.multiply(ey, xx) != a.multiply(a.multiply(ey, x), x):
-                return Report(False, label=name, witness=coords + (j,))
+    c = exact_ints(a.integer_tensor[1], p)
+    right, left = c.reshape(n, n * n), c.transpose(1, 0, 2).reshape(n, n * n)
+    vectors = p ** n if n else 0  # no basis y at dim 0, so nothing to check
+    for chunk in _index_slices(vectors, n * n, SWEEP_CELLS):
+        x = np.stack(np.unravel_index(np.arange(chunk.start, chunk.stop), (p,) * n), axis=1)
+        xe = (x @ right).reshape(-1, n, n) % p  # [x, j] = x*e_j
+        ex = (x @ left).reshape(-1, n, n) % p  # [x, j] = e_j*x
+        xx = (x[:, None] @ xe)[:, 0] % p  # sum_j x_j x*e_j
+        bad = (((xx @ right).reshape(-1, n, n) - xe @ xe) % p).any(axis=2)
+        bad |= (((xx @ left).reshape(-1, n, n) - ex @ ex) % p).any(axis=2)
+        if bad.any():
+            r, j = np.unravel_index(int(bad.argmax()), bad.shape)
+            return Report(False, label=name, witness=tuple(int(v) for v in x[r]) + (int(j),))
     return Report(True, details=[{"name": name, "status": "pass"}])
 
 

@@ -29,18 +29,16 @@ Products are taken in integers: the basis is multiplied by lam, the lcm of
 its denominators (1 over GF(p)), so a product is lam^2 times its value.  As
 the basis is in RREF, the coordinates of a product P are its entries at the
 pivot columns, and P is in the span exactly when
-lam * P == P[:, pivots] @ (lam * basis), mod p over GF(p).  The
-condition 1/2 checks compare products of basis pairs the same way.
+lam * P == P[:, pivots] @ (lam * basis), mod p over GF(p).
 
-Both take the products of a block of left basis pairs s against all pairs t
-at once, in the manner of FFLAS-FFPACK (Dumas, Giorgi & Pernet 2008): one
-batched matmul per term, and for the closure one matmul checking the whole
+The closure takes the products of a block of left basis pairs s against
+all pairs t at once, in the manner of FFLAS-FFPACK (Dumas, Giorgi & Pernet
+2008): one batched matmul per term, and one matmul checking the whole
 block.  A block holds as many s as BLOCK_CELLS cells of products hold, m
 times the flattened width per s, and at least one.  Blocks run in order of
-s, so the first escaping pair or differing (s, t, col) is the first in
-s-major order, as pair by pair.  The budget comes from a sweep of the
-closure loop alone, one s at a time -> 2^14 cells, one BLAS thread: over
-GF(5) the zero Leibniz algebras at dims 6, 5 and 4 (m = 72, 50, 32) 10.2 ->
+s, so the first escaping pair is the first in s-major order, as pair by
+pair.  The budget comes from a sweep of the closure loop alone, one s at a
+time -> 2^14 cells, one BLAS thread: over GF(5) the zero Leibniz algebras at dims 6, 5 and 4 (m = 72, 50, 32) 10.2 ->
 7.9, 6.7 -> 3.0 and 1.9 -> 0.76 ms, the zero associative one at dim 6
 (m = 72) 8.7 -> 6.8 ms and the abelian Lie one at dim 6 (m = 36) 2.9 ->
 1.2 ms; over Q the zero Leibniz algebra at dim 4 1.7 -> 0.57 ms.  2^13
@@ -48,8 +46,8 @@ leaves the Leibniz m = 72 at 10.0 ms, and 2^16 makes it slower than one s
 at a time, 11.6 ms (Intel Xeon, numpy 2.4 with OpenBLAS).
 
 The candidate keeps its span, whose basis is the nullspace's integer array
-over its denominator, and two integer arrays: the integer pairs, which the
-condition checks reuse, and the structure constants times lam^2 as
+over its denominator, and two integer arrays: the integer pairs and the
+structure constants times lam^2 as
 linalg.exact_ints gives them (reduced mod p over GF(p)).  Its field scalars
 are built from those on first read (linalg.lazy): maps, the basis pairs as
 Matrices over lam, and tensor, the constants over lam^2; action_pair's left
@@ -60,11 +58,15 @@ integer tensor, and states once, as Blocks.closed, which blocks of
 witnesses hold on every candidate of the kind: per tag of the source
 suite, the all-A block, every block with one candidate label, and those
 with more that KIND_TABLE proves, with each proof on its row
-(_closed_blocks).  The pipeline's semidirect suite reads those blocks,
-never a dense (N, N, N) array, evaluates none of the closed ones, so a
-Lie verdict evaluates no block at all, and reads its witness sides off the
-same blocks: no verdict builds a field scalar of the candidate, its action
-or the product.
+(_closed_blocks).  ActorAlgebra.semidirect_blocks builds them once per
+candidate.  The pipeline's semidirect suite reads those blocks, never a
+dense (N, N, N) array, evaluates none of the closed ones, so a Lie verdict
+evaluates no block at all, and reads its witness sides off the same blocks:
+no verdict builds a field scalar of the candidate, its action or the
+product.  Conditions 1 and 2 are identity rows too, on the witnesses (s, t,
+col) of the same product's B x B x A block (_CONDITIONS), read by the
+suite's sweep and witness reader, algebra._row_failure, with every other
+block closed.
 
 factor_through_actor expresses an action on the candidate's target in the
 candidate's basis, and is the one place that checks the action's algebra
@@ -77,8 +79,8 @@ so each matmul is an exact BLAS dgemm, then int64, then Python ints.  The
 module keeps no dtype or residue code of its own: differences are tested by
 linalg.nonzero_mod, residues taken by linalg.exact_ints, and every value
 handed back to exact code leaves numpy as Python ints, never as floats: the
-constraint rows through Matrix.from_ints, the structure constants, the
-action and condition witnesses through linalg.scalar_tuples.
+constraint rows through Matrix.from_ints, the structure constants and the
+action through linalg.scalar_tuples.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ from .algebra import (
     InputError,
     _index_slices,
     _np_term,
+    _row_failure,
     algebra_from_json,
     annihilator,
     derived_subspace,
@@ -236,6 +239,15 @@ class ActorAlgebra:
     def dim(self) -> int:
         return self.span.dim
 
+    @functools.cached_property
+    def semidirect_blocks(self) -> tuple[int, Blocks]:
+        """semidirect_tensor(self), built once and read by the semidirect
+        suite and the condition checks.  Shared, so read-only."""
+        lam, blocks = semidirect_tensor(self)
+        for arr in blocks[:4]:
+            arr.flags.writeable = False
+        return lam, blocks
+
     def as_algebra(self) -> Algebra:
         names = tuple(f"{self.kind}{i}" for i in range(self.dim))
         return Algebra(self.target.field, self.dim, names, lambda: self.tensor,
@@ -363,21 +375,12 @@ def _multiplier_rows(A: Algebra):
     return _assemble(A, "mult")
 
 
-# the most cells of products one block of basis pairs s takes at once, in
-# the closure and the condition checks; the module docstring gives the sweep
+# the most cells of products one block of basis pairs s takes at once in
+# the closure; the module docstring gives the sweep
 BLOCK_CELLS = 2 ** 14
 
-# the products compared by the two existence conditions:
-# (details key, label, lhs, rhs)
-_CONDITIONS = {
-    1: ("bider_dim", "[phi,[a,phi']] = -[phi,[phi',a]]", "aLbR", "-aLbL"),
-    2: ("bim_dim", "f*(a*f') = (f*a)*f'", "aLbR", "bRaL"),
-}
-
-# the most products summed into one entry of anything compared below
-_CLOSURE_TERMS = max(
-    [len(_signed(t)) for k in KIND_TABLE.values() for t in (k.bracket, k.right)]
-    + [len(_signed(lhs)) + len(_signed(rhs)) for _, _, lhs, rhs in _CONDITIONS.values()])
+# the most products summed into one entry of a bracket
+_CLOSURE_TERMS = max(len(_signed(t)) for k in KIND_TABLE.values() for t in (k.bracket, k.right))
 
 
 def _integer_pairs(kind: str, basis: Matrix, n: int):
@@ -692,26 +695,35 @@ def crossed_module_check(d: Matrix, act: ActionPair) -> Report:
 # actions at once.  This reduction is the whole point of the module.
 
 
+# the two existence conditions as identity rows on the witnesses (s, t, col)
+# of the semidirect product, parts (0, 0, 1): basis pairs s and t of the
+# candidate and a basis vector col of A, so s*(col*t) is column col of
+# L_s R_t, s*(t*col) of L_s L_t and (s*col)*t of R_t L_s: (details key, row)
+_CONDITIONS = {
+    1: ("bider_dim", ("[phi,[a,phi']] = -[phi,[phi',a]]", [(1, "R", (0, 2, 1))],
+                      [(-1, "R", (0, 1, 2))])),
+    2: ("bim_dim", ("f*(a*f') = (f*a)*f'", [(1, "R", (0, 2, 1))], [(1, "L", (0, 2, 1))])),
+}
+
+# every block of witnesses of three labels but B x B x A, which the rows
+# above name
+_BBA_ONLY = frozenset(np.ndindex((2,) * 3)) - {(0, 0, 1)}
+
+
 def _condition_check(which: int, actor: ActorAlgebra) -> Report:
-    """Condition `which` on every pair (s, t) of basis pairs; the witness is
-    the first (s, t, col) at which the two sides differ in column col."""
-    key, label, lhs_text, rhs_text = _CONDITIONS[which]
+    """Condition `which` on every pair (s, t) of basis pairs: its row on
+    the B x B x A block of actor.semidirect_blocks, by the suite's sweep.
+    The witness is the first (s, t, col) at which the two sides differ in
+    column col, and the sides are those columns."""
+    key, row = _CONDITIONS[which]
     details = [{key: actor.dim}]
-    f = actor.target.field
-    lam, b = actor.pairs
-    n = actor.target.dim
-    for block in _index_slices(actor.dim, actor.dim * n * n, BLOCK_CELLS):
-        lhs = _pair_products(b, lhs_text, block)
-        rhs = _pair_products(b, rhs_text, block)
-        # (s, t, col): column col of the product at (block.start + s, t) differs
-        differs = nonzero_mod(lhs - rhs, f.p).any(axis=2)
-        if differs.any():
-            s, t, col = (int(x) for x in np.unravel_index(differs.argmax(), differs.shape))
-            return Report(False, label=label, witness=(block.start + s, t, col),
-                          lhs=scalar_tuples(f, lam * lam, exact_ints(lhs[s, t, :, col], f.p)),
-                          rhs=scalar_tuples(f, lam * lam, exact_ints(rhs[s, t, :, col], f.p)),
-                          details=details)
-    return Report(True, details=details)
+    m = actor.dim
+    rep = _row_failure(actor.target.field, actor.semidirect_blocks, row, _BBA_ONLY)
+    if rep is None:
+        return Report(True, details=details)
+    s, t, col = rep.witness
+    return Report(False, label=rep.label, witness=(s, t, col - m), lhs=lambda: rep.lhs[m:],
+                  rhs=lambda: rep.rhs[m:], details=details)
 
 
 def condition1_check(A: Algebra, bider: ActorAlgebra | None = None) -> Report:

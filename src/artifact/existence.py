@@ -22,12 +22,16 @@ with no evaluation.  For an associative one only B x A x B runs, the
 products condition 2 compares; a commutative one runs that block and
 A x B x B of associativity and B x B of commutativity, each asking whether
 the multipliers commute; a Leibniz one runs every block with two or three
-candidate indices, the all-candidate one swept only up to the first
-failure of the others.  A failing suite reads its witness sides off the
-same blocks, and only when they are read.  The candidate's maps and tensor,
-its induced action and the semidirect product are built on first read, so
-no verdict makes a field scalar of the candidate, its action or the
-product.  actions.crosscheck_semidirect keeps the dense route, on the
+candidate indices.  The open blocks are swept together, a few leading
+indices at a time, so a failure near the start stops them all.  Conditions
+1 and 2 are rows on the B x B x A block of their candidate's product, read
+by the same sweep off blocks built once per candidate
+(ActorAlgebra.semidirect_blocks): for a Leibniz or associative A the very
+blocks the suite reads.  A failing suite reads its witness sides off the
+same blocks, and only when they are read.  The candidate's maps and
+tensor, its induced action and the semidirect product are built on first
+read, so no verdict makes a field scalar of the candidate, its action or
+the product.  actions.crosscheck_semidirect keeps the dense route, on the
 eagerly built product, as the independent oracle.
 """
 
@@ -47,7 +51,6 @@ from .constructions import (
     derivations,
     factor_through_actor,  # re-exported
     multipliers,
-    semidirect_tensor,
     sufficient_conditions,
     zero_actor,
 )
@@ -135,7 +138,7 @@ def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
     prod = semidirect(act)
     # the suite and its witness sides run on the product's integer blocks,
     # never on its scalars
-    beta = identity_suite(prod, A.category, c=semidirect_tensor(actor))
+    beta = identity_suite(prod, A.category, c=actor.semidirect_blocks)
     # the multiplier candidate's right component is its left one, so b*a =
     # a*b holds by construction, and the suite above leaves those blocks of
     # the commutativity row closed

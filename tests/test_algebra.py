@@ -16,7 +16,7 @@ from artifact.algebra import (CATEGORIES, IDENTITY_TAGS, Algebra, InputError,
                               make_algebra, quotient)
 from artifact.corpus import (_conjugate, _rand_invertible, a5_leibniz, abelian,
                              diagonal_algebra, dual_numbers, heisenberg,
-                             m2_rationals, sl2, zero_algebra)
+                             m2_rationals, sl2, truncated_poly, zero_algebra)
 from artifact.fields import GF, QQ
 from artifact.linalg import Matrix, basis_vector, vec_add, vec_sub, vec_zero
 from artifact.reporting import Report
@@ -506,9 +506,10 @@ def test_alternative_char2_exhaustive_cap():
     a = zero_algebra(GF(2), 17, "raw")
     with pytest.raises(InputError):
         check_identity(a, "alternative")
-    # under the cap the exhaustive path runs
-    b = zero_algebra(GF(2), 3, "raw")
-    assert check_identity(b, "alternative").passed
+    # under the cap the exhaustive path runs, up to dim 16: 2^16 vectors
+    # against 16 basis vectors, on arrays
+    for n in (3, 16):
+        assert check_identity(zero_algebra(GF(2), n, "raw"), "alternative").passed
 
 
 def test_alternative_char2_catches_quadratic_failure():
@@ -540,6 +541,47 @@ def brute_alternative_char2(a):
             if a.multiply(x, yy) != a.multiply(a.multiply(x, y), y):
                 return False
     return True
+
+
+def loop_alternative_char2(a):
+    """Oracle: the per-vector loop of the char-2 quadratic laws, x(xy) =
+    (xx)y and (yx)x = y(xx) for every vector x against every basis y, by
+    Algebra.multiply; the Report of the first failing coords + (j,)."""
+    f, n = a.field, a.dim
+    name = "char-2 exhaustive: (xx)y=x(xy), y(xx)=(yx)x"
+    for coords in itertools.product(range(f.p), repeat=n):
+        x = tuple(f.from_int(c) for c in coords)
+        xx = a.multiply(x, x)
+        for j in range(n):
+            ey = basis_vector(f, n, j)
+            if a.multiply(xx, ey) != a.multiply(x, a.multiply(x, ey)):
+                return Report(False, label=name, witness=coords + (j,))
+            if a.multiply(ey, xx) != a.multiply(a.multiply(ey, x), x):
+                return Report(False, label=name, witness=coords + (j,))
+    return Report(True, details=[{"name": name, "status": "pass"}])
+
+
+def test_alternative_char2_arrays_equal_the_per_vector_loop():
+    # 300 random GF(2) tensors at dims 1-5, sparse enough that some pass,
+    # associative ones, which pass, and dim 0
+    f = GF(2)
+    rng = random.Random(11)
+    algebras = [zero_algebra(f, n, "raw") for n in (0, 1, 2, 5)]
+    for _ in range(300):
+        n, density = rng.randint(1, 5), rng.choice((0.05, 0.2, 0.5))
+        tensor = [[[f.from_int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+                  for _ in range(n)]
+        algebras.append(make_algebra(f, [f"e{i}" for i in range(n)], tensor, "raw"))
+    m2 = m2_rationals()
+    algebras += [dual_numbers(f), truncated_poly(f, 3),
+                 make_algebra(f, m2.basis, [[[f.from_int(int(x)) for x in v] for v in plane]
+                                            for plane in m2.tensor], "raw")]
+    passed = 0
+    for a in algebras:
+        want = loop_alternative_char2(a)
+        assert algebra._alternative_char2_exhaustive(a) == want, a.tensor
+        passed += want.passed
+    assert 10 < passed < len(algebras) - 100
 
 
 def test_zero_dimensional_algebra_is_legal():

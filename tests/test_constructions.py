@@ -361,10 +361,11 @@ def test_condition_witnesses_equal_per_pair_matmul_oracle():
     assert failures == 15
 
 
-# Block boundaries.  The closure and the condition checks take the products
-# of a block of basis pairs s at once, as many s as BLOCK_CELLS holds.  A
-# budget of one cell makes every block a single s; a budget of two s makes
-# blocks of two with a remainder of one when m is odd.
+# Block boundaries.  The closure takes the products of a block of basis
+# pairs s at once, as many s as BLOCK_CELLS holds.  A budget of one cell
+# makes every block a single s; a budget of two s makes blocks of two with a
+# remainder of one when m is odd.  The condition checks step through s as
+# the suite's sweep does, as many s as algebra.SWEEP_CELLS holds.
 
 
 def _first_escape(field, rows):
@@ -412,13 +413,20 @@ def test_constants_and_condition_reports_do_not_depend_on_the_block_size(monkeyp
         monkeypatch.setattr(constructions, "BLOCK_CELLS", default)
         actor = build(a)
         want = check(a, actor)
-        # one s per block, then two per block with a remainder when m is odd
+        # the closure: one s per block, then two per block with a remainder
+        # when m is odd
         width = actor.pairs[1][0].size
         for cells in (1, 2 * actor.dim * width):
             monkeypatch.setattr(constructions, "BLOCK_CELLS", cells)
             got = build(a)
             assert got.tensor == actor.tensor
-            rep = check(a, got)
+        # the condition, on the sweep of B x B x A: one cell a step, two
+        # leading indices s a step (m n^2 cells each), and the default
+        n = a.dim
+        for cells in (1, 2 * actor.dim * n * n, algebra.SWEEP_CELLS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(algebra, "SWEEP_CELLS", cells)
+                rep = check(a, actor)
             assert rep == want and rep.to_json(a.field.to_json) == want.to_json(a.field.to_json)
 
 
@@ -846,6 +854,50 @@ def test_a_bimultiplier_suite_evaluates_only_bab(a):
         lambda: identity_suite(prod, "associative", c=semidirect_tensor(actor)))
     assert calls == ([(0, 1, 0)] if actor.dim and a.dim else [])
     assert rep == identity_suite(prod, "associative")
+
+
+def _np_failing_rows(run):
+    """The leading part and leading indices, as a range within that part,
+    of every call algebra._np_failing makes while run() runs, and run()'s
+    result."""
+    calls = []
+    real = algebra._np_failing
+
+    def spy(t, p, terms, parts, rows, *cols):
+        calls.append((parts[0], range(*rows.indices(t.dims[parts[0]]))))
+        return real(t, p, terms, parts, rows, *cols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_np_failing", spy)
+        return calls, run()
+
+
+@pytest.mark.parametrize("cells", [1, algebra.SWEEP_CELLS])
+def test_a_failing_row_evaluates_no_leading_index_past_its_witness(monkeypatch, cells):
+    # the open blocks step through the leading indices together, so every
+    # step starts at or before the witness's leading index within its part,
+    # and none leads in a later part; at one cell a step each step is one
+    # leading index, so none lies past the witness's
+    monkeypatch.setattr(algebra, "SWEEP_CELLS", cells)
+    runs = []
+    for category, build in (("leibniz", biderivations), ("associative", bimultipliers)):
+        a = zero_algebra(GF(5), 6, category)
+        actor = build(a)
+        prod = semidirect(actor.action_pair())
+        runs.append((actor.dim, lambda c=category, p=prod, x=actor:
+                     identity_suite(p, c, c=semidirect_tensor(x)).witness))
+    # condition 1's witness (s, t, col) leads with s, in the candidate's part
+    a = zero_algebra(GF(5), 3, "leibniz")
+    actor = biderivations(a)
+    runs.append((None, lambda: condition1_check(a, actor).witness))
+    for m, run in runs:
+        calls, witness = _np_failing_rows(run)
+        assert witness is not None and calls
+        lead = 0 if m is None else int(witness[0] >= m)
+        index = witness[0] - (m or 0) * lead
+        for part, rows in calls:
+            assert part < lead or (part == lead and rows.start <= index), (m, part, rows, witness)
+            assert cells > 1 or part < lead or rows.stop - 1 <= index, (m, part, rows, witness)
 
 
 def test_kind_category_guards():
