@@ -44,7 +44,9 @@ by the row's degree, when the Report's fields are first read: a rejection
 draw or a verdict reads only the label and the witness.
 _np_term is the one evaluator of a row and _row_failure the one reader of
 its witness: here, for the condition 1/2 rows of constructions on the
-product's B x B x A block, and (_np_term) in its constraint assembly.
+product's B x B x A block, for the two replacement-word rows of
+words.validate_word_on_algebra, whose integer coefficients its caller
+counts in the rung's bound, and (_np_term) in the constraint assembly.
 
 An Algebra's tensor may be given as a function that builds it on first read
 (linalg.lazy): a candidate's own algebra and the semidirect product are
@@ -312,15 +314,20 @@ def _np_term(t: Blocks, shape: str, perm: tuple, parts: tuple, rows: slice,
 
 def _np_failing(t: Blocks, p: Optional[int], terms, parts: tuple, rows: slice,
                 cols: slice = _ALL) -> np.ndarray:
-    """Flags over the witnesses of _np_term's block where the signed terms
-    sum to a nonzero vector (mod p, if p is set), indexed [x0, x1(, x2)]."""
+    """Flags over the witnesses of _np_term's block where the terms, each
+    times its integer coefficient, sum to a nonzero vector (mod p, if p is
+    set), indexed [x0, x1(, x2)].  A coefficient of +-1 adds or subtracts
+    in place; any other costs one multiply."""
     sign, shape, perm = terms[0]
     acc = sign * _np_term(t, shape, perm, parts, rows, cols)  # a fresh array, never a view of t
     for sign, shape, perm in terms[1:]:
-        if sign > 0:
-            acc += _np_term(t, shape, perm, parts, rows, cols)
+        term = _np_term(t, shape, perm, parts, rows, cols)
+        if sign == 1:
+            acc += term
+        elif sign == -1:
+            acc -= term
         else:
-            acc -= _np_term(t, shape, perm, parts, rows, cols)
+            acc += sign * term
     return nonzero_mod(acc, p).any(axis=-1)
 
 

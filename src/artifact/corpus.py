@@ -36,7 +36,7 @@ from .constructions import ConstructionError
 from .existence import actor_pipeline
 from .fields import QQ, Field, PrimeField
 from .groups import CapError
-from .linalg import Matrix
+from .linalg import Matrix, exact_ints, magnitude, rung, scalar_tuples
 
 _ATTEMPTS = 50000  # rejection bound per draw; a Q rejection draw can use it up
 
@@ -154,20 +154,23 @@ def _rand_invertible(rng, field, n) -> Matrix:
 
 
 def _conjugate(a: Algebra, p: Matrix) -> Algebra:
-    """Transport a's tensor along the basis whose columns are p."""
-    n = a.dim
-    cols = [p.col(i) for i in range(n)]
+    """Transport a's tensor along the basis whose columns are p.  The
+    products of the new basis vectors, c(P e_i, P e_j), are one exact
+    contraction of a.integer_tensor with P's integers, on the rung of its
+    bound; each is then solved for its coordinates in the new basis."""
+    f, n = a.field, a.dim
+    lam, c = a.integer_tensor
+    mu, q = p.scaled()
+    dtype = rung(n * n * magnitude(q) ** 2 * magnitude(c))
+    c, q = exact_ints(c).astype(dtype), q.astype(dtype)
+    v = q.T @ (q.T @ c.reshape(n, n * n)).reshape(n, n, n)  # [i, j, k]
     tensor = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = a.multiply(cols[i], cols[j])
-            coords = p.solve(v)
-            if coords is None:
-                raise RuntimeError("change of basis is not invertible")
-            row.append(tuple(coords))
-        tensor.append(tuple(row))
-    return make_algebra(a.field, a.basis, tuple(tensor), a.category)
+    for row in scalar_tuples(f, lam * mu * mu, exact_ints(v, f.p)):
+        coords = [p.solve(x) for x in row]
+        if None in coords:
+            raise RuntimeError("change of basis is not invertible")
+        tensor.append(tuple(coords))
+    return make_algebra(f, a.basis, tuple(tensor), a.category)
 
 
 def _embed_block(field, n, block: Algebra) -> tuple:

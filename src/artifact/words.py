@@ -9,8 +9,9 @@ Three kinds of questions are answered here: whether the words cover the
 four fixed target pairs of monomials (directly or modulo (anti)commutative
 rewriting), whether a W2 word is (anti)symmetric under swapping y and z,
 and whether the two rewrite orders of a four-variable juxtaposition agree
-after bounded rewriting.  A fourth operation grounds the symbolic layer by
-evaluating words against a concrete structure tensor.
+after bounded rewriting.  A fourth operation grounds the symbolic layer on
+a concrete structure tensor: the two words are two identity rows, run on
+the identity suite's kernel (algebra._row_failure), exact on every field.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, InputError
-from .linalg import basis_vector, vec_add, vec_scale, vec_zero
+from .algebra import Algebra, Blocks, InputError, _row_failure
+from .linalg import exact_ints, on_rung
 from .reporting import Report
 
 # Monomial: ("R", (u, v, w)) is u*(v*w); ("L", (u, v, w)) is (u*v)*w
@@ -396,42 +397,42 @@ def expand_condition4(w1: Word, w2: Word, depth: int = 3, mode: str = "plain") -
 # grounding words against a concrete structure tensor
 
 
-def _coef_scalar(field, c: Fraction):
-    num = field.from_int(c.numerator)
-    if c.denominator == 1:
-        return num
-    return field.div(num, field.from_int(c.denominator))
+# the slots of a word as the labels of a witness (i, j, k): y = e_i, z = e_j,
+# x = e_k, so witnesses come in the order of the basis triples (y, z, x)
+_LABELS = {"y": 0, "z": 1, "x": 2}
+
+
+def _word_row(name: str, lhs: list, word: Word, p) -> tuple:
+    """The identity lhs = word as a row (name, lhs, rhs) of IDENTITIES'
+    format, its coefficients as ints: over GF(p) residues centred on 0, so
+    that +-1 stay +-1."""
+    rhs = []
+    for coef, (shape, slots) in word.terms:
+        if coef.denominator != 1:
+            raise InputError(f"word coefficient {coef} is not an integer")
+        c = int(coef) if p is None else (int(coef) + p // 2) % p - p // 2
+        rhs.append((c, shape, tuple(_LABELS[s] for s in slots)))
+    return name, lhs, rhs
 
 
 def validate_word_on_algebra(a: Algebra, w1: Word, w2: Word) -> Report:
-    """Check (y*z)*x = w1 and x*(y*z) = w2 on all basis triples of a."""
-    f = a.field
-    n = a.dim
+    """Check (y*z)*x = w1 and x*(y*z) = w2 on all basis triples of a.
 
-    def eval_word(word, vy, vz, vx):
-        sub = {"y": vy, "z": vz, "x": vx}
-        out = vec_zero(f, n)
-        for coef, (shape, (u, v, w)) in word.terms:
-            if shape == "R":
-                val = a.multiply(sub[u], a.multiply(sub[v], sub[w]))
-            else:
-                val = a.multiply(a.multiply(sub[u], sub[v]), sub[w])
-            out = vec_add(f, out, vec_scale(f, _coef_scalar(f, coef), val))
-        return out
-
-    for i, j, k in itertools.product(range(n), repeat=3):
-        vy, vz, vx = (basis_vector(f, n, idx) for idx in (i, j, k))
-        lhs = a.multiply(a.multiply(vy, vz), vx)
-        rhs = eval_word(w1, vy, vz, vx)
-        if lhs != rhs:
-            return Report(False, label="(y*z)*x = W1(y,z;x)", witness=(i, j, k),
-                          lhs=lhs, rhs=rhs)
-        lhs = a.multiply(vx, a.multiply(vy, vz))
-        rhs = eval_word(w2, vy, vz, vx)
-        if lhs != rhs:
-            return Report(False, label="x*(y*z) = W2(y,z;x)", witness=(i, j, k),
-                          lhs=lhs, rhs=rhs)
-    return Report(True)
+    Each is an identity row, read by the suite's kernel
+    (algebra._row_failure) on a.integer_tensor; the Report is that of the
+    row whose first failing triple comes first, w1's on a tie."""
+    p, n = a.field.p, a.dim
+    rows = (_word_row("(y*z)*x = W1(y,z;x)", [(1, "L", (0, 1, 2))], w1, p),
+            _word_row("x*(y*z) = W2(y,z;x)", [(1, "R", (2, 0, 1))], w2, p))
+    # a difference adds 1 + sum|c| terms, each a sum of n products of two
+    # entries; max(big, 1) keeps each coefficient itself on the rung, even
+    # on the zero tensor
+    weight = max(sum(abs(c) for c, _, _ in rhs) for _, _, rhs in rows)
+    lam, ints = a.integer_tensor
+    t = Blocks(on_rung(exact_ints(ints), lambda big: (1 + weight) * n * max(big, 1) ** 2))
+    fails = [rep for row in rows
+             if (rep := _row_failure(a.field, (lam, t), row, frozenset())) is not None]
+    return min(fails, key=lambda rep: rep.witness, default=Report(True))
 
 
 # canonical replacement words per category; lie and leibniz share shapes

@@ -293,6 +293,16 @@ def test_matmul_terms_equal_the_einsum_oracle(dtype):
                             assert (cell == want[i:i + 1, j:j + 2]).all(), (shape, perm, parts)
 
 
+# rows with integer coefficients other than +-1, as words.validate_word_on_algebra
+# makes them: a term may weigh 0, and two weighted terms may cancel
+WEIGHTED_ROWS = [
+    ("(xy)z = 2 x(yz) - 3 (yx)z", [(1, "L", (0, 1, 2))],
+     [(2, "R", (0, 1, 2)), (-3, "L", (1, 0, 2)), (0, "R", (2, 1, 0))]),
+    ("z(xy) = 5 (zx)y - 5 (zx)y + 2 (zy)x", [(1, "R", (2, 0, 1))],
+     [(5, "L", (2, 0, 1)), (-5, "L", (2, 0, 1)), (2, "L", (2, 1, 0))]),
+]
+
+
 @pytest.mark.parametrize("cells", [1, 5, 40, algebra.SWEEP_CELLS])
 def test_first_failure_is_the_first_flagged_witness_of_the_dense_oracle(monkeypatch, cells):
     # sparse random Blocks, so that failures start late in a block; at small
@@ -306,7 +316,7 @@ def test_first_failure_is_the_first_flagged_witness_of_the_dense_oracle(monkeypa
             b, a = slice(m), slice(m, m + n)
             t = algebra.Blocks(*(c[b, b, b], c[b, a, a], c[a, b, a], c[a, a, a]) if n else (c,))
             lead_in_a = np.arange(m + n) >= m
-            for tag, rows in algebra.IDENTITIES.items():
+            for tag, rows in list(algebra.IDENTITIES.items()) + [("weighted", WEIGHTED_ROWS)]:
                 for _, lhs, rhs in rows:
                     terms = lhs + [(-s, shape, perm) for s, shape, perm in rhs]
                     k = len(terms[0][2])

@@ -172,6 +172,16 @@ def test_words_symmetry_and_cond4_and_validate():
     assert code == 0 and payload["passed"] is True
 
 
+def test_words_validate_failure_bytes_are_pinned():
+    # the Lie W1 holds on sl2, and a W2 with a coefficient of 3 fails first
+    # at (y, z, x) = (e, e, f)
+    proc = run_cli("words", "validate", "--algebra", fixture_path("sl2.json"),
+                   "--w1", W1, "--w2", "(x*y)*z - 3*(x*z)*y")
+    assert proc.returncode == 1
+    assert proc.stdout == ('{"label": "x*(y*z) = W2(y,z;x)", "lhs": [0, 0, 0], '
+                           '"passed": false, "rhs": [4, 0, 0], "witness": [0, 0, 1]}\n')
+
+
 def test_group_subcommands():
     code, payload = run_json("group", "aut", fixture_path("s3.json"))
     assert code == 0 and payload["order"] == 6

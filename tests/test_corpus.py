@@ -3,11 +3,13 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from artifact import cli, corpus
-from artifact.algebra import InputError, identity_suite
+from artifact import cli, corpus, linalg
+from artifact.algebra import InputError, identity_suite, make_algebra
 from artifact.constructions import ClosureError
 from artifact.corpus import (a5_leibniz, abelian, dual_numbers,
                              generate_atlas, heisenberg, m2_rationals,
@@ -162,3 +164,42 @@ def test_sampler_bytes_are_pinned(field_name, category):
 def test_sampler_refuses_bad_requests(dim, category):
     with pytest.raises(InputError):
         sample_algebra(random.Random(0), GF(5), dim, category)
+
+
+def _loop_conjugate(a, p):
+    """Oracle for corpus._conjugate: each product c(P e_i, P e_j) by
+    Algebra.multiply, solved for its coordinates in the new basis."""
+    cols = [p.col(i) for i in range(a.dim)]
+    return tuple(tuple(p.solve(a.multiply(u, v)) for v in cols) for u in cols)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(2 ** 61 - 1), QQ], ids=str)
+def test_conjugate_equals_the_per_pair_product_loop(monkeypatch, field):
+    # random tensors and changes of basis at dims 1-4; over Q entries up to
+    # 2^24 and 3^40 / 7, and over GF(2^61 - 1) residues near p, put the
+    # contraction on every rung
+    rungs = []
+    monkeypatch.setattr(corpus, "rung", lambda top: rungs.append(linalg.rung(top)) or rungs[-1])
+    rng = random.Random(4)
+    for n in (1, 2, 3, 4):
+        for trial in range(6):
+            if field is QQ:
+                top = (9, 2 ** 24, 3 ** 40)[trial % 3]
+                scalars = [Fraction(rng.randrange(-top, top + 1), rng.choice((1, 2, 7)))
+                           for _ in range(8)]
+            else:
+                scalars = [rng.randrange(field.p) for _ in range(8)] + [field.p - 1]
+            tensor = [[[rng.choice(scalars + [field.zero]) for _ in range(n)]
+                       for _ in range(n)] for _ in range(n)]
+            a = make_algebra(field, corpus._names(n), tensor, "raw")
+            p = corpus._rand_invertible(rng, field, n)
+            if field is QQ:
+                p = linalg.Matrix(QQ, tuple(tuple(rng.choice(scalars) if i < j else x
+                                                  for j, x in enumerate(row))
+                                            for i, row in enumerate(p.rows)))
+                if p.rank() < n:
+                    continue
+            assert corpus._conjugate(a, p).tensor == _loop_conjugate(a, p), (n, trial)
+    expected = {np.float64} if field.p in (2, 5) else {object} if field.p else \
+        {np.float64, np.int64, object}
+    assert set(rungs) == expected

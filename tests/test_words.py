@@ -1,6 +1,9 @@
 """Replacement words: parsing, canonicalization, coverage, symmetry, cond4."""
 
+import itertools
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,9 +12,11 @@ from artifact.corpus import (a5_leibniz, dual_numbers, heisenberg,
                              m2_rationals, diagonal_algebra, sl2,
                              strict_upper3, zero_algebra)
 from artifact.fields import GF, QQ
+from artifact.linalg import basis_vector, vec_add, vec_scale, vec_zero
+from artifact.reporting import Report
 from artifact.words import (ASSOCIATIVE_W1, ASSOCIATIVE_W2,
                             COMMUTATIVE_EXAMPLE_W2, LEIBNIZ_W1, LEIBNIZ_W2,
-                            LIE_W1, LIE_W2, T_SET, canon_monomial,
+                            LIE_W1, LIE_W2, T_SET, Word, canon_monomial,
                             check_swap_symmetry, check_T_coverage,
                             expand_condition4, parse_word,
                             validate_word_on_algebra)
@@ -180,3 +185,91 @@ GROUNDING_ALGEBRAS = [
 def test_word_validation_agrees_with_identity_check(a, w1, w2, tag):
     assert validate_word_on_algebra(a, w1, w2).passed == \
         check_identity(a, tag).passed
+
+
+# ---------------------------------------------------------------------------
+# grounding words: the suite kernel's rows against a per-basis-triple loop
+
+
+def _loop_validate(a, w1, w2):
+    """Oracle: (y*z)*x = w1 and x*(y*z) = w2 by Algebra.multiply on each
+    basis triple in turn, w1 before w2 on each."""
+    f, n = a.field, a.dim
+
+    def eval_word(word, vy, vz, vx):
+        sub = {"y": vy, "z": vz, "x": vx}
+        out = vec_zero(f, n)
+        for coef, (shape, (u, v, w)) in word.terms:
+            if shape == "R":
+                val = a.multiply(sub[u], a.multiply(sub[v], sub[w]))
+            else:
+                val = a.multiply(a.multiply(sub[u], sub[v]), sub[w])
+            out = vec_add(f, out, vec_scale(f, f.from_int(int(coef)), val))
+        return out
+
+    for i, j, k in itertools.product(range(n), repeat=3):
+        vy, vz, vx = (basis_vector(f, n, idx) for idx in (i, j, k))
+        lhs = a.multiply(a.multiply(vy, vz), vx)
+        rhs = eval_word(w1, vy, vz, vx)
+        if lhs != rhs:
+            return Report(False, label="(y*z)*x = W1(y,z;x)", witness=(i, j, k),
+                          lhs=lhs, rhs=rhs)
+        lhs = a.multiply(vx, a.multiply(vy, vz))
+        rhs = eval_word(w2, vy, vz, vx)
+        if lhs != rhs:
+            return Report(False, label="x*(y*z) = W2(y,z;x)", witness=(i, j, k),
+                          lhs=lhs, rhs=rhs)
+    return Report(True)
+
+
+# words that hold on every algebra, to find where the other row alone fails
+_HOLDS_W1, _HOLDS_W2 = parse_word("(y*z)*x", "W1"), parse_word("x*(y*z)", "W2")
+
+
+def _random_word(rng, side, p):
+    """0-3 terms, with coefficients past 2^63 and past float64's range and,
+    over GF(p), multiples of p."""
+    coefs = [1, 1, 2, 3, 10 ** 25, 2 ** 64 + 1, 10 ** 400] + ([p, 3 * p] if p else [])
+    text = " ".join(f"{rng.choice('+-')} {rng.choice(coefs)}*" + (
+        "{}*({}*{})" if rng.random() < 0.5 else "({}*{})*{}").format(
+            *rng.sample("xyz", 3)) for _ in range(rng.randrange(4)))
+    return parse_word(text or "0", side)
+
+
+def test_word_rows_on_the_kernel_equal_the_per_triple_loop():
+    # whole Report JSON on 1200 seeded (algebra, word pair) cases, over every
+    # kind of field at dims 0-4; the corpus must hold each case named below
+    seen = set()
+    for seed in range(1200):
+        rng = random.Random(seed)
+        f = rng.choice([GF(2), GF(3), GF(5), GF(2 ** 61 - 1), QQ])
+        n, density = rng.randrange(5), rng.random()
+        scalars = ([Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3))) for _ in range(9)]
+                   if f.p is None else [rng.randrange(f.p) for _ in range(9)])
+        tensor = [[[rng.choice(scalars) if rng.random() < density else f.zero
+                    for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        a = make_algebra(f, [f"e{i}" for i in range(n)], tensor, "raw")
+        w1, w2 = _random_word(rng, "W1", f.p), _random_word(rng, "W2", f.p)
+        want = _loop_validate(a, w1, w2)
+        assert validate_word_on_algebra(a, w1, w2).to_json(f.to_json) == \
+            want.to_json(f.to_json), seed
+        coefs = [abs(c) for w in (w1, w2) for c, _ in w.terms]
+        seen |= {("field", f.p), ("dim", n)} | {name for name, holds in (
+            ("empty word", not (w1.terms and w2.terms)),
+            ("past 2^63", any(c >= 2 ** 63 for c in coefs) and not want.passed),
+            ("0 mod p", f.p and any(c % f.p == 0 for c in coefs))) if holds}
+        if not want.passed:
+            first1 = _loop_validate(a, w1, _HOLDS_W2).witness
+            first2 = _loop_validate(a, _HOLDS_W1, w2).witness
+            if first1 == first2:
+                seen.add("tie")
+            elif None not in (first1, first2) and first2 < first1:
+                seen.add("W2 first")
+    assert seen >= {("field", p) for p in (2, 3, 5, 2 ** 61 - 1, None)} | {
+        ("dim", n) for n in range(5)} | {"empty word", "past 2^63", "0 mod p", "tie", "W2 first"}
+
+
+def test_word_coefficients_must_be_integers():
+    w1 = Word("W1", ((Fraction(1, 2), ("R", ("y", "z", "x"))),))
+    with pytest.raises(InputError):
+        validate_word_on_algebra(sl2(), w1, ASSOCIATIVE_W2)
