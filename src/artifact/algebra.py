@@ -46,7 +46,8 @@ _np_term is the one evaluator of a row and _row_failure the one reader of
 its witness: here, for the condition 1/2 rows of constructions on the
 product's B x B x A block, for the two replacement-word rows of
 words.validate_word_on_algebra, whose integer coefficients its caller
-counts in the rung's bound, and (_np_term) in the constraint assembly.
+counts in the rung's bound, and (_np_term) in the constraint assembly and
+in the candidate's closure, one term per product of its bracket.
 
 An Algebra's tensor may be given as a function that builds it on first read
 (linalg.lazy): a candidate's own algebra and the semidirect product are

@@ -29,21 +29,19 @@ Products are taken in integers: the basis is multiplied by lam, the lcm of
 its denominators (1 over GF(p)), so a product is lam^2 times its value.  As
 the basis is in RREF, the coordinates of a product P are its entries at the
 pivot columns, and P is in the span exactly when
-lam * P == P[:, pivots] @ (lam * basis), mod p over GF(p).
+lam * P == P[:, pivots] @ (lam * basis), mod p over GF(p).  At the pivot
+columns lam * basis is lam times the identity, so that holds there on every
+P, and the certificate reads the free columns alone, as linalg's tall
+elimination does; a candidate spanning every pair has none.
 
-The closure takes the products of a block of left basis pairs s against
-all pairs t at once, in the manner of FFLAS-FFPACK (Dumas, Giorgi & Pernet
-2008): one batched matmul per term, and one matmul checking the whole
-block.  A block holds as many s as BLOCK_CELLS cells of products hold, m
-times the flattened width per s, and at least one.  Blocks run in order of
-s, so the first escaping pair is the first in s-major order, as pair by
-pair.  The budget comes from a sweep of the closure loop alone, one s at a
-time -> 2^14 cells, one BLAS thread: over GF(5) the zero Leibniz algebras at dims 6, 5 and 4 (m = 72, 50, 32) 10.2 ->
-7.9, 6.7 -> 3.0 and 1.9 -> 0.76 ms, the zero associative one at dim 6
-(m = 72) 8.7 -> 6.8 ms and the abelian Lie one at dim 6 (m = 36) 2.9 ->
-1.2 ms; over Q the zero Leibniz algebra at dim 4 1.7 -> 0.57 ms.  2^13
-leaves the Leibniz m = 72 at 10.0 ms, and 2^16 makes it slower than one s
-at a time, 11.6 ms (Intel Xeon, numpy 2.4 with OpenBLAS).
+The products are the suite's terms: each product of a bracket text is one
+term of algebra._np_term on the witnesses (s, t, col) of the pairs' Blocks,
+the same ba and ab blocks the assembly and the semidirect product place
+(_pair_blocks), with the term map beside KIND_TABLE.  The closure takes a
+few s at a time against all t, as many as algebra.SWEEP_CELLS cells of
+products hold, m times the flattened width per s, and at least one, in
+order of s, so the first escaping pair is the first in s-major order, as
+pair by pair.
 
 The candidate keeps its span, whose basis is the nullspace's integer array
 over its denominator, and two integer arrays: the integer pairs and the
@@ -94,6 +92,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from . import algebra
 from .actions import ActionPair, conjugation_action
 from .algebra import (
     IDENTITIES,
@@ -114,6 +113,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _free_columns,
     basis_vector,
     exact_dtype,
     exact_ints,
@@ -187,6 +187,15 @@ KIND_TABLE = {
 
 KINDS = tuple(KIND_TABLE)
 
+# The term map.  A product xYzW of a bracket text is Y_x W_z, component Y
+# of pair x after component W of pair z, for x, z in {a, b}.  At e_c it is
+# one term of algebra._np_term on the pairs' Blocks, at the witnesses
+# (a, b, c) = labels (0, 1, 2) with parts (0, 0, 1): W_z(e_c) is z*c for L
+# and c*z for R, and Y_x(v) is x*v for L and v*x for R.  So xLzL is
+# ("R", (x, z, c)), xLzR ("R", (x, c, z)), xRzL ("L", (z, c, x)) and xRzR
+# ("L", (c, z, x)): aLbL is ("R", (0, 1, 2)), bRaR ("L", (2, 0, 1)), bRaL
+# ("L", (0, 2, 1)) and aLbR ("R", (0, 2, 1)).
+
 # right-component rules, as the sign s of R = sL: the binary row
 # x*y = s y*x of the source suite with b at x
 _FOLLOW = {"neg": -1, "same": 1}
@@ -256,16 +265,12 @@ class ActorAlgebra:
     def action_pair(self) -> ActionPair:
         """The action this candidate induces on its target: left by the left
         components, right by the right components.  left[b][j] is column j
-        of L_b and right[i][b] column i of R_b, both built from the integer
-        pairs on first read."""
-        f, kind, pairs = self.target.field, self.kind, self.pairs
-
-        def columns(which: int, axes: tuple):
-            return lambda: scalar_tuples(
-                f, pairs[0], _components(kind, pairs, f.p)[which].transpose(axes))
-
-        return ActionPair(self.as_algebra(), self.target, columns(0, (0, 2, 1)),
-                          columns(1, (2, 0, 1)))
+        of L_b and right[i][b] column i of R_b: the pairs' ba and ab blocks,
+        made field scalars on first read."""
+        f, (lam, ints) = self.target.field, self.pairs
+        ba, ab = _pair_blocks(self.kind, exact_ints(ints), f.p)
+        return ActionPair(self.as_algebra(), self.target, lambda: scalar_tuples(f, lam, ba),
+                          lambda: scalar_tuples(f, lam, ab))
 
     def member_coords(self, bm: BiMap) -> Vector | None:
         """Coordinates of a pair in the basis, or None if outside the span.
@@ -346,10 +351,7 @@ def _assemble(A: Algebra, kind: str) -> Matrix:
     # pair b's flattened coordinates are the unit vector e_b; no witness has
     # two indices in P, so bb is never read
     pairs = np.eye(width, dtype=c.dtype).reshape(width, -1, n, n)
-    left = pairs[:, 0]
-    right = pairs[:, 1] if follow is None else follow * left
-    t = Blocks(np.zeros((width, 0, 0), c.dtype), left.transpose(0, 2, 1),
-               right.transpose(2, 0, 1), c)
+    t = Blocks(np.zeros((width, 0, 0), c.dtype), *_pair_blocks(kind, pairs), c)
     rows = []
     for terms, slot in eqs:
         parts = tuple(int(x != slot) for x in range(3))
@@ -375,10 +377,6 @@ def _multiplier_rows(A: Algebra):
     return _assemble(A, "mult")
 
 
-# the most cells of products one block of basis pairs s takes at once in
-# the closure; the module docstring gives the sweep
-BLOCK_CELLS = 2 ** 14
-
 # the most products summed into one entry of a bracket
 _CLOSURE_TERMS = max(len(_signed(t)) for k in KIND_TABLE.values() for t in (k.bracket, k.right))
 
@@ -387,8 +385,8 @@ def _integer_pairs(kind: str, basis: Matrix, n: int):
     """lam and lam times the basis pairs as an integer (m, k, n, n) array: k
     is 1 (left components) or 2 (left, right) as in the flattened layout.
     The dtype covers the closure check, the largest value computed from it:
-    P[:, pivots] @ (lam * basis), each P entry a sum of _CLOSURE_TERMS * n
-    products."""
+    P[:, free] - P[:, pivots] @ (lam * basis)[:, free], each P entry a sum
+    of _CLOSURE_TERMS * n products."""
     m = basis.nrows
     k = 1 if KIND_TABLE[kind].right in _FOLLOW else 2
     lam, ints = basis.scaled()
@@ -396,55 +394,60 @@ def _integer_pairs(kind: str, basis: Matrix, n: int):
                         lambda big: (m + 1) * _CLOSURE_TERMS * n * big ** 3)
 
 
-def _pair_products(b: np.ndarray, text: str, block: slice) -> np.ndarray:
-    """text, a signed sum of products such as "aLbL - bLaL", at a = each basis
-    pair of the block and b = every basis pair t, from the integer pairs b of
-    _integer_pairs: a (block size, m, n, n) array whose [s, t] is lam^2 times
-    the value at pairs block.start + s and t."""
-    out = 0
-    for sign, term in _signed(text):
-        x, y = (b[block, "LR".index(tok[1]), None] if tok[0] == "a"
-                else b[None, :, "LR".index(tok[1])] for tok in (term[:2], term[2:]))
-        out = out + x @ y if sign > 0 else out - x @ y
-    return out
-
-
-def _components(kind: str, pairs, p) -> tuple[np.ndarray, np.ndarray]:
-    """lam times the left and right components of the integer pairs, two
-    exact integer (m, n, n) arrays, the right one reduced mod p over GF(p)
-    (+-L under _FOLLOW)."""
-    b = exact_ints(pairs[1])
+def _pair_blocks(kind: str, ints: np.ndarray, p=None) -> tuple[np.ndarray, np.ndarray]:
+    """The ba and ab blocks of algebra.Blocks that integer pairs ints, an
+    (m, k, n, n) array in the flattened layout, place: ba[b, j, r] = L_b[r][j]
+    and ab[i, b, r] = R_b[r][i], R = +-L under the kind's _FOLLOW rule.  In
+    the dtype of ints, views of it where the rule allows, and ab reduced
+    mod p when p is set, ints then exact integers."""
     sign = _FOLLOW.get(KIND_TABLE[kind].right)
-    left = b[:, 0]
-    right = b[:, 1] if sign is None else left if sign > 0 else -left
-    return left, exact_ints(right, p)
+    left = ints[:, 0]
+    right = ints[:, 1] if sign is None else left if sign > 0 else -left
+    if p is not None:
+        right = exact_ints(right, p)
+    return left.transpose(0, 2, 1), right.transpose(2, 0, 1)
+
+
+def _bracket(blocks: Blocks, text: str, rows: slice) -> np.ndarray:
+    """text, a signed sum of products such as "aLbL - bLaL", at a = each
+    basis pair s of rows and b = every basis pair t, on the pairs' blocks:
+    a (rows, m, n, n) array whose [s, t] is lam^2 times the value's matrix."""
+    out = 0
+    for sign, (x, y, z, w) in _signed(text):  # the term map beside KIND_TABLE
+        x, z = "ab".index(x), "ab".index(z)
+        inner = (z, 2) if w == "L" else (2, z)
+        shape, perm = ("R", (x,) + inner) if y == "L" else ("L", inner + (x,))
+        term = _np_term(blocks, shape, perm, (0, 0, 1), rows)
+        out = out + term if sign > 0 else out - term
+    return out.transpose(0, 1, 3, 2)  # [s, t, col, r] -> [s, t, r, col]
 
 
 def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
     f, n = A.field, A.dim
-    nn = n * n
     spec = KIND_TABLE[kind]
     texts = (spec.bracket,) if spec.right in _FOLLOW else (spec.bracket, spec.right)
     null = constraints.nullspace()
-    span = Subspace.spanned_by(null, len(texts) * nn)
+    width = len(texts) * n * n
+    span = Subspace.spanned_by(null, width)
     m = span.dim
     pairs = _integer_pairs(kind, span.basis, n)
     lam, b = pairs
-    width = b.shape[1] * nn
-    flat = b.reshape(m, width)
+    free = _free_columns(width, span.pivots)
+    rest = b.reshape(m, width)[:, free]
+    blocks = Blocks(np.zeros((m, 0, 0), b.dtype), *_pair_blocks(kind, b))  # no term reads bb
     # the pairs' rung holds every coordinate, so exact_dtype holds them all
     consts = np.zeros((m, m, m), exact_dtype(f.p, b.dtype))
-    for block in _index_slices(m, m * width, BLOCK_CELLS):
-        # row s * m + t: the product of pairs block.start + s and t
-        prod = np.stack([_pair_products(b, text, block) for text in texts], axis=2)
+    for rows in _index_slices(m, m * width, algebra.SWEEP_CELLS):
+        # row s * m + t: the product of pairs rows.start + s and t
+        prod = np.stack([_bracket(blocks, text, rows) for text in texts], axis=2)
         prod = prod.reshape(-1, width)
-        coords = prod[:, list(span.pivots)]
-        escaped = nonzero_mod(lam * prod - coords @ flat, f.p).any(axis=1)
+        coords = prod[:, span.pivots]
+        escaped = nonzero_mod(lam * prod[:, free] - coords @ rest, f.p).any(axis=1)
         if escaped.any():
             s, t = divmod(int(escaped.argmax()), m)
-            raise ClosureError(f"{kind}: product of basis pairs {block.start + s} and "
+            raise ClosureError(f"{kind}: product of basis pairs {rows.start + s} and "
                                f"{t} leaves the span")
-        consts[block] = exact_ints(coords, f.p).reshape(-1, m, m)
+        consts[rows] = exact_ints(coords, f.p).reshape(-1, m, m)
     return _actor(kind, A, span, pairs, (lam * lam, consts))
 
 
@@ -454,9 +457,10 @@ def _actor(kind: str, A: Algebra, span: Subspace, pairs, constants) -> ActorAlge
     f = A.field
 
     def maps():
+        ba, ab = _pair_blocks(kind, exact_ints(pairs[1]), f.p)
         return tuple(BiMap(Matrix.from_quotient(f, left, pairs[0]),
                            Matrix.from_quotient(f, right, pairs[0]))
-                     for left, right in zip(*_components(kind, pairs, f.p)))
+                     for left, right in zip(ba.transpose(0, 2, 1), ab.transpose(1, 2, 0)))
 
     return ActorAlgebra(kind, A, maps, lambda: scalar_tuples(f, *constants), span, pairs,
                         constants)
@@ -509,11 +513,8 @@ def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, Blocks]:
     den, consts = lowest_terms(*actor.constants)
     lam_pairs = actor.pairs[0]
     lam_a, ints_a = A.integer_tensor
-    left, right = _components(actor.kind, actor.pairs, f.p)
-    blocks = [(consts, den),
-              (left.transpose(0, 2, 1), lam_pairs),
-              (right.transpose(2, 0, 1), lam_pairs),
-              (exact_ints(ints_a), lam_a)]
+    ba, ab = _pair_blocks(actor.kind, exact_ints(actor.pairs[1]), f.p)
+    blocks = [(consts, den), (ba, lam_pairs), (ab, lam_pairs), (exact_ints(ints_a), lam_a)]
     lam = math.lcm(*(lam_block for _, lam_block in blocks))
     tops = [magnitude(arr) for arr, _ in blocks]
     big = max(top * (lam // lam_block) for top, (_, lam_block) in zip(tops, blocks))

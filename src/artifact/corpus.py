@@ -24,6 +24,7 @@ Every sample but "module" and "raw" is re-verified against its category's
 identity suite before being returned.
 """
 
+import functools
 import json
 import random
 from fractions import Fraction
@@ -258,10 +259,11 @@ def _sample(rng, field, n, category) -> Algebra:
         v = n - rng.randrange(1, n + 1)
         tensor = _draw_tensor(rng, field, n, range(v), range(v, n), row.twostep)
     else:
-        seeds = [family(field, n) for family in row.families]
-        seeds += [block(field) for block, lo, hi in row.blocks
+        # the draw needs only the seeds' count, so only the drawn one is built
+        seeds = [functools.partial(family, field, n) for family in row.families]
+        seeds += [functools.partial(block, field) for block, lo, hi in row.blocks
                   if lo <= n and (hi is None or n <= hi)]
-        tensor = _embed_block(field, n, seeds[rng.randrange(len(seeds))])
+        tensor = _embed_block(field, n, seeds[rng.randrange(len(seeds))]())
     return _finish(rng, field, _names(n), tensor, category)
 
 

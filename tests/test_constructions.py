@@ -230,6 +230,39 @@ def test_closure_products_match_stored_tensor():
                 coords = actor.member_coords(prod)
                 assert coords is not None
                 assert coords == actor.tensor[s][t]
+    # every kind on every field at dims 0, 1 and 3, and the zero dim-6
+    # algebras, whose candidates span every pair, so that the certificate
+    # has no free column, against the bracket texts by Matrix products
+    kinds, spanning = set(), set()
+    for a in _closure_cases():
+        for actor in [construct("zero", a)] + _candidates(a):
+            _assert_closure_matches_oracle(actor)
+            kinds.add(actor.kind)
+            if a.dim == 6 and actor.dim == actor.span.ambient:
+                spanning.add(actor.kind)
+    assert kinds == set(KIND_TABLE)
+    assert spanning == set(KIND_TABLE) - {"zero"}
+
+
+def _closure_cases():
+    """Algebras of the four categories with candidates over GF(2), GF(3),
+    GF(5), GF(2^61 - 1) and Q at dims 0, 1 and 3, then the zero ones at dim
+    6 over GF(5)."""
+    for f in (GF(2), GF(3), GF(5), GF(2 ** 61 - 1), QQ):
+        for category in ("lie", "leibniz", "associative", "commutative"):
+            yield zero_algebra(f, 0, category)
+            for n in (1, 3):
+                yield sample_algebra(random.Random(n), f, n, category)
+    for category in ("lie", "leibniz", "associative", "commutative"):
+        yield zero_algebra(GF(5), 6, category)
+
+
+def _candidates(a):
+    """Every candidate built on a, by its category."""
+    return {"lie": lambda: [derivations(a)],
+            "leibniz": lambda: [biderivations(a, 1), biderivations(a, 2)],
+            "associative": lambda: [bimultipliers(a)],
+            "commutative": lambda: [multipliers(a), bimultipliers(a)]}[a.category]()
 
 
 def _pair_product_oracle(actor, text, s, t):
@@ -242,6 +275,21 @@ def _pair_product_oracle(actor, text, s, t):
         out = (p if sign > 0 else p.neg()) if out is None else \
             (out.add(p) if sign > 0 else out.sub(p))
     return out
+
+
+def _assert_closure_matches_oracle(actor):
+    """Each product of basis pairs, by _pair_product_oracle, lies in the span
+    at the coordinates the stored tensor holds, as field scalars."""
+    spec = KIND_TABLE[actor.kind]
+    scalar = Fraction if actor.target.field is QQ else int
+    for s in range(actor.dim):
+        for t in range(actor.dim):
+            left = _pair_product_oracle(actor, spec.bracket, s, t)
+            right = None if spec.right in ("neg", "same") else \
+                _pair_product_oracle(actor, spec.right, s, t)
+            coords = actor.member_coords(constructions._pair(actor.kind, left, right))
+            assert coords is not None and coords == actor.tensor[s][t]
+            assert all(type(x) is scalar for x in actor.tensor[s][t])
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
@@ -278,27 +326,20 @@ def _big_entry_algebras():
 
 def test_object_array_closure_equals_per_pair_matmul_oracle():
     on_objects = set()
-    for a in _big_entry_algebras():
-        actors = {"lie": lambda: [derivations(a)],
-                  "leibniz": lambda: [biderivations(a, 1), biderivations(a, 2)],
-                  "associative": lambda: [bimultipliers(a)],
-                  "commutative": lambda: [multipliers(a), bimultipliers(a)]}[a.category]()
-        for actor in actors:
+    big = GF(2 ** 61 - 1)
+    rng = random.Random(1)
+    big_prime = [_conjugate(a, _rand_invertible(rng, big, a.dim))
+                 for a in (sl2(big), a5_leibniz(big), dual_numbers(big),
+                           truncated_poly(big, 3, "commutative"))]
+    for a in itertools.chain(_big_entry_algebras(), big_prime):
+        for actor in _candidates(a):
             _, ints = constructions._integer_pairs(actor.kind, actor.span.basis, a.dim)
             if ints.dtype == object:
                 on_objects.add((str(a.field), actor.kind))
-            spec = KIND_TABLE[actor.kind]
-            for s in range(actor.dim):
-                for t in range(actor.dim):
-                    left = _pair_product_oracle(actor, spec.bracket, s, t)
-                    right = None if spec.right in ("neg", "same") else \
-                        _pair_product_oracle(actor, spec.right, s, t)
-                    coords = actor.member_coords(constructions._pair(actor.kind, left, right))
-                    assert coords is not None and coords == actor.tensor[s][t]
-                    scalar = Fraction if a.field is QQ else int
-                    assert all(type(x) is scalar for x in actor.tensor[s][t])
+            _assert_closure_matches_oracle(actor)
     kinds = {"der", "bim", "bider1", "bider2", "mult"}
-    assert {("GF(4294967291)", k) for k in kinds} | {("Q", "der"), ("Q", "bim")} <= on_objects
+    assert {(str(f), k) for f in (GF(4294967291), big) for k in kinds} \
+        | {("Q", "der"), ("Q", "bim")} <= on_objects
 
 
 # each condition's label and its two sides at basis pairs (a, b)
@@ -362,10 +403,10 @@ def test_condition_witnesses_equal_per_pair_matmul_oracle():
 
 
 # Block boundaries.  The closure takes the products of a block of basis
-# pairs s at once, as many s as BLOCK_CELLS holds.  A budget of one cell
-# makes every block a single s; a budget of two s makes blocks of two with a
-# remainder of one when m is odd.  The condition checks step through s as
-# the suite's sweep does, as many s as algebra.SWEEP_CELLS holds.
+# pairs s at once, as many s as algebra.SWEEP_CELLS holds.  A budget of one
+# cell makes every block a single s; a budget of two s makes blocks of two
+# with a remainder of one when m is odd.  The condition checks step through
+# s as the suite's sweep does, on the same budget.
 
 
 def _first_escape(field, rows):
@@ -395,8 +436,8 @@ def test_closure_error_names_the_first_escaping_pair_at_every_block_size(
     assert s > 0 and t > 0
     a = zero_algebra(field, 2, "commutative")
     # m = 3 pairs of 4 cells, 12 cells per s: blocks of one, two and three s
-    for cells in (1, 24, 36, constructions.BLOCK_CELLS):
-        monkeypatch.setattr(constructions, "BLOCK_CELLS", cells)
+    for cells in (1, 24, 36, algebra.SWEEP_CELLS):
+        monkeypatch.setattr(algebra, "SWEEP_CELLS", cells)
         with pytest.raises(ClosureError, match=f"pairs {s} and {t} leaves the span"):
             constructions._build_actor("mult", a, Matrix.from_rows(field, rows))
 
@@ -406,24 +447,24 @@ def test_constants_and_condition_reports_do_not_depend_on_the_block_size(monkeyp
     for f in (QQ, GF(3), GF(5)):
         for category in ("leibniz", "associative"):
             cases += [sample_algebra(random.Random(seed), f, 3, category) for seed in range(4)]
-    default = constructions.BLOCK_CELLS
+    default = algebra.SWEEP_CELLS
     for a in cases:
         build, check = (biderivations, condition1_check) if a.category == "leibniz" \
             else (bimultipliers, condition2_check)
-        monkeypatch.setattr(constructions, "BLOCK_CELLS", default)
+        monkeypatch.setattr(algebra, "SWEEP_CELLS", default)
         actor = build(a)
         want = check(a, actor)
         # the closure: one s per block, then two per block with a remainder
         # when m is odd
         width = actor.pairs[1][0].size
         for cells in (1, 2 * actor.dim * width):
-            monkeypatch.setattr(constructions, "BLOCK_CELLS", cells)
+            monkeypatch.setattr(algebra, "SWEEP_CELLS", cells)
             got = build(a)
             assert got.tensor == actor.tensor
         # the condition, on the sweep of B x B x A: one cell a step, two
         # leading indices s a step (m n^2 cells each), and the default
         n = a.dim
-        for cells in (1, 2 * actor.dim * n * n, algebra.SWEEP_CELLS):
+        for cells in (1, 2 * actor.dim * n * n, default):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(algebra, "SWEEP_CELLS", cells)
                 rep = check(a, actor)
