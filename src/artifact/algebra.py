@@ -48,6 +48,9 @@ product's B x B x A block, for the two replacement-word rows of
 words.validate_word_on_algebra, whose integer coefficients its caller
 counts in the rung's bound, and (_np_term) in the constraint assembly and
 in the candidate's closure, one term per product of its bracket.
+Over GF(2) the alternative rows, the linearized laws, do not imply the
+quadratic ones; _alternative_char2_laws checks those at the basis vectors
+once the rows have passed, which decides them for every vector.
 
 An Algebra's tensor may be given as a function that builds it on first read
 (linalg.lazy): a candidate's own algebra and the semidirect product are
@@ -462,7 +465,7 @@ def _check_identity(a: Algebra, tag: str, scaled: tuple) -> Report:
 
     details = [{"name": name, "status": "pass"} for name, _, _ in rows]
     if tag == "alternative" and f.char == 2:
-        rep = _alternative_char2_exhaustive(a)
+        rep = _alternative_char2_laws(a)
         if not rep.passed:
             return rep
         details += rep.details
@@ -487,32 +490,38 @@ def _row_failure(f: Field, scaled: tuple, row: tuple, closed: frozenset) -> Opti
     return Report(False, label=name, witness=witness, lhs=side(lhs), rhs=side(rhs))
 
 
-def _alternative_char2_exhaustive(a: Algebra) -> Report:
+def _alternative_char2_laws(a: Algebra) -> Report:
     """Over characteristic 2 the linearized laws are weaker than the
-    quadratic ones, so check x(xy)=(xx)y and (yx)x=y(xx) on every vector x
-    of the finite space against every basis y = e_j.  The vectors x are
-    taken a chunk at a time in itertools.product order, as the rows of X:
-    with c the integer tensor as an (n, n * n) matrix, x*e_j is X @ c, and
-    e_j*x is X @ c' for c' the tensor with its first two axes swapped; then
-    x(x e_j) and (e_j x)x are one batched matmul each, all mod p."""
-    f = a.field
-    n, p = a.dim, f.p
-    if p ** n > 65536:
-        raise InputError("char-2 exhaustive alternative check is too large")
+    quadratic ones x(xy)=(xx)y and (yx)x=y(xx), so check those for every
+    vector x of the finite space against every basis y = e_k; called only
+    once both rows of IDENTITIES["alternative"] have passed.
+
+    Then the left law at x = e_i decides both.  The first row at (x, y, x)
+    and the second at (x, x, y) give (yx)x - y(xx) = x(yx) - (xy)x =
+    (xx)y - x(xy), so the right law fails exactly where the left one does.
+    Let D_ij = e_i(e_j y) - (e_i e_j)y, so that x(xy) - (xx)y = sum_ij x_i
+    x_j D_ij.  Over GF(2) x_i^2 = x_i, so as a function on GF(2)^n this is
+    sum_i x_i D_ii + sum_{i<j} x_i x_j (D_ij + D_ji), and D_ij + D_ji = 0 is
+    the first row at (e_i, e_j, y).  So x(xy) - (xx)y is the sum of D_ii
+    over i in supp x, and the laws hold for every x exactly when they hold
+    at every e_i.  The Report is that of a sweep over every x in
+    itertools.product order, last coordinate fastest, against y = e_k in
+    order: every vector before e_i is supported on indices above i, so the
+    first failing x is e_i for the largest failing i, with the first
+    failing k there.
+
+    With c the integer tensor mod 2 and sq[i] = e_i e_i, (e_i e_i)e_k is
+    sq @ c as an (n, n * n) matrix and e_i(e_i e_k) the batched c @ c."""
+    n = a.dim
     name = "char-2 exhaustive: (xx)y=x(xy), y(xx)=(yx)x"
-    c = exact_ints(a.integer_tensor[1], p)
-    right, left = c.reshape(n, n * n), c.transpose(1, 0, 2).reshape(n, n * n)
-    vectors = p ** n if n else 0  # no basis y at dim 0, so nothing to check
-    for chunk in _index_slices(vectors, n * n, SWEEP_CELLS):
-        x = np.stack(np.unravel_index(np.arange(chunk.start, chunk.stop), (p,) * n), axis=1)
-        xe = (x @ right).reshape(-1, n, n) % p  # [x, j] = x*e_j
-        ex = (x @ left).reshape(-1, n, n) % p  # [x, j] = e_j*x
-        xx = (x[:, None] @ xe)[:, 0] % p  # sum_j x_j x*e_j
-        bad = (((xx @ right).reshape(-1, n, n) - xe @ xe) % p).any(axis=2)
-        bad |= (((xx @ left).reshape(-1, n, n) - ex @ ex) % p).any(axis=2)
-        if bad.any():
-            r, j = np.unravel_index(int(bad.argmax()), bad.shape)
-            return Report(False, label=name, witness=tuple(int(v) for v in x[r]) + (int(j),))
+    c = exact_ints(a.integer_tensor[1], 2)
+    sq = c[np.arange(n), np.arange(n)]
+    bad = (((sq @ c.reshape(n, n * n)).reshape(n, n, n) - c @ c) % 2).any(axis=2)
+    failing = np.flatnonzero(bad.any(axis=1))
+    if failing.size:
+        i = int(failing[-1])
+        witness = tuple(int(v == i) for v in range(n)) + (int(bad[i].argmax()),)
+        return Report(False, label=name, witness=witness)
     return Report(True, details=[{"name": name, "status": "pass"}])
 
 

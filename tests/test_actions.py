@@ -80,6 +80,34 @@ def test_lie_coupling_is_enforced():
     assert not rep.passed and rep.witness is not None
 
 
+def test_module_right_action_must_vanish():
+    # a zero left action and one nonzero right product, a1*b0 = a1
+    A = zero_algebra(QQ, 2, "module")
+    B = zero_algebra(QQ, 1, "module")
+    left = (((QQ.zero, QQ.zero), (QQ.zero, QQ.zero)),)
+    right = (((QQ.zero, QQ.zero),), ((QQ.zero, QQ.one),))
+    act = make_action(B, A, left, right)
+    rep = check_derived_action("module", act)
+    assert (rep.passed, rep.label, rep.witness) == (False, "right action vanishes", (1, 0))
+    assert (rep.lhs, rep.rhs) == ((QQ.zero, QQ.one), (QQ.zero, QQ.zero))
+    cross = crosscheck_semidirect("module", act)
+    assert (cross.passed, cross.label) == (True, "not-derived")
+
+
+def test_commutative_coupling_is_enforced():
+    # b0*a1 = a0 with a zero right action breaks b*a = a*b at (b0, a1)
+    A = zero_algebra(QQ, 2, "commutative")
+    B = zero_algebra(QQ, 1, "commutative")
+    left = (((QQ.zero, QQ.zero), (QQ.one, QQ.zero)),)
+    right = (((QQ.zero, QQ.zero),), ((QQ.zero, QQ.zero),))
+    act = make_action(B, A, left, right)
+    rep = check_derived_action("commutative", act)
+    assert (rep.passed, rep.label, rep.witness) == (False, "b*a = a*b coupling", (0, 1))
+    assert (rep.lhs, rep.rhs) == ((QQ.one, QQ.zero), (QQ.zero, QQ.zero))
+    cross = crosscheck_semidirect("commutative", act)
+    assert (cross.passed, cross.label) == (True, "not-derived")
+
+
 def test_crosscheck_agrees_on_random_actions():
     rng = random.Random(123)
     for i in range(150):

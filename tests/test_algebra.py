@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact import algebra, linalg
+from artifact import algebra, cli, linalg
 from artifact.algebra import (CATEGORIES, IDENTITY_TAGS, Algebra, InputError,
                               Subspace, algebra_from_json, annihilator, check_identity,
                               derived_subspace, identity_suite, is_ideal,
@@ -165,7 +165,7 @@ def _check_against_oracles(a):
         else:
             expected = brute_identity(a, tag)
             if tag == "alternative" and a.field.char == 2 and expected:
-                expected = algebra._alternative_char2_exhaustive(a).passed
+                expected = loop_alternative_char2(a).passed
         assert rep.passed == expected, tag
         if first is not None:
             assert rep == first, tag
@@ -512,28 +512,35 @@ def test_quotient_by_whole_algebra_is_empty():
     assert q.dim == 0 and identity_suite(q).passed
 
 
-def test_alternative_char2_exhaustive_cap():
-    a = zero_algebra(GF(2), 17, "raw")
-    with pytest.raises(InputError):
-        check_identity(a, "alternative")
-    # under the cap the exhaustive path runs, up to dim 16: 2^16 vectors
-    # against 16 basis vectors, on arrays
-    for n in (3, 16):
+def test_alternative_char2_laws_have_no_dimension_cap():
+    # the quadratic laws are read at the n basis vectors, so no dimension is
+    # refused: the zero algebra passes at dims 17 and 32 as at 3 and 16
+    for n in (3, 16, 17, 32):
         assert check_identity(zero_algebra(GF(2), n, "raw"), "alternative").passed
 
 
-def test_alternative_char2_catches_quadratic_failure():
-    # x*x = y on basis x, fails (x+y)(x+y)... only under full expansion;
-    # the basis-pair laws alone are trivial here, the quadratic sweep is not
+def test_alternative_char2_catches_quadratic_failure(tmp_path, capsys):
+    # y*x = x and y*y = x + y over GF(2): both linearized rows hold on every
+    # basis triple, so only the quadratic laws can fail, and both do at
+    # x = y = e_1, where (yy)y = x + y and y(yy) = y
     f = GF(2)
     t = [[[f.zero] * 2 for _ in range(2)] for _ in range(2)]
-    t[0][0][1] = f.one
-    t[0][1][0] = f.one
-    t[1][0][0] = f.one
-    a = make_algebra(f, "xy", tuple(tuple(tuple(v) for v in r) for r in t), "raw")
+    t[1][0] = [f.one, f.zero]
+    t[1][1] = [f.one, f.one]
+    a = make_algebra(f, "xy", tuple(tuple(tuple(v) for v in r) for r in t), "alternative")
+    assert first_exact_failure(a, "alternative") is None
+    assert not brute_alternative_char2(a)
     rep = check_identity(a, "alternative")
-    ok = brute_alternative_char2(a)
-    assert rep.passed == ok
+    assert rep == loop_alternative_char2(a)
+    assert (rep.label, rep.witness) == ("char-2 exhaustive: (xx)y=x(xy), y(xx)=(yx)x", (0, 1, 1))
+    path = tmp_path / "alt.json"
+    path.write_text(json.dumps(a.to_json()))
+    assert cli.main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        '{"category": "alternative", "dim": 2, "report": {"details": [{"label": '
+        '"char-2 exhaustive: (xx)y=x(xy), y(xx)=(yx)x", "name": "alternative", '
+        '"status": "fail"}], "label": "char-2 exhaustive: (xx)y=x(xy), y(xx)=(yx)x", '
+        '"passed": false, "witness": [0, 1, 1]}}\n')
 
 
 def brute_alternative_char2(a):
@@ -572,26 +579,36 @@ def loop_alternative_char2(a):
 
 
 def test_alternative_char2_arrays_equal_the_per_vector_loop():
-    # 300 random GF(2) tensors at dims 1-5, sparse enough that some pass,
-    # associative ones, which pass, and dim 0
+    # the suite's Report is the first exact row failure, or else the
+    # per-vector loop's, on every GF(2) tensor of dims 0-2, 300 random ones
+    # at dims 1-5, sparse enough that some pass, and associative ones
     f = GF(2)
+
+    def gf2_algebra(n, bits):
+        it = iter(bits)
+        return make_algebra(f, [f"e{i}" for i in range(n)],
+                            [[[f.from_int(next(it)) for _ in range(n)] for _ in range(n)]
+                             for _ in range(n)], "raw")
+
+    algebras = [gf2_algebra(n, bits)
+                for n in (0, 1, 2) for bits in itertools.product((0, 1), repeat=n ** 3)]
+    algebras.append(zero_algebra(f, 5, "raw"))
     rng = random.Random(11)
-    algebras = [zero_algebra(f, n, "raw") for n in (0, 1, 2, 5)]
     for _ in range(300):
         n, density = rng.randint(1, 5), rng.choice((0.05, 0.2, 0.5))
-        tensor = [[[f.from_int(rng.random() < density) for _ in range(n)] for _ in range(n)]
-                  for _ in range(n)]
-        algebras.append(make_algebra(f, [f"e{i}" for i in range(n)], tensor, "raw"))
+        algebras.append(gf2_algebra(n, [rng.random() < density for _ in range(n ** 3)]))
     m2 = m2_rationals()
     algebras += [dual_numbers(f), truncated_poly(f, 3),
                  make_algebra(f, m2.basis, [[[f.from_int(int(x)) for x in v] for v in plane]
                                             for plane in m2.tensor], "raw")]
-    passed = 0
+    passed = quadratic = 0
     for a in algebras:
-        want = loop_alternative_char2(a)
-        assert algebra._alternative_char2_exhaustive(a) == want, a.tensor
+        rep = check_identity(a, "alternative")
+        want = first_exact_failure(a, "alternative") or loop_alternative_char2(a)
+        assert rep.passed == want.passed and (rep.passed or rep == want), a.tensor
         passed += want.passed
-    assert 10 < passed < len(algebras) - 100
+        quadratic += want.label == "char-2 exhaustive: (xx)y=x(xy), y(xx)=(yx)x"
+    assert 10 < passed < len(algebras) - 100 and quadratic >= 6
 
 
 def test_zero_dimensional_algebra_is_legal():

@@ -71,12 +71,20 @@ def action_counts(perms):
     return counts
 
 
+# the CATALOG groups of order <= max_b, in catalogue order
+UP_TO_ORDER = {1: ["trivial"], 4: ["trivial", "Z2", "Z3", "Z4", "V4"],
+               6: ["trivial", "Z2", "Z3", "Z4", "V4", "Z5", "Z6", "S3"]}
+
+
 def assert_universality_counts(g, perms, cap=24):
-    """group_universality_check reports the independent counts, and each
+    """group_universality_check reports, for each max_b, exactly the
+    catalogue groups up to that order with the independent counts, and each
     enumerated action passes the dot-table validator."""
-    rep = group_universality_check(g, max_b=6, cap=cap)
-    assert {line["acting_group"]: line["actions"] for line in rep.details} == \
-        action_counts(perms)
+    counts = action_counts(perms)
+    for max_b, names in UP_TO_ORDER.items():
+        rep = group_universality_check(g, max_b=max_b, cap=cap)
+        assert [(line["acting_group"], line["actions"]) for line in rep.details] == \
+            [(name, counts[name]) for name in names]
     aut = automorphisms(g, cap)
     for _, ctor in CATALOG:
         B = ctor()
