@@ -25,17 +25,21 @@ two crossed-module sides as arrays.  make_group runs its checks as
 whole-array comparisons on one integer array from order ARRAY_CHECK_ORDER
 on, and as loops below it; both raise the same first message.  Per call on
 a nested-list table, loops against array (Intel Xeon, numpy 2.4, one
-thread): order 8 15-26 against 30-42 us, 12 24-40 against 35-50 us, 16
-35-64 against 40-64 us, 24 68-115 against 52-84 us, 48 203-347 against
-109-187 us.  Small orders keep the loops because the array route costs
-about 20 us more per call there, and most calls are small: a universality
-check builds each catalogue group, of order at most 6, through make_group.
+thread, shared host; fastest of 15 runs for each of 5-6 relabelled groups
+per order): order 8 43-71 against 85-118 us, 12 46-77 against 64-93 us,
+16 82-121 against 76-103 us, 24 134-177 against 103-113 us, 48 432-714
+against 228-277 us.  A second run on the same host read up to 1.7 times
+these, with the same crossover, at 16.  Small orders keep the loops
+because the array route costs 20-40 us more per call there, and most
+calls are small: a universality check builds each catalogue group, of
+order at most 6, through make_group.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -60,22 +64,51 @@ class Group:
     identity: int
     inv: tuple
 
+    @cached_property
+    def orders(self) -> tuple:
+        """orders[x] is the order of x, worked out on first use."""
+        return _orders(self.table, self.identity)
+
     def to_json(self) -> dict:
         return {"order": self.order,
                 "table": [list(r) for r in self.table],
                 "names": list(self.names)}
 
 
-def _span(table, identity, gens) -> set:
-    """Everything reached from the identity by right multiplication by gens:
-    a breadth-first search costing O(|span| * |gens|)."""
-    out = {identity}
-    frontier = [identity]
-    while frontier:
+def _orders(table, identity) -> tuple:
+    """For each x, the length of the cycle of the identity under right
+    multiplication by x: on a group, the order of x.  On any Latin square
+    with an identity, right multiplication by x is a permutation, so the
+    cycle closes."""
+    out = []
+    for x in range(len(table)):
+        k, acc = 1, x
+        while acc != identity:
+            acc = table[acc][x]
+            k += 1
+        out.append(k)
+    return tuple(out)
+
+
+def _grow(table, have, gens, x) -> set:
+    """The closure of `have` under right multiplication by gens + [x],
+    where have is already closed under gens: a breadth-first search from
+    the products h + x outside have, which stops once it holds the whole
+    table, costing O(|have| + |new| * |gens|)."""
+    n = len(table)
+    gens = gens + [x]
+    out = set(have)
+    frontier = []
+    for h in have:
+        z = table[h][x]
+        if z not in out:
+            out.add(z)
+            frontier.append(z)
+    while frontier and len(out) < n:
         nxt = []
-        for x in frontier:
+        for y in frontier:
             for g in gens:
-                z = table[x][g]
+                z = table[y][g]
                 if z not in out:
                     out.add(z)
                     nxt.append(z)
@@ -84,19 +117,31 @@ def _span(table, identity, gens) -> set:
 
 
 def _greedy_generators(table, identity) -> list:
-    """Generators whose span is the whole table; each step adds the element
+    """Generators whose span (everything reached from the identity by right
+    multiplication by them) is the whole table; each step adds the element
     whose span with the generators so far is largest, the first on a tie.
 
     Light's test over them is sound on any Latin square with an identity:
     the g with (x+g)+y = x+(g+y) for all x, y include the identity and are
     closed under +, so they hold the span once they hold the generators.
-    On a group, x+h for h in the current span H adds the same subgroup as
-    x, so only the first element of each coset x+H is tried; the choice is
-    the one a search over every element makes.
+
+    The first step reads the orders: from the identity alone, x spans its
+    own cycle, of length _orders[x], so the first x of largest order is
+    chosen.  A later step grows each candidate's span from the last one,
+    H: the span of gens + [x] is the closure of H under gens + [x], on any
+    magma, since H holds the identity and lies inside that span.  So only
+    what x adds is searched, and every span, and every choice, is the one
+    a search from the identity makes.  On a group, x+h for h in H adds the
+    same subgroup as x, so only the first element of each coset x+H is
+    tried; the choice is the one a search over every element makes.
     """
     n = len(table)
-    have = {identity}
-    gens = []
+    if n == 1:
+        return []
+    orders = _orders(table, identity)
+    first = orders.index(max(orders))
+    gens = [first]
+    have = _grow(table, {identity}, [], first)
     while len(have) < n:
         best, best_span = None, set()
         tried = set(have)
@@ -104,7 +149,7 @@ def _greedy_generators(table, identity) -> list:
             if x in tried:
                 continue
             tried.update(table[x][h] for h in have)
-            span = _span(table, identity, gens + [x])
+            span = _grow(table, have, gens, x)
             if len(span) > len(best_span):
                 best, best_span = x, span
                 if len(span) == n:
@@ -238,11 +283,7 @@ def group_from_json(obj) -> Group:
 
 
 def element_order(g: Group, x: int) -> int:
-    k, acc = 1, x
-    while acc != g.identity:
-        acc = g.table[acc][x]
-        k += 1
-    return k
+    return g.orders[x]
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +374,21 @@ class AutomorphismGroup:
 
 
 def _enumerate_homs(src: Group, dst: Group):
-    """All homomorphisms src -> dst, as lists indexed by src elements.
+    """All homomorphisms src -> dst, as lists indexed by src elements, in
+    itertools.product order of the generator images.
 
     A homomorphism is fixed by the images of src's generators, each of an
-    order dividing its generator's.  For each choice, the images spread
-    from the identity along a breadth-first tree of the generators' Cayley
-    graph, x -> x + g; the choice is a homomorphism exactly when every other
-    edge of the graph agrees with the spread."""
+    order dividing its generator's.  The edges x -> x + g of the
+    generators' Cayley graph are listed in breadth-first order from the
+    identity, each marked as a tree edge, the first to reach its end, or
+    not.  For each choice of images, the images spread along the list: a
+    tree edge assigns its end, and any other edge is checked when it is
+    reached, both of its ends being assigned by then, and the choice is
+    dropped at the first edge that disagrees.  A choice is a homomorphism
+    exactly when every edge agrees, so the mappings kept, and their order,
+    are those of checking every edge after the spread."""
     gens = _greedy_generators(src.table, src.identity)
-    tree, others = [], []  # edges (x, k, y): y = x + gens[k]
+    edges = []  # (x, k, y, tree): y = x + gens[k]
     seen = {src.identity}
     frontier = [src.identity]
     while frontier:
@@ -349,23 +396,25 @@ def _enumerate_homs(src: Group, dst: Group):
         for x in frontier:
             for k, g in enumerate(gens):
                 y = src.table[x][g]
-                if y in seen:
-                    others.append((x, k, y))
-                else:
+                tree = y not in seen
+                if tree:
                     seen.add(y)
-                    tree.append((x, k, y))
                     nxt.append(y)
+                edges.append((x, k, y, tree))
         frontier = nxt
-    orders = {y: element_order(dst, y) for y in range(dst.order)}
-    gen_orders = [element_order(src, g) for g in gens]
-    cands = [[y for y in range(dst.order) if k % orders[y] == 0] for k in gen_orders]
+    cands = [[y for y in range(dst.order) if src.orders[g] % dst.orders[y] == 0]
+             for g in gens]
     t = dst.table
     for images in itertools.product(*cands):
         mapping = [None] * src.order
         mapping[src.identity] = dst.identity
-        for x, k, y in tree:
-            mapping[y] = t[mapping[x]][images[k]]
-        if all(mapping[y] == t[mapping[x]][images[k]] for x, k, y in others):
+        for x, k, y, tree in edges:
+            z = t[mapping[x]][images[k]]
+            if tree:
+                mapping[y] = z
+            elif mapping[y] != z:
+                break
+        else:
             yield mapping
 
 
@@ -541,16 +590,18 @@ def make_group_action(B: Group, G: Group, dot) -> GroupAction:
     return GroupAction(B, G, d)
 
 
-# acting groups used by the universality check, in order of group order
+# acting groups used by the universality check, in order of group order:
+# name, order, constructor; the order is stated so that a group above
+# max_b is skipped unbuilt
 CATALOG = (
-    ("trivial", trivial),
-    ("Z2", lambda: cyclic(2)),
-    ("Z3", lambda: cyclic(3)),
-    ("Z4", lambda: cyclic(4)),
-    ("V4", klein4),
-    ("Z5", lambda: cyclic(5)),
-    ("Z6", lambda: cyclic(6)),
-    ("S3", symmetric3),
+    ("trivial", 1, trivial),
+    ("Z2", 2, lambda: cyclic(2)),
+    ("Z3", 3, lambda: cyclic(3)),
+    ("Z4", 4, lambda: cyclic(4)),
+    ("V4", 4, klein4),
+    ("Z5", 5, lambda: cyclic(5)),
+    ("Z6", 6, lambda: cyclic(6)),
+    ("S3", 6, symmetric3),
 )
 
 
@@ -566,10 +617,10 @@ def group_universality_check(g: Group, max_b: int = 6, cap: int = 24):
     """
     aut = automorphisms(g, cap)
     details = []
-    for name, ctor in CATALOG:
-        B = ctor()
-        if B.order > max_b:
+    for name, order, ctor in CATALOG:
+        if order > max_b:
             continue
+        B = ctor()
         count = sum(1 for _ in _enumerate_homs(B, aut.group))
         details.append({"acting_group": name, "order": B.order, "actions": count,
                         "status": "pass"})
