@@ -38,7 +38,7 @@ order at most 6, through make_group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -63,6 +63,9 @@ class Group:
     names: tuple
     identity: int
     inv: tuple
+    # the generators make_group ran Light's test over; _enumerate_homs
+    # extends maps from their images
+    gens: tuple = field(default=(), compare=False, repr=False)
 
     @cached_property
     def orders(self) -> tuple:
@@ -177,16 +180,16 @@ def make_group(table, names=None) -> Group:
         raise InputError("Cayley table must be square")
     a = (table if array else np.array(t)) if n >= ARRAY_CHECK_ORDER else None
     if a is not None and a.dtype.kind == "i":
-        identity, inv = _check_array(t, a)
+        identity, inv, gens = _check_array(t, a)
     else:
-        identity, inv = _check_loops(t)
+        identity, inv, gens = _check_loops(t)
     if names is None:
         names = tuple(f"g{i}" for i in range(n))
     else:
         names = tuple(str(x) for x in names)
         if len(names) != n or len(set(names)) != n:
             raise InputError("names must be distinct and match the order")
-    return Group(n, t, names, identity, inv)
+    return Group(n, t, names, identity, inv, gens)
 
 
 def _rows(a) -> tuple:
@@ -202,9 +205,10 @@ def _rows(a) -> tuple:
 
 
 def _check_loops(t) -> tuple:
-    """The identity and the inverses of the square table t, or an
-    InputError: Latin rows, then columns, a two-sided identity, two-sided
-    inverses, and Light's test, each in row-major order."""
+    """The identity, the inverses and the generators of Light's test of the
+    square table t, or an InputError: Latin rows, then columns, a two-sided
+    identity, two-sided inverses, and Light's test, each in row-major
+    order."""
     n = len(t)
     full = set(range(n))
     for i, r in enumerate(t):
@@ -225,13 +229,14 @@ def _check_loops(t) -> tuple:
         inv.append(y)
     # Light's associativity test: checking (x+g)+y = x+(g+y) for generators
     # g only is equivalent to full associativity
-    for g in _greedy_generators(t, identity):
+    gens = tuple(_greedy_generators(t, identity))
+    for g in gens:
         for x in range(n):
             xg = t[x][g]
             for y in range(n):
                 if t[xg][y] != t[x][t[g][y]]:
                     raise InputError(f"associativity fails at ({x},{g},{y})")
-    return identity, tuple(inv)
+    return identity, tuple(inv), gens
 
 
 def _first(bad) -> Optional[int]:
@@ -259,13 +264,14 @@ def _check_array(t, a) -> tuple:
     x = _first(a[inv, ids] != identity)
     if x is not None:
         raise InputError(f"element {x} has no two-sided inverse")
-    for g in _greedy_generators(t, identity):
+    gens = tuple(_greedy_generators(t, identity))
+    for g in gens:
         # (x+g)+y against x+(g+y), at [x, y]
         xy = _first(a[a[:, g]] != a[:, a[g]])
         if xy is not None:
             x, y = divmod(xy, n)
             raise InputError(f"associativity fails at ({x},{g},{y})")
-    return identity, tuple(inv.tolist())
+    return identity, tuple(inv.tolist()), gens
 
 
 def group_from_json(obj) -> Group:
@@ -377,17 +383,18 @@ def _enumerate_homs(src: Group, dst: Group):
     """All homomorphisms src -> dst, as lists indexed by src elements, in
     itertools.product order of the generator images.
 
-    A homomorphism is fixed by the images of src's generators, each of an
-    order dividing its generator's.  The edges x -> x + g of the
-    generators' Cayley graph are listed in breadth-first order from the
-    identity, each marked as a tree edge, the first to reach its end, or
-    not.  For each choice of images, the images spread along the list: a
+    A homomorphism is fixed by the images of src's generators, src.gens
+    (those of make_group's Light test), each of an order dividing its
+    generator's.  The edges x -> x + g of the generators' Cayley graph are
+    listed in breadth-first order from the identity, each marked as a tree
+    edge, the first to reach its end, or not.  For each choice of images,
+    the images spread along the list: a
     tree edge assigns its end, and any other edge is checked when it is
     reached, both of its ends being assigned by then, and the choice is
     dropped at the first edge that disagrees.  A choice is a homomorphism
     exactly when every edge agrees, so the mappings kept, and their order,
     are those of checking every edge after the spread."""
-    gens = _greedy_generators(src.table, src.identity)
+    gens = src.gens
     edges = []  # (x, k, y, tree): y = x + gens[k]
     seen = {src.identity}
     frontier = [src.identity]

@@ -5,6 +5,14 @@ slot variables y, z, x; the side tag records which juxtaposition it
 replaces: W1 stands for (y*z)*x, W2 for x*(y*z).  Monomials come in exactly
 twelve shapes: u*(v*w) or (u*v)*w over a permutation of the slots.
 
+Inside the module every product is a binary tree: a leaf is a variable
+name, a product is a pair (left, right).  One rule (_canon_tree) puts a
+tree in canonical form modulo (anti)commutativity, one printer (_tree_str)
+writes it and one substitution (_subst) renames or instantiates its leaves,
+on the three-leaf monomials of a word and the four-leaf trees of
+condition 4 alike.  The Monomial tuple is the public format at the edge
+(Word.terms, T_SET, canon_monomial), converted by _tree and _mono.
+
 Three kinds of questions are answered here: whether the words cover the
 four fixed target pairs of monomials (directly or modulo (anti)commutative
 rewriting), whether a W2 word is (anti)symmetric under swapping y and z,
@@ -31,11 +39,32 @@ Monomial = tuple
 _SLOTS = ("x", "y", "z")
 
 
-def mono_str(m: Monomial) -> str:
+def _tree(m: Monomial):
     shape, (u, v, w) = m
-    if shape == "R":
-        return f"{u}*({v}*{w})"
-    return f"({u}*{v})*{w}"
+    return (u, (v, w)) if shape == "R" else ((u, v), w)
+
+
+def _mono(t) -> Monomial:
+    """The inverse of _tree on three-leaf trees."""
+    l, r = t
+    return ("R", (l, *r)) if isinstance(l, str) else ("L", (*l, r))
+
+
+def _tree_str(t) -> str:
+    if isinstance(t, str):
+        return t
+    return f"({_tree_str(t[0])}*{_tree_str(t[1])})"
+
+
+def mono_str(m: Monomial) -> str:
+    return _tree_str(_tree(m))[1:-1]
+
+
+def _subst(t, sub: dict):
+    """t with each leaf replaced by sub[leaf], a leaf or a tree."""
+    if isinstance(t, str):
+        return sub[t]
+    return _subst(t[0], sub), _subst(t[1], sub)
 
 
 @dataclass(frozen=True)
@@ -104,6 +133,12 @@ def parse_word(text: str, side: str) -> Word:
     return Word(side, terms)
 
 
+def _apply_word(word: Word, slot_y, slot_z, slot_x):
+    """Instantiate a word's slots with trees, yielding (coef, tree) terms."""
+    sub = {"y": slot_y, "z": slot_z, "x": slot_x}
+    return [(coef, _subst(_tree(m), sub)) for coef, m in word.terms]
+
+
 # the four target pairs; covering at least one member of each is the
 # existence criterion when the replacement words carry no extra identities
 T_SET = (
@@ -116,6 +151,45 @@ T_SET = (
 MODES = ("plain", "comm", "anticomm")
 
 
+def _canon_tree(t, mode: str):
+    """(sign, canonical tree) of t's orbit under swapping the two factors
+    of any product; plain mode swaps nothing.
+
+    Both children are canonicalised, then ordered: a leaf before a product,
+    otherwise by _tree_str, which is injective on trees.  Each swap flips
+    the sign under anticomm.  The key is a total order on distinct
+    canonical subtrees, so every tree of an orbit reaches the same tree.
+    Two children could tie only as equal subtrees, which distinct leaves
+    rule out: x, y, z in a word's monomial, x, y, z, t in condition 4.
+    On three leaves the result is u*(v*w) with v before w, the
+    right-bracketed representative with the inner pair sorted.  Condition
+    4 compares its snapshots only for equality, so which canonical form it
+    reads does not change its outcomes or matched waves.
+    """
+    if isinstance(t, str):
+        return 1, t
+    s1, l = _canon_tree(t[0], mode)
+    s2, r = _canon_tree(t[1], mode)
+    sign = s1 * s2
+    if mode != "plain" and \
+            (isinstance(l, tuple), _tree_str(l)) > (isinstance(r, tuple), _tree_str(r)):
+        l, r = r, l
+        if mode == "anticomm":
+            sign = -sign
+    return sign, (l, r)
+
+
+def _canon_tree_terms(terms, mode: str):
+    """Signed trees merged by canonical tree, zeros dropped, sorted by
+    _tree_str."""
+    acc = {}
+    for coef, t in terms:
+        s, ct = _canon_tree(t, mode)
+        acc[ct] = acc.get(ct, Fraction(0)) + coef * s
+    return tuple(sorted(((c, t) for t, c in acc.items() if c != 0),
+                        key=lambda p: _tree_str(p[1])))
+
+
 def canon_monomial(m: Monomial, mode: str) -> tuple[int, Monomial]:
     """Canonical representative of a monomial's orbit under the mode.
 
@@ -123,22 +197,10 @@ def canon_monomial(m: Monomial, mode: str) -> tuple[int, Monomial]:
     the representative is right-bracketed with the inner pair sorted, and
     the sign tracks the number of * swaps in the anticommutative case.
     """
-    if mode == "plain":
-        return 1, m
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
-    sign = 1
-    shape, (u, v, w) = m
-    if shape == "L":
-        # (u*v)*w -> w*(u*v), one outer swap
-        u, v, w = w, u, v
-        if mode == "anticomm":
-            sign = -sign
-    if v > w:
-        v, w = w, v
-        if mode == "anticomm":
-            sign = -sign
-    return sign, ("R", (u, v, w))
+    sign, t = _canon_tree(_tree(m), mode)
+    return sign, _mono(t)
 
 
 def check_T_coverage(w1: Word, w2: Word, mode: str = "plain") -> Report:
@@ -179,18 +241,10 @@ def check_T_coverage(w1: Word, w2: Word, mode: str = "plain") -> Report:
     return Report(True, details=details)
 
 
-def _swap_yz(m: Monomial) -> Monomial:
-    tr = {"y": "z", "z": "y", "x": "x"}
-    shape, (u, v, w) = m
-    return (shape, (tr[u], tr[v], tr[w]))
-
-
 def _canon_terms(terms, mode: str) -> tuple:
-    acc: dict[Monomial, Fraction] = {}
-    for coef, m in terms:
-        s, rep = canon_monomial(m, mode)
-        acc[rep] = acc.get(rep, Fraction(0)) + coef * s
-    return tuple(sorted((c, m) for m, c in acc.items() if c != 0))
+    """Signed three-leaf trees in canonical form, as (coef, Monomial)
+    sorted by (coef, monomial)."""
+    return tuple(sorted((c, _mono(t)) for c, t in _canon_tree_terms(terms, mode)))
 
 
 def check_swap_symmetry(w2: Word, sign: str) -> Report:
@@ -206,8 +260,8 @@ def check_swap_symmetry(w2: Word, sign: str) -> Report:
         raise InputError("swap symmetry applies to a W2-tagged word")
     mode = "comm" if sign == "+" else "anticomm"
     factor = Fraction(1) if sign == "+" else Fraction(-1)
-    swapped = _canon_terms(((c, _swap_yz(m)) for c, m in w2.terms), mode)
-    target = _canon_terms(((c * factor, m) for c, m in w2.terms), mode)
+    swapped = _canon_terms(_apply_word(w2, "z", "y", "x"), mode)
+    target = _canon_terms(((c * factor, t) for c, t in _apply_word(w2, "y", "z", "x")), mode)
     if swapped == target:
         return Report(True, details=[{"mode": mode}])
     return Report(False, label=f"W2(z,y;x) = {sign}W2(y,z;x) under {mode}",
@@ -219,26 +273,7 @@ def check_swap_symmetry(w2: Word, sign: str) -> Report:
 # ---------------------------------------------------------------------------
 # bounded rewriting of four-variable juxtapositions
 #
-# Trees: a leaf is a variable name, a product is a pair (left, right).
-# Every monomial reached below has exactly the leaves x, y, z, t once each.
-
-
-def _tree_str(t) -> str:
-    if isinstance(t, str):
-        return t
-    return f"({_tree_str(t[0])}*{_tree_str(t[1])})"
-
-
-def _apply_word(word: Word, slot_y, slot_z, slot_x):
-    """Instantiate a word's slots with trees, yielding (coef, tree) terms."""
-    sub = {"y": slot_y, "z": slot_z, "x": slot_x}
-    out = []
-    for coef, (shape, (u, v, w)) in word.terms:
-        if shape == "R":
-            out.append((coef, (sub[u], (sub[v], sub[w]))))
-        else:
-            out.append((coef, ((sub[u], sub[v]), sub[w])))
-    return out
+# Every tree reached below has exactly the leaves x, y, z, t once each.
 
 
 def _contains_t(t) -> bool:
@@ -272,30 +307,6 @@ def _rewrite_once(tree, w1: Word, w2: Word):
         return _apply_word(w2, ou, ov, tside)
     # (ou*ov) * tside: (y*z)*x shape with x = tside
     return _apply_word(w1, ou, ov, tside)
-
-
-def _canon_tree(t, mode: str):
-    if isinstance(t, str):
-        return 1, t
-    s1, l = _canon_tree(t[0], mode)
-    s2, r = _canon_tree(t[1], mode)
-    sign = s1 * s2
-    if mode == "plain":
-        return sign, (l, r)
-    if _tree_str(l) > _tree_str(r):
-        l, r = r, l
-        if mode == "anticomm":
-            sign = -sign
-    return sign, (l, r)
-
-
-def _canon_tree_terms(terms, mode: str):
-    acc = {}
-    for coef, t in terms:
-        s, ct = _canon_tree(t, mode)
-        acc[ct] = acc.get(ct, Fraction(0)) + coef * s
-    return tuple(sorted(((c, t) for t, c in acc.items() if c != 0),
-                        key=lambda p: _tree_str(p[1])))
 
 
 _TERM_CAP = 4096

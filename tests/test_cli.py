@@ -182,6 +182,57 @@ def test_words_validate_failure_bytes_are_pinned():
                            '"passed": false, "rhs": [4, 0, 0], "witness": [0, 0, 1]}\n')
 
 
+_COND4_LIE_PLAIN = (
+    '{"details": [{"matched_waves": null, "outcome": "unequal", "pairing": "((x*y)*z)*t", '
+    '"stable": [true, true]}, {"matched_waves": [1, 2], "outcome": "equal", '
+    '"pairing": "t*((x*y)*z)", "stable": [true, true]}, {"matched_waves": null, '
+    '"outcome": "unequal", "pairing": "(z*(x*y))*t", "stable": [true, true]}, '
+    '{"matched_waves": [1, 2], "outcome": "equal", "pairing": "t*(z*(x*y))", '
+    '"stable": [true, true]}, {"depth": 3, "mode": "plain", "overall": "unequal"}], '
+    '"label": "condition-4 unequal", "passed": false}\n')
+_COND4_LIE_DEPTH1 = (
+    '{"details": [{"matched_waves": null, "outcome": "undetermined", "pairing": '
+    '"((x*y)*z)*t", "stable": [true, false]}, {"matched_waves": null, "outcome": '
+    '"undetermined", "pairing": "t*((x*y)*z)", "stable": [true, false]}, '
+    '{"matched_waves": null, "outcome": "undetermined", "pairing": "(z*(x*y))*t", '
+    '"stable": [true, false]}, {"matched_waves": null, "outcome": "undetermined", '
+    '"pairing": "t*(z*(x*y))", "stable": [true, false]}, {"depth": 1, "mode": '
+    '"anticomm", "overall": "undetermined"}], "label": "condition-4 undetermined", '
+    '"passed": false}\n')
+
+
+@pytest.mark.parametrize("args, stdout", [
+    (["coverage", "--w1", W1, "--w2", W2],
+     '{"details": [{"covered": false, "matched": null, "pair": ["y*(x*z)", "z*(x*y)"], '
+     '"via": null}, {"covered": true, "matched": "y*(z*x)", "pair": ["y*(z*x)", '
+     '"z*(y*x)"], "via": "direct"}, {"covered": true, "matched": "(y*x)*z", "pair": '
+     '["(y*x)*z", "(z*x)*y"], "via": "direct"}, {"covered": true, "matched": '
+     '"(x*y)*z", "pair": ["(x*y)*z", "(x*z)*y"], "via": "direct"}], "label": '
+     '"uncovered target pair", "passed": false, "witness": [0]}\n'),
+    (["coverage", "--w1", "x*(y*z)", "--w2", "(z*y)*x", "--mode", "comm"],
+     '{"details": [{"covered": false, "matched": null, "pair": ["y*(x*z)", "z*(x*y)"], '
+     '"via": null}, {"covered": false, "matched": null, "pair": ["y*(z*x)", '
+     '"z*(y*x)"], "via": null}, {"covered": false, "matched": null, "pair": '
+     '["(y*x)*z", "(z*x)*y"], "via": null}, {"covered": false, "matched": null, '
+     '"pair": ["(x*y)*z", "(x*z)*y"], "via": null}], "label": "uncovered target '
+     'pair", "passed": false, "witness": [0, 1, 2, 3]}\n'),
+    # the canonical terms print sorted by (coefficient, monomial)
+    (["symmetry", "--w2", "(x*y)*z - 2*y*(x*z) + 3*x*(z*y)", "--sign", "-"],
+     '{"details": [{"mode": "anticomm", "swapped": [["-2", "z*(x*y)"], ["-1", '
+     '"y*(x*z)"], ["3", "x*(y*z)"]], "target": [["1", "z*(x*y)"], ["2", "y*(x*z)"], '
+     '["3", "x*(y*z)"]]}], "label": "W2(z,y;x) = -W2(y,z;x) under anticomm", '
+     '"passed": false}\n'),
+    (["cond4", "--w1", W1, "--w2", W2], _COND4_LIE_PLAIN),
+    (["cond4", "--w1", W1, "--w2", W2, "--mode", "anticomm", "--depth", "1"],
+     _COND4_LIE_DEPTH1),
+], ids=["coverage-plain", "coverage-comm", "symmetry", "cond4-unequal",
+        "cond4-undetermined"])
+def test_words_failure_bytes_are_pinned(args, stdout):
+    proc = run_cli("words", *args)
+    assert proc.returncode == 1
+    assert proc.stdout == stdout
+
+
 def test_group_subcommands():
     code, payload = run_json("group", "aut", fixture_path("s3.json"))
     assert code == 0 and payload["order"] == 6

@@ -7,6 +7,7 @@ Action counts come from a presentation of each acting group, evaluated on
 the oracle's automorphisms.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -740,6 +741,25 @@ def test_enumerate_homs_equal_the_check_after_the_spread():
     dsts = [g for _, g, _ in GROUPS] + [automorphisms(g).group for _, g, _ in GROUPS]
     for src in srcs:
         for dst in dsts:
+            assert list(_enumerate_homs(src, dst)) == list(ref_enumerate_homs(src, dst))
+
+
+def test_group_keeps_the_generators_of_its_light_test(monkeypatch):
+    # both routes of make_group store the search's generators, and
+    # _enumerate_homs reads them on a src the array route built; the field
+    # takes no part in equality or repr
+    holomorphs = [holomorph_table(g, 24) for g in (quaternion8(), dihedral(4))]
+    for array_order in (0, 10 ** 9):
+        monkeypatch.setattr(groups, "ARRAY_CHECK_ORDER", array_order)
+        for table in [g.table for _, g, _ in GROUPS] + holomorphs:
+            g = make_group(table)
+            assert g.gens == tuple(_greedy_generators(g.table, g.identity))
+            assert dataclasses.replace(g, gens=()) == g
+            assert "gens" not in repr(g)
+    monkeypatch.setattr(groups, "ARRAY_CHECK_ORDER", 16)
+    for table in holomorphs:
+        src = make_group(table)
+        for dst in (cyclic(2), klein4(), symmetric3()):
             assert list(_enumerate_homs(src, dst)) == list(ref_enumerate_homs(src, dst))
 
 

@@ -1,5 +1,6 @@
 """Replacement words: parsing, canonicalization, coverage, symmetry, cond4."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -16,9 +17,9 @@ from artifact.linalg import basis_vector, vec_add, vec_scale, vec_zero
 from artifact.reporting import Report
 from artifact.words import (ASSOCIATIVE_W1, ASSOCIATIVE_W2,
                             COMMUTATIVE_EXAMPLE_W2, LEIBNIZ_W1, LEIBNIZ_W2,
-                            LIE_W1, LIE_W2, T_SET, Word, canon_monomial,
-                            check_swap_symmetry, check_T_coverage,
-                            expand_condition4, parse_word,
+                            LIE_W1, LIE_W2, MODES, T_SET, Word, _canon_tree,
+                            canon_monomial, check_swap_symmetry,
+                            check_T_coverage, expand_condition4, parse_word,
                             validate_word_on_algebra)
 
 
@@ -64,6 +65,80 @@ def test_canon_monomial_signs():
         (-1, ("R", ("z", "x", "y")))
     assert canon_monomial(("R", ("z", "y", "x")), "plain") == \
         (1, ("R", ("z", "y", "x")))
+
+
+def _trees(leaves):
+    """Every binary tree with these leaves in this order."""
+    if len(leaves) == 1:
+        yield leaves[0]
+        return
+    for i in range(1, len(leaves)):
+        for l in _trees(leaves[:i]):
+            for r in _trees(leaves[i:]):
+                yield (l, r)
+
+
+def _swapped(t):
+    """(variant, swaps): t with any set of its products' factors swapped."""
+    if isinstance(t, str):
+        yield t, 0
+        return
+    for l, a in _swapped(t[0]):
+        for r, b in _swapped(t[1]):
+            yield (l, r), a + b
+            yield (r, l), a + b + 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n, count", [(3, 12), (4, 120)])
+def test_canon_tree_is_a_canonical_form(mode, n, count):
+    # every tree on n distinct leaves: each variant reached by swapping
+    # factors reaches the same tree, itself a variant and a fixed point;
+    # the sign follows the parity of the swaps under anticomm only
+    trees = [t for p in itertools.permutations("xyzt"[:n]) for t in _trees(p)]
+    assert len(set(trees)) == count
+    canons = set()
+    for t in trees:
+        sign, canon = _canon_tree(t, mode)
+        variants = dict(_swapped(t))
+        assert len(variants) == 2 ** (n - 1)
+        canons.add(canon)
+        if mode == "plain":
+            assert (sign, canon) == (1, t)
+            continue
+        assert canon in variants and _canon_tree(canon, mode) == (1, canon)
+        for v, swaps in variants.items():
+            want = (-1) ** (swaps + variants[canon]) if mode == "anticomm" else 1
+            assert _canon_tree(v, mode) == (want, canon)
+    assert len(canons) == (count if mode == "plain" else count // 2 ** (n - 1))
+
+
+def ref_canon_monomial(m, mode):
+    """Oracle: the monomial rule that preceded the one tree rule, verbatim
+    but for its mode check."""
+    if mode == "plain":
+        return 1, m
+    sign = 1
+    shape, (u, v, w) = m
+    if shape == "L":
+        # (u*v)*w -> w*(u*v), one outer swap
+        u, v, w = w, u, v
+        if mode == "anticomm":
+            sign = -sign
+    if v > w:
+        v, w = w, v
+        if mode == "anticomm":
+            sign = -sign
+    return sign, ("R", (u, v, w))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_canon_monomial_equals_the_monomial_rule(mode):
+    monos = [(shape, p) for shape in "RL" for p in itertools.permutations("xyz")]
+    for m in monos:
+        assert canon_monomial(m, mode) == ref_canon_monomial(m, mode)
+    with pytest.raises(InputError):
+        canon_monomial(monos[0], "sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +229,38 @@ def test_cond4_validates_arguments():
         expand_condition4(ASSOCIATIVE_W1, ASSOCIATIVE_W2, depth=0)
     with pytest.raises(InputError):
         expand_condition4(ASSOCIATIVE_W1, ASSOCIATIVE_W2, mode="sideways")
+
+
+# ---------------------------------------------------------------------------
+# output bytes on a seeded corpus of word pairs
+
+
+def _corpus_word(rng, side):
+    """0-3 terms over random shapes, coefficients -3..2 (0 terms cancel)."""
+    terms = [f"{'-' if c < 0 else '+'} {abs(c)}*" + (
+        "{}*({}*{})" if rng.random() < 0.5 else "({}*{})*{}").format(*rng.sample("xyz", 3))
+        for c in (rng.randrange(-3, 3) for _ in range(rng.randrange(4)))]
+    return parse_word(" ".join(terms) or "0", side)
+
+
+def test_word_outputs_on_a_seeded_corpus_are_pinned():
+    # 13 outputs for each of 400 word pairs: both words printed, coverage and
+    # condition 4 (depth 2) in every mode, swap symmetry under both signs, and
+    # canon_monomial of every term in every mode; the sha256 was recorded on
+    # the monomial-and-tree implementation that preceded the one tree rule
+    h = hashlib.sha256()
+    for seed in range(400):
+        rng = random.Random(seed)
+        w1, w2 = _corpus_word(rng, "W1"), _corpus_word(rng, "W2")
+        outs = [str(w1), str(w2)]
+        outs += [check_T_coverage(w1, w2, mode).to_json() for mode in MODES]
+        outs += [expand_condition4(w1, w2, 2, mode).to_json() for mode in MODES]
+        outs += [check_swap_symmetry(w2, sign).to_json() for sign in "+-"]
+        outs += [[canon_monomial(m, mode) for m in w1.monomials() + w2.monomials()]
+                 for mode in MODES]
+        for out in outs:
+            h.update(json.dumps(out, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == "fe1ae5781087a4adfbfd69a1cfb85869082a2074b8643e58ddc68c83077cb6f7"
 
 
 # ---------------------------------------------------------------------------
