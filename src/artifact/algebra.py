@@ -37,11 +37,11 @@ second indices at a time where one leading index alone is larger than a
 step), each term one matmul of two blocks (BLAS dgemm on the float64 rung),
 so a failure near the start stops every block early.  The signed terms are
 summed, linalg.nonzero_mod flags the nonzero differences (mod p over
-GF(p)), and the flags of the first failing leading index, laid out on the
-whole basis, give the lexicographically first failing tuple.  The witness
-sides lhs/rhs are read off the same terms at the witness, over lam or lam^2
-by the row's degree, when the Report's fields are first read: a rejection
-draw or a verdict reads only the label and the witness.
+GF(p)), and the least of the first flags of the step's failing blocks,
+shifted onto the whole basis, is the lexicographically first failing tuple.
+The witness sides lhs/rhs are read off the same terms at the witness, over
+lam or lam^2 by the row's degree, when the Report's fields are first read: a
+rejection draw or a verdict reads only the label and the witness.
 _np_term is the one evaluator of a row and _row_failure the one reader of
 its witness: here, for the condition 1/2 rows of constructions on the
 product's B x B x A block, for the two replacement-word rows of
@@ -355,12 +355,6 @@ def _index_slices(count: int, width: int, cells: int):
     return (slice(i, min(i + k, count)) for i in range(0, count, k))
 
 
-def _first_row(flags: np.ndarray) -> int:
-    """The first leading index with a flag set, for flags indexed [x0, ...]
-    with at least one set."""
-    return int(flags.reshape(len(flags), -1).any(axis=1).argmax())
-
-
 @functools.cache
 def _sweep(k: int, dims: tuple, closed: frozenset, cells: int) -> tuple:
     """The steps (lead, rows, blocks, cols) of the sweep over the witnesses
@@ -395,23 +389,20 @@ def _first_failure(t: Blocks, p: Optional[int], terms, closed: frozenset) -> Opt
 
     The open blocks are swept together in the steps of _sweep, so witnesses
     led by an index in B come before those led by one in A, and no step
-    past the first that flags anything is evaluated.  The flags of that
-    step's first failing leading index, laid out on the whole basis, give
-    the rest of the witness."""
+    past the first that flags anything is evaluated.  In that step each
+    flagged block's row-major first flag, shifted onto the whole basis, is
+    the block's first witness, as the shift is monotone in each label; the
+    least of them is the step's."""
     k = len(terms[0][2])
     dims = t.dims
-    for lead, rows, blocks, cols in _sweep(k, dims, closed, SWEEP_CELLS):
-        flagged = [(parts, f) for parts in blocks
-                   for f in (_np_failing(t, p, terms, parts, rows, cols),) if f.any()]
-        if flagged:
-            i = min(_first_row(f) for _, f in flagged)
-            flags = np.zeros((sum(dims),) * (k - 1), bool)
-            for parts, f in flagged:
-                at = [range(dims[0] * x, dims[0] + dims[1] * x) for x in parts[1:]]
-                at[0] = at[0][cols]  # the step's second indices
-                flags[tuple(slice(r.start, r.stop) for r in at)] = f[i]
-            rest = np.unravel_index(int(flags.argmax()), flags.shape)
-            return (dims[0] * lead + rows.start + i,) + tuple(int(x) for x in rest)
+    for _, rows, blocks, cols in _sweep(k, dims, closed, SWEEP_CELLS):
+        starts = (rows.start, cols.start or 0) + (0,) * (k - 2)
+        firsts = [tuple(dims[0] * x + start + int(i) for x, start, i
+                        in zip(parts, starts, np.unravel_index(int(f.argmax()), f.shape)))
+                  for parts in blocks
+                  for f in (_np_failing(t, p, terms, parts, rows, cols),) if f.any()]
+        if firsts:
+            return min(firsts)
     return None
 
 

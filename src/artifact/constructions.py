@@ -27,12 +27,9 @@ pairs is re-expressed in the basis, and a pair that escapes the span raises
 ClosureError instead of silently producing garbage structure constants.
 Products are taken in integers: the basis is multiplied by lam, the lcm of
 its denominators (1 over GF(p)), so a product is lam^2 times its value.  As
-the basis is in RREF, the coordinates of a product P are its entries at the
-pivot columns, and P is in the span exactly when
-lam * P == P[:, pivots] @ (lam * basis), mod p over GF(p).  At the pivot
-columns lam * basis is lam times the identity, so that holds there on every
-P, and the certificate reads the free columns alone, as linalg's tall
-elimination does; a candidate spanning every pair has none.
+the basis is in RREF, the coordinates of a product are its entries at the
+pivot columns, and linalg.outside_span, the tall eliminations' certificate,
+says which products leave the span of lam * basis over lam.
 
 The products are the suite's terms: each product of a bracket text is one
 term of algebra._np_term on the witnesses (s, t, col) of the pairs' Blocks,
@@ -74,8 +71,8 @@ canonical_d, is A's conjugation action factored this way.
 Both the assembly and the products run on the rungs of linalg.rung:
 float64 while the caller's bound on every value computed stays below 2^53,
 so each matmul is an exact BLAS dgemm, then int64, then Python ints.  The
-module keeps no dtype or residue code of its own: differences are tested by
-linalg.nonzero_mod, residues taken by linalg.exact_ints, and every value
+module keeps no dtype or residue code of its own: membership is tested by
+linalg.outside_span, residues taken by linalg.exact_ints, and every value
 handed back to exact code leaves numpy as Python ints, never as floats: the
 constraint rows through Matrix.from_ints, the structure constants and the
 action through linalg.scalar_tuples.
@@ -113,15 +110,14 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    _free_columns,
     basis_vector,
     exact_dtype,
     exact_ints,
     lazy,
     lowest_terms,
     magnitude,
-    nonzero_mod,
     on_rung,
+    outside_span,
     rung,
     scalar_tuples,
 )
@@ -385,8 +381,8 @@ def _integer_pairs(kind: str, basis: Matrix, n: int):
     """lam and lam times the basis pairs as an integer (m, k, n, n) array: k
     is 1 (left components) or 2 (left, right) as in the flattened layout.
     The dtype covers the closure check, the largest value computed from it:
-    P[:, free] - P[:, pivots] @ (lam * basis)[:, free], each P entry a sum
-    of _CLOSURE_TERMS * n products."""
+    linalg.outside_span of the products P against lam * basis over lam, each
+    P entry a sum of _CLOSURE_TERMS * n products."""
     m = basis.nrows
     k = 1 if KIND_TABLE[kind].right in _FOLLOW else 2
     lam, ints = basis.scaled()
@@ -432,8 +428,6 @@ def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
     m = span.dim
     pairs = _integer_pairs(kind, span.basis, n)
     lam, b = pairs
-    free = _free_columns(width, span.pivots)
-    rest = b.reshape(m, width)[:, free]
     blocks = Blocks(np.zeros((m, 0, 0), b.dtype), *_pair_blocks(kind, b))  # no term reads bb
     # the pairs' rung holds every coordinate, so exact_dtype holds them all
     consts = np.zeros((m, m, m), exact_dtype(f.p, b.dtype))
@@ -442,7 +436,7 @@ def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
         prod = np.stack([_bracket(blocks, text, rows) for text in texts], axis=2)
         prod = prod.reshape(-1, width)
         coords = prod[:, span.pivots]
-        escaped = nonzero_mod(lam * prod[:, free] - coords @ rest, f.p).any(axis=1)
+        escaped = outside_span(prod, lam, b.reshape(m, width), span.pivots, f.p)
         if escaped.any():
             s, t = divmod(int(escaped.argmax()), m)
             raise ClosureError(f"{kind}: product of basis pairs {rows.start + s} and "

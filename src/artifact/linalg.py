@@ -57,11 +57,10 @@ so that every step reads and updates contiguous rows:
     ncols rows independent mod that prime, hence over Q, and the exact loop
     above eliminates only those, giving B.
 Either way span(B) lies inside the row space, and one matmul checks the
-reverse inclusion: every row x equals x[pivots] @ B (mod p over GF(p), in
-integers over Q), checked at the free columns alone, as B is the identity
-(mu I over Q) at the pivots.  A row that fails joins B and one more
-elimination over them covers the whole row space.  So the output is the
-unique RREF on every input, whatever the prime or the sketch.  Over GF(p)
+reverse inclusion, outside_span's certificate (its docstring gives the
+proof) on every row.  A row that fails joins B and one more elimination
+over them covers the whole row space.  So the output is the unique RREF on
+every input, whatever the prime or the sketch.  Over GF(p)
 the front end runs only while the float64 rung holds: every sketch entry,
 kernel entry and check entry is below n p max|x| < 2^53; past that, and for
 small or wide inputs, the loop runs alone.  Crossover, one BLAS thread, per
@@ -477,10 +476,9 @@ def _tall_rref_mod(x: np.ndarray, p: int):
     not hold at this shape and prime.
 
     k = ncols + _SKETCH_EXTRA pseudo-random combinations of the rows are
-    eliminated mod p, and one matmul checks that every row lies in the span
-    of the result B: X == X[:, pivots] @ B mod p at the free columns.  Rows
-    that escape join B and one more elimination gives the RREF of the whole
-    row space."""
+    eliminated mod p to B, and outside_span checks every row against B.
+    Rows that escape join B and one more elimination gives the RREF of the
+    whole row space."""
     n, nc = x.shape
     # the sketch product, the elimination and the check stay below n p max(big, p)
     big = magnitude(x)
@@ -489,12 +487,10 @@ def _tall_rref_mod(x: np.ndarray, p: int):
         return None
     m = _sketch(min(n, nc + _SKETCH_EXTRA), n, p) @ x
     pivots = _rref_mod(m, p)[0]
-    free = _free_columns(nc, pivots)
-    if free:  # else the whole space: nothing can escape
-        escaped = nonzero_mod(x[:, free] - x[:, pivots] @ m[:len(pivots), free], p).any(axis=1)
-        if escaped.any():
-            m = np.vstack([m[:len(pivots)], x[escaped]])
-            pivots = _rref_mod(m, p)[0]
+    escaped = outside_span(x, 1, m[:len(pivots)], pivots, p)
+    if escaped.any():
+        m = np.vstack([m[:len(pivots)], x[escaped]])
+        pivots = _rref_mod(m, p)[0]
     return exact_ints(m[:len(pivots)], p), 1, pivots
 
 
@@ -504,32 +500,48 @@ def _tall_rref_q(x: np.ndarray) -> tuple[list, int, list]:
     object array.
 
     Elimination mod SELECT_PRIME picks rows independent mod that prime,
-    hence over Q; only those <= ncols rows are eliminated exactly.  Their
-    RREF V / mu must then satisfy mu X == X[:, pivots] @ V for every row of
-    X, checked at the free columns by one integer matmul on the rung that
-    holds it.  Rows that escape join the primitive pivot rows the loop left,
-    which span the same space, and the exact loop runs once more."""
+    hence over Q; only those <= ncols rows are eliminated exactly, and
+    outside_span checks every row against their RREF V / mu, on the rung
+    that holds its values.  Rows that escape join the primitive pivot rows
+    the loop left, which span the same space, and the exact loop runs once
+    more."""
     nc = x.shape[1]
     selected, order = _rref_mod(exact_ints(x, SELECT_PRIME).astype(np.float64), SELECT_PRIME)
     basis = x[order[:len(selected)]].tolist()
     v, mu, pivots = _gauss_jordan(basis, nc, None)
-    r, free = len(pivots), _free_columns(nc, pivots)
-    if not free:  # the whole space: nothing can escape
+    r = len(pivots)
+    if r == nc:  # the whole space: nothing can escape
         return v, mu, pivots
     big_v = max((abs(y) for row in v for y in row), default=0)
     dtype = rung(magnitude(x) * (r * big_v + mu))
-    check = x.astype(dtype)
-    rest = _int_array(v, (r, nc))[:, free].astype(dtype)
-    escaped = ((mu * check[:, free] - check[:, pivots] @ rest) != 0).any(axis=1)
+    escaped = outside_span(x.astype(dtype), mu, _int_array(v, (r, nc)).astype(dtype), pivots)
     if not escaped.any():
         return v, mu, pivots
     return _gauss_jordan(basis[:r] + x[escaped].tolist(), nc, None)
 
 
-def _free_columns(nc: int, pivots: list) -> list:
-    """The columns below nc that are not pivots, in order.  The RREF is the
-    identity (mu I over Q) at its pivots, so the front end's certificate
-    holds there for every row and is checked at these columns alone."""
+def outside_span(x: np.ndarray, den: int, v: np.ndarray, pivots: Sequence[int],
+                 p: Optional[int] = None) -> np.ndarray:
+    """Flags over the rows of the integer array x: which lie outside the row
+    space of the RREF v / den, mod p when p is set (den is then 1).  This is
+    the one span certificate, read by both tall front ends and by the
+    closure of constructions.
+
+    Row r of v is den at its pivot pivots[r] and 0 at every other pivot, so
+    a combination c of the rows of v / den reads c at the pivots: a row x in
+    the span is x[pivots] @ v / den, and den x == x[pivots] @ v holds exactly
+    when x is in it.  At the pivot columns both sides are den x[pivots] on
+    every row, so the test reads the free columns alone, and no row escapes
+    an RREF without one.  The caller puts x and v on a rung that holds every
+    value computed, den x and x[pivots] @ v at the free columns."""
+    free = _free_columns(x.shape[1], pivots)  # none: every flag is False
+    return nonzero_mod(den * x[:, free] - x[:, pivots] @ v[:, free], p).any(axis=1)
+
+
+def _free_columns(nc: int, pivots: Sequence[int]) -> list:
+    """The columns below nc that are not pivots, in order: the free columns
+    of an RREF, which outside_span tests and Matrix.nullspace takes as the
+    nullspace's pivots."""
     return sorted(set(range(nc)).difference(pivots))
 
 

@@ -24,7 +24,6 @@ the identity suite's kernel (algebra._row_failure), exact on every field.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -310,6 +309,9 @@ def _rewrite_once(tree, w1: Word, w2: Word):
 
 
 _TERM_CAP = 4096
+# the most rewrite waves condition 4 runs per side: each keeps a snapshot,
+# so an unbounded depth on words that never settle runs without end
+_DEPTH_CAP = 1000
 
 
 def _wave_sequence(terms, w1, w2, depth, mode):
@@ -352,10 +354,13 @@ def expand_condition4(w1: Word, w2: Word, depth: int = 3, mode: str = "plain") -
     toward t-normal form one wave at a time, and the pairing is settled by
     comparing canonicalized signed multisets across all wave pairs.
     Outcomes: equal, unequal (both sides stable, no snapshot matched), or
-    undetermined (wave budget or term cap exhausted first).
+    undetermined (wave budget or term cap exhausted first).  A depth past
+    _DEPTH_CAP is refused.
     """
     if depth < 1:
         raise InputError("depth must be at least 1")
+    if depth > _DEPTH_CAP:
+        raise InputError(f"depth {depth} is past the cap of {_DEPTH_CAP} waves")
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     xy = ("x", "y")
@@ -378,11 +383,11 @@ def expand_condition4(w1: Word, w2: Word, depth: int = 3, mode: str = "plain") -
     for name, side_a, side_b in pairings:
         snaps_a, stable_a = _wave_sequence(side_a, w1, w2, depth, mode)
         snaps_b, stable_b = _wave_sequence(side_b, w1, w2, depth, mode)
-        match = None
-        for i, j in itertools.product(range(len(snaps_a)), range(len(snaps_b))):
-            if snaps_a[i] == snaps_b[j]:
-                match = (i, j)
-                break
+        # each side-B snapshot at its first wave: later waves are written first
+        first_b = {snap: j for j, snap in reversed(list(enumerate(snaps_b)))}
+        # the first side-A wave with a match, at side B's first such wave
+        match = next(((i, first_b[snap]) for i, snap in enumerate(snaps_a) if snap in first_b),
+                     None)
         if match:
             outcome = "equal"
         elif stable_a and stable_b:

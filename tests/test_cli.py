@@ -233,6 +233,12 @@ def test_words_failure_bytes_are_pinned(args, stdout):
     assert proc.stdout == stdout
 
 
+def test_words_cond4_depth_refusal_bytes_are_pinned():
+    proc = run_cli("words", "cond4", "--w1", "(z*y)*x", "--w2", "x*(z*y)", "--depth", "1001")
+    assert proc.returncode == 2
+    assert proc.stdout == '{"error": "InputError: depth 1001 is past the cap of 1000 waves"}\n'
+
+
 def test_group_subcommands():
     code, payload = run_json("group", "aut", fixture_path("s3.json"))
     assert code == 0 and payload["order"] == 6

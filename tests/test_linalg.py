@@ -611,6 +611,62 @@ def test_subspace_rejects_vectors_outside_span():
     assert span.residual(v) == v
 
 
+P61 = 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("field, dtype", [
+    (GF(2), np.float64), (GF(2), np.int64), (GF(2), object),
+    (gf5, np.float64), (gf5, np.int64), (gf5, object), (GF(P61), object),
+    (QQ, np.float64), (QQ, np.int64), (QQ, object),
+], ids=lambda x: getattr(x, "__name__", str(x)))
+def test_outside_span_agrees_with_subspace_contains(field, dtype):
+    # Subspace.contains is the scalar oracle; the rows are combinations of
+    # the basis, random rows, and combinations plus a unit vector at a free
+    # column, which always escape.  Over Q the basis is v / den with den > 1
+    # and the rows are integers, whose membership does not depend on scale.
+    p = field.p
+    rng = random.Random(11 if p is None else p)
+
+    def scalar():
+        if p is None:
+            return Fraction(rng.randrange(-4, 5), rng.choice([1, 2, 3, 6]))
+        return rng.randrange(p)
+
+    dens, shapes = set(), set()
+    for _ in range(40):
+        nc = rng.randrange(1, 8)
+        rows = [[scalar() for _ in range(nc)] for _ in range(rng.randrange(nc + 2))]
+        span = Subspace.spanned_by(Matrix.from_rows(field, rows), nc)
+        v, den, pivots = span.basis.ints.tolist(), span.basis.den, span.pivots
+        free = [j for j in range(nc) if j not in pivots]
+
+        def combination():
+            row = [0] * nc
+            for basis_row in v:
+                c = rng.randrange(-3, 4)
+                row = [y + c * z for y, z in zip(row, basis_row)]
+            return [y % p for y in row] if p else row
+
+        x = [combination() for _ in range(3)]
+        x += [[rng.randrange(-6, 7) if p is None else rng.randrange(p) for _ in range(nc)]
+              for _ in range(3)]
+        for j in free[:2]:
+            row = combination()
+            row[j] += 1
+            x.append(row)
+        x = x[:rng.randrange(len(x) + 1)]  # 0 rows too
+        got = linalg.outside_span(np.array(x, dtype=object).reshape(-1, nc).astype(dtype), den,
+                                  np.array(v, dtype=object).reshape(-1, nc).astype(dtype),
+                                  pivots, p)
+        want = [not span.contains(tuple(Fraction(y) if p is None else y for y in row))
+                for row in x]
+        assert got.dtype == bool and got.tolist() == want
+        dens.add(den)
+        shapes.add((len(x) == 0, len(free) == 0, any(want)))
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= shapes
+    assert p is not None or max(dens) > 1
+
+
 def test_matmul_shape_errors():
     a = Matrix.zeros(gf5, 2, 3)
     b = Matrix.zeros(gf5, 2, 3)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from artifact import words
 from artifact.algebra import InputError, check_identity, make_algebra
 from artifact.corpus import (a5_leibniz, dual_numbers, heisenberg,
                              m2_rationals, diagonal_algebra, sl2,
@@ -17,7 +18,7 @@ from artifact.linalg import basis_vector, vec_add, vec_scale, vec_zero
 from artifact.reporting import Report
 from artifact.words import (ASSOCIATIVE_W1, ASSOCIATIVE_W2,
                             COMMUTATIVE_EXAMPLE_W2, LEIBNIZ_W1, LEIBNIZ_W2,
-                            LIE_W1, LIE_W2, MODES, T_SET, Word, _canon_tree,
+                            LIE_W1, LIE_W2, MODES, T_SET, Word, _DEPTH_CAP, _canon_tree,
                             canon_monomial, check_swap_symmetry,
                             check_T_coverage, expand_condition4, parse_word,
                             validate_word_on_algebra)
@@ -229,6 +230,43 @@ def test_cond4_validates_arguments():
         expand_condition4(ASSOCIATIVE_W1, ASSOCIATIVE_W2, depth=0)
     with pytest.raises(InputError):
         expand_condition4(ASSOCIATIVE_W1, ASSOCIATIVE_W2, mode="sideways")
+
+
+def test_cond4_depth_cap_is_accepted_and_one_past_it_refused():
+    # (z*y)*x and x*(z*y) never settle: every wave rewrites again
+    w1, w2 = parse_word("(z*y)*x", "W1"), parse_word("x*(z*y)", "W2")
+    rep = expand_condition4(w1, w2, depth=_DEPTH_CAP)
+    assert rep.details[-1] == {"overall": "undetermined", "depth": _DEPTH_CAP, "mode": "plain"}
+    assert all(d["stable"] == [False, False] for d in rep.details[:-1])
+    with pytest.raises(InputError, match=f"depth {_DEPTH_CAP + 1} is past the cap"):
+        expand_condition4(w1, w2, depth=_DEPTH_CAP + 1)
+
+
+def test_cond4_match_is_the_first_wave_pair_in_product_order(monkeypatch):
+    # the oracle compares every pair of the recorded snapshots of sides A
+    # and B in itertools.product order and takes the first equal one
+    seen, wave_sequence = [], words._wave_sequence
+
+    def record(*args):
+        seen.append(wave_sequence(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(words, "_wave_sequence", record)
+    late = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        w1, w2 = _corpus_word(rng, "W1"), _corpus_word(rng, "W2")
+        for mode in MODES:
+            seen.clear()
+            rep = expand_condition4(w1, w2, 4, mode)
+            assert len(seen) == 8
+            for d, (snaps_a, _), (snaps_b, _) in zip(rep.details, seen[::2], seen[1::2]):
+                want = next(((i, j) for i, j in itertools.product(range(len(snaps_a)),
+                                                                   range(len(snaps_b)))
+                             if snaps_a[i] == snaps_b[j]), None)
+                assert d["matched_waves"] == want
+                late += want is not None and want != (0, 0)
+    assert late
 
 
 # ---------------------------------------------------------------------------
