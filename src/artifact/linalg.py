@@ -19,21 +19,22 @@ deterministic.  Over Q each row is first multiplied by the lcm of its
 denominators (row scaling keeps the row space), then eliminated
 fraction-free as in Bareiss (1968), row_i <- a*row_i - s*row_r, except that
 the new row is divided by the gcd of its entries rather than by the previous
-pivot, which keeps every row primitive.  Over GF(p) the pivot row is scaled
-by its inverse and an update touches only its nonzero columns.  Every route
-to the RREF, this loop and the two front ends below, ends the same way, in
-(V, den, pivots): V the nonzero RREF rows as integers, den 1 over GF(p)
-and over Q mu, the lcm of the pivot entries, each primitive pivot row
-scaled to mu.  rref wraps that once as the matrix V / den, so its output
-has rank rows and no zero row.  The RREF is unique, so nullspace and span
-bases are canonical and two equal subspaces always produce identical basis
-matrices, comparable with ==.  Over Q rows of Python ints are accepted as
-they are (lam = 1), so a caller may hand in rows already scaled to
-integers; the output is in Fractions either way.  An RREF output carries
-its pivots, and the rref of such a matrix is the matrix itself, so a span
-of it costs no elimination.  The nullspace's RREF is read off the RREF of
-the columns in reverse order with no second elimination (Matrix.nullspace
-gives the argument).
+pivot, and a pivot row by its own gcd when it is chosen, which keeps every
+pivot row primitive.  Over GF(p) the pivot row is scaled by its inverse and
+an update touches only its nonzero columns.  Every route to the RREF, this
+loop and the two front ends below, ends the same way, in (V, den, pivots):
+V the nonzero RREF rows as integers, den 1 over GF(p) and over Q mu, the
+least common denominator of the RREF: the lcm of the pivot entries, each
+primitive pivot row scaled to mu.  rref wraps that once as the matrix
+V / den, so its output has rank rows and no zero row.  The RREF is unique,
+so nullspace and span bases are canonical and two equal subspaces always
+produce identical basis matrices, comparable with ==.  Over Q rows of
+Python ints are accepted as they are (lam = 1), so a caller may hand in
+rows already scaled to integers; the output is in Fractions either way.  An
+RREF output carries its pivots, and the rref of such a matrix is the matrix
+itself, so a span of it costs no elimination.  The nullspace's RREF is read
+off the RREF of the columns in reverse order with no second elimination
+(Matrix.nullspace gives the argument).
 
 rref starts from the array when the matrix holds one: it drops zero rows
 with one mask, hands a tall input to the front end below as it is, and a
@@ -50,29 +51,38 @@ Tall inputs, more nonzero rows than columns (constraint systems are tall and
 redundant: 648 x 72 of rank 21-66 over GF(5)), go through a certified front
 end first, a float64 Gauss-Jordan mod a prime with lazy reduction in the
 manner of FFLAS-FFPACK (Dumas, Giorgi & Pernet 2008), run on the transpose
-so that every step reads and updates contiguous rows:
-  * over GF(p), ncols + 4 pseudo-random combinations of the rows (a Toeplitz
-    sketch hashed by integer arithmetic) are eliminated mod p, giving B;
-  * over Q, elimination mod SELECT_PRIME of the integer rows picks at most
-    ncols rows independent mod that prime, hence over Q, and the exact loop
-    above eliminates only those, giving B.
-Either way span(B) lies inside the row space, and one matmul checks the
-reverse inclusion, outside_span's certificate (its docstring gives the
-proof) on every row.  A row that fails joins B and one more elimination
-over them covers the whole row space.  So the output is the unique RREF on
-every input, whatever the prime or the sketch.  Over GF(p)
-the front end runs only while the float64 rung holds: every sketch entry,
-kernel entry and check entry is below n p max|x| < 2^53; past that, and for
-small or wide inputs, the loop runs alone.  Crossover, one BLAS thread, per
-call, median of 12 constraint matrices of the actor workloads per shape,
-loop -> front end: over GF(5) 27 x 9 0.07 -> 0.25 ms, 64 x 16 0.11 -> 0.21
-ms and 81 x 18 0.14 -> 0.27 ms (so small inputs keep the loop), 125 x 25
-0.43 -> 0.31 ms, 192 x 32 0.69 -> 0.46 ms, 216 x 36 1.46 -> 0.50 ms,
-375 x 50 4.3 -> 1.09 ms and 648 x 72 12.8 -> 1.8 ms, hence TALL_CELLS_GF =
-2048; over Q, where the loop's gcds of big integers cost more, 27 x 9 0.12
--> 0.18 ms, 64 x 16 0.47 -> 0.32 ms, 81 x 18 1.09 -> 0.47 ms and 192 x 32
-9.3 -> 1.7 ms, hence TALL_CELLS_Q = 1024 (Intel Xeon, numpy 2.4 with
-OpenBLAS, a shared 2-core host).
+so that every step reads and updates contiguous rows.  Its sketch is
+ncols + 4 pseudo-random combinations of the rows (a Toeplitz matrix hashed
+by integer arithmetic), eliminated only while the float64 rung holds: every
+sketch entry, kernel entry and check entry is below n p max|x| < 2^53.
+  * Over GF(p) the sketch is eliminated mod p, giving B.  span(B) lies
+    inside the row space, and one matmul checks the reverse inclusion,
+    outside_span's certificate (its docstring gives the proof) on every
+    row.  A row that fails joins B and one more elimination over them
+    covers the whole row space.
+  * Over Q the sketch is eliminated mod SELECT_PRIME, and mod SECOND_PRIME
+    when that image is not enough.  V / mu is rebuilt from the images by
+    rational reconstruction with a denominator per row (Wang, Guy &
+    Davenport 1982) and Garner's CRT, and the same certificate on every row
+    proves it the RREF (_tall_rref_q gives the argument).  Past the float64
+    bound, when a rebuild gives up, or when a row escapes, elimination mod
+    SELECT_PRIME of the rows themselves picks at most ncols rows independent
+    mod that prime, hence over Q; the exact loop above eliminates only
+    those, and the certificate and one more elimination follow as over
+    GF(p).
+So the output is the unique RREF on every input, whatever the prime or the
+sketch.  For small or wide inputs, and over GF(p) past the bound, the loop
+runs alone.  Crossover, one BLAS thread, per call, median of 12 constraint
+matrices of the actor workloads per shape, loop -> front end: over GF(5)
+27 x 9 0.07 -> 0.25 ms, 64 x 16 0.11 -> 0.21 ms and 81 x 18 0.14 -> 0.27 ms
+(so small inputs keep the loop), 125 x 25 0.43 -> 0.31 ms, 192 x 32
+0.69 -> 0.46 ms, 216 x 36 1.46 -> 0.50 ms, 375 x 50 4.3 -> 1.09 ms and
+648 x 72 12.8 -> 1.8 ms, hence TALL_CELLS_GF = 2048; over Q, where the
+loop's gcds of big integers cost more, 27 x 9 0.13 -> 0.19 ms (144-243
+nonzero cells), 64 x 16 0.55 -> 0.35 ms (720-1024 cells), 81 x 18
+0.73 -> 0.31 ms, 125 x 25 6.1 -> 1.35 ms (the two of that shape) and
+192 x 32 9.6 -> 0.60 ms, hence TALL_CELLS_Q = 256 (Intel Xeon, numpy 2.4
+with OpenBLAS, a shared 2-core host).
 
 The integer rung rule is written here, once: integer_array puts lam times
 a nested list of scalars on the cheapest exact numpy dtype (rung), float64
@@ -106,12 +116,15 @@ from .fields import Field, Scalar
 Vector = tuple  # tuple of scalars
 
 # A tall input (more nonzero rows than columns) with at least this many
-# cells takes the certified front end of Matrix.rref: from 1024 over Q,
+# cells takes the certified front end of Matrix.rref: from 256 over Q,
 # where each exact step takes gcds of big integers, and from 2048 over
 # GF(p).  The module docstring gives the timings behind both.
-TALL_CELLS_Q, TALL_CELLS_GF = 1024, 2048
+TALL_CELLS_Q, TALL_CELLS_GF = 256, 2048
 # the largest prime below 2^26: rows are selected mod it over Q
 SELECT_PRIME = 67108859
+# the next prime below it: a tall Q RREF's second image, so that
+# SELECT_PRIME * SECOND_PRIME < 2^52
+SECOND_PRIME = 67108837
 # sketch rows beyond the width over GF(p)
 _SKETCH_EXTRA = 4
 
@@ -432,7 +445,9 @@ def _gauss_jordan(rows: list, nc: int, p: Optional[int]) -> tuple[list, int, lis
     the nonzero integer rows, eliminated in place as in the module docstring.
     rows[r] is then the pivot row of pivots[r]: over GF(p) the RREF row
     itself, so V is rows[:r] and den 1; over Q a primitive integer row, and
-    V scales each to mu, the lcm of the pivot entries, with den = mu."""
+    V scales each to mu, the lcm of the pivot entries, with den = mu.  A
+    primitive row is its RREF row times its pivot entry a and no more, so a
+    is that row's least common denominator and mu the RREF's."""
     pivots = []
     for c in range(nc):
         r = len(pivots)
@@ -443,7 +458,10 @@ def _gauss_jordan(rows: list, nc: int, p: Optional[int]) -> tuple[list, int, lis
             continue
         rows[r], rows[pin] = rows[pin], rows[r]
         if p is None:
-            prow = rows[r]
+            # primitive from the start: a row chosen before any update keeps
+            # its content otherwise, and mu is then no least denominator
+            g = math.gcd(*rows[r])
+            prow = rows[r] = [x // g for x in rows[r]] if g > 1 else rows[r]
             a = prow[c]
             for i, row in enumerate(rows):
                 s = row[c]
@@ -494,30 +512,125 @@ def _tall_rref_mod(x: np.ndarray, p: int):
     return exact_ints(m[:len(pivots)], p), 1, pivots
 
 
-def _tall_rref_q(x: np.ndarray) -> tuple[list, int, list]:
+def _tall_rref_q(x: np.ndarray) -> tuple:
     """(V, mu, pivots), V / mu the nonzero RREF rows as _gauss_jordan gives
     them, for the n > ncols nonzero integer rows x over Q, an int64 or
     object array.
 
+    While n SELECT_PRIME max|x| < 2^53, the sketch product S x of
+    _tall_rref_mod is exact in float64, and the RREF is rebuilt from images
+    of it: S x is eliminated mod SELECT_PRIME, and _rebuild_rref turns the r
+    rows of that RREF into V / mu.  If it gives up, S x is eliminated mod
+    SECOND_PRIME too; the pivots must be the same, and the rebuild runs again
+    on both images.  V / mu is then certified by outside_span on every row
+    of x, and the argument that it is the RREF runs:
+      * V / mu has the RREF shape with the pivots mod SELECT_PRIME: each
+        image row is 1 at its pivot and 0 at the other pivots and left of
+        its pivot, so each row of V is mu and 0 there;
+      * no row escaping gives rowspace_Q(x) within rowspace_Q(V);
+      * rank_Q(x) >= rank_Q(S x) >= its rank mod SELECT_PRIME, r = rank V;
+      * so the two row spaces are equal, and as the RREF is unique, V / mu
+        is the RREF.
+    mu is made least by lowest_terms, as _gauss_jordan's mu is.  Past the
+    bound, on a give-up, on other pivots mod SECOND_PRIME or on a row that
+    escapes, _select_rref_q runs instead."""
+    n, nc = x.shape
+    big = magnitude(x)
+    if n * SELECT_PRIME * big < 2 ** 53:
+        m = _sketch(min(n, nc + _SKETCH_EXTRA), n, SELECT_PRIME) @ x.astype(np.float64)
+        first = m.copy()  # _rref_mod eliminates in place; m is kept for the second prime
+        pivots = _rref_mod(first, SELECT_PRIME)[0]
+        images = [exact_ints(first[:len(pivots)], SELECT_PRIME)]
+        red = _rebuild_rref(images)
+        if red is None and _rref_mod(m, SECOND_PRIME)[0] == pivots:
+            images.append(exact_ints(m[:len(pivots)], SECOND_PRIME))
+            red = _rebuild_rref(images)
+        if red is not None:
+            mu, v = red
+            if not _outside_rref_q(x, mu, v, pivots).any():
+                return v, mu, pivots
+    return _select_rref_q(x)
+
+
+def _rebuild_rref(images: list) -> Optional[tuple[int, np.ndarray]]:
+    """(mu, V): the rationals V / mu in lowest terms whose residues are the
+    r x ncols int64 arrays images, mod SELECT_PRIME and, with a second
+    image, mod SECOND_PRIME; or None when a row needs a denominator past
+    B = isqrt(M / 2), M the product of the primes.
+
+    Each row r has a denominator d_r, at first 1.  While d_r times the row,
+    combined by Garner's CRT (Knuth, TAOCP vol. 2, 4.3.2) and centred
+    mod M, has an entry c past B, Wang's half-extended Euclid on (M, c)
+    gives the t with t c = s (mod M), |s| <= B, and d_r grows by |t| >= 2
+    (Wang, Guy & Davenport 1982).  When no entry is past B, V is each row
+    times mu / d_r, mu = lcm(d_r).  Rationals of numerator and denominator
+    at most B, 2 B^2 < M, are unique by their residue, so the true row is
+    found if its own are; a wrong guess is caught by the certificate of
+    _tall_rref_q, which alone makes the result exact."""
+    primes = (SELECT_PRIME, SECOND_PRIME)[:len(images)]
+    mod = math.prod(primes)
+    bound = math.isqrt(mod // 2)
+    d = [1] * len(images[0])
+    while True:
+        # d_r <= B < either prime, so each product stays below 2^52
+        scale = np.array(d, np.int64)[:, None]
+        s = images[0] * scale % SELECT_PRIME
+        if len(images) == 2:
+            t = (images[1] * scale - s) % SECOND_PRIME
+            s += SELECT_PRIME * (t * pow(SELECT_PRIME, -1, SECOND_PRIME) % SECOND_PRIME)
+        s[s > mod // 2] -= mod
+        over = np.abs(s) > bound
+        rows = over.any(axis=1).nonzero()[0]
+        if not rows.size:
+            break
+        for i, j in zip(rows.tolist(), over[rows].argmax(axis=1).tolist()):
+            d[i] *= _wang_denominator(int(s[i, j]) % mod, mod, bound)
+            if d[i] > bound:
+                return None
+    mu = math.lcm(*d)
+    k = np.array([mu // e for e in d], object)[:, None]
+    # |s k| <= B mu; past int64, the dtype is chosen from the values
+    v = s * k.astype(np.int64) if bound * mu < 2 ** 63 else _int_array((s * k).tolist(), s.shape)
+    return lowest_terms(mu, v)
+
+
+def _wang_denominator(c: int, mod: int, bound: int) -> int:
+    """|t| for the first remainder s <= bound of Euclid's algorithm on
+    (mod, c), 0 <= c < mod, carrying only the cofactor t of c: t c = s
+    (mod mod) throughout, so |t| is the denominator of the rational s / t
+    that c reconstructs to."""
+    r0, r1, t0, t1 = mod, c, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return abs(t1)
+
+
+def _select_rref_q(x: np.ndarray) -> tuple[list, int, list]:
+    """(V, mu, pivots) as _tall_rref_q gives them, by the exact loop.
+
     Elimination mod SELECT_PRIME picks rows independent mod that prime,
     hence over Q; only those <= ncols rows are eliminated exactly, and
-    outside_span checks every row against their RREF V / mu, on the rung
-    that holds its values.  Rows that escape join the primitive pivot rows
-    the loop left, which span the same space, and the exact loop runs once
-    more."""
+    outside_span checks every row against their RREF V / mu.  Rows that
+    escape join the primitive pivot rows the loop left, which span the same
+    space, and the exact loop runs once more."""
     nc = x.shape[1]
     selected, order = _rref_mod(exact_ints(x, SELECT_PRIME).astype(np.float64), SELECT_PRIME)
     basis = x[order[:len(selected)]].tolist()
     v, mu, pivots = _gauss_jordan(basis, nc, None)
-    r = len(pivots)
-    if r == nc:  # the whole space: nothing can escape
-        return v, mu, pivots
-    big_v = max((abs(y) for row in v for y in row), default=0)
-    dtype = rung(magnitude(x) * (r * big_v + mu))
-    escaped = outside_span(x.astype(dtype), mu, _int_array(v, (r, nc)).astype(dtype), pivots)
+    escaped = _outside_rref_q(x, mu, _int_array(v, (len(pivots), nc)), pivots)
     if not escaped.any():
         return v, mu, pivots
-    return _gauss_jordan(basis[:r] + x[escaped].tolist(), nc, None)
+    return _gauss_jordan(basis[:len(pivots)] + x[escaped].tolist(), nc, None)
+
+
+def _outside_rref_q(x: np.ndarray, mu: int, v: np.ndarray, pivots: list) -> np.ndarray:
+    """outside_span(x, mu, v, pivots) over Q, on the rung that holds mu x
+    and x[pivots] @ v; all False at once when the pivots are every column."""
+    if len(pivots) == x.shape[1]:  # the whole space: nothing can escape
+        return np.zeros(len(x), bool)
+    dtype = rung(magnitude(x) * (len(pivots) * magnitude(v) + mu))
+    return outside_span(x.astype(dtype), mu, v.astype(dtype), pivots)
 
 
 def outside_span(x: np.ndarray, den: int, v: np.ndarray, pivots: Sequence[int],

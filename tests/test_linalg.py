@@ -6,6 +6,7 @@ nullspace dimensions and whole reduced row echelon forms must agree with
 ours on random inputs.
 """
 
+import functools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from sympy.polys.domains import GF as sGF, QQ as sQQ
+from sympy.polys.domains import GF as sGF, QQ as sQQ, ZZ as sZZ
 from sympy.polys.matrices import DomainMatrix
 
 from artifact import linalg
@@ -306,6 +307,139 @@ def test_tall_front_end_certifies_an_empty_selection(monkeypatch):
     red, piv = Matrix.from_rows(QQ, rows).rref()
     assert calls == [q] and len(piv) == 12
     assert_rref_matches_sympy(QQ, rows, 20)
+
+
+def test_gauss_jordan_den_is_the_least_common_denominator():
+    # the row [0, 3, 9] is the pivot row of the last pivot and is never
+    # updated: unless it is made primitive when chosen, den comes out 3 for
+    # an integer RREF
+    assert (linalg._gauss_jordan([[2, 4, 6], [0, 3, 9]], 3, None)
+            == ([[1, 0, -3], [0, 1, 3]], 1, [0, 1]))
+
+
+# The tall Q front end's rungs: a rebuild from the image mod SELECT_PRIME,
+# one from the images mod SELECT_PRIME and SECOND_PRIME, and _select_rref_q.
+# A rebuild holds while every row's least common denominator d and d times
+# the row are at most B = isqrt(M / 2), M the product of the primes.
+
+B_ONE = math.isqrt(linalg.SELECT_PRIME // 2)
+B_TWO = math.isqrt(linalg.SELECT_PRIME * linalg.SECOND_PRIME // 2)
+Q_ROUTES = {"one prime": [(1, True)], "two primes": [(1, False), (2, True)],
+            "past both": [(1, False), (2, False), "select"],
+            "other pivots": [(1, False), "select"], "sketch kernel": [(1, True), "select"],
+            "at the bound": [(1, True)], "past the bound": ["select"]}
+
+
+def _record_q_route(mp):
+    """The rungs _tall_rref_q takes: (number of images, whether the rebuild
+    gave V) per rebuild, and "select" for the fallback."""
+    route = []
+    rebuild, select = linalg._rebuild_rref, linalg._select_rref_q
+
+    def counted_rebuild(images):
+        out = rebuild(images)
+        route.append((len(images), out is not None))
+        return out
+
+    mp.setattr(linalg, "_rebuild_rref", counted_rebuild)
+    mp.setattr(linalg, "_select_rref_q", lambda x: route.append("select") or select(x))
+    return route
+
+
+def _rebuild_bound(v, den):
+    """The least B at which every row of the RREF v / den rebuilds: the
+    largest least common denominator d of a row, or entry of d times it."""
+    top = 0
+    for row in v:
+        g = math.gcd(den, *row)
+        top = max(top, den // g, *(abs(y) // g for y in row))
+    return top
+
+
+@functools.cache
+def _short_sketch_kernel_vector(n, k):
+    """A short integer w with S w = 0 mod SELECT_PRIME, S the k x n sketch:
+    the first row of an LLL-reduced basis of that lattice, which is spanned
+    by the nullspace of S mod the prime and the prime times the unit vectors
+    at the pivots of S."""
+    q = linalg.SELECT_PRIME
+    s = Matrix.from_ints(GF(q), linalg.exact_ints(linalg._sketch(k, n, q), q))
+    basis = s.nullspace().ints.tolist() + [[q * (j == c) for j in range(n)]
+                                           for c in s.rref()[1]]
+    red = DomainMatrix([[sZZ(y) for y in row] for row in basis], (n, n), sZZ).lll()
+    return [int(y) for y in red.to_list()[0]]
+
+
+def _nonzero_left(rng, n, r):
+    return [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)] for _ in range(n)]
+
+
+@st.composite
+def tall_q_cases(draw):
+    """(kind, x), x tall nonzero integer rows on the rung Q_ROUTES[kind]
+    names: the product of nonzero small rows and r random rows of entries
+    up to k, whose r x r minors set the RREF's denominators and numerators
+    (at most 2000, 2 30^2 and 6^3 sqrt(27) for one prime, 2 3000^2 and
+    150^3 sqrt(27) for two, near 1000^r for past both)."""
+    kind = draw(st.sampled_from(sorted(Q_ROUTES)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if kind == "sketch kernel":
+        # column 0 lies in the kernel of the sketch mod the prime, so its
+        # image has rank nc - 1 and rebuilds, and every row escapes it
+        n, nc = 30, 6
+        w = _short_sketch_kernel_vector(n, nc + linalg._SKETCH_EXTRA)
+        rest = np.array(_nonzero_left(rng, n, 5)) @ np.array(
+            [[rng.randint(-5, 5) for _ in range(nc - 1)] for _ in range(5)])
+        return kind, np.column_stack([w, rest]).astype(np.int64)
+    nc = draw(st.integers(6, 20))
+    n = nc + draw(st.integers(5, 60))
+    if kind == "other pivots":
+        # the leading 2 x 2 minor is SECOND_PRIME: 8193^2 - 4 * 4103
+        right = [[8193, 4] + [rng.randint(-50, 50) for _ in range(nc - 2)],
+                 [4103, 8193] + [rng.randint(-50, 50) for _ in range(nc - 2)]]
+    else:
+        r, k = {"one prime": draw(st.sampled_from(((1, 2000), (2, 30), (3, 6)))),
+                "two primes": draw(st.sampled_from(((2, 3000), (3, 150)))),
+                "past both": (draw(st.integers(4, min(8, nc - 1))), 1000)}.get(kind, (3, 6))
+        right = [[rng.randint(-k, k) for _ in range(nc)] for _ in range(r)]
+        if kind.endswith("bound"):  # e_0 in the row space, for the one big row
+            right = [[1] + [0] * (nc - 1)] + [[0] + row[1:] for row in right]
+    x = np.array(_nonzero_left(rng, n, len(right))) @ np.array(right)
+    x = x[x.any(axis=1)]
+    if kind.endswith("bound"):
+        # the largest magnitude at which n SELECT_PRIME max|x| < 2^53, or one past
+        top = (2 ** 53 - 1) // (len(x) * linalg.SELECT_PRIME) + (kind == "past the bound")
+        x[0] = 0
+        x[0, 0] = rng.choice((top, -top))
+    return kind, x.astype(np.int64)
+
+
+@settings(max_examples=100)
+@given(tall_q_cases())
+def test_tall_q_front_end_equals_the_loop_on_every_rung(case):
+    kind, x = case
+    n, nc = x.shape
+    assert n > nc and x.any(axis=1).all()
+    want = linalg._gauss_jordan(x.tolist(), nc, None)
+    with pytest.MonkeyPatch.context() as mp:
+        route = _record_q_route(mp)
+        v, den, pivots = linalg._tall_rref_q(x)
+    assert (np.asarray(v).tolist(), den, list(pivots)) == want
+    assert route == Q_ROUTES[kind]
+    # the case is the one its kind names
+    top, edge = _rebuild_bound(*want[:2]), n * linalg.SELECT_PRIME * linalg.magnitude(x)
+    assert {"one prime": top <= B_ONE, "two primes": B_ONE < top <= B_TWO,
+            "past both": top > B_TWO, "at the bound": edge < 2 ** 53 <= edge + n * linalg.SELECT_PRIME,
+            "past the bound": edge - n * linalg.SELECT_PRIME < 2 ** 53 <= edge}.get(kind, True)
+    if kind == "other pivots":
+        assert Matrix.from_ints(GF(linalg.SECOND_PRIME), x).rref()[1] != tuple(pivots)
+    if kind == "sketch kernel":
+        s = linalg._sketch(nc + linalg._SKETCH_EXTRA, n, linalg.SELECT_PRIME)
+        assert not (linalg.exact_ints(s, linalg.SELECT_PRIME) @ x[:, 0] % linalg.SELECT_PRIME).any()
+    # sympy's values, and den their least common denominator
+    red, piv = sympy_rref(QQ, x.tolist(), nc)
+    assert [[Fraction(y, den) for y in row] for row in want[0]] == [list(r) for r in red[:len(piv)]]
+    assert den == math.lcm(*(y.denominator for r in red for y in r))
 
 
 def test_mod_p_kernel_at_the_selection_prime_equals_sympy():
