@@ -47,37 +47,38 @@ annihilator, derived subspace and ideals of algebra are Subspaces, and
 coordinates, residuals and membership are its methods, read off at the
 pivots with no elimination.
 
-Tall inputs, more nonzero rows than columns (constraint systems are tall and
-redundant: 648 x 72 of rank 21-66 over GF(5)), go through a certified front
-end first, a float64 Gauss-Jordan mod a prime with lazy reduction in the
-manner of FFLAS-FFPACK (Dumas, Giorgi & Pernet 2008), run on the transpose
-so that every step reads and updates contiguous rows.  Its sketch is
-ncols + 4 pseudo-random combinations of the rows (a Toeplitz matrix hashed
-by integer arithmetic), eliminated only while the float64 rung holds: every
-sketch entry, kernel entry and check entry is below n p max|x| < 2^53.
+Tall inputs, more than ncols + _SKETCH_EXTRA nonzero rows (constraint
+systems are tall and redundant: 648 x 72 of rank 21-66 over GF(5)), go
+through a certified front end first, a float64 Gauss-Jordan mod a prime with
+lazy reduction in the manner of FFLAS-FFPACK (Dumas, Giorgi & Pernet 2008),
+run on the transpose so that every step reads and updates contiguous rows.
+Every front-end route has one contract: it returns an RREF that
+outside_span (its docstring gives the proof) certified against every input
+row, or None, and on None rref runs the exact loop above, its one fallback.
+The sketch is ncols + _SKETCH_EXTRA pseudo-random combinations of the rows (a
+Toeplitz matrix hashed by integer arithmetic), so shorter than the input,
+eliminated only while the float64 rung holds: every sketch entry, kernel
+entry and check entry is below n p max|x| < 2^53.
   * Over GF(p) the sketch is eliminated mod p, giving B.  span(B) lies
-    inside the row space, and one matmul checks the reverse inclusion,
-    outside_span's certificate (its docstring gives the proof) on every
-    row.  A row that fails joins B and one more elimination over them
-    covers the whole row space.
+    inside the row space, and the certificate checks the reverse inclusion.
   * Over Q the sketch is eliminated mod SELECT_PRIME, and mod SECOND_PRIME
     when that image is not enough.  V / mu is rebuilt from the images by
     rational reconstruction with a denominator per row (Wang, Guy &
-    Davenport 1982) and Garner's CRT, and the same certificate on every row
-    proves it the RREF (_tall_rref_q gives the argument).  Past the float64
-    bound, when a rebuild gives up, or when a row escapes, elimination mod
-    SELECT_PRIME of the rows themselves picks at most ncols rows independent
-    mod that prime, hence over Q; the exact loop above eliminates only
-    those, and the certificate and one more elimination follow as over
-    GF(p).
+    Davenport 1982) and Garner's CRT, and the certificate proves it the RREF
+    (_tall_rref_q gives the argument).  Past the float64 bound, when a
+    rebuild gives up, or when a row escapes, elimination mod SELECT_PRIME of
+    the rows themselves picks at most ncols rows independent mod that prime,
+    hence over Q; the exact loop eliminates only those, and the certificate
+    follows.
 So the output is the unique RREF on every input, whatever the prime or the
-sketch.  For small or wide inputs, and over GF(p) past the bound, the loop
-runs alone.  Crossover, one BLAS thread, per call, median of 12 constraint
-matrices of the actor workloads per shape, loop -> front end: over GF(5)
-27 x 9 0.07 -> 0.25 ms, 64 x 16 0.11 -> 0.21 ms and 81 x 18 0.14 -> 0.27 ms
-(so small inputs keep the loop), 125 x 25 0.43 -> 0.31 ms, 192 x 32
-0.69 -> 0.46 ms, 216 x 36 1.46 -> 0.50 ms, 375 x 50 4.3 -> 1.09 ms and
-648 x 72 12.8 -> 1.8 ms, hence TALL_CELLS_GF = 2048; over Q, where the
+sketch.  For small, wide or near-square inputs, and over GF(p) past the
+bound, the loop runs alone.  Crossover, one BLAS thread, per call, median
+of 12 constraint matrices of the actor workloads per shape, loop -> front
+end: over GF(5) 27 x 9 0.07 -> 0.25 ms, 64 x 16 0.11 -> 0.21 ms and
+81 x 18 0.14 -> 0.27 ms (so small inputs keep the loop), 125 x 25
+0.43 -> 0.31 ms, 192 x 32 0.69 -> 0.46 ms, 216 x 36 1.46 -> 0.50 ms,
+375 x 50 4.3 -> 1.09 ms and 648 x 72 12.8 -> 1.8 ms, hence
+TALL_CELLS_GF = 2048; over Q, where the
 loop's gcds of big integers cost more, 27 x 9 0.13 -> 0.19 ms (144-243
 nonzero cells), 64 x 16 0.55 -> 0.35 ms (720-1024 cells), 81 x 18
 0.73 -> 0.31 ms, 125 x 25 6.1 -> 1.35 ms (the two of that shape) and
@@ -115,17 +116,18 @@ from .fields import Field, Scalar
 
 Vector = tuple  # tuple of scalars
 
-# A tall input (more nonzero rows than columns) with at least this many
-# cells takes the certified front end of Matrix.rref: from 256 over Q,
-# where each exact step takes gcds of big integers, and from 2048 over
-# GF(p).  The module docstring gives the timings behind both.
+# A tall input (more than ncols + _SKETCH_EXTRA nonzero rows) with at least
+# this many cells takes the certified front end of Matrix.rref: from 256
+# over Q, where each exact step takes gcds of big integers, and from 2048
+# over GF(p).  The module docstring gives the timings behind both.
 TALL_CELLS_Q, TALL_CELLS_GF = 256, 2048
 # the largest prime below 2^26: rows are selected mod it over Q
 SELECT_PRIME = 67108859
 # the next prime below it: a tall Q RREF's second image, so that
 # SELECT_PRIME * SECOND_PRIME < 2^52
 SECOND_PRIME = 67108837
-# sketch rows beyond the width over GF(p)
+# sketch rows beyond the width; an input is tall only with more rows than
+# its sketch
 _SKETCH_EXTRA = 4
 
 
@@ -389,7 +391,7 @@ class Matrix:
             x = x[(x != 0).any(axis=1)]
             n = len(x)
         red = None
-        if n > nc and n * nc >= (TALL_CELLS_Q if p is None else TALL_CELLS_GF):
+        if n > nc + _SKETCH_EXTRA and n * nc >= (TALL_CELLS_Q if p is None else TALL_CELLS_GF):
             if x is None:
                 x = _int_array(rows, (n, nc))
             red = _tall_rref_q(x) if p is None else _tall_rref_mod(x, p)
@@ -489,33 +491,32 @@ def _gauss_jordan(rows: list, nc: int, p: Optional[int]) -> tuple[list, int, lis
 
 
 def _tall_rref_mod(x: np.ndarray, p: int):
-    """(V, 1, pivots), V the nonzero RREF rows as residues, for the n > ncols
-    nonzero integer rows x over GF(p), or None when the float64 rung does
-    not hold at this shape and prime.
+    """(V, 1, pivots), V the nonzero RREF rows as residues, for the
+    n > ncols + _SKETCH_EXTRA nonzero integer rows x over GF(p), or None
+    when the float64 rung does not hold at this shape and prime or a row
+    escapes.
 
     k = ncols + _SKETCH_EXTRA pseudo-random combinations of the rows are
-    eliminated mod p to B, and outside_span checks every row against B.
-    Rows that escape join B and one more elimination gives the RREF of the
-    whole row space."""
+    eliminated mod p to B, whose span lies inside the row space, and
+    outside_span checks every row against B: when none escapes, B is the
+    RREF of the whole row space."""
     n, nc = x.shape
     # the sketch product, the elimination and the check stay below n p max(big, p)
     big = magnitude(x)
     x = x.astype(rung(big + n * p * max(big, p)), copy=False)
     if x.dtype != np.float64:
         return None
-    m = _sketch(min(n, nc + _SKETCH_EXTRA), n, p) @ x
+    m = _sketch(nc + _SKETCH_EXTRA, n, p) @ x
     pivots = _rref_mod(m, p)[0]
-    escaped = outside_span(x, 1, m[:len(pivots)], pivots, p)
-    if escaped.any():
-        m = np.vstack([m[:len(pivots)], x[escaped]])
-        pivots = _rref_mod(m, p)[0]
+    if outside_span(x, 1, m[:len(pivots)], pivots, p).any():
+        return None
     return exact_ints(m[:len(pivots)], p), 1, pivots
 
 
-def _tall_rref_q(x: np.ndarray) -> tuple:
+def _tall_rref_q(x: np.ndarray) -> Optional[tuple]:
     """(V, mu, pivots), V / mu the nonzero RREF rows as _gauss_jordan gives
-    them, for the n > ncols nonzero integer rows x over Q, an int64 or
-    object array.
+    them, for the n > ncols + _SKETCH_EXTRA nonzero integer rows x over Q,
+    an int64 or object array, or None when no route certifies them.
 
     While n SELECT_PRIME max|x| < 2^53, the sketch product S x of
     _tall_rref_mod is exact in float64, and the RREF is rebuilt from images
@@ -533,11 +534,11 @@ def _tall_rref_q(x: np.ndarray) -> tuple:
         is the RREF.
     mu is made least by lowest_terms, as _gauss_jordan's mu is.  Past the
     bound, on a give-up, on other pivots mod SECOND_PRIME or on a row that
-    escapes, _select_rref_q runs instead."""
+    escapes, _select_rref_q answers instead."""
     n, nc = x.shape
     big = magnitude(x)
     if n * SELECT_PRIME * big < 2 ** 53:
-        m = _sketch(min(n, nc + _SKETCH_EXTRA), n, SELECT_PRIME) @ x.astype(np.float64)
+        m = _sketch(nc + _SKETCH_EXTRA, n, SELECT_PRIME) @ x.astype(np.float64)
         first = m.copy()  # _rref_mod eliminates in place; m is kept for the second prime
         pivots = _rref_mod(first, SELECT_PRIME)[0]
         images = [exact_ints(first[:len(pivots)], SELECT_PRIME)]
@@ -606,29 +607,24 @@ def _wang_denominator(c: int, mod: int, bound: int) -> int:
     return abs(t1)
 
 
-def _select_rref_q(x: np.ndarray) -> tuple[list, int, list]:
-    """(V, mu, pivots) as _tall_rref_q gives them, by the exact loop.
+def _select_rref_q(x: np.ndarray) -> Optional[tuple[list, int, list]]:
+    """(V, mu, pivots) as _tall_rref_q gives them, by the exact loop, or
+    None when a row escapes.
 
     Elimination mod SELECT_PRIME picks rows independent mod that prime,
     hence over Q; only those <= ncols rows are eliminated exactly, and
-    outside_span checks every row against their RREF V / mu.  Rows that
-    escape join the primitive pivot rows the loop left, which span the same
-    space, and the exact loop runs once more."""
+    outside_span checks every row against their RREF V / mu."""
     nc = x.shape[1]
     selected, order = _rref_mod(exact_ints(x, SELECT_PRIME).astype(np.float64), SELECT_PRIME)
-    basis = x[order[:len(selected)]].tolist()
-    v, mu, pivots = _gauss_jordan(basis, nc, None)
-    escaped = _outside_rref_q(x, mu, _int_array(v, (len(pivots), nc)), pivots)
-    if not escaped.any():
-        return v, mu, pivots
-    return _gauss_jordan(basis[:len(pivots)] + x[escaped].tolist(), nc, None)
+    v, mu, pivots = _gauss_jordan(x[order[:len(selected)]].tolist(), nc, None)
+    if _outside_rref_q(x, mu, _int_array(v, (len(pivots), nc)), pivots).any():
+        return None
+    return v, mu, pivots
 
 
 def _outside_rref_q(x: np.ndarray, mu: int, v: np.ndarray, pivots: list) -> np.ndarray:
     """outside_span(x, mu, v, pivots) over Q, on the rung that holds mu x
-    and x[pivots] @ v; all False at once when the pivots are every column."""
-    if len(pivots) == x.shape[1]:  # the whole space: nothing can escape
-        return np.zeros(len(x), bool)
+    and x[pivots] @ v."""
     dtype = rung(magnitude(x) * (len(pivots) * magnitude(v) + mu))
     return outside_span(x.astype(dtype), mu, v.astype(dtype), pivots)
 

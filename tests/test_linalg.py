@@ -188,11 +188,11 @@ def tall_rows(rng, field, nrows, ncols, rank):
 @st.composite
 def tall_cases(draw):
     kind = draw(st.sampled_from(("GF(2)", "GF(3)", "GF(5)", "edge", "past edge", "Q")))
-    shape = draw(st.sampled_from(("rank 0", "full rank", "ncols + 1 rows", "deficient")))
+    shape = draw(st.sampled_from(("rank 0", "full rank", "fewest tall rows", "deficient")))
     cells = linalg.TALL_CELLS_Q if kind == "Q" else linalg.TALL_CELLS_GF
-    if shape == "ncols + 1 rows":
+    if shape == "fewest tall rows":
         ncols = math.isqrt(cells)
-        nrows = ncols + 1
+        nrows = ncols + linalg._SKETCH_EXTRA + 1
     else:
         ncols = draw(st.integers(6, 24))
         nrows = -(-cells // ncols) + draw(st.integers(0, 40))
@@ -252,10 +252,11 @@ def test_tall_front_end_reduces_the_whole_pivot_column(monkeypatch):
     assert Matrix.from_rows(GF(5), rows).rank() == 90
 
 
-def test_tall_front_end_adds_the_rows_its_sketch_misses(monkeypatch):
+def test_tall_front_end_declines_when_its_sketch_misses_rows(monkeypatch):
     # every column of the rows lies in the nullspace of the sketch, so the
-    # sketch sees rank 0; the check finds every row outside the empty span
-    # and one more elimination over them gives the RREF
+    # sketch sees rank 0; the check finds every row outside the empty span,
+    # the front end returns None, and rref runs the exact loop with no
+    # second elimination mod p
     calls = _count_kernel_calls(monkeypatch)
     f, nrows, ncols = GF(5), 300, 20
     sketch = linalg.exact_ints(linalg._sketch(ncols + linalg._SKETCH_EXTRA, nrows, 5), 5).tolist()
@@ -265,38 +266,38 @@ def test_tall_front_end_adds_the_rows_its_sketch_misses(monkeypatch):
     cols = [[sum(c * x for c, x in zip(cs, at)) % 5 for at in zip(*null)] for cs in coeffs]
     rows = [list(row) for row in zip(*cols)]
     assert all(any(row) for row in rows)
+    assert linalg._tall_rref_mod(np.array(rows, np.float64), 5) is None
+    calls.clear()
     assert_rref_matches_sympy(f, rows, ncols)
-    assert calls == [5, 5]
+    assert calls == [5]
 
 
 @pytest.mark.parametrize("j", [0, 19])
 def test_tall_front_end_checks_every_free_column(j):
-    # the sketch sees rank 0, so every column is free; rows 0-29 are nonzero
-    # in column j alone, and the other rows, zero there, span the rest: the
-    # check must find rows 0-29 at column j, or the RREF misses it
+    # rows 0-29 are nonzero in column j alone, by a combination the sketch
+    # sends to 0, and the other rows, zero there, are random: the sketch
+    # sees every column but j, so j is the one free column of its RREF and
+    # rows 0-29 leave that span at j alone.  The check must find them there
+    # and decline; one that skipped column j would return rank ncols - 1
     p, nrows, ncols, few = 5, 300, 20, 30
     sketch = linalg.exact_ints(linalg._sketch(ncols + linalg._SKETCH_EXTRA, nrows, p), p)
     f = GF(p)
     head = Matrix.from_ints(f, sketch[:, :few]).nullspace().rows[0]
-    eye = np.eye(nrows, dtype=np.int64)[:few]
-    rest = Matrix.from_ints(f, np.vstack([sketch, eye])).nullspace().rows
     rng = random.Random(6)
+    others = [c for c in range(ncols) if c != j]
     x = np.zeros((nrows, ncols), np.int64)
     x[:few, j] = head
-    for c in range(ncols):
-        if c != j:
-            coeffs = [rng.randrange(p) for _ in rest]
-            x[:, c] = np.array(coeffs) @ np.array(rest) % p
-    assert not (sketch @ x % p).any() and x[:few, j].any()
-    v, _, pivots = linalg._tall_rref_mod(x.astype(np.float64), p)
-    red, piv = sympy_rref(f, x.tolist(), ncols)
-    assert (v.tolist(), tuple(pivots)) == ([list(r) for r in red[:len(piv)]], piv)
+    x[few:, others] = [[rng.randrange(p) for _ in others] for _ in range(nrows - few)]
+    assert Matrix.from_ints(f, sketch @ x % p).rref()[1] == tuple(others)
+    assert linalg._tall_rref_mod(x.astype(np.float64), p) is None
+    assert Matrix.from_ints(f, x).rank() == ncols
+    assert_rref_matches_sympy(f, x.tolist(), ncols)
 
 
 def test_tall_front_end_certifies_an_empty_selection(monkeypatch):
     # every row is a multiple of the selection prime: nothing is selected
-    # mod it, the check finds every row outside the empty span, and the
-    # exact loop still gives the nonzero RREF
+    # mod it, the check finds every row outside the empty span, the front
+    # end returns None, and the exact loop still gives the nonzero RREF
     calls = _count_kernel_calls(monkeypatch)
     q = linalg.SELECT_PRIME
     rng = random.Random(3)
@@ -307,6 +308,23 @@ def test_tall_front_end_certifies_an_empty_selection(monkeypatch):
     red, piv = Matrix.from_rows(QQ, rows).rref()
     assert calls == [q] and len(piv) == 12
     assert_rref_matches_sympy(QQ, rows, 20)
+    assert linalg._tall_rref_q(np.array([[int(y) for y in row] for row in rows])) is None
+
+
+@pytest.mark.parametrize("field", [QQ, gf5], ids=str)
+def test_near_square_input_keeps_the_loop(monkeypatch, field):
+    # up to ncols + _SKETCH_EXTRA nonzero rows the sketch would be as tall as
+    # the input, so rref runs the exact loop alone however many cells there
+    # are; one row more takes the front end
+    calls = _count_kernel_calls(monkeypatch)
+    cells = linalg.TALL_CELLS_Q if field is QQ else linalg.TALL_CELLS_GF
+    ncols = math.isqrt(cells)
+    for extra in range(1, linalg._SKETCH_EXTRA + 2):
+        rows = tall_rows(random.Random(extra), field, ncols + extra, ncols, ncols - 2)
+        assert all(any(row) for row in rows) and len(rows) * ncols >= cells
+        calls.clear()
+        assert_rref_matches_sympy(field, rows, ncols)
+        assert bool(calls) == (extra > linalg._SKETCH_EXTRA), extra
 
 
 def test_gauss_jordan_den_is_the_least_common_denominator():
@@ -799,6 +817,24 @@ def test_outside_span_agrees_with_subspace_contains(field, dtype):
         shapes.add((len(x) == 0, len(free) == 0, any(want)))
     assert {(True, False, False), (False, True, False), (False, False, True)} <= shapes
     assert p is not None or max(dens) > 1
+
+
+@pytest.mark.parametrize("dtype, p", [(np.float64, 5), (np.int64, None), (object, None)],
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_outside_span_flags_no_row_when_every_column_is_a_pivot(dtype, p):
+    # the span is the whole space, and with no free column the test reads no
+    # column at all: no row is flagged, however large, and the Q front ends
+    # need no shortcut for a full-rank RREF
+    nc, den = 5, 1 if p else 6
+    rng = random.Random(7)
+    top = 2 ** 40 if dtype == np.int64 else 3 ** 60 if dtype is object else 2 ** 20
+    x = [[rng.choice((0, 1, -top, top)) + rng.randrange(-3, 4) for _ in range(nc)]
+         for _ in range(12)]
+    v = (den * np.eye(nc, dtype=np.int64)).astype(dtype)
+    for rows in (x, []):
+        got = linalg.outside_span(np.array(rows, dtype=object).reshape(-1, nc).astype(dtype),
+                                  den, v, list(range(nc)), p)
+        assert got.dtype == bool and got.tolist() == [False] * len(rows)
 
 
 def test_matmul_shape_errors():
