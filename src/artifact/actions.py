@@ -7,7 +7,12 @@ read (linalg.lazy), as a candidate's induced action is; semidirect builds
 the product's tensor on first read too, so its dimension costs nothing.
 Whether such a pair is a derived action depends on the category; each
 category carries a finite list of bilinear conditions that a split
-extension forces, so checking them on basis tuples is sufficient.
+extension forces, so checking them on basis tuples is sufficient.  The list
+is one table, _conditions, with one row per condition: the couplings of a
+Lie or commutative action and a module's two vanishing actions are rows
+like every other.  check_derived_action is the one loop that reads it, and
+its report's details hold one line per row checked, in order, the failing
+row last.
 
 The same question can be answered a second way: build the semidirect product
 and run the category's identity suite on it.  crosscheck_semidirect runs both
@@ -23,8 +28,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, InputError, algebra_from_json, identity_suite
 from .fields import read_nested
-from .linalg import (Vector, basis_vector, bilinear, lazy, vec_add, vec_is_zero, vec_neg, vec_sub,
-                     vec_zero)
+from .linalg import Vector, basis_vector, bilinear, lazy, vec_add, vec_neg, vec_sub, vec_zero
 from .reporting import Report
 
 
@@ -121,6 +125,8 @@ def _conditions(category: str, act: ActionPair):
         ]
     if category == "lie":
         return [
+            # bracket antisymmetry couples the two tensors
+            ("[a,b] = -[b,a] coupling", "AB", lambda a, b: (r(a, b), vec_neg(f, l(b, a)))),
             ("[[b1,b2],a] = [b1,[b2,a]]-[b2,[b1,a]]", "BBA",
              lambda b1, b2, a: (l(mB(b1, b2), a), sub(l(b1, l(b2, a)), l(b2, l(b1, a))))),
             ("[b,[a1,a2]] = [a1,[b,a2]]+[[b,a1],a2]", "BAA",
@@ -169,50 +175,29 @@ def _conditions(category: str, act: ActionPair):
                                 sub(add(l(mB(b1, b2), a), l(mB(b2, b1), a)), l(b2, l(b1, a))))),
         ]
     if category == "commutative":
-        return _conditions("associative", act)
-    raise AssertionError(category)
+        return [("b*a = a*b coupling", "BA", lambda b, a: (l(b, a), r(a, b)))] \
+            + _conditions("associative", act)
+    if category == "module":
+        zero = vec_zero(f, A.dim)
+        return [
+            ("left action vanishes", "BA", lambda b, a: (l(b, a), zero)),
+            ("right action vanishes", "AB", lambda a, b: (r(a, b), zero)),
+        ]
+    if category == "raw":
+        raise InputError("category 'raw' has no derived-action conditions")
+    raise InputError(f"unknown category {category!r}")
 
 
 def check_derived_action(category: str, act: ActionPair) -> Report:
-    """Check the category's derived-action conditions on all basis tuples."""
+    """Check the category's derived-action conditions on all basis tuples.
+
+    Each row of _conditions(category, act) is one condition, checked in
+    order up to the first failure; details holds one line per row checked,
+    the failing row last.
+    """
     f = act.A.field
     nB, nA = act.B.dim, act.A.dim
     details = []
-
-    if category == "module":
-        for i in range(nB):
-            for j in range(nA):
-                if not vec_is_zero(f, act.left[i][j]):
-                    return Report(False, label="left action vanishes", witness=(i, j),
-                                  lhs=act.left[i][j], rhs=vec_zero(f, nA))
-        for i in range(nA):
-            for j in range(nB):
-                if not vec_is_zero(f, act.right[i][j]):
-                    return Report(False, label="right action vanishes", witness=(i, j),
-                                  lhs=act.right[i][j], rhs=vec_zero(f, nA))
-        return Report(True, details=[{"name": "left and right actions vanish", "status": "pass"}])
-    if category == "raw":
-        raise InputError("category 'raw' has no derived-action conditions")
-    if category not in ("lie", "leibniz", "associative", "commutative", "alternative"):
-        raise InputError(f"unknown category {category!r}")
-
-    if category == "lie":
-        # bracket antisymmetry couples the two tensors: a*b = -(b*a)
-        for i in range(nA):
-            for j in range(nB):
-                want = vec_neg(f, act.left[j][i])
-                if act.right[i][j] != want:
-                    return Report(False, label="[a,b] = -[b,a] coupling", witness=(i, j),
-                                  lhs=act.right[i][j], rhs=want)
-        details.append({"name": "[a,b] = -[b,a] coupling", "status": "pass"})
-    if category == "commutative":
-        for i in range(nB):
-            for j in range(nA):
-                if act.left[i][j] != act.right[j][i]:
-                    return Report(False, label="b*a = a*b coupling", witness=(i, j),
-                                  lhs=act.left[i][j], rhs=act.right[j][i])
-        details.append({"name": "b*a = a*b coupling", "status": "pass"})
-
     eB = [basis_vector(f, nB, i) for i in range(nB)]
     eA = [basis_vector(f, nA, i) for i in range(nA)]
     for name, slots, fn in _conditions(category, act):

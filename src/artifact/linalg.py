@@ -41,11 +41,11 @@ with one mask, hands a tall input to the front end below as it is, and a
 small one to the loop as lists.  The two front-end kernels take an integer
 array only; a matrix built from rows is converted once, in rref.
 
-Subspace is the one RREF span: it alone holds a canonical basis together
-with its pivot columns.  The actor candidate of constructions and the
-annihilator, derived subspace and ideals of algebra are Subspaces, and
-coordinates, residuals and membership are its methods, read off at the
-pivots with no elimination.
+Subspace is an RREF with its ambient dimension: its canonical basis is an
+RREF Matrix, which carries its pivot columns too.  The actor candidate of
+constructions and the annihilator, derived subspace and ideals of algebra
+are Subspaces, and coordinates, residuals and membership are its methods,
+read off at the pivots with no elimination.
 
 Tall inputs, more than ncols + _SKETCH_EXTRA nonzero rows (constraint
 systems are tall and redundant: 648 x 72 of rank 21-66 over GF(5)), go

@@ -5,6 +5,8 @@ identity suite on the semidirect product are independent routes to the same
 boolean, and they must agree on everything we can throw at them.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -28,6 +30,12 @@ def zero_action(B, A):
     right = tuple(tuple(tuple(f.zero for _ in range(A.dim))
                         for _ in range(B.dim)) for _ in range(A.dim))
     return make_action(B, A, left, right)
+
+
+def symmetric_action(rng, B, A):
+    """A random action with right[a][b] = left[b][a]."""
+    left = sample_action(rng, B, A).left
+    return make_action(B, A, left, tuple(zip(*left)))
 
 
 @pytest.mark.parametrize("a,cat", [
@@ -61,8 +69,10 @@ def test_module_category_accepts_only_zero_actions():
 
 def test_raw_category_has_no_condition_list():
     A = zero_algebra(QQ, 1, "raw")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^category 'raw' has no derived-action conditions$"):
         check_derived_action("raw", zero_action(A, A))
+    with pytest.raises(InputError, match="^unknown category 'ring'$"):
+        check_derived_action("ring", zero_action(A, A))
 
 
 def test_lie_coupling_is_enforced():
@@ -78,6 +88,8 @@ def test_lie_coupling_is_enforced():
         tuple(tuple(col) for col in row) for row in right))
     rep = check_derived_action("lie", broken)
     assert not rep.passed and rep.witness is not None
+    # the coupling is the table's first row, so it is the one details line
+    assert rep.details == [{"name": "[a,b] = -[b,a] coupling", "status": "fail"}]
 
 
 def test_module_right_action_must_vanish():
@@ -90,6 +102,8 @@ def test_module_right_action_must_vanish():
     rep = check_derived_action("module", act)
     assert (rep.passed, rep.label, rep.witness) == (False, "right action vanishes", (1, 0))
     assert (rep.lhs, rep.rhs) == ((QQ.zero, QQ.one), (QQ.zero, QQ.zero))
+    assert rep.details == [{"name": "left action vanishes", "status": "pass"},
+                           {"name": "right action vanishes", "status": "fail"}]
     cross = crosscheck_semidirect("module", act)
     assert (cross.passed, cross.label) == (True, "not-derived")
 
@@ -104,6 +118,7 @@ def test_commutative_coupling_is_enforced():
     rep = check_derived_action("commutative", act)
     assert (rep.passed, rep.label, rep.witness) == (False, "b*a = a*b coupling", (0, 1))
     assert (rep.lhs, rep.rhs) == ((QQ.one, QQ.zero), (QQ.zero, QQ.zero))
+    assert rep.details == [{"name": "b*a = a*b coupling", "status": "fail"}]
     cross = crosscheck_semidirect("commutative", act)
     assert (cross.passed, cross.label) == (True, "not-derived")
 
@@ -117,6 +132,52 @@ def test_crosscheck_agrees_on_random_actions():
         act = sample_action(rng, B, A)
         rep = crosscheck_semidirect(cat, act)
         assert rep.passed, (i, cat, rep.label)
+    # random, symmetric and zero actions of the two categories above never
+    # sampled; each category must meet both verdicts
+    labels = {"commutative": [], "module": []}
+    for f in (GF(2), gf3, QQ):
+        rng = random.Random(f"crosscheck-{f}")
+        for i in range(60):
+            cat = ("commutative", "module")[i % 2]
+            B = sample_algebra(rng, f, (1, 3)[(i // 2) % 2], cat)
+            A = sample_algebra(rng, f, (1, 3)[(i // 4) % 2], cat)
+            draw = (sample_action, symmetric_action, lambda rng, B, A: zero_action(B, A))[i % 3]
+            rep = crosscheck_semidirect(cat, draw(rng, B, A))
+            assert rep.passed, (f, i, cat, rep.details)
+            labels[cat].append(rep.label)
+    for cat, seen in labels.items():
+        assert set(seen) == {"derived", "not-derived"}, cat
+
+
+def report_corpus():
+    """(field, check_derived_action report) for 40 seeds of each field and
+    category: dims 0, 1 or 3 (a Q Leibniz draw at dim 2 exhausts its
+    rejection cutoff), and a random, zero or conjugation action."""
+    for f in (GF(2), gf3, GF(5), QQ):
+        for cat in ("lie", "leibniz", "associative", "commutative", "alternative", "module"):
+            for seed in range(40):
+                rng = random.Random(f"{f}/{cat}/{seed}")
+                dims = rng.choice((0, 1, 3)), rng.choice((0, 1, 3))
+                B, A = (zero_algebra(f, n, cat) if cat == "module" or n == 0
+                        else sample_algebra(rng, f, n, cat) for n in dims)
+                kind = rng.randrange(3)
+                act = (sample_action(rng, B, A), zero_action(B, A), conjugation_action(A))[kind]
+                yield f, check_derived_action(cat, act)
+
+
+# sha256 of the reports of report_corpus without their details, recorded
+# while the couplings and the vanishing actions were loops of their own, so
+# their rows in _conditions must give the same label, witness and sides
+REPORT_CORPUS_DIGEST = "6bfdb49aafa4b47466d7767c1a5cc3821e9b59dff069574038614fb69aa8697a"
+
+
+def test_derived_action_reports_are_pinned():
+    h = hashlib.sha256()
+    for f, rep in report_corpus():
+        out = rep.to_json(f.to_json)
+        out.pop("details", None)
+        h.update(json.dumps(out, sort_keys=True).encode())
+    assert h.hexdigest() == REPORT_CORPUS_DIGEST
 
 
 def test_crosscheck_label_states_the_shared_verdict():
@@ -179,6 +240,10 @@ def test_make_action_validates_shapes_and_fields():
     short_right = (((QQ.zero, QQ.zero),),)
     with pytest.raises(InputError):
         make_action(A, A, left, short_right)
+    right = tuple(tuple(tuple(QQ.zero for _ in range(2))
+                        for _ in range(2)) for _ in range(2))
+    with pytest.raises(InputError, match="left tensor must have shape"):
+        make_action(A, A, left[:1], right)
 
 
 def test_crosscheck_agrees_on_alternative_actions():

@@ -502,6 +502,13 @@ def test_non_ideal_refused():
     assert not is_ideal(h, notideal).passed
     with pytest.raises(InputError):
         quotient(h, notideal)
+    with pytest.raises(InputError, match="ambient dimension mismatch"):
+        is_ideal(h, Subspace.spanned_by(Matrix.from_rows(QQ, [(QQ.one, QQ.zero)]), 2))
+    # the first row of M2 is a right ideal, not a left one: E21*E11 = E21
+    m2 = m2_rationals()
+    row1 = Subspace.spanned_by(Matrix.from_rows(QQ, [basis_vector(QQ, 4, i) for i in (0, 1)]), 4)
+    rep = is_ideal(m2, row1)
+    assert (rep.passed, rep.label, rep.witness) == (False, "e_j*v stays in subspace", (0, 2))
 
 
 def test_quotient_by_whole_algebra_is_empty():

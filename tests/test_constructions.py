@@ -20,7 +20,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from artifact import algebra, constructions, existence
-from artifact.actions import conjugation_action, semidirect
+from artifact.actions import conjugation_action, make_action, semidirect
 from artifact.algebra import (IDENTITIES, SUITES, InputError, Subspace, identity_suite,
                              is_ideal, make_algebra)
 from artifact.constructions import (KIND_TABLE, BiMap, ClosureError,
@@ -1010,6 +1010,29 @@ def test_crossed_module_fails_for_zero_map_with_products():
     zero_d = Matrix.zeros(QQ, 3, actor.dim)
     rep = crossed_module_check(zero_d, actor.action_pair())
     assert not rep.passed and rep.witness is not None and rep.lhs is not None
+    assert rep.label == "d(a)*a' = a*a'"
+    with pytest.raises(InputError, match="d must be a dim"):
+        crossed_module_check(Matrix.zeros(QQ, 2, actor.dim), actor.action_pair())
+    # each of the other three conditions fails on its own input
+    # sl2 acting on itself from the left only, d the identity: the right
+    # products a'*d(a) vanish where a'*a does not
+    a = sl2()
+    zero_right = tuple(tuple(vec_zero(QQ, 3) for _ in range(3)) for _ in range(3))
+    rep = crossed_module_check(Matrix.from_rows(QQ, [basis_vector(QQ, 3, i) for i in range(3)]),
+                               make_action(a, a, a.tensor, zero_right))
+    assert (rep.passed, rep.label, rep.witness) == (False, "a'*d(a) = a'*a", (1, 0))
+    # M2 acting by zero on a one-dimensional A: d(a) = E12 has E11*E12 = E12
+    # on the left, and d(a) = E21 has E21*E11 = E21 on the right
+    A, m2 = zero_algebra(QQ, 1, "associative"), m2_rationals()
+    e = [basis_vector(QQ, 4, i) for i in range(4)]
+    act = make_action(m2, A, [[vec_zero(QQ, 1)]] * 4, [[vec_zero(QQ, 1)] * 4])
+    rep = crossed_module_check(Matrix.from_rows(QQ, [e[1]]), act)
+    assert (rep.passed, rep.label, rep.witness, rep.rhs) == (
+        False, "d(b*a) = b*d(a)", (0, 0), e[1])
+    rep = crossed_module_check(Matrix.from_rows(QQ, [e[2]]), act)
+    assert (rep.passed, rep.label, rep.witness, rep.rhs) == (
+        False, "d(a*b) = d(a)*b", (0, 0), e[2])
+    assert [d["condition"] for d in rep.details] == ["i", "ii", "iii"]
 
 
 def test_image_of_d_is_ideal_in_actor():

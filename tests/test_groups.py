@@ -382,9 +382,14 @@ def test_make_group_action_validation():
         make_group_action(b, g, (swap, ident))  # identity must act trivially
     with pytest.raises(InputError):
         make_group_action(b, g, (ident, (0, 0, 1)))  # not a bijection
-    shift = (1, 2, 0)  # bijective but not an automorphism (moves identity)
+    shift = (1, 2, 0)  # bijective, but of order 3, so not an action of Z2
     with pytest.raises(InputError):
         make_group_action(b, g, (ident, shift))
+    with pytest.raises(InputError, match="dot table must be"):
+        make_group_action(b, g, (ident,))
+    # an involution of the set, so compatible with Z2, that moves the identity
+    with pytest.raises(InputError, match="element 1 does not act by automorphisms"):
+        make_group_action(b, g, (ident, (1, 0, 2)))
 
 
 # ---------------------------------------------------------------------------
