@@ -120,12 +120,6 @@ class Algebra:
         ints.flags.writeable = False
         return lam, ints
 
-    def left_mult_matrix(self, i: int) -> Matrix:
-        """Matrix of x -> e_i * x."""
-        f = self.field
-        return Matrix(f, tuple(tuple(self.tensor[i][j][m] for j in range(self.dim))
-                               for m in range(self.dim)))
-
     def to_json(self) -> dict:
         f = self.field
         products = []

@@ -23,16 +23,39 @@ products condition 2 compares; a commutative one runs that block and
 A x B x B of associativity and B x B of commutativity, each asking whether
 the multipliers commute; a Leibniz one runs every block with two or three
 candidate indices.  The open blocks are swept together, a few leading
-indices at a time, so a failure near the start stops them all.  Conditions
-1 and 2 are rows on the B x B x A block of their candidate's product, read
-by the same sweep off blocks built once per candidate
-(ActorAlgebra.semidirect_blocks): for a Leibniz or associative A the very
-blocks the suite reads.  A failing suite reads its witness sides off the
-same blocks, and only when they are read.  The candidate's maps and
-tensor, its induced action and the semidirect product are built on first
-read, so no verdict makes a field scalar of the candidate, its action or
-the product.  actions.crosscheck_semidirect keeps the dense route, on the
-eagerly built product, as the independent oracle.
+indices at a time, so a failure near the start stops them all.  A failing
+suite reads its witness sides off the same blocks, and only when they are
+read.  The candidate's maps and tensor, its induced action and the
+semidirect product are built on first read, so no verdict makes a field
+scalar of the candidate, its action or the product.
+actions.crosscheck_semidirect keeps the dense route, on the eagerly built
+product, as the independent oracle.
+
+Condition 1 (Leibniz) and condition 2 (associative and commutative) are
+rows on the B x B x A block of their candidate's product, read by the same
+sweep off blocks built once per candidate (ActorAlgebra.semidirect_blocks).
+A passing verdict decides condition 2 by a theorem instead, and its report
+is the passing one with bim_dim, the dimension of A's bimultipliers:
+
+- Associative: the candidate is the bimultipliers, so bim_dim is its dim.
+  Condition 2's row at B x B x A cell (f, f', a), f*(a*f') = (f*a)*f', is
+  the associativity row at B x A x B cell (f, a, f'), a block the verdict
+  evaluates, so it holds when the verdict does.
+- Commutative: bim_dim = dim Mult(A) + (n - dim A^2) * dim Ann(A).  For a
+  commutative A, (L, R) is a bimultiplier iff L and R are multipliers and
+  (L - R)(A) lies in Ann(A): R(xy) = R(yx) = yR(x) = R(x)y makes R a
+  multiplier, and a multiplier has xL(y) = L(y)x = L(yx) = L(x)y, so the
+  coupling xL(y) = R(x)y reads (L - R)(x)y = 0.  A multiplier h with h(A)
+  in Ann(A) has h(xy) = h(x)y = 0, and any linear map vanishing on A^2
+  with image in Ann(A) is a multiplier, so these h are the linear maps
+  A/A^2 -> Ann(A).  Every multiplier g gives the bimultiplier (g, g), and
+  condition 2 at (f, f') reads L_f R_f' = R_f' L_f on A, two multipliers,
+  so it holds iff Mult(A) commutes: the B x A x B block of associativity
+  that the multiplier verdict evaluates (KIND_TABLE's mult row).
+  sufficient_conditions reads dim A^2 and dim Ann(A) once per decision.
+
+A failing verdict runs constructions.condition2_check, which builds the
+bimultipliers afresh for a commutative A, for its witness and sides.
 """
 
 from __future__ import annotations
@@ -93,28 +116,31 @@ class Verdict:
         return out
 
 
-# category -> (its candidate, its existence condition or None).  Each entry
-# calls through this module's names when the pipeline runs, so a rebound
-# constructor or check is the one called.  Condition 2 always runs on A's
-# bimultipliers: on the associative candidate itself, and built afresh for
-# a commutative A, whose candidate is the multipliers.
+# category -> (its candidate, its existence condition or None, and that
+# condition's bim_dim on a passing verdict, by the theorems in the module
+# docstring, or None where none is proved).  Each entry calls through this
+# module's names when the pipeline runs, so a rebound constructor or check
+# is the one called.
 _CATEGORY_TABLE = {
-    "module": (lambda A, variant: zero_actor(A), None),
-    "lie": (lambda A, variant: derivations(A), None),
+    "module": (lambda A, variant: zero_actor(A), None, None),
+    "lie": (lambda A, variant: derivations(A), None, None),
     "associative": (lambda A, variant: bimultipliers(A),
-                    lambda A, actor: condition2_check(A, bim=actor)),
+                    lambda A, actor: condition2_check(A, bim=actor),
+                    lambda A, actor, flags: actor.dim),
     "leibniz": (lambda A, variant: biderivations(A, variant),
-                lambda A, actor: condition1_check(A, bider=actor)),
+                lambda A, actor: condition1_check(A, bider=actor), None),
     "commutative": (lambda A, variant: multipliers(A),
-                    lambda A, actor: condition2_check(A)),
+                    lambda A, actor: condition2_check(A),
+                    lambda A, actor, flags: actor.dim + (A.dim - flags.square) * flags.ann),
 }
 
 
 def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
     """Build the candidate for A's category and decide existence.
 
-    _CATEGORY_TABLE names the candidate and the condition; variant picks
-    the biderivation bracket.  The alternative category has no candidate
+    _CATEGORY_TABLE names the candidate, the condition and, where a theorem
+    gives it, condition 2's report on a passing verdict; variant picks the
+    biderivation bracket.  The alternative category has no candidate
     here yet, so its verdict is the three-state "unsupported-general", with
     no per-instance witness.
     """
@@ -132,7 +158,7 @@ def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
     if A.category == "raw":
         raise InputError("category 'raw' carries no actor candidate")
 
-    build, check = _CATEGORY_TABLE[A.category]
+    build, check, bim_dim = _CATEGORY_TABLE[A.category]
     actor = build(A, variant)
     act = actor.action_pair()
     prod = semidirect(act)
@@ -144,7 +170,10 @@ def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
     # the commutativity row closed
     notes = (["induced action is symmetric: b*a = a*b on all basis pairs"]
              if A.category == "commutative" else [])
-    condition = None if check is None else check(A, actor)
+    # a passing verdict decides condition 2 by the module docstring's theorems
+    condition = None if check is None else (
+        Report(True, details=[{"bim_dim": bim_dim(A, actor, flags)}])
+        if beta.passed and bim_dim else check(A, actor))
 
     failure = None
     if not beta.passed:

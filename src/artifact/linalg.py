@@ -147,10 +147,6 @@ def vec_neg(field: Field, u: Vector) -> Vector:
     return tuple(field.neg(a) for a in u)
 
 
-def vec_scale(field: Field, s: Scalar, u: Vector) -> Vector:
-    return tuple(field.mul(s, a) for a in u)
-
-
 def vec_zero(field: Field, n: int) -> Vector:
     return (field.zero,) * n
 
@@ -193,11 +189,6 @@ class lazy:
 
     def __set__(self, obj, value):
         obj.__dict__[self.name] = value
-
-
-def is_built(obj, name: str) -> bool:
-    """Whether the lazy field name of obj holds its value yet."""
-    return not callable(vars(obj)[name])
 
 
 def _scalar_rows(field: Field, den: int, rows: list, memo: Optional[dict] = None) -> tuple:

@@ -37,7 +37,7 @@ from artifact.corpus import (_conjugate, _rand_invertible, a5_leibniz, abelian,
                              zero_algebra)
 from artifact.existence import actor_pipeline, bider_variants_agree
 from artifact.fields import GF, QQ
-from artifact.linalg import Matrix, basis_vector, vec_add, vec_scale, vec_sub, vec_zero
+from artifact.linalg import Matrix, basis_vector, vec_add, vec_sub, vec_zero
 
 from test_algebra import exact_side
 
@@ -168,8 +168,7 @@ def test_sl2_derivations_equal_adjoint_span():
     actor = derivations(a)
     ad_rows = []
     for i in range(3):
-        lam = a.left_mult_matrix(i)
-        ad_rows.append(tuple(x for row in lam.rows for x in row))
+        ad_rows.append(tuple(a.tensor[i][j][r] for r in range(3) for j in range(3)))
     der_rows = [tuple(flat_maps(actor, s)) for s in range(actor.dim)]
     stacked = Matrix.from_rows(QQ, der_rows + ad_rows)
     assert Matrix.from_rows(QQ, der_rows).rank() == 3
@@ -498,10 +497,10 @@ def _oracle_rows(a, kind, slots=None):
     def unit_pair(comp, r, col):
         """(L, R) with the unit matrix E[r][col] on comp."""
         def unit(v):
-            return vec_scale(f, v[col], e[r])
+            return tuple(f.mul(v[col], x) for x in e[r])
 
         if follow:
-            return unit, lambda v: vec_scale(f, f.from_int(follow), unit(v))
+            return unit, lambda v: tuple(f.mul(f.from_int(follow), x) for x in unit(v))
         return (unit, lambda v: zero) if comp == "L" else (lambda v: zero, unit)
 
     def mul(u, v, left, right):  # None stands for b

@@ -7,19 +7,24 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from artifact import constructions
 from artifact.actions import action_from_json, check_derived_action, make_action
-from artifact.algebra import InputError, identity_suite, make_algebra, make_algebra_from_products
+from artifact.algebra import (InputError, annihilator, derived_subspace, identity_suite,
+                              make_algebra, make_algebra_from_products)
 from artifact.constructions import (actor_from_json, biderivations, bimultipliers,
-                                    canonical_d, derivations, factor_through_actor,
-                                    multipliers)
-from artifact.corpus import (a5_leibniz, abelian, m2_rationals, sample_algebra,
-                             sl2, truncated_poly, zero_algebra)
+                                    canonical_d, condition2_check, derivations,
+                                    factor_through_actor, multipliers)
+from artifact.corpus import (a5_leibniz, abelian, diagonal_algebra, dual_numbers, m2_rationals,
+                             sample_algebra, sl2, truncated_poly, zero_algebra)
 from artifact.existence import actor_pipeline, bider_variants_agree
 from artifact.fields import GF, QQ
+
+from test_reference import CASES as REFERENCE_CASES
 
 
 def test_verdict_fields_for_lie():
@@ -170,6 +175,72 @@ def test_commutative_pipeline_checks_action_symmetry():
     assert v.exists and v.actor_kind == "mult"
     assert any("symmetric" in n for n in v.notes)
     assert v.condition_status.passed
+
+
+# Condition 2 of a passing associative or commutative verdict is read off
+# the verdict (the existence module's theorems); condition2_check, which
+# builds the bimultipliers and sweeps B x B x A, is the oracle.
+
+def _condition2_cases():
+    yield from (a for a, _ in REFERENCE_CASES if a.category in ("associative", "commutative"))
+    for f in (GF(2), GF(3), GF(5), QQ, GF(2 ** 31 - 1)):
+        for category in ("associative", "commutative"):
+            yield zero_algebra(f, 0, category)
+            for n in range(1, 5):
+                for seed in range(6):
+                    # the sampler scans seconds for this draw and refuses it
+                    if not (f.p == 2 ** 31 - 1 and n == 2 and seed == 5):
+                        yield sample_algebra(random.Random(seed), f, n, category)
+
+
+def test_condition2_of_the_pipeline_is_the_report_of_condition2_check():
+    verdicts = Counter()
+    for a in _condition2_cases():
+        v = actor_pipeline(a)
+        want = condition2_check(a)
+        assert v.condition_status.to_json(a.field.to_json) == want.to_json(a.field.to_json)
+        assert v.condition_status.passed == v.exists
+        verdicts[a.category, v.exists] += 1
+    # both routes, in both categories
+    assert min(verdicts.values()) >= 40 and len(verdicts) == 4, verdicts
+
+
+def test_a_passing_verdict_builds_one_candidate_and_sweeps_no_condition(monkeypatch):
+    builds, sweeps = [], []
+    build, sweep = constructions._build_actor, constructions._condition_check
+    monkeypatch.setattr(constructions, "_build_actor",
+                        lambda kind, *args: builds.append(kind) or build(kind, *args))
+    monkeypatch.setattr(constructions, "_condition_check",
+                        lambda which, actor: sweeps.append(which) or sweep(which, actor))
+    for a, passed, kinds, swept in (
+            (truncated_poly(QQ, 2, "commutative"), True, ["mult"], []),
+            (m2_rationals(), True, ["bim"], []),
+            (dual_numbers(GF(3)), True, ["bim"], []),
+            # a failing verdict still runs condition2_check
+            (zero_algebra(QQ, 2, "commutative"), False, ["mult", "bim"], [2]),
+            (zero_algebra(QQ, 2, "associative"), False, ["bim"], [2])):
+        builds.clear()
+        sweeps.clear()
+        v = actor_pipeline(a)
+        assert (v.exists, builds, sweeps) == (passed, kinds, swept), a
+
+
+@st.composite
+def commutative_algebras(draw):
+    f = draw(st.sampled_from((GF(2), GF(3), GF(5), QQ)))
+    n = draw(st.integers(0, 4))
+    if n == 0 or draw(st.booleans()):
+        build = draw(st.sampled_from((zero_algebra, diagonal_algebra, truncated_poly)))
+        return build(f, n, "commutative")
+    return sample_algebra(random.Random(draw(st.integers(0, 40))), f, n, "commutative")
+
+
+@settings(max_examples=60)
+@given(commutative_algebras())
+def test_bimultipliers_of_a_commutative_algebra_have_the_dim_of_the_theorem(a):
+    # dim Bim(A) = dim Mult(A) + dim Hom(A/A^2, Ann(A))
+    want = multipliers(a).dim + (a.dim - derived_subspace(a).dim) * annihilator(a).dim
+    assert bimultipliers(a).dim == want
 
 
 def test_alternative_category_is_three_state():

@@ -24,8 +24,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from artifact import linalg
 from artifact.fields import GF, QQ
-from artifact.linalg import (LinAlgError, Matrix, Subspace, basis_vector,
-                             vec_add, vec_scale)
+from artifact.linalg import LinAlgError, Matrix, Subspace, basis_vector, vec_add
 
 gf5 = GF(5)
 
@@ -750,7 +749,7 @@ def test_subspace_coords_round_trip():
         coeffs = [rng.randrange(5) for _ in range(basis.nrows)]
         target = [gf5.zero] * 4
         for c, i in zip(coeffs, range(basis.nrows)):
-            target = list(vec_add(gf5, tuple(target), vec_scale(gf5, c, basis.row(i))))
+            target = list(vec_add(gf5, tuple(target), tuple(gf5.mul(c, x) for x in basis.row(i))))
         got = span.coords(tuple(target))
         assert got is not None and list(got) == coeffs
 

@@ -14,7 +14,7 @@ from artifact.corpus import (a5_leibniz, dual_numbers, heisenberg,
                              m2_rationals, diagonal_algebra, sl2,
                              strict_upper3, zero_algebra)
 from artifact.fields import GF, QQ
-from artifact.linalg import basis_vector, vec_add, vec_scale, vec_zero
+from artifact.linalg import basis_vector, vec_add, vec_zero
 from artifact.reporting import Report
 from artifact.words import (ASSOCIATIVE_W1, ASSOCIATIVE_W2,
                             COMMUTATIVE_EXAMPLE_W2, LEIBNIZ_W1, LEIBNIZ_W2,
@@ -349,7 +349,7 @@ def _loop_validate(a, w1, w2):
                 val = a.multiply(sub[u], a.multiply(sub[v], sub[w]))
             else:
                 val = a.multiply(a.multiply(sub[u], sub[v]), sub[w])
-            out = vec_add(f, out, vec_scale(f, f.from_int(int(coef)), val))
+            out = vec_add(f, out, tuple(f.mul(f.from_int(int(coef)), x) for x in val))
         return out
 
     for i, j, k in itertools.product(range(n), repeat=3):
