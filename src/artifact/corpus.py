@@ -30,6 +30,8 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .algebra import (Algebra, InputError, identity_suite, make_algebra,
                       make_algebra_from_products)
 from .actions import ActionPair, make_action
@@ -158,20 +160,26 @@ def _conjugate(a: Algebra, p: Matrix) -> Algebra:
     """Transport a's tensor along the basis whose columns are p.  The
     products of the new basis vectors, c(P e_i, P e_j), are one exact
     contraction of a.integer_tensor with P's integers, on the rung of its
-    bound; each is then solved for its coordinates in the new basis."""
+    bound, and their coordinates in the new basis are P^-1 times them, one
+    more integer product on the rung of its bound.  With q = mu P an
+    integer matrix, the RREF of [q | I] is [I | w / den], w / den = q^-1 =
+    P^-1 / mu; the contraction is v = lam mu^2 c(P e_i, P e_j), so
+    w v = lam mu den P^-1 c(P e_i, P e_j)."""
     f, n = a.field, a.dim
     lam, c = a.integer_tensor
     mu, q = p.scaled()
     dtype = rung(n * n * magnitude(q) ** 2 * magnitude(c))
-    c, q = exact_ints(c).astype(dtype), q.astype(dtype)
-    v = q.T @ (q.T @ c.reshape(n, n * n)).reshape(n, n, n)  # [i, j, k]
-    tensor = []
-    for row in scalar_tuples(f, lam * mu * mu, exact_ints(v, f.p)):
-        coords = [p.solve(x) for x in row]
-        if None in coords:
-            raise RuntimeError("change of basis is not invertible")
-        tensor.append(tuple(coords))
-    return make_algebra(f, a.basis, tuple(tensor), a.category)
+    c, qd = exact_ints(c).astype(dtype), q.astype(dtype)
+    v = qd.T @ (qd.T @ c.reshape(n, n * n)).reshape(n, n, n)  # [i, j, k]
+    v = exact_ints(v, f.p).reshape(n * n, n)
+    red, piv = Matrix.from_ints(f, np.hstack([q, np.eye(n, dtype=np.int64)])).rref()
+    if piv != tuple(range(n)):
+        raise RuntimeError("change of basis is not invertible")
+    w = red.ints[:, n:]  # den q^-1
+    dtype = rung(n * magnitude(v) * magnitude(w))
+    coords = exact_ints(v.astype(dtype) @ w.T.astype(dtype), f.p).reshape(n, n, n)
+    tensor = scalar_tuples(f, lam * mu * red.den, coords)
+    return make_algebra(f, a.basis, tensor, a.category)
 
 
 def _embed_block(field, n, block: Algebra) -> tuple:

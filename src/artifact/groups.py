@@ -2,43 +2,45 @@
 
 Groups are written additively (0, -, +) even when nonabelian, matching the
 convention of the rest of the package.  Everything is exhaustive, and each
-fact is checked once, where it is established:
+fact is checked once, where it is established, or proven once in a
+docstring here:
 
-- make_group checks the Latin-square property, a two-sided identity and
+- make_group checks a table from outside the program, and group_from_json
+  is its one caller: the Latin-square property, a two-sided identity and
   inverses, and associativity by Light's test over generators whose span
   (products by right multiplication from the identity) is the whole table;
+- every table the program builds is a group by construction, and
+  _group_by_construction takes it unchecked:
+  - cyclic(n) (trivial is cyclic(1)) is Z/nZ under addition mod n;
+  - direct_product multiplies two groups componentwise;
+  - _perm_group (dihedral, symmetric3) composes a finite set of
+    permutations closed under composition, or its index lookup raises
+    KeyError.  Such a set is a group: the powers of each p stay in it, so
+    p^k is the identity for some k, and p^(k-1) is p's inverse;
+  - quaternion8 is the units +-1, +-i, +-j, +-k under Hamilton's product,
+    which is associative;
+  - the composition table of Aut(g), below;
 - automorphisms keeps the bijective maps among the homomorphisms g -> g
   that _enumerate_homs extends from generator images, so every row of
-  Aut(g) is proven an automorphism once, and its composition table goes
-  through make_group;
-- holomorph_check checks the theorems about Aut(g) x| g and the crossed
-  module g -> Aut(g), and not the facts that inner_automorphisms makes true
-  by definition;
+  Aut(g) is proven an automorphism once.  Those are all the automorphisms
+  of g, and the automorphisms of a group are a group under composition,
+  which is associative: a composite or an inverse of automorphisms is one;
+- holomorph_check checks the theorems about the crossed module
+  g -> Aut(g), and neither the facts that inner_automorphisms makes true by
+  definition nor that Aut(g) x| g is a group (the proof is in its
+  docstring);
 - group_universality_check counts actions as homomorphisms B -> Aut(g),
   which factor through Aut(g) by construction.  make_group_action is the
   validator for dot tables from outside the program; the tests use it, and
   independent counts from brute-force Aut, as oracles for the enumeration.
-
-Tables as arrays.  The holomorph's table and the composition table of
-Aut(g) are built by indexing numpy arrays, and holomorph_check compares its
-two crossed-module sides as arrays.  make_group runs its checks as
-whole-array comparisons on one integer array from order ARRAY_CHECK_ORDER
-on, and as loops below it; both raise the same first message.  Per call on
-a nested-list table, loops against array (Intel Xeon, numpy 2.4, one
-thread, shared host; fastest of 15 runs for each of 5-6 relabelled groups
-per order): order 8 43-71 against 85-118 us, 12 46-77 against 64-93 us,
-16 82-121 against 76-103 us, 24 134-177 against 103-113 us, 48 432-714
-against 228-277 us.  A second run on the same host read up to 1.7 times
-these, with the same crossover, at 16.  Small orders keep the loops
-because the array route costs 20-40 us more per call there, and most
-calls are small: a universality check builds each catalogue group, of
-order at most 6, through make_group.
+  The tests also keep make_group as the oracle of every group built
+  unchecked.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -46,10 +48,6 @@ import numpy as np
 
 from .fields import InputError, read_nested
 from .reporting import Report
-
-# make_group checks a table of at least this order as one array; the module
-# docstring has the timings behind it
-ARRAY_CHECK_ORDER = 16
 
 
 class CapError(InputError):
@@ -63,9 +61,13 @@ class Group:
     names: tuple
     identity: int
     inv: tuple
-    # the generators make_group ran Light's test over; _enumerate_homs
-    # extends maps from their images
-    gens: tuple = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def gens(self) -> tuple:
+        """Generators whose span is the whole table, worked out on first use
+        (make_group fills in those of its Light test); _enumerate_homs
+        extends maps from their images."""
+        return tuple(_greedy_generators(self.table, self.identity))
 
     @cached_property
     def orders(self) -> tuple:
@@ -163,45 +165,34 @@ def _greedy_generators(table, identity) -> list:
 
 
 def make_group(table, names=None) -> Group:
-    """The group with Cayley table `table` (nested sequences, or a square
-    integer array), refused with an InputError unless it is one.
-
-    From order ARRAY_CHECK_ORDER on, an integer table is checked as one
-    array; below it, or when numpy does not read the table as integers (an
-    entry past int64, a float, a string), by loops.  Both routes raise the
-    same first message, and Group.table holds the table's own entries, an
-    array's as Python ints."""
-    array = isinstance(table, np.ndarray)
-    t = _rows(table) if array else tuple(map(tuple, table))
+    """The group with Cayley table `table`, nested sequences from outside
+    the program, refused with an InputError unless it is one.  Its gens are
+    those of its Light test, so no second search runs on it."""
+    t = tuple(map(tuple, table))
     n = len(t)
     if n < 1:
         raise InputError("group order must be at least 1")
     if any(len(r) != n for r in t):
         raise InputError("Cayley table must be square")
-    a = (table if array else np.array(t)) if n >= ARRAY_CHECK_ORDER else None
-    if a is not None and a.dtype.kind == "i":
-        identity, inv, gens = _check_array(t, a)
-    else:
-        identity, inv, gens = _check_loops(t)
+    identity, inv, gens = _check_loops(t)
     if names is None:
         names = tuple(f"g{i}" for i in range(n))
     else:
         names = tuple(str(x) for x in names)
         if len(names) != n or len(set(names)) != n:
             raise InputError("names must be distinct and match the order")
-    return Group(n, t, names, identity, inv, gens)
+    g = Group(n, t, names, identity, inv)
+    vars(g)["gens"] = gens  # where the cached property keeps it
+    return g
 
 
-def _rows(a) -> tuple:
-    """The rows of an integer array as tuples of Python ints.  CPython keeps
-    one object per int up to 256; past that, when every entry lies in
-    range(len(a)), the rows share one object per value instead of holding
-    a new one for each entry."""
-    n = len(a)
-    if n > 257 and 0 <= a.min() and a.max() < n:
-        ints = np.arange(n).astype(object)
-        return tuple(tuple(ints[r].tolist()) for r in a)
-    return tuple(map(tuple, a.tolist()))
+def _group_by_construction(table, names) -> Group:
+    """The Group of a table that is a group by construction (the module
+    docstring has each proof), unchecked: the identity is the row equal to
+    range(n), and inv[x] is the index of the identity in row x."""
+    t = tuple(map(tuple, table))
+    identity = t.index(tuple(range(len(t))))
+    return Group(len(t), t, tuple(names), identity, tuple(r.index(identity) for r in t))
 
 
 def _check_loops(t) -> tuple:
@@ -245,35 +236,6 @@ def _first(bad) -> Optional[int]:
     return i if bad.flat[i] else None
 
 
-def _check_array(t, a) -> tuple:
-    """_check_loops on a, an integer array holding t: the same checks in
-    the same order, each as whole-array comparisons, with the same first
-    message."""
-    n = len(a)
-    ids = np.arange(n)
-    i = _first((np.sort(a, axis=1) != ids).any(axis=1))
-    if i is not None:
-        raise InputError(f"row {i} is not a permutation; not a Latin square")
-    j = _first((np.sort(a, axis=0) != ids[:, None]).any(axis=0))
-    if j is not None:
-        raise InputError(f"column {j} is not a permutation; not a Latin square")
-    identity = _first((a == ids).all(axis=1) & (a == ids[:, None]).all(axis=0))
-    if identity is None:
-        raise InputError("no two-sided identity element")
-    inv = np.argmax(a == identity, axis=1)
-    x = _first(a[inv, ids] != identity)
-    if x is not None:
-        raise InputError(f"element {x} has no two-sided inverse")
-    gens = tuple(_greedy_generators(t, identity))
-    for g in gens:
-        # (x+g)+y against x+(g+y), at [x, y]
-        xy = _first(a[a[:, g]] != a[:, a[g]])
-        if xy is not None:
-            x, y = divmod(xy, n)
-            raise InputError(f"associativity fails at ({x},{g},{y})")
-    return identity, tuple(inv.tolist()), gens
-
-
 def group_from_json(obj) -> Group:
     if not isinstance(obj, dict) or not {"order", "table"} <= set(obj) \
             or not set(obj) <= {"order", "table", "names"}:
@@ -297,12 +259,14 @@ def element_order(g: Group, x: int) -> int:
 
 
 def trivial() -> Group:
-    return make_group(((0,),), ("0",))
+    return cyclic(1)
 
 
 def cyclic(n: int) -> Group:
+    if n < 1:
+        raise InputError("cyclic needs n >= 1")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return make_group(table, tuple(str(i) for i in range(n)))
+    return _group_by_construction(table, tuple(str(i) for i in range(n)))
 
 
 def direct_product(g: Group, h: Group) -> Group:
@@ -312,7 +276,7 @@ def direct_product(g: Group, h: Group) -> Group:
         tuple(g.table[a1][b1] * h.order + h.table[a2][b2] for (b1, b2) in pairs)
         for (a1, a2) in pairs)
     names = tuple(f"({g.names[a]},{h.names[b]})" for a, b in pairs)
-    return make_group(table, names)
+    return _group_by_construction(table, names)
 
 
 def klein4() -> Group:
@@ -324,7 +288,7 @@ def _perm_group(perms, names) -> Group:
     table = tuple(
         tuple(idx[tuple(p[q[x]] for x in range(len(p)))] for q in perms)
         for p in perms)
-    return make_group(table, names)
+    return _group_by_construction(table, names)
 
 
 def dihedral(n: int) -> Group:
@@ -361,7 +325,7 @@ def quaternion8() -> Group:
             row.append(idx[(s1 * s2 * s3, u3)])
         table.append(tuple(row))
     names = [("" if s == 1 else "-") + u for (s, u) in elems]
-    return make_group(tuple(table), names)
+    return _group_by_construction(table, names)
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +347,11 @@ def _enumerate_homs(src: Group, dst: Group):
     """All homomorphisms src -> dst, as lists indexed by src elements, in
     itertools.product order of the generator images.
 
-    A homomorphism is fixed by the images of src's generators, src.gens
-    (those of make_group's Light test), each of an order dividing its
-    generator's.  The edges x -> x + g of the generators' Cayley graph are
-    listed in breadth-first order from the identity, each marked as a tree
-    edge, the first to reach its end, or not.  For each choice of images,
-    the images spread along the list: a
+    A homomorphism is fixed by the images of src's generators, src.gens,
+    each of an order dividing its generator's.  The edges x -> x + g of the
+    generators' Cayley graph are listed in breadth-first order from the
+    identity, each marked as a tree edge, the first to reach its end, or
+    not.  For each choice of images, the images spread along the list: a
     tree edge assigns its end, and any other edge is checked when it is
     reached, both of its ends being assigned by then, and the choice is
     dropped at the first edge that disagrees.  A choice is a homomorphism
@@ -435,7 +398,7 @@ def automorphisms(g: Group, cap: int = 24) -> AutomorphismGroup:
     if len(perms) > cap:
         raise CapError(f"automorphism count {len(perms)} exceeds cap {cap}")
     names = tuple(f"phi{i}" for i in range(len(perms)))
-    comp = make_group(_composition_table(perms), names)
+    comp = _group_by_construction(_composition_table(perms).tolist(), names)
     return AutomorphismGroup(tuple(perms), comp, perms.index(tuple(range(g.order))))
 
 
@@ -487,10 +450,13 @@ def inner_automorphisms(g: Group, aut: Optional[AutomorphismGroup] = None) -> In
 
 
 def holomorph_check(g: Group, cap: int = 24):
-    """Build Aut(g) x| g and check each claimed piece of structure that is
-    not true by construction.  Returns a Report.
+    """Check each claimed piece of structure of Aut(g) x| g and the crossed
+    module g -> Aut(g) that is not true by construction.  Returns a Report.
 
-    Checked, in order: the semidirect table is a group; tau is a
+    Aut(g) x| g, with (phi', a') + (phi, a) = (phi'.phi, a' + phi'(a)), is
+    reported a group of order |Aut(g)| |g|, not checked: Aut(g) is a group
+    acting on the group g by automorphisms, each of its rows being one, so
+    the semidirect-product theorem applies.  Checked, in order: tau is a
     homomorphism; tau(phi(a)) = phi tau(a) phi^-1.  inner_automorphisms
     defines tau(a) as conjugation by a, Inn as its image and the center as
     its kernel, so those facts are reported, not checked.  So is the row
@@ -500,31 +466,14 @@ def holomorph_check(g: Group, cap: int = 24):
     product on Out is well-defined, Out has order |Aut| / |Inn|, and the
     kernel of Aut -> Out is Inn.
 
-    The semidirect table is one broadcast over the arrays of Aut(g)'s
-    table, g's table and the automorphisms, in the narrowest signed dtype
-    that holds its order m * n.  make_group checks it as an array, unless
-    m * n is below ARRAY_CHECK_ORDER (Z3, Z4 and Z6 give 6, 8 and 12),
-    where the loops cost less.  The tau and crossed-module checks compare
-    whole arrays and report the first failure in row-major order, as the
-    loops they replace did.
+    The tau and crossed-module checks compare whole arrays and report the
+    first failure in row-major order, as the loops they replace did.
     """
     aut = automorphisms(g, cap)
     inn = inner_automorphisms(g, aut)
     n, m = g.order, aut.order
-    details = []
-
-    # semidirect product: (phi', a') + (phi, a) = (phi'.phi, a' + phi'(a))
-    # (phi, a) sits at phi * n + a in product order, so the table at
-    # [p1, a1, p2, a2] is A[p1, p2] * n + G[a1, P[p1, a2]]
-    # the narrowest signed dtype holding every index keeps the copies small
-    dtype = np.min_scalar_type(-m * n)
-    A, G, P = (np.array(x, dtype) for x in (aut.group.table, g.table, aut.perms))
-    table = A[:, None, :, None] * n + G[:, P].transpose(1, 0, 2)[:, :, None, :]
-    try:
-        make_group(table.reshape(m * n, m * n))
-    except InputError as exc:
-        return Report(False, label="holomorph is a group", details=[{"error": str(exc)}])
-    details.append({"name": "holomorph is a group", "order": m * n, "status": "pass"})
+    details = [{"name": "holomorph is a group", "order": m * n, "status": "pass"}]
+    A, G, P = (np.array(x) for x in (aut.group.table, g.table, aut.perms))
 
     # tau(a + b) against tau(a) tau(b), at [a, b]
     tau = np.array(inn.tau)

@@ -416,22 +416,6 @@ class Matrix:
         # the span's rref finds null in RREF already and returns it
         return Subspace.spanned_by(null, nc).basis
 
-    def solve(self, b: Vector) -> Optional[Vector]:
-        """One solution x of self @ x = b, or None if inconsistent."""
-        f, rows = self.field, self.rows
-        if len(b) != self.nrows:
-            raise LinAlgError("shape mismatch in solve")
-        nc = self.ncols
-        if not rows:
-            return (f.zero,) * nc
-        red, piv = Matrix(f, tuple(r + (bv,) for r, bv in zip(rows, b))).rref()
-        if nc in piv:
-            return None
-        x = [f.zero] * nc
-        for pc, row in zip(piv, red.rows):
-            x[pc] = row[nc]
-        return tuple(x)
-
 
 def _gauss_jordan(rows: list, nc: int, p: Optional[int]) -> tuple[list, int, list]:
     """(V, den, pivots), V / den the nonzero RREF rows as lists of ints, for

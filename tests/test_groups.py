@@ -7,7 +7,6 @@ Action counts come from a presentation of each acting group, evaluated on
 the oracle's automorphisms.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -20,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import groups
 from artifact.algebra import InputError
-from artifact.groups import (CATALOG, CapError, _enumerate_homs,
+from artifact.groups import (CATALOG, CapError, Group, _enumerate_homs,
                              _greedy_generators, automorphisms, cyclic,
                              dihedral, direct_product, element_order, group_from_json,
                              group_universality_check, holomorph_check,
@@ -393,7 +392,8 @@ def test_make_group_action_validation():
 
 
 # ---------------------------------------------------------------------------
-# make_group's two routes, and the tables built as arrays
+# make_group against a brute-force group check, and the tables the
+# program builds
 
 # the two order-5 loops of test_make_group_rejects_non_latin_and_non_associative
 LOOPS5 = (((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1), (3, 4, 1, 2, 0),
@@ -402,35 +402,50 @@ LOOPS5 = (((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1), (3, 4, 1, 2, 0),
            (4, 3, 1, 2, 0)))
 
 
-def make_group_outcome(table, names, array_order):
-    """make_group(table, names) with the array checks from array_order on:
-    the Group's fields, or the text of its InputError."""
-    saved = groups.ARRAY_CHECK_ORDER
-    groups.ARRAY_CHECK_ORDER = array_order
+def brute_force_group(t, names=None):
+    """(identity, inverses) when t is a group table and names fit it, else
+    None: n >= 1 rows of length n, every row and column a permutation of
+    range(n), a two-sided identity, two-sided inverses, (x+y)+z = x+(y+z)
+    at all n^3 triples, and names None or n distinct strings."""
+    n = len(t)
+    full = set(range(n))
+    if n < 1 or any(len(r) != n for r in t) or any(set(r) != full for r in t) \
+            or any({r[j] for r in t} != full for j in range(n)):
+        return None
+    if names is not None and (len(names) != n or len({str(x) for x in names}) != n):
+        return None
+    e = next((e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))), None)
+    if e is None:
+        return None
+    inv = tuple(next((y for y in range(n) if t[x][y] == e == t[y][x]), None)
+                for x in range(n))
+    # (x+y)+z at [y, z] is a[a[x]], x+(y+z) is a[x][a]
+    a = np.array(t)
+    if None in inv or any((a[a[x]] != a[x][a]).any() for x in range(n)):
+        return None
+    return e, inv
+
+
+def make_group_outcome(table, names):
+    """make_group(table, names): the Group's fields, or the text of its
+    InputError."""
     try:
         g = make_group(table, names)
     except InputError as exc:
         return "refused", str(exc)
-    finally:
-        groups.ARRAY_CHECK_ORDER = saved
-    assert all(type(x) is int for r in g.table for x in r)
     return g.order, g.table, g.identity, g.inv, g.names
 
 
-def assert_routes_agree(table, names=None):
-    """Loops and array checks give the same Group or the same refusal, on
-    the nested table and on it as an array, where it is one."""
-    loops = make_group_outcome(table, names, 10 ** 9)
-    assert make_group_outcome(table, names, 0) == loops
-    try:
-        arr = np.array(table)
-    except ValueError:  # ragged
-        return loops
-    if arr.dtype.kind == "i" and arr.ndim == 2:
-        for array_order in (0, 10 ** 9):
-            assert make_group_outcome(arr, names, array_order) == \
-                make_group_outcome(arr.tolist(), names, 10 ** 9)
-    return loops
+def checked_outcome(table, names=None):
+    """make_group_outcome, asserted to accept exactly the tables that
+    brute_force_group accepts, with the same identity and inverses."""
+    got = make_group_outcome(table, names)
+    want = brute_force_group(table, names)
+    if want is None:
+        assert got[0] == "refused", table
+    else:
+        assert got[1:4] == (tuple(map(tuple, table)),) + want, table
+    return got
 
 
 def sampled_reduced_latin_squares():
@@ -440,8 +455,8 @@ def sampled_reduced_latin_squares():
         yield from itertools.islice(reduced_latin_squares(n), 0, None, 1 if n < 6 else 47)
 
 
-def test_make_group_routes_agree_on_reduced_latin_squares():
-    outcomes = [assert_routes_agree(t) for t in sampled_reduced_latin_squares()]
+def test_make_group_outcomes_on_reduced_latin_squares():
+    outcomes = [checked_outcome(t) for t in sampled_reduced_latin_squares()]
     assert len(outcomes) == 63 + 201
     assert 0 < [o[0] for o in outcomes].count("refused") < len(outcomes)
     # the Groups and the refusal texts, as the earlier implementation gave
@@ -495,36 +510,46 @@ def cayley_tables(draw):
 
 @settings(max_examples=300)
 @given(cayley_tables())
-def test_make_group_routes_agree(case):
-    assert_routes_agree(*case)
+def test_make_group_accepts_exactly_the_group_tables(case):
+    checked_outcome(*case)
 
 
-def test_make_group_routes_agree_past_the_small_int_cache():
-    # order 260: the array route shares one int object per value, unless
-    # an entry lies outside range(260)
+def record_builds(monkeypatch) -> list:
+    """The tables groups builds unchecked, recorded as they are built; a
+    make_group call fails the test."""
+    built = []
+    by_construction = groups._group_by_construction
+
+    def recording(table, names):
+        built.append(tuple(map(tuple, table)))
+        return by_construction(table, names)
+
+    monkeypatch.setattr(groups, "make_group", lambda *args: pytest.fail("make_group ran"))
+    monkeypatch.setattr(groups, "_group_by_construction", recording)
+    return built
+
+
+def test_make_group_checks_an_order_260_table():
     t = [[(i + j) % 260 for j in range(260)] for i in range(260)]
-    assert assert_routes_agree(t)[0] == 260
+    assert checked_outcome(t)[0] == 260
     for bad in (-1, 260):
         t[3][5] = bad
-        assert assert_routes_agree(t) == \
+        assert checked_outcome(t) == \
             ("refused", "row 3 is not a permutation; not a Latin square")
 
 
-def test_holomorph_table_built_by_indexing_equals_the_pair_table(monkeypatch):
-    built = []
-
-    def recording(table, names=None):
-        built.append(table)
-        return make_group(table, names)
-
-    monkeypatch.setattr(groups, "make_group", recording)
+def test_holomorph_check_builds_no_holomorph_table(monkeypatch):
+    # Aut(g) x| g is a group by theorem: the one table built is Aut(g)'s,
+    # and make_group checks none
+    built = record_builds(monkeypatch)
     for g, cap in [(g, 24) for _, g, _ in GROUPS] + [
             (direct_product(cyclic(3), cyclic(3)), 48)]:
+        aut = automorphisms(g, cap)
         built.clear()
-        assert holomorph_check(g, cap).passed
-        # the first call builds Aut(g)'s composition table, the last one
-        # the holomorph's, with (phi, a) at phi * |g| + a as in the helper
-        assert np.array_equal(built[-1], holomorph_table(g, cap))
+        rep = holomorph_check(g, cap)
+        assert built == [aut.group.table]
+        assert rep.details[0] == {"name": "holomorph is a group",
+                                  "order": aut.order * g.order, "status": "pass"}
 
 
 def test_composition_table_refuses_perms_not_closed_under_composition():
@@ -750,22 +775,56 @@ def test_enumerate_homs_equal_the_check_after_the_spread():
 
 
 def test_group_keeps_the_generators_of_its_light_test(monkeypatch):
-    # both routes of make_group store the search's generators, and
-    # _enumerate_homs reads them on a src the array route built; the field
-    # takes no part in equality or repr
+    # make_group stores the generators its Light test ran over, so reading
+    # gens runs no second search, and _enumerate_homs reads them; gens takes
+    # no part in equality or repr
     holomorphs = [holomorph_table(g, 24) for g in (quaternion8(), dihedral(4))]
-    for array_order in (0, 10 ** 9):
-        monkeypatch.setattr(groups, "ARRAY_CHECK_ORDER", array_order)
-        for table in [g.table for _, g, _ in GROUPS] + holomorphs:
-            g = make_group(table)
-            assert g.gens == tuple(_greedy_generators(g.table, g.identity))
-            assert dataclasses.replace(g, gens=()) == g
-            assert "gens" not in repr(g)
-    monkeypatch.setattr(groups, "ARRAY_CHECK_ORDER", 16)
+    searches = []
+
+    def counting(table, identity):
+        searches.append(len(table))
+        return _greedy_generators(table, identity)
+
+    monkeypatch.setattr(groups, "_greedy_generators", counting)
+    for table in [g.table for _, g, _ in GROUPS] + holomorphs:
+        searches.clear()
+        g = make_group(table)
+        assert g.gens == tuple(_greedy_generators(g.table, g.identity))
+        assert searches == [len(table)]
+        assert Group(g.order, g.table, g.names, g.identity, g.inv) == g
+        assert "gens" not in repr(g)
     for table in holomorphs:
         src = make_group(table)
         for dst in (cyclic(2), klein4(), symmetric3()):
             assert list(_enumerate_homs(src, dst)) == list(ref_enumerate_homs(src, dst))
+
+
+def test_a_group_built_without_make_group_finds_its_generators():
+    # Z2 built by hand: its gens are worked out on first read, so every
+    # homomorphism Z2 -> Z2 is found, not a map that leaves 1 unassigned
+    g = Group(2, ((0, 1), (1, 0)), ("0", "1"), 0, (0, 1))
+    assert g.gens == (1,)
+    assert list(_enumerate_homs(g, cyclic(2))) == [[0, 0], [0, 1]] == \
+        list(_enumerate_homs(cyclic(2), cyclic(2)))
+
+
+def test_groups_the_program_builds_are_groups():
+    """The theorems behind the groups built unchecked: make_group, the check
+    of tables from outside the program, gives the same Group, gens
+    included, on each constructor's output and on each Aut(g), and accepts
+    each holomorph table, of the order holomorph_check reports."""
+    built = [trivial(), klein4(), symmetric3(), quaternion8()]
+    built += [cyclic(n) for n in range(1, 9)] + [dihedral(n) for n in range(3, 7)]
+    built += [direct_product(b(), c())
+              for (_, _, b), (_, _, c) in itertools.product(CATALOG, repeat=2)]
+    targets = [(g, 24) for _, g, _ in GROUPS] + HOLOMORPH_GROUPS
+    built += [automorphisms(g, cap).group for g, cap in targets]
+    for g in built:
+        checked = make_group(g.table, g.names)
+        assert (checked, checked.gens) == (g, g.gens)
+    for g, cap in targets:
+        assert make_group(holomorph_table(g, cap)).order == \
+            holomorph_check(g, cap).details[0]["order"]
 
 
 def test_orders_equal_the_power_loop():
@@ -780,15 +839,9 @@ def test_orders_equal_the_power_loop():
 def test_catalogue_orders_are_stated_and_tested_before_the_build(monkeypatch):
     assert [(name, order) for name, order, ctor in CATALOG] == \
         [(name, ctor().order) for name, _, ctor in CATALOG]
-    built = []
-
-    def recording(table, names=None):
-        built.append(tuple(map(tuple, table)))
-        return make_group(table, names)
-
     g = cyclic(4)
     aut = automorphisms(g)
-    monkeypatch.setattr(groups, "make_group", recording)
+    built = record_builds(monkeypatch)
     rep = group_universality_check(g, max_b=1)
     assert [line["acting_group"] for line in rep.details] == ["trivial"]
     # Aut(Z4)'s composition table, then the trivial group alone

@@ -15,7 +15,7 @@ from artifact.constructions import actor_from_json
 from artifact.corpus import a5_leibniz, sl2, zero_algebra
 from artifact.existence import actor_pipeline
 from artifact.fields import GF, QQ
-from artifact.groups import ARRAY_CHECK_ORDER, cyclic, group_from_json, symmetric3
+from artifact.groups import cyclic, group_from_json, symmetric3
 
 from conftest import fixture_path, load_fixture
 
@@ -52,8 +52,8 @@ def _forged_actor():
     return doc
 
 
-# a group table that make_group checks as an array
-LARGE_GROUP = cyclic(ARRAY_CHECK_ORDER + 4).to_json()
+# an order-20 group table, to carry the out-of-range entries below
+LARGE_GROUP = cyclic(20).to_json()
 
 # (parser, CLI arguments with the document's file as "{}", document)
 MALFORMED = {

@@ -28,6 +28,7 @@ from artifact.existence import actor_pipeline
 from artifact.fields import GF, QQ
 from artifact.linalg import Matrix, Subspace, vec_zero
 
+from conftest import solve
 from test_algebra import first_exact_failure
 from test_constructions import dense_tensor, oracle_constraints
 
@@ -309,7 +310,7 @@ def test_array_backed_matrix_equals_the_rows_route(case, data):
     lam, scaled = got.scaled()
     assert (lam, scaled.tolist()) == (lambda r: (r[0], r[1].tolist()))(want.scaled())
     b = tuple(_scalar(f, data.draw(st.integers(-3, 3)), 1) for _ in range(nrows))
-    assert got.solve(b) == want.solve(b)
+    assert solve(got, b) == solve(want, b)
     scalar = Fraction if f.p is None else int
     for m in (red, got.nullspace()):
         assert all(type(x) is scalar for row in m.rows for x in row)
