@@ -61,7 +61,10 @@ no verdict builds a field scalar of the candidate, its action or the
 product.  Conditions 1 and 2 are identity rows too, on the witnesses (s, t,
 col) of the same product's B x B x A block (_CONDITIONS), read by the
 suite's sweep and witness reader, algebra._row_failure, with every other
-block closed.
+block closed.  They read no product of two candidate labels, so condition
+2 of a commutative A runs on blocks placed from integer pairs alone
+(_place_blocks), those of the bimultiplier basis that
+_commutative_bimultipliers reads off the multipliers, with no closure.
 
 factor_through_actor expresses an action on the candidate's target in the
 candidate's basis, and is the one place that checks the action's algebra
@@ -464,8 +467,8 @@ def _actor(kind: str, A: Algebra, span: Subspace, pairs, constants) -> ActorAlge
 def _closed_blocks(kind: str) -> Mapping[str, frozenset]:
     """The blocks of witnesses, as the parts of their labels, that hold on
     the semidirect product along any candidate of this kind, per tag of its
-    source suite: the all-A block, as _construct checked the target against
-    that suite; every block with exactly one candidate label, as the
+    source suite: the all-A block, as _construct saw the target pass that
+    suite; every block with exactly one candidate label, as the
     candidate is the nullspace of those rows (under a _FOLLOW rule, of the
     ternary rows with b in slot 0, which cut out the same space, and the
     rule is the binary row); and the blocks with more that KIND_TABLE's
@@ -502,12 +505,19 @@ def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, Blocks]:
     scaled entry, as for the product's integer_tensor; each block is cast to
     it before it is scaled, which stays exact on every rung because the
     bound covers every entry.  Blocks.closed is _closed_blocks(kind)."""
-    A = actor.target
-    f, n, m = A.field, A.dim, actor.dim
-    den, consts = lowest_terms(*actor.constants)
-    lam_pairs = actor.pairs[0]
+    return _place_blocks(actor.kind, actor.target, actor.pairs, actor.constants)
+
+
+def _place_blocks(kind: str, A: Algebra, pairs, constants=None) -> tuple[int, Blocks]:
+    """semidirect_tensor from the candidate's integer pairs and constants.
+    Without constants, bb has the shape (m, 0, 0), as in _build_actor."""
+    f, n = A.field, A.dim
+    m = len(pairs[1])
+    den, consts = (1, np.zeros((m, 0, 0), np.int64)) if constants is None \
+        else lowest_terms(*constants)
+    lam_pairs = pairs[0]
     lam_a, ints_a = A.integer_tensor
-    ba, ab = _pair_blocks(actor.kind, exact_ints(actor.pairs[1]), f.p)
+    ba, ab = _pair_blocks(kind, exact_ints(pairs[1]), f.p)
     blocks = [(consts, den), (ba, lam_pairs), (ab, lam_pairs), (exact_ints(ints_a), lam_a)]
     lam = math.lcm(*(lam_block for _, lam_block in blocks))
     tops = [magnitude(arr) for arr, _ in blocks]
@@ -519,33 +529,39 @@ def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, Blocks]:
         if top and lam != lam_block:
             arr *= lam // lam_block
         out.append(arr)
-    return lam, Blocks(*out, _closed_blocks(actor.kind))
+    return lam, Blocks(*out, _closed_blocks(kind))
 
 
-def _construct(kind: str, A: Algebra) -> ActorAlgebra:
+def _construct(kind: str, A: Algebra, suite: Report | None = None) -> ActorAlgebra:
     """The candidate of this kind for A, which must pass the identity suite
-    of the kind's source category.  The kind's row assembler is looked up
-    by name when the call runs, so a rebound module function is the one
-    called."""
+    of the kind's source category.  suite is that suite's Report when the
+    caller has run it already, as actor_pipeline has: each category's
+    candidate is cut out by the category's own identities, so A's own suite
+    is its source suite; otherwise it runs here.  The kind's row assembler
+    is looked up by name when the call runs, so a rebound module function
+    is the one called."""
     spec = KIND_TABLE[kind]
-    rep = identity_suite(A, spec.source)
-    if not rep.passed:
+    if suite is None:
+        suite = identity_suite(A, spec.source)
+    elif [d["name"] for d in suite.details] != list(SUITES[spec.source]):
+        raise ConstructionError(f"{spec.name} needs the {spec.source} suite's report")
+    if not suite.passed:
         raise InputError(f"{spec.name} requires a {spec.source} algebra; "
-                         f"identity {rep.label!r} fails at {rep.witness}")
+                         f"identity {suite.label!r} fails at {suite.witness}")
     return _build_actor(kind, A, globals()[spec.rows](A))
 
 
-def derivations(A: Algebra) -> ActorAlgebra:
+def derivations(A: Algebra, suite: Report | None = None) -> ActorAlgebra:
     """All D with D[x,y] = [D(x),y] + [x,D(y)], bracket = commutator."""
-    return _construct("der", A)
+    return _construct("der", A, suite)
 
 
-def bimultipliers(A: Algebra) -> ActorAlgebra:
+def bimultipliers(A: Algebra, suite: Report | None = None) -> ActorAlgebra:
     """All pairs (L,R) with L(xy)=L(x)y, R(xy)=xR(y), xL(y)=R(x)y."""
-    return _construct("bim", A)
+    return _construct("bim", A, suite)
 
 
-def biderivations(A: Algebra, variant: int = 1) -> ActorAlgebra:
+def biderivations(A: Algebra, variant: int = 1, suite: Report | None = None) -> ActorAlgebra:
     """All pairs (L,R) satisfying the Leibniz identity with b in each slot.
 
     The solution space does not depend on the variant; the bracket does.
@@ -554,12 +570,12 @@ def biderivations(A: Algebra, variant: int = 1) -> ActorAlgebra:
     """
     if variant not in (1, 2):
         raise InputError("variant must be 1 or 2")
-    return _construct(f"bider{variant}", A)
+    return _construct(f"bider{variant}", A, suite)
 
 
-def multipliers(A: Algebra) -> ActorAlgebra:
+def multipliers(A: Algebra, suite: Report | None = None) -> ActorAlgebra:
     """All f with f(xy) = f(x)y on a commutative associative algebra."""
-    return _construct("mult", A)
+    return _construct("mult", A, suite)
 
 
 def construct(kind: str, A: Algebra) -> ActorAlgebra:
@@ -705,15 +721,16 @@ _CONDITIONS = {
 _BBA_ONLY = frozenset(np.ndindex((2,) * 3)) - {(0, 0, 1)}
 
 
-def _condition_check(which: int, actor: ActorAlgebra) -> Report:
+def _condition_check(which: int, f, scaled: tuple[int, Blocks]) -> Report:
     """Condition `which` on every pair (s, t) of basis pairs: its row on
-    the B x B x A block of actor.semidirect_blocks, by the suite's sweep.
-    The witness is the first (s, t, col) at which the two sides differ in
-    column col, and the sides are those columns."""
+    the B x B x A block of the pair (lam, Blocks) of the candidate's
+    semidirect product, by the suite's sweep.  The witness is the first
+    (s, t, col) at which the two sides differ in column col, and the sides
+    are those columns."""
     key, row = _CONDITIONS[which]
-    details = [{key: actor.dim}]
-    m = actor.dim
-    rep = _row_failure(actor.target.field, actor.semidirect_blocks, row, _BBA_ONLY)
+    m = len(scaled[1].bb)
+    details = [{key: m}]
+    rep = _row_failure(f, scaled, row, _BBA_ONLY)
     if rep is None:
         return Report(True, details=details)
     s, t, col = rep.witness
@@ -723,27 +740,71 @@ def _condition_check(which: int, actor: ActorAlgebra) -> Report:
 
 def condition1_check(A: Algebra, bider: ActorAlgebra | None = None) -> Report:
     """[phi,[a,phi']] = -[phi,[phi',a]] over the biderivation basis."""
-    return _condition_check(1, biderivations(A, 1) if bider is None else bider)
+    bider = biderivations(A, 1) if bider is None else bider
+    return _condition_check(1, A.field, bider.semidirect_blocks)
 
 
-def condition2_check(A: Algebra, bim: ActorAlgebra | None = None) -> Report:
-    """(f*a)*f' = f*(a*f') over the bimultiplier basis, built afresh unless
-    given.  The pipeline reads a passing condition off its verdict, by the
-    theorems in the existence module, and calls this only when the verdict
-    fails; the tests keep it as the oracle of the passing route."""
-    return _condition_check(2, bimultipliers(A) if bim is None else bim)
+def _commutative_bimultipliers(mult: ActorAlgebra, flags: Flags) -> Subspace:
+    """The canonical basis of bimultipliers(A) for a commutative A, read off
+    its multipliers and the Ann(A) and A^2 of its flags with no constraint
+    assembly.  By the theorem in the existence module's docstring, Bim(A)
+    is the direct sum of {(g, g) : g in Mult(A)} and {(h, 0) : h a linear
+    map A/A^2 -> Ann(A)}; the h are spanned by the maps u phi^T, u in Ann(A)'s
+    basis and phi in that of the functionals vanishing on A^2, the nullspace
+    of A^2's basis.  Those integer rows, in the flattened layout, have one
+    RREF, the unique one of the span, so the basis bimultipliers(A) builds.
+    Row scaling keeps the span, so each part keeps its own lam, and u phi^T
+    is taken on the rung of its bound.  A dim other than the theorem's
+    raises ConstructionError."""
+    A = mult.target
+    f, n = A.field, A.dim
+    g = mult.span.basis.scaled()[1]
+    u = flags.ann.basis.scaled()[1]
+    phi = flags.square.basis.nullspace().scaled()[1]
+    dtype = rung(magnitude(u) * magnitude(phi))
+    h = u.astype(dtype)[:, None, :, None] * phi.astype(dtype)[None, :, None, :]
+    h = exact_ints(h.reshape(len(u) * len(phi), n * n))
+    rows = np.vstack([np.hstack([g, g]), np.hstack([h, np.zeros_like(h)])])
+    span = Subspace.spanned_by(Matrix.from_ints(f, rows), 2 * n * n)
+    want = mult.dim + (n - flags.square.dim) * flags.ann.dim
+    if span.dim != want:
+        raise ConstructionError(f"bimultipliers from multipliers: dim {span.dim}, "
+                                f"the theorem gives {want}")
+    return span
+
+
+def condition2_check(A: Algebra, bim: ActorAlgebra | None = None,
+                     mult: ActorAlgebra | None = None, flags: Flags | None = None) -> Report:
+    """(f*a)*f' = f*(a*f') over the bimultiplier basis.  It reads the blocks
+    of bim when given.  Given the multipliers of a commutative A and its
+    flags instead, it places the blocks from the pairs of
+    _commutative_bimultipliers alone, with no closure: the row reads no
+    product of two bimultipliers.  Given neither, it builds bimultipliers(A)
+    afresh, the oracle of both routes in the tests.  mult without flags
+    raises InputError.  The pipeline reads a passing condition off its
+    verdict, by the theorems in the existence module, and calls this only
+    when the verdict fails."""
+    if mult is not None and flags is None:
+        raise InputError("condition2_check: mult needs the flags of sufficient_conditions(A)")
+    if bim is None and mult is not None:
+        span = _commutative_bimultipliers(mult, flags)
+        lam, ints = span.basis.scaled()
+        pairs = (lam, ints.reshape(span.dim, 2, A.dim, A.dim))
+        return _condition_check(2, A.field, _place_blocks("bim", A, pairs))
+    bim = bimultipliers(A) if bim is None else bim
+    return _condition_check(2, A.field, bim.semidirect_blocks)
 
 
 class Flags(dict):
-    """The two sufficient flags, the dict a verdict emits, with the dims
-    they are read from: ann, the annihilator's, and square, that of A^2."""
+    """The two sufficient flags, the dict a verdict emits, with the
+    subspaces they are read from: ann, the annihilator, and square, A^2."""
 
-    def __init__(self, ann: int, square: int, n: int):
-        super().__init__(ann_zero=ann == 0, perfect=square == n)
+    def __init__(self, ann: Subspace, square: Subspace, n: int):
+        super().__init__(ann_zero=ann.dim == 0, perfect=square.dim == n)
         self.ann, self.square = ann, square
 
 
 def sufficient_conditions(A: Algebra) -> Flags:
     """Two checkable properties, either of which forces the conditions above:
     trivial annihilator, or the products spanning the whole space."""
-    return Flags(annihilator(A).dim, derived_subspace(A).dim, A.dim)
+    return Flags(annihilator(A), derived_subspace(A), A.dim)

@@ -147,24 +147,36 @@ def _rand_scalar(rng, field):
     return Fraction(rng.randrange(-3, 4))
 
 
-def _rand_invertible(rng, field, n) -> Matrix:
+def _rand_invertible(rng, field, n) -> tuple[Matrix, Matrix]:
+    """A random invertible P, redrawn whole until invertible, with the RREF
+    of [q | I], q = mu P the integers of P.scaled(), that tests it: P is
+    invertible exactly when the pivots are range(n), and then the RREF is
+    [I | q^-1], which _conjugate reads P^-1 off."""
     for _ in range(_ATTEMPTS):
         m = Matrix(field, tuple(tuple(_rand_scalar(rng, field)
                                       for _ in range(n)) for _ in range(n)))
-        if m.rank() == n:
-            return m
+        red = _inverse_rref(m)
+        if red.pivots == tuple(range(n)):
+            return m, red
     raise RuntimeError("could not draw an invertible matrix")
 
 
-def _conjugate(a: Algebra, p: Matrix) -> Algebra:
+def _inverse_rref(p: Matrix) -> Matrix:
+    """The RREF of [q | I], q = mu P the integers of P.scaled()."""
+    q = p.scaled()[1]
+    return Matrix.from_ints(p.field, np.hstack([q, np.eye(len(q), dtype=np.int64)])).rref()[0]
+
+
+def _conjugate(a: Algebra, p: Matrix, red: Matrix) -> Algebra:
     """Transport a's tensor along the basis whose columns are p.  The
     products of the new basis vectors, c(P e_i, P e_j), are one exact
     contraction of a.integer_tensor with P's integers, on the rung of its
     bound, and their coordinates in the new basis are P^-1 times them, one
     more integer product on the rung of its bound.  With q = mu P an
-    integer matrix, the RREF of [q | I] is [I | w / den], w / den = q^-1 =
-    P^-1 / mu; the contraction is v = lam mu^2 c(P e_i, P e_j), so
-    w v = lam mu den P^-1 c(P e_i, P e_j)."""
+    integer matrix, red, the RREF of [q | I] (_inverse_rref), is
+    [I | w / den], w / den = q^-1 = P^-1 / mu; the
+    contraction is v = lam mu^2 c(P e_i, P e_j), so w v = lam mu den P^-1
+    c(P e_i, P e_j)."""
     f, n = a.field, a.dim
     lam, c = a.integer_tensor
     mu, q = p.scaled()
@@ -172,8 +184,7 @@ def _conjugate(a: Algebra, p: Matrix) -> Algebra:
     c, qd = exact_ints(c).astype(dtype), q.astype(dtype)
     v = qd.T @ (qd.T @ c.reshape(n, n * n)).reshape(n, n, n)  # [i, j, k]
     v = exact_ints(v, f.p).reshape(n * n, n)
-    red, piv = Matrix.from_ints(f, np.hstack([q, np.eye(n, dtype=np.int64)])).rref()
-    if piv != tuple(range(n)):
+    if red.pivots != tuple(range(n)):
         raise RuntimeError("change of basis is not invertible")
     w = red.ints[:, n:]  # den q^-1
     dtype = rung(n * magnitude(v) * magnitude(w))
@@ -241,7 +252,7 @@ _SAMPLERS = {
 def _finish(rng, field, names, tensor, category, conjugate=True) -> Algebra:
     a = make_algebra(field, names, tensor, category)
     if conjugate and a.dim > 0:
-        a = _conjugate(a, _rand_invertible(rng, field, a.dim))
+        a = _conjugate(a, *_rand_invertible(rng, field, a.dim))
     rep = identity_suite(a)
     if not rep.passed:
         raise RuntimeError(f"sampler produced an invalid {category} algebra: "

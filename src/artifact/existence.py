@@ -52,10 +52,20 @@ is the passing one with bim_dim, the dimension of A's bimultipliers:
   condition 2 at (f, f') reads L_f R_f' = R_f' L_f on A, two multipliers,
   so it holds iff Mult(A) commutes: the B x A x B block of associativity
   that the multiplier verdict evaluates (KIND_TABLE's mult row).
-  sufficient_conditions reads dim A^2 and dim Ann(A) once per decision.
+  sufficient_conditions computes A^2 and Ann(A) once per decision, and its
+  flags carry both.
 
-A failing verdict runs constructions.condition2_check, which builds the
-bimultipliers afresh for a commutative A, for its witness and sides.
+A failing verdict runs constructions.condition2_check for its witness and
+sides.  An associative one sweeps the blocks of its own candidate.  A
+commutative one builds no second candidate: by the above, a bimultiplier
+is (L, R) = (R, R) + (L - R, 0), R a multiplier and L - R a linear map
+A/A^2 -> Ann(A), and every such pair is one; (g, g) = (h, 0) forces g = 0.
+So Bim(A) is the direct sum of {(g, g) : g in Mult(A)} and {(h, 0) : h in
+Hom(A/A^2, Ann(A))}, spanned by the verdict's multipliers and the maps
+u phi^T, u in Ann(A) and phi vanishing on A^2.  The RREF of those rows is
+the canonical basis bimultipliers(A) builds, as an RREF is unique, and
+condition 2 reads only the pairs, never a product of two of them, so its
+blocks need no structure constants.
 """
 
 from __future__ import annotations
@@ -118,20 +128,22 @@ class Verdict:
 
 # category -> (its candidate, its existence condition or None, and that
 # condition's bim_dim on a passing verdict, by the theorems in the module
-# docstring, or None where none is proved).  Each entry calls through this
-# module's names when the pipeline runs, so a rebound constructor or check
-# is the one called.
+# docstring, or None where none is proved).  A candidate is built from A's
+# own suite, which passed: each category's candidate is cut out by that
+# suite.  Each entry calls through this module's names when the pipeline
+# runs, so a rebound constructor or check is the one called.
 _CATEGORY_TABLE = {
-    "module": (lambda A, variant: zero_actor(A), None, None),
-    "lie": (lambda A, variant: derivations(A), None, None),
-    "associative": (lambda A, variant: bimultipliers(A),
-                    lambda A, actor: condition2_check(A, bim=actor),
+    "module": (lambda A, variant, own: zero_actor(A), None, None),
+    "lie": (lambda A, variant, own: derivations(A, own), None, None),
+    "associative": (lambda A, variant, own: bimultipliers(A, own),
+                    lambda A, actor, flags: condition2_check(A, bim=actor),
                     lambda A, actor, flags: actor.dim),
-    "leibniz": (lambda A, variant: biderivations(A, variant),
-                lambda A, actor: condition1_check(A, bider=actor), None),
-    "commutative": (lambda A, variant: multipliers(A),
-                    lambda A, actor: condition2_check(A),
-                    lambda A, actor, flags: actor.dim + (A.dim - flags.square) * flags.ann),
+    "leibniz": (lambda A, variant, own: biderivations(A, variant, own),
+                lambda A, actor, flags: condition1_check(A, bider=actor), None),
+    "commutative": (lambda A, variant, own: multipliers(A, own),
+                    lambda A, actor, flags: condition2_check(A, mult=actor, flags=flags),
+                    lambda A, actor, flags: actor.dim
+                    + (A.dim - flags.square.dim) * flags.ann.dim),
 }
 
 
@@ -140,7 +152,8 @@ def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
 
     _CATEGORY_TABLE names the candidate, the condition and, where a theorem
     gives it, condition 2's report on a passing verdict; variant picks the
-    biderivation bracket.  The alternative category has no candidate
+    biderivation bracket.  A's own suite runs once: the candidate's
+    constructor takes its report.  The alternative category has no candidate
     here yet, so its verdict is the three-state "unsupported-general", with
     no per-instance witness.
     """
@@ -159,7 +172,7 @@ def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
         raise InputError("category 'raw' carries no actor candidate")
 
     build, check, bim_dim = _CATEGORY_TABLE[A.category]
-    actor = build(A, variant)
+    actor = build(A, variant, own)
     act = actor.action_pair()
     prod = semidirect(act)
     # the suite and its witness sides run on the product's integer blocks,
@@ -173,7 +186,7 @@ def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
     # a passing verdict decides condition 2 by the module docstring's theorems
     condition = None if check is None else (
         Report(True, details=[{"bim_dim": bim_dim(A, actor, flags)}])
-        if beta.passed and bim_dim else check(A, actor))
+        if beta.passed and bim_dim else check(A, actor, flags))
 
     failure = None
     if not beta.passed:

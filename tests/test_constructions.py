@@ -31,7 +31,7 @@ from artifact.constructions import (KIND_TABLE, BiMap, ClosureError,
                                     derivations, factor_through_actor, multipliers,
                                     semidirect_tensor, sufficient_conditions,
                                     zero_actor)
-from artifact.corpus import (_conjugate, _rand_invertible, a5_leibniz, abelian,
+from artifact.corpus import (_conjugate, _inverse_rref, _rand_invertible, a5_leibniz, abelian,
                              diagonal_algebra, dual_numbers, heisenberg,
                              m2_rationals, sample_algebra, sl2, truncated_poly,
                              zero_algebra)
@@ -308,7 +308,7 @@ def _big_q_conjugate(a):
     p = Matrix(QQ, tuple(tuple(Fraction(1) if i == j else
                                (big if j == i + 1 else Fraction(-2, 3 + j)) if i < j
                                else Fraction(0) for j in range(n)) for i in range(n)))
-    return _conjugate(a, p)
+    return _conjugate(a, p, _inverse_rref(p))
 
 
 def _big_entry_algebras():
@@ -318,7 +318,7 @@ def _big_entry_algebras():
     rng = random.Random(0)
     for a in (sl2(f), a5_leibniz(f), diagonal_algebra(f, 3),
               diagonal_algebra(f, 2, "commutative")):
-        yield _conjugate(a, _rand_invertible(rng, f, a.dim))
+        yield _conjugate(a, *_rand_invertible(rng, f, a.dim))
     for a in (sl2(), a5_leibniz(), dual_numbers(), heisenberg()):
         yield _big_q_conjugate(a)
 
@@ -327,7 +327,7 @@ def test_object_array_closure_equals_per_pair_matmul_oracle():
     on_objects = set()
     big = GF(2 ** 61 - 1)
     rng = random.Random(1)
-    big_prime = [_conjugate(a, _rand_invertible(rng, big, a.dim))
+    big_prime = [_conjugate(a, *_rand_invertible(rng, big, a.dim))
                  for a in (sl2(big), a5_leibniz(big), dual_numbers(big),
                            truncated_poly(big, 3, "commutative"))]
     for a in itertools.chain(_big_entry_algebras(), big_prime):
@@ -615,7 +615,7 @@ def test_scalars_leaving_numpy_are_python_ints_or_fractions():
     for f in (GF(2), GF(5), GF(65521), GF(4294967291), QQ):
         rng = random.Random(3)
         algebras = [zero_algebra(f, 2, cat) for cat in ("leibniz", "associative", "lie")]
-        algebras += [_conjugate(a, _rand_invertible(rng, f, a.dim))
+        algebras += [_conjugate(a, *_rand_invertible(rng, f, a.dim))
                      for a in (sl2(f), a5_leibniz(f), dual_numbers(f), heisenberg(f))]
         for a in algebras:
             v = actor_pipeline(a)
@@ -714,7 +714,7 @@ def block_algebras(draw, fields=BLOCK_FIELDS, categories=tuple(BLOCK_KINDS)):
         a = zero_algebra(f, n, category)
     elif f.p and f.p > 5:  # rejection sampling finds nothing over a big field
         a = BLOCK_SEEDS[category](f)
-        a = _conjugate(a, _rand_invertible(rng, f, a.dim))
+        a = _conjugate(a, *_rand_invertible(rng, f, a.dim))
     else:
         a = sample_algebra(rng, f, n, category)
     if f.p is None:  # 3^17 takes Q to the int64 rung, BIG_Q and its inverse to object
@@ -843,7 +843,7 @@ def test_closed_tags_hold_on_every_candidate():
             else:  # rejection sampling finds nothing over a big field
                 rng = random.Random(1)
                 a = BLOCK_SEEDS[cat](f)
-                algebras.append(_conjugate(a, _rand_invertible(rng, f, a.dim)))
+                algebras.append(_conjugate(a, *_rand_invertible(rng, f, a.dim)))
     checked = 0
     for a in algebras + list({id(a): a for a, _ in CASES}.values()):
         for actor in _block_actors(a):

@@ -80,7 +80,7 @@ def test_verdict_is_invariant_under_change_of_basis(f):
     rng = random.Random(f.p or 0)
     verdicts = set()
     for a in _inputs(f, rng):
-        b = _conjugate(a, _rand_invertible(rng, f, a.dim))
+        b = _conjugate(a, *_rand_invertible(rng, f, a.dim))
         for variant in (1, 2) if a.category == "leibniz" else (1,):
             key = _verdict_key(a, variant)
             assert _verdict_key(b, variant) == key, (a.category, a.tensor)
@@ -116,7 +116,7 @@ def test_opposite_algebra_has_the_same_verdict(f):
     cases = [strict_upper3(f), *(_non_commutative(rng, f, n) for n in (3, 4, 4))]
     if f is QQ:
         cases.append(m2_rationals())
-    for a in cases + [_conjugate(a, _rand_invertible(rng, f, a.dim)) for a in cases]:
+    for a in cases + [_conjugate(a, *_rand_invertible(rng, f, a.dim)) for a in cases]:
         op = _opposite(a)
         assert op.tensor != a.tensor
         assert _verdict_key(op) == _verdict_key(a), a.tensor
