@@ -25,7 +25,7 @@ from .words import (ASSOCIATIVE_W1, ASSOCIATIVE_W2, COMMUTATIVE_EXAMPLE_W2,
                     check_swap_symmetry, check_T_coverage, expand_condition4,
                     parse_word, validate_word_on_algebra)
 from .groups import (CapError, Group, GroupAction, automorphisms, cyclic,
-                     dihedral, direct_product, element_order, group_from_json,
+                     dihedral, direct_product, group_from_json,
                      group_universality_check, holomorph_check,
                      inner_automorphisms, klein4, make_group,
                      make_group_action, quaternion8, symmetric3, trivial)

@@ -22,15 +22,20 @@ docstring here:
   - the composition table of Aut(g), below;
 - automorphisms keeps the bijective maps among the homomorphisms g -> g
   that _enumerate_homs extends from generator images, so every row of
-  Aut(g) is proven an automorphism once.  Those are all the automorphisms
-  of g, and the automorphisms of a group are a group under composition,
-  which is associative: a composite or an inverse of automorphisms is one;
+  Aut(g) is proven an automorphism once.  It asks only for images of each
+  generator's own order, which loses none: an injective homomorphism keeps
+  every order.  Those are all the automorphisms of g, and the automorphisms
+  of a group are a group under composition, which is associative: a
+  composite or an inverse of automorphisms is one;
 - holomorph_check checks the theorems about the crossed module
   g -> Aut(g), and neither the facts that inner_automorphisms makes true by
   definition nor that Aut(g) x| g is a group (the proof is in its
   docstring);
 - group_universality_check counts actions as homomorphisms B -> Aut(g),
-  which factor through Aut(g) by construction.  make_group_action is the
+  which factor through Aut(g) by construction; they need not be injective,
+  so images of any order dividing the generator's are tried.  Each CATALOG
+  group B is built once per process, on its first use, and kept with its
+  gens and orders (_catalogue_group).  make_group_action is the
   validator for dot tables from outside the program; the tests use it, and
   independent counts from brute-force Aut, as oracles for the enumeration.
   The tests also keep make_group as the oracle of every group built
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -250,10 +255,6 @@ def group_from_json(obj) -> Group:
     return make_group(table, names)
 
 
-def element_order(g: Group, x: int) -> int:
-    return g.orders[x]
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -343,20 +344,23 @@ class AutomorphismGroup:
         return len(self.perms)
 
 
-def _enumerate_homs(src: Group, dst: Group):
+def _enumerate_homs(src: Group, dst: Group, same_order: bool = False):
     """All homomorphisms src -> dst, as lists indexed by src elements, in
-    itertools.product order of the generator images.
+    itertools.product order of the generator images; with same_order, only
+    those that send each generator to an element of its own order.
 
     A homomorphism is fixed by the images of src's generators, src.gens,
-    each of an order dividing its generator's.  The edges x -> x + g of the
-    generators' Cayley graph are listed in breadth-first order from the
-    identity, each marked as a tree edge, the first to reach its end, or
-    not.  For each choice of images, the images spread along the list: a
-    tree edge assigns its end, and any other edge is checked when it is
-    reached, both of its ends being assigned by then, and the choice is
-    dropped at the first edge that disagrees.  A choice is a homomorphism
-    exactly when every edge agrees, so the mappings kept, and their order,
-    are those of checking every edge after the spread."""
+    each of an order dividing its generator's.  An injective one keeps
+    every order: if phi(x)^k = e with k < ord(x), then x^k != e is sent to
+    e.  So same_order loses no injective homomorphism.  The edges
+    x -> x + g of the generators' Cayley graph are listed in breadth-first
+    order from the identity, each marked as a tree edge, the first to reach
+    its end, or not.  For each choice of images, the images spread along
+    the list: a tree edge assigns its end, and any other edge is checked
+    when it is reached, both of its ends being assigned by then, and the
+    choice is dropped at the first edge that disagrees.  A choice is a
+    homomorphism exactly when every edge agrees, so the mappings kept, and
+    their order, are those of checking every edge after the spread."""
     gens = src.gens
     edges = []  # (x, k, y, tree): y = x + gens[k]
     seen = {src.identity}
@@ -372,8 +376,9 @@ def _enumerate_homs(src: Group, dst: Group):
                     nxt.append(y)
                 edges.append((x, k, y, tree))
         frontier = nxt
-    cands = [[y for y in range(dst.order) if src.orders[g] % dst.orders[y] == 0]
-             for g in gens]
+    k = src.orders
+    cands = [[y for y, d in enumerate(dst.orders)
+              if (d == k[g] if same_order else k[g] % d == 0)] for g in gens]
     t = dst.table
     for images in itertools.product(*cands):
         mapping = [None] * src.order
@@ -390,11 +395,14 @@ def _enumerate_homs(src: Group, dst: Group):
 
 def automorphisms(g: Group, cap: int = 24) -> AutomorphismGroup:
     """All table-preserving bijections: the bijective homomorphisms g -> g
-    that _enumerate_homs yields; loud CapError when the input order or the
-    number of automorphisms found exceeds the cap."""
+    that _enumerate_homs yields, asked only for generator images of the
+    generator's own order, as an automorphism keeps every order; loud
+    CapError when the input order or the number of automorphisms found
+    exceeds the cap."""
     if g.order > cap:
         raise CapError(f"group order {g.order} exceeds cap {cap}")
-    perms = sorted(tuple(h) for h in _enumerate_homs(g, g) if len(set(h)) == g.order)
+    perms = sorted(tuple(h) for h in _enumerate_homs(g, g, same_order=True)
+                   if len(set(h)) == g.order)
     if len(perms) > cap:
         raise CapError(f"automorphism count {len(perms)} exceeds cap {cap}")
     names = tuple(f"phi{i}" for i in range(len(perms)))
@@ -561,22 +569,38 @@ CATALOG = (
 )
 
 
+@cache
+def _catalogue_group(ctor) -> Group:
+    """ctor(), for the constructor of a CATALOG entry, built once per
+    process: the catalogue groups do not depend on the input, and the gens
+    and orders a Group works out stay with it."""
+    return ctor()
+
+
 def group_universality_check(g: Group, max_b: int = 6, cap: int = 24):
-    """Count the actions of each catalogue group B of order <= max_b on g.
+    """Count the actions of each catalogue group B of order <= max_b on g;
+    an InputError unless max_b lies in 1..6, the orders of the catalogue.
 
     An action of B on g is a homomorphism B -> Aut(g), so the actions are
     enumerated as exactly those homomorphisms and every action factors
-    through Aut(g) by construction.  What is checked is elsewhere: each row
-    of Aut(g) was proven an automorphism when Aut was built, and the tests
-    compare these counts with counts from brute-force Aut alone and validate
-    each enumerated dot table with make_group_action.
+    through Aut(g) by construction.  They need not be injective, so an
+    image's order need only divide its generator's.  Each B is built on
+    its first use in the process and kept (_catalogue_group), and one above
+    max_b is never built.  What is checked is elsewhere: each row of Aut(g)
+    was proven an automorphism when Aut was built, and the tests compare
+    these counts with counts from brute-force Aut alone and validate each
+    enumerated dot table with make_group_action.
     """
+    lo, hi = CATALOG[0][1], CATALOG[-1][1]
+    if not lo <= max_b <= hi:
+        raise InputError(f"max_b must be in {lo}..{hi}, the orders of the catalogue "
+                         f"groups, got {max_b}")
     aut = automorphisms(g, cap)
     details = []
     for name, order, ctor in CATALOG:
         if order > max_b:
             continue
-        B = ctor()
+        B = _catalogue_group(ctor)
         count = sum(1 for _ in _enumerate_homs(B, aut.group))
         details.append({"acting_group": name, "order": B.order, "actions": count,
                         "status": "pass"})

@@ -250,6 +250,16 @@ def test_group_subcommands():
     assert code == 0
 
 
+@pytest.mark.parametrize("max_b", ["0", "10"])
+def test_group_universality_max_b_outside_1_to_6_exits_two(max_b):
+    # the catalogue's groups have orders 1..6: --max-b 10 would check no
+    # more than 6 does, and --max-b 0 would check nothing
+    proc = run_cli("group", "universality", fixture_path("q8.json"), "--max-b", max_b)
+    assert proc.returncode == 2
+    assert proc.stdout == ('{"error": "InputError: max_b must be in 1..6, the orders of '
+                           f'the catalogue groups, got {max_b}"}}\n')
+
+
 def test_group_cap_exit_two():
     code, payload = run_json("group", "aut", fixture_path("q8.json"),
                              "--cap", "10")

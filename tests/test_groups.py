@@ -21,7 +21,7 @@ from artifact import groups
 from artifact.algebra import InputError
 from artifact.groups import (CATALOG, CapError, Group, _enumerate_homs,
                              _greedy_generators, automorphisms, cyclic,
-                             dihedral, direct_product, element_order, group_from_json,
+                             dihedral, direct_product, group_from_json,
                              group_universality_check, holomorph_check,
                              inner_automorphisms, klein4, make_group,
                              make_group_action, quaternion8, symmetric3,
@@ -350,7 +350,7 @@ def test_group_from_json_rejects_malformed_tables(obj):
 
 def test_element_orders_in_z6():
     g = cyclic(6)
-    assert [element_order(g, a) for a in range(6)] == [1, 6, 3, 2, 3, 6]
+    assert [g.orders[a] for a in range(6)] == [1, 6, 3, 2, 3, 6]
 
 
 def test_quaternion_structure():
@@ -358,15 +358,14 @@ def test_quaternion_structure():
     names = list(g.names)
     minus_one = names.index("-e")
     i = names.index("i")
-    assert element_order(g, minus_one) == 2
-    assert element_order(g, i) == 4
+    assert g.orders[minus_one] == 2
+    assert g.orders[i] == 4
     assert g.table[i][i] == minus_one
 
 
 def test_dihedral_matches_s3_at_n3():
     d3, s3 = dihedral(3), symmetric3()
-    assert sorted(element_order(d3, a) for a in range(6)) == \
-        sorted(element_order(s3, a) for a in range(6))
+    assert sorted(d3.orders) == sorted(s3.orders)
     assert automorphisms(d3).order == 6
 
 
@@ -833,7 +832,6 @@ def test_orders_equal_the_power_loop():
     gs += [make_group(holomorph_table(g, cap)) for g, cap in HOLOMORPH_GROUPS]
     for g in gs:
         assert g.orders == tuple(ref_element_order(g, x) for x in range(g.order))
-        assert [element_order(g, x) for x in range(g.order)] == list(g.orders)
 
 
 def test_catalogue_orders_are_stated_and_tested_before_the_build(monkeypatch):
@@ -841,8 +839,46 @@ def test_catalogue_orders_are_stated_and_tested_before_the_build(monkeypatch):
         [(name, ctor().order) for name, _, ctor in CATALOG]
     g = cyclic(4)
     aut = automorphisms(g)
+    groups._catalogue_group.cache_clear()
     built = record_builds(monkeypatch)
     rep = group_universality_check(g, max_b=1)
     assert [line["acting_group"] for line in rep.details] == ["trivial"]
     # Aut(Z4)'s composition table, then the trivial group alone
     assert built == [aut.group.table, ((0,),)]
+    # the trivial group is kept, so a second call builds only Aut(Z4)
+    built.clear()
+    assert group_universality_check(g, max_b=1) == rep
+    assert built == [aut.group.table]
+
+
+@pytest.mark.parametrize("max_b", [0, -1, 7, 10])
+def test_universality_max_b_outside_the_catalogue_orders_is_refused(max_b):
+    # the catalogue holds groups of orders 1..6 only: a max_b of 10 would
+    # check no more than 6 does, and 0 would check nothing
+    with pytest.raises(InputError, match=r"max_b must be in 1\.\.6"):
+        group_universality_check(cyclic(4), max_b=max_b)
+
+
+# the groups whose Aut the order rule is tested on, relabelled in the test;
+# V4 x V4 is left out, its 20160 automorphisms being past the cap of 400
+AUT_BASES = [ctor() for _, _, ctor in CATALOG] + [dihedral(n) for n in range(3, 13)]
+AUT_BASES += [quaternion8()] + [
+    direct_product(b(), c())
+    for (x, i, b), (y, j, c) in itertools.product(CATALOG, repeat=2)
+    if i * j <= 24 and (x, y) != ("V4", "V4")]
+
+
+@settings(max_examples=250, derandomize=True)
+@given(st.sampled_from(AUT_BASES), st.randoms(use_true_random=False))
+def test_automorphisms_equal_the_bijections_of_the_divisibility_route(base, rng):
+    """automorphisms asks only for generator images of the generator's own
+    order; the oracle asks for every image of an order dividing it, as
+    universality does, and keeps the bijections."""
+    g = relabelled(base, rng)
+    aut = automorphisms(g, 400)
+    oracle = sorted(tuple(h) for h in _enumerate_homs(g, g) if len(set(h)) == g.order)
+    assert list(aut.perms) == oracle
+    if g.order <= 8:
+        assert list(aut.perms) == sorted(brute_aut(g))
+    for p in aut.perms:
+        assert [g.orders[p[x]] for x in g.gens] == [g.orders[x] for x in g.gens]
