@@ -42,12 +42,13 @@ shifted onto the whole basis, is the lexicographically first failing tuple.
 The witness sides lhs/rhs are read off the same terms at the witness, over
 lam or lam^2 by the row's degree, when the Report's fields are first read: a
 rejection draw or a verdict reads only the label and the witness.
-_np_term is the one evaluator of a row and _row_failure the one reader of
-its witness: here, for the condition 1/2 rows of constructions on the
-product's B x B x A block, for the two replacement-word rows of
-words.validate_word_on_algebra, whose integer coefficients its caller
-counts in the rung's bound, and (_np_term) in the constraint assembly and
-in the candidate's closure, one term per product of its bracket.
+_np_term is the one evaluator of a term, _np_sum the one signed sum of a
+row's terms, and _row_failure the one reader of its witness: here, for the
+condition 1/2 rows of constructions on the product's B x B x A block, for
+the two replacement-word rows of words.validate_word_on_algebra, whose
+integer coefficients its caller counts in the rung's bound, and (_np_sum)
+in the constraint assembly and in the candidate's closure, which sums the
+terms of its bracket's replacement word.
 Over GF(2) the alternative rows, the linearized laws, do not imply the
 quadratic ones; _alternative_char2_laws checks those at the basis vectors
 once the rows have passed, which decides them for every vector.
@@ -310,14 +311,12 @@ def _np_term(t: Blocks, shape: str, perm: tuple, parts: tuple, rows: slice,
     return out if axes is None else out.transpose(axes)
 
 
-def _np_failing(t: Blocks, p: Optional[int], terms, parts: tuple, rows: slice,
-                cols: slice = _ALL) -> np.ndarray:
-    """Flags over the witnesses of _np_term's block where the terms, each
-    times its integer coefficient, sum to a nonzero vector (mod p, if p is
-    set), indexed [x0, x1(, x2)].  A coefficient of +-1 adds or subtracts
-    in place; any other costs one multiply."""
+def _np_sum(t: Blocks, terms, parts: tuple, rows: slice, cols: slice = _ALL) -> np.ndarray:
+    """The terms, each times its integer coefficient, summed on _np_term's
+    block: a fresh array, never a view of t.  A coefficient of +-1 adds or
+    subtracts in place; any other costs one multiply."""
     sign, shape, perm = terms[0]
-    acc = sign * _np_term(t, shape, perm, parts, rows, cols)  # a fresh array, never a view of t
+    acc = sign * _np_term(t, shape, perm, parts, rows, cols)
     for sign, shape, perm in terms[1:]:
         term = _np_term(t, shape, perm, parts, rows, cols)
         if sign == 1:
@@ -326,7 +325,14 @@ def _np_failing(t: Blocks, p: Optional[int], terms, parts: tuple, rows: slice,
             acc -= term
         else:
             acc += sign * term
-    return nonzero_mod(acc, p).any(axis=-1)
+    return acc
+
+
+def _np_failing(t: Blocks, p: Optional[int], terms, parts: tuple, rows: slice,
+                cols: slice = _ALL) -> np.ndarray:
+    """Flags over the witnesses of _np_term's block where the signed terms
+    sum to a nonzero vector (mod p, if p is set), indexed [x0, x1(, x2)]."""
+    return nonzero_mod(_np_sum(t, terms, parts, rows, cols), p).any(axis=-1)
 
 
 # the most cells of term values one step of the sweep takes at once, counting
@@ -402,16 +408,15 @@ def _first_failure(t: Blocks, p: Optional[int], terms, closed: frozenset) -> Opt
 
 def _np_side(t: Blocks, terms, witness: tuple) -> np.ndarray:
     """One side of a row at the witness, as an integer vector over the whole
-    basis on the rung of t: each term is its _np_term on the witness's
+    basis on the rung of t: the _np_sum of its terms on the witness's
     block, read at the witness, and an empty side is the zero vector."""
     m, n = t.dims
     parts = tuple(int(x >= m) for x in witness)
     at = tuple(x - m * q for x, q in zip(witness, parts))
     out = np.zeros(m + n, t.bb.dtype)
-    lands = out[m:] if 1 in parts else out[:m]
-    rows = slice(at[0], at[0] + 1)
-    for sign, shape, perm in terms:
-        lands += sign * _np_term(t, shape, perm, parts, rows)[(0,) + at[1:]]
+    if terms:
+        lands = out[m:] if 1 in parts else out[:m]
+        lands += _np_sum(t, terms, parts, slice(at[0], at[0] + 1))[(0,) + at[1:]]
     return out
 
 

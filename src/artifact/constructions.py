@@ -1,10 +1,11 @@
 """Actor candidates as algebras of matrix pairs cut out by linear constraints.
 
 Each candidate kind is one row of KIND_TABLE: the category of its own
-product, the source category whose identities cut it out, its bracket, how
-the right component follows from the left one (independent, its negative,
-or equal), and the function assembling its constraint rows.  A pair (L, R)
-acts on A by b*x = L(x) and x*b = R(x).
+product, the source category whose identities cut it out, its bracket, a
+replacement word of the words module, how the right component follows from
+the left one (its negative, equal, or independent, with a word of its
+own), and the function assembling its constraint rows.  A pair (L, R) acts
+on A by b*x = L(x) and x*b = R(x).
 
 The constraints are the source's identities, algebra.IDENTITIES, with b in
 one slot.  The candidate is their nullspace over the entries of the
@@ -12,11 +13,11 @@ independent components; its basis is canonicalized by RREF over the
 flattened coordinates (row-major, left matrix first), so identical inputs
 give byte-identical actors.
 
-Constraint rows are assembled in integers by algebra._np_term, the suites'
-evaluator, on P x A, P the space of all pairs, placed from A.integer_tensor
-and the unit pairs: a row is linear in the acting pair, so its coefficient
-of an unknown is its value at the pair whose flattened coordinates are that
-unknown's unit vector.
+Constraint rows are assembled in integers by algebra._np_sum, the suites'
+signed sum of terms, on P x A, P the space of all pairs, placed from
+A.integer_tensor and the unit pairs: a row is linear in the acting pair, so
+its coefficient of an unknown is its value at the pair whose flattened
+coordinates are that unknown's unit vector.
 Over Q the rows are lam times their values, lam the lcm of the tensor's
 denominators, which keeps the nullspace; over GF(p) they are reduced mod p.
 The array becomes the constraint Matrix through Matrix.from_ints, which
@@ -31,12 +32,12 @@ the basis is in RREF, the coordinates of a product are its entries at the
 pivot columns, and linalg.outside_span, the tall eliminations' certificate,
 says which products leave the span of lam * basis over lam.
 
-The products are the suite's terms: each product of a bracket text is one
-term of algebra._np_term on the witnesses (s, t, col) of the pairs' Blocks,
-the same ba and ab blocks the assembly and the semidirect product place
-(_pair_blocks), with the term map beside KIND_TABLE.  The closure takes a
-few s at a time against all t, as many as algebra.SWEEP_CELLS cells of
-products hold, m times the flattened width per s, and at least one, in
+The products are the suite's terms: a bracket's word, as words.word_terms
+writes it, is summed by algebra._np_sum on the witnesses (s, t, col) of the
+pairs' Blocks, the word's slots y, z and x, on the same ba and ab blocks
+the assembly and the semidirect product place (_pair_blocks).  The closure
+takes a few s at a time against all t, as many as algebra.SWEEP_CELLS cells
+of products hold, m times the flattened width per s, and at least one, in
 order of s, so the first escaping pair is the first in s-major order, as
 pair by pair.
 
@@ -85,14 +86,13 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from . import algebra
+from . import algebra, words
 from .actions import ActionPair, conjugation_action
 from .algebra import (
     IDENTITIES,
@@ -101,7 +101,7 @@ from .algebra import (
     Blocks,
     InputError,
     _index_slices,
-    _np_term,
+    _np_sum,
     _row_failure,
     algebra_from_json,
     annihilator,
@@ -125,6 +125,7 @@ from .linalg import (
     scalar_tuples,
 )
 from .reporting import Report
+from .words import Word, word_terms
 
 
 class ConstructionError(RuntimeError):
@@ -139,9 +140,9 @@ class Kind(NamedTuple):
     category: str  # category tag of the candidate's own product
     source: str  # category whose identities, one argument acting, cut it out
     name: str  # what the candidate is called in a refusal
-    bracket: str  # left component of [a, b], a signed sum of products
-    right: str  # "neg" (minus the left one), "same", or an independent
-    #             right component given by its bracket
+    bracket: Word  # left component of [a, b], a and b the word's y and z
+    right: str | Word  # "neg" (minus the left one), "same", or the word of
+    #                    an independent right component
     rows: str = ""  # the module function assembling its constraint rows
     # per identity tag of the source suite, the blocks of the semidirect
     # product with two or more candidate labels that hold on every
@@ -155,56 +156,43 @@ class Kind(NamedTuple):
 # independent basis are unique, so the structure constants are those of a
 # subalgebra of the ambient algebra the bracket is taken in.  In the
 # semidirect product b*a = L_b(a) and a*b = R_b(a) for b in B, a in A.
+# The monomials of a word read as products of pairs in words.word_terms.
 KIND_TABLE = {
-    # [D, D'] = DD' - D'D: the commutator of any associative algebra, here
-    # End(A), is anticommutative and satisfies Jacobi, in every
-    # characteristic, which is BB and BBB.  Jacobi is cyclic, so BBA, BAB
-    # and ABB are each its sum at some (D, D', a): with R = -L that is
-    # (DD' - D'D)a - DD'a + D'Da = 0.  So no block of a Lie verdict runs
-    "der": Kind("lie", "lie", "derivations", "aLbL - bLaL", "neg", "_derivation_rows",
+    # [D, D'] = DD' - D'D, the word's aLbL + bRaL under R = -L: the
+    # commutator of any associative algebra, here End(A), is
+    # anticommutative and satisfies Jacobi, in every characteristic, which
+    # is BB and BBB.  Jacobi is cyclic, so BBA, BAB and ABB are each its
+    # sum at some (D, D', a): with R = -L that is (DD' - D'D)a - DD'a +
+    # D'Da = 0.  So no block of a Lie verdict runs
+    "der": Kind("lie", "lie", "derivations", words.LIE_W1, "neg", "_derivation_rows",
                 {"anticommutativity": ("BB",), "jacobi": ("BBB", "BBA", "BAB", "ABB")}),
     # (L, R)(L', R') = (LL', R'R) is composition in End(A) x End(A)^op,
     # which is associative: BBB.  BBA is (ff')a = L L'a = f(f'a) and ABB
     # is (af)f' = R'Ra = a(ff').  BAB, (fa)f' = f(af'), is condition 2
     # and runs
-    "bim": Kind("associative", "associative", "bimultipliers", "aLbL", "bRaR",
-                "_bimultiplier_rows", {"associativity": ("BBB", "BBA", "ABB")}),
+    "bim": Kind("associative", "associative", "bimultipliers", words.ASSOCIATIVE_W1,
+                words.ASSOCIATIVE_W2, "_bimultiplier_rows",
+                {"associativity": ("BBB", "BBA", "ABB")}),
     # no block of the Leibniz identity with two biderivation labels is
     # proved for either bracket: the suite runs them
-    "bider1": Kind("leibniz", "leibniz", "biderivations", "aLbL + bRaL", "bRaR - aRbR",
+    "bider1": Kind("leibniz", "leibniz", "biderivations", words.LEIBNIZ_W1, words.LEIBNIZ_W2,
                    "_biderivation_rows"),
-    "bider2": Kind("leibniz", "leibniz", "biderivations", "bRaL - aLbR", "bRaR - aRbR",
-                   "_biderivation_rows"),
+    "bider2": Kind("leibniz", "leibniz", "biderivations", words.LEIBNIZ_W1_VARIANT,
+                   words.LEIBNIZ_W2, "_biderivation_rows"),
     # (L, L)(L', L') = (LL', LL') is composition in End(A), associative:
     # BBB, and BBA as for bim.  BAB and ABB of associativity both read
     # f'(f(a)) = f(f'(a)), and so does commutativity's BB: the multipliers
     # need not commute, so those run
-    "mult": Kind("associative", "commutative", "multipliers", "aLbL", "same",
+    "mult": Kind("associative", "commutative", "multipliers", words.ASSOCIATIVE_W1, "same",
                  "_multiplier_rows", {"associativity": ("BBB", "BBA")}),
-    "zero": Kind("module", "module", "the zero actor", "", "same"),
+    "zero": Kind("module", "module", "the zero actor", Word("W1", ()), "same"),
 }
 
 KINDS = tuple(KIND_TABLE)
 
-# The term map.  A product xYzW of a bracket text is Y_x W_z, component Y
-# of pair x after component W of pair z, for x, z in {a, b}.  At e_c it is
-# one term of algebra._np_term on the pairs' Blocks, at the witnesses
-# (a, b, c) = labels (0, 1, 2) with parts (0, 0, 1): W_z(e_c) is z*c for L
-# and c*z for R, and Y_x(v) is x*v for L and v*x for R.  So xLzL is
-# ("R", (x, z, c)), xLzR ("R", (x, c, z)), xRzL ("L", (z, c, x)) and xRzR
-# ("L", (c, z, x)): aLbL is ("R", (0, 1, 2)), bRaR ("L", (2, 0, 1)), bRaL
-# ("L", (0, 2, 1)) and aLbR ("R", (0, 2, 1)).
-
 # right-component rules, as the sign s of R = sL: the binary row
 # x*y = s y*x of the source suite with b at x
 _FOLLOW = {"neg": -1, "same": 1}
-
-
-@functools.cache
-def _signed(text: str):
-    """'A - B + C' as ((1, 'A'), (-1, 'B'), (1, 'C'))."""
-    return tuple((-1 if sign == "-" else 1, term)
-                 for sign, term in re.findall(r"([+-]?)\s*([^\s+-]+)", text))
 
 
 @dataclass(frozen=True)
@@ -354,8 +342,7 @@ def _assemble(A: Algebra, kind: str) -> Matrix:
     rows = []
     for terms, slot in eqs:
         parts = tuple(int(x != slot) for x in range(3))
-        value = sum(sign * _np_term(t, shape, perm, parts, slice(None))
-                    for sign, shape, perm in terms)
+        value = _np_sum(t, terms, parts, slice(None))
         rows.append(np.moveaxis(value, slot, 3))  # [i, j, m, b]
     return Matrix.from_ints(A.field, np.stack(rows, axis=3).reshape(-1, width))
 
@@ -376,8 +363,10 @@ def _multiplier_rows(A: Algebra):
     return _assemble(A, "mult")
 
 
-# the most products summed into one entry of a bracket
-_CLOSURE_TERMS = max(len(_signed(t)) for k in KIND_TABLE.values() for t in (k.bracket, k.right))
+# the most products, counted with their coefficients, summed into one entry
+# of a bracket
+_CLOSURE_TERMS = max(sum(abs(c) for c, _, _ in word_terms(w)) for k in KIND_TABLE.values()
+                     for w in (k.bracket, k.right) if isinstance(w, Word))
 
 
 def _integer_pairs(kind: str, basis: Matrix, n: int):
@@ -407,27 +396,14 @@ def _pair_blocks(kind: str, ints: np.ndarray, p=None) -> tuple[np.ndarray, np.nd
     return left.transpose(0, 2, 1), right.transpose(2, 0, 1)
 
 
-def _bracket(blocks: Blocks, text: str, rows: slice) -> np.ndarray:
-    """text, a signed sum of products such as "aLbL - bLaL", at a = each
-    basis pair s of rows and b = every basis pair t, on the pairs' blocks:
-    a (rows, m, n, n) array whose [s, t] is lam^2 times the value's matrix."""
-    out = 0
-    for sign, (x, y, z, w) in _signed(text):  # the term map beside KIND_TABLE
-        x, z = "ab".index(x), "ab".index(z)
-        inner = (z, 2) if w == "L" else (2, z)
-        shape, perm = ("R", (x,) + inner) if y == "L" else ("L", inner + (x,))
-        term = _np_term(blocks, shape, perm, (0, 0, 1), rows)
-        out = out + term if sign > 0 else out - term
-    return out.transpose(0, 1, 3, 2)  # [s, t, col, r] -> [s, t, r, col]
-
-
 def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
     f, n = A.field, A.dim
     spec = KIND_TABLE[kind]
-    texts = (spec.bracket,) if spec.right in _FOLLOW else (spec.bracket, spec.right)
+    brackets = [word_terms(w) for w in ((spec.bracket,) if spec.right in _FOLLOW
+                                        else (spec.bracket, spec.right))]
     null = constraints.nullspace()
-    width = len(texts) * n * n
-    span = Subspace.spanned_by(null, width)
+    width = len(brackets) * n * n
+    span = Subspace(width, null, null.pivots)
     m = span.dim
     pairs = _integer_pairs(kind, span.basis, n)
     lam, b = pairs
@@ -435,8 +411,10 @@ def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
     # the pairs' rung holds every coordinate, so exact_dtype holds them all
     consts = np.zeros((m, m, m), exact_dtype(f.p, b.dtype))
     for rows in _index_slices(m, m * width, algebra.SWEEP_CELLS):
-        # row s * m + t: the product of pairs rows.start + s and t
-        prod = np.stack([_bracket(blocks, text, rows) for text in texts], axis=2)
+        # row s * m + t: the product of pairs rows.start + s and t, each
+        # bracket at a = pair s, b = pair t as [s, t, col, r], made [s, t, r, col]
+        prod = np.stack([_np_sum(blocks, terms, (0, 0, 1), rows).transpose(0, 1, 3, 2)
+                         for terms in brackets], axis=2)
         prod = prod.reshape(-1, width)
         coords = prod[:, span.pivots]
         escaped = outside_span(prod, lam, b.reshape(m, width), span.pivots, f.p)
@@ -565,8 +543,10 @@ def biderivations(A: Algebra, variant: int = 1, suite: Report | None = None) -> 
     """All pairs (L,R) satisfying the Leibniz identity with b in each slot.
 
     The solution space does not depend on the variant; the bracket does.
-    Variant 1 composes through the left components, variant 2 through the
-    right ones; they agree exactly when the Condition-1 identity holds.
+    Its left component is the replacement word words.LEIBNIZ_W1 in variant
+    1 and words.LEIBNIZ_W1_VARIANT, that word rewritten by the Leibniz
+    identity, in variant 2; the right one is words.LEIBNIZ_W2 in both.  The
+    brackets agree exactly when the Condition-1 identity holds.
     """
     if variant not in (1, 2):
         raise InputError("variant must be 1 or 2")

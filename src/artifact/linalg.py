@@ -412,9 +412,7 @@ class Matrix:
         basis = np.zeros((len(free), nc), v.dtype)
         basis[range(len(free)), free] = red.den
         basis[:, ends] = v
-        null = Matrix.from_quotient(f, basis, red.den, pivots=free)
-        # the span's rref finds null in RREF already and returns it
-        return Subspace.spanned_by(null, nc).basis
+        return Matrix.from_quotient(f, basis, red.den, pivots=free)
 
 
 def _gauss_jordan(rows: list, nc: int, p: Optional[int]) -> tuple[list, int, list]:

@@ -20,6 +20,11 @@ and whether the two rewrite orders of a four-variable juxtaposition agree
 after bounded rewriting.  A fourth operation grounds the symbolic layer on
 a concrete structure tensor: the two words are two identity rows, run on
 the identity suite's kernel (algebra._row_failure), exact on every field.
+
+The words are also the brackets of the actor candidates: word_terms writes
+a word as the terms of an identity row, which constructions.KIND_TABLE's
+closure sums on the candidate's pairs, y and z the two pairs and x the
+argument they act on.
 """
 
 from __future__ import annotations
@@ -418,17 +423,22 @@ def expand_condition4(w1: Word, w2: Word, depth: int = 3, mode: str = "plain") -
 _LABELS = {"y": 0, "z": 1, "x": 2}
 
 
-def _word_row(name: str, lhs: list, word: Word, p) -> tuple:
-    """The identity lhs = word as a row (name, lhs, rhs) of IDENTITIES'
-    format, its coefficients as ints: over GF(p) residues centred on 0, so
-    that +-1 stay +-1."""
-    rhs = []
+def word_terms(word: Word, p=None) -> list:
+    """The word as the terms of one side of an IDENTITIES row, y, z and x
+    the labels 0, 1 and 2, its coefficients as ints: over GF(p) residues
+    centred on 0, so that +-1 stay +-1.
+
+    With pairs a = y and b = z acting on x, the five monomials of the
+    brackets of constructions.KIND_TABLE read y*(z*x) = aLbL, (y*x)*z =
+    bRaL, y*(x*z) = aLbR, (x*y)*z = bRaR and (x*z)*y = aRbR, component Y of
+    pair u after component W of pair v written uYvW."""
+    out = []
     for coef, (shape, slots) in word.terms:
         if coef.denominator != 1:
             raise InputError(f"word coefficient {coef} is not an integer")
         c = int(coef) if p is None else (int(coef) + p // 2) % p - p // 2
-        rhs.append((c, shape, tuple(_LABELS[s] for s in slots)))
-    return name, lhs, rhs
+        out.append((c, shape, tuple(_LABELS[s] for s in slots)))
+    return out
 
 
 def validate_word_on_algebra(a: Algebra, w1: Word, w2: Word) -> Report:
@@ -438,8 +448,8 @@ def validate_word_on_algebra(a: Algebra, w1: Word, w2: Word) -> Report:
     (algebra._row_failure) on a.integer_tensor; the Report is that of the
     row whose first failing triple comes first, w1's on a tie."""
     p, n = a.field.p, a.dim
-    rows = (_word_row("(y*z)*x = W1(y,z;x)", [(1, "L", (0, 1, 2))], w1, p),
-            _word_row("x*(y*z) = W2(y,z;x)", [(1, "R", (2, 0, 1))], w2, p))
+    rows = (("(y*z)*x = W1(y,z;x)", [(1, "L", (0, 1, 2))], word_terms(w1, p)),
+            ("x*(y*z) = W2(y,z;x)", [(1, "R", (2, 0, 1))], word_terms(w2, p)))
     # a difference adds 1 + sum|c| terms, each a sum of n products of two
     # entries; max(big, 1) keeps each coefficient itself on the rung, even
     # on the zero tensor
@@ -456,6 +466,10 @@ LIE_W1 = parse_word("y*(z*x) + (y*x)*z", "W1")
 LIE_W2 = parse_word("(x*y)*z - (x*z)*y", "W2")
 LEIBNIZ_W1 = LIE_W1
 LEIBNIZ_W2 = LIE_W2
+# valid on every Leibniz algebra: swapping y and z in the Leibniz row
+# x*(y*z) = (x*y)*z - (x*z)*y negates its right side, so x*(y*z) = -x*(z*y),
+# and rewriting y*(z*x) in LEIBNIZ_W1 by that identity gives this word
+LEIBNIZ_W1_VARIANT = parse_word("(y*x)*z - y*(x*z)", "W1")
 ASSOCIATIVE_W1 = parse_word("y*(z*x)", "W1")
 ASSOCIATIVE_W2 = parse_word("(x*y)*z", "W2")
 ALTERNATIVE_W1 = parse_word("y*(z*x) - (y*x)*z + y*(x*z)", "W1")

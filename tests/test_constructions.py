@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import random
+import re
 import types
 from fractions import Fraction
 
@@ -264,12 +265,28 @@ def _candidates(a):
             "commutative": lambda: [multipliers(a), bimultipliers(a)]}[a.category]()
 
 
+# the brackets of KIND_TABLE written by hand, (left, right), as signed sums
+# of products xYzW, component Y of pair x after component W of pair z, and
+# the right component's rule where it follows from the left one.  der's word
+# reads aLbL + bRaL, which is its text only under its rule R = -L
+BRACKET_TEXTS = {"der": ("aLbL - bLaL", "neg"), "bim": ("aLbL", "bRaR"),
+                 "bider1": ("aLbL + bRaL", "bRaR - aRbR"),
+                 "bider2": ("bRaL - aLbR", "bRaR - aRbR"),
+                 "mult": ("aLbL", "same"), "zero": ("", "same")}
+
+
+def _signed(text):
+    """'A - B + C' as ((1, 'A'), (-1, 'B'), (1, 'C'))."""
+    return tuple((-1 if sign == "-" else 1, term)
+                 for sign, term in re.findall(r"([+-]?)\s*([^\s+-]+)", text))
+
+
 def _pair_product_oracle(actor, text, s, t):
     """text such as "aLbL - bLaL" at a = pair s, b = pair t, by Matrix products."""
     comps = {"aL": actor.maps[s].left, "aR": actor.maps[s].right,
              "bL": actor.maps[t].left, "bR": actor.maps[t].right}
     out = None
-    for sign, term in constructions._signed(text):
+    for sign, term in _signed(text):
         p = comps[term[:2]] @ comps[term[2:]]
         out = (p if sign > 0 else p.neg()) if out is None else \
             (out.add(p) if sign > 0 else out.sub(p))
@@ -277,15 +294,16 @@ def _pair_product_oracle(actor, text, s, t):
 
 
 def _assert_closure_matches_oracle(actor):
-    """Each product of basis pairs, by _pair_product_oracle, lies in the span
-    at the coordinates the stored tensor holds, as field scalars."""
-    spec = KIND_TABLE[actor.kind]
+    """Each product of basis pairs, by _pair_product_oracle on the kind's
+    BRACKET_TEXTS, lies in the span at the coordinates the stored tensor
+    holds, as field scalars."""
+    bracket, rule = BRACKET_TEXTS[actor.kind]
     scalar = Fraction if actor.target.field is QQ else int
     for s in range(actor.dim):
         for t in range(actor.dim):
-            left = _pair_product_oracle(actor, spec.bracket, s, t)
-            right = None if spec.right in ("neg", "same") else \
-                _pair_product_oracle(actor, spec.right, s, t)
+            left = _pair_product_oracle(actor, bracket, s, t)
+            right = None if rule in ("neg", "same") else \
+                _pair_product_oracle(actor, rule, s, t)
             coords = actor.member_coords(constructions._pair(actor.kind, left, right))
             assert coords is not None and coords == actor.tensor[s][t]
             assert all(type(x) is scalar for x in actor.tensor[s][t])

@@ -17,8 +17,8 @@ from artifact.fields import GF, QQ
 from artifact.linalg import basis_vector, vec_add, vec_zero
 from artifact.reporting import Report
 from artifact.words import (ASSOCIATIVE_W1, ASSOCIATIVE_W2,
-                            COMMUTATIVE_EXAMPLE_W2, LEIBNIZ_W1, LEIBNIZ_W2,
-                            LIE_W1, LIE_W2, MODES, T_SET, Word, _DEPTH_CAP, _canon_tree,
+                            COMMUTATIVE_EXAMPLE_W2, LEIBNIZ_W1, LEIBNIZ_W1_VARIANT,
+                            LEIBNIZ_W2, LIE_W1, LIE_W2, MODES, T_SET, Word, _DEPTH_CAP, _canon_tree,
                             canon_monomial, check_swap_symmetry,
                             check_T_coverage, expand_condition4, parse_word,
                             validate_word_on_algebra)
@@ -326,6 +326,7 @@ GROUNDING_ALGEBRAS = [
 @pytest.mark.parametrize("w1,w2,tag", [
     (LEIBNIZ_W1, LEIBNIZ_W2, "leibniz"),
     (ASSOCIATIVE_W1, ASSOCIATIVE_W2, "associativity"),
+    (LEIBNIZ_W1_VARIANT, LEIBNIZ_W2, "leibniz"),
 ])
 def test_word_validation_agrees_with_identity_check(a, w1, w2, tag):
     assert validate_word_on_algebra(a, w1, w2).passed == \
