@@ -548,7 +548,7 @@ def annihilator(a: Algebra) -> Subspace:
     c = a.integer_tensor[1]
     rows = np.stack((c.transpose(1, 2, 0), c.transpose(0, 2, 1)), axis=2)
     null = Matrix.from_ints(f, rows.reshape(2 * n * n, n)).nullspace()  # canonical already
-    return Subspace.spanned_by(null, n) if null.nrows else Subspace(n, Matrix(f, ()), ())
+    return Subspace(n, null, null.pivots)
 
 
 def derived_subspace(a: Algebra) -> Subspace:

@@ -23,9 +23,16 @@ denominators, which keeps the nullspace; over GF(p) they are reduced mod p.
 The array becomes the constraint Matrix through Matrix.from_ints, which
 keeps it, so the elimination starts from it and never from Python rows.
 
-Every candidate carries a closure certificate: the product of any two basis
-pairs is re-expressed in the basis, and a pair that escapes the span raises
+The structure constants are built when something first reads them, under a
+closure certificate (_closure): the product of any two basis pairs is
+re-expressed in the basis, and a pair that escapes the span raises
 ClosureError instead of silently producing garbage structure constants.
+Their readers are the candidate's tensor, so construct's and xmod-check's
+documents, as_algebra and bider_variants_agree, then semidirect_tensor, and
+the semidirect blocks of a verdict whose suite reads the B x B block
+(_reads_bb), a bider or mult one.  A der or bim verdict reads no product of
+two candidate labels, so it builds no constants and runs no certificate:
+those candidates are closed by theorem (KIND_TABLE).
 Products are taken in integers: the basis is multiplied by lam, the lcm of
 its denominators (1 over GF(p)), so a product is lam^2 times its value.  As
 the basis is in RREF, the coordinates of a product are its entries at the
@@ -43,9 +50,9 @@ pair by pair.
 
 The candidate keeps its span, whose basis is the nullspace's integer array
 over its denominator, and two integer arrays: the integer pairs and the
-structure constants times lam^2 as
-linalg.exact_ints gives them (reduced mod p over GF(p)).  Its field scalars
-are built from those on first read (linalg.lazy): maps, the basis pairs as
+structure constants times lam^2 as linalg.exact_ints gives them (reduced
+mod p over GF(p)), the latter built on first read.  Its field scalars are
+built from those on first read too (linalg.lazy): maps, the basis pairs as
 Matrices over lam, and tensor, the constants over lam^2; action_pair's left
 and right tensors are the pairs' columns, and as_algebra's tensor is
 tensor.  semidirect_tensor places the arrays, with the target's
@@ -55,15 +62,16 @@ witnesses hold on every candidate of the kind: per tag of the source
 suite, the all-A block, every block with one candidate label, and those
 with more that KIND_TABLE proves, with each proof on its row
 (_closed_blocks).  ActorAlgebra.semidirect_blocks builds them once per
-candidate.  The pipeline's semidirect suite reads those blocks, never a
-dense (N, N, N) array, evaluates none of the closed ones, so a Lie verdict
-evaluates no block at all, and reads its witness sides off the same blocks:
-no verdict builds a field scalar of the candidate, its action or the
-product.  Conditions 1 and 2 are identity rows too, on the witnesses (s, t,
-col) of the same product's B x B x A block (_CONDITIONS), read by the
-suite's sweep and witness reader, algebra._row_failure, with every other
-block closed.  They read no product of two candidate labels, so condition
-2 of a commutative A runs on blocks placed from integer pairs alone
+candidate, with the constants only where an open block reads them.  The
+pipeline's semidirect suite reads those blocks, never a dense (N, N, N)
+array, evaluates none of the closed ones, so a Lie verdict evaluates no
+block at all, and reads its witness sides off the same blocks: no verdict
+builds a field scalar of the candidate, its action or the product.
+Conditions 1 and 2 are identity rows too, on the witnesses (s, t, col) of
+the same product's B x B x A block (_CONDITIONS), read by the suite's sweep
+and witness reader, algebra._row_failure, with every other block closed.
+They read no product of two candidate labels, so condition 2 of a
+commutative A runs on blocks placed from integer pairs alone
 (_place_blocks), those of the bimultiplier basis that
 _commutative_bimultipliers reads off the multipliers, with no closure.
 
@@ -151,25 +159,32 @@ class Kind(NamedTuple):
     closed: Mapping[str, tuple] = MappingProxyType({})
 
 
-# Every proof below rests on the closure certificate: the product of two
-# basis pairs is the pair the bracket gives, and its coordinates in the
-# independent basis are unique, so the structure constants are those of a
-# subalgebra of the ambient algebra the bracket is taken in.  In the
-# semidirect product b*a = L_b(a) and a*b = R_b(a) for b in B, a in A.
-# The monomials of a word read as products of pairs in words.word_terms.
+# Every proof below rests on the candidate being closed under its bracket:
+# the product of two basis pairs is the pair the bracket gives, and its
+# coordinates in the independent basis are unique, so the structure
+# constants are those of a subalgebra of the ambient algebra the bracket is
+# taken in.  For der and bim closure is a theorem, proved on their rows, so
+# their verdicts, which read no product of two candidates, build no
+# constants (_reads_bb); for every kind the certificate checks closure
+# whenever the constants are built (_closure).  In the semidirect product
+# b*a = L_b(a) and a*b = R_b(a) for b in B, a in A.  The monomials of a
+# word read as products of pairs in words.word_terms.
 KIND_TABLE = {
-    # [D, D'] = DD' - D'D, the word's aLbL + bRaL under R = -L: the
-    # commutator of any associative algebra, here End(A), is
-    # anticommutative and satisfies Jacobi, in every characteristic, which
-    # is BB and BBB.  Jacobi is cyclic, so BBA, BAB and ABB are each its
-    # sum at some (D, D', a): with R = -L that is (DD' - D'D)a - DD'a +
-    # D'Da = 0.  So no block of a Lie verdict runs
+    # [D, D'] = DD' - D'D, the word's aLbL + bRaL under R = -L, is a
+    # derivation: DD'(xy) = DD'(x)y + D'(x)D(y) + D(x)D'(y) + xDD'(y), and
+    # the middle terms cancel in DD' - D'D.  The commutator of any
+    # associative algebra, here End(A), is anticommutative and satisfies
+    # Jacobi, in every characteristic, which is BB and BBB.  Jacobi is
+    # cyclic, so BBA, BAB and ABB are each its sum at some (D, D', a):
+    # with R = -L that is (DD' - D'D)a - DD'a + D'Da = 0.  So no block of
+    # a Lie verdict runs
     "der": Kind("lie", "lie", "derivations", words.LIE_W1, "neg", "_derivation_rows",
                 {"anticommutativity": ("BB",), "jacobi": ("BBB", "BBA", "BAB", "ABB")}),
-    # (L, R)(L', R') = (LL', R'R) is composition in End(A) x End(A)^op,
-    # which is associative: BBB.  BBA is (ff')a = L L'a = f(f'a) and ABB
-    # is (af)f' = R'Ra = a(ff').  BAB, (fa)f' = f(af'), is condition 2
-    # and runs
+    # (L, R)(L', R') = (LL', R'R) is a bimultiplier: LL'(xy) = LL'(x)y,
+    # R'R(xy) = xR'R(y), and xLL'(y) = R(x)L'(y) = R'R(x)y.  It is
+    # composition in End(A) x End(A)^op, which is associative: BBB.  BBA
+    # is (ff')a = L L'a = f(f'a) and ABB is (af)f' = R'Ra = a(ff').  BAB,
+    # (fa)f' = f(af'), is condition 2 and runs
     "bim": Kind("associative", "associative", "bimultipliers", words.ASSOCIATIVE_W1,
                 words.ASSOCIATIVE_W2, "_bimultiplier_rows",
                 {"associativity": ("BBB", "BBA", "ABB")}),
@@ -228,8 +243,9 @@ class ActorAlgebra:
     pairs: tuple = field(compare=False, repr=False)
     # (den, den * tensor) as an integer (dim, dim, dim) array of
     # linalg.exact_dtype: over GF(p) den is 1 and the dtype the narrowest
-    # unsigned one holding p - 1, over Q int64, or object with the pairs
-    constants: tuple = field(compare=False, repr=False)
+    # unsigned one holding p - 1, over Q int64, or object with the pairs;
+    # built with its closure certificate (_closure) on first read
+    constants: tuple = field(default=lazy(), compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -237,9 +253,12 @@ class ActorAlgebra:
 
     @functools.cached_property
     def semidirect_blocks(self) -> tuple[int, Blocks]:
-        """semidirect_tensor(self), built once and read by the semidirect
-        suite and the condition checks.  Shared, so read-only."""
-        lam, blocks = semidirect_tensor(self)
+        """semidirect_tensor(self) as the semidirect suite and the condition
+        checks read it, built once: its bb has the shape (m, 0, 0) unless
+        an open block of the kind reads it (_reads_bb), so a der or bim
+        verdict builds no structure constants.  Shared, so read-only."""
+        lam, blocks = _place_blocks(self.kind, self.target, self.pairs,
+                                    self.constants if _reads_bb(self.kind) else None)
         for arr in blocks[:4]:
             arr.flags.writeable = False
         return lam, blocks
@@ -397,15 +416,26 @@ def _pair_blocks(kind: str, ints: np.ndarray, p=None) -> tuple[np.ndarray, np.nd
 
 
 def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
-    f, n = A.field, A.dim
+    """The candidate cut out by the constraint matrix: the span of its
+    nullspace and the span's integer pairs, with the structure constants
+    left to _closure until something first reads them."""
+    null = constraints.nullspace()
+    span = Subspace(constraints.ncols, null, null.pivots)
+    pairs = _integer_pairs(kind, span.basis, A.dim)
+    return _actor(kind, A, span, pairs, functools.partial(_closure, kind, A, span, pairs))
+
+
+def _closure(kind: str, A: Algebra, span: Subspace, pairs) -> tuple:
+    """(lam^2, lam^2 times the structure constants) of the candidate with
+    this span and integer pairs, under its closure certificate: each product
+    of two basis pairs is re-expressed in the basis, and the first, in
+    s-major order, that leaves the span raises ClosureError."""
+    f = A.field
     spec = KIND_TABLE[kind]
     brackets = [word_terms(w) for w in ((spec.bracket,) if spec.right in _FOLLOW
                                         else (spec.bracket, spec.right))]
-    null = constraints.nullspace()
-    width = len(brackets) * n * n
-    span = Subspace(width, null, null.pivots)
+    width = span.ambient
     m = span.dim
-    pairs = _integer_pairs(kind, span.basis, n)
     lam, b = pairs
     blocks = Blocks(np.zeros((m, 0, 0), b.dtype), *_pair_blocks(kind, b))  # no term reads bb
     # the pairs' rung holds every coordinate, so exact_dtype holds them all
@@ -423,13 +453,15 @@ def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
             raise ClosureError(f"{kind}: product of basis pairs {rows.start + s} and "
                                f"{t} leaves the span")
         consts[rows] = exact_ints(coords, f.p).reshape(-1, m, m)
-    return _actor(kind, A, span, pairs, (lam * lam, consts))
+    return lam * lam, consts
 
 
 def _actor(kind: str, A: Algebra, span: Subspace, pairs, constants) -> ActorAlgebra:
-    """The candidate whose maps and tensor are built from its integer pairs
-    and constants on first read."""
+    """The candidate whose constants are constants(), called once, on first
+    read, and whose maps and tensor are built from its integer pairs and
+    constants on first read."""
     f = A.field
+    constants = functools.cache(constants)
 
     def maps():
         ba, ab = _pair_blocks(kind, exact_ints(pairs[1]), f.p)
@@ -437,7 +469,7 @@ def _actor(kind: str, A: Algebra, span: Subspace, pairs, constants) -> ActorAlge
                            Matrix.from_quotient(f, right, pairs[0]))
                      for left, right in zip(ba.transpose(0, 2, 1), ab.transpose(1, 2, 0)))
 
-    return ActorAlgebra(kind, A, maps, lambda: scalar_tuples(f, *constants), span, pairs,
+    return ActorAlgebra(kind, A, maps, lambda: scalar_tuples(f, *constants()), span, pairs,
                         constants)
 
 
@@ -460,6 +492,21 @@ def _closed_blocks(kind: str) -> Mapping[str, frozenset]:
         out[tag] = frozenset(b for b in np.ndindex((2,) * len(IDENTITIES[tag][0][1][0][2]))
                              if b.count(0) <= 1 or b in proved)
     return MappingProxyType(out)
+
+
+@functools.cache
+def _reads_bb(kind: str) -> bool:
+    """Whether the source suite on the semidirect product along a candidate
+    of this kind reads its structure constants: some term of a block that
+    _closed_blocks leaves open has a factor at Blocks field 0, bb
+    (algebra._term_plan).  No term of the _CONDITIONS rows on B x B x A
+    has one."""
+    closed = _closed_blocks(kind)
+    return any(0 in algebra._term_plan(shape, perm, parts, (0,))[0:3:2]
+               for tag in SUITES[KIND_TABLE[kind].source] for _, lhs, rhs in IDENTITIES[tag]
+               for parts in np.ndindex((2,) * len(lhs[0][2]))
+               if parts not in closed.get(tag, ())
+               for _, shape, perm in lhs + rhs)
 
 
 def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, Blocks]:
@@ -488,7 +535,7 @@ def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, Blocks]:
 
 def _place_blocks(kind: str, A: Algebra, pairs, constants=None) -> tuple[int, Blocks]:
     """semidirect_tensor from the candidate's integer pairs and constants.
-    Without constants, bb has the shape (m, 0, 0), as in _build_actor."""
+    Without constants, bb has the shape (m, 0, 0), as in _closure."""
     f, n = A.field, A.dim
     m = len(pairs[1])
     den, consts = (1, np.zeros((m, 0, 0), np.int64)) if constants is None \
@@ -572,7 +619,7 @@ def zero_actor(A: Algebra) -> ActorAlgebra:
     span = Subspace(A.dim ** 2, Matrix(f, ()), ())
     pairs = _integer_pairs("zero", span.basis, A.dim)
     return _actor("zero", A, span, pairs,
-                  (1, np.zeros((0, 0, 0), exact_dtype(f.p, pairs[1].dtype))))
+                  lambda: (1, np.zeros((0, 0, 0), exact_dtype(f.p, pairs[1].dtype))))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ each category's candidate and the existence condition reported beside the
 verdict.
 
 The suite decides the product block by block.  Its input,
-constructions.semidirect_tensor, is the product's four integer blocks,
-placed from the arrays the closure and A.integer_tensor hold, so no dense
-(N, N, N) tensor is made, and the blocks of witnesses that hold by
+ActorAlgebra.semidirect_blocks, is the product's four integer blocks,
+placed from the candidate's integer arrays and A.integer_tensor, so no
+dense (N, N, N) tensor is made, and the blocks of witnesses that hold by
 construction or by proof, which the suite never evaluates.  Those are, per
 identity tag, the witnesses with every index in A (A's own suite, which
 passed on entry), those with one index in the candidate (the constraint
@@ -22,12 +22,17 @@ with no evaluation.  For an associative one only B x A x B runs, the
 products condition 2 compares; a commutative one runs that block and
 A x B x B of associativity and B x B of commutativity, each asking whether
 the multipliers commute; a Leibniz one runs every block with two or three
-candidate indices.  The open blocks are swept together, a few leading
-indices at a time, so a failure near the start stops them all.  A failing
-suite reads its witness sides off the same blocks, and only when they are
-read.  The candidate's maps and tensor, its induced action and the
-semidirect product are built on first read, so no verdict makes a field
-scalar of the candidate, its action or the product.
+candidate indices.  Only the commutative and Leibniz suites read a product
+of two candidate indices, so only their verdicts build the candidate's
+structure constants, with its closure certificate; a Lie or associative
+verdict builds neither, as its candidate is closed by theorem (KIND_TABLE's
+der and bim rows), and its bb block is placed with no columns.  The open
+blocks are swept together, a few leading indices at a time, so a failure
+near the start stops them all.  A failing suite reads its witness sides off
+the same blocks, and only when they are read.  The candidate's maps and
+tensor, its induced action and the semidirect product are built on first
+read, so no verdict makes a field scalar of the candidate, its action or
+the product.
 actions.crosscheck_semidirect keeps the dense route, on the eagerly built
 product, as the independent oracle.
 

@@ -35,7 +35,7 @@ docstring here:
   which factor through Aut(g) by construction; they need not be injective,
   so images of any order dividing the generator's are tried.  Each CATALOG
   group B is built once per process, on its first use, and kept with its
-  gens and orders (_catalogue_group).  make_group_action is the
+  gens, orders and edges (_catalogue_group).  make_group_action is the
   validator for dot tables from outside the program; the tests use it, and
   independent counts from brute-force Aut, as oracles for the enumeration.
   The tests also keep make_group as the oracle of every group built
@@ -78,6 +78,28 @@ class Group:
     def orders(self) -> tuple:
         """orders[x] is the order of x, worked out on first use."""
         return _orders(self.table, self.identity)
+
+    @cached_property
+    def edges(self) -> tuple:
+        """The edges x -> x + gens[k] of the generators' Cayley graph in
+        breadth-first order from the identity, as (x, k, y, tree), y = x +
+        gens[k] and tree whether the edge is the first to reach y; worked
+        out on first use, for _enumerate_homs."""
+        out = []
+        seen = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for k, g in enumerate(self.gens):
+                    y = self.table[x][g]
+                    tree = y not in seen
+                    if tree:
+                        seen.add(y)
+                        nxt.append(y)
+                    out.append((x, k, y, tree))
+            frontier = nxt
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {"order": self.order,
@@ -352,8 +374,8 @@ def _enumerate_homs(src: Group, dst: Group, same_order: bool = False):
     A homomorphism is fixed by the images of src's generators, src.gens,
     each of an order dividing its generator's.  An injective one keeps
     every order: if phi(x)^k = e with k < ord(x), then x^k != e is sent to
-    e.  So same_order loses no injective homomorphism.  The edges
-    x -> x + g of the generators' Cayley graph are listed in breadth-first
+    e.  So same_order loses no injective homomorphism.  src.edges lists
+    the edges x -> x + g of the generators' Cayley graph in breadth-first
     order from the identity, each marked as a tree edge, the first to reach
     its end, or not.  For each choice of images, the images spread along
     the list: a tree edge assigns its end, and any other edge is checked
@@ -361,25 +383,10 @@ def _enumerate_homs(src: Group, dst: Group, same_order: bool = False):
     choice is dropped at the first edge that disagrees.  A choice is a
     homomorphism exactly when every edge agrees, so the mappings kept, and
     their order, are those of checking every edge after the spread."""
-    gens = src.gens
-    edges = []  # (x, k, y, tree): y = x + gens[k]
-    seen = {src.identity}
-    frontier = [src.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for k, g in enumerate(gens):
-                y = src.table[x][g]
-                tree = y not in seen
-                if tree:
-                    seen.add(y)
-                    nxt.append(y)
-                edges.append((x, k, y, tree))
-        frontier = nxt
     k = src.orders
     cands = [[y for y, d in enumerate(dst.orders)
-              if (d == k[g] if same_order else k[g] % d == 0)] for g in gens]
-    t = dst.table
+              if (d == k[g] if same_order else k[g] % d == 0)] for g in src.gens]
+    edges, t = src.edges, dst.table
     for images in itertools.product(*cands):
         mapping = [None] * src.order
         mapping[src.identity] = dst.identity
@@ -572,8 +579,8 @@ CATALOG = (
 @cache
 def _catalogue_group(ctor) -> Group:
     """ctor(), for the constructor of a CATALOG entry, built once per
-    process: the catalogue groups do not depend on the input, and the gens
-    and orders a Group works out stay with it."""
+    process: the catalogue groups do not depend on the input, and the gens,
+    orders and edges a Group works out stay with it."""
     return ctor()
 
 

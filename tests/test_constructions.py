@@ -230,9 +230,11 @@ def test_closure_products_match_stored_tensor():
                 coords = actor.member_coords(prod)
                 assert coords is not None
                 assert coords == actor.tensor[s][t]
-    # every kind on every field at dims 0, 1 and 3, and the zero dim-6
-    # algebras, whose candidates span every pair, so that the certificate
-    # has no free column, against the bracket texts by Matrix products
+    # every kind on every field at dims 0, 1 and 3, the zero dim-6 algebras,
+    # whose candidates span every pair, so that the certificate has no free
+    # column, and the algebras of the reference corpus, against the bracket
+    # texts by Matrix products.  Reading the tensor runs the certificate on
+    # every kind, der and bim included, whose verdicts never build it
     kinds, spanning = set(), set()
     for a in _closure_cases():
         for actor in [construct("zero", a)] + _candidates(a):
@@ -246,8 +248,8 @@ def test_closure_products_match_stored_tensor():
 
 def _closure_cases():
     """Algebras of the four categories with candidates over GF(2), GF(3),
-    GF(5), GF(2^61 - 1) and Q at dims 0, 1 and 3, then the zero ones at dim
-    6 over GF(5)."""
+    GF(5), GF(2^61 - 1) and Q at dims 0, 1 and 3, the zero ones at dim 6
+    over GF(5), then those of test_reference.CASES, each once."""
     for f in (GF(2), GF(3), GF(5), GF(2 ** 61 - 1), QQ):
         for category in ("lie", "leibniz", "associative", "commutative"):
             yield zero_algebra(f, 0, category)
@@ -255,6 +257,8 @@ def _closure_cases():
                 yield sample_algebra(random.Random(n), f, n, category)
     for category in ("lie", "leibniz", "associative", "commutative"):
         yield zero_algebra(GF(5), 6, category)
+    from test_reference import CASES
+    yield from {id(a): a for a, _ in CASES}.values()
 
 
 def _candidates(a):
@@ -262,7 +266,8 @@ def _candidates(a):
     return {"lie": lambda: [derivations(a)],
             "leibniz": lambda: [biderivations(a, 1), biderivations(a, 2)],
             "associative": lambda: [bimultipliers(a)],
-            "commutative": lambda: [multipliers(a), bimultipliers(a)]}[a.category]()
+            "commutative": lambda: [multipliers(a), bimultipliers(a)],
+            "module": lambda: []}[a.category]()
 
 
 # the brackets of KIND_TABLE written by hand, (left, right), as signed sums
@@ -315,8 +320,9 @@ def test_non_closed_span_raises_closure_error(field):
     one, zero = field.one, field.zero
     rows = [(one, zero, zero, zero), (zero, zero, zero, one), (zero, one, field.neg(one), zero)]
     a = zero_algebra(field, 2, "commutative")
+    actor = constructions._build_actor("mult", a, Matrix.from_rows(field, rows))
     with pytest.raises(ClosureError, match="pairs 0 and 0 leaves the span"):
-        constructions._build_actor("mult", a, Matrix.from_rows(field, rows))
+        actor.constants
 
 
 def _big_q_conjugate(a):
@@ -455,8 +461,9 @@ def test_closure_error_names_the_first_escaping_pair_at_every_block_size(
     # m = 3 pairs of 4 cells, 12 cells per s: blocks of one, two and three s
     for cells in (1, 24, 36, algebra.SWEEP_CELLS):
         monkeypatch.setattr(algebra, "SWEEP_CELLS", cells)
+        actor = constructions._build_actor("mult", a, Matrix.from_rows(field, rows))
         with pytest.raises(ClosureError, match=f"pairs {s} and {t} leaves the span"):
-            constructions._build_actor("mult", a, Matrix.from_rows(field, rows))
+            actor.constants
 
 
 def test_constants_and_condition_reports_do_not_depend_on_the_block_size(monkeypatch):

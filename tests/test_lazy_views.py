@@ -18,7 +18,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from artifact import constructions, existence
+from artifact import algebra, constructions, existence
 from artifact.actions import ActionPair, make_action, semidirect
 from artifact.algebra import SUITES, identity_suite, make_algebra
 from artifact.constructions import KIND_TABLE, construct, semidirect_tensor
@@ -238,6 +238,63 @@ def test_a_not_exists_verdict_gives_the_eager_witness_sides(monkeypatch, a):
     scalar = Fraction if a.field.p is None else int
     assert all(type(x) is scalar for x in got.lhs + got.rhs)
     assert v.failure == {"label": want.label, "witness": list(want.witness)}
+
+
+# ---------------------------------------------------------------------------
+# which verdicts build the candidate's structure constants
+
+
+def test_only_bider_and_mult_suites_read_the_constants():
+    # an open block of the kind's suite with a term at Blocks field 0, bb;
+    # the zero actor's module suite closes none, and its constants are empty
+    assert {k: constructions._reads_bb(k) for k in KIND_TABLE} == {
+        "der": False, "bim": False, "bider1": True, "bider2": True, "mult": True,
+        "zero": True}
+    # the condition rows on B x B x A have no term at bb
+    for _, (_, lhs, rhs) in constructions._CONDITIONS.values():
+        assert all(0 not in algebra._term_plan(shape, perm, (0, 0, 1), (0,))[0:3:2]
+                   for _, shape, perm in lhs + rhs)
+
+
+def _assert_blocks_read_constants(v, built):
+    m = v.actor.dim
+    assert is_built(v.actor, "constants") == built, v.actor.kind
+    shape = (m, m, m) if built else (m, 0, 0)
+    assert v.actor.semidirect_blocks[1].bb.shape == shape
+
+
+@pytest.mark.parametrize("a", [sl2(), sl2(GF(5)), abelian(GF(5), 3, "lie"), m2_rationals(),
+                               dual_numbers()] + [a for a in NOT_EXISTS
+                                                  if a.category == "associative"]
+                         + [zero_algebra(GF(5), 6, "associative")],
+                         ids=["sl2", "sl2-gf5", "abelian-gf5", "m2", "dual", "zero-assoc-q",
+                              "square-zero-assoc-gf2^64+13", "sampled-assoc-q",
+                              "zero-assoc-gf5-dim6"])
+def test_der_and_bim_verdicts_build_no_constants(a):
+    # closure is a theorem for both kinds, so no certificate runs either
+    v = actor_pipeline(a)
+    assert v.actor.kind in ("der", "bim")
+    _assert_blocks_read_constants(v, built=False)
+
+
+@pytest.mark.parametrize("a", [a5_leibniz(), truncated_poly(QQ, 2, "commutative")]
+                         + [a for a in NOT_EXISTS if a.category in ("leibniz", "commutative")],
+                         ids=["a5", "truncated-poly", "zero-leibniz-q", "zero-leibniz-gf5",
+                              "zero-comm-gf3", "sampled-leibniz-gf5",
+                              "square-zero-leibniz-gf2^61-1", "sampled-leibniz-q"])
+def test_bider_and_mult_verdicts_build_their_constants(a):
+    v = actor_pipeline(a)
+    assert v.actor.kind in ("bider1", "mult")
+    _assert_blocks_read_constants(v, built=True)
+
+
+def test_the_zero_associative_algebra_of_dim_16_is_decided_without_constants():
+    # 512 bimultipliers: the (512, 512, 512) constants on the semidirect
+    # rung took 1.2 GB and most of 2.8 s when verdicts built them
+    v = actor_pipeline(zero_algebra(GF(5), 16, "associative"))
+    assert (v.status, v.actor_dim) == ("not-exists", 512)
+    assert v.failure == {"label": "(x*y)*z = x*(y*z)", "witness": [0, 512, 272]}
+    _assert_blocks_read_constants(v, built=False)
 
 
 def test_a_lazy_field_is_built_once_and_kept():
