@@ -47,8 +47,10 @@ row's terms, and _row_failure the one reader of its witness: here, for the
 condition 1/2 rows of constructions on the product's B x B x A block, for
 the two replacement-word rows of words.validate_word_on_algebra, whose
 integer coefficients its caller counts in the rung's bound, and (_np_sum)
-in the constraint assembly and in the candidate's closure, which sums the
-terms of its bracket's replacement word.
+in the constraint assembly, in the candidate's closure, which sums the
+terms of its bracket's replacement word, and in suite_flags, which sums
+each row of a suite over a whole stack of tensors at once and flags the
+tensors that pass, for the sampler's rejection draws.
 Over GF(2) the alternative rows, the linearized laws, do not imply the
 quadratic ones; _alternative_char2_laws checks those at the basis vectors
 once the rows have passed, which decides them for every vector.
@@ -81,6 +83,7 @@ from .linalg import (
     integer_array,
     lazy,
     nonzero_mod,
+    on_rung,
     scalar_tuples,
     vec_is_zero,
     vec_zero,
@@ -288,27 +291,35 @@ def _np_term(t: Blocks, shape: str, perm: tuple, parts: tuple, rows: slice,
     """The term's coordinates at the witnesses whose label x runs over part
     parts[x] of t, label 0 over rows of its part only and label 1 over cols:
     an array T[x0, x1, m] or T[x0, x1, x2, m], m a coordinate of the part the
-    term lands in.
+    term lands in.  Blocks with leading stack axes, such as a (K, n, n, n)
+    stack of dense tensors, give one such array per tensor, the stack axes
+    leading.
 
     A product term is sum_s F[., ., s] G[., ., m], s over the part the inner
     product lands in: for "L", (u*v)*w, F is the block at (u, v) and G the
     one at (s, w); for "R", u*(v*w), F is at (v, w) and G at (u, s).  It is
-    one matmul on 2-D views (batched over u for "R") of the two blocks, each
-    cut to the rows and cols of the labels it carries, with the axes then
-    put in label order (_term_plan)."""
+    one matmul on 2-D views (batched over u for "R", and over the stack) of
+    the two blocks, each cut to the rows and cols of the labels it carries,
+    with the axes then put in label order (_term_plan)."""
     fi, fcut, gi, gcut, axes = _term_plan(shape, perm, parts, (0,) if cols is _ALL else (0, 1))
     cut = (rows, cols, _ALL)
-    f = t[fi] if fcut is None else t[fi][cut[fcut[0]], cut[fcut[1]]]
+    f = t[fi] if fcut is None else t[fi][..., cut[fcut[0]], cut[fcut[1]], :]
     if gi is None:
         out = f
     else:
-        g = t[gi] if gcut is None else t[gi][cut[gcut[0]], cut[gcut[1]]]
-        flat = f.reshape(-1, f.shape[2])
+        g = t[gi] if gcut is None else t[gi][..., cut[gcut[0]], cut[gcut[1]], :]
+        stack = f.shape[:-3]
+        flat = f.reshape(stack + (-1, f.shape[-1]))
         if shape == "L":
-            out = (flat @ g.reshape(len(g), -1)).reshape(f.shape[:2] + g.shape[1:])
-        else:
-            out = (flat @ g).reshape(g.shape[:1] + f.shape[:2] + g.shape[2:])
-    return out if axes is None else out.transpose(axes)
+            out = flat @ g.reshape(stack + (g.shape[-3], -1))
+            out = out.reshape(f.shape[:-1] + g.shape[-2:])
+        else:  # flat broadcast over u
+            out = flat[..., None, :, :] @ g
+            out = out.reshape(g.shape[:-2] + f.shape[-3:-1] + g.shape[-1:])
+    if axes is None:
+        return out
+    lead = out.ndim - len(axes)
+    return out.transpose(tuple(range(lead)) + tuple(x + lead for x in axes) if lead else axes)
 
 
 def _np_sum(t: Blocks, terms, parts: tuple, rows: slice, cols: slice = _ALL) -> np.ndarray:
@@ -326,6 +337,11 @@ def _np_sum(t: Blocks, terms, parts: tuple, rows: slice, cols: slice = _ALL) -> 
         else:
             acc += sign * term
     return acc
+
+
+def _difference(lhs, rhs) -> list:
+    """The terms of lhs - rhs, for a row's sides lhs and rhs."""
+    return lhs + [(-s, shape, perm) for s, shape, perm in rhs]
 
 
 def _np_failing(t: Blocks, p: Optional[int], terms, parts: tuple, rows: slice,
@@ -469,7 +485,7 @@ def _row_failure(f: Field, scaled: tuple, row: tuple, closed: frozenset) -> Opti
     lam or lam^2 by the row's degree, when they are first read."""
     lam, t = scaled
     name, lhs, rhs = row
-    witness = _first_failure(t, f.p, lhs + [(-s, shape, perm) for s, shape, perm in rhs], closed)
+    witness = _first_failure(t, f.p, _difference(lhs, rhs), closed)
     if witness is None:
         return None
     den = lam if lhs[0][1] == "T" else lam * lam
@@ -533,6 +549,23 @@ def identity_suite(a: Algebra, category: Optional[str] = None,
             return rep
         details.append({"name": tag, "status": "pass"})
     return Report(True, details=details)
+
+
+def suite_flags(stack: np.ndarray, category: str, p: Optional[int]) -> np.ndarray:
+    """One flag per tensor of stack, a (K, n, n, n) array of exact integers,
+    True exactly where that tensor satisfies every row of the category's
+    suite (mod p, if p is set): each row is one _np_sum over the whole
+    stack, on the rung suite_bound gives it.  It reads the rows alone, so
+    over characteristic 2 an alternative tensor that passes here may still
+    fail _alternative_char2_laws."""
+    t = Blocks(on_rung(stack, suite_bound(stack.shape[-1])))
+    ok = np.ones(len(stack), bool)
+    for tag in SUITES[category]:
+        for _, lhs, rhs in IDENTITIES[tag]:
+            terms = _difference(lhs, rhs)
+            bad = nonzero_mod(_np_sum(t, terms, (0,) * len(terms[0][2]), _ALL), p)
+            ok &= ~bad.reshape(len(stack), -1).any(axis=1)
+    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,7 @@ from .algebra import (
     Algebra,
     Blocks,
     InputError,
+    _difference,
     _index_slices,
     _np_sum,
     _row_failure,
@@ -346,7 +347,7 @@ def _assemble(A: Algebra, kind: str) -> Matrix:
     n = A.dim
     spec = KIND_TABLE[kind]
     follow = _FOLLOW.get(spec.right)
-    eqs = [(lhs + [(-s, shape, perm) for s, shape, perm in rhs], slot)
+    eqs = [(_difference(lhs, rhs), slot)
            for tag in SUITES[spec.source] for _, lhs, rhs in IDENTITIES[tag]
            if lhs[0][1] != "T"  # x*y = s y*x is the _FOLLOW rule
            for slot in ((0,) if follow else (0, 1, 2))]

@@ -152,17 +152,18 @@ _CATEGORY_TABLE = {
 }
 
 
-def actor_pipeline(A: Algebra, variant: int = 1) -> Verdict:
+def actor_pipeline(A: Algebra, variant: int = 1, own: Optional[Report] = None) -> Verdict:
     """Build the candidate for A's category and decide existence.
 
     _CATEGORY_TABLE names the candidate, the condition and, where a theorem
     gives it, condition 2's report on a passing verdict; variant picks the
-    biderivation bracket.  A's own suite runs once: the candidate's
-    constructor takes its report.  The alternative category has no candidate
-    here yet, so its verdict is the three-state "unsupported-general", with
-    no per-instance witness.
+    biderivation bracket.  A's own suite runs once, unless own is its
+    report already, as the atlas hands over its sampler's: the candidate's
+    constructor takes that report.  The alternative category has no
+    candidate here yet, so its verdict is the three-state
+    "unsupported-general", with no per-instance witness.
     """
-    own = identity_suite(A)
+    own = identity_suite(A) if own is None else own
     if not own.passed:
         raise InputError(f"input fails its own {A.category} identity suite: "
                          f"{own.label!r} at {own.witness}")

@@ -1,5 +1,6 @@
 """Structure-constant algebras: identities, subspaces, quotients, JSON."""
 
+import functools
 import itertools
 import json
 import random
@@ -9,14 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact import algebra, cli, linalg
+from artifact import algebra, cli, corpus, linalg
 from artifact.algebra import (CATEGORIES, IDENTITY_TAGS, Algebra, InputError,
                               Subspace, algebra_from_json, annihilator, check_identity,
                               derived_subspace, identity_suite, is_ideal,
                               make_algebra, quotient)
 from artifact.corpus import (_conjugate, _inverse_rref, _rand_invertible, a5_leibniz, abelian,
                              diagonal_algebra, dual_numbers, heisenberg,
-                             m2_rationals, sl2, truncated_poly, zero_algebra)
+                             m2_rationals, sample_algebra, sl2, truncated_poly,
+                             zero_algebra)
 from artifact.fields import GF, QQ
 from artifact.linalg import Matrix, basis_vector, vec_add, vec_sub, vec_zero
 from artifact.reporting import Report
@@ -335,6 +337,75 @@ def test_first_failure_is_the_first_flagged_witness_of_the_dense_oracle(monkeypa
                                 if masked.any() else None)
                         got = algebra._first_failure(t, None, terms, frozenset(closed))
                         assert got == want, (m, n, density, tag, closed)
+
+
+# every term of IDENTITIES, as (shape, perm)
+IDENTITY_TERMS = sorted({(shape, perm) for rows in algebra.IDENTITIES.values()
+                         for _, lhs, rhs in rows for _, shape, perm in lhs + rhs})
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
+def test_np_term_on_a_stack_is_np_term_on_each_slice(dtype):
+    # a stack of four random Blocks, block by block, against each of them:
+    # every term on every block, whole, one leading index, and a few second
+    # indices of it
+    rng = np.random.default_rng(3)
+    for m, n in [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2), (3, 2)]:
+        slices = [_random_blocks(rng, m, n, dtype)[0] for _ in range(4)]
+        stack = algebra.Blocks(*(None if b[0] is None else np.stack(b)
+                                 for b in zip(*(t[:4] for t in slices))))
+        for shape, perm in IDENTITY_TERMS:
+            for parts in itertools.product((0, 1) if n else (0,), repeat=len(perm)):
+                for cut in ((slice(None),), (slice(0, 1),), (slice(0, 1), slice(1, 3))):
+                    got = algebra._np_term(stack, shape, perm, parts, *cut)
+                    want = [algebra._np_term(t, shape, perm, parts, *cut) for t in slices]
+                    assert got.dtype == want[0].dtype and got.shape == (4,) + want[0].shape
+                    assert all((g == w).all() for g, w in zip(got, want)), \
+                        (m, n, shape, perm, parts, cut)
+
+
+FLAG_FIELDS = (GF(2), GF(3), gf5, GF(2 ** 31 - 1), GF(2 ** 61 - 1), QQ)
+FLAG_CATEGORIES = ("lie", "leibniz", "associative", "commutative")
+
+
+@functools.cache
+def _passing_tensors(field, n):
+    """Exact integer tensors of dim n that pass some of the suites: zero,
+    sl2 and Heisenberg at dim 3, and sampled algebras of each category."""
+    algebras = [zero_algebra(field, n, "leibniz")] + ([sl2(field), heisenberg(field)]
+                                                      if n == 3 else [])
+    algebras += [sample_algebra(random.Random(seed), field, n, category)
+                 for category in FLAG_CATEGORIES for seed in range(2)]
+    return [linalg.exact_ints(a.integer_tensor[1]) for a in algebras]
+
+
+@pytest.mark.parametrize("category", FLAG_CATEGORIES)
+@pytest.mark.parametrize("field", FLAG_FIELDS, ids=str)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_suite_flags_are_the_identity_suite_of_each_tensor(field, category, data):
+    # a stack of random tensors, full, symmetric or antisymmetric, with
+    # passing ones at random positions: each flag is the verdict of the
+    # identity suite on that tensor alone
+    n = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    top = field.p - 1 if field.p else data.draw(st.sampled_from((3, 2 ** 20, 2 ** 30)))
+    passing = _passing_tensors(field, n)
+    stack = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        kind = data.draw(st.sampled_from(("passing", "full", "sym", "antisym")))
+        if kind == "passing":
+            stack.append(passing[data.draw(st.integers(0, len(passing) - 1))])
+            continue
+        c = rng.integers(-top, top + 1, (n, n, n))
+        stack.append(c if kind == "full" else c + c.transpose(1, 0, 2) if kind == "sym"
+                     else c - c.transpose(1, 0, 2))
+    stack = np.stack(stack)
+    flags = algebra.suite_flags(stack, category, field.p)
+    assert flags.shape == (len(stack),)
+    for k, c in enumerate(stack):
+        a = make_algebra(field, corpus._names(n), corpus._scalars(field, c), category)
+        assert flags[k] == identity_suite(a).passed, (k, field, category)
 
 
 def test_nonzero_mod_on_float64_equals_remainder_on_int64():

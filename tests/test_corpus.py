@@ -104,9 +104,62 @@ def test_exhausted_rejection_sampler_is_a_typed_refusal(tmp_path, monkeypatch):
     assert cli.main(argv) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--field", "Q", "--dim", "2", "--category", "leibniz", "--seed", "6"],
+    ["--field", "2147483647", "--dim", "2", "--category", "associative", "--seed", "5"]])
+def test_exhausted_rejection_at_the_real_bound_exits_2(tmp_path, argv):
+    # both seeds draw the rejection strategy and find no tensor in all
+    # _ATTEMPTS draws; over GF(2^31 - 1) the draws are checked on the object rung
+    argv = ["atlas", *argv, "--samples", "1", "--out", str(tmp_path / "x.jsonl")]
+    assert cli.main(argv) == 2
+
+
+def _one_at_a_time(rng, field, n, category, antisym):
+    """Oracle for the rejection strategy: one whole tensor drawn in (i, j, k)
+    order, the lower triangle mirrored when antisym, and checked by the
+    identity suite, until one passes or corpus._ATTEMPTS are drawn."""
+    for _ in range(corpus._ATTEMPTS):
+        c = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1 if antisym else 0, n):
+                for k in range(n):
+                    x = c[i][j][k] = (field.from_int(rng.randrange(field.p)) if field.p
+                                      else Fraction(rng.randrange(-3, 4)))
+                    if antisym:
+                        c[j][i][k] = field.neg(x)
+        a = make_algebra(field, corpus._names(n), c, category)
+        if identity_suite(a).passed:
+            return a
+    return None
+
+
+@pytest.mark.parametrize("field,dim,category", [
+    (GF(5), 3, "lie"), (QQ, 3, "lie"), (GF(2), 2, "leibniz"),
+    (GF(3), 2, "associative"), (GF(5), 2, "commutative")], ids=str)
+def test_rejection_keeps_the_draw_and_stream_of_one_at_a_time_draws(field, dim, category):
+    seeds = [s for s in range(40) if random.Random(s).randrange(3) == 2][:4]
+    for seed in seeds:
+        rng, oracle = random.Random(seed), random.Random(seed)
+        a = sample_algebra(rng, field, dim, category)
+        oracle.randrange(3)  # the strategy index
+        want = _one_at_a_time(oracle, field, dim, category, category == "lie")
+        assert a.tensor == want.tensor and rng.getstate() == oracle.getstate(), seed
+
+
+def test_exhausted_rejection_stops_the_stream_after_exactly_the_bound(monkeypatch):
+    # 20 draws, not a whole number of batches
+    monkeypatch.setattr(corpus, "_ATTEMPTS", 20)
+    rng, oracle = random.Random(6), random.Random(6)
+    with pytest.raises(CapError):
+        sample_algebra(rng, QQ, 2, "leibniz")
+    assert oracle.randrange(3) == 2
+    assert _one_at_a_time(oracle, QQ, 2, "leibniz", False) is None
+    assert rng.getstate() == oracle.getstate()
+
+
 @pytest.mark.parametrize("exc", [CapError("refused"), ClosureError("refused")])
 def test_atlas_records_typed_refusals_per_instance(tmp_path, monkeypatch, exc):
-    def refuse(a):
+    def refuse(a, own=None):
         raise exc
 
     monkeypatch.setattr(corpus, "actor_pipeline", refuse)
@@ -119,7 +172,7 @@ def test_atlas_records_typed_refusals_per_instance(tmp_path, monkeypatch, exc):
 
 @pytest.mark.parametrize("exc", [TypeError("a bug"), LinAlgError("a bug")])
 def test_atlas_lets_a_bug_propagate(tmp_path, monkeypatch, exc):
-    def broken(a):
+    def broken(a, own=None):
         raise exc
 
     monkeypatch.setattr(corpus, "actor_pipeline", broken)
@@ -160,6 +213,29 @@ def test_sampler_bytes_are_pinned(field_name, category):
             a = sample_algebra(random.Random(seed), DIGEST_FIELDS[field_name], dim, category)
             h.update(json.dumps(a.to_json(), sort_keys=True).encode())
     assert h.hexdigest()[:16] == SAMPLE_DIGESTS[(field_name, category)]
+
+
+# sha256 (first 16 hex digits) of the sorted-key JSON of 20 samples drawn
+# from one Random(0), then of the repr of its next random(): the stream runs
+# through rejection draws in each, so this pins where it stands after them.
+# Recorded with draws checked one at a time; must never move
+STREAM_DIGESTS = {
+    ("GF5", "lie", 3): "82bf183dcdfc5a35", ("Q", "lie", 3): "b0f851250a98d686",
+    ("GF2", "leibniz", 2): "607edadd44f69eb0", ("GF3", "associative", 2): "214523cc91d4ab87",
+    ("GF5", "commutative", 2): "6bf577ce21ca00ce", ("Q", "lie", 2): "1fc11d2f6533cfba",
+}
+STREAM_FIELDS = {"GF2": GF(2), "GF3": GF(3), "GF5": GF(5), "Q": QQ}
+
+
+@pytest.mark.parametrize("field_name,category,dim", sorted(STREAM_DIGESTS))
+def test_sample_streams_are_pinned(field_name, category, dim):
+    rng = random.Random(0)
+    h = hashlib.sha256()
+    for _ in range(20):
+        a = sample_algebra(rng, STREAM_FIELDS[field_name], dim, category)
+        h.update(json.dumps(a.to_json(), sort_keys=True).encode())
+    h.update(repr(rng.random()).encode())
+    assert h.hexdigest()[:16] == STREAM_DIGESTS[(field_name, category, dim)]
 
 
 @pytest.mark.parametrize("dim,category", [(0, "lie"), (2, "jordan")])

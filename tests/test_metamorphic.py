@@ -22,8 +22,8 @@ import pytest
 
 from artifact import linalg
 from artifact.algebra import make_algebra
-from artifact.corpus import (_conjugate, _draw_tensor, _names, _rand_invertible, a5_leibniz,
-                             abelian, diagonal_algebra, dual_numbers, heisenberg,
+from artifact.corpus import (_conjugate, _draw_tensor, _names, _rand_invertible, _scalars,
+                             a5_leibniz, abelian, diagonal_algebra, dual_numbers, heisenberg,
                              m2_rationals, sample_algebra, sl2, strict_upper3, truncated_poly,
                              zero_algebra)
 from artifact.existence import actor_pipeline
@@ -50,7 +50,7 @@ def _two_step(rng, f, n, category, v=None):
     vectors (v drawn when not given) land in the span of the rest, and
     every other product is 0."""
     v = rng.randrange(1, n) if v is None else v
-    tensor = _draw_tensor(rng, f, n, range(v), range(v, n), TWO_STEP[category])
+    tensor = _scalars(f, _draw_tensor(rng, f, n, range(v), range(v, n), TWO_STEP[category])[0])
     return make_algebra(f, _names(n), tensor, category)
 
 
