@@ -2,7 +2,7 @@
 structure-constant algebras and small finite groups."""
 
 from .fields import QQ, GF, Field, FieldError, field_from_json
-from .linalg import LinAlgError, Matrix, Subspace, basis_vector
+from .linalg import LinAlgError, Matrix, basis_vector
 from .reporting import Report
 from .algebra import (CATEGORIES, SUITES, Algebra, InputError,
                       algebra_from_json, annihilator, check_identity,

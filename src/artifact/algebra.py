@@ -75,7 +75,6 @@ import numpy as np
 from .fields import Field, InputError, field_from_json, read_nested
 from .linalg import (
     Matrix,
-    Subspace,
     Vector,
     basis_vector,
     bilinear,
@@ -572,31 +571,30 @@ def suite_flags(stack: np.ndarray, category: str, p: Optional[int]) -> np.ndarra
 # subspaces, annihilator, derived subspace, ideals, quotients
 
 
-def annihilator(a: Algebra) -> Subspace:
-    """{x : x*e_j = 0 and e_j*x = 0 for all j}, canonical basis: the null
+def annihilator(a: Algebra) -> Matrix:
+    """{x : x*e_j = 0 and e_j*x = 0 for all j} as its RREF Matrix: the null
     space of c[:, j, k] and c[j, :, k] for each (j, k), c = integer_tensor."""
     f, n = a.field, a.dim
     if n == 0:
-        return Subspace(0, Matrix(f, ()), ())
+        return Matrix.from_quotient(f, np.zeros((0, 0), np.int64), 1, pivots=())
     c = a.integer_tensor[1]
     rows = np.stack((c.transpose(1, 2, 0), c.transpose(0, 2, 1)), axis=2)
-    null = Matrix.from_ints(f, rows.reshape(2 * n * n, n)).nullspace()  # canonical already
-    return Subspace(n, null, null.pivots)
+    return Matrix.from_ints(f, rows.reshape(2 * n * n, n)).nullspace()
 
 
-def derived_subspace(a: Algebra) -> Subspace:
-    """Span of all basis products e_i * e_j, canonical basis."""
+def derived_subspace(a: Algebra) -> Matrix:
+    """Span of all basis products e_i * e_j as its RREF Matrix."""
     n = a.dim
     rows = a.integer_tensor[1].reshape(n * n, n)
-    return Subspace.spanned_by(Matrix.from_ints(a.field, rows), n)
+    return Matrix.from_ints(a.field, rows).rref()
 
 
-def is_ideal(a: Algebra, s: Subspace) -> Report:
-    """Two-sided ideal test for a subspace given by its canonical basis."""
-    if s.ambient != a.dim:
+def is_ideal(a: Algebra, s: Matrix) -> Report:
+    """Two-sided ideal test for a subspace given as its RREF Matrix."""
+    if s.ncols != a.dim:
         raise InputError("subspace ambient dimension mismatch")
     f = a.field
-    for r, v in enumerate(s.basis.rows):
+    for r, v in enumerate(s.rows):
         for j in range(a.dim):
             ej = basis_vector(f, a.dim, j)
             right = a.multiply(v, ej)
@@ -608,8 +606,9 @@ def is_ideal(a: Algebra, s: Subspace) -> Report:
     return Report(True)
 
 
-def quotient(a: Algebra, ideal: Subspace) -> tuple[Algebra, Matrix]:
-    """Quotient algebra by a two-sided ideal plus the projection matrix.
+def quotient(a: Algebra, ideal: Matrix) -> tuple[Algebra, Matrix]:
+    """Quotient algebra by a two-sided ideal, given as its RREF Matrix, plus
+    the projection matrix.
 
     The complement is spanned by the coordinates outside the ideal's pivot
     columns; the projection reduces a vector by the ideal's RREF basis and
@@ -637,5 +636,7 @@ def quotient(a: Algebra, ideal: Subspace) -> tuple[Algebra, Matrix]:
             plane.append(project(a.multiply(er, es)))
         tensor.append(tuple(plane))
     names = tuple(a.basis[q] for q in qcols)
-    proj = Matrix(f, tuple(zip(*(project(basis_vector(f, n, j)) for j in range(n)))))
+    # a quotient by the whole algebra projects onto F^0: a 0 x n matrix
+    proj = (Matrix.from_rows(f, zip(*(project(basis_vector(f, n, j)) for j in range(n))))
+            if qdim else Matrix.zeros(f, 0, n))
     return make_algebra(f, names, tuple(tensor), a.category), proj

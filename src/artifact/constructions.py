@@ -48,10 +48,14 @@ of products hold, m times the flattened width per s, and at least one, in
 order of s, so the first escaping pair is the first in s-major order, as
 pair by pair.
 
-The candidate keeps its span, whose basis is the nullspace's integer array
-over its denominator, and two integer arrays: the integer pairs and the
-structure constants times lam^2 as linalg.exact_ints gives them (reduced
-mod p over GF(p)), the latter built on first read.  Its field scalars are
+The candidate keeps its span, the nullspace's RREF Matrix: a subspace of
+the flattened coordinates, whose rows are its basis, whose pivots give
+coordinates and membership, and whose integer array over its denominator
+the pairs are read from.  The zero actor's span is empty and keeps its
+width n^2 in its shape.  Beside it the candidate keeps two integer arrays,
+the integer pairs and the structure constants times lam^2 as
+linalg.exact_ints gives them (reduced mod p over GF(p)), the latter built
+on first read.  Its field scalars are
 built from those on first read too (linalg.lazy): maps, the basis pairs as
 Matrices over lam, and tensor, the constants over lam^2; action_pair's left
 and right tensors are the pairs' columns, and as_algebra's tensor is
@@ -120,7 +124,6 @@ from .algebra import (
 )
 from .linalg import (
     Matrix,
-    Subspace,
     Vector,
     basis_vector,
     exact_dtype,
@@ -239,7 +242,7 @@ class ActorAlgebra:
     # structure constants of the bracket/product in that basis, built from
     # constants on first read
     tensor: tuple = lazy()
-    span: Subspace  # the canonical basis over the flattened coordinates
+    span: Matrix  # the RREF basis over the flattened coordinates
     # (lam, lam * basis pairs), the integer pairs of _integer_pairs
     pairs: tuple = field(compare=False, repr=False)
     # (den, den * tensor) as an integer (dim, dim, dim) array of
@@ -250,7 +253,7 @@ class ActorAlgebra:
 
     @property
     def dim(self) -> int:
-        return self.span.dim
+        return self.span.nrows
 
     @functools.cached_property
     def semidirect_blocks(self) -> tuple[int, Blocks]:
@@ -420,13 +423,12 @@ def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
     """The candidate cut out by the constraint matrix: the span of its
     nullspace and the span's integer pairs, with the structure constants
     left to _closure until something first reads them."""
-    null = constraints.nullspace()
-    span = Subspace(constraints.ncols, null, null.pivots)
-    pairs = _integer_pairs(kind, span.basis, A.dim)
+    span = constraints.nullspace()
+    pairs = _integer_pairs(kind, span, A.dim)
     return _actor(kind, A, span, pairs, functools.partial(_closure, kind, A, span, pairs))
 
 
-def _closure(kind: str, A: Algebra, span: Subspace, pairs) -> tuple:
+def _closure(kind: str, A: Algebra, span: Matrix, pairs) -> tuple:
     """(lam^2, lam^2 times the structure constants) of the candidate with
     this span and integer pairs, under its closure certificate: each product
     of two basis pairs is re-expressed in the basis, and the first, in
@@ -435,8 +437,7 @@ def _closure(kind: str, A: Algebra, span: Subspace, pairs) -> tuple:
     spec = KIND_TABLE[kind]
     brackets = [word_terms(w) for w in ((spec.bracket,) if spec.right in _FOLLOW
                                         else (spec.bracket, spec.right))]
-    width = span.ambient
-    m = span.dim
+    m, width = span.nrows, span.ncols
     lam, b = pairs
     blocks = Blocks(np.zeros((m, 0, 0), b.dtype), *_pair_blocks(kind, b))  # no term reads bb
     # the pairs' rung holds every coordinate, so exact_dtype holds them all
@@ -457,7 +458,7 @@ def _closure(kind: str, A: Algebra, span: Subspace, pairs) -> tuple:
     return lam * lam, consts
 
 
-def _actor(kind: str, A: Algebra, span: Subspace, pairs, constants) -> ActorAlgebra:
+def _actor(kind: str, A: Algebra, span: Matrix, pairs, constants) -> ActorAlgebra:
     """The candidate whose constants are constants(), called once, on first
     read, and whose maps and tensor are built from its integer pairs and
     constants on first read."""
@@ -617,8 +618,8 @@ def zero_actor(A: Algebra) -> ActorAlgebra:
     """The empty candidate acting trivially; the actor of any zero-product
     algebra in the module category."""
     f = A.field
-    span = Subspace(A.dim ** 2, Matrix(f, ()), ())
-    pairs = _integer_pairs("zero", span.basis, A.dim)
+    span = Matrix.from_quotient(f, np.zeros((0, A.dim ** 2), np.int64), 1, pivots=())
+    pairs = _integer_pairs("zero", span, A.dim)
     return _actor("zero", A, span, pairs,
                   lambda: (1, np.zeros((0, 0, 0), exact_dtype(f.p, pairs[1].dtype))))
 
@@ -643,8 +644,8 @@ def factor_through_actor(actor: ActorAlgebra, act: ActionPair) -> Report:
     f, n = A.field, A.dim
     rows = []
     for b in range(act.B.dim):
-        L = Matrix(f, tuple(tuple(act.left[b][j][k] for j in range(n)) for k in range(n)))
-        R = Matrix(f, tuple(tuple(act.right[j][b][k] for j in range(n)) for k in range(n)))
+        L = Matrix.from_rows(f, (tuple(act.left[b][j][k] for j in range(n)) for k in range(n)))
+        R = Matrix.from_rows(f, (tuple(act.right[j][b][k] for j in range(n)) for k in range(n)))
         coords = actor.member_coords(BiMap(L, R))
         if coords is None:
             return Report(False, label="action pair lies in the candidate's span",
@@ -668,7 +669,7 @@ def canonical_d(A: Algebra, actor: ActorAlgebra) -> Matrix:
         raise ConstructionError(
             f"multiplication pair of basis element {rep.witness[0]} is outside the "
             f"{actor.kind} span")
-    return Matrix(A.field, rep.details[0]["phi_rows"])
+    return Matrix.from_rows(A.field, rep.details[0]["phi_rows"])
 
 
 def crossed_module_check(d: Matrix, act: ActionPair) -> Report:
@@ -684,7 +685,7 @@ def crossed_module_check(d: Matrix, act: ActionPair) -> Report:
     if d.nrows != A.dim or (d.rows and len(d.rows[0]) != B.dim):
         raise InputError("d must be a dim(A) x dim(B) matrix of images")
 
-    dt = Matrix(f, tuple(zip(*d.rows)))  # dt.apply(v) is d(v) for v in A coordinates
+    dt = Matrix.from_rows(f, zip(*d.rows))  # dt.apply(v) is d(v) for v in A coordinates
 
     auto = "auto-pass: addition commutes and the dot action is trivial"
     details = [
@@ -772,7 +773,7 @@ def condition1_check(A: Algebra, bider: ActorAlgebra | None = None) -> Report:
     return _condition_check(1, A.field, bider.semidirect_blocks)
 
 
-def _commutative_bimultipliers(mult: ActorAlgebra, flags: Flags) -> Subspace:
+def _commutative_bimultipliers(mult: ActorAlgebra, flags: Flags) -> Matrix:
     """The canonical basis of bimultipliers(A) for a commutative A, read off
     its multipliers and the Ann(A) and A^2 of its flags with no constraint
     assembly.  By the theorem in the existence module's docstring, Bim(A)
@@ -786,19 +787,26 @@ def _commutative_bimultipliers(mult: ActorAlgebra, flags: Flags) -> Subspace:
     raises ConstructionError."""
     A = mult.target
     f, n = A.field, A.dim
-    g = mult.span.basis.scaled()[1]
-    u = flags.ann.basis.scaled()[1]
-    phi = flags.square.basis.nullspace().scaled()[1]
+    g = mult.span.scaled()[1]
+    u = flags.ann.scaled()[1]
+    phi = flags.square.nullspace().scaled()[1]
     dtype = rung(magnitude(u) * magnitude(phi))
     h = u.astype(dtype)[:, None, :, None] * phi.astype(dtype)[None, :, None, :]
     h = exact_ints(h.reshape(len(u) * len(phi), n * n))
     rows = np.vstack([np.hstack([g, g]), np.hstack([h, np.zeros_like(h)])])
-    span = Subspace.spanned_by(Matrix.from_ints(f, rows), 2 * n * n)
-    want = mult.dim + (n - flags.square.dim) * flags.ann.dim
-    if span.dim != want:
-        raise ConstructionError(f"bimultipliers from multipliers: dim {span.dim}, "
+    span = Matrix.from_ints(f, rows).rref()
+    want = commutative_bim_dim(mult, flags)
+    if span.nrows != want:
+        raise ConstructionError(f"bimultipliers from multipliers: dim {span.nrows}, "
                                 f"the theorem gives {want}")
     return span
+
+
+def commutative_bim_dim(mult: ActorAlgebra, flags: Flags) -> int:
+    """dim Bim(A) of a commutative A, by the theorem in the existence
+    module's docstring: dim Mult(A) + (n - dim A^2) dim Ann(A), read off its
+    multipliers and the flags of sufficient_conditions(A)."""
+    return mult.dim + (mult.target.dim - flags.square.nrows) * flags.ann.nrows
 
 
 def condition2_check(A: Algebra, bim: ActorAlgebra | None = None,
@@ -816,8 +824,8 @@ def condition2_check(A: Algebra, bim: ActorAlgebra | None = None,
         raise InputError("condition2_check: mult needs the flags of sufficient_conditions(A)")
     if bim is None and mult is not None:
         span = _commutative_bimultipliers(mult, flags)
-        lam, ints = span.basis.scaled()
-        pairs = (lam, ints.reshape(span.dim, 2, A.dim, A.dim))
+        lam, ints = span.scaled()
+        pairs = (lam, ints.reshape(span.nrows, 2, A.dim, A.dim))
         return _condition_check(2, A.field, _place_blocks("bim", A, pairs))
     bim = bimultipliers(A) if bim is None else bim
     return _condition_check(2, A.field, bim.semidirect_blocks)
@@ -825,10 +833,11 @@ def condition2_check(A: Algebra, bim: ActorAlgebra | None = None,
 
 class Flags(dict):
     """The two sufficient flags, the dict a verdict emits, with the
-    subspaces they are read from: ann, the annihilator, and square, A^2."""
+    subspaces they are read from, as RREF matrices: ann, the annihilator,
+    and square, A^2."""
 
-    def __init__(self, ann: Subspace, square: Subspace, n: int):
-        super().__init__(ann_zero=ann.dim == 0, perfect=square.dim == n)
+    def __init__(self, ann: Matrix, square: Matrix, n: int):
+        super().__init__(ann_zero=ann.nrows == 0, perfect=square.nrows == n)
         self.ann, self.square = ann, square
 
 

@@ -162,13 +162,15 @@ def _rand_scalar(rng, field):
 
 
 def _rand_invertible(rng, field, n) -> tuple[Matrix, Matrix]:
-    """A random invertible P, redrawn whole until invertible, with the RREF
-    of [q | I], q = mu P the integers of P.scaled(), that tests it: P is
+    """A random invertible P, its n^2 integers drawn in row-major order as
+    _rand_scalar draws them and redrawn whole until invertible, with the
+    RREF of [q | I], q = den P the integers of P, that tests it: P is
     invertible exactly when the pivots are range(n), and then the RREF is
     [I | q^-1], which _conjugate reads P^-1 off."""
+    draw = functools.partial(rng.randrange, *_int_range(field))
     for _ in range(_ATTEMPTS):
-        m = Matrix(field, tuple(tuple(_rand_scalar(rng, field)
-                                      for _ in range(n)) for _ in range(n)))
+        m = Matrix.from_ints(field, np.array([draw() for _ in range(n * n)],
+                                             _draw_dtype(field)).reshape(n, n))
         red = _inverse_rref(m)
         if red.pivots == tuple(range(n)):
             return m, red
@@ -176,9 +178,9 @@ def _rand_invertible(rng, field, n) -> tuple[Matrix, Matrix]:
 
 
 def _inverse_rref(p: Matrix) -> Matrix:
-    """The RREF of [q | I], q = mu P the integers of P.scaled()."""
-    q = p.scaled()[1]
-    return Matrix.from_ints(p.field, np.hstack([q, np.eye(len(q), dtype=np.int64)])).rref()[0]
+    """The RREF of [q | I], q = den P the integers of P."""
+    q = p.ints
+    return Matrix.from_ints(p.field, np.hstack([q, np.eye(len(q), dtype=np.int64)])).rref()
 
 
 def _conjugate(a: Algebra, p: Matrix, red: Matrix) -> Algebra:
@@ -186,14 +188,14 @@ def _conjugate(a: Algebra, p: Matrix, red: Matrix) -> Algebra:
     products of the new basis vectors, c(P e_i, P e_j), are one exact
     contraction of a.integer_tensor with P's integers, on the rung of its
     bound, and their coordinates in the new basis are P^-1 times them, one
-    more integer product on the rung of its bound.  With q = mu P an
-    integer matrix, red, the RREF of [q | I] (_inverse_rref), is
-    [I | w / den], w / den = q^-1 = P^-1 / mu; the
+    more integer product on the rung of its bound.  With q = mu P the
+    integers of P over its den mu, red, the RREF of [q | I]
+    (_inverse_rref), is [I | w / den], w / den = q^-1 = P^-1 / mu; the
     contraction is v = lam mu^2 c(P e_i, P e_j), so w v = lam mu den P^-1
     c(P e_i, P e_j)."""
     f, n = a.field, a.dim
     lam, c = a.integer_tensor
-    mu, q = p.scaled()
+    mu, q = p.den, p.ints
     dtype = rung(n * n * magnitude(q) ** 2 * magnitude(c))
     c, qd = exact_ints(c).astype(dtype), q.astype(dtype)
     v = qd.T @ (qd.T @ c.reshape(n, n * n)).reshape(n, n, n)  # [i, j, k]
@@ -236,9 +238,13 @@ def _draw_tensor(rng, field, n, vs, ks, symmetry=None, count=1) -> np.ndarray:
             x = flat[base + at] = draw()
             if sign:
                 flat[base + mirror] = sign * x
-    # int64 holds every entry and its negation while p <= 2^63
-    dtype = object if (field.p or 0) > 2 ** 63 else np.int64
-    return np.array(flat, dtype).reshape(count, n, n, n)
+    return np.array(flat, _draw_dtype(field)).reshape(count, n, n, n)
+
+
+def _draw_dtype(field):
+    """The dtype of drawn integers: int64 holds every entry and its negation
+    while p <= 2^63."""
+    return object if (field.p or 0) > 2 ** 63 else np.int64
 
 
 def _scalars(field, ints: np.ndarray) -> tuple:

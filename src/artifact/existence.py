@@ -84,6 +84,7 @@ from .constructions import (
     ActorAlgebra,
     bimultipliers,
     biderivations,
+    commutative_bim_dim,
     condition1_check,
     condition2_check,
     derivations,
@@ -147,8 +148,7 @@ _CATEGORY_TABLE = {
                 lambda A, actor, flags: condition1_check(A, bider=actor), None),
     "commutative": (lambda A, variant, own: multipliers(A, own),
                     lambda A, actor, flags: condition2_check(A, mult=actor, flags=flags),
-                    lambda A, actor, flags: actor.dim
-                    + (A.dim - flags.square.dim) * flags.ann.dim),
+                    lambda A, actor, flags: commutative_bim_dim(actor, flags)),
 }
 
 

@@ -1,51 +1,51 @@
 """Dense exact linear algebra over the fields in :mod:`artifact.fields`.
 
-A Matrix is immutable and has two views of its entries: rows, row-major
-tuples of field scalars, and ints, den times the entries as one exact
-integer array (int64 or Python ints, residues over GF(p) where den is 1).
-A matrix is given by one view and the other is built on first read; the
-lazy field descriptor is that mechanism, and the candidate, action and
+A Matrix is immutable and holds its entries twice: ints, den times them as
+one exact integer array (int64 or Python ints, residues over GF(p) where
+den is 1), and rows, row-major tuples of field scalars.  Every method that
+computes reads the array alone, so a matrix has one shape, one scaling and
+one elimination path.  Matrix.from_rows keeps the rows as given and converts
+them once, by the rule of scaled: over GF(p) reduced mod p, over Q times
+the lcm of their denominators.  Matrix.from_ints is the array entry, as the
+constraint assembly of constructions builds it (over Q its rows are the
+integers as they are, lam times the values), and from_quotient makes the
+matrix v / den of an integer array; their rows are built on first read.
+The lazy field descriptor is that mechanism, and the candidate, action and
 algebra types of the other modules use it too.  Equality and hashing are
-those of the rows.  Matrix.from_ints is the array entry, as the constraint
-assembly of constructions builds it (over Q its rows are the integers as
-they are, lam times the values); from_quotient makes the matrix v / den of
-an integer array.  The outputs of rref and nullspace hold their integer
+those of the rows.  The outputs of rref and nullspace hold their integer
 array and denominator, so an elimination that only feeds another array
 computation never makes a field scalar.
 
 Row reduction is one Gauss-Jordan elimination on rows of Python ints for
 both fields, with the first nonzero pivot rule, which makes every output
-deterministic.  Over Q each row is first multiplied by the lcm of its
-denominators (row scaling keeps the row space), then eliminated
-fraction-free as in Bareiss (1968), row_i <- a*row_i - s*row_r, except that
-the new row is divided by the gcd of its entries rather than by the previous
-pivot, and a pivot row by its own gcd when it is chosen, which keeps every
-pivot row primitive.  Over GF(p) the pivot row is scaled by its inverse and
-an update touches only its nonzero columns.  Every route to the RREF, this
-loop and the two front ends below, ends the same way, in (V, den, pivots):
+deterministic.  Over Q the rows are the integers of the array (scaling
+keeps the row space), eliminated fraction-free as in Bareiss (1968),
+row_i <- a*row_i - s*row_r, except that the new row is divided by the gcd
+of its entries rather than by the previous pivot, and a pivot row by its
+own gcd when it is chosen, which keeps every pivot row primitive.  Over
+GF(p) the pivot row is scaled by its inverse and an update touches only its
+nonzero columns.  Every route to the RREF, this loop and the two front ends
+below, ends the same way, in (V, den, pivots):
 V the nonzero RREF rows as integers, den 1 over GF(p) and over Q mu, the
 least common denominator of the RREF: the lcm of the pivot entries, each
 primitive pivot row scaled to mu.  rref wraps that once as the matrix
 V / den, so its output has rank rows and no zero row.  The RREF is unique,
 so nullspace and span bases are canonical and two equal subspaces always
-produce identical basis matrices, comparable with ==.  Over Q rows of
-Python ints are accepted as they are (lam = 1), so a caller may hand in
-rows already scaled to integers; the output is in Fractions either way.  An
-RREF output carries its pivots, and the rref of such a matrix is the matrix
-itself, so a span of it costs no elimination.  The nullspace's RREF is read
+produce identical basis matrices, comparable with ==.  The output is in
+Fractions over Q whatever the scale of the input's integers.  rref drops
+zero rows with one mask, hands a tall input to the front end below as it
+is, and a small one to the loop as lists.  The nullspace's RREF is read
 off the RREF of the columns in reverse order with no second elimination
 (Matrix.nullspace gives the argument).
 
-rref starts from the array when the matrix holds one: it drops zero rows
-with one mask, hands a tall input to the front end below as it is, and a
-small one to the loop as lists.  The two front-end kernels take an integer
-array only; a matrix built from rows is converted once, in rref.
-
-Subspace is an RREF with its ambient dimension: its canonical basis is an
-RREF Matrix, which carries its pivot columns too.  The actor candidate of
+A subspace of F^n is its RREF Matrix, which carries its pivot columns: its
+rows are the canonical basis, ncols is n and nrows the dimension, and its
+rref is itself, so a span of it costs no elimination.  An empty span keeps
+its width in the array's shape, (0, n).  The actor candidate of
 constructions and the annihilator, derived subspace and ideals of algebra
-are Subspaces, and coordinates, residuals and membership are its methods,
-read off at the pivots with no elimination.
+are such matrices, and coordinates, residuals and membership are read off
+at the pivots with no elimination, by residual, contains and coords, which
+refuse a matrix that carries no pivots.
 
 Tall inputs, more than ncols + _SKETCH_EXTRA nonzero rows (constraint
 systems are tall and redundant: 648 x 72 of rank 21-66 over GF(5)), go
@@ -223,22 +223,17 @@ class Matrix:
     field: Field
     rows: tuple = lazy()
     # den times the entries as a 2-D exact integer array, int64 or Python
-    # ints (reduced mod p over GF(p), where den is 1), or None for a matrix
-    # given by its rows alone
-    ints: Optional[np.ndarray] = lazy(None)
+    # ints, reduced mod p over GF(p), where den is 1
+    ints: np.ndarray
     den: int = 1
     # the pivot columns of a matrix known to be in RREF: its rref is itself
     pivots: Optional[tuple] = None
 
-    def __init__(self, field: Field, rows, ints=None, den: int = 1, pivots=None):
+    def __init__(self, field: Field, rows, ints: np.ndarray, den: int = 1, pivots=None):
         # written into the instance directly: the frozen dataclass __init__
         # takes twice as long, and the sampler builds small matrices by the
         # thousand
         vars(self).update(field=field, rows=rows, ints=ints, den=den, pivots=pivots)
-        if not callable(rows) and rows:  # rows given, not to be built
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise LinAlgError("ragged rows")
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -250,7 +245,17 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: Field, rows: Iterable[Sequence[Scalar]]) -> "Matrix":
-        return cls(field, tuple(tuple(r) for r in rows))
+        """The matrix of rows of scalars, kept as given, and converted once
+        to its integers by the rule of scaled: over GF(p) reduced mod p,
+        over Q lam times the rows, den = lam the lcm of their denominators
+        (a Python int is a rational of denominator 1)."""
+        rows = tuple(tuple(r) for r in rows)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise LinAlgError("ragged rows")
+        flat = [x for row in rows for x in row]
+        lam, flat = (1, flat) if field.p is not None else clear_denominators(flat)
+        return cls(field, rows, exact_ints(_int_array(flat, (len(rows), ncols)), field.p), lam)
 
     @classmethod
     def from_ints(cls, field: Field, arr: np.ndarray) -> "Matrix":
@@ -266,29 +271,23 @@ class Matrix:
         """The matrix v / den: v an exact integer array (reduced mod p over
         GF(p), where den is 1) or lists of Python ints, ncols the width of
         an empty list."""
-        pivots = None if pivots is None else tuple(pivots)
-        if isinstance(v, np.ndarray):
-            return cls(field, lambda: _scalar_rows(field, den, v.tolist()), v, den, pivots)
-        nc = len(v[0]) if v else ncols
-        return cls(field, lambda: _scalar_rows(field, den, v),
-                   lambda: _int_array(v, (len(v), nc)), den, pivots)
+        if not isinstance(v, np.ndarray):
+            v = _int_array(v, (len(v), len(v[0]) if v else ncols))
+        return cls(field, lambda: _scalar_rows(field, den, v.tolist()), v, den,
+                   None if pivots is None else tuple(pivots))
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, tuple((field.zero,) * ncols for _ in range(nrows)))
+        return cls(field, tuple((field.zero,) * ncols for _ in range(nrows)),
+                   np.zeros((nrows, ncols), np.int64))
 
     @property
     def nrows(self) -> int:
-        ints = self.ints
-        return len(self.rows) if ints is None else ints.shape[0]
+        return self.ints.shape[0]
 
     @property
     def ncols(self) -> int:
-        ints = self.ints
-        if ints is not None:
-            return ints.shape[1]
-        rows = self.rows
-        return len(rows[0]) if rows else 0
+        return self.ints.shape[1]
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i][j]
@@ -308,18 +307,18 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise LinAlgError("shape mismatch in add")
         f = self.field
-        return Matrix(f, tuple(vec_add(f, a, b) for a, b in zip(self.rows, other.rows)))
+        return Matrix.from_rows(f, (vec_add(f, a, b) for a, b in zip(self.rows, other.rows)))
 
     def sub(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise LinAlgError("shape mismatch in sub")
         f = self.field
-        return Matrix(f, tuple(vec_sub(f, a, b) for a, b in zip(self.rows, other.rows)))
+        return Matrix.from_rows(f, (vec_sub(f, a, b) for a, b in zip(self.rows, other.rows)))
 
     def neg(self) -> "Matrix":
         f = self.field
-        return Matrix(f, tuple(vec_neg(f, r) for r in self.rows))
+        return Matrix.from_rows(f, (vec_neg(f, r) for r in self.rows))
 
     def matmul(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
@@ -330,7 +329,7 @@ class Matrix:
         out = []
         for r in self.rows:
             out.append(tuple(_dot(f, r, c) for c in ocols))
-        return Matrix(f, tuple(out))
+        return Matrix.from_rows(f, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.matmul(other)
@@ -344,55 +343,37 @@ class Matrix:
 
     def scaled(self) -> tuple[int, np.ndarray]:
         """(lam, lam * self) as an exact integer array, lam the lcm of the
-        entries' denominators: den over gcd(den, every entry) when the matrix
-        holds ints, 1 over GF(p)."""
-        if self.ints is None:
-            flat = [x for row in self.rows for x in row]
-            lam, flat = (1, flat) if self.field.p is not None else clear_denominators(flat)
-            return lam, _int_array(flat, (self.nrows, self.ncols))
+        entries' denominators: den over gcd(den, every entry), 1 over
+        GF(p)."""
         return lowest_terms(self.den, self.ints)
 
     def _reversed(self) -> "Matrix":
         """The matrix with its columns in reverse order."""
-        if self.ints is None:
-            return Matrix(self.field, tuple(row[::-1] for row in self.rows))
         return Matrix(self.field, lambda: tuple(row[::-1] for row in self.rows),
                       self.ints[:, ::-1], self.den)
 
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """The nonzero rows of the RREF and their pivot columns: rank rows
-        of the input's width (0 rows for an all-zero or empty input).  Every
-        elimination route gives (V, den, pivots), V those rows as integers
-        over den, wrapped here once by from_quotient."""
+    def rref(self) -> "Matrix":
+        """The nonzero rows of the RREF, which carries its pivot columns:
+        rank rows of the input's width (0 rows for an all-zero or empty
+        input).  Every elimination route gives (V, den, pivots), V those
+        rows as integers over den, wrapped here once by from_quotient."""
         if self.pivots is not None:
-            return self, self.pivots
-        p = self.field.p
-        # row scaling keeps the row space, so rows of ints are taken as they
-        # are; zero rows change nothing
-        x, rows = self.ints, None
-        if x is None:
-            given = self.rows
-            nc = len(given[0]) if given else 0
-            rows = [list(row) if p is not None or all(type(y) is int for y in row)
-                    else clear_denominators(row)[1] for row in given]
-            rows = [row for row in rows if any(row)]
-            n = len(rows)
-        else:
-            nc = x.shape[1]
-            x = x[(x != 0).any(axis=1)]
-            n = len(x)
+            return self
+        p, x = self.field.p, self.ints
+        nc = x.shape[1]
+        # row scaling keeps the row space, and zero rows change nothing
+        x = x[(x != 0).any(axis=1)]
+        n = len(x)
         red = None
         if n > nc + _SKETCH_EXTRA and n * nc >= (TALL_CELLS_Q if p is None else TALL_CELLS_GF):
-            if x is None:
-                x = _int_array(rows, (n, nc))
             red = _tall_rref_q(x) if p is None else _tall_rref_mod(x, p)
         if red is None:
-            red = _gauss_jordan(x.tolist() if rows is None else rows, nc, p)
+            red = _gauss_jordan(x.tolist(), nc, p)
         v, den, pivots = red
-        return Matrix.from_quotient(self.field, v, den, nc, pivots), tuple(pivots)
+        return Matrix.from_quotient(self.field, v, den, nc, pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self.rref().pivots)
 
     def nullspace(self) -> "Matrix":
         """Canonical RREF basis of {x : self @ x = 0}, rows are basis vectors.
@@ -405,14 +386,39 @@ class Matrix:
         j < t_r.  So these rows, over mu, in order of j, are the RREF of the
         nullspace, with pivots the free columns."""
         f, nc = self.field, self.ncols
-        red, piv = self._reversed().rref()
-        ends = [nc - 1 - c for c in piv]
+        red = self._reversed().rref()
+        ends = [nc - 1 - c for c in red.pivots]
         free = _free_columns(nc, ends)
         v = exact_ints(-red.ints[:, ::-1][:, free].T, f.p)
         basis = np.zeros((len(free), nc), v.dtype)
         basis[range(len(free)), free] = red.den
         basis[:, ends] = v
         return Matrix.from_quotient(f, basis, red.den, pivots=free)
+
+    def residual(self, v: Vector) -> Vector:
+        """v minus its combination of the rows of this RREF at the
+        coordinates v[pivots]: zero exactly when v lies in the row space.
+        residual, contains and coords are scalar loops on purpose, the test
+        oracle of outside_span, and read an RREF alone."""
+        if self.pivots is None:
+            raise LinAlgError("residual, contains and coords need an RREF matrix")
+        f = self.field
+        out = list(v)
+        for p, row in zip(self.pivots, self.rows):
+            c = v[p]
+            if c != f.zero:
+                for j, x in enumerate(row):
+                    if x != f.zero:
+                        out[j] = f.sub(out[j], f.mul(c, x))
+        return tuple(out)
+
+    def contains(self, v: Vector) -> bool:
+        return vec_is_zero(self.field, self.residual(v))
+
+    def coords(self, v: Vector) -> Optional[Vector]:
+        """Coordinates of v in the rows of this RREF, or None if v is
+        outside their span."""
+        return tuple(v[p] for p in self.pivots) if self.contains(v) else None
 
 
 def _gauss_jordan(rows: list, nc: int, p: Optional[int]) -> tuple[list, int, list]:
@@ -721,47 +727,6 @@ def bilinear(field: Field, tensor, u: Vector, v: Vector, dim: int) -> Vector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of coordinate space F^ambient as its canonical basis: the
-    nonzero rows of its RREF, with their pivot columns.  As the rows are in
-    RREF, the coordinate of v along row r is v[pivots[r]], so membership and
-    coordinates cost one pass over the basis and no elimination."""
-
-    ambient: int
-    basis: Matrix
-    pivots: tuple[int, ...]
-
-    @classmethod
-    def spanned_by(cls, m: Matrix, ambient: int) -> "Subspace":
-        """The span of the rows of m, by one Matrix.rref."""
-        return cls(ambient, *m.rref())
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def residual(self, v: Vector) -> Vector:
-        """v minus its combination of the basis rows at the coordinates
-        v[pivots]: zero exactly when v lies in the span."""
-        f = self.basis.field
-        out = list(v)
-        for p, row in zip(self.pivots, self.basis.rows):
-            c = v[p]
-            if c != f.zero:
-                for j, x in enumerate(row):
-                    if x != f.zero:
-                        out[j] = f.sub(out[j], f.mul(c, x))
-        return tuple(out)
-
-    def contains(self, v: Vector) -> bool:
-        return vec_is_zero(self.basis.field, self.residual(v))
-
-    def coords(self, v: Vector) -> Optional[Vector]:
-        """Coordinates of v in the basis, or None if v is outside the span."""
-        return tuple(v[p] for p in self.pivots) if self.contains(v) else None
-
-
 def clear_denominators(values: Sequence[Scalar]) -> tuple[int, list[int]]:
     """lam, the lcm of the denominators, and lam * values as ints."""
     lam = math.lcm(*{x.denominator for x in values})
@@ -786,7 +751,7 @@ def _int_array(values, shape) -> np.ndarray:
     magnitude 2^63 or more, so that negating any entry stays exact."""
     try:
         arr = np.array(values, dtype=np.int64).reshape(shape)
-        if arr.size and arr.min() == np.iinfo(np.int64).min:
+        if arr.size and arr.min() == -2 ** 63:
             raise OverflowError
         return arr
     except OverflowError:

@@ -28,10 +28,10 @@ def solve(m: Matrix, b):
     f, nc = m.field, m.ncols
     if not m.rows:
         return (f.zero,) * nc
-    red, piv = Matrix(f, tuple(r + (bv,) for r, bv in zip(m.rows, b))).rref()
-    if nc in piv:
+    red = Matrix.from_rows(f, (r + (bv,) for r, bv in zip(m.rows, b))).rref()
+    if nc in red.pivots:
         return None
     x = [f.zero] * nc
-    for pc, row in zip(piv, red.rows):
+    for pc, row in zip(red.pivots, red.rows):
         x[pc] = row[nc]
     return tuple(x)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import algebra, cli, corpus, linalg
 from artifact.algebra import (CATEGORIES, IDENTITY_TAGS, Algebra, InputError,
-                              Subspace, algebra_from_json, annihilator, check_identity,
+                              algebra_from_json, annihilator, check_identity,
                               derived_subspace, identity_suite, is_ideal,
                               make_algebra, quotient)
 from artifact.corpus import (_conjugate, _inverse_rref, _rand_invertible, a5_leibniz, abelian,
@@ -185,8 +185,8 @@ def small_algebras(draw):
         # a structured algebra under a unipotent change of basis: it keeps
         # the laws it satisfies and gets mixed denominators or large entries
         a = draw(st.sampled_from((sl2, heisenberg, a5_leibniz, dual_numbers)))(f)
-        p = Matrix(f, tuple(tuple(f.one if i == j else draw(scalar) if i < j else f.zero
-                                  for j in range(a.dim)) for i in range(a.dim)))
+        p = Matrix.from_rows(f, (tuple(f.one if i == j else draw(scalar) if i < j else f.zero
+                                       for j in range(a.dim)) for i in range(a.dim)))
         return make_algebra(f, a.basis, _conjugate(a, p, _inverse_rref(p)).tensor, "raw")
     if draw(st.integers(0, 3)) == 0:
         entries = [f.zero] * n ** 3
@@ -211,9 +211,9 @@ def test_kernel_agrees_with_oracles_beyond_int64_over_q():
     big = Fraction(3 ** 40, 7)
     for a in (sl2(QQ), a5_leibniz(QQ), dual_numbers(QQ), heisenberg(QQ)):
         n = a.dim
-        p = Matrix(QQ, tuple(tuple(Fraction(1) if i == j else
-                                   (big if j == i + 1 else Fraction(-2, 3 + j)) if i < j
-                                   else Fraction(0) for j in range(n)) for i in range(n)))
+        p = Matrix.from_rows(QQ, (tuple(Fraction(1) if i == j else
+                                        (big if j == i + 1 else Fraction(-2, 3 + j)) if i < j
+                                        else Fraction(0) for j in range(n)) for i in range(n)))
         b = _conjugate(a, p, _inverse_rref(p))
         assert identity_suite(b).passed
         _check_against_oracles(make_algebra(QQ, b.basis, b.tensor, "raw"))
@@ -541,23 +541,23 @@ def test_fixture_files_load(tmp_path):
 
 
 def test_annihilator_extremes():
-    assert annihilator(m2_rationals()).dim == 0
-    assert annihilator(zero_algebra(gf5, 3, "raw")).dim == 3
+    assert annihilator(m2_rationals()).nrows == 0
+    assert annihilator(zero_algebra(gf5, 3, "raw")).nrows == 3
     # heisenberg: z kills everything
     ann = annihilator(heisenberg())
-    assert ann.dim == 1 and ann.contains((QQ.zero, QQ.zero, QQ.one))
+    assert ann.nrows == 1 and ann.contains((QQ.zero, QQ.zero, QQ.one))
 
 
 def test_derived_subspace():
-    assert derived_subspace(sl2()).dim == 3  # perfect
+    assert derived_subspace(sl2()).nrows == 3  # perfect
     d = derived_subspace(heisenberg())
-    assert d.dim == 1 and d.contains((QQ.zero, QQ.zero, QQ.one))
-    assert derived_subspace(zero_algebra(QQ, 2, "raw")).dim == 0
+    assert d.nrows == 1 and d.contains((QQ.zero, QQ.zero, QQ.one))
+    assert derived_subspace(zero_algebra(QQ, 2, "raw")).nrows == 0
 
 
 def test_ideal_and_quotient_of_heisenberg():
     h = heisenberg()
-    center = Subspace.spanned_by(Matrix.from_rows(QQ, [(QQ.zero, QQ.zero, QQ.one)]), 3)
+    center = Matrix.from_rows(QQ, [(QQ.zero, QQ.zero, QQ.one)]).rref()
     assert is_ideal(h, center).passed
     q, proj = quotient(h, center)
     assert q.dim == 2
@@ -569,25 +569,27 @@ def test_ideal_and_quotient_of_heisenberg():
 
 def test_non_ideal_refused():
     h = heisenberg()
-    notideal = Subspace.spanned_by(Matrix.from_rows(QQ, [(QQ.one, QQ.zero, QQ.zero)]), 3)
+    notideal = Matrix.from_rows(QQ, [(QQ.one, QQ.zero, QQ.zero)]).rref()
     assert not is_ideal(h, notideal).passed
     with pytest.raises(InputError):
         quotient(h, notideal)
     with pytest.raises(InputError, match="ambient dimension mismatch"):
-        is_ideal(h, Subspace.spanned_by(Matrix.from_rows(QQ, [(QQ.one, QQ.zero)]), 2))
+        is_ideal(h, Matrix.from_rows(QQ, [(QQ.one, QQ.zero)]).rref())
     # the first row of M2 is a right ideal, not a left one: E21*E11 = E21
     m2 = m2_rationals()
-    row1 = Subspace.spanned_by(Matrix.from_rows(QQ, [basis_vector(QQ, 4, i) for i in (0, 1)]), 4)
+    row1 = Matrix.from_rows(QQ, [basis_vector(QQ, 4, i) for i in (0, 1)]).rref()
     rep = is_ideal(m2, row1)
     assert (rep.passed, rep.label, rep.witness) == (False, "e_j*v stays in subspace", (0, 2))
 
 
 def test_quotient_by_whole_algebra_is_empty():
     h = heisenberg()
-    whole = Subspace.spanned_by(
-        Matrix.from_rows(QQ, [basis_vector(QQ, 3, i) for i in range(3)]), 3)
-    q, _ = quotient(h, whole)
+    whole = Matrix.from_rows(QQ, [basis_vector(QQ, 3, i) for i in range(3)]).rref()
+    q, proj = quotient(h, whole)
     assert q.dim == 0 and identity_suite(q).passed
+    # the projection onto F^0 keeps the width of A, so it applies to A
+    assert (proj.nrows, proj.ncols) == (0, 3)
+    assert proj.apply((QQ.one, QQ.zero, QQ.one)) == ()
 
 
 def test_alternative_char2_laws_have_no_dimension_cap():

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import algebra, constructions, existence
 from artifact.actions import conjugation_action, make_action, semidirect
-from artifact.algebra import (IDENTITIES, SUITES, InputError, Subspace, identity_suite,
+from artifact.algebra import (IDENTITIES, SUITES, InputError, identity_suite,
                              is_ideal, make_algebra)
 from artifact.constructions import (KIND_TABLE, BiMap, ClosureError,
                                     ConstructionError, actor_from_json,
@@ -240,7 +240,7 @@ def test_closure_products_match_stored_tensor():
         for actor in [construct("zero", a)] + _candidates(a):
             _assert_closure_matches_oracle(actor)
             kinds.add(actor.kind)
-            if a.dim == 6 and actor.dim == actor.span.ambient:
+            if a.dim == 6 and actor.dim == actor.span.ncols:
                 spanning.add(actor.kind)
     assert kinds == set(KIND_TABLE)
     assert spanning == set(KIND_TABLE) - {"zero"}
@@ -329,9 +329,9 @@ def _big_q_conjugate(a):
     """a after a change of basis with entry 3^40/7 (3^40 alone exceeds 2^63)."""
     big = Fraction(3 ** 40, 7)
     n = a.dim
-    p = Matrix(QQ, tuple(tuple(Fraction(1) if i == j else
-                               (big if j == i + 1 else Fraction(-2, 3 + j)) if i < j
-                               else Fraction(0) for j in range(n)) for i in range(n)))
+    p = Matrix.from_rows(QQ, (tuple(Fraction(1) if i == j else
+                                    (big if j == i + 1 else Fraction(-2, 3 + j)) if i < j
+                                    else Fraction(0) for j in range(n)) for i in range(n)))
     return _conjugate(a, p, _inverse_rref(p))
 
 
@@ -356,7 +356,7 @@ def test_object_array_closure_equals_per_pair_matmul_oracle():
                            truncated_poly(big, 3, "commutative"))]
     for a in itertools.chain(_big_entry_algebras(), big_prime):
         for actor in _candidates(a):
-            _, ints = constructions._integer_pairs(actor.kind, actor.span.basis, a.dim)
+            _, ints = constructions._integer_pairs(actor.kind, actor.span, a.dim)
             if ints.dtype == object:
                 on_objects.add((str(a.field), actor.kind))
             _assert_closure_matches_oracle(actor)
@@ -435,8 +435,8 @@ def test_condition_witnesses_equal_per_pair_matmul_oracle():
 def _first_escape(field, rows):
     """The first (s, t) in s-major order at which the composition of the
     nullspace's basis pairs leaves their span, by the per-pair oracle."""
-    span = Subspace.spanned_by(Matrix.from_rows(field, rows).nullspace(), 4)
-    maps = [BiMap(m, m) for m in (Matrix(field, (r[:2], r[2:])) for r in span.basis.rows)]
+    span = Matrix.from_rows(field, rows).nullspace()
+    maps = [BiMap(m, m) for m in (Matrix.from_rows(field, (r[:2], r[2:])) for r in span.rows)]
     actor = types.SimpleNamespace(maps=maps)
     for s, t in itertools.product(range(len(maps)), repeat=2):
         prod = _pair_product_oracle(actor, "aLbL", s, t)
@@ -613,7 +613,7 @@ def test_slot_zero_rule_keeps_the_all_slot_solution_space():
     for a in _follower_algebras():
         kind = "der" if a.category == "lie" else "mult"
         everywhere = Matrix.from_rows(a.field, _oracle_rows(a, kind, slots=(0, 1, 2)))
-        assert everywhere.nullspace().rows == build(kind, a).span.basis.rows, a
+        assert everywhere.nullspace().rows == build(kind, a).span.rows, a
         count += 1
     assert count == 6 + 4 * 2 * 3 * 7
 
@@ -646,7 +646,7 @@ def test_scalars_leaving_numpy_are_python_ints_or_fractions():
             v = actor_pipeline(a)
             actor = v.actor
             rungs.add(a.integer_tensor[1].dtype)
-            rungs.add(constructions._integer_pairs(actor.kind, actor.span.basis, a.dim)[1].dtype)
+            rungs.add(constructions._integer_pairs(actor.kind, actor.span, a.dim)[1].dtype)
             _assert_scalars(f, [x for plane in actor.tensor for row in plane for x in row])
             # constraint rows are ints over both fields: lam times their values over Q
             rows = [x for row in constructions._assemble(a, actor.kind).rows for x in row]
@@ -998,6 +998,12 @@ def test_canonical_d_zero_map_for_zero_algebra():
     actor = zero_actor(a)
     d = canonical_d(a, actor)
     assert d.nrows == 2 and all(len(r) == 0 for r in d.rows)
+    # the empty span keeps its width, and holds the zero pair alone
+    assert (actor.span.nrows, actor.span.ncols, actor.span.pivots) == (0, a.dim ** 2, ())
+    zero = Matrix.zeros(QQ, 2, 2)
+    nonzero = Matrix.from_rows(QQ, ((QQ.one, QQ.zero), (QQ.zero, QQ.zero)))
+    assert actor.member_coords(BiMap(zero, zero)) == ()
+    assert actor.member_coords(BiMap(nonzero, nonzero)) is None
 
 
 def test_canonical_d_fails_loudly_outside_span():
@@ -1066,7 +1072,7 @@ def test_image_of_d_is_ideal_in_actor():
         (a5_leibniz(), biderivations(a5_leibniz(), 1)),
     ]:
         d = canonical_d(a, actor)
-        img = Subspace.spanned_by(Matrix.from_rows(QQ, d.rows), actor.dim)
+        img = Matrix.from_rows(QQ, d.rows).rref()
         assert is_ideal(actor.as_algebra(), img).passed
 
 

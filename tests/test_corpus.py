@@ -272,9 +272,9 @@ def test_conjugate_equals_the_per_pair_product_loop(monkeypatch, field):
             a = make_algebra(field, corpus._names(n), tensor, "raw")
             p, red = corpus._rand_invertible(rng, field, n)
             if field is QQ:
-                p = linalg.Matrix(QQ, tuple(tuple(rng.choice(scalars) if i < j else x
-                                                  for j, x in enumerate(row))
-                                            for i, row in enumerate(p.rows)))
+                p = linalg.Matrix.from_rows(QQ, (tuple(rng.choice(scalars) if i < j else x
+                                                       for j, x in enumerate(row))
+                                                 for i, row in enumerate(p.rows)))
                 red = corpus._inverse_rref(p)
                 if red.pivots != tuple(range(n)):
                     continue

@@ -24,7 +24,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from artifact import linalg
 from artifact.fields import GF, QQ
-from artifact.linalg import LinAlgError, Matrix, Subspace, basis_vector, vec_add
+from artifact.linalg import LinAlgError, Matrix, basis_vector, vec_add
 
 from conftest import solve
 
@@ -79,9 +79,9 @@ def test_rref_is_canonical_and_idempotent():
     for _ in range(25):
         rows = rand_rows(rng, gf5, rng.randrange(1, 5), rng.randrange(1, 5))
         mat = Matrix.from_rows(gf5, rows)
-        r1, piv1 = mat.rref()
-        r2, piv2 = r1.rref()
-        assert r1.rows == r2.rows and piv1 == piv2
+        r1 = mat.rref()
+        r2, piv1 = r1.rref(), r1.pivots
+        assert r1.rows == r2.rows and piv1 == r2.pivots
         for k, j in enumerate(piv1):
             col = [r1.entry(i, j) for i in range(r1.nrows)]
             assert col[k] == gf5.one
@@ -105,8 +105,8 @@ def sympy_rref(field, rows, ncols):
 
 
 def assert_rref_matches_sympy(field, rows, ncols):
-    mat = Matrix(field, tuple(tuple(r) for r in rows))
-    red, piv = mat.rref()
+    red = Matrix.from_rows(field, rows).rref()
+    piv = red.pivots
     want, want_piv = sympy_rref(field, rows, ncols)
     assert (red.rows, piv) == (want[:len(want_piv)], want_piv)  # its nonzero rows
     scalar = Fraction if field is QQ else int
@@ -289,7 +289,7 @@ def test_tall_front_end_checks_every_free_column(j):
     x = np.zeros((nrows, ncols), np.int64)
     x[:few, j] = head
     x[few:, others] = [[rng.randrange(p) for _ in others] for _ in range(nrows - few)]
-    assert Matrix.from_ints(f, sketch @ x % p).rref()[1] == tuple(others)
+    assert Matrix.from_ints(f, sketch @ x % p).rref().pivots == tuple(others)
     assert linalg._tall_rref_mod(x.astype(np.float64), p) is None
     assert Matrix.from_ints(f, x).rank() == ncols
     assert_rref_matches_sympy(f, x.tolist(), ncols)
@@ -306,8 +306,8 @@ def test_tall_front_end_certifies_an_empty_selection(monkeypatch):
     right = [[rng.randrange(-3, 4) for _ in range(20)] for _ in range(12)]
     rows = [[Fraction(q * sum(row[k] * right[k][j] for k in range(12))) for j in range(20)]
             for row in left]
-    red, piv = Matrix.from_rows(QQ, rows).rref()
-    assert calls == [q] and len(piv) == 12
+    red = Matrix.from_rows(QQ, rows).rref()
+    assert calls == [q] and len(red.pivots) == 12
     assert_rref_matches_sympy(QQ, rows, 20)
     assert linalg._tall_rref_q(np.array([[int(y) for y in row] for row in rows])) is None
 
@@ -384,7 +384,7 @@ def _short_sketch_kernel_vector(n, k):
     q = linalg.SELECT_PRIME
     s = Matrix.from_ints(GF(q), linalg.exact_ints(linalg._sketch(k, n, q), q))
     basis = s.nullspace().ints.tolist() + [[q * (j == c) for j in range(n)]
-                                           for c in s.rref()[1]]
+                                           for c in s.rref().pivots]
     red = DomainMatrix([[sZZ(y) for y in row] for row in basis], (n, n), sZZ).lll()
     return [int(y) for y in red.to_list()[0]]
 
@@ -451,7 +451,7 @@ def test_tall_q_front_end_equals_the_loop_on_every_rung(case):
             "past both": top > B_TWO, "at the bound": edge < 2 ** 53 <= edge + n * linalg.SELECT_PRIME,
             "past the bound": edge - n * linalg.SELECT_PRIME < 2 ** 53 <= edge}.get(kind, True)
     if kind == "other pivots":
-        assert Matrix.from_ints(GF(linalg.SECOND_PRIME), x).rref()[1] != tuple(pivots)
+        assert Matrix.from_ints(GF(linalg.SECOND_PRIME), x).rref().pivots != tuple(pivots)
     if kind == "sketch kernel":
         s = linalg._sketch(nc + linalg._SKETCH_EXTRA, n, linalg.SELECT_PRIME)
         assert not (linalg.exact_ints(s, linalg.SELECT_PRIME) @ x[:, 0] % linalg.SELECT_PRIME).any()
@@ -607,12 +607,26 @@ def test_array_entry_equals_the_same_ints_as_rows(monkeypatch, field, dtype, big
         assert got == want and hash(got) == hash(want)
         assert all(type(x) is int for row in got.rows for x in row)
         kernels.clear()
-        red, piv = got.rref()
-        assert (red, piv) == want.rref() and bool(kernels) == tall
-        assert got.rank() == want.rank() == len(piv)
+        red = got.rref()
+        assert (red, red.pivots) == (want.rref(), want.rref().pivots) and bool(kernels) == tall
+        assert got.rank() == want.rank() == len(red.pivots)
         assert got.nullspace() == want.nullspace()
         for m in (red, got.nullspace()):
             _assert_scalar_rows(field, m)
+    if field.p is not None:
+        # rows outside [0, p), negative, p itself and p + 1, are kept as
+        # given and reduced once: a pivot entry p is zero, not a unit
+        p = field.p
+        rows = [[p, 1, -1, 0], [-p - 2, p + 1, 2 * p, 1], [0, -3, p + 1, p - 1]]
+        raw = Matrix.from_rows(field, rows)
+        twin = Matrix.from_rows(field, [[x % p for x in row] for row in rows])
+        assert raw.rows == tuple(map(tuple, rows)) and raw != twin
+        assert (raw.rref(), raw.rref().pivots) == (twin.rref(), twin.rref().pivots)
+        assert raw.nullspace() == twin.nullspace()
+        assert (raw.scaled()[0], raw.scaled()[1].tolist()) == (1, twin.scaled()[1].tolist())
+        if dtype is not np.float64 or p < 2 ** 50:
+            assert Matrix.from_ints(field, np.array(rows, dtype=dtype)) == twin
+        assert Matrix.from_rows(field, [[p, 1]]).rref().rows == ((0, 1),)
 
 
 def _route_cases():
@@ -651,13 +665,13 @@ def test_every_route_gives_the_nonzero_rref_rows(monkeypatch, case):
 
         monkeypatch.setattr(linalg, name, counted)
     f, ncols = mat.field, mat.ncols
-    red, piv = mat.rref()
+    red = mat.rref()
     assert taken == route
-    assert red.nrows == len(piv) == red.ints.shape[0]
-    assert red.ints.shape[1] == ncols and red.pivots == piv
+    assert red.nrows == len(red.pivots) == red.ints.shape[0]
+    assert red.ints.shape[1] == ncols
     assert all(any(x != f.zero for x in row) for row in red.rows)
-    assert red.rref() == (red, piv)
-    assert mat.nullspace().nrows == ncols - len(piv)
+    assert red.rref() is red
+    assert mat.nullspace().nrows == ncols - len(red.pivots)
 
 
 def test_tall_front_end_never_imports_numpy_random():
@@ -743,8 +757,7 @@ def test_subspace_coords_round_trip():
     rng = random.Random(9)
     for _ in range(20):
         rows = rand_rows(rng, gf5, 3, 4)
-        span = Subspace.spanned_by(Matrix.from_rows(gf5, rows), 4)
-        basis = span.basis
+        span = basis = Matrix.from_rows(gf5, rows).rref()
         nz = [i for i in range(basis.nrows) if any(x != 0 for x in basis.row(i))]
         assert nz == list(range(basis.nrows))
         # any combination of basis rows is recovered exactly
@@ -758,10 +771,13 @@ def test_subspace_coords_round_trip():
 
 def test_subspace_rejects_vectors_outside_span():
     f = QQ
-    span = Subspace(3, Matrix.from_rows(f, [[f.one, f.zero, f.zero]]), (0,))
+    span = Matrix.from_rows(f, [[f.one, f.zero, f.zero]]).rref()
     v = (f.zero, f.one, f.zero)
     assert span.coords(v) is None and not span.contains(v)
     assert span.residual(v) == v
+    # only an RREF, which carries its pivots, reads coordinates off them
+    with pytest.raises(LinAlgError, match="need an RREF"):
+        Matrix.from_rows(f, [[f.zero, f.one, f.zero]]).coords(v)
 
 
 P61 = 2 ** 61 - 1
@@ -773,7 +789,7 @@ P61 = 2 ** 61 - 1
     (QQ, np.float64), (QQ, np.int64), (QQ, object),
 ], ids=lambda x: getattr(x, "__name__", str(x)))
 def test_outside_span_agrees_with_subspace_contains(field, dtype):
-    # Subspace.contains is the scalar oracle; the rows are combinations of
+    # Matrix.contains is the scalar oracle; the rows are combinations of
     # the basis, random rows, and combinations plus a unit vector at a free
     # column, which always escape.  Over Q the basis is v / den with den > 1
     # and the rows are integers, whose membership does not depend on scale.
@@ -789,8 +805,8 @@ def test_outside_span_agrees_with_subspace_contains(field, dtype):
     for _ in range(40):
         nc = rng.randrange(1, 8)
         rows = [[scalar() for _ in range(nc)] for _ in range(rng.randrange(nc + 2))]
-        span = Subspace.spanned_by(Matrix.from_rows(field, rows), nc)
-        v, den, pivots = span.basis.ints.tolist(), span.basis.den, span.pivots
+        span = Matrix.from_rows(field, rows).rref()
+        v, den, pivots = span.ints.tolist(), span.den, span.pivots
         free = [j for j in range(nc) if j not in pivots]
 
         def combination():
