@@ -575,8 +575,6 @@ def annihilator(a: Algebra) -> Matrix:
     """{x : x*e_j = 0 and e_j*x = 0 for all j} as its RREF Matrix: the null
     space of c[:, j, k] and c[j, :, k] for each (j, k), c = integer_tensor."""
     f, n = a.field, a.dim
-    if n == 0:
-        return Matrix.from_quotient(f, np.zeros((0, 0), np.int64), 1, pivots=())
     c = a.integer_tensor[1]
     rows = np.stack((c.transpose(1, 2, 0), c.transpose(0, 2, 1)), axis=2)
     return Matrix.from_ints(f, rows.reshape(2 * n * n, n)).nullspace()

@@ -23,16 +23,21 @@ denominators, which keeps the nullspace; over GF(p) they are reduced mod p.
 The array becomes the constraint Matrix through Matrix.from_ints, which
 keeps it, so the elimination starts from it and never from Python rows.
 
-The structure constants are built when something first reads them, under a
-closure certificate (_closure): the product of any two basis pairs is
-re-expressed in the basis, and a pair that escapes the span raises
-ClosureError instead of silently producing garbage structure constants.
-Their readers are the candidate's tensor, so construct's and xmod-check's
-documents, as_algebra and bider_variants_agree, then semidirect_tensor, and
-the semidirect blocks of a verdict whose suite reads the B x B block
-(_reads_bb), a bider or mult one.  A der or bim verdict reads no product of
-two candidate labels, so it builds no constants and runs no certificate:
-those candidates are closed by theorem (KIND_TABLE).
+The candidate is its span: a candidate holds its kind, its target and the
+nullspace's RREF Matrix, and nothing else, so two candidates compare, hash
+and print by those three.  Every other form of it is a view of the span,
+built on first read and kept (functools.cached_property): the integer
+pairs, the structure constants, maps and tensor, and the semidirect blocks.
+The structure constants are built under a closure certificate (_closure):
+the product of any two basis pairs is re-expressed in the basis, and a pair
+that escapes the span raises ClosureError instead of silently producing
+garbage structure constants.  Their readers are the candidate's tensor, so
+construct's and xmod-check's documents, as_algebra and
+bider_variants_agree, then semidirect_tensor, and the semidirect blocks of
+a verdict whose suite reads the B x B block (_reads_bb), a bider or mult
+one.  A der or bim verdict reads no product of two candidate labels, so it
+builds no constants and runs no certificate: those candidates are closed by
+theorem (KIND_TABLE).
 Products are taken in integers: the basis is multiplied by lam, the lcm of
 its denominators (1 over GF(p)), so a product is lam^2 times its value.  As
 the basis is in RREF, the coordinates of a product are its entries at the
@@ -48,23 +53,21 @@ of products hold, m times the flattened width per s, and at least one, in
 order of s, so the first escaping pair is the first in s-major order, as
 pair by pair.
 
-The candidate keeps its span, the nullspace's RREF Matrix: a subspace of
-the flattened coordinates, whose rows are its basis, whose pivots give
-coordinates and membership, and whose integer array over its denominator
-the pairs are read from.  The zero actor's span is empty and keeps its
-width n^2 in its shape.  Beside it the candidate keeps two integer arrays,
-the integer pairs and the structure constants times lam^2 as
-linalg.exact_ints gives them (reduced mod p over GF(p)), the latter built
-on first read.  Its field scalars are
-built from those on first read too (linalg.lazy): maps, the basis pairs as
-Matrices over lam, and tensor, the constants over lam^2; action_pair's left
-and right tensors are the pairs' columns, and as_algebra's tensor is
-tensor.  semidirect_tensor places the arrays, with the target's
-integer_tensor, as the four algebra.Blocks of the semidirect product's
-integer tensor, and states once, as Blocks.closed, which blocks of
-witnesses hold on every candidate of the kind: per tag of the source
-suite, the all-A block, every block with one candidate label, and those
-with more that KIND_TABLE proves, with each proof on its row
+The span is a subspace of the flattened coordinates, whose rows are its
+basis, whose pivots give coordinates and membership, and whose integer
+array over its denominator the pairs are read from.  The zero actor's span
+is empty and keeps its width n^2 in its shape; its constants are the empty
+ones _closure gives.  The views: pairs, lam and lam times the basis pairs
+as an integer array; constants, the structure constants times lam^2 as
+linalg.exact_ints gives them (reduced mod p over GF(p)); maps, the basis
+pairs as Matrices over lam; and tensor, the constants over lam^2.
+action_pair's left and right tensors are the pairs' columns, and
+as_algebra's tensor is tensor.  semidirect_tensor places the pairs and the
+constants, with the target's integer_tensor, as the four algebra.Blocks of
+the semidirect product's integer tensor, and states once, as Blocks.closed,
+which blocks of witnesses hold on every candidate of the kind: per tag of
+the source suite, the all-A block, every block with one candidate label,
+and those with more that KIND_TABLE proves, with each proof on its row
 (_closed_blocks).  ActorAlgebra.semidirect_blocks builds them once per
 candidate, with the constants only where an open block reads them.  The
 pipeline's semidirect suite reads those blocks, never a dense (N, N, N)
@@ -74,10 +77,10 @@ builds a field scalar of the candidate, its action or the product.
 Conditions 1 and 2 are identity rows too, on the witnesses (s, t, col) of
 the same product's B x B x A block (_CONDITIONS), read by the suite's sweep
 and witness reader, algebra._row_failure, with every other block closed.
-They read no product of two candidate labels, so condition 2 of a
-commutative A runs on blocks placed from integer pairs alone
-(_place_blocks), those of the bimultiplier basis that
-_commutative_bimultipliers reads off the multipliers, with no closure.
+They read no product of two candidate labels, so their blocks hold no
+constants.  Condition 2 of a commutative A reads the semidirect blocks of
+an ordinary bim candidate, whose span _commutative_bimultipliers reads off
+the multipliers, with no assembly and no closure.
 
 factor_through_actor expresses an action on the candidate's target in the
 candidate's basis, and is the one place that checks the action's algebra
@@ -98,7 +101,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -128,7 +131,6 @@ from .linalg import (
     basis_vector,
     exact_dtype,
     exact_ints,
-    lazy,
     lowest_terms,
     magnitude,
     on_rung,
@@ -236,24 +238,52 @@ def _pair(kind: str, left: Matrix, right: Matrix | None = None) -> BiMap:
 
 @dataclass(frozen=True)
 class ActorAlgebra:
+    """The candidate of a kind for its target: its span, the RREF basis over
+    the flattened coordinates, and the views of it each built on first read.
+    Equality, hash and repr read the kind, the target and the span only."""
+
     kind: str
     target: Algebra
-    maps: tuple = lazy()  # basis BiMaps, built from pairs on first read
-    # structure constants of the bracket/product in that basis, built from
-    # constants on first read
-    tensor: tuple = lazy()
-    span: Matrix  # the RREF basis over the flattened coordinates
-    # (lam, lam * basis pairs), the integer pairs of _integer_pairs
-    pairs: tuple = field(compare=False, repr=False)
-    # (den, den * tensor) as an integer (dim, dim, dim) array of
-    # linalg.exact_dtype: over GF(p) den is 1 and the dtype the narrowest
-    # unsigned one holding p - 1, over Q int64, or object with the pairs;
-    # built with its closure certificate (_closure) on first read
-    constants: tuple = field(default=lazy(), compare=False, repr=False)
+    span: Matrix
 
     @property
     def dim(self) -> int:
         return self.span.nrows
+
+    @functools.cached_property
+    def pairs(self) -> tuple[int, np.ndarray]:
+        """lam and lam times the basis pairs as an integer (m, k, n, n) array:
+        k is 1 (left components) or 2 (left, right) as in the flattened
+        layout.  The dtype covers the closure check, the largest value
+        computed from it: linalg.outside_span of the products P against
+        lam * basis over lam, each P entry a sum of _CLOSURE_TERMS * n
+        products."""
+        m, n = self.dim, self.target.dim
+        k = 1 if KIND_TABLE[self.kind].right in _FOLLOW else 2
+        lam, ints = self.span.scaled()
+        return lam, on_rung(ints.reshape(m, k, n, n),
+                            lambda big: (m + 1) * _CLOSURE_TERMS * n * big ** 3)
+
+    @functools.cached_property
+    def constants(self) -> tuple[int, np.ndarray]:
+        """(den, den * tensor) as an integer (dim, dim, dim) array of
+        linalg.exact_dtype: over GF(p) den is 1 and the dtype the narrowest
+        unsigned one holding p - 1, over Q int64, or object with the pairs;
+        built under its closure certificate (_closure)."""
+        return _closure(self)
+
+    @functools.cached_property
+    def maps(self) -> tuple:
+        """The basis pairs as BiMaps of Matrices over lam."""
+        f, (lam, ints) = self.target.field, self.pairs
+        ba, ab = _pair_blocks(self.kind, exact_ints(ints), f.p)
+        return tuple(BiMap(Matrix.from_quotient(f, left, lam), Matrix.from_quotient(f, right, lam))
+                     for left, right in zip(ba.transpose(0, 2, 1), ab.transpose(1, 2, 0)))
+
+    @functools.cached_property
+    def tensor(self) -> tuple:
+        """The structure constants of the bracket in the basis."""
+        return scalar_tuples(self.target.field, *self.constants)
 
     @functools.cached_property
     def semidirect_blocks(self) -> tuple[int, Blocks]:
@@ -261,8 +291,7 @@ class ActorAlgebra:
         checks read it, built once: its bb has the shape (m, 0, 0) unless
         an open block of the kind reads it (_reads_bb), so a der or bim
         verdict builds no structure constants.  Shared, so read-only."""
-        lam, blocks = _place_blocks(self.kind, self.target, self.pairs,
-                                    self.constants if _reads_bb(self.kind) else None)
+        lam, blocks = _place_blocks(self, self.constants if _reads_bb(self.kind) else None)
         for arr in blocks[:4]:
             arr.flags.writeable = False
         return lam, blocks
@@ -392,19 +421,6 @@ _CLOSURE_TERMS = max(sum(abs(c) for c, _, _ in word_terms(w)) for k in KIND_TABL
                      for w in (k.bracket, k.right) if isinstance(w, Word))
 
 
-def _integer_pairs(kind: str, basis: Matrix, n: int):
-    """lam and lam times the basis pairs as an integer (m, k, n, n) array: k
-    is 1 (left components) or 2 (left, right) as in the flattened layout.
-    The dtype covers the closure check, the largest value computed from it:
-    linalg.outside_span of the products P against lam * basis over lam, each
-    P entry a sum of _CLOSURE_TERMS * n products."""
-    m = basis.nrows
-    k = 1 if KIND_TABLE[kind].right in _FOLLOW else 2
-    lam, ints = basis.scaled()
-    return lam, on_rung(ints.reshape(m, k, n, n),
-                        lambda big: (m + 1) * _CLOSURE_TERMS * n * big ** 3)
-
-
 def _pair_blocks(kind: str, ints: np.ndarray, p=None) -> tuple[np.ndarray, np.ndarray]:
     """The ba and ab blocks of algebra.Blocks that integer pairs ints, an
     (m, k, n, n) array in the flattened layout, place: ba[b, j, r] = L_b[r][j]
@@ -420,26 +436,24 @@ def _pair_blocks(kind: str, ints: np.ndarray, p=None) -> tuple[np.ndarray, np.nd
 
 
 def _build_actor(kind: str, A: Algebra, constraints: Matrix) -> ActorAlgebra:
-    """The candidate cut out by the constraint matrix: the span of its
-    nullspace and the span's integer pairs, with the structure constants
-    left to _closure until something first reads them."""
-    span = constraints.nullspace()
-    pairs = _integer_pairs(kind, span, A.dim)
-    return _actor(kind, A, span, pairs, functools.partial(_closure, kind, A, span, pairs))
+    """The candidate cut out by the constraint matrix: its nullspace."""
+    return ActorAlgebra(kind, A, constraints.nullspace())
 
 
-def _closure(kind: str, A: Algebra, span: Matrix, pairs) -> tuple:
-    """(lam^2, lam^2 times the structure constants) of the candidate with
-    this span and integer pairs, under its closure certificate: each product
+def _closure(actor: ActorAlgebra) -> tuple:
+    """(lam^2, lam^2 times the structure constants) of the candidate, from
+    its span and integer pairs, under its closure certificate: each product
     of two basis pairs is re-expressed in the basis, and the first, in
-    s-major order, that leaves the span raises ClosureError."""
-    f = A.field
-    spec = KIND_TABLE[kind]
+    s-major order, that leaves the span raises ClosureError.  An empty span
+    gives (1, an empty (0, 0, 0) array)."""
+    f, span = actor.target.field, actor.span
+    spec = KIND_TABLE[actor.kind]
     brackets = [word_terms(w) for w in ((spec.bracket,) if spec.right in _FOLLOW
                                         else (spec.bracket, spec.right))]
     m, width = span.nrows, span.ncols
-    lam, b = pairs
-    blocks = Blocks(np.zeros((m, 0, 0), b.dtype), *_pair_blocks(kind, b))  # no term reads bb
+    lam, b = actor.pairs
+    # no term reads bb
+    blocks = Blocks(np.zeros((m, 0, 0), b.dtype), *_pair_blocks(actor.kind, b))
     # the pairs' rung holds every coordinate, so exact_dtype holds them all
     consts = np.zeros((m, m, m), exact_dtype(f.p, b.dtype))
     for rows in _index_slices(m, m * width, algebra.SWEEP_CELLS):
@@ -452,27 +466,10 @@ def _closure(kind: str, A: Algebra, span: Matrix, pairs) -> tuple:
         escaped = outside_span(prod, lam, b.reshape(m, width), span.pivots, f.p)
         if escaped.any():
             s, t = divmod(int(escaped.argmax()), m)
-            raise ClosureError(f"{kind}: product of basis pairs {rows.start + s} and "
+            raise ClosureError(f"{actor.kind}: product of basis pairs {rows.start + s} and "
                                f"{t} leaves the span")
         consts[rows] = exact_ints(coords, f.p).reshape(-1, m, m)
     return lam * lam, consts
-
-
-def _actor(kind: str, A: Algebra, span: Matrix, pairs, constants) -> ActorAlgebra:
-    """The candidate whose constants are constants(), called once, on first
-    read, and whose maps and tensor are built from its integer pairs and
-    constants on first read."""
-    f = A.field
-    constants = functools.cache(constants)
-
-    def maps():
-        ba, ab = _pair_blocks(kind, exact_ints(pairs[1]), f.p)
-        return tuple(BiMap(Matrix.from_quotient(f, left, pairs[0]),
-                           Matrix.from_quotient(f, right, pairs[0]))
-                     for left, right in zip(ba.transpose(0, 2, 1), ab.transpose(1, 2, 0)))
-
-    return ActorAlgebra(kind, A, maps, lambda: scalar_tuples(f, *constants()), span, pairs,
-                        constants)
 
 
 @functools.cache
@@ -515,11 +512,12 @@ def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, Blocks]:
     """The pair (lam, Blocks) of the semidirect product along the
     candidate's action: actions.semidirect(actor.action_pair())'s
     integer_tensor, values and dtype, cut into its four blocks and placed
-    from integer arrays without reading a scalar of the product.
-    With m = actor.dim, the candidate's basis first:
+    from the candidate's views actor.pairs and actor.constants without
+    reading a scalar of the product.  With m = actor.dim, the candidate's
+    basis first:
 
-        bb[s, t, u]    the structure constants
-        ba[b, j, r]    L_b[r][j], the left components
+        bb[s, t, u]    the structure constants, actor.constants
+        ba[b, j, r]    L_b[r][j], the left components of actor.pairs
         ab[i, b, r]    R_b[r][i], the right ones (+-L under _FOLLOW, mod p
                        over GF(p))
         aa             the target's integer_tensor
@@ -531,20 +529,21 @@ def semidirect_tensor(actor: ActorAlgebra) -> tuple[int, Blocks]:
     product.  The dtype is the rung of algebra.suite_bound at the largest
     scaled entry, as for the product's integer_tensor; each block is cast to
     it before it is scaled, which stays exact on every rung because the
-    bound covers every entry.  Blocks.closed is _closed_blocks(kind)."""
-    return _place_blocks(actor.kind, actor.target, actor.pairs, actor.constants)
+    bound covers every entry.  Blocks.closed is _closed_blocks(actor.kind)."""
+    return _place_blocks(actor, actor.constants)
 
 
-def _place_blocks(kind: str, A: Algebra, pairs, constants=None) -> tuple[int, Blocks]:
-    """semidirect_tensor from the candidate's integer pairs and constants.
-    Without constants, bb has the shape (m, 0, 0), as in _closure."""
+def _place_blocks(actor: ActorAlgebra, constants=None) -> tuple[int, Blocks]:
+    """semidirect_tensor from the candidate's integer pairs and the given
+    constants.  Without constants, bb has the shape (m, 0, 0), as in
+    _closure."""
+    A, m = actor.target, actor.dim
     f, n = A.field, A.dim
-    m = len(pairs[1])
     den, consts = (1, np.zeros((m, 0, 0), np.int64)) if constants is None \
         else lowest_terms(*constants)
-    lam_pairs = pairs[0]
+    lam_pairs, ints = actor.pairs
     lam_a, ints_a = A.integer_tensor
-    ba, ab = _pair_blocks(kind, exact_ints(pairs[1]), f.p)
+    ba, ab = _pair_blocks(actor.kind, exact_ints(ints), f.p)
     blocks = [(consts, den), (ba, lam_pairs), (ab, lam_pairs), (exact_ints(ints_a), lam_a)]
     lam = math.lcm(*(lam_block for _, lam_block in blocks))
     tops = [magnitude(arr) for arr, _ in blocks]
@@ -556,7 +555,7 @@ def _place_blocks(kind: str, A: Algebra, pairs, constants=None) -> tuple[int, Bl
         if top and lam != lam_block:
             arr *= lam // lam_block
         out.append(arr)
-    return lam, Blocks(*out, _closed_blocks(kind))
+    return lam, Blocks(*out, _closed_blocks(actor.kind))
 
 
 def _construct(kind: str, A: Algebra, suite: Report | None = None) -> ActorAlgebra:
@@ -617,11 +616,8 @@ def construct(kind: str, A: Algebra) -> ActorAlgebra:
 def zero_actor(A: Algebra) -> ActorAlgebra:
     """The empty candidate acting trivially; the actor of any zero-product
     algebra in the module category."""
-    f = A.field
-    span = Matrix.from_quotient(f, np.zeros((0, A.dim ** 2), np.int64), 1, pivots=())
-    pairs = _integer_pairs("zero", span, A.dim)
-    return _actor("zero", A, span, pairs,
-                  lambda: (1, np.zeros((0, 0, 0), exact_dtype(f.p, pairs[1].dtype))))
+    empty = Matrix.from_quotient(A.field, np.zeros((0, A.dim ** 2), np.int64), 1, pivots=())
+    return ActorAlgebra("zero", A, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -750,16 +746,15 @@ _CONDITIONS = {
 _BBA_ONLY = frozenset(np.ndindex((2,) * 3)) - {(0, 0, 1)}
 
 
-def _condition_check(which: int, f, scaled: tuple[int, Blocks]) -> Report:
-    """Condition `which` on every pair (s, t) of basis pairs: its row on
-    the B x B x A block of the pair (lam, Blocks) of the candidate's
-    semidirect product, by the suite's sweep.  The witness is the first
-    (s, t, col) at which the two sides differ in column col, and the sides
-    are those columns."""
+def _condition_check(which: int, actor: ActorAlgebra) -> Report:
+    """Condition `which` on every pair (s, t) of the candidate's basis
+    pairs: its row on the B x B x A block of its semidirect_blocks, by the
+    suite's sweep.  The witness is the first (s, t, col) at which the two
+    sides differ in column col, and the sides are those columns."""
     key, row = _CONDITIONS[which]
-    m = len(scaled[1].bb)
+    m = actor.dim
     details = [{key: m}]
-    rep = _row_failure(f, scaled, row, _BBA_ONLY)
+    rep = _row_failure(actor.target.field, actor.semidirect_blocks, row, _BBA_ONLY)
     if rep is None:
         return Report(True, details=details)
     s, t, col = rep.witness
@@ -770,7 +765,7 @@ def _condition_check(which: int, f, scaled: tuple[int, Blocks]) -> Report:
 def condition1_check(A: Algebra, bider: ActorAlgebra | None = None) -> Report:
     """[phi,[a,phi']] = -[phi,[phi',a]] over the biderivation basis."""
     bider = biderivations(A, 1) if bider is None else bider
-    return _condition_check(1, A.field, bider.semidirect_blocks)
+    return _condition_check(1, bider)
 
 
 def _commutative_bimultipliers(mult: ActorAlgebra, flags: Flags) -> Matrix:
@@ -813,22 +808,19 @@ def condition2_check(A: Algebra, bim: ActorAlgebra | None = None,
                      mult: ActorAlgebra | None = None, flags: Flags | None = None) -> Report:
     """(f*a)*f' = f*(a*f') over the bimultiplier basis.  It reads the blocks
     of bim when given.  Given the multipliers of a commutative A and its
-    flags instead, it places the blocks from the pairs of
-    _commutative_bimultipliers alone, with no closure: the row reads no
-    product of two bimultipliers.  Given neither, it builds bimultipliers(A)
+    flags instead, it reads those of the bim candidate whose span
+    _commutative_bimultipliers gives, with no assembly and no closure: the
+    row reads no product of two bimultipliers.  Given neither, it builds bimultipliers(A)
     afresh, the oracle of both routes in the tests.  mult without flags
     raises InputError.  The pipeline reads a passing condition off its
     verdict, by the theorems in the existence module, and calls this only
     when the verdict fails."""
     if mult is not None and flags is None:
         raise InputError("condition2_check: mult needs the flags of sufficient_conditions(A)")
-    if bim is None and mult is not None:
-        span = _commutative_bimultipliers(mult, flags)
-        lam, ints = span.scaled()
-        pairs = (lam, ints.reshape(span.nrows, 2, A.dim, A.dim))
-        return _condition_check(2, A.field, _place_blocks("bim", A, pairs))
-    bim = bimultipliers(A) if bim is None else bim
-    return _condition_check(2, A.field, bim.semidirect_blocks)
+    if bim is None:
+        bim = bimultipliers(A) if mult is None \
+            else ActorAlgebra("bim", A, _commutative_bimultipliers(mult, flags))
+    return _condition_check(2, bim)
 
 
 class Flags(dict):

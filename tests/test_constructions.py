@@ -356,7 +356,7 @@ def test_object_array_closure_equals_per_pair_matmul_oracle():
                            truncated_poly(big, 3, "commutative"))]
     for a in itertools.chain(_big_entry_algebras(), big_prime):
         for actor in _candidates(a):
-            _, ints = constructions._integer_pairs(actor.kind, actor.span, a.dim)
+            _, ints = actor.pairs
             if ints.dtype == object:
                 on_objects.add((str(a.field), actor.kind))
             _assert_closure_matches_oracle(actor)
@@ -646,7 +646,7 @@ def test_scalars_leaving_numpy_are_python_ints_or_fractions():
             v = actor_pipeline(a)
             actor = v.actor
             rungs.add(a.integer_tensor[1].dtype)
-            rungs.add(constructions._integer_pairs(actor.kind, actor.span, a.dim)[1].dtype)
+            rungs.add(actor.pairs[1].dtype)
             _assert_scalars(f, [x for plane in actor.tensor for row in plane for x in row])
             # constraint rows are ints over both fields: lam times their values over Q
             rows = [x for row in constructions._assemble(a, actor.kind).rows for x in row]

@@ -1,9 +1,9 @@
 """Views built on first read, against the per-entry loops they replace.
 
 A Matrix made by rref, nullspace or from_ints holds an exact integer array
-and its denominator; a candidate holds its integer pairs and structure
-constants; the induced action and the semidirect product hold functions of
-those.  The field scalars are built only when something reads them.  The
+and its denominator; a candidate holds its span, and its integer pairs,
+structure constants, maps and tensor are views of the span; the induced
+action and the semidirect product hold functions of those.  The field scalars are built only when something reads them.  The
 oracles below are the per-entry loops that used to build them eagerly,
 kept here to check the lazily built views on fixtures and seeded samples,
 and the pins check that no verdict, `exists` or `not-exists`, builds them
@@ -37,8 +37,9 @@ from test_constructions import dense_tensor, oracle_constraints
 
 
 def is_built(obj, name: str) -> bool:
-    """Whether the lazy field name of obj holds its value yet."""
-    return not callable(vars(obj)[name])
+    """Whether the lazy field or cached property name of obj holds its
+    value yet."""
+    return name in vars(obj) and not callable(vars(obj)[name])
 
 
 def oracle_maps(actor):
@@ -295,6 +296,20 @@ def test_the_zero_associative_algebra_of_dim_16_is_decided_without_constants():
     assert (v.status, v.actor_dim) == ("not-exists", 512)
     assert v.failure == {"label": "(x*y)*z = x*(y*z)", "witness": [0, 512, 272]}
     _assert_blocks_read_constants(v, built=False)
+
+
+@pytest.mark.parametrize("a", [sl2(), zero_algebra(GF(5), 6, "associative")],
+                         ids=["sl2-der", "zero-assoc-gf5-dim6-bim"])
+def test_repr_eq_and_hash_of_a_candidate_read_only_its_span(a):
+    # a candidate is its kind, target and span; its views are not compared,
+    # hashed or printed, so none of them is built
+    v, w = actor_pipeline(a), actor_pipeline(a)
+    assert v.actor.kind in ("der", "bim")
+    assert v.actor == w.actor and hash(v.actor) == hash(w.actor)
+    assert repr(v.actor).startswith(f"ActorAlgebra(kind={v.actor.kind!r}, ")
+    assert repr(v) == repr(w) and v == w
+    for actor in (v.actor, w.actor):
+        assert not any(is_built(actor, name) for name in ("maps", "tensor", "constants"))
 
 
 def test_a_lazy_field_is_built_once_and_kept():
