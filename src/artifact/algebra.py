@@ -18,8 +18,9 @@ FFLAS-FFPACK), int64 while B < 2^63, and Python ints (an object array)
 beyond, so nothing rounds or wraps around.  linalg.integer_array is that
 rule, written once, and linalg.exact_ints is the one way back to exact
 integers.  suite_bound is B, written once too.  The pair (lam, lam * tensor)
-is Algebra.integer_tensor, built once per algebra and read by every user;
-identity_suite takes a semidirect product's Blocks from its caller.
+is Algebra.integer_tensor, given by the reader or built once per algebra,
+and read by every user; identity_suite takes a semidirect product's Blocks
+from its caller.
 
 The kernel reads a tensor as Blocks: the basis cut into two parts, B then
 A, where B * B lands in B and every other product in A, which is the shape
@@ -27,8 +28,10 @@ of a semidirect product B x A; a dense tensor is the case of an empty A.
 constructions.semidirect_tensor places the product's four blocks from the
 integer arrays the candidate already holds, on the rung suite_bound gives
 the whole product, and names in Blocks.closed, per identity tag, the
-blocks of witnesses that hold on it by construction or by proof.  The suite
-never evaluates a closed block, and that is the one rule for what it skips.
+blocks of witnesses that hold on it by construction or by proof, and in
+Blocks.dominated those that need not hold but never hold the suite's first
+failure.  The suite evaluates neither, and that is the one rule for what it
+skips.
 Rows are checked in order.  Within a row, witnesses led by an index in B
 come before those led by one in A, and one sweep (_first_failure) steps
 through the leading indices of each part: every open block of witnesses,
@@ -58,11 +61,19 @@ once the rows have passed, which decides them for every vector.
 An Algebra's tensor may be given as a function that builds it on first read
 (linalg.lazy): a candidate's own algebra and the semidirect product are
 made that way, so a suite that runs on an integer tensor handed in by its
-caller never reads it, whether it passes or not.
+caller never reads it, whether it passes or not.  So is a parsed algebra:
+algebra_from_json reads each literal straight to its integer pair
+(fields.read_literal), takes lam as the lcm of their denominators and the
+integer tensor on suite_bound's rung, and gives that pair as the algebra's
+integer_tensor, with the tensor the view linalg.scalar_tuples builds from
+it, the same lowest-terms scalars, on first read.  A verdict then makes no
+field scalar of its input.  Every other constructor gives the tensor, and
+integer_tensor is built from it on first read.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -72,7 +83,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .fields import Field, InputError, field_from_json, read_nested
+from .fields import Field, InputError, field_from_json, read_literal, read_nested
 from .linalg import (
     Matrix,
     Vector,
@@ -83,6 +94,7 @@ from .linalg import (
     lazy,
     nonzero_mod,
     on_rung,
+    rung,
     scalar_tuples,
     vec_is_zero,
     vec_zero,
@@ -110,18 +122,16 @@ class Algebra:
     basis: tuple[str, ...]
     tensor: tuple = lazy()  # tensor[i][j] is the coefficient vector of e_i * e_j
     category: str
+    # (lam, lam * tensor) on the rung of suite_bound: each identity row is
+    # homogeneous, so it keeps every zero.  Given by algebra_from_json, else
+    # built from tensor on first read.  Shared, so read-only
+    integer_tensor: tuple = dataclasses.field(
+        default=lazy(view=lambda a: _shared(*integer_array(
+            a.field, a.tensor, (a.dim,) * 3, suite_bound(a.dim)))),
+        compare=False, repr=False)
 
     def multiply(self, u: Vector, v: Vector) -> Vector:
         return bilinear(self.field, self.tensor, u, v, self.dim)
-
-    @functools.cached_property
-    def integer_tensor(self) -> tuple[int, np.ndarray]:
-        """(lam, lam * tensor) on the rung of suite_bound: each identity row
-        is homogeneous, so it keeps every zero.  Shared, so read-only."""
-        n = self.dim
-        lam, ints = integer_array(self.field, self.tensor, (n, n, n), suite_bound(n))
-        ints.flags.writeable = False
-        return lam, ints
 
     def to_json(self) -> dict:
         f = self.field
@@ -140,21 +150,37 @@ class Algebra:
         }
 
 
-def make_algebra(field: Field, basis, tensor, category: str) -> Algebra:
-    """Build and validate an Algebra from an explicit structure tensor."""
+def _shared(lam: int, ints: np.ndarray) -> tuple[int, np.ndarray]:
+    """The pair (lam, ints) with ints made read-only, to be shared."""
+    ints.flags.writeable = False
+    return lam, ints
+
+
+def _checked_basis(basis, category: str) -> tuple[str, ...]:
+    """The basis as names, refused unless they are unique and the category
+    is one of CATEGORIES."""
     basis = tuple(str(b) for b in basis)
-    dim = len(basis)
-    if len(set(basis)) != dim:
+    if len(set(basis)) != len(basis):
         raise InputError("basis names must be unique")
     if category not in CATEGORIES:
         raise InputError(f"unknown category {category!r}, expected one of {CATEGORIES}")
+    return basis
+
+
+_NONZERO_MODULE = "category 'module' requires the zero tensor"
+
+
+def make_algebra(field: Field, basis, tensor, category: str) -> Algebra:
+    """Build and validate an Algebra from an explicit structure tensor."""
+    basis = _checked_basis(basis, category)
+    dim = len(basis)
     t = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
     if len(t) != dim or any(len(p) != dim for p in t) or any(len(r) != dim for p in t for r in p):
         raise InputError("structure tensor must have shape dim x dim x dim")
     if category == "module":
         z = field.zero
         if any(x != z for p in t for r in p for x in r):
-            raise InputError("category 'module' requires the zero tensor")
+            raise InputError(_NONZERO_MODULE)
     return Algebra(field, dim, basis, t, category)
 
 
@@ -173,6 +199,12 @@ def make_algebra_from_products(field: Field, basis, products: dict, category: st
 
 
 def algebra_from_json(obj) -> Algebra:
+    """The algebra a JSON document describes, refused as
+    make_algebra_from_products and make_algebra refuse it.  Each product
+    literal is read straight to its integer pair (fields.read_literal), and
+    one lcm of the denominators gives lam, so the document's lam and
+    integer tensor, on suite_bound's rung, are the algebra's integer_tensor
+    as given, and its scalar tensor is a view of them, built on first read."""
     if not isinstance(obj, dict):
         raise InputError("algebra JSON must be an object")
     required = {"field", "dim", "basis", "category"}
@@ -187,6 +219,7 @@ def algebra_from_json(obj) -> Algebra:
     entries = obj.get("products", [])
     if not isinstance(entries, list):
         raise InputError("products must be a list of entries")
+    read = functools.partial(read_literal, field)
     products = {}
     for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "v"}:
@@ -196,9 +229,23 @@ def algebra_from_json(obj) -> Algebra:
             raise InputError(f"product indices must be integers, got ({i!r},{j!r})")
         if (i, j) in products:
             raise InputError(f"duplicate product entry ({i},{j})")
-        products[(i, j)] = read_nested(entry["v"], (dim,), field.parse,
-                                       f"product vector ({i},{j})")
-    return make_algebra_from_products(field, basis, products, obj["category"])
+        products[(i, j)] = read_nested(entry["v"], (dim,), read, f"product vector ({i},{j})")
+    for i, j in products:
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise InputError(f"product index ({i},{j}) out of range")
+    category = obj["category"]
+    basis = _checked_basis(basis, category)
+    if category == "module" and any(num for v in products.values() for num, _ in v):
+        raise InputError(_NONZERO_MODULE)
+    lam = math.lcm(*(den for v in products.values() for _, den in v))
+    flat = [num * (lam // den) for v in products.values() for num, den in v]
+    # on_rung's rule, read off the ints before the array is made in its dtype
+    dtype = rung(suite_bound(dim)(max(map(abs, flat), default=0)))
+    ints = np.zeros((dim * dim, dim), dtype)
+    ints[[i * dim + j for i, j in products]] = np.array(flat, dtype).reshape(len(products), dim)
+    ints = ints.reshape((dim,) * 3)
+    return Algebra(field, dim, basis, lambda: scalar_tuples(field, lam, exact_ints(ints)),
+                   category, _shared(lam, ints))
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +287,18 @@ class Blocks(NamedTuple):
     closed maps an identity tag to the blocks of witnesses that hold on
     this tensor by construction or by proof, each named by the parts of its
     labels, such as (0, 1, 0) for the witnesses in B x A x B: the suite
-    never evaluates them.  A dense tensor closes none;
-    constructions.semidirect_tensor states the closed blocks of a
-    semidirect product, with the proofs on KIND_TABLE's rows."""
+    never evaluates them.  dominated maps a tag to open blocks that need
+    not hold but never hold the suite's first failure, as an earlier open
+    block fails first wherever they fail: the suite skips them too.  A
+    dense tensor names none; constructions.semidirect_tensor states both
+    for a semidirect product, with the proofs on KIND_TABLE's rows."""
 
     bb: np.ndarray
     ba: Optional[np.ndarray] = None
     ab: Optional[np.ndarray] = None
     aa: Optional[np.ndarray] = None
     closed: Mapping[str, frozenset] = MappingProxyType({})
+    dominated: Mapping[str, frozenset] = MappingProxyType({})
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -463,8 +513,9 @@ def _check_identity(a: Algebra, tag: str, scaled: tuple) -> Report:
     if a.dim == 0:
         return Report(True, details=[{"name": tag, "status": "pass", "note": "empty algebra"}])
     rows = IDENTITIES[tag]
+    skip = t.closed.get(tag, frozenset()) | t.dominated.get(tag, frozenset())
     for row in rows:
-        rep = _row_failure(f, (lam, t), row, t.closed.get(tag, frozenset()))
+        rep = _row_failure(f, (lam, t), row, skip)
         if rep is not None:
             return rep
 

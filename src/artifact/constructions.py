@@ -34,8 +34,8 @@ that escapes the span raises ClosureError instead of silently producing
 garbage structure constants.  Their readers are the candidate's tensor, so
 construct's and xmod-check's documents, as_algebra and
 bider_variants_agree, then semidirect_tensor, and the semidirect blocks of
-a verdict whose suite reads the B x B block (_reads_bb), a bider or mult
-one.  A der or bim verdict reads no product of two candidate labels, so it
+a verdict whose suite reads the B x B block (_reads_bb), a bider one.  A
+der, bim or mult verdict reads no product of two candidate labels, so it
 builds no constants and runs no certificate: those candidates are closed by
 theorem (KIND_TABLE).
 Products are taken in integers: the basis is multiplied by lam, the lcm of
@@ -68,12 +68,15 @@ the semidirect product's integer tensor, and states once, as Blocks.closed,
 which blocks of witnesses hold on every candidate of the kind: per tag of
 the source suite, the all-A block, every block with one candidate label,
 and those with more that KIND_TABLE proves, with each proof on its row
-(_closed_blocks).  ActorAlgebra.semidirect_blocks builds them once per
+(_closed_blocks).  As Blocks.dominated it names the open blocks that never
+hold the suite's first failure, with that proof on the row too
+(_dominated_blocks).  ActorAlgebra.semidirect_blocks builds them once per
 candidate, with the constants only where an open block reads them.  The
 pipeline's semidirect suite reads those blocks, never a dense (N, N, N)
-array, evaluates none of the closed ones, so a Lie verdict evaluates no
-block at all, and reads its witness sides off the same blocks: no verdict
-builds a field scalar of the candidate, its action or the product.
+array, evaluates none of the closed or dominated ones, so a Lie verdict
+evaluates no block at all, and reads its witness sides off the same
+blocks: no verdict builds a field scalar of the candidate, its action or
+the product.
 Conditions 1 and 2 are identity rows too, on the witnesses (s, t, col) of
 the same product's B x B x A block (_CONDITIONS), read by the suite's sweep
 and witness reader, algebra._row_failure, with every other block closed.
@@ -163,15 +166,21 @@ class Kind(NamedTuple):
     # candidate, each named by the parts of its labels ("BAB" is B x A x B),
     # with the proof in a comment on its row: _closed_blocks closes them
     closed: Mapping[str, tuple] = MappingProxyType({})
+    # per tag, the open blocks that are dominated: wherever one fails, an
+    # earlier open block of the source suite's sweep has already failed at
+    # an earlier witness, so the suite's Report never names them.  The
+    # proof is on the row; _dominated_blocks lets the sweep skip them, but
+    # they need not hold
+    dominated: Mapping[str, tuple] = MappingProxyType({})
 
 
 # Every proof below rests on the candidate being closed under its bracket:
 # the product of two basis pairs is the pair the bracket gives, and its
 # coordinates in the independent basis are unique, so the structure
 # constants are those of a subalgebra of the ambient algebra the bracket is
-# taken in.  For der and bim closure is a theorem, proved on their rows, so
-# their verdicts, which read no product of two candidates, build no
-# constants (_reads_bb); for every kind the certificate checks closure
+# taken in.  For der, bim and mult closure is a theorem, proved on their
+# rows, so their verdicts, which read no product of two candidates, build
+# no constants (_reads_bb); for every kind the certificate checks closure
 # whenever the constants are built (_closure).  In the semidirect product
 # b*a = L_b(a) and a*b = R_b(a) for b in B, a in A.  The monomials of a
 # word read as products of pairs in words.word_terms.
@@ -194,18 +203,30 @@ KIND_TABLE = {
     "bim": Kind("associative", "associative", "bimultipliers", words.ASSOCIATIVE_W1,
                 words.ASSOCIATIVE_W2, "_bimultiplier_rows",
                 {"associativity": ("BBB", "BBA", "ABB")}),
-    # no block of the Leibniz identity with two biderivation labels is
-    # proved for either bracket: the suite runs them
+    # The Leibniz row x(yz) = (xy)z - (xz)y, read off the words of the
+    # bracket [f, f'] (y = f, z = f', x = a).  LEIBNIZ_W2 gives R_[f,f'] =
+    # R_f'R_f - R_fR_f', which is ABB, a(ff') = (af)f' - (af')f, in both
+    # variants.  LEIBNIZ_W1 gives bider1 L_[f,f'] = L_fL_f' + R_f'L_f, so
+    # BBA, f(f'a) = (ff')a - (fa)f', holds; LEIBNIZ_W1_VARIANT gives bider2
+    # L_[f,f'] = R_f'L_f - L_fR_f', so BAB, f(af') = (fa)f' - (ff')a,
+    # holds.  The other mixed block, bider1's BAB at (s, a, t) and bider2's
+    # BBA at (s, t, a), reads L_s(R_t + L_t)a = 0, condition 1's row
+    # (_CONDITIONS), and runs, as does BBB
     "bider1": Kind("leibniz", "leibniz", "biderivations", words.LEIBNIZ_W1, words.LEIBNIZ_W2,
-                   "_biderivation_rows"),
+                   "_biderivation_rows", {"leibniz": ("BBA", "ABB")}),
     "bider2": Kind("leibniz", "leibniz", "biderivations", words.LEIBNIZ_W1_VARIANT,
-                   words.LEIBNIZ_W2, "_biderivation_rows"),
-    # (L, L)(L', L') = (LL', LL') is composition in End(A), associative:
-    # BBB, and BBA as for bim.  BAB and ABB of associativity both read
-    # f'(f(a)) = f(f'(a)), and so does commutativity's BB: the multipliers
-    # need not commute, so those run
+                   words.LEIBNIZ_W2, "_biderivation_rows", {"leibniz": ("BAB", "ABB")}),
+    # (L, L)(L', L') = (LL', LL') is composition in End(A), and a composite
+    # of multipliers is one, LL'(xy) = L(L'(x)y) = LL'(x)y, so closure is a
+    # theorem.  Composition is associative: BBB, and BBA as for bim.  BAB
+    # at (f, a, f'), ABB at (a, f, f') and commutativity's BB at (f, f')
+    # each read L_f'L_f = L_fL_f' on A, and the multipliers need not
+    # commute, so BAB runs.  ABB and BB are dominated by it: associativity
+    # is the suite's first tag and BAB's witnesses are led by a B index, so
+    # wherever ABB or BB fails, BAB has failed at an earlier witness
     "mult": Kind("associative", "commutative", "multipliers", words.ASSOCIATIVE_W1, "same",
-                 "_multiplier_rows", {"associativity": ("BBB", "BBA")}),
+                 "_multiplier_rows", {"associativity": ("BBB", "BBA")},
+                 {"associativity": ("ABB",), "commutativity": ("BB",)}),
     "zero": Kind("module", "module", "the zero actor", Word("W1", ()), "same"),
 }
 
@@ -486,25 +507,39 @@ def _closed_blocks(kind: str) -> Mapping[str, frozenset]:
     spec = KIND_TABLE[kind]
     out = {}
     for tag in SUITES[spec.source] if spec.rows else ():
-        proved = {tuple("BA".index(x) for x in word) for word in spec.closed.get(tag, ())}
+        proved = _parts(spec.closed.get(tag, ()))
         # a block for each part of each label of the tag's rows
         out[tag] = frozenset(b for b in np.ndindex((2,) * len(IDENTITIES[tag][0][1][0][2]))
                              if b.count(0) <= 1 or b in proved)
     return MappingProxyType(out)
 
 
+def _parts(words) -> frozenset:
+    """Blocks named as in KIND_TABLE ("BAB") as the parts of their labels."""
+    return frozenset(tuple("BA".index(x) for x in word) for word in words)
+
+
+@functools.cache
+def _dominated_blocks(kind: str) -> Mapping[str, frozenset]:
+    """KIND_TABLE's dominated column as the parts of each block's labels,
+    per tag: open blocks the sweep skips, as they never hold its first
+    failure."""
+    return MappingProxyType({tag: _parts(words)
+                             for tag, words in KIND_TABLE[kind].dominated.items()})
+
+
 @functools.cache
 def _reads_bb(kind: str) -> bool:
     """Whether the source suite on the semidirect product along a candidate
     of this kind reads its structure constants: some term of a block that
-    _closed_blocks leaves open has a factor at Blocks field 0, bb
-    (algebra._term_plan).  No term of the _CONDITIONS rows on B x B x A
-    has one."""
-    closed = _closed_blocks(kind)
+    _closed_blocks leaves open and that is not dominated has a factor at
+    Blocks field 0, bb (algebra._term_plan).  No term of the _CONDITIONS
+    rows on B x B x A has one."""
+    closed, dominated = _closed_blocks(kind), _dominated_blocks(kind)
     return any(0 in algebra._term_plan(shape, perm, parts, (0,))[0:3:2]
                for tag in SUITES[KIND_TABLE[kind].source] for _, lhs, rhs in IDENTITIES[tag]
                for parts in np.ndindex((2,) * len(lhs[0][2]))
-               if parts not in closed.get(tag, ())
+               if parts not in closed.get(tag, frozenset()) | dominated.get(tag, frozenset())
                for _, shape, perm in lhs + rhs)
 
 
@@ -555,7 +590,7 @@ def _place_blocks(actor: ActorAlgebra, constants=None) -> tuple[int, Blocks]:
         if top and lam != lam_block:
             arr *= lam // lam_block
         out.append(arr)
-    return lam, Blocks(*out, _closed_blocks(actor.kind))
+    return lam, Blocks(*out, _closed_blocks(actor.kind), _dominated_blocks(actor.kind))
 
 
 def _construct(kind: str, A: Algebra, suite: Report | None = None) -> ActorAlgebra:
@@ -746,6 +781,11 @@ _CONDITIONS = {
 _BBA_ONLY = frozenset(np.ndindex((2,) * 3)) - {(0, 0, 1)}
 
 
+def condition_holds(which: int, dim: int) -> Report:
+    """The passing Report of condition `which` on a candidate of this dim."""
+    return Report(True, details=[{_CONDITIONS[which][0]: dim}])
+
+
 def _condition_check(which: int, actor: ActorAlgebra) -> Report:
     """Condition `which` on every pair (s, t) of the candidate's basis
     pairs: its row on the B x B x A block of its semidirect_blocks, by the
@@ -753,13 +793,12 @@ def _condition_check(which: int, actor: ActorAlgebra) -> Report:
     sides differ in column col, and the sides are those columns."""
     key, row = _CONDITIONS[which]
     m = actor.dim
-    details = [{key: m}]
     rep = _row_failure(actor.target.field, actor.semidirect_blocks, row, _BBA_ONLY)
     if rep is None:
-        return Report(True, details=details)
+        return condition_holds(which, m)
     s, t, col = rep.witness
     return Report(False, label=rep.label, witness=(s, t, col - m), lhs=lambda: rep.lhs[m:],
-                  rhs=lambda: rep.rhs[m:], details=details)
+                  rhs=lambda: rep.rhs[m:], details=[{key: m}])
 
 
 def condition1_check(A: Algebra, bider: ActorAlgebra | None = None) -> Report:

@@ -19,14 +19,19 @@ passed on entry), those with one index in the candidate (the constraint
 rows the candidate solves), and those with more that KIND_TABLE's rows
 prove.  For a Lie algebra that is every block, so its verdict is exists
 with no evaluation.  For an associative one only B x A x B runs, the
-products condition 2 compares; a commutative one runs that block and
-A x B x B of associativity and B x B of commutativity, each asking whether
-the multipliers commute; a Leibniz one runs every block with two or three
-candidate indices.  Only the commutative and Leibniz suites read a product
-of two candidate indices, so only their verdicts build the candidate's
-structure constants, with its closure certificate; a Lie or associative
-verdict builds neither, as its candidate is closed by theorem (KIND_TABLE's
-der and bim rows), and its bb block is placed with no columns.  The open
+products condition 2 compares.  A commutative one runs that block alone
+too: A x B x B of associativity and B x B of commutativity ask, as it
+does, whether the multipliers commute, and wherever they fail it has
+failed at an earlier witness, as its witnesses are led by a candidate
+index and associativity is the suite's first tag, so they are dominated
+and skipped (KIND_TABLE's mult row).  A Leibniz one runs B x B x B and one
+mixed block, B x A x B under bracket variant 1 and B x B x A under variant
+2; the other mixed blocks hold under the closure certificate (KIND_TABLE's
+bider rows).  Only the Leibniz suite reads a product of two candidate
+indices, so only its verdicts build the candidate's structure constants,
+with its closure certificate; a Lie, associative or commutative verdict
+builds neither, as its candidate is closed by theorem (KIND_TABLE's der,
+bim and mult rows), and its bb block is placed with no columns.  The open
 blocks are swept together, a few leading indices at a time, so a failure
 near the start stops them all.  A failing suite reads its witness sides off
 the same blocks, and only when they are read.  The candidate's maps and
@@ -39,9 +44,20 @@ product, as the independent oracle.
 Condition 1 (Leibniz) and condition 2 (associative and commutative) are
 rows on the B x B x A block of their candidate's product, read by the same
 sweep off blocks built once per candidate (ActorAlgebra.semidirect_blocks).
-A passing verdict decides condition 2 by a theorem instead, and its report
-is the passing one with bim_dim, the dimension of A's bimultipliers:
+A passing verdict decides its condition by a theorem instead, and its
+report is the passing one with the dimension the condition's row names
+(constructions._CONDITIONS): bider_dim, the dimension of A's
+biderivations, or bim_dim, that of its bimultipliers.
 
+- Leibniz: the candidate is the biderivations, so bider_dim is its dim.
+  Condition 1's row at B x B x A cell (s, t, a), [s,[a,t]] = -[s,[t,a]],
+  reads L_s(R_t + L_t)a = 0.  With R_[s,t] and L_[s,t] read off the
+  bracket's words (KIND_TABLE's bider rows), the Leibniz row at B x A x B
+  cell (s, a, t) under variant 1, s(at) = (sa)t - (st)a, reads L_sR_t a =
+  R_tL_s a - (L_sL_t + R_tL_s)a, and at B x B x A cell (s, t, a) under
+  variant 2, s(ta) = (st)a - (sa)t, reads L_sL_t a = (R_tL_s - L_sR_t)a -
+  R_tL_s a: each is L_s(R_t + L_t)a = 0, a block the verdict evaluates, so
+  condition 1 holds when the verdict does.
 - Associative: the candidate is the bimultipliers, so bim_dim is its dim.
   Condition 2's row at B x B x A cell (f, f', a), f*(a*f') = (f*a)*f', is
   the associativity row at B x A x B cell (f, a, f'), a block the verdict
@@ -60,17 +76,17 @@ is the passing one with bim_dim, the dimension of A's bimultipliers:
   sufficient_conditions computes A^2 and Ann(A) once per decision, and its
   flags carry both.
 
-A failing verdict runs constructions.condition2_check for its witness and
-sides.  An associative one sweeps the blocks of its own candidate.  A
-commutative one builds no second candidate: by the above, a bimultiplier
-is (L, R) = (R, R) + (L - R, 0), R a multiplier and L - R a linear map
-A/A^2 -> Ann(A), and every such pair is one; (g, g) = (h, 0) forces g = 0.
-So Bim(A) is the direct sum of {(g, g) : g in Mult(A)} and {(h, 0) : h in
-Hom(A/A^2, Ann(A))}, spanned by the verdict's multipliers and the maps
-u phi^T, u in Ann(A) and phi vanishing on A^2.  The RREF of those rows is
-the canonical basis bimultipliers(A) builds, as an RREF is unique, and
-condition 2 reads only the pairs, never a product of two of them, so its
-blocks need no structure constants.
+A failing verdict runs constructions.condition1_check or condition2_check
+for its witness and sides.  A Leibniz or associative one sweeps the blocks
+of its own candidate.  A commutative one builds no second candidate: by
+the above, a bimultiplier is (L, R) = (R, R) + (L - R, 0), R a multiplier
+and L - R a linear map A/A^2 -> Ann(A), and every such pair is one; (g, g)
+= (h, 0) forces g = 0.  So Bim(A) is the direct sum of {(g, g) : g in
+Mult(A)} and {(h, 0) : h in Hom(A/A^2, Ann(A))}, spanned by the verdict's
+multipliers and the maps u phi^T, u in Ann(A) and phi vanishing on A^2.
+The RREF of those rows is the canonical basis bimultipliers(A) builds, as
+an RREF is unique, and condition 2 reads only the pairs, never a product
+of two of them, so its blocks need no structure constants.
 """
 
 from __future__ import annotations
@@ -87,6 +103,7 @@ from .constructions import (
     commutative_bim_dim,
     condition1_check,
     condition2_check,
+    condition_holds,
     derivations,
     factor_through_actor,  # re-exported
     multipliers,
@@ -132,21 +149,23 @@ class Verdict:
         return out
 
 
-# category -> (its candidate, its existence condition or None, and that
-# condition's bim_dim on a passing verdict, by the theorems in the module
-# docstring, or None where none is proved).  A candidate is built from A's
-# own suite, which passed: each category's candidate is cut out by that
-# suite.  Each entry calls through this module's names when the pipeline
-# runs, so a rebound constructor or check is the one called.
+# category -> (its candidate, the number of its existence condition or
+# None, the check that runs that condition on a failing verdict, and the
+# dimension its report gives on a passing one, by the theorems in the module
+# docstring).  A candidate is built from A's own suite, which passed: each
+# category's candidate is cut out by that suite.  Each entry calls through
+# this module's names when the pipeline runs, so a rebound constructor or
+# check is the one called.
 _CATEGORY_TABLE = {
-    "module": (lambda A, variant, own: zero_actor(A), None, None),
-    "lie": (lambda A, variant, own: derivations(A, own), None, None),
-    "associative": (lambda A, variant, own: bimultipliers(A, own),
+    "module": (lambda A, variant, own: zero_actor(A), None, None, None),
+    "lie": (lambda A, variant, own: derivations(A, own), None, None, None),
+    "associative": (lambda A, variant, own: bimultipliers(A, own), 2,
                     lambda A, actor, flags: condition2_check(A, bim=actor),
                     lambda A, actor, flags: actor.dim),
-    "leibniz": (lambda A, variant, own: biderivations(A, variant, own),
-                lambda A, actor, flags: condition1_check(A, bider=actor), None),
-    "commutative": (lambda A, variant, own: multipliers(A, own),
+    "leibniz": (lambda A, variant, own: biderivations(A, variant, own), 1,
+                lambda A, actor, flags: condition1_check(A, bider=actor),
+                lambda A, actor, flags: actor.dim),
+    "commutative": (lambda A, variant, own: multipliers(A, own), 2,
                     lambda A, actor, flags: condition2_check(A, mult=actor, flags=flags),
                     lambda A, actor, flags: commutative_bim_dim(actor, flags)),
 }
@@ -177,7 +196,7 @@ def actor_pipeline(A: Algebra, variant: int = 1, own: Optional[Report] = None) -
     if A.category == "raw":
         raise InputError("category 'raw' carries no actor candidate")
 
-    build, check, bim_dim = _CATEGORY_TABLE[A.category]
+    build, which, check, dim = _CATEGORY_TABLE[A.category]
     actor = build(A, variant, own)
     act = actor.action_pair()
     prod = semidirect(act)
@@ -189,10 +208,9 @@ def actor_pipeline(A: Algebra, variant: int = 1, own: Optional[Report] = None) -
     # the commutativity row closed
     notes = (["induced action is symmetric: b*a = a*b on all basis pairs"]
              if A.category == "commutative" else [])
-    # a passing verdict decides condition 2 by the module docstring's theorems
-    condition = None if check is None else (
-        Report(True, details=[{"bim_dim": bim_dim(A, actor, flags)}])
-        if beta.passed and bim_dim else check(A, actor, flags))
+    # a passing verdict decides its condition by the module docstring's theorems
+    condition = None if which is None else (
+        condition_holds(which, dim(A, actor, flags)) if beta.passed else check(A, actor, flags))
 
     failure = None
     if not beta.passed:

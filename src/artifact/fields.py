@@ -7,10 +7,20 @@ value can never leak into a rational computation.
 
 Input from outside the program is refused with InputError, and every nested
 JSON list is read by read_nested, which accepts exactly the expected shape.
+A scalar literal has one rule, read_literal, which reads it straight to the
+integer pair (num, den) of its value: over GF(p) an int, not a bool, as its
+residue over 1; over Q an int or a Fraction, or a string "num" or
+"num/den" of decimal digits with an optional sign and surrounding
+whitespace, in lowest terms.  A string literal has no exponent or point,
+so its value is no larger than its text, and one whose digits pass int's
+digit limit, or whose den is 0, is refused.  Each field's parse is that
+pair as a scalar, and algebra.algebra_from_json reads a document's products
+by the pairs alone, so a parsed algebra makes no field scalar.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Union
@@ -111,18 +121,7 @@ class Rationals:
         return Fraction(n)
 
     def parse(self, token) -> Fraction:
-        """Accept ints, Fractions, and 'num' or 'num/den' strings of decimal
-        digits: no exponent or point, so a literal is no larger than its text."""
-        if isinstance(token, (int, Fraction)) and not isinstance(token, bool):
-            return Fraction(token)
-        if not isinstance(token, str):
-            raise FieldError(f"not a rational scalar: {token!r}")
-        try:
-            if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", token.strip()):
-                return Fraction(token)
-        except (ValueError, ZeroDivisionError):  # x/0, or past int's digit limit
-            pass
-        raise FieldError(f"bad rational literal {token!r}")
+        return Fraction(*read_literal(self, token))
 
     def to_json(self, a: Fraction):
         if a.denominator == 1:
@@ -178,9 +177,7 @@ class PrimeField:
         return n % self.p
 
     def parse(self, token) -> int:
-        if isinstance(token, bool) or not isinstance(token, int):
-            raise FieldError(f"GF({self.p}) scalars are integers, got {token!r}")
-        return token % self.p
+        return read_literal(self, token)[0]
 
     def to_json(self, a: int) -> int:
         return a % self.p
@@ -190,6 +187,35 @@ class PrimeField:
 
 
 QQ = Rationals()
+
+# a rational literal, once stripped: signed numerator, optional denominator
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def read_literal(field: Field, token) -> tuple[int, int]:
+    """The scalar literal token as the integer pair (num, den) of its value
+    in field, den > 0 and in lowest terms, by the module's one literal rule;
+    anything else raises FieldError."""
+    if field.p is not None:
+        if isinstance(token, bool) or not isinstance(token, int):
+            raise FieldError(f"GF({field.p}) scalars are integers, got {token!r}")
+        return token % field.p, 1
+    if type(token) is int:  # before the slower check for a Fraction
+        return token, 1
+    if not isinstance(token, str):
+        if isinstance(token, (int, Fraction)) and not isinstance(token, bool):
+            return token.numerator, token.denominator
+        raise FieldError(f"not a rational scalar: {token!r}")
+    m = _RATIONAL.fullmatch(token.strip())
+    try:
+        num, den = (int(m[1]), int(m[2] or 1)) if m else (0, 0)
+    except ValueError:  # past int's digit limit, which counts no sign
+        num = den = 0
+    if not den:  # no match, past the digit limit, or x/0
+        raise FieldError(f"bad rational literal {token!r}")
+    g = math.gcd(num, den)
+    return num // g, den // g
+
 
 Field = Union[Rationals, PrimeField]
 

@@ -169,10 +169,12 @@ class lazy:
     a view of data its instance holds in another form: the first read calls
     the function and keeps what it returns, so a view nobody reads is never
     built.  Any other value is kept as it is.  lazy(default) gives the field
-    a default."""
+    a default, and lazy(view=f) the view f(instance), built on first read
+    the same way when the field is not given."""
 
-    def __init__(self, default=_NO_DEFAULT):
-        self.default = default
+    def __init__(self, default=_NO_DEFAULT, view=None):
+        self.default = default if view is None else self
+        self.view = view
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -182,13 +184,18 @@ class lazy:
             if self.default is _NO_DEFAULT:
                 raise AttributeError(self.name)
             return self.default
-        value = obj.__dict__[self.name]
+        try:
+            value = obj.__dict__[self.name]
+        except KeyError:  # not given: lazy(view=f)
+            value = obj.__dict__[self.name] = self.view(obj)
+            return value
         if callable(value):
             value = obj.__dict__[self.name] = value()
         return value
 
     def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
+        if value is not self:  # not given: lazy(view=f) builds it on first read
+            obj.__dict__[self.name] = value
 
 
 def _scalar_rows(field: Field, den: int, rows: list, memo: Optional[dict] = None) -> tuple:

@@ -25,16 +25,16 @@ PINNED_COUNTS = {"sl2": (3, 297, 9, 47952, 6), "a5_leibniz": (3, 208, 9, 20512, 
                  "truncated_poly2": (3, 48, 4, 7680, 4)}
 
 # spans of the four fixture pipelines together, by name; every verdict
-# passes, so only the Leibniz one runs a condition check, and the
-# associative and commutative ones read condition 2 off the verdict.  Each
-# pipeline runs its input's own suite once, and its constructor takes that
-# report
+# passes, so none runs a condition check: the Leibniz one reads condition 1
+# off the verdict, and the associative and commutative ones condition 2.
+# Each pipeline runs its input's own suite once, and its constructor takes
+# that report
 FIXTURE_SPANS = {"existence.actor_pipeline": 4, "algebra.own_suite": 4,
                  "algebra.sufficient_conditions": 4, "constructions.build": 4,
                  "constructions.assembly": 4, "constructions.closure": 4,
                  "linalg.nullspace": 8, "linalg.rref": 12,
                  "constructions.induced_action": 4, "actions.semidirect": 4,
-                 "algebra.semidirect_suite": 4, "constructions.condition": 1}
+                 "algebra.semidirect_suite": 4}
 
 # GF(5) dim 3, seeds 0-5 (every strategy: Lie seed 5 is a rejection draw):
 # (linalg.rref_calls, algebra.suite_bytes_computed), gated on atlas-gf5.

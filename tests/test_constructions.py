@@ -860,7 +860,7 @@ def test_closed_tags_hold_on_every_candidate():
     algebras = [sl2(), heisenberg(), m2_rationals(), dual_numbers(),
                 truncated_poly(QQ, 3, "commutative"), diagonal_algebra(QQ, 2, "commutative")]
     for f in (GF(2), GF(3), GF(5), QQ, GF(2 ** 61 - 1)):
-        for cat in ("lie", "associative", "commutative"):
+        for cat in ("lie", "leibniz", "associative", "commutative"):
             algebras += [zero_algebra(f, n, cat) for n in (1, 2, 3)]
             if f.p is None or f.p <= 5:
                 algebras += [sample_algebra(random.Random(seed), f, n, cat)
@@ -881,6 +881,43 @@ def test_closed_tags_hold_on_every_candidate():
 def test_closed_blocks_hold_on_drawn_candidates(a):
     for actor in _block_actors(a):
         _assert_closed_blocks_hold(actor)
+
+
+def _dense_flags(prod, tag):
+    """The flags of the tag's one row at every witness of the product, by
+    the dense route: the row summed on its integer_tensor as one block."""
+    (_, lhs, rhs), = IDENTITIES[tag]
+    t = algebra.Blocks(prod.integer_tensor[1])
+    return algebra._np_failing(t, prod.field.p, algebra._difference(lhs, rhs),
+                               (0,) * len(lhs[0][2]), slice(None))
+
+
+def test_the_dominated_mult_blocks_fail_only_where_bab_fails_first():
+    # by the dense route, associativity's ABB fails at (a, f, f') exactly
+    # where its BAB fails at (f, a, f'), and commutativity's BB at (f, f')
+    # exactly where BAB fails at some (f, a, f'): a witness led by a B
+    # index, so earlier in the sweep, and in the suite's first tag
+    from test_census import _algebras
+    from test_reference import CASES
+    algebras = [a for p, n in itertools.product((2, 3), (1, 2))
+                for a in _algebras(p, n, "commutative")]
+    algebras += [a for a, _ in CASES if a.category == "commutative" and a.dim]
+    algebras += [sample_algebra(random.Random(seed), f, n, "commutative")
+                 for f in (GF(2), GF(5), QQ) for n in (2, 3, 4) for seed in range(4)]
+    failed = 0
+    for a in algebras:
+        actor = multipliers(a)
+        m = actor.dim
+        prod = semidirect(actor.action_pair())
+        assoc, comm = _dense_flags(prod, "associativity"), _dense_flags(prod, "commutativity")
+        bab = assoc[:m, m:, :m]
+        assert np.array_equal(assoc[m:, :m, :m], bab.transpose(1, 0, 2)), a
+        assert np.array_equal(comm[:m, :m], bab.any(axis=1)), a
+        got = identity_suite(prod, "commutative", c=actor.semidirect_blocks)
+        assert got == identity_suite(prod, "commutative")
+        assert got.passed or got.witness[0] < m <= got.witness[1]
+        failed += not got.passed
+    assert len(algebras) > 150 and failed >= 10
 
 
 def _np_failing_calls(run):

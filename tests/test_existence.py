@@ -17,10 +17,12 @@ from artifact.actions import action_from_json, check_derived_action, make_action
 from artifact.algebra import (InputError, annihilator, derived_subspace, identity_suite,
                               make_algebra, make_algebra_from_products)
 from artifact.constructions import (ConstructionError, actor_from_json, biderivations,
-                                    bimultipliers, canonical_d, condition2_check, derivations,
-                                    factor_through_actor, multipliers, sufficient_conditions)
-from artifact.corpus import (a5_leibniz, abelian, diagonal_algebra, dual_numbers, m2_rationals,
-                             sample_algebra, sl2, truncated_poly, zero_algebra)
+                                    bimultipliers, canonical_d, condition1_check,
+                                    condition2_check, derivations, factor_through_actor,
+                                    multipliers, sufficient_conditions)
+from artifact.corpus import (_conjugate, _rand_invertible, a5_leibniz, abelian,
+                             diagonal_algebra, dual_numbers, m2_rationals, sample_algebra, sl2,
+                             truncated_poly, zero_algebra)
 from artifact.existence import actor_pipeline, bider_variants_agree
 from artifact.fields import GF, QQ
 from artifact.linalg import Matrix, magnitude
@@ -212,6 +214,32 @@ def test_condition2_of_the_pipeline_is_the_report_of_condition2_check():
     assert min(verdicts.values()) >= 40 and len(verdicts) == 4, verdicts
 
 
+def _condition1_cases():
+    yield from (a for a, _ in REFERENCE_CASES if a.category == "leibniz")
+    for f, top in ((GF(2), 4), (GF(3), 4), (GF(5), 4), (QQ, 3)):
+        yield zero_algebra(f, 0, "leibniz")
+        for n in range(1, top + 1):
+            for seed in range(6):
+                yield sample_algebra(random.Random(seed), f, n, "leibniz")
+    rng = random.Random(0)
+    for f in (GF(2 ** 31 - 1), GF(2 ** 61 - 1)):
+        yield _conjugate(a5_leibniz(f), *_rand_invertible(rng, f, 2))
+
+
+def test_condition1_of_the_pipeline_is_the_report_of_condition1_check():
+    # a passing verdict reads condition 1 off its BAB (variant 1) or BBA
+    # (variant 2) block; a failing one runs condition1_check
+    verdicts = Counter()
+    for a in _condition1_cases():
+        want = condition1_check(a)
+        for variant in (1, 2):
+            v = actor_pipeline(a, variant)
+            assert v.condition_status.to_json(a.field.to_json) == want.to_json(a.field.to_json)
+            assert v.condition_status.passed == v.exists
+            verdicts[variant, v.exists] += 1
+    assert min(verdicts.values()) >= 20 and len(verdicts) == 4, verdicts
+
+
 def test_a_passing_verdict_builds_one_candidate_and_sweeps_no_condition(monkeypatch):
     builds, sweeps, own_suites = [], [], []
     build, sweep = constructions._build_actor, constructions._condition_check
@@ -234,7 +262,7 @@ def test_a_passing_verdict_builds_one_candidate_and_sweeps_no_condition(monkeypa
             (zero_algebra(QQ, 2, "associative"), False, ["bim"], [2]),
             (sample_algebra(random.Random(1), GF(5), 3, "commutative"), False, ["mult"], [2]),
             (sl2(), True, ["der"], []),
-            (a5_leibniz(), True, ["bider1"], [1])):
+            (a5_leibniz(), True, ["bider1"], [])):
         builds.clear()
         sweeps.clear()
         own_suites.clear()
